@@ -1,0 +1,74 @@
+"""Frozen SHA-256 digests of every corpus kernel's stats and trace text.
+
+A refactor of the simulator must not move a single simulated cycle, so each
+kernel's `stats_lines` output and its `run(trace=True)` text are compared
+against digests taken before the refactor. Two runs of the same code agreeing
+would not catch a shifted stall; these digests do.
+
+To re-freeze after a change that is meant to alter simulated behaviour, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and give the reason in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from streamsim import kernels
+from streamsim.cluster import ClusterConfig, stats_lines
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+# case name -> (kernel, cluster config overrides); every kernel at its
+# default n and seed 0, plus the icache-miss path, which no kernel reaches
+# with the warm-started icache
+CASES = {name: (name, {}) for name in kernels.names()}
+CASES["dot_baseline cold_start_icache"] = ("dot_baseline",
+                                           {"cold_start_icache": True})
+
+
+def _sha256(lines):
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+def digests(case):
+    """Stats digests of an untraced and a traced run, and the trace digest."""
+    kernel, overrides = CASES[case]
+    inst = kernels.build(kernel)
+    out = {}
+    for trace in (False, True):
+        _, result = kernels.run_kernel(inst, ClusterConfig(**overrides),
+                                       trace=trace)
+        out["stats_traced" if trace else "stats"] = _sha256(
+            stats_lines(result, inst.active_cores))
+    out["trace"] = _sha256(result.trace)
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests(golden, case):
+    got = digests(case)
+    want = golden[case]
+    assert got["stats"] == want["stats"], "stats moved"
+    assert got["stats_traced"] == want["stats"], "tracing changed the stats"
+    assert got["trace"] == want["trace"], "trace text moved"
+
+
+if __name__ == "__main__":
+    frozen = {}
+    for case in sorted(CASES):
+        d = digests(case)
+        if d["stats_traced"] != d["stats"]:
+            raise SystemExit(f"{case}: tracing changed the stats")
+        frozen[case] = {"stats": d["stats"], "trace": d["trace"]}
+    GOLDEN.write_text(json.dumps(frozen, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
