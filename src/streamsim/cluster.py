@@ -18,15 +18,14 @@ from dataclasses import dataclass
 from collections import deque
 
 from .isa import (Domain, CoreState, alu_result, branch_taken, fp_compute,
-                  sext32, MASK32, FP_LOAD, FP_STORE, FP_FMA, FMA_CLASS,
-                  INT_ALU, INT_BRANCH)
-from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, latency_of,
+                  sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
+from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
 from .ssr import SsrEngine, SsrConfig, SsrDim, Direction, N_SLOTS
-from .errors import (CountZero, CycleLimitExceeded, InvalidConfig,
-                     InvalidDescriptor, MisalignedAccess, NonFpInCapture,
-                     OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
-                     SimError, SimulationFault, StreamExhausted)
+from .errors import (CycleLimitExceeded, InvalidConfig, InvalidDescriptor,
+                     MisalignedAccess, NonFpInCapture, OutOfRangeAccess,
+                     OverlappingTransfer, ReconfigWhileActive, SimError,
+                     SimulationFault, StreamExhausted)
 
 
 @dataclass
@@ -94,11 +93,16 @@ class Memory:
         self.cfg = cfg
         self.tcdm = bytearray(cfg.tcdm_size)
         self.l2 = bytearray(cfg.l2_size)
+        self.tcdm_base = cfg.tcdm_base
+        self.tcdm_size = cfg.tcdm_size
+        self.bank_width = cfg.bank_width
+        self.n_banks = cfg.tcdm_banks
 
     def _locate(self, addr, n):
+        off = addr - self.tcdm_base
+        if 0 <= off and off + n <= self.tcdm_size:
+            return self.tcdm, off
         c = self.cfg
-        if c.tcdm_base <= addr and addr + n <= c.tcdm_base + c.tcdm_size:
-            return self.tcdm, addr - c.tcdm_base
         if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
             return self.l2, addr - c.l2_base
         raise OutOfRangeAccess(f"address 0x{addr:x}+{n} outside TCDM and L2")
@@ -111,19 +115,24 @@ class Memory:
         buf, off = self._locate(addr, len(data))
         buf[off:off + len(data)] = data
 
-    def latency(self, addr):
-        c = self.cfg
-        return 0 if c.tcdm_base <= addr < c.tcdm_base + c.tcdm_size else c.l2_latency
+    def load(self, addr, n):
+        """The n bytes at addr as a little-endian unsigned integer."""
+        buf, off = self._locate(addr, n)
+        return int.from_bytes(buf[off:off + n], "little")
+
+    def store(self, addr, n, value):
+        """Write the low n bytes of value at addr, little-endian."""
+        buf, off = self._locate(addr, n)
+        buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
     def in_tcdm(self, addr):
-        c = self.cfg
-        return c.tcdm_base <= addr < c.tcdm_base + c.tcdm_size
+        return 0 <= addr - self.tcdm_base < self.tcdm_size
 
     def bank_of(self, addr):
-        c = self.cfg
-        if not self.in_tcdm(addr):
-            return None
-        return ((addr - c.tcdm_base) // c.bank_width) % c.tcdm_banks
+        off = addr - self.tcdm_base
+        if 0 <= off < self.tcdm_size:
+            return (off // self.bank_width) % self.n_banks
+        return None
 
 
 class Tcdm:
@@ -135,14 +144,36 @@ class Tcdm:
         self.rr = [0] * cfg.tcdm_banks
 
     def arbitrate(self, requests):
-        """requests: {bank: set(requester ids)} -> {bank: winning id}."""
+        """requests: {bank: set(requester ids)} -> {bank: winning id}.
+
+        The winner is the first requester at or after the bank's pointer,
+        counting modulo the number of requesters.
+        """
+        rr = self.rr
+        n = self.n_requesters
         grants = {}
         for bank, ids in requests.items():
-            ptr = self.rr[bank]
-            win = min(ids, key=lambda i: (i - ptr) % self.n_requesters)
+            if len(ids) == 1:
+                (win,) = ids
+            else:
+                ptr = rr[bank]
+                win, best = None, n
+                for i in ids:
+                    d = (i - ptr) % n
+                    if d < best:
+                        win, best = i, d
             grants[bank] = win
-            self.rr[bank] = (win + 1) % self.n_requesters
+            rr[bank] = (win + 1) % n
         return grants
+
+
+def _request(requests, bank, rid):
+    """Add requester rid to the set of bank's requests this cycle."""
+    ids = requests.get(bank)
+    if ids is None:
+        requests[bank] = {rid}
+    else:
+        ids.add(rid)
 
 
 @dataclass
@@ -172,17 +203,25 @@ def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
         raise InvalidDescriptor(f"bad geometry inner={desc.inner} reps={desc.reps}")
     if desc.inner == 0:
         return
-    src_rows, dst_rows = [], []
+    rows = []
     for s, d in desc.rows():
         mem._locate(s, desc.inner)
         mem._locate(d, desc.inner)
-        src_rows.append((s, s + desc.inner))
-        dst_rows.append((d, d + desc.inner))
-    for s0, s1 in src_rows:
-        for d0, d1 in dst_rows:
-            if s0 < d1 and d0 < s1:
-                raise OverlappingTransfer(
-                    f"src [0x{s0:x},0x{s1:x}) overlaps dst [0x{d0:x},0x{d1:x})")
+        rows.append((s, 0))
+        rows.append((d, 1))
+    # sweep the row intervals by start address, remembering the source and
+    # the destination row that reach furthest so far: a row overlaps a row
+    # of the other side exactly when it starts below that one's end
+    rows.sort()
+    reach = [None, None]       # per side: start of the furthest-reaching row
+    for start, side in rows:
+        other = reach[1 - side]
+        if other is not None and start < other + desc.inner:
+            s0, d0 = (start, other) if side == 0 else (other, start)
+            raise OverlappingTransfer(
+                f"src [0x{s0:x},0x{s0 + desc.inner:x}) overlaps "
+                f"dst [0x{d0:x},0x{d0 + desc.inner:x})")
+        reach[side] = start
 
 
 class DmaEngine:
@@ -196,7 +235,8 @@ class DmaEngine:
         self.active = None
         self.row = 0
         self.offset = 0
-        self.slices = []      # pending (src, dst, n) pieces of the current window
+        self.slices = []      # pending (src, dst, n, src bank, dst bank)
+                              # pieces of the current window
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
@@ -233,7 +273,9 @@ class DmaEngine:
                     cuts.add(a)
                     a += bw
         edges = sorted(cuts)
-        self.slices = [(src + a, dst + a, b - a) for a, b in zip(edges, edges[1:])]
+        bank_of = self.mem.bank_of
+        self.slices = [(src + a, dst + a, b - a, bank_of(src + a), bank_of(dst + a))
+                       for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
         if self.active is None:
@@ -244,10 +286,12 @@ class DmaEngine:
             self.slices = []
         if not self.slices:
             self._open_window()
-        for s, d, _ in self.slices:
-            for bank in (self.mem.bank_of(s), self.mem.bank_of(d)):
-                if bank is not None:
-                    requests.setdefault(bank, set()).add(self.req_id)
+        rid = self.req_id
+        for _, _, _, sb, db in self.slices:
+            if sb is not None:
+                _request(requests, sb, rid)
+            if db is not None:
+                _request(requests, db, rid)
 
     def commit(self, granted_banks):
         if self.active is None or not self.slices:
@@ -255,14 +299,15 @@ class DmaEngine:
         self.busy_cycles += 1
         remaining = []
         moved = 0
-        for s, d, n in self.slices:
-            sb, db = self.mem.bank_of(s), self.mem.bank_of(d)
-            if (sb is None or granted_banks.get(sb) == self.req_id) and \
-               (db is None or granted_banks.get(db) == self.req_id):
+        rid = self.req_id
+        for piece in self.slices:
+            s, d, n, sb, db = piece
+            if (sb is None or granted_banks.get(sb) == rid) and \
+               (db is None or granted_banks.get(db) == rid):
                 self.mem.write(d, self.mem.read(s, n))
                 moved += n
             else:
-                remaining.append((s, d, n))
+                remaining.append(piece)
         self.bytes_moved += moved
         self.slices = remaining
         if remaining:
@@ -299,26 +344,27 @@ class Core:
         self.mem_stall_cause = None
         self.pending_l2 = None      # (instr, addr) completing after mem_stall
         self.fq_ready = 0
+        # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
+        self.int_rid = 4 * index
+        self.stream_rids = tuple(4 * index + 1 + slot for slot in range(N_SLOTS))
+        self.map_streams()
         self._int_plan = None
         self._fpu_plan = None
+        self._stream_plans = ()
 
-    # request ids: 4*i for the int pipe, 4*i+1+slot for stream engines
-    def int_req_id(self):
-        return 4 * self.index
-
-    def stream_req_id(self, slot):
-        return 4 * self.index + 1 + slot
+    def map_streams(self):
+        """Resolve which FP registers are streams, once per ssr_enable or
+        ssr_disable rather than once per operand: while streaming is on,
+        f0..f2 map to their active slots."""
+        if self.state.ssr_enabled:
+            self.stream_map = {s.index: s for s in self.ssr.slots if s.active}
+        else:
+            self.stream_map = {}
+        self.read_slots = [s for s in self.stream_map.values() if s.is_read]
 
     def drained(self):
         return (not self.fq and self.seq.idle and self.capture_pending == 0
                 and all(s.drained for s in self.ssr.slots))
-
-    def stream_slot_for(self, reg):
-        if self.state.ssr_enabled and reg < N_SLOTS:
-            slot = self.ssr.slots[reg]
-            if slot.active:
-                return slot
-        return None
 
 
 class RunResult:
@@ -391,6 +437,7 @@ class ClusterSim:
         self.cfg = config or ClusterConfig()
         self.mem = Memory(self.cfg)
         self.cores = [Core(i, self.cfg, self.mem) for i in range(self.cfg.n_cores)]
+        self.live = []              # cores not halted, in index order
         self.dma = DmaEngine(self.cfg, self.mem, req_id=4 * self.cfg.n_cores)
         self.tcdm = Tcdm(self.cfg, n_requesters=4 * self.cfg.n_cores + 1)
         self.code = {}
@@ -420,6 +467,7 @@ class ClusterSim:
             core.state = CoreState()
             core.state.x[10] = i
             core.state.x[11] = self.cfg.n_cores
+            core.map_streams()
             core.halted = i >= n_active
             if not core.halted:
                 if entries is not None:
@@ -427,6 +475,7 @@ class ClusterSim:
                     core.state.pc = program.resolve(e) if e is not None else program.entry
                 else:
                     core.state.pc = program.entry
+        self.live = [c for c in self.cores if not c.halted]
 
     def load_image(self, records):
         for addr, data in records:
@@ -444,167 +493,138 @@ class ClusterSim:
             exc_or_msg if isinstance(exc_or_msg, BaseException) else None)
 
     # ------------------------------------------------------------- FPU phase
+    #
+    # The FPU plan is None (idle), a stall cause, the QueuedOp of a capture
+    # pass, or (op, push slot, bank, replayed) for an op that issues.
 
     def _plan_fpu(self, core, requests):
-        core._fpu_plan = None
-        if core.halted:
-            return
-        if core.seq.mode == Mode.REPLAYING:
-            qop = core.seq.replay_op()
-            source = "replay"
-        elif core.fq_ready > 0:
+        seq = core.seq
+        replay = seq.state.mode is _REPLAYING
+        if replay:
+            qop = seq.replay_op()
+        elif core.fq_ready:
             qop = core.fq[0]
-            source = "queue"
         else:
-            core._fpu_plan = ("idle",)
+            core._fpu_plan = None
             return
         if qop.capture:
-            core._fpu_plan = ("capture", qop)
+            core._fpu_plan = qop
             return
 
-        instr = qop.instr
-        pops = {}      # slot index -> pop count
-        sb_srcs = []
-        dest = None
-        push_slot = None
-        mn = instr.mnemonic
-
-        def classify_src(reg):
-            slot = core.stream_slot_for(reg)
-            if slot is not None:
-                if not slot.is_read:
+        sb_srcs = qop.srcs
+        dest = qop.dest
+        push = None
+        smap = core.stream_map
+        if smap:
+            sb_srcs = []
+            pops = []      # one entry per pop, in operand order
+            for reg in qop.srcs:
+                slot = smap.get(reg)
+                if slot is None:
+                    sb_srcs.append(reg)
+                elif not slot.is_read:
                     self._fault(core, f"read of write-stream f{reg}")
-                pops[reg] = pops.get(reg, 0) + 1
-            else:
-                sb_srcs.append(reg)
-
-        if qop.kind == OP_ARITH:
-            if mn in FP_FMA:
-                for r in (instr.rs1, instr.rs2, instr.rs3):
-                    classify_src(r)
-            elif mn == "fmv.d":
-                classify_src(instr.rs1)
-            elif mn == "fmv.d.x":
-                pass  # integer source latched at dispatch
-            else:  # fadd/fsub/fmul
-                for r in (instr.rs1, instr.rs2):
-                    classify_src(r)
-            slot = core.stream_slot_for(instr.rd)
-            if slot is not None:
-                if not slot.is_write:
-                    self._fault(core, f"write to read-stream f{instr.rd}")
-                push_slot = slot
-            else:
-                dest = instr.rd
-        elif qop.kind == OP_STORE:
-            classify_src(instr.rs2)
-        elif qop.kind == OP_LOAD:
-            slot = core.stream_slot_for(instr.rd)
-            if slot is not None:
-                self._fault(core, f"load destination f{instr.rd} is stream-mapped")
-            dest = instr.rd
-
-        for reg, n in pops.items():
-            slot = core.ssr.slots[reg]
-            if not slot.can_pop(n):
-                if slot.gen.exhausted and not slot.fifo:
-                    self._fault(core, StreamExhausted(
-                        f"stream {reg} read past its {slot.config.total} elements"))
-                core._fpu_plan = ("stall", "stream")
+                else:
+                    pops.append(slot)
+            if dest in smap:
+                if qop.kind == OP_LOAD:
+                    self._fault(core, f"load destination f{dest} is stream-mapped")
+                push = smap[dest]
+                if not push.is_write:
+                    self._fault(core, f"write to read-stream f{dest}")
+                dest = None
+            for slot in pops:
+                if not slot.can_pop(pops.count(slot)):
+                    if slot.gen.exhausted and not slot.fifo:
+                        self._fault(core, StreamExhausted(
+                            f"stream {slot.index} read past its {slot.total} elements"))
+                    core._fpu_plan = _STALL_STREAM
+                    return
+            if push is not None and not push.can_push():
+                core._fpu_plan = _STALL_STREAM
                 return
-        if push_slot is not None and not push_slot.can_push():
-            core._fpu_plan = ("stall", "stream")
-            return
         if not core.sb.ok(self.cycle, sb_srcs, dest):
-            core._fpu_plan = ("stall", "hazard")
+            core._fpu_plan = _STALL_HAZARD
             return
 
-        plan = ("issue", source, qop, pops, dest, push_slot)
-        if qop.kind in (OP_LOAD, OP_STORE):
+        bank = None
+        if qop.kind != OP_ARITH:
             # FP loads/stores contend under the core's own request id
             bank = self.mem.bank_of(qop.addr)
-            requests.setdefault(bank, set()).add(core.int_req_id())
-            plan = plan + (bank,)
-        core._fpu_plan = plan
+            _request(requests, bank, core.int_rid)
+        core._fpu_plan = (qop, push, bank, replay)
 
     def _commit_fpu(self, core, grants):
+        """Apply the FPU plan; return the trace event, or None for an event
+        that is only formatted while tracing."""
         plan = core._fpu_plan
         st = core.stats
-        ev = "-"
-        if plan is None:
-            return ev
-        kind = plan[0]
-        if kind == "idle":
-            st.fp_idle += 1
-            return ev
-        if kind == "stall":
-            if plan[1] == "stream":
+        if plan.__class__ is not tuple:
+            if plan is None:
+                st.fp_idle += 1
+                return "-"
+            if plan is _STALL_STREAM:
                 st.fp_stall_stream += 1
-            else:
+                return "stall:stream"
+            if plan is _STALL_HAZARD:
                 st.fp_stall_hazard += 1
-            return f"stall:{plan[1]}"
-        if kind == "capture":
-            qop = plan[1]
-            qop.capture = False
-            core.seq.load_slot(qop)
+                return "stall:hazard"
+            plan.capture = False
+            core.seq.load_slot(plan)
             core.fq.popleft()
             core.fq_ready -= 1
             st.fp_executed += 1
-            return f"capture {qop.instr.mnemonic}"
+            return f"capture {plan.instr.mnemonic}" if self.trace_enabled else None
 
-        _, source, qop, pops, dest, push_slot, *bank = plan
-        instr = qop.instr
-        mn = instr.mnemonic
-        if bank and grants.get(bank[0]) != core.int_req_id():
+        qop, push, bank, replay = plan
+        if bank is not None and grants.get(bank) != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
 
         # gather operand bits (stream pops happen exactly once per occurrence)
-        def src_bits(reg):
-            slot = core.stream_slot_for(reg)
-            if slot is not None:
-                return slot.pop()
-            return core.state.f[reg]
-
+        f = core.state.f
+        smap = core.stream_map
         try:
-            if qop.kind == OP_ARITH:
-                if mn == "fmv.d":
-                    res = src_bits(instr.rs1)
-                elif mn == "fmv.d.x":
-                    res = qop.xval & MASK32
-                elif mn in FP_FMA:
-                    a, b, c = (src_bits(instr.rs1), src_bits(instr.rs2),
-                               src_bits(instr.rs3))
-                    res = fp_compute(instr, a, b, c)
+            if smap:
+                vals = []
+                for reg in qop.srcs:
+                    slot = smap.get(reg)
+                    vals.append(f[reg] if slot is None else slot.pop())
+            else:
+                vals = [f[reg] for reg in qop.srcs]
+            kind = qop.kind
+            if kind == OP_ARITH:
+                if qop.flops:
+                    res = fp_compute(qop.instr, *vals)
+                elif vals:
+                    res = vals[0]                  # fmv.d
                 else:
-                    a, b = src_bits(instr.rs1), src_bits(instr.rs2)
-                    res = fp_compute(instr, a, b)
-                if push_slot is not None:
-                    push_slot.push(res)
+                    res = qop.xval & MASK32        # fmv.d.x
+                if push is not None:
+                    push.push(res)
                 else:
-                    core.state.f[dest] = res
-                    core.sb.issue(self.cycle, dest, latency_of(mn))
-                if mn in FMA_CLASS:
+                    f[qop.dest] = res
+                    core.sb.issue(self.cycle, qop.dest, qop.lat)
+                if qop.flops:
                     st.fma_executed += 1
-                    lanes = 2 if mn.endswith(".s") else 1
-                    st.flops += lanes * (2 if mn in FP_FMA else 1)
-            elif qop.kind == OP_LOAD:
-                width = 8 if mn == "fld" else 4
-                raw = int.from_bytes(self.mem.read(qop.addr, width), "little")
-                core.state.f[dest] = raw
-                core.sb.issue(self.cycle, dest, latency_of(mn))
+                    st.flops += qop.flops
+            elif kind == OP_LOAD:
+                f[qop.dest] = self.mem.load(qop.addr, qop.width)
+                core.sb.issue(self.cycle, qop.dest, qop.lat)
             else:  # OP_STORE
-                width = 8 if mn == "fsd" else 4
-                raw = src_bits(instr.rs2) & ((1 << (8 * width)) - 1)
-                self.mem.write(qop.addr, raw.to_bytes(width, "little"))
+                self.mem.store(qop.addr, qop.width, vals[0])
         except SimError as e:
             self._fault(core, e)
 
         st.fp_executed += 1
-        if source == "replay":
-            i, n = core.seq.replay_position()
+        mn = qop.instr.mnemonic
+        if replay:
+            ev = None
+            if self.trace_enabled:
+                i, n = core.seq.replay_position()
+                ev = f"{mn} [iter {i}/{n}]"
             core.seq.advance_replay()
-            return f"{mn} [iter {i}/{n}]"
+            return ev
         core.fq.popleft()
         core.fq_ready -= 1
         return mn
@@ -612,56 +632,45 @@ class ClusterSim:
     # ------------------------------------------------------------- stream phase
 
     def _plan_streams(self, core, requests):
-        core._stream_plans = []
-        if core.halted or not core.state.ssr_enabled:
-            return
-        for slot in core.ssr.slots:
-            if not slot.active:
+        """Bank requests of the active slots, in slot order: a read slot
+        prefetches, a write slot drains. Returns (slot, addr, bank, id)."""
+        plans = []
+        for slot in core.stream_map.values():
+            addr = slot.want_prefetch() if slot.is_read else slot.want_drain()
+            if addr is None:
                 continue
-            addr = slot.want_prefetch()
-            if addr is not None:
-                bank = self.mem.bank_of(addr)
-                if bank is None:
-                    self._fault(core, f"stream {slot.index} address 0x{addr:x} "
-                                      "outside TCDM")
-                requests.setdefault(bank, set()).add(core.stream_req_id(slot.index))
-                core._stream_plans.append(("prefetch", slot, addr, bank))
-                continue
-            addr = slot.want_drain()
-            if addr is not None:
-                bank = self.mem.bank_of(addr)
-                if bank is None:
-                    self._fault(core, f"stream {slot.index} address 0x{addr:x} "
-                                      "outside TCDM")
-                requests.setdefault(bank, set()).add(core.stream_req_id(slot.index))
-                core._stream_plans.append(("drain", slot, addr, bank))
+            bank = self.mem.bank_of(addr)
+            if bank is None:
+                self._fault(core, f"stream {slot.index} address 0x{addr:x} "
+                                  "outside TCDM")
+            rid = core.stream_rids[slot.index]
+            _request(requests, bank, rid)
+            plans.append((slot, addr, bank, rid))
+        return plans
 
     def _commit_streams(self, core, grants):
-        for kind, slot, addr, bank in core._stream_plans:
-            if grants.get(bank) != core.stream_req_id(slot.index):
+        for slot, addr, bank, rid in core._stream_plans:
+            if grants.get(bank) != rid:
                 continue  # lost arbitration, retry next cycle
             try:
-                if kind == "prefetch":
-                    w = slot.config.element_width
-                    slot.commit_prefetch(int.from_bytes(self.mem.read(addr, w), "little"))
+                if slot.is_read:
+                    slot.commit_prefetch(self.mem.load(addr, slot.width))
                 else:
                     a, raw = slot.commit_drain()
-                    w = slot.config.element_width
-                    self.mem.write(a, (raw & ((1 << (8 * w)) - 1)).to_bytes(w, "little"))
+                    self.mem.store(a, slot.width, raw)
             except SimError as e:
                 self._fault(core, e)
 
     # ------------------------------------------------------------- integer phase
+    #
+    # The int plan is a tuple led by its kind; stalls are ("stall", cause).
 
     def _plan_int(self, core, requests):
-        core._int_plan = None
-        if core.halted:
-            return
         if core.mem_stall > 0:
-            core._int_plan = ("mem_wait",)
+            core._int_plan = _PLAN_MEM_WAIT
             return
         if core.pending_l2 is not None:
-            core._int_plan = ("l2_complete",)
+            core._int_plan = _PLAN_L2_COMPLETE
             return
         pc = core.state.pc
         instr = self.code.get(pc)
@@ -672,80 +681,79 @@ class ClusterSim:
             core._int_plan = ("icache_miss", line)
             return
         if core.capture_pending > 0:
-            if instr.domain != Domain.FP:
+            if instr.domain is not _FP:
                 self._fault(core, NonFpInCapture(
                     f"'{instr.mnemonic}' inside an frep capture range"))
             if len(core.fq) >= self.cfg.fp_queue_depth:
-                core._int_plan = ("stall", "queue_full", instr)
+                core._int_plan = _PLAN_QUEUE_FULL
                 return
             qop = self._make_qop(core, instr)
             qop.capture = True
             core._int_plan = ("capture", qop, instr)
             return
 
-        mn = instr.mnemonic
-        if instr.domain == Domain.FP:
+        kind = _INT_KIND.get(instr.mnemonic)
+        if kind == "fp":
             if len(core.fq) >= self.cfg.fp_queue_depth:
-                core._int_plan = ("stall", "queue_full", instr)
-                return
-            core._int_plan = ("dispatch", self._make_qop(core, instr), instr)
-            return
-        if mn in INT_ALU or mn in INT_BRANCH or mn in ("jal", "jalr"):
+                core._int_plan = _PLAN_QUEUE_FULL
+            else:
+                core._int_plan = ("dispatch", self._make_qop(core, instr), instr)
+        elif kind == "alu":
             core._int_plan = ("alu", instr)
-            return
-        if mn in ("lw", "sw"):
+        elif kind == "mem":
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
-            if self.mem.in_tcdm(addr):
-                bank = self.mem.bank_of(addr)
-                requests.setdefault(bank, set()).add(core.int_req_id())
+            bank = self.mem.bank_of(addr)
+            if bank is not None:
+                _request(requests, bank, core.int_rid)
                 core._int_plan = ("int_mem", instr, addr, bank)
             else:
                 core._int_plan = ("l2_start", instr, addr)
-            return
-        # custom ops
-        if mn == "frep":
+        elif kind == "frep":
             if not core.seq.idle or core.capture_pending:
-                core._int_plan = ("stall", "frep_wait", instr)
+                core._int_plan = _PLAN_FREP_WAIT
             else:
-                core._int_plan = ("frep", instr)
-            return
-        if mn in ("ssr_cfg_write", "ssr_cfg_read", "ssr_enable", "ssr_disable",
-                  "dm_src", "dm_dst", "dm_copy", "dm_poll", "halt"):
-            if mn in ("ssr_disable", "halt") and not core.drained():
-                core._int_plan = ("stall", "drain", instr)
-                return
-            if mn == "dm_copy" and len(self.dma.queue) >= self.cfg.dma_queue_depth:
-                core._int_plan = ("stall", "dma_full", instr)
-                return
+                core._int_plan = ("custom", instr)
+        elif kind == "drain":
+            core._int_plan = ("custom", instr) if core.drained() else _PLAN_DRAIN
+        elif kind == "dm_copy":
+            if len(self.dma.queue) >= self.cfg.dma_queue_depth:
+                core._int_plan = _PLAN_DMA_FULL
+            else:
+                core._int_plan = ("custom", instr)
+        elif kind == "custom":
             core._int_plan = ("custom", instr)
-            return
-        self._fault(core, f"'{mn}' cannot be executed here")
+        else:
+            self._fault(core, f"'{instr.mnemonic}' cannot be executed here")
 
     def _make_qop(self, core, instr):
-        mn = instr.mnemonic
-        if mn in FP_LOAD or mn in FP_STORE:
+        """Decode an FP instruction into its queue entry, once per dispatch;
+        an frep replay reuses the entry for every iteration."""
+        d = FP_DECODE[instr.mnemonic]
+        qop = QueuedOp(d.kind, instr, srcs=tuple(getattr(instr, f) for f in d.srcs),
+                       dest=None if d.kind == OP_STORE else instr.rd,
+                       lat=d.lat, flops=d.flops, width=d.width)
+        if d.kind != OP_ARITH:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
-            width = 8 if mn in ("fld", "fsd") else 4
-            if addr % width:
-                self._fault(core, MisalignedAccess(f"0x{addr:x} not {width}-byte aligned"))
+            if addr % d.width:
+                self._fault(core, MisalignedAccess(
+                    f"0x{addr:x} not {d.width}-byte aligned"))
             if not self.mem.in_tcdm(addr):
                 self._fault(core, f"FP memory access 0x{addr:x} outside TCDM")
-            kind = OP_LOAD if mn in FP_LOAD else OP_STORE
-            return QueuedOp(kind, instr, addr=addr)
-        if mn == "fmv.d.x":
-            return QueuedOp(OP_ARITH, instr, xval=core.state.x[instr.rs1])
-        return QueuedOp(OP_ARITH, instr)
+            qop.addr = addr
+        elif instr.mnemonic == "fmv.d.x":
+            qop.xval = core.state.x[instr.rs1]
+        return qop
 
     def _retire_int(self, core, instr):
         st = core.stats
         st.fetched += 1
-        if instr.domain == Domain.INT:
+        if instr.domain is _INT:
             st.int_retired += 1
-            if core.seq.mode == Mode.REPLAYING:
+            if core.seq.state.mode is _REPLAYING:
                 st.int_replay_overlap += 1
-        elif instr.domain == Domain.CUSTOM:
+        elif instr.domain is _CUSTOM:
             st.custom_retired += 1
         if core.state.pc in self.watch_pcs:
             self.watch_hits.setdefault(core.state.pc, []).append({
@@ -757,54 +765,35 @@ class ClusterSim:
                 "int_retired": st.int_retired,
             })
 
+    def _int_access(self, core, instr, addr):
+        """Execute lw/sw at addr."""
+        state = core.state
+        try:
+            if instr.mnemonic == "lw":
+                state.set_x(instr.rd, self.mem.load(addr, 4))
+            else:
+                self.mem.store(addr, 4, state.x[instr.rs2])
+        except SimError as e:
+            self._fault(core, e)
+
     def _commit_int(self, core, grants):
+        """Apply the int plan; return a stall event, or the instruction that
+        retired from the pc the cycle started at."""
         plan = core._int_plan
         st = core.stats
-        if plan is None:
-            return "-"
         kind = plan[0]
         state = core.state
-        if kind == "mem_wait":
-            core.mem_stall -= 1
-            if core.mem_stall_cause == "icache":
-                st.stall_icache += 1
-            else:
-                st.stall_mem += 1
-            if core.mem_stall == 0:
-                core.mem_stall_cause = None
-            return "stall:mem"
-        if kind == "l2_complete":
-            instr, addr = core.pending_l2
-            core.pending_l2 = None
-            if instr.mnemonic == "lw":
-                state.set_x(instr.rd, int.from_bytes(self.mem.read(addr, 4), "little"))
-            else:
-                self.mem.write(addr, (state.x[instr.rs2] & MASK32).to_bytes(4, "little"))
-            self._retire_int(core, instr)
-            state.pc += 4
-            return f"{state.pc - 4:#x} {instr.mnemonic}"
-        if kind == "icache_miss":
-            self.icache_warm.add(plan[1])
-            core.mem_stall = self.cfg.l2_latency
-            core.mem_stall_cause = "icache"
-            st.stall_icache += 1
-            core.mem_stall -= 1
-            if core.mem_stall == 0:
-                core.mem_stall_cause = None
-            return "stall:icache"
         if kind == "stall":
             cause = plan[1]
-            if cause == "queue_full":
-                st.stall_queue_full += 1
-            elif cause == "frep_wait":
+            if cause == "frep_wait":
                 st.stall_frep_wait += 1
+            elif cause == "queue_full":
+                st.stall_queue_full += 1
             elif cause == "drain":
                 st.stall_drain += 1
             elif cause == "dma_full":
                 st.stall_dma_full += 1
-            return f"stall:{cause}"
-
-        pc = state.pc
+            return _STALL_EVENTS[cause]
         if kind == "alu":
             instr = plan[1]
             mn = instr.mnemonic
@@ -821,46 +810,33 @@ class ClusterSim:
                 target = (state.x[instr.rs1] + instr.imm) & MASK32 & ~1
                 state.set_x(instr.rd, state.pc + 4)
                 state.pc = target
-            return f"{pc:#x} {instr.mnemonic}"
-        if kind == "int_mem":
-            _, instr, addr, bank = plan
-            if grants.get(bank) != core.int_req_id():
-                st.stall_bank_conflict += 1
-                return "stall:bank"
-            if instr.mnemonic == "lw":
-                state.set_x(instr.rd, int.from_bytes(self.mem.read(addr, 4), "little"))
-            else:
-                self.mem.write(addr, (state.x[instr.rs2] & MASK32).to_bytes(4, "little"))
-            self._retire_int(core, instr)
-            state.pc += 4
-            return f"{pc:#x} {instr.mnemonic}"
-        if kind == "l2_start":
-            _, instr, addr = plan
-            core.pending_l2 = (instr, addr)
-            core.mem_stall = self.cfg.l2_latency
-            core.mem_stall_cause = "mem"
-            st.stall_mem += 1
-            core.mem_stall -= 1
-            return "stall:mem"
-        if kind in ("dispatch", "capture"):
+            return instr
+        if kind == "dispatch" or kind == "capture":
             _, qop, instr = plan
             core.fq.append(qop)
             if kind == "capture":
                 core.capture_pending -= 1
             self._retire_int(core, instr)
             state.pc += 4
-            return f"{pc:#x} {instr.mnemonic}"
-        if kind == "frep":
-            instr = plan[1]
-            count = state.x[instr.rs1]
-            try:
-                core.seq.arm(count, instr.n_instr)
-            except (CountZero, SimError) as e:
-                self._fault(core, e)
-            core.capture_pending = instr.n_instr
+            return instr
+        if kind == "int_mem":
+            _, instr, addr, bank = plan
+            if grants.get(bank) != core.int_rid:
+                st.stall_bank_conflict += 1
+                return "stall:bank"
+            self._int_access(core, instr, addr)
             self._retire_int(core, instr)
             state.pc += 4
-            return f"{pc:#x} frep"
+            return instr
+        if kind == "mem_wait":
+            core.mem_stall -= 1
+            if core.mem_stall_cause == "icache":
+                st.stall_icache += 1
+            else:
+                st.stall_mem += 1
+            if core.mem_stall == 0:
+                core.mem_stall_cause = None
+            return "stall:mem"
         if kind == "custom":
             instr = plan[1]
             # another core may have filled the DMA queue earlier this cycle
@@ -872,13 +848,43 @@ class ClusterSim:
             self._retire_int(core, instr)
             if instr.mnemonic != "halt":
                 state.pc += 4
-            return f"{pc:#x} {instr.mnemonic}"
+            return instr
+        if kind == "l2_start":
+            _, instr, addr = plan
+            core.pending_l2 = (instr, addr)
+            core.mem_stall = self.cfg.l2_latency
+            core.mem_stall_cause = "mem"
+            st.stall_mem += 1
+            core.mem_stall -= 1
+            return "stall:mem"
+        if kind == "l2_complete":
+            instr, addr = core.pending_l2
+            core.pending_l2 = None
+            self._int_access(core, instr, addr)
+            self._retire_int(core, instr)
+            state.pc += 4
+            return instr
+        if kind == "icache_miss":
+            self.icache_warm.add(plan[1])
+            core.mem_stall = self.cfg.l2_latency
+            core.mem_stall_cause = "icache"
+            st.stall_icache += 1
+            core.mem_stall -= 1
+            if core.mem_stall == 0:
+                core.mem_stall_cause = None
+            return "stall:icache"
         raise AssertionError(f"unhandled plan {kind}")
 
     def _exec_custom(self, core, instr):
         mn = instr.mnemonic
         state = core.state
-        if mn == "ssr_cfg_write":
+        if mn == "frep":
+            try:
+                core.seq.arm(state.x[instr.rs1], instr.n_instr)
+            except SimError as e:
+                self._fault(core, e)
+            core.capture_pending = instr.n_instr
+        elif mn == "ssr_cfg_write":
             if state.ssr_enabled:
                 self._fault(core, ReconfigWhileActive(
                     f"slot {instr.slot} reconfigured while streaming"))
@@ -899,11 +905,13 @@ class ClusterSim:
             except SimError as e:
                 self._fault(core, e)
             state.ssr_enabled = True
+            core.map_streams()
         elif mn == "ssr_disable":
             core.ssr.disable()
             for staged in core.staged_cfg:
                 staged.clear()
             state.ssr_enabled = False
+            core.map_streams()
         elif mn == "dm_src":
             core.dma_src = state.x[instr.rs1]
         elif mn == "dm_dst":
@@ -920,6 +928,7 @@ class ClusterSim:
         elif mn == "halt":
             core.halted = True
             core.stats.cycles_at_halt = self.cycle + 1
+            self.live = [c for c in self.live if c is not core]
         else:
             raise AssertionError(mn)
 
@@ -928,9 +937,7 @@ class ClusterSim:
     def run(self, max_cycles=1_000_000, trace=False, watch_pcs=None) -> RunResult:
         self.trace_enabled = trace
         self.watch_pcs = frozenset(watch_pcs or ())
-        while True:
-            if all(c.halted for c in self.cores) and self.dma.idle:
-                break
+        while self.live or not self.dma.idle:
             if self.cycle >= max_cycles:
                 raise CycleLimitExceeded(
                     f"simulation exceeded {max_cycles} cycles")
@@ -938,30 +945,63 @@ class ClusterSim:
         return RunResult(self)
 
     def _step(self):
+        """One cycle over the units that can act: cores not halted, stream
+        slots while streaming is on, and the DMA engine while it has work."""
         requests = {}
-        for core in self.cores:
-            if not core.halted:
-                core.fq_ready = len(core.fq)
-                for slot in core.ssr.slots:
-                    slot.snapshot()
-        for core in self.cores:
+        live = self.live
+        for core in live:
+            core.fq_ready = len(core.fq)
+            for slot in core.read_slots:
+                slot.snapshot()
             self._plan_fpu(core, requests)
-            self._plan_streams(core, requests)
+            core._stream_plans = (self._plan_streams(core, requests)
+                                  if core.stream_map else ())
             self._plan_int(core, requests)
-        self.dma.plan(requests)
-        grants = self.tcdm.arbitrate(requests)
-        for core in self.cores:
-            if core.halted:
-                continue
+        dma = self.dma
+        dma_busy = not dma.idle
+        if dma_busy:
+            dma.plan(requests)
+        grants = self.tcdm.arbitrate(requests) if requests else {}
+        for core in live:
+            if self.trace_enabled:
+                pc = core.state.pc
             fp_ev = self._commit_fpu(core, grants)
-            self._commit_streams(core, grants)
+            if core._stream_plans:
+                self._commit_streams(core, grants)
             int_ev = self._commit_int(core, grants)
             if self.trace_enabled:
+                if int_ev.__class__ is not str:
+                    int_ev = f"{pc:#x} {int_ev.mnemonic}"
                 self.trace_rows.append(
                     f"{self.cycle:8d} | core{core.index} | "
                     f"int-pipe: {int_ev:<24} | fp-pipe: {fp_ev}")
-        self.dma.commit(grants)
+        if dma_busy:
+            dma.commit(grants)
         self.cycle += 1
+
+
+_REPLAYING = Mode.REPLAYING
+_FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
+
+_STALL_STREAM = "stream"    # FPU stall causes
+_STALL_HAZARD = "hazard"
+
+_PLAN_MEM_WAIT = ("mem_wait",)
+_PLAN_L2_COMPLETE = ("l2_complete",)
+_PLAN_QUEUE_FULL = ("stall", "queue_full")
+_PLAN_FREP_WAIT = ("stall", "frep_wait")
+_PLAN_DRAIN = ("stall", "drain")
+_PLAN_DMA_FULL = ("stall", "dma_full")
+_STALL_EVENTS = {cause: f"stall:{cause}"
+                 for cause in ("queue_full", "frep_wait", "drain", "dma_full")}
+
+# int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the
+# write streams to empty, dm_copy for room in the DMA queue
+_INT_KIND = {mn: "fp" for mn in FP_DECODE}
+_INT_KIND.update({mn: "alu" for mn in INT_ALU | INT_BRANCH | {"jal", "jalr"}})
+_INT_KIND.update({mn: "custom" for mn in CUSTOM_OPS})
+_INT_KIND.update(lw="mem", sw="mem", frep="frep", ssr_disable="drain",
+                 halt="drain", dm_copy="dm_copy")
 
 
 def _config_from_fields(staged):

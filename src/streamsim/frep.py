@@ -143,7 +143,38 @@ OP_LOAD = "load"        # fld/flw: memory -> FP reg at FPU issue
 OP_STORE = "store"      # fsd/fsw: FP reg -> memory at FPU issue
 
 
-@dataclass
+@dataclass(frozen=True)
+class FpDecode:
+    """What the FPU needs of one FP mnemonic, looked up once per dispatch."""
+    kind: str          # OP_ARITH, OP_LOAD or OP_STORE
+    srcs: tuple        # Instruction fields of the FP sources, in operand order
+    lat: int           # issue-to-result latency, cycles
+    flops: int         # per op; 0 outside the FMA datapath
+    width: int         # bytes accessed by a load or store
+
+
+def _decode_entry(mn):
+    if mn in FP_LOAD:
+        return FpDecode(OP_LOAD, (), latency_of(mn), 0, 8 if mn == "fld" else 4)
+    if mn in FP_STORE:
+        return FpDecode(OP_STORE, ("rs2",), latency_of(mn), 0,
+                        8 if mn == "fsd" else 4)
+    lanes = 2 if mn.endswith(".s") else 1
+    if mn in FP_FMA:
+        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), latency_of(mn),
+                        2 * lanes, 8)
+    if mn in FP_ADDMUL:
+        return FpDecode(OP_ARITH, ("rs1", "rs2"), latency_of(mn), lanes, 8)
+    if mn == "fmv.d":
+        return FpDecode(OP_ARITH, ("rs1",), latency_of(mn), 0, 8)
+    return FpDecode(OP_ARITH, (), latency_of(mn), 0, 8)  # fmv.d.x: x source
+
+
+FP_DECODE = {mn: _decode_entry(mn)
+             for mn in sorted(FP_FMA | FP_ADDMUL | FP_MOVE | FP_LOAD | FP_STORE)}
+
+
+@dataclass(slots=True)
 class QueuedOp:
     kind: str
     instr: Instruction
@@ -151,3 +182,18 @@ class QueuedOp:
     xval: int | None = None   # latched integer source for fmv.d.x
     capture: bool = False     # first pass fills the sequencer buffer instead
                               # of executing; cleared when the op is stored
+    # decoded at dispatch from FP_DECODE, so neither the queue nor a replay
+    # inspects the mnemonic again
+    srcs: tuple = ()          # FP source registers, in operand order
+    dest: int | None = None   # FP destination register
+    lat: int = 0
+    flops: int = 0
+    width: int = 8
+
+    @classmethod
+    def dispatch(cls, instr, addr=None, xval=None):
+        d = FP_DECODE[instr.mnemonic]
+        return cls(d.kind, instr, addr=addr, xval=xval,
+                   srcs=tuple(getattr(instr, f) for f in d.srcs),
+                   dest=None if d.kind == OP_STORE else instr.rd,
+                   lat=d.lat, flops=d.flops, width=d.width)

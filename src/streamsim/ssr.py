@@ -67,30 +67,36 @@ class SsrConfig:
 
 
 class AddressGen:
-    """Odometer over the configured dimensions."""
+    """Odometer over the configured dimensions.
+
+    The current address is kept as a running sum, moved by one stride per
+    step, so reading it costs nothing.
+    """
 
     def __init__(self, config: SsrConfig):
         self.config = config
         self.idx = [0] * len(config.dims)
         self.issued = 0
+        self.total = config.total
+        self.addr = config.base
 
     @property
     def exhausted(self):
-        return self.issued >= self.config.total
+        return self.issued >= self.total
 
     def peek(self):
-        addr = self.config.base
-        for i, d in zip(self.idx, self.config.dims):
-            addr += i * d.stride
-        return addr
+        return self.addr
 
     def advance(self):
         self.issued += 1
+        idx = self.idx
         for pos, d in enumerate(self.config.dims):
-            self.idx[pos] += 1
-            if self.idx[pos] < d.bound:
+            idx[pos] += 1
+            if idx[pos] < d.bound:
+                self.addr += d.stride
                 return
-            self.idx[pos] = 0
+            idx[pos] = 0
+            self.addr -= d.stride * (d.bound - 1)
 
 
 class StreamSlot:
@@ -104,23 +110,27 @@ class StreamSlot:
     def reset(self):
         self.config = None
         self.gen = None
+        self.active = False
+        self.is_read = False
+        self.is_write = False
+        self.total = 0             # elements in the configured stream
+        self.width = 8             # bytes per element
         self.fifo = deque()        # prefetched raw values (read streams)
         self.write_buf = deque()   # pending (addr, raw) stores (write streams)
         self.popped = 0
         self.pushed = 0
         self.ready = 0             # fifo entries visible to pops this cycle
 
-    @property
-    def active(self):
-        return self.config is not None
-
-    @property
-    def is_read(self):
-        return self.active and self.config.direction == Direction.READ
-
-    @property
-    def is_write(self):
-        return self.active and self.config.direction == Direction.WRITE
+    def configure(self, config: SsrConfig):
+        """Reset the slot and load an already validated configuration."""
+        self.reset()
+        self.config = config
+        self.gen = AddressGen(config)
+        self.active = True
+        self.is_read = config.direction == Direction.READ
+        self.is_write = not self.is_read
+        self.total = self.gen.total
+        self.width = config.element_width
 
     # --- cluster-path hooks ---
 
@@ -128,8 +138,9 @@ class StreamSlot:
         self.ready = len(self.fifo)
 
     def want_prefetch(self):
-        if self.is_read and not self.gen.exhausted and len(self.fifo) < self.fifo_depth:
-            return self.gen.peek()
+        gen = self.gen
+        if self.is_read and gen.issued < self.total and len(self.fifo) < self.fifo_depth:
+            return gen.addr
         return None
 
     def commit_prefetch(self, raw):
@@ -140,9 +151,9 @@ class StreamSlot:
         return self.ready >= n
 
     def pop(self):
-        if self.popped >= self.config.total:
+        if self.popped >= self.total:
             raise StreamExhausted(f"stream {self.index} read past its "
-                                  f"{self.config.total} elements")
+                                  f"{self.total} elements")
         self.ready -= 1
         self.popped += 1
         return self.fifo.popleft()
@@ -151,10 +162,10 @@ class StreamSlot:
         return len(self.write_buf) < self.fifo_depth
 
     def push(self, raw):
-        if self.pushed >= self.config.total:
+        if self.pushed >= self.total:
             raise StreamExhausted(f"stream {self.index} written past its "
-                                  f"{self.config.total} elements")
-        self.write_buf.append((self.gen.peek(), raw))
+                                  f"{self.total} elements")
+        self.write_buf.append((self.gen.addr, raw))
         self.gen.advance()
         self.pushed += 1
 
@@ -186,10 +197,7 @@ class SsrEngine:
         if self.enabled:
             raise ReconfigWhileActive(f"slot {slot_idx} reconfigured while streaming")
         config.validate(slot_idx)
-        s = self.slot(slot_idx)
-        s.reset()
-        s.config = config
-        s.gen = AddressGen(config)
+        self.slot(slot_idx).configure(config)
 
     def enable(self):
         self.enabled = True
@@ -199,9 +207,6 @@ class SsrEngine:
         self.enabled = False
         for s in self.slots:
             s.reset()
-
-    def stream_regs_in_use(self):
-        return {s.index for s in self.slots if s.active} if self.enabled else set()
 
     # --- standalone (untimed) semantics ---
 
