@@ -15,7 +15,7 @@ for memory, so a sequential sweep is safe.
 """
 
 from dataclasses import dataclass
-from collections import deque
+from collections import defaultdict, deque
 
 from .isa import (Domain, CoreState, alu_result, branch_taken, fp_compute,
                   sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
@@ -117,6 +117,9 @@ class Memory:
 
     def load(self, addr, n):
         """The n bytes at addr as a little-endian unsigned integer."""
+        off = addr - self.tcdm_base
+        if 0 <= off and off + n <= self.tcdm_size:
+            return int.from_bytes(self.tcdm[off:off + n], "little")
         buf, off = self._locate(addr, n)
         return int.from_bytes(buf[off:off + n], "little")
 
@@ -165,15 +168,6 @@ class Tcdm:
             grants[bank] = win
             rr[bank] = (win + 1) % n
         return grants
-
-
-def _request(requests, bank, rid):
-    """Add requester rid to the set of bank's requests this cycle."""
-    ids = requests.get(bank)
-    if ids is None:
-        requests[bank] = {rid}
-    else:
-        ids.add(rid)
 
 
 @dataclass
@@ -278,6 +272,8 @@ class DmaEngine:
                        for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
+        """Request the banks of the current window; requests is a
+        defaultdict(set) of bank -> requester ids."""
         if self.active is None:
             if not self.queue:
                 return
@@ -289,9 +285,9 @@ class DmaEngine:
         rid = self.req_id
         for _, _, _, sb, db in self.slices:
             if sb is not None:
-                _request(requests, sb, rid)
+                requests[sb].add(rid)
             if db is not None:
-                _request(requests, db, rid)
+                requests[db].add(rid)
 
     def commit(self, granted_banks):
         if self.active is None or not self.slices:
@@ -495,7 +491,38 @@ class ClusterSim:
     # ------------------------------------------------------------- FPU phase
     #
     # The FPU plan is None (idle), a stall cause, the QueuedOp of a capture
-    # pass, or (op, push slot, bank, replayed) for an op that issues.
+    # pass, or (op, bank, replayed) for an op that issues.
+
+    def _map_operands(self, core, qop):
+        """Split qop's registers under the core's stream map: f0..f2 sources
+        pop their read streams and an f0..f2 destination pushes to its write
+        stream while streaming is on; the rest go through the scoreboard."""
+        smap = core.stream_map
+        operands, sb_srcs, pops = [], [], {}
+        for reg in qop.srcs:
+            slot = smap.get(reg)
+            if slot is None:
+                operands.append(reg)
+                sb_srcs.append(reg)
+            elif not slot.is_read:
+                self._fault(core, f"read of write-stream f{reg}")
+            else:
+                operands.append(slot)
+                pops[slot] = pops.get(slot, 0) + 1
+        dest = qop.dest
+        push = smap.get(dest)
+        if push is not None:
+            if qop.kind == OP_LOAD:
+                self._fault(core, f"load destination f{dest} is stream-mapped")
+            if not push.is_write:
+                self._fault(core, f"write to read-stream f{dest}")
+            dest = None
+        qop.mapped = smap
+        qop.operands = tuple(operands)
+        qop.pops = tuple(pops.items())
+        qop.push = push
+        qop.sb_srcs = tuple(sb_srcs)
+        qop.sb_dest = dest
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
@@ -510,40 +537,19 @@ class ClusterSim:
         if qop.capture:
             core._fpu_plan = qop
             return
-
-        sb_srcs = qop.srcs
-        dest = qop.dest
-        push = None
-        smap = core.stream_map
-        if smap:
-            sb_srcs = []
-            pops = []      # one entry per pop, in operand order
-            for reg in qop.srcs:
-                slot = smap.get(reg)
-                if slot is None:
-                    sb_srcs.append(reg)
-                elif not slot.is_read:
-                    self._fault(core, f"read of write-stream f{reg}")
-                else:
-                    pops.append(slot)
-            if dest in smap:
-                if qop.kind == OP_LOAD:
-                    self._fault(core, f"load destination f{dest} is stream-mapped")
-                push = smap[dest]
-                if not push.is_write:
-                    self._fault(core, f"write to read-stream f{dest}")
-                dest = None
-            for slot in pops:
-                if not slot.can_pop(pops.count(slot)):
-                    if slot.gen.exhausted and not slot.fifo:
-                        self._fault(core, StreamExhausted(
-                            f"stream {slot.index} read past its {slot.total} elements"))
-                    core._fpu_plan = _STALL_STREAM
-                    return
-            if push is not None and not push.can_push():
+        if qop.mapped is not core.stream_map:
+            self._map_operands(core, qop)
+        for slot, n in qop.pops:
+            if not slot.can_pop(n):
+                if slot.gen.exhausted and not slot.fifo:
+                    self._fault(core, StreamExhausted(
+                        f"stream {slot.index} read past its {slot.total} elements"))
                 core._fpu_plan = _STALL_STREAM
                 return
-        if not core.sb.ok(self.cycle, sb_srcs, dest):
+        if qop.push is not None and not qop.push.can_push():
+            core._fpu_plan = _STALL_STREAM
+            return
+        if not core.sb.ok(self.cycle, qop.sb_srcs, qop.sb_dest):
             core._fpu_plan = _STALL_HAZARD
             return
 
@@ -551,8 +557,8 @@ class ClusterSim:
         if qop.kind != OP_ARITH:
             # FP loads/stores contend under the core's own request id
             bank = self.mem.bank_of(qop.addr)
-            _request(requests, bank, core.int_rid)
-        core._fpu_plan = (qop, push, bank, replay)
+            requests[bank].add(core.int_rid)
+        core._fpu_plan = (qop, bank, replay)
 
     def _commit_fpu(self, core, grants):
         """Apply the FPU plan; return the trace event, or None for an event
@@ -576,38 +582,32 @@ class ClusterSim:
             st.fp_executed += 1
             return f"capture {plan.instr.mnemonic}" if self.trace_enabled else None
 
-        qop, push, bank, replay = plan
+        qop, bank, replay = plan
         if bank is not None and grants.get(bank) != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
 
-        # gather operand bits (stream pops happen exactly once per occurrence)
         f = core.state.f
-        smap = core.stream_map
         try:
-            if smap:
-                vals = []
-                for reg in qop.srcs:
-                    slot = smap.get(reg)
-                    vals.append(f[reg] if slot is None else slot.pop())
-            else:
-                vals = [f[reg] for reg in qop.srcs]
+            # operand bits; each stream pops exactly once per occurrence
+            vals = [f[o] if o.__class__ is int else o.pop() for o in qop.operands]
             kind = qop.kind
             if kind == OP_ARITH:
-                if qop.flops:
+                flops = qop.flops
+                if flops:
                     res = fp_compute(qop.instr, *vals)
                 elif vals:
                     res = vals[0]                  # fmv.d
                 else:
                     res = qop.xval & MASK32        # fmv.d.x
-                if push is not None:
-                    push.push(res)
+                if qop.push is not None:
+                    qop.push.push(res)
                 else:
                     f[qop.dest] = res
                     core.sb.issue(self.cycle, qop.dest, qop.lat)
-                if qop.flops:
+                if flops:
                     st.fma_executed += 1
-                    st.flops += qop.flops
+                    st.flops += flops
             elif kind == OP_LOAD:
                 f[qop.dest] = self.mem.load(qop.addr, qop.width)
                 core.sb.issue(self.cycle, qop.dest, qop.lat)
@@ -617,17 +617,16 @@ class ClusterSim:
             self._fault(core, e)
 
         st.fp_executed += 1
-        mn = qop.instr.mnemonic
         if replay:
             ev = None
             if self.trace_enabled:
                 i, n = core.seq.replay_position()
-                ev = f"{mn} [iter {i}/{n}]"
+                ev = f"{qop.instr.mnemonic} [iter {i}/{n}]"
             core.seq.advance_replay()
             return ev
         core.fq.popleft()
         core.fq_ready -= 1
-        return mn
+        return qop.instr.mnemonic
 
     # ------------------------------------------------------------- stream phase
 
@@ -644,7 +643,7 @@ class ClusterSim:
                 self._fault(core, f"stream {slot.index} address 0x{addr:x} "
                                   "outside TCDM")
             rid = core.stream_rids[slot.index]
-            _request(requests, bank, rid)
+            requests[bank].add(rid)
             plans.append((slot, addr, bank, rid))
         return plans
 
@@ -706,7 +705,7 @@ class ClusterSim:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
             bank = self.mem.bank_of(addr)
             if bank is not None:
-                _request(requests, bank, core.int_rid)
+                requests[bank].add(core.int_rid)
                 core._int_plan = ("int_mem", instr, addr, bank)
             else:
                 core._int_plan = ("l2_start", instr, addr)
@@ -947,7 +946,7 @@ class ClusterSim:
     def _step(self):
         """One cycle over the units that can act: cores not halted, stream
         slots while streaming is on, and the DMA engine while it has work."""
-        requests = {}
+        requests = defaultdict(set)
         live = self.live
         for core in live:
             core.fq_ready = len(core.fq)
@@ -962,14 +961,15 @@ class ClusterSim:
         if dma_busy:
             dma.plan(requests)
         grants = self.tcdm.arbitrate(requests) if requests else {}
+        trace = self.trace_enabled
         for core in live:
-            if self.trace_enabled:
+            if trace:
                 pc = core.state.pc
             fp_ev = self._commit_fpu(core, grants)
             if core._stream_plans:
                 self._commit_streams(core, grants)
             int_ev = self._commit_int(core, grants)
-            if self.trace_enabled:
+            if trace:
                 if int_ev.__class__ is not str:
                     int_ev = f"{pc:#x} {int_ev.mnemonic}"
                 self.trace_rows.append(

@@ -3,8 +3,10 @@
 The simulator keeps FP registers as raw 64-bit patterns, so every arithmetic op
 goes bits -> float -> bits through these helpers. fma64 performs a true fused
 multiply-add (single rounding); Python 3.10 has no math.fma, so the exact value
-is formed with integer-ratio arithmetic and rounded once by bignum division,
-which CPython rounds correctly to nearest-even.
+is formed either as an unevaluated sum of doubles, summed with one correct
+rounding by math.fsum, or, where that could under- or overflow, with
+integer-ratio arithmetic rounded once by bignum division, which CPython rounds
+correctly to nearest-even.
 """
 
 import math
@@ -12,13 +14,31 @@ import struct
 
 MASK64 = (1 << 64) - 1
 
+_F64 = struct.Struct("<d")
+_U64 = struct.Struct("<Q")
+_F64X3 = struct.Struct("<3d")
+_U64X3 = struct.Struct("<3Q")
+
+# Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves, and
+# Dekker's product p + e == a*b is exact while neither the split overflows
+# nor the error term e underflows; these bounds keep well inside both
+_SPLIT = 134217729.0
+_SPLIT_MAX = 2.0 ** 990
+_PRODUCT_MIN = 2.0 ** -960
+_PRODUCT_MAX = 2.0 ** 1000
+
 
 def f64_to_bits(x: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
+    return _U64.unpack(_F64.pack(x))[0]
 
 
 def bits_to_f64(b: int) -> float:
-    return struct.unpack("<d", struct.pack("<Q", b & MASK64))[0]
+    return _F64.unpack(_U64.pack(b & MASK64))[0]
+
+
+def bits_to_f64x3(a: int, b: int, c: int) -> tuple[float, float, float]:
+    """bits_to_f64 of three patterns at once."""
+    return _F64X3.unpack(_U64X3.pack(a & MASK64, b & MASK64, c & MASK64))
 
 
 def round32(x: float) -> float:
@@ -34,10 +54,8 @@ def bits_to_f32_pair(b: int) -> tuple[float, float]:
     return struct.unpack("<ff", struct.pack("<Q", b & MASK64))
 
 
-def fma64(a: float, b: float, c: float) -> float:
-    """a*b + c with a single rounding, exact for all finite doubles."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return a * b + c
+def _exact_ratio(a, b, c):
+    """a*b + c for finite doubles as an exact ratio n / d, d a power of two."""
     na, da = a.as_integer_ratio()
     nb, db = b.as_integer_ratio()
     nc, dc = c.as_integer_ratio()
@@ -45,9 +63,34 @@ def fma64(a: float, b: float, c: float) -> float:
     nab = na * nb
     dab = da * db
     if dab >= dc:
-        n, d = nab + nc * (dab // dc), dab
-    else:
-        n, d = nab * (dc // dab) + nc, dc
+        return nab + nc * (dab // dc), dab
+    return nab * (dc // dab) + nc, dc
+
+
+def fma64(a: float, b: float, c: float) -> float:
+    """a*b + c with a single rounding, exact for all finite doubles."""
+    p = a * b
+    if (_PRODUCT_MIN < abs(p) < _PRODUCT_MAX and abs(a) < _SPLIT_MAX
+            and abs(b) < _SPLIT_MAX and math.isfinite(c)):
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        try:
+            return math.fsum((p, e, c))
+        except OverflowError:
+            pass
+    return _fma64_exact(a, b, c)
+
+
+def _fma64_exact(a, b, c):
+    """fma64 by integer-ratio arithmetic; the reference for every input."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return a * b + c
+    n, d = _exact_ratio(a, b, c)
     if n == 0:
         # exact zero: keep IEEE sign-of-zero for the all-zero-addend case
         return a * b + c
@@ -58,10 +101,26 @@ def fma64(a: float, b: float, c: float) -> float:
 
 
 def fma32(a: float, b: float, c: float) -> float:
-    """binary32 fused multiply-add on values held as doubles.
+    """binary32 fused multiply-add on values held as doubles, rounded once.
 
-    Rounds the exact double result to binary32. The double-then-single rounding
-    can differ from a true single rounding only in ties invisible at the value
-    ranges the SIMD convention is used with; acceptable for this model.
+    The operands are binary32 values, so the exact result lies far inside the
+    binary64 range. It is rounded to 53 bits by round-to-odd, which keeps
+    the information the final rounding needs (53 >= 2*24 + 2), and then
+    rounded to binary32 by round32.
     """
-    return round32(fma64(round32(a), round32(b), round32(c)))
+    a, b, c = round32(a), round32(b), round32(c)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return round32(a * b + c)
+    n, d = _exact_ratio(a, b, c)
+    if n == 0:
+        return a * b + c
+    mag = abs(n)
+    drop = mag.bit_length() - 53
+    if drop > 0:
+        q = mag >> drop
+        if mag & ((1 << drop) - 1):
+            q |= 1                      # sticky: round to odd
+    else:
+        q, drop = mag, 0
+    odd = math.ldexp(q, drop - (d.bit_length() - 1))
+    return round32(odd if n > 0 else -odd)

@@ -189,6 +189,15 @@ class QueuedOp:
     lat: int = 0
     flops: int = 0
     width: int = 8
+    # the registers split under the stream map `mapped` into stream pops, a
+    # stream push and scoreboard registers; split at first issue and reused
+    # by every replay
+    mapped: dict | None = None
+    operands: tuple = ()      # per source: its register, or the slot to pop
+    pops: tuple = ()          # (read slot, pops) per stream source
+    push: object = None       # write slot taking the result
+    sb_srcs: tuple = ()       # sources the scoreboard tracks
+    sb_dest: int | None = None
 
     @classmethod
     def dispatch(cls, instr, addr=None, xval=None):

@@ -341,7 +341,7 @@ def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) ->
         else:
             raise UnsupportedInstruction(f"'{mn}' is not an FP compute op")
         return fp.f32_pair_to_bits(lo, hi)
-    a, b, c = fp.bits_to_f64(a_bits), fp.bits_to_f64(b_bits), fp.bits_to_f64(c_bits)
+    a, b, c = fp.bits_to_f64x3(a_bits, b_bits, c_bits)
     if mn == "fmadd.d":
         r = fp.fma64(a, b, c)
     elif mn == "fmsub.d":

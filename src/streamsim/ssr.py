@@ -79,6 +79,7 @@ class AddressGen:
         self.issued = 0
         self.total = config.total
         self.addr = config.base
+        self.steps = tuple((d.stride, d.bound) for d in config.dims)
 
     @property
     def exhausted(self):
@@ -90,13 +91,16 @@ class AddressGen:
     def advance(self):
         self.issued += 1
         idx = self.idx
-        for pos, d in enumerate(self.config.dims):
-            idx[pos] += 1
-            if idx[pos] < d.bound:
-                self.addr += d.stride
+        pos = 0
+        for stride, bound in self.steps:
+            i = idx[pos] + 1
+            if i < bound:
+                idx[pos] = i
+                self.addr += stride
                 return
             idx[pos] = 0
-            self.addr -= d.stride * (d.bound - 1)
+            self.addr -= stride * (bound - 1)
+            pos += 1
 
 
 class StreamSlot:

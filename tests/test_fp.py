@@ -4,9 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from streamsim.fp import (MASK64, bits_to_f32_pair, bits_to_f64,
-                          f32_pair_to_bits, f64_to_bits, fma32, fma64,
-                          round32)
+from streamsim.fp import (MASK64, _fma64_exact, bits_to_f32_pair,
+                          bits_to_f64, bits_to_f64x3, f32_pair_to_bits,
+                          f64_to_bits, fma32, fma64, round32)
 
 ULP1 = 2.0 ** -52
 
@@ -66,6 +66,36 @@ def test_fma_matches_exact_rational():
         assert fma64(a, b, c) == want
 
 
+def test_fma_fast_path_matches_exact():
+    """The double-double path of fma64 against the integer-ratio reference,
+    across exponents, with cancellation that leaves only the product's
+    rounding error, and at the edges of the fast path's range."""
+    rng = random.Random(11)
+
+    def rand(lo, hi):
+        return math.ldexp(rng.uniform(1, 2), rng.randint(lo, hi)) * rng.choice((-1, 1))
+
+    cases = []
+    for _ in range(4000):
+        a, b = rand(-500, 500), rand(-500, 500)
+        cases.append((a, b, rand(-1074, 1023)))
+        cases.append((a, b, -(a * b)))                   # result is e alone
+        cases.append((a, b, -(a * b) * (1 + ULP1)))
+    for _ in range(2000):
+        cases.append((rand(-990, 990), rand(-990, 990), rand(-1074, 1023)))
+    for p in list(range(-1075, -900, 3)) + list(range(980, 1024, 3)):
+        for ea in (-20, 0, 20, p - 30, p // 2):          # around the bounds
+            a = rand(ea, ea)
+            b = math.ldexp(rng.uniform(1, 2), p) / a if a else 0.0
+            if b and math.isfinite(b):
+                cases.append((a, b, rand(p - 60, p)))
+                cases.append((a, b, -(a * b)))
+    cases.append((1.7e308, 1.0, 1.7e308))                # sum overflows
+    for a, b, c in cases:
+        assert f64_to_bits(fma64(a, b, c)) == f64_to_bits(_fma64_exact(a, b, c)), \
+            (a.hex(), b.hex(), c.hex())
+
+
 def test_fma_subnormal_rounding():
     tiny = bits_to_f64(1)  # smallest positive subnormal
     assert fma64(tiny, 1.0, tiny) == 2 * tiny
@@ -92,3 +122,53 @@ def test_fma32_lanes():
         c = round32(rng.uniform(-100, 100))
         got = fma32(a, b, c)
         assert got == round32(got)  # representable in binary32
+
+
+def round_f32(x: Fraction) -> float:
+    """Oracle: the exact value x rounded to binary32, nearest-even."""
+    if x == 0:
+        return 0.0
+    sign, x = (-1.0, -x) if x < 0 else (1.0, x)
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < Fraction(2) ** e:
+        e -= 1
+    e = max(e, -126)                      # subnormals share the least exponent
+    m = x / Fraction(2) ** (e - 23)       # in units of the last place
+    q = m.numerator // m.denominator
+    r = m - q
+    if r > Fraction(1, 2) or (r == Fraction(1, 2) and q % 2):
+        q += 1
+    return sign * math.ldexp(q, e - 23)
+
+
+def test_fma32_rounds_once():
+    # (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 sits exactly between two binary32
+    # values; the 2^-80 addend decides it, unless it is lost to a first
+    # rounding to binary64
+    x = 1 + 2.0 ** -12
+    assert fma32(x, x, 2.0 ** -80).hex() == "0x1.0020020000000p+0"
+    assert fma32(x, x, -2.0 ** -80).hex() == "0x1.0020000000000p+0"
+    rng = random.Random(5)
+    cases = []
+    for _ in range(3000):
+        # 13-bit significands: the exact products land on and near midpoints
+        a = math.ldexp(1 + rng.randrange(1 << 12) * 2.0 ** -12, rng.randint(-40, 40))
+        b = math.ldexp(1 + rng.randrange(1 << 12) * 2.0 ** -12, rng.randint(-40, 40))
+        a, b = a * rng.choice((-1, 1)), b * rng.choice((-1, 1))
+        ab = Fraction(a) * Fraction(b)
+        tie = ab.numerator.bit_length() - ab.denominator.bit_length() - 24
+        c = rng.choice((0.0, math.ldexp(rng.choice((-1, 1)), tie - rng.randint(1, 60)),
+                        -a * b, rng.uniform(-1, 1)))
+        cases.append((a, b, round32(c)))
+    # binary32 subnormal results, on and beside a tie
+    cases += [(2.0 ** -75, 1.5 * 2.0 ** -74, 0.0),
+              (2.0 ** -75, 1.5 * 2.0 ** -74, -(2.0 ** -149)),
+              (3 * 2.0 ** -76, 2.0 ** -74, 2.0 ** -149)]
+    for a, b, c in cases:
+        want = round_f32(Fraction(a) * Fraction(b) + Fraction(c))
+        assert fma32(a, b, c) == want, (a.hex(), b.hex(), c.hex())
+
+
+def test_bits_to_f64x3():
+    vals = (1.5, -0.0, math.inf)
+    assert bits_to_f64x3(*map(f64_to_bits, vals)) == vals
