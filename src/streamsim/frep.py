@@ -149,7 +149,8 @@ class FpDecode:
     kind: str          # OP_ARITH, OP_LOAD or OP_STORE
     srcs: tuple        # Instruction fields of the FP sources, in operand order
     lat: int           # issue-to-result latency, cycles
-    flops: int         # per op; 0 outside the FMA datapath
+    flops: int         # per op; nonzero exactly for the compute ops that
+                       # occupy the FMA datapath, which utilization counts
     width: int         # bytes accessed by a load or store
 
 

@@ -10,8 +10,7 @@ import re
 from dataclasses import dataclass, field as dfield
 from enum import Enum
 
-from .errors import (MalformedOperands, MisalignedAccess, OutOfRangeAccess,
-                     UnsupportedInstruction)
+from .errors import MalformedOperands, UnsupportedInstruction
 from . import fp
 
 MASK32 = 0xFFFFFFFF
@@ -26,8 +25,6 @@ class Domain(Enum):
 # mnemonic groups; every supported mnemonic appears in exactly one
 INT_ALU = {"add", "sub", "addi", "slli", "lui", "auipc"}
 INT_BRANCH = {"beq", "bne", "blt", "bltu"}
-INT_JUMP = {"jal", "jalr"}
-INT_MEM = {"lw", "sw"}
 FP_LOAD = {"fld", "flw"}
 FP_STORE = {"fsd", "fsw"}
 FP_FMA = {"fmadd.d", "fmsub.d", "fmadd.s", "fmsub.s"}
@@ -35,10 +32,6 @@ FP_ADDMUL = {"fadd.d", "fsub.d", "fmul.d", "fadd.s", "fsub.s", "fmul.s"}
 FP_MOVE = {"fmv.d", "fmv.d.x"}
 CUSTOM_OPS = {"frep", "ssr_cfg_write", "ssr_cfg_read", "ssr_enable", "ssr_disable",
               "dm_src", "dm_dst", "dm_copy", "dm_poll", "halt"}
-
-# compute ops that occupy the FMA datapath; utilization counts these
-FMA_CLASS = FP_FMA | FP_ADDMUL
-SP_OPS = {m for m in FMA_CLASS if m.endswith(".s")}
 
 SSR_FIELDS = ("base", "stride0", "stride1", "stride2", "stride3",
               "bound0", "bound1", "bound2", "bound3", "dims", "dir", "width")
@@ -67,8 +60,6 @@ def _build_fregs():
 
 XREGS = _build_xregs()
 FREGS = _build_fregs()
-XREG_NAMES = [f"x{i}" for i in range(32)]
-FREG_NAMES = [f"f{i}" for i in range(32)]
 
 _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 
@@ -261,18 +252,11 @@ class CoreState:
     pc: int = 0
     x: list = dfield(default_factory=lambda: [0] * 32)
     f: list = dfield(default_factory=lambda: [0] * 32)  # raw 64-bit patterns
-    cycle: int = 0
     ssr_enabled: bool = False
 
     def set_x(self, idx, value):
         if idx:  # x0 is hardwired to zero
             self.x[idx] = value & MASK32
-
-    def f_float(self, idx):
-        return fp.bits_to_f64(self.f[idx])
-
-    def set_f_float(self, idx, value):
-        self.f[idx] = fp.f64_to_bits(value)
 
 
 def sext32(v: int) -> int:
@@ -310,11 +294,6 @@ def branch_taken(core: CoreState, instr: Instruction) -> bool:
     if mn == "bltu":
         return a < b
     raise UnsupportedInstruction(f"'{mn}' is not a branch")
-
-
-def _check_align(addr, width):
-    if addr % width:
-        raise MisalignedAccess(f"address 0x{addr:x} not {width}-byte aligned")
 
 
 def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
@@ -355,69 +334,3 @@ def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) ->
     else:
         raise UnsupportedInstruction(f"'{mn}' is not an FP compute op")
     return fp.f64_to_bits(r)
-
-
-def step_integer(core: CoreState, instr: Instruction, mem) -> CoreState:
-    """Single-step the integer pipeline on one instruction.
-
-    Covers INT-domain ops plus FP load/store/move executed directly by the core
-    (the standalone view, with no SSR/FREP engaged). `mem` provides
-    read(addr, n) -> bytes, write(addr, data) and latency(addr) -> extra cycles.
-    """
-    mn = instr.mnemonic
-    if mn in INT_ALU:
-        core.set_x(instr.rd, alu_result(core, instr))
-        core.pc += 4
-        core.cycle += 1
-    elif mn in INT_BRANCH:
-        # taken and untaken branches both cost one cycle
-        core.pc = instr.imm if branch_taken(core, instr) else core.pc + 4
-        core.cycle += 1
-    elif mn == "jal":
-        core.set_x(instr.rd, core.pc + 4)
-        core.pc = instr.imm
-        core.cycle += 1
-    elif mn == "jalr":
-        target = (core.x[instr.rs1] + instr.imm) & MASK32 & ~1
-        core.set_x(instr.rd, core.pc + 4)
-        core.pc = target
-        core.cycle += 1
-    elif mn == "lw":
-        addr = (core.x[instr.rs1] + instr.imm) & MASK32
-        _check_align(addr, 4)
-        core.set_x(instr.rd, int.from_bytes(mem.read(addr, 4), "little"))
-        core.pc += 4
-        core.cycle += 1 + mem.latency(addr)
-    elif mn == "sw":
-        addr = (core.x[instr.rs1] + instr.imm) & MASK32
-        _check_align(addr, 4)
-        mem.write(addr, (core.x[instr.rs2] & MASK32).to_bytes(4, "little"))
-        core.pc += 4
-        core.cycle += 1 + mem.latency(addr)
-    elif mn in FP_LOAD:
-        addr = (core.x[instr.rs1] + instr.imm) & MASK32
-        width = 8 if mn == "fld" else 4
-        _check_align(addr, width)
-        # flw fills the low lane and clears the high one
-        core.f[instr.rd] = int.from_bytes(mem.read(addr, width), "little")
-        core.pc += 4
-        core.cycle += 1 + mem.latency(addr)
-    elif mn in FP_STORE:
-        addr = (core.x[instr.rs1] + instr.imm) & MASK32
-        width = 8 if mn == "fsd" else 4
-        _check_align(addr, width)
-        mem.write(addr, (core.f[instr.rs2] & ((1 << (width * 8)) - 1)).to_bytes(width, "little"))
-        core.pc += 4
-        core.cycle += 1 + mem.latency(addr)
-    elif mn == "fmv.d":
-        core.f[instr.rd] = core.f[instr.rs1]
-        core.pc += 4
-        core.cycle += 1
-    elif mn == "fmv.d.x":
-        core.f[instr.rd] = core.x[instr.rs1] & MASK32
-        core.pc += 4
-        core.cycle += 1
-    else:
-        raise UnsupportedInstruction(
-            f"'{mn}' does not execute in the standalone integer pipeline")
-    return core

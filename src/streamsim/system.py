@@ -21,11 +21,6 @@ from .errors import ConfigError, MissingEnergyData
 
 FLOPS_PER_FMA = 2
 
-# reporting scenarios quoted for full-system workloads
-DETACH_LOW_INTENSITY = 0.05
-DETACH_HIGH_INTENSITY = 0.14
-DETACH_NEAR_RIDGE = 0.34
-
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_SYSTEM_YAML = _DATA_DIR / "system.yaml"
 DEFAULT_WORKLOADS_CSV = _DATA_DIR / "workloads.csv"

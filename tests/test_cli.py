@@ -160,6 +160,12 @@ def test_exit_cycle_limit(capsys):
     assert "error: CycleLimitExceeded:" in capsys.readouterr().err
 
 
+def test_exit_fault_outside_memory(capsys):
+    assert run_cli("run", "tcdm_same_bank", "--n", "460") == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: SimulationFault:") and "core 7" in err
+
+
 def test_exit_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.s"
     bad.write_text("frobnicate t0\n")

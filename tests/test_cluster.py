@@ -7,6 +7,7 @@ usable next cycle, L2 at 10 extra cycles) before running the simulator.
 
 import random
 import struct
+import time
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_dma_overlap_rejected():
         sim.dma_submit(DmaDescriptor(src=DATA_BASE, dst=DATA_BASE + 96,
                                      inner=64, reps=2,
                                      src_stride=128, dst_stride=512))
+
+
+def test_dma_validation_is_subquadratic():
+    # 50k L2 source rows gathered into one TCDM row: a pairwise overlap
+    # check would compare 2.5e9 row pairs
+    sim = ClusterSim()
+    desc = DmaDescriptor(src=L2_BASE, dst=DATA_BASE, inner=32, reps=50_000,
+                         src_stride=32, dst_stride=0)
+    t0 = time.perf_counter()
+    assert sim.dma.submit(desc)
+    assert time.perf_counter() - t0 < 2.0
+    # the same geometry with the destination row inside the source rows
+    with pytest.raises(OverlappingTransfer):
+        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=L2_BASE + 32 * 49_999,
+                                     inner=32, reps=50_000, src_stride=32,
+                                     dst_stride=0))
 
 
 def test_dma_bad_geometry_and_range():
@@ -428,6 +445,19 @@ def test_fault_misaligned_fld_and_non_tcdm():
     with pytest.raises(SimulationFault) as ei:
         run_source(f"li t1, {L2_BASE}\nfld ft3, 0(t1)\nhalt")
     assert "outside TCDM" in str(ei.value)
+
+
+def test_fault_int_access_outside_memory_has_context():
+    # the last loads of core 7 run past the end of the TCDM; outside the
+    # TCDM they take the L2 path and fault when the access completes
+    inst = kernels.build("tcdm_same_bank", n=460)
+    with pytest.raises(SimulationFault) as ei:
+        kernels.run_kernel(inst)
+    f = ei.value
+    assert isinstance(f.__cause__, OutOfRangeAccess)
+    assert f.core == 7 and f.pc is not None and f.cycle is not None
+    assert inst.program.instructions[f.pc].mnemonic == "lw"
+    assert "outside TCDM and L2" in str(f)
 
 
 def test_fault_int_op_in_capture():
