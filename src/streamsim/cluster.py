@@ -117,9 +117,6 @@ class Memory:
 
     def load(self, addr, n):
         """The n bytes at addr as a little-endian unsigned integer."""
-        off = addr - self.tcdm_base
-        if 0 <= off and off + n <= self.tcdm_size:
-            return int.from_bytes(self.tcdm[off:off + n], "little")
         buf, off = self._locate(addr, n)
         return int.from_bytes(buf[off:off + n], "little")
 
@@ -498,6 +495,13 @@ class ClusterSim:
         pop their read streams and an f0..f2 destination pushes to its write
         stream while streaming is on; the rest go through the scoreboard."""
         smap = core.stream_map
+        qop.mapped = smap
+        if not smap:
+            qop.operands = qop.sb_srcs = qop.srcs
+            qop.pops = ()
+            qop.push = None
+            qop.sb_dest = qop.dest
+            return
         operands, sb_srcs, pops = [], [], {}
         for reg in qop.srcs:
             slot = smap.get(reg)
@@ -517,7 +521,6 @@ class ClusterSim:
             if not push.is_write:
                 self._fault(core, f"write to read-stream f{dest}")
             dest = None
-        qop.mapped = smap
         qop.operands = tuple(operands)
         qop.pops = tuple(pops.items())
         qop.push = push
@@ -730,9 +733,10 @@ class ClusterSim:
         """Decode an FP instruction into its queue entry, once per dispatch;
         an frep replay reuses the entry for every iteration."""
         d = FP_DECODE[instr.mnemonic]
-        qop = QueuedOp(d.kind, instr, srcs=tuple(getattr(instr, f) for f in d.srcs),
-                       dest=None if d.kind == OP_STORE else instr.rd,
-                       lat=d.lat, flops=d.flops, width=d.width)
+        qop = QueuedOp(d.kind, instr, None, None, False,
+                       tuple([getattr(instr, f) for f in d.srcs]),
+                       None if d.kind == OP_STORE else instr.rd,
+                       d.lat, d.flops, d.width)
         if d.kind != OP_ARITH:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % d.width:
