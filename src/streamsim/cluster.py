@@ -495,12 +495,12 @@ class ClusterSim:
         pop their read streams and an f0..f2 destination pushes to its write
         stream while streaming is on; the rest go through the scoreboard."""
         smap = core.stream_map
-        qop.mapped = smap
         if not smap:
             qop.operands = qop.sb_srcs = qop.srcs
             qop.pops = ()
             qop.push = None
             qop.sb_dest = qop.dest
+            qop.mapped = smap
             return
         operands, sb_srcs, pops = [], [], {}
         for reg in qop.srcs:
@@ -526,6 +526,7 @@ class ClusterSim:
         qop.push = push
         qop.sb_srcs = tuple(sb_srcs)
         qop.sb_dest = dest
+        qop.mapped = smap
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
