@@ -199,11 +199,3 @@ class QueuedOp:
     push: object = None       # write slot taking the result
     sb_srcs: tuple = ()       # sources the scoreboard tracks
     sb_dest: int | None = None
-
-    @classmethod
-    def dispatch(cls, instr, addr=None, xval=None):
-        d = FP_DECODE[instr.mnemonic]
-        return cls(d.kind, instr, addr=addr, xval=xval,
-                   srcs=tuple(getattr(instr, f) for f in d.srcs),
-                   dest=None if d.kind == OP_STORE else instr.rd,
-                   lat=d.lat, flops=d.flops, width=d.width)

@@ -142,9 +142,8 @@ class StreamSlot:
         self.ready = len(self.fifo)
 
     def want_prefetch(self):
-        gen = self.gen
-        if self.is_read and gen.issued < self.total and len(self.fifo) < self.fifo_depth:
-            return gen.addr
+        if self.is_read and not self.gen.exhausted and len(self.fifo) < self.fifo_depth:
+            return self.gen.addr
         return None
 
     def commit_prefetch(self, raw):
