@@ -3,7 +3,7 @@ stream semantic registers and FP-repetition, plus the analytic system model
 layered above it."""
 
 from . import errors
-from .asm import AsmProgram, assemble, dump_image, parse_image
+from .asm import AsmProgram, assemble
 from .cluster import (ClusterConfig, ClusterSim, CoreStats, DmaDescriptor,
                       RunResult, stats_lines)
 from .fp import bits_to_f64, f64_to_bits, fma64
@@ -18,7 +18,7 @@ from .system import (HierarchyTree, OperatingPoint, RooflineParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsmProgram", "assemble", "dump_image", "parse_image",
+    "AsmProgram", "assemble",
     "ClusterConfig", "ClusterSim", "CoreStats", "DmaDescriptor", "RunResult",
     "stats_lines",
     "bits_to_f64", "f64_to_bits", "fma64",

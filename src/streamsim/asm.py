@@ -1,30 +1,23 @@
-"""Two-pass assembler for the cluster's instruction set.
+"""Assembler for the cluster's instruction set.
 
-Pass one lays out sections and binds labels; pass two substitutes label values
-into operands and decodes. `.text` starts at 0x0 and `.data` at the scratchpad
-base, so branch targets and data pointers are absolute addresses throughout.
-
-Also home to the memory image format used by the CLI:
-
-    0x00010000: 9a9999999999f13f  # 1.1
-
-one 8-byte (or shorter) little-endian hex record per line, float shown as a
-comment when the record is a full double.
+One layout pass binds labels, places every directive and emits its bytes, and
+records each instruction and each symbolic `.word` operand; a resolve step
+then substitutes label values into those and decodes the instructions.
+`.text` starts at 0x0 and `.data` at the scratchpad base, so branch targets
+and data pointers are absolute addresses throughout.
 """
 
 import re
 import struct
 
-from .errors import DuplicateLabel, ParseError, UnresolvedLabel
-from .isa import Instruction, decode, XREGS, FREGS, SSR_FIELDS
-from .errors import SimError
+from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
+from .isa import decode, XREGS, FREGS, SSR_FIELDS
 
 TEXT_BASE = 0x0000_0000
 DATA_BASE = 0x0001_0000
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):(.*)$")
 _SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")
-_IMAGE_RE = re.compile(r"^(0[xX][0-9a-fA-F]+|\d+)\s*:\s*([0-9a-fA-F]+)$")
 
 _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)
 
@@ -43,158 +36,107 @@ class AsmProgram:
             return self.labels[target]
         raise UnresolvedLabel(f"unknown symbol '{target}'")
 
-    def text_range(self):
-        if not self.instructions:
-            return (0, 0)
-        addrs = sorted(self.instructions)
-        return addrs[0], addrs[-1] + 4
-
 
 def _parse_int(tok):
     return int(tok, 0)
 
 
-class _Line:
-    __slots__ = ("no", "label", "stmt")
-
-    def __init__(self, no, label, stmt):
-        self.no = no
-        self.label = label
-        self.stmt = stmt
-
-
-def _strip(line):
-    return line.split("#", 1)[0].strip()
-
-
 def assemble(source: str, text_base=TEXT_BASE, data_base=DATA_BASE) -> AsmProgram:
-    lines = []
+    # layout: bind labels, place directives and emit their bytes
+    labels = {}
+    section = "text"
+    cursors = {"text": text_base, "data": data_base}
+    entry_sym = None
+    data = {}     # addr -> bytes
+    # instructions sit back to back from text_base, so their addresses
+    # need not be stored; two flat lists keep the peak memory down
+    texts = []        # statement of each instruction
+    text_lines = []   # its source line
+    words = []        # (line, addr, symbol) of each symbolic .word
     for no, raw in enumerate(source.splitlines(), start=1):
-        stmt = _strip(raw)
+        stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue
         label = None
         m = _LABEL_RE.match(stmt)
         if m:
             label, stmt = m.group(1), m.group(2).strip()
-        lines.append(_Line(no, label, stmt))
-
-    # pass 1: section layout and label binding
-    labels = {}
-    section = "text"
-    cursors = {"text": text_base, "data": data_base}
-    entry_sym = None
-    for ln in lines:
-        if ln.label is not None:
-            if ln.label in labels:
-                raise DuplicateLabel(f"line {ln.no}: label '{ln.label}' redefined")
-            labels[ln.label] = cursors[section]
-        stmt = ln.stmt
-        if not stmt:
-            continue
-        if stmt.startswith("."):
-            parts = stmt.split(None, 1)
-            d = parts[0]
-            if d == ".text":
-                section = "text"
-            elif d == ".data":
-                section = "data"
-            elif d == ".global":
-                if len(parts) != 2:
-                    raise ParseError(f"line {ln.no}: .global needs a symbol")
-                if entry_sym is None:
-                    entry_sym = parts[1].strip()
-            elif d in (".word", ".double", ".space") and section != "data":
-                raise ParseError(f"line {ln.no}: {d} outside .data")
-            elif d == ".word":
-                cursors[section] = _aligned(cursors[section], 4) + 4
-                if ln.label is not None:
-                    labels[ln.label] = cursors[section] - 4
-            elif d == ".double":
-                cursors[section] = _aligned(cursors[section], 8) + 8
-                if ln.label is not None:
-                    labels[ln.label] = cursors[section] - 8
-            elif d == ".space":
-                try:
-                    n = _parse_int(parts[1].strip())
-                except (IndexError, ValueError):
-                    raise ParseError(f"line {ln.no}: .space needs a byte count")
-                cursors[section] += n
-            else:
-                raise ParseError(f"line {ln.no}: unknown directive '{d}'")
-        else:
+            if label in labels:
+                raise DuplicateLabel(f"line {no}: label '{label}' redefined")
+            labels[label] = cursors[section]
+            if not stmt:
+                continue
+        if not stmt.startswith("."):
             if section != "text":
-                raise ParseError(f"line {ln.no}: instruction outside .text")
-            cursors[section] += 4
-
-    # pass 2: emit instructions and data with labels substituted
-    instructions = {}
-    data = {}  # addr -> bytes
-    section = "text"
-    cursors = {"text": text_base, "data": data_base}
-
-    def subst(stmt, no):
-        head, _, rest = stmt.partition(" ")
-        if not rest:
-            return stmt
-        out = []
-        for tok in (t.strip() for t in rest.split(",")):
-            m = _SYM_RE.match(tok)
-            if m and m.group(1) not in _RESERVED:
-                base = m.group(1)
-                if base not in labels:
-                    raise UnresolvedLabel(f"line {no}: unknown symbol '{base}'")
-                v = labels[base] + int(m.group(2) or 0)
-                out.append(str(v))
-            else:
-                out.append(tok)
-        return f"{head} {', '.join(out)}"
-
-    for ln in lines:
-        stmt = ln.stmt
-        if not stmt:
+                raise ParseError(f"line {no}: instruction outside .text")
+            texts.append(stmt)
+            text_lines.append(no)
+            cursors["text"] += 4
             continue
-        if stmt.startswith("."):
-            parts = stmt.split(None, 1)
-            d = parts[0]
-            if d == ".text":
-                section = "text"
-            elif d == ".data":
-                section = "data"
-            elif d == ".word":
-                addr = _aligned(cursors[section], 4)
-                tok = parts[1].strip()
-                try:
-                    v = _parse_int(tok)
-                except ValueError:
-                    m = _SYM_RE.match(tok)
-                    if not (m and m.group(1) in labels):
-                        raise UnresolvedLabel(f"line {ln.no}: unknown symbol '{tok}'")
-                    v = labels[m.group(1)] + int(m.group(2) or 0)
-                data[addr] = (v & 0xFFFFFFFF).to_bytes(4, "little")
-                cursors[section] = addr + 4
-            elif d == ".double":
-                addr = _aligned(cursors[section], 8)
-                try:
-                    v = float(parts[1].strip())
-                except (IndexError, ValueError):
-                    raise ParseError(f"line {ln.no}: .double needs a number")
-                data[addr] = struct.pack("<d", v)
-                cursors[section] = addr + 8
-            elif d == ".space":
-                n = _parse_int(parts[1].strip())
-                data[cursors[section]] = bytes(n)
-                cursors[section] += n
-            # .global handled in pass 1
-        else:
-            addr = cursors["text"]
+        parts = stmt.split(None, 1)
+        d = parts[0]
+        arg = parts[1].strip() if len(parts) == 2 else ""
+        if d == ".text":
+            section = "text"
+        elif d == ".data":
+            section = "data"
+        elif d == ".global":
+            if not arg:
+                raise ParseError(f"line {no}: .global needs a symbol")
+            if entry_sym is None:
+                entry_sym = arg
+        elif d not in (".word", ".double", ".space"):
+            raise ParseError(f"line {no}: unknown directive '{d}'")
+        elif section != "data":
+            raise ParseError(f"line {no}: {d} outside .data")
+        elif d == ".space":
             try:
-                instructions[addr] = decode(subst(stmt, ln.no))
-            except UnresolvedLabel:
-                raise
-            except SimError as e:
-                raise ParseError(f"line {ln.no}: {e}") from e
-            cursors["text"] = addr + 4
+                n = _parse_int(arg)
+            except ValueError:
+                raise ParseError(f"line {no}: .space needs a byte count")
+            if n < 0:
+                raise ParseError(f"line {no}: .space count {n} is negative")
+            data[cursors["data"]] = bytes(n)
+            cursors["data"] += n
+        elif d == ".word":
+            if not arg:
+                raise ParseError(f"line {no}: .word needs a value")
+            addr = _aligned(cursors["data"], 4)
+            try:
+                v = _parse_int(arg)
+            except ValueError:
+                words.append((no, addr, arg))
+                v = 0
+            data[addr] = (v & 0xFFFFFFFF).to_bytes(4, "little")
+            if label is not None:
+                labels[label] = addr
+            cursors["data"] = addr + 4
+        else:  # .double
+            addr = _aligned(cursors["data"], 8)
+            try:
+                data[addr] = struct.pack("<d", float(arg))
+            except ValueError:
+                raise ParseError(f"line {no}: .double needs a number")
+            if label is not None:
+                labels[label] = addr
+            cursors["data"] = addr + 8
+
+    # resolve: substitute label values, decode, fill symbolic words
+    instructions = {}
+    addrs = range(text_base, cursors["text"], 4)
+    for addr, no, stmt in zip(addrs, text_lines, texts):
+        try:
+            instructions[addr] = decode(_subst(stmt, labels, no))
+        except UnresolvedLabel:
+            raise
+        except SimError as e:
+            raise ParseError(f"line {no}: {e}") from e
+    for no, addr, tok in words:
+        m = _SYM_RE.match(tok)
+        if not (m and m.group(1) in labels):
+            raise UnresolvedLabel(f"line {no}: unknown symbol '{tok}'")
+        v = labels[m.group(1)] + int(m.group(2) or 0)
+        data[addr] = (v & 0xFFFFFFFF).to_bytes(4, "little")
 
     entry = text_base
     if entry_sym is not None:
@@ -206,35 +148,23 @@ def assemble(source: str, text_base=TEXT_BASE, data_base=DATA_BASE) -> AsmProgra
     return AsmProgram(instructions, segments, labels, entry)
 
 
+def _subst(stmt, labels, no):
+    """The statement with each symbolic operand replaced by its value."""
+    head, _, rest = stmt.partition(" ")
+    if not rest:
+        return stmt
+    out = []
+    for tok in (t.strip() for t in rest.split(",")):
+        m = _SYM_RE.match(tok)
+        if m and m.group(1) not in _RESERVED:
+            base = m.group(1)
+            if base not in labels:
+                raise UnresolvedLabel(f"line {no}: unknown symbol '{base}'")
+            out.append(str(labels[base] + int(m.group(2) or 0)))
+        else:
+            out.append(tok)
+    return f"{head} {', '.join(out)}"
+
+
 def _aligned(addr, a):
     return (addr + a - 1) & ~(a - 1)
-
-
-# ----------------------------------------------------------- memory images
-
-def parse_image(text):
-    """Yield (addr, bytes) records from image text; raises ParseError."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stmt = _strip(raw)
-        if not stmt:
-            continue
-        m = _IMAGE_RE.match(stmt)
-        if m is None:
-            raise ParseError(f"image line {no}: expected 'addr: hexbytes'")
-        hexpart = m.group(2)
-        if len(hexpart) % 2:
-            raise ParseError(f"image line {no}: odd hex digit count")
-        yield _parse_int(m.group(1)), bytes.fromhex(hexpart)
-
-
-def dump_image(mem, start, length):
-    """Format a memory range as image lines, 8 bytes per record."""
-    out = []
-    for off in range(0, length, 8):
-        n = min(8, length - off)
-        chunk = mem.read(start + off, n)
-        line = f"0x{start + off:08x}: {chunk.hex()}"
-        if n == 8:
-            line += f"  # {struct.unpack('<d', chunk)[0]!r}"
-        out.append(line)
-    return "\n".join(out)

@@ -21,7 +21,7 @@ from .isa import (Domain, CoreState, alu_result, branch_taken, fp_compute,
                   sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
-from .ssr import SsrEngine, SsrConfig, SsrDim, Direction, N_SLOTS
+from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig, InvalidDescriptor,
                      MisalignedAccess, NonFpInCapture, OutOfRangeAccess,
                      OverlappingTransfer, ReconfigWhileActive, SimError,
@@ -38,12 +38,10 @@ class ClusterConfig:
     l2_base: int = 0x8000_0000
     l2_size: int = 2 * 1024 * 1024
     l2_latency: int = 10          # extra cycles for L2/external access
-    load_use_latency: int = 1     # TCDM loads complete the cycle after issue
     fp_queue_depth: int = FP_QUEUE_DEPTH
     ssr_fifo_depth: int = 4
     dma_bus_width: int = 64       # bytes per busy cycle (512-bit bus)
     dma_queue_depth: int = 8
-    icache_size: int = 8192
     icache_line: int = 32
     # the loader streams the binary through the shared icache, so fetch hits
     # from cycle 0; set True to charge l2_latency on each first line touch
@@ -318,17 +316,16 @@ class DmaEngine:
 class Core:
     """One processor: integer pipe, FP queue, FPU + sequencer, stream slots."""
 
-    def __init__(self, index, cfg: ClusterConfig, mem: Memory):
+    def __init__(self, index, cfg: ClusterConfig):
         self.index = index
         self.cfg = cfg
-        self.mem = mem
         self.state = CoreState()
         self.halted = True
         self.stats = CoreStats()
         self.fq = deque()
         self.seq = Sequencer()
         self.sb = Scoreboard()
-        self.ssr = SsrEngine(mem, cfg.ssr_fifo_depth)
+        self.slots = [StreamSlot(i, cfg.ssr_fifo_depth) for i in range(N_SLOTS)]
         self.capture_pending = 0
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
@@ -350,14 +347,14 @@ class Core:
         ssr_disable rather than once per operand: while streaming is on,
         f0..f2 map to their active slots."""
         if self.state.ssr_enabled:
-            self.stream_map = {s.index: s for s in self.ssr.slots if s.active}
+            self.stream_map = {s.index: s for s in self.slots if s.active}
         else:
             self.stream_map = {}
         self.read_slots = [s for s in self.stream_map.values() if s.is_read]
 
     def drained(self):
         return (not self.fq and self.seq.idle and self.capture_pending == 0
-                and all(s.drained for s in self.ssr.slots))
+                and all(s.drained for s in self.slots))
 
 
 class RunResult:
@@ -429,7 +426,7 @@ class ClusterSim:
     def __init__(self, config: ClusterConfig | None = None):
         self.cfg = config or ClusterConfig()
         self.mem = Memory(self.cfg)
-        self.cores = [Core(i, self.cfg, self.mem) for i in range(self.cfg.n_cores)]
+        self.cores = [Core(i, self.cfg) for i in range(self.cfg.n_cores)]
         self.live = []              # cores not halted, in index order
         self.dma = DmaEngine(self.cfg, self.mem, req_id=4 * self.cfg.n_cores)
         self.tcdm = Tcdm(self.cfg, n_requesters=4 * self.cfg.n_cores + 1)
@@ -530,7 +527,7 @@ class ClusterSim:
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
-        replay = seq.state.mode is _REPLAYING
+        replay = seq.mode is _REPLAYING
         if replay:
             qop = seq.replay_op()
         elif core.fq_ready:
@@ -755,7 +752,7 @@ class ClusterSim:
         st.fetched += 1
         if instr.domain is _INT:
             st.int_retired += 1
-            if core.seq.state.mode is _REPLAYING:
+            if core.seq.mode is _REPLAYING:
                 st.int_replay_overlap += 1
         elif instr.domain is _CUSTOM:
             st.custom_retired += 1
@@ -904,14 +901,20 @@ class ClusterSim:
             try:
                 for slot_idx, staged in enumerate(core.staged_cfg):
                     if staged:
-                        core.ssr.configure(slot_idx, _config_from_fields(staged))
-                core.ssr.enable()
+                        config = _config_from_fields(staged)
+                        if state.ssr_enabled:
+                            raise ReconfigWhileActive(
+                                f"slot {slot_idx} reconfigured while streaming")
+                        config.validate(slot_idx)
+                        core.slots[slot_idx].configure(config)
             except SimError as e:
                 self._fault(core, e)
             state.ssr_enabled = True
             core.map_streams()
         elif mn == "ssr_disable":
-            core.ssr.disable()
+            # the drain plan has already emptied the write buffers
+            for slot in core.slots:
+                slot.reset()
             for staged in core.staged_cfg:
                 staged.clear()
             state.ssr_enabled = False

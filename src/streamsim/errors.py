@@ -41,10 +41,6 @@ class StreamExhausted(SimError):
     """Stream register accessed more times than the configured element count."""
 
 
-class DirectionMismatch(SimError):
-    """Read of a write-configured stream or write to a read-configured stream."""
-
-
 # --- FP repetition sequencer ---
 
 class NestedFrep(SimError):

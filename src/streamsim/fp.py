@@ -43,7 +43,12 @@ def bits_to_f64x3(a: int, b: int, c: int) -> tuple[float, float, float]:
 
 def round32(x: float) -> float:
     """Value of x rounded to binary32, returned as a double."""
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        # packing rounds to nearest-even and raises only where that rounding
+        # overflows binary32, i.e. for |x| >= 2**128 - 2**103
+        return math.copysign(math.inf, x)
 
 
 def f32_pair_to_bits(lo: float, hi: float) -> int:

@@ -11,7 +11,7 @@ stalls while a source is in flight (RAW) or the destination has a pending
 write (WAW). Stream-mapped registers bypass the scoreboard entirely.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CountZero, NestedFrep
@@ -48,27 +48,18 @@ class Mode(Enum):
     REPLAYING = "replaying"
 
 
-@dataclass
-class FrepState:
-    buffer: list = dfield(default_factory=list)
-    n_instr: int = 0
-    total_iters: int = 0
-    iter_idx: int = 0
-    inst_ptr: int = 0
-    mode: Mode = Mode.IDLE
-
-
 class Sequencer:
     def __init__(self):
-        self.state = FrepState()
-
-    @property
-    def mode(self):
-        return self.state.mode
+        self.buffer = []
+        self.n_instr = 0
+        self.total_iters = 0
+        self.iter_idx = 0
+        self.inst_ptr = 0
+        self.mode = Mode.IDLE
 
     @property
     def idle(self):
-        return self.state.mode == Mode.IDLE
+        return self.mode == Mode.IDLE
 
     def arm(self, count: int, n_instr: int):
         """Begin a capture of n_instr instructions to be run count times."""
@@ -79,13 +70,12 @@ class Sequencer:
         if not 1 <= n_instr <= BUFFER_DEPTH:
             raise NestedFrep(f"frep body of {n_instr} exceeds the "
                              f"{BUFFER_DEPTH}-entry buffer")
-        st = self.state
-        st.buffer = []
-        st.n_instr = n_instr
-        st.total_iters = count
-        st.iter_idx = 0
-        st.inst_ptr = 0
-        st.mode = Mode.CAPTURING
+        self.buffer = []
+        self.n_instr = n_instr
+        self.total_iters = count
+        self.iter_idx = 0
+        self.inst_ptr = 0
+        self.mode = Mode.CAPTURING
 
     def load_slot(self, op):
         """Commit one capture pass; starts replay once the body is complete.
@@ -93,29 +83,27 @@ class Sequencer:
         The buffer holds queue entries, so operands latched at dispatch
         (addresses, integer move sources) stay fixed across iterations.
         """
-        st = self.state
-        assert st.mode == Mode.CAPTURING
-        st.buffer.append(op)
-        if len(st.buffer) == st.n_instr:
-            st.mode = Mode.REPLAYING
-            st.iter_idx = 1
-            st.inst_ptr = 0
+        assert self.mode == Mode.CAPTURING
+        self.buffer.append(op)
+        if len(self.buffer) == self.n_instr:
+            self.mode = Mode.REPLAYING
+            self.iter_idx = 1
+            self.inst_ptr = 0
 
     def replay_op(self):
-        return self.state.buffer[self.state.inst_ptr]
+        return self.buffer[self.inst_ptr]
 
     def replay_position(self):
-        return self.state.iter_idx, self.state.total_iters
+        return self.iter_idx, self.total_iters
 
     def advance_replay(self):
-        st = self.state
-        st.inst_ptr += 1
-        if st.inst_ptr == st.n_instr:
-            st.inst_ptr = 0
-            st.iter_idx += 1
-            if st.iter_idx > st.total_iters:
-                st.mode = Mode.IDLE
-                st.buffer = []
+        self.inst_ptr += 1
+        if self.inst_ptr == self.n_instr:
+            self.inst_ptr = 0
+            self.iter_idx += 1
+            if self.iter_idx > self.total_iters:
+                self.mode = Mode.IDLE
+                self.buffer = []
 
 
 class Scoreboard:

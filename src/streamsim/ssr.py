@@ -5,18 +5,16 @@ memory stream. Addresses follow the odometer law
 
     addr_k = base + sum_d idx_d(k) * stride_d
 
-with dimension 0 fastest. The standalone ssr_read/ssr_write ops access memory
-immediately (no timing); the cluster drives the same slots through per-cycle
-prefetch/drain requests so stream traffic contends for TCDM banks like any
-other requester.
+with dimension 0 fastest. Each core owns three slots; the cluster drives them
+through per-cycle prefetch/drain requests, so stream traffic contends for
+TCDM banks like any other requester.
 """
 
 from dataclasses import dataclass
 from collections import deque
 from enum import Enum
 
-from .errors import (DirectionMismatch, InvalidConfig, ReconfigWhileActive,
-                     StreamExhausted)
+from .errors import InvalidConfig, StreamExhausted
 
 N_SLOTS = 3
 MAX_DIMS = 4
@@ -74,7 +72,6 @@ class AddressGen:
     """
 
     def __init__(self, config: SsrConfig):
-        self.config = config
         self.idx = [0] * len(config.dims)
         self.issued = 0
         self.total = config.total
@@ -84,9 +81,6 @@ class AddressGen:
     @property
     def exhausted(self):
         return self.issued >= self.total
-
-    def peek(self):
-        return self.addr
 
     def advance(self):
         self.issued += 1
@@ -112,7 +106,6 @@ class StreamSlot:
         self.reset()
 
     def reset(self):
-        self.config = None
         self.gen = None
         self.active = False
         self.is_read = False
@@ -128,15 +121,12 @@ class StreamSlot:
     def configure(self, config: SsrConfig):
         """Reset the slot and load an already validated configuration."""
         self.reset()
-        self.config = config
         self.gen = AddressGen(config)
         self.active = True
         self.is_read = config.direction == Direction.READ
         self.is_write = not self.is_read
         self.total = self.gen.total
         self.width = config.element_width
-
-    # --- cluster-path hooks ---
 
     def snapshot(self):
         self.ready = len(self.fifo)
@@ -183,76 +173,9 @@ class StreamSlot:
         return not self.write_buf
 
 
-class SsrEngine:
-    """Three stream slots plus the enable flag, mapped over f0..f2."""
-
-    def __init__(self, mem=None, fifo_depth=4):
-        self.mem = mem
-        self.enabled = False
-        self.slots = [StreamSlot(i, fifo_depth) for i in range(N_SLOTS)]
-
-    def slot(self, i) -> StreamSlot:
-        if not 0 <= i < N_SLOTS:
-            raise InvalidConfig(f"no stream slot {i}")
-        return self.slots[i]
-
-    def configure(self, slot_idx, config: SsrConfig):
-        if self.enabled:
-            raise ReconfigWhileActive(f"slot {slot_idx} reconfigured while streaming")
-        config.validate(slot_idx)
-        self.slot(slot_idx).configure(config)
-
-    def enable(self):
-        self.enabled = True
-
-    def disable(self):
-        # cluster path drains write buffers before calling this
-        self.enabled = False
-        for s in self.slots:
-            s.reset()
-
-    # --- standalone (untimed) semantics ---
-
-    def read(self, slot_idx):
-        """Pop the next element of a read stream directly from memory.
-
-        Returns (raw_bits, stall_cycles); standalone access never stalls.
-        """
-        s = self.slot(slot_idx)
-        if not s.active:
-            raise InvalidConfig(f"slot {slot_idx} is not configured")
-        if not s.is_read:
-            raise DirectionMismatch(f"slot {slot_idx} is configured for writing")
-        if s.gen.exhausted:
-            raise StreamExhausted(f"stream {slot_idx} read past its "
-                                  f"{s.config.total} elements")
-        addr = s.gen.peek()
-        raw = int.from_bytes(self.mem.read(addr, s.config.element_width), "little")
-        s.gen.advance()
-        s.popped += 1
-        return raw, 0
-
-    def write(self, slot_idx, raw):
-        """Push the next element of a write stream directly to memory."""
-        s = self.slot(slot_idx)
-        if not s.active:
-            raise InvalidConfig(f"slot {slot_idx} is not configured")
-        if not s.is_write:
-            raise DirectionMismatch(f"slot {slot_idx} is configured for reading")
-        if s.gen.exhausted:
-            raise StreamExhausted(f"stream {slot_idx} written past its "
-                                  f"{s.config.total} elements")
-        addr = s.gen.peek()
-        self.mem.write(addr, (raw & ((1 << (8 * s.config.element_width)) - 1))
-                       .to_bytes(s.config.element_width, "little"))
-        s.gen.advance()
-        s.pushed += 1
-        return 0
-
-
 def iter_addresses(config: SsrConfig):
     """All addresses of a configured stream, in issue order."""
     gen = AddressGen(config)
     while not gen.exhausted:
-        yield gen.peek()
+        yield gen.addr
         gen.advance()

@@ -1,11 +1,10 @@
-"""Two-pass assembly: labels, directives, data layout, image format."""
+"""Assembly: labels, directives, data layout, error reporting."""
 
 import struct
 
 import pytest
 
-from streamsim.asm import (DATA_BASE, TEXT_BASE, AsmProgram, assemble,
-                           dump_image, parse_image)
+from streamsim.asm import DATA_BASE, TEXT_BASE, assemble
 from streamsim.errors import DuplicateLabel, ParseError, UnresolvedLabel
 
 
@@ -127,35 +126,26 @@ def test_resolve():
         prog.resolve("zz")
 
 
-def test_text_range():
-    prog = assemble("nop\nnop\nhalt")
-    lo, hi = prog.text_range()
-    assert (lo, hi) == (TEXT_BASE, TEXT_BASE + 12)
+def test_bad_directive_operands_are_parse_errors():
+    with pytest.raises(ParseError) as ei:
+        assemble(".data\nbuf: .space -5")
+    assert "line 2" in str(ei.value) and "negative" in str(ei.value)
+    with pytest.raises(ParseError) as ei:
+        assemble(".data\n.word 1\n.word")
+    assert "line 3" in str(ei.value)
 
 
-def test_image_roundtrip():
-    text = "0x00010000: 0102030405060708\n0x00010008: 0000000000000840  # 3.0\n"
-    recs = list(parse_image(text))
-    assert recs[0] == (0x10000, bytes(range(1, 9)))
-    assert recs[1][1] == struct.pack("<d", 3.0)
-
-
-def test_parse_image_rejects():
-    for bad in ["0x10: 0g00", "0x10: 010", "junk: 00"]:
-        with pytest.raises(ParseError):
-            list(parse_image(bad))
-
-
-class _Mem:
-    def read(self, addr, width):
-        return bytes((addr + i) & 0xFF for i in range(width))
-
-
-def test_dump_image_format():
-    lines = dump_image(_Mem(), 0x100, 16).splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("0x00000100: ")
-    # records round-trip through the parser
-    recs = list(parse_image("\n".join(lines)))
-    assert recs[0][0] == 0x100
-    assert recs[0][1] == bytes(range(0x00, 0x08))
+def test_symbolic_word_is_filled_after_layout():
+    prog = assemble("""
+        .data
+        ptr: .word tail+4
+        .double 2.0
+        tail: .word ptr
+    """)
+    segs = dict(prog.data_segments)
+    tail = prog.labels["tail"]
+    assert tail == DATA_BASE + 16
+    assert segs[DATA_BASE] == (tail + 4).to_bytes(4, "little")
+    assert segs[tail] == DATA_BASE.to_bytes(4, "little")
+    with pytest.raises(UnresolvedLabel):
+        assemble(".data\n.word nowhere")

@@ -173,6 +173,13 @@ def test_exit_parse_error(tmp_path, capsys):
     assert "error: ParseError:" in capsys.readouterr().err
 
 
+def test_exit_bad_directive_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.s"
+    bad.write_text(".data\n.space -5\n")
+    assert run_cli("assemble", str(bad)) == 3
+    assert "error: ParseError: line 2:" in capsys.readouterr().err
+
+
 def test_exit_missing_file_is_usage(tmp_path, capsys):
     assert run_cli("assemble", str(tmp_path / "absent.s")) == 2
     assert "error: FileNotFoundError:" in capsys.readouterr().err

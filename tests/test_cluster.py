@@ -14,9 +14,10 @@ import pytest
 from streamsim.asm import DATA_BASE, assemble
 from streamsim.cluster import (ClusterConfig, ClusterSim, DmaDescriptor,
                                DmaEngine, Memory, Tcdm, stats_lines)
-from streamsim.errors import (CycleLimitExceeded, InvalidDescriptor,
-                              MisalignedAccess, NonFpInCapture,
-                              OutOfRangeAccess, OverlappingTransfer,
+from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
+                              InvalidDescriptor, MisalignedAccess,
+                              NonFpInCapture, OutOfRangeAccess,
+                              OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
 from streamsim import kernels
 
@@ -423,6 +424,23 @@ def test_determinism_bitwise():
     assert rows[0] == rows[1]
 
 
+def test_fp32_overflow_gives_inf_lanes():
+    # 0x7F61B1E6 is about 3e38; its square overflows binary32 in both lanes
+    sim, _ = run_source(f"""
+        .data
+        x: .word 0x7F61B1E6
+        .word 0x7F61B1E6
+        .text
+        li t1, x
+        fld ft0, 0(t1)
+        fmul.s ft2, ft0, ft0
+        fsd ft2, 8(t1)
+        halt
+    """)
+    lo, hi = struct.unpack("<ff", sim.mem.read(DATA_BASE + 8, 8))
+    assert lo == hi == float("inf")
+
+
 # ------------------------------------------------------------- fault paths
 
 def test_fault_no_instruction():
@@ -522,6 +540,36 @@ def test_fault_stream_direction():
             halt
         """)
     assert "stream-mapped" in str(ei.value)
+
+
+def test_fault_ssr_enable_reconfigures_while_streaming():
+    # config staged before the first ssr_enable stays staged, so a second
+    # ssr_enable reconfigures slot 0 while it streams
+    with pytest.raises(SimulationFault) as ei:
+        run_source(f"""
+            li t1, {DATA_BASE}
+            ssr_cfg_write 0, base, t1
+            ssr_cfg_write 0, bound0, 1
+            ssr_enable
+            ssr_enable
+            halt
+        """)
+    assert isinstance(ei.value.__cause__, ReconfigWhileActive)
+    assert "slot 0 reconfigured while streaming" in str(ei.value)
+
+
+def test_fault_ssr_write_on_read_only_slot():
+    with pytest.raises(SimulationFault) as ei:
+        run_source(f"""
+            li t1, {DATA_BASE}
+            ssr_cfg_write 0, base, t1
+            ssr_cfg_write 0, bound0, 1
+            ssr_cfg_write 0, dir, 1
+            ssr_enable
+            halt
+        """)
+    assert isinstance(ei.value.__cause__, InvalidConfig)
+    assert "not write-capable" in str(ei.value)
 
 
 def test_fault_dma_overlap_from_program():

@@ -114,6 +114,18 @@ def test_round32():
     assert round32(16777217.0) == 16777216.0  # beyond 2^24 integers collapse
 
 
+def test_round32_overflow_rounds_to_inf():
+    flt_max = (2.0 - 2.0 ** -23) * 2.0 ** 127
+    threshold = 2.0 ** 128 - 2.0 ** 103   # halfway from FLT_MAX to 2**128
+    below = math.nextafter(threshold, 0.0)
+    assert round32(flt_max) == flt_max
+    assert round32(below) == flt_max      # rounds down, stays finite
+    assert round32(-below) == -flt_max
+    assert round32(threshold) == math.inf  # tie to even: the even side is 2**128
+    assert round32(-threshold) == -math.inf
+    assert round32(1e300) == math.inf
+
+
 def test_fma32_lanes():
     rng = random.Random(3)
     for _ in range(200):

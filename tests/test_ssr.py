@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from streamsim.errors import (DirectionMismatch, InvalidConfig,
-                              ReconfigWhileActive)
-from streamsim.ssr import (Direction, SsrConfig, SsrDim, SsrEngine,
-                           iter_addresses)
+from streamsim.cluster import ClusterSim
+from streamsim.errors import InvalidConfig
+from streamsim.ssr import (READ_SLOTS, WRITE_SLOTS, Direction, SsrConfig,
+                           SsrDim, StreamSlot, iter_addresses)
 
 
 def brute_force(base, dims):
@@ -78,9 +78,10 @@ def test_validate_rejects():
 
 
 def make_slot(idx, cfg, fifo_depth=4):
-    eng = SsrEngine(fifo_depth=fifo_depth)
-    eng.configure(idx, cfg)
-    return eng.slots[idx]
+    cfg.validate(idx)
+    slot = StreamSlot(idx, fifo_depth)
+    slot.configure(cfg)
+    return slot
 
 
 def test_read_slot_fifo():
@@ -149,43 +150,10 @@ def test_write_slot_backpressure():
     assert slot.can_push()
 
 
-class Mem:
-    def __init__(self):
-        self.store = {}
-
-    def read(self, addr, width):
-        return bytes(self.store.get(addr + i, 0) for i in range(width))
-
-    def write(self, addr, data):
-        for i, b in enumerate(data):
-            self.store[addr + i] = b
-
-
-def test_engine_untimed_read_write():
-    eng = SsrEngine(mem=Mem())
-    eng.mem.write(0x10, (12345).to_bytes(8, "little"))
-    eng.configure(0, SsrConfig(base=0x10, dims=(SsrDim(8, 1),)))
-    eng.configure(2, SsrConfig(base=0x40, dims=(SsrDim(8, 2),),
-                               direction=Direction.WRITE))
-    eng.enable()
-    raw, stall = eng.read(0)
-    assert (raw, stall) == (12345, 0)
-    eng.write(2, 99)
-    assert eng.mem.read(0x40, 8) == (99).to_bytes(8, "little")
-    with pytest.raises(DirectionMismatch):
-        eng.write(0, 1)
-    with pytest.raises(DirectionMismatch):
-        eng.read(2)
-
-
 def test_engine_slot_roles():
-    eng = SsrEngine()
-    assert len(eng.slots) == 3
-    with pytest.raises(InvalidConfig):
-        eng.configure(0, SsrConfig(base=0, dims=(SsrDim(8, 1),),
-                                   direction=Direction.WRITE))
-    eng.configure(2, SsrConfig(base=0, dims=(SsrDim(8, 1),),
-                               direction=Direction.WRITE))
-    eng.enable()
-    with pytest.raises(ReconfigWhileActive):
-        eng.configure(1, SsrConfig(base=0, dims=(SsrDim(8, 1),)))
+    # each core owns one slot per stream register f0..f2, all read-capable
+    # and only the last write-capable; the cluster tests cover the faults
+    core = ClusterSim().cores[0]
+    assert [s.index for s in core.slots] == [0, 1, 2]
+    assert READ_SLOTS == (0, 1, 2) and WRITE_SLOTS == (2,)
+    assert not any(s.active for s in core.slots)
