@@ -25,10 +25,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 # case name -> (kernel, cluster config overrides); every kernel at its
 # default n and seed 0, plus the icache-miss path, which no kernel reaches
-# with the warm-started icache
+# with the warm-started icache: on one core, and on eight cores that miss
+# the same lines in the same cycle
 CASES = {name: (name, {}) for name in kernels.names()}
-CASES["dot_baseline cold_start_icache"] = ("dot_baseline",
-                                           {"cold_start_icache": True})
+for _kernel in ("dot_baseline", "matmul_ssr_frep"):
+    CASES[f"{_kernel} cold_start_icache"] = (_kernel, {"cold_start_icache": True})
 
 
 def _sha256(lines):
