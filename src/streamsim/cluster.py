@@ -5,20 +5,29 @@ engine. Each core owns an FPU fed through a small FP queue, an FREP sequencer
 and three stream slots. Every cycle runs in three phases so lockstep stays
 deterministic:
 
-  1. plan    - every unit inspects start-of-cycle state and registers the TCDM
-               bank requests it would need,
+  1. plan    - every unit inspects start-of-cycle state. An outcome that needs
+               no bank grant and touches only its own core is settled and
+               counted here, and the plan is its trace event string: an idle
+               FPU, a stream or hazard stall, an integer stall, the countdown
+               of a memory wait and the start of an L2 access. Any other plan
+               is the record commit applies, and registers the TCDM bank
+               request it needs,
   2. grant   - each bank grants one request (round robin, persistent pointer),
-  3. commit  - units apply their planned action if granted, else record a stall.
+  3. commit  - units apply their planned action if granted, else record a
+               stall. Everything that retires an instruction stays here, and
+               so does the icache fill, since the icache is shared: cores that
+               miss one line in the same cycle all miss.
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
-for memory, so a sequential sweep is safe.
+for memory, so a sequential sweep is safe. A core has one data port: its FP
+and integer load/store units share it, with the FPU first.
 """
 
 from dataclasses import dataclass
 from collections import defaultdict, deque
 
-from .isa import (Domain, CoreState, alu_result, branch_taken, fp_compute,
-                  sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
+from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
+                  fp_compute, sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
 from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS
@@ -332,8 +341,7 @@ class Core:
         self.dma_dst = 0
         self.mem_stall = 0          # countdown, with .mem_stall_cause
         self.mem_stall_cause = None
-        self.pending_l2 = None      # (instr, addr) completing after mem_stall
-        self.fq_ready = 0
+        self.pending_l2 = None      # lw/sw plan held over an L2 wait
         # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
         self.int_rid = 4 * index
         self.stream_rids = tuple(4 * index + 1 + slot for slot in range(N_SLOTS))
@@ -350,7 +358,6 @@ class Core:
             self.stream_map = {s.index: s for s in self.slots if s.active}
         else:
             self.stream_map = {}
-        self.read_slots = [s for s in self.stream_map.values() if s.is_read]
 
     def drained(self):
         return (not self.fq and self.seq.idle and self.capture_pending == 0
@@ -426,26 +433,33 @@ class ClusterSim:
     def __init__(self, config: ClusterConfig | None = None):
         self.cfg = config or ClusterConfig()
         self.mem = Memory(self.cfg)
-        self.cores = [Core(i, self.cfg) for i in range(self.cfg.n_cores)]
-        self.live = []              # cores not halted, in index order
-        self.dma = DmaEngine(self.cfg, self.mem, req_id=4 * self.cfg.n_cores)
-        self.tcdm = Tcdm(self.cfg, n_requesters=4 * self.cfg.n_cores + 1)
         self.code = {}
+        self.trace_enabled = False
+        self.watch_pcs = frozenset()
+        self._new_run()
+
+    def _new_run(self):
+        """Build the state of one run: cores, DMA engine, arbitration
+        pointers, icache, clock, trace and watch hits. Memory is kept."""
+        cfg = self.cfg
+        self.cores = [Core(i, cfg) for i in range(cfg.n_cores)]
+        self.live = []              # cores not halted, in index order
+        self.dma = DmaEngine(cfg, self.mem, req_id=4 * cfg.n_cores)
+        self.tcdm = Tcdm(cfg, n_requesters=4 * cfg.n_cores + 1)
         self.cycle = 0
         self.icache_warm = set()
         self.trace_rows = []
-        self.trace_enabled = False
-        self.watch_pcs = frozenset()
         self.watch_hits = {}
 
     # ------------------------------------------------------------- loading
 
     def load_program(self, program, active_cores=None, entries=None):
-        """Install an assembled program and reset the cores.
+        """Install an assembled program and start a new run on it.
 
         `entries` may give a per-core entry pc/label; cores beyond
         `active_cores` stay halted. At reset a0 = core index, a1 = n_cores.
         """
+        self._new_run()
         self.code = dict(program.instructions)
         if not self.cfg.cold_start_icache:
             for addr in self.code:
@@ -454,10 +468,8 @@ class ClusterSim:
             self.mem.write(addr, data)
         n_active = active_cores if active_cores is not None else self.cfg.n_cores
         for i, core in enumerate(self.cores):
-            core.state = CoreState()
             core.state.x[10] = i
             core.state.x[11] = self.cfg.n_cores
-            core.map_streams()
             core.halted = i >= n_active
             if not core.halted:
                 if entries is not None:
@@ -484,8 +496,9 @@ class ClusterSim:
 
     # ------------------------------------------------------------- FPU phase
     #
-    # The FPU plan is None (idle), a stall cause, the QueuedOp of a capture
-    # pass, or (op, bank, replayed) for an op that issues.
+    # The FPU plan is the trace event of an outcome settled at plan time (idle,
+    # stream or hazard stall), or the QueuedOp that issues or makes its
+    # capture pass.
 
     def _map_operands(self, core, qop):
         """Split qop's registers under the core's stream map: f0..f2 sources
@@ -527,63 +540,49 @@ class ClusterSim:
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
-        replay = seq.mode is _REPLAYING
-        if replay:
+        if seq.mode is _REPLAYING:
             qop = seq.replay_op()
-        elif core.fq_ready:
+        elif core.fq:
             qop = core.fq[0]
         else:
-            core._fpu_plan = None
-            return
+            core.stats.fp_idle += 1
+            return "-"
         if qop.capture:
-            core._fpu_plan = qop
-            return
+            return qop
         if qop.mapped is not core.stream_map:
             self._map_operands(core, qop)
         for slot, n in qop.pops:
             if not slot.can_pop(n):
-                if slot.gen.exhausted and not slot.fifo:
+                if slot.gen.exhausted:      # no further element will come
                     self._fault(core, StreamExhausted(
                         f"stream {slot.index} read past its {slot.total} elements"))
-                core._fpu_plan = _STALL_STREAM
-                return
+                core.stats.fp_stall_stream += 1
+                return "stall:stream"
         if qop.push is not None and not qop.push.can_push():
-            core._fpu_plan = _STALL_STREAM
-            return
+            core.stats.fp_stall_stream += 1
+            return "stall:stream"
         if not core.sb.ok(self.cycle, qop.sb_srcs, qop.sb_dest):
-            core._fpu_plan = _STALL_HAZARD
-            return
-
-        bank = None
-        if qop.kind != OP_ARITH:
+            core.stats.fp_stall_hazard += 1
+            return "stall:hazard"
+        if qop.bank is not None:
             # FP loads/stores contend under the core's own request id
-            bank = self.mem.bank_of(qop.addr)
-            requests[bank].add(core.int_rid)
-        core._fpu_plan = (qop, bank, replay)
+            requests[qop.bank].add(core.int_rid)
+        return qop
 
     def _commit_fpu(self, core, grants):
         """Apply the FPU plan; return the trace event, or None for an event
         that is only formatted while tracing."""
-        plan = core._fpu_plan
+        qop = core._fpu_plan
+        if qop.__class__ is str:
+            return qop
         st = core.stats
-        if plan.__class__ is not tuple:
-            if plan is None:
-                st.fp_idle += 1
-                return "-"
-            if plan is _STALL_STREAM:
-                st.fp_stall_stream += 1
-                return "stall:stream"
-            if plan is _STALL_HAZARD:
-                st.fp_stall_hazard += 1
-                return "stall:hazard"
-            plan.capture = False
-            core.seq.load_slot(plan)
+        if qop.capture:
+            qop.capture = False
+            core.seq.load_slot(qop)
             core.fq.popleft()
-            core.fq_ready -= 1
             st.fp_executed += 1
-            return f"capture {plan.instr.mnemonic}" if self.trace_enabled else None
-
-        qop, bank, replay = plan
+            return f"capture {qop.instr.mnemonic}" if self.trace_enabled else None
+        bank = qop.bank
         if bank is not None and grants.get(bank) != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
@@ -618,7 +617,7 @@ class ClusterSim:
             self._fault(core, e)
 
         st.fp_executed += 1
-        if replay:
+        if core.seq.mode is _REPLAYING:
             ev = None
             if self.trace_enabled:
                 i, n = core.seq.replay_position()
@@ -626,7 +625,6 @@ class ClusterSim:
             core.seq.advance_replay()
             return ev
         core.fq.popleft()
-        core.fq_ready -= 1
         return qop.instr.mnemonic
 
     # ------------------------------------------------------------- stream phase
@@ -663,69 +661,80 @@ class ClusterSim:
 
     # ------------------------------------------------------------- integer phase
     #
-    # The int plan is a tuple led by its kind; stalls are ("stall", cause).
+    # The int plan is the trace event of an outcome settled at plan time, or
+    # one of the records commit applies: the QueuedOp it dispatches, the ALU
+    # or custom Instruction, an (instr, addr, bank) lw/sw access with bank None
+    # for an L2 completion, or the int icache line it misses on.
 
     def _plan_int(self, core, requests):
+        st = core.stats
         if core.mem_stall > 0:
-            core._int_plan = _PLAN_MEM_WAIT
-            return
+            core.mem_stall -= 1
+            if core.mem_stall_cause == "icache":
+                st.stall_icache += 1
+            else:
+                st.stall_mem += 1
+            return "stall:mem"
         if core.pending_l2 is not None:
-            core._int_plan = _PLAN_L2_COMPLETE
-            return
+            plan = core.pending_l2
+            core.pending_l2 = None
+            return plan
         pc = core.state.pc
         instr = self.code.get(pc)
         if instr is None:
             self._fault(core, f"no instruction at pc 0x{pc:x}")
         line = pc // self.cfg.icache_line
         if line not in self.icache_warm:
-            core._int_plan = ("icache_miss", line)
-            return
+            return line
         if core.capture_pending > 0:
             if instr.domain is not _FP:
                 self._fault(core, NonFpInCapture(
                     f"'{instr.mnemonic}' inside an frep capture range"))
             if len(core.fq) >= self.cfg.fp_queue_depth:
-                core._int_plan = _PLAN_QUEUE_FULL
-                return
+                st.stall_queue_full += 1
+                return "stall:queue_full"
             qop = self._make_qop(core, instr)
             qop.capture = True
-            core._int_plan = ("capture", qop, instr)
-            return
+            return qop
 
         kind = _INT_KIND.get(instr.mnemonic)
         if kind == "fp":
             if len(core.fq) >= self.cfg.fp_queue_depth:
-                core._int_plan = _PLAN_QUEUE_FULL
-            else:
-                core._int_plan = ("dispatch", self._make_qop(core, instr), instr)
-        elif kind == "alu":
-            core._int_plan = ("alu", instr)
-        elif kind == "mem":
+                st.stall_queue_full += 1
+                return "stall:queue_full"
+            return self._make_qop(core, instr)
+        if kind == "mem":
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
             bank = self.mem.bank_of(addr)
-            if bank is not None:
-                requests[bank].add(core.int_rid)
-                core._int_plan = ("int_mem", instr, addr, bank)
-            else:
-                core._int_plan = ("l2_start", instr, addr)
-        elif kind == "frep":
+            if bank is None:
+                core.pending_l2 = (instr, addr, None)
+                core.mem_stall = self.cfg.l2_latency - 1
+                core.mem_stall_cause = "mem"
+                st.stall_mem += 1
+                return "stall:mem"
+            fp = core._fpu_plan
+            if fp.__class__ is QueuedOp and fp.bank is not None and not fp.capture:
+                st.stall_bank_conflict += 1   # the FPU holds the data port
+                return "stall:bank"
+            requests[bank].add(core.int_rid)
+            return (instr, addr, bank)
+        if kind == "frep":
             if not core.seq.idle or core.capture_pending:
-                core._int_plan = _PLAN_FREP_WAIT
-            else:
-                core._int_plan = ("custom", instr)
+                st.stall_frep_wait += 1
+                return "stall:frep_wait"
         elif kind == "drain":
-            core._int_plan = ("custom", instr) if core.drained() else _PLAN_DRAIN
+            if not core.drained():
+                st.stall_drain += 1
+                return "stall:drain"
         elif kind == "dm_copy":
             if len(self.dma.queue) >= self.cfg.dma_queue_depth:
-                core._int_plan = _PLAN_DMA_FULL
-            else:
-                core._int_plan = ("custom", instr)
-        elif kind == "custom":
-            core._int_plan = ("custom", instr)
-        else:
+                st.stall_dma_full += 1
+                return "stall:dma_full"
+        elif kind is None:
             self._fault(core, f"'{instr.mnemonic}' cannot be executed here")
+        return instr
 
     def _make_qop(self, core, instr):
         """Decode an FP instruction into its queue entry, once per dispatch;
@@ -743,6 +752,7 @@ class ClusterSim:
             if not self.mem.in_tcdm(addr):
                 self._fault(core, f"FP memory access 0x{addr:x} outside TCDM")
             qop.addr = addr
+            qop.bank = self.mem.bank_of(addr)
         elif instr.mnemonic == "fmv.d.x":
             qop.xval = core.state.x[instr.rs1]
         return qop
@@ -766,38 +776,28 @@ class ClusterSim:
                 "int_retired": st.int_retired,
             })
 
-    def _int_access(self, core, instr, addr):
-        """Execute lw/sw at addr."""
-        state = core.state
-        try:
-            if instr.mnemonic == "lw":
-                state.set_x(instr.rd, self.mem.load(addr, 4))
-            else:
-                self.mem.store(addr, 4, state.x[instr.rs2])
-        except SimError as e:
-            self._fault(core, e)
-
     def _commit_int(self, core, grants):
         """Apply the int plan; return a stall event, or the instruction that
         retired from the pc the cycle started at."""
         plan = core._int_plan
-        st = core.stats
-        kind = plan[0]
+        cls = plan.__class__
+        if cls is str:
+            return plan
         state = core.state
-        if kind == "stall":
-            cause = plan[1]
-            if cause == "frep_wait":
-                st.stall_frep_wait += 1
-            elif cause == "queue_full":
-                st.stall_queue_full += 1
-            elif cause == "drain":
-                st.stall_drain += 1
-            elif cause == "dma_full":
-                st.stall_dma_full += 1
-            return _STALL_EVENTS[cause]
-        if kind == "alu":
-            instr = plan[1]
+        if cls is Instruction:
+            instr = plan
             mn = instr.mnemonic
+            if instr.domain is _CUSTOM:
+                # another core may have filled the DMA queue earlier this cycle
+                if mn == "dm_copy" and \
+                        len(self.dma.queue) >= self.cfg.dma_queue_depth:
+                    core.stats.stall_dma_full += 1
+                    return "stall:dma_full"
+                self._exec_custom(core, instr)
+                self._retire_int(core, instr)
+                if mn != "halt":
+                    state.pc += 4
+                return instr
             self._retire_int(core, instr)
             if mn in INT_ALU:
                 state.set_x(instr.rd, alu_result(state, instr))
@@ -812,69 +812,32 @@ class ClusterSim:
                 state.set_x(instr.rd, state.pc + 4)
                 state.pc = target
             return instr
-        if kind == "dispatch" or kind == "capture":
-            _, qop, instr = plan
-            core.fq.append(qop)
-            if kind == "capture":
+        if cls is QueuedOp:
+            core.fq.append(plan)
+            if plan.capture:
                 core.capture_pending -= 1
-            self._retire_int(core, instr)
-            state.pc += 4
-            return instr
-        if kind == "int_mem":
-            _, instr, addr, bank = plan
-            if grants.get(bank) != core.int_rid:
-                st.stall_bank_conflict += 1
+            instr = plan.instr
+        elif cls is tuple:
+            instr, addr, bank = plan
+            if bank is not None and grants.get(bank) != core.int_rid:
+                core.stats.stall_bank_conflict += 1
                 return "stall:bank"
-            self._int_access(core, instr, addr)
-            self._retire_int(core, instr)
-            state.pc += 4
-            return instr
-        if kind == "mem_wait":
-            core.mem_stall -= 1
-            if core.mem_stall_cause == "icache":
-                st.stall_icache += 1
-            else:
-                st.stall_mem += 1
-            if core.mem_stall == 0:
-                core.mem_stall_cause = None
-            return "stall:mem"
-        if kind == "custom":
-            instr = plan[1]
-            # another core may have filled the DMA queue earlier this cycle
-            if instr.mnemonic == "dm_copy" and \
-                    len(self.dma.queue) >= self.cfg.dma_queue_depth:
-                st.stall_dma_full += 1
-                return "stall:dma_full"
-            self._exec_custom(core, instr)
-            self._retire_int(core, instr)
-            if instr.mnemonic != "halt":
-                state.pc += 4
-            return instr
-        if kind == "l2_start":
-            _, instr, addr = plan
-            core.pending_l2 = (instr, addr)
-            core.mem_stall = self.cfg.l2_latency
-            core.mem_stall_cause = "mem"
-            st.stall_mem += 1
-            core.mem_stall -= 1
-            return "stall:mem"
-        if kind == "l2_complete":
-            instr, addr = core.pending_l2
-            core.pending_l2 = None
-            self._int_access(core, instr, addr)
-            self._retire_int(core, instr)
-            state.pc += 4
-            return instr
-        if kind == "icache_miss":
-            self.icache_warm.add(plan[1])
-            core.mem_stall = self.cfg.l2_latency
+            try:
+                if instr.mnemonic == "lw":
+                    state.set_x(instr.rd, self.mem.load(addr, 4))
+                else:
+                    self.mem.store(addr, 4, state.x[instr.rs2])
+            except SimError as e:
+                self._fault(core, e)
+        else:  # the icache line missed at plan time
+            self.icache_warm.add(plan)
+            core.mem_stall = self.cfg.l2_latency - 1
             core.mem_stall_cause = "icache"
-            st.stall_icache += 1
-            core.mem_stall -= 1
-            if core.mem_stall == 0:
-                core.mem_stall_cause = None
+            core.stats.stall_icache += 1
             return "stall:icache"
-        raise AssertionError(f"unhandled plan {kind}")
+        self._retire_int(core, instr)
+        state.pc += 4
+        return instr
 
     def _exec_custom(self, core, instr):
         mn = instr.mnemonic
@@ -957,13 +920,10 @@ class ClusterSim:
         requests = defaultdict(set)
         live = self.live
         for core in live:
-            core.fq_ready = len(core.fq)
-            for slot in core.read_slots:
-                slot.snapshot()
-            self._plan_fpu(core, requests)
+            core._fpu_plan = self._plan_fpu(core, requests)
             core._stream_plans = (self._plan_streams(core, requests)
                                   if core.stream_map else ())
-            self._plan_int(core, requests)
+            core._int_plan = self._plan_int(core, requests)
         dma = self.dma
         dma_busy = not dma.idle
         if dma_busy:
@@ -990,18 +950,6 @@ class ClusterSim:
 
 _REPLAYING = Mode.REPLAYING
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
-
-_STALL_STREAM = "stream"    # FPU stall causes
-_STALL_HAZARD = "hazard"
-
-_PLAN_MEM_WAIT = ("mem_wait",)
-_PLAN_L2_COMPLETE = ("l2_complete",)
-_PLAN_QUEUE_FULL = ("stall", "queue_full")
-_PLAN_FREP_WAIT = ("stall", "frep_wait")
-_PLAN_DRAIN = ("stall", "drain")
-_PLAN_DMA_FULL = ("stall", "dma_full")
-_STALL_EVENTS = {cause: f"stall:{cause}"
-                 for cause in ("queue_full", "frep_wait", "drain", "dma_full")}
 
 # int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the
 # write streams to empty, dm_copy for room in the DMA queue

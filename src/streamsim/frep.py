@@ -187,3 +187,4 @@ class QueuedOp:
     push: object = None       # write slot taking the result
     sb_srcs: tuple = ()       # sources the scoreboard tracks
     sb_dest: int | None = None
+    bank: int | None = None   # TCDM bank of a load/store, latched at dispatch

@@ -116,7 +116,6 @@ class StreamSlot:
         self.write_buf = deque()   # pending (addr, raw) stores (write streams)
         self.popped = 0
         self.pushed = 0
-        self.ready = 0             # fifo entries visible to pops this cycle
 
     def configure(self, config: SsrConfig):
         """Reset the slot and load an already validated configuration."""
@@ -128,9 +127,6 @@ class StreamSlot:
         self.total = self.gen.total
         self.width = config.element_width
 
-    def snapshot(self):
-        self.ready = len(self.fifo)
-
     def want_prefetch(self):
         if self.is_read and not self.gen.exhausted and len(self.fifo) < self.fifo_depth:
             return self.gen.addr
@@ -141,13 +137,12 @@ class StreamSlot:
         self.gen.advance()
 
     def can_pop(self, n=1):
-        return self.ready >= n
+        return len(self.fifo) >= n
 
     def pop(self):
         if self.popped >= self.total:
             raise StreamExhausted(f"stream {self.index} read past its "
                                   f"{self.total} elements")
-        self.ready -= 1
         self.popped += 1
         return self.fifo.popleft()
 

@@ -342,22 +342,26 @@ def test_write_stream_drains_to_memory():
     assert got == [41, 42, 43, 44]
 
 
+TWO_POPS = """
+    .data
+    x: .double 1.0
+    .double 2.0
+    .text
+    li t1, x
+    ssr_cfg_write 0, base, t1
+    ssr_cfg_write 0, stride0, 8
+    ssr_cfg_write 0, bound0, 2
+    ssr_enable
+pop:
+    fmv.d ft3, ft0
+    fmv.d ft4, ft0
+    ssr_disable
+    halt
+"""
+
+
 def test_stream_first_pop_waits_for_prefetch():
-    sim, res = run_source("""
-        .data
-        x: .double 1.0
-        .double 2.0
-        .text
-        li t1, x
-        ssr_cfg_write 0, base, t1
-        ssr_cfg_write 0, stride0, 8
-        ssr_cfg_write 0, bound0, 2
-        ssr_enable
-        fmv.d ft3, ft0
-        fmv.d ft4, ft0
-        ssr_disable
-        halt
-    """, trace=True)
+    sim, res = run_source(TWO_POPS, trace=True)
     fp = [row.rsplit("fp-pipe: ", 1)[1] for row in res.trace]
     # ssr_enable retires in cycle 4; in cycle 5 the slot fetches element 0
     # while fmv.d dispatches, and the element is poppable from cycle 6 on
@@ -366,6 +370,38 @@ def test_stream_first_pop_waits_for_prefetch():
     assert res.stats.fp_stall_stream == 0
     f = sim.cores[0].state.f
     assert (f[3], f[4]) == (struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("offset", [256, 8])
+def test_core_data_port_serves_fpu_first(offset):
+    # fld and lw of one core share its data port, whether they hit the same
+    # bank (offset 256) or not (offset 8): the lw waits one cycle
+    sim, res = run_source(f"""
+        .data
+        x: .double 1.5
+        .space 256
+        .text
+        li t0, x
+        fld ft3, 0(t0)
+        lw t1, {offset}(t0)
+        halt
+    """, trace=True)
+    assert "stall:bank" in res.trace[2] and "fp-pipe: fld" in res.trace[2]
+    assert "0x8 lw" in res.trace[3]
+    assert res.stats.stall_bank_conflict == 1
+    assert res.stats.cycles_at_halt == 5
+
+
+def test_load_program_starts_a_new_run():
+    sim = ClusterSim(ClusterConfig(cold_start_icache=True))
+    prog = assemble(TWO_POPS)
+    runs = []
+    for _ in range(2):
+        sim.load_program(prog, active_cores=1)
+        res = sim.run(trace=True, watch_pcs=[prog.labels["pop"]])
+        runs.append((stats_lines(res), res.trace, res.watch_hits))
+    assert runs[1] == runs[0]
+    assert len(runs[0][2]) == 1
 
 
 def test_entries_and_boot_registers():
@@ -497,7 +533,7 @@ def test_fault_misaligned_fld_and_non_tcdm():
     assert "outside TCDM" in str(ei.value)
 
 
-def test_fault_int_access_outside_memory_has_context():
+def test_fault_lw_outside_memory_has_context():
     # the last loads of core 7 run past the end of the TCDM; outside the
     # TCDM they take the L2 path and fault when the access completes
     inst = kernels.build("tcdm_same_bank", n=460)
@@ -534,6 +570,24 @@ def test_fault_stream_exhausted():
             ssr_disable
             halt
         """)
+    assert isinstance(ei.value.__cause__, StreamExhausted)
+
+
+def test_fault_stream_over_read_in_one_op():
+    # the second fadd needs two elements with one left: a fault, not a stall
+    # until the cycle limit
+    with pytest.raises(SimulationFault) as ei:
+        run_source(f"""
+            li t1, {DATA_BASE}
+            ssr_cfg_write 0, base, t1
+            ssr_cfg_write 0, stride0, 8
+            ssr_cfg_write 0, bound0, 3
+            ssr_enable
+            fadd.d ft3, ft0, ft0
+            fadd.d ft3, ft0, ft0
+            ssr_disable
+            halt
+        """, max_cycles=20)
     assert isinstance(ei.value.__cause__, StreamExhausted)
 
 

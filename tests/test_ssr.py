@@ -95,19 +95,9 @@ def test_read_slot_fifo():
         slot.commit_prefetch(raw=a)  # store the address as the data
     assert got == [0x40, 0x48, 0x50, 0x58]
     assert slot.want_prefetch() is None  # full
-    slot.snapshot()
-    assert slot.can_pop(1)
+    assert slot.can_pop(4) and not slot.can_pop(5)
     assert slot.pop() == 0x40
     assert slot.want_prefetch() == 0x60  # slot freed
-
-
-def test_prefetch_invisible_until_snapshot():
-    slot = make_slot(0, SsrConfig(base=0, dims=(SsrDim(8, 4),)))
-    slot.snapshot()
-    slot.commit_prefetch(raw=7)
-    assert not slot.can_pop(1)   # arrived after the cycle snapshot
-    slot.snapshot()
-    assert slot.can_pop(1)
 
 
 def test_read_slot_exhaustion():
@@ -115,7 +105,6 @@ def test_read_slot_exhaustion():
     for _ in range(2):
         slot.commit_prefetch(raw=slot.want_prefetch())
     assert slot.want_prefetch() is None  # nothing left to fetch
-    slot.snapshot()
     slot.pop()
     slot.pop()
     assert not slot.can_pop(1)
