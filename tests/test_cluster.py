@@ -628,6 +628,38 @@ def test_fault_stream_direction():
     assert "stream-mapped" in str(ei.value)
 
 
+TCDM_END = ClusterConfig().tcdm_base + ClusterConfig().tcdm_size
+
+
+def read_stream_at(base):
+    return f"""
+        li t1, {base}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, 8
+        ssr_cfg_write 0, bound0, 2
+        ssr_enable
+        fmv.d ft3, ft0
+        fmv.d ft4, ft0
+        ssr_disable
+        halt
+    """
+
+
+def test_fault_stream_base_outside_tcdm():
+    with pytest.raises(SimulationFault) as ei:
+        run_source(read_stream_at(L2_BASE), max_cycles=50)
+    assert ei.value.core == 0
+    assert "outside TCDM" in str(ei.value)
+
+
+def test_fault_stream_element_straddles_tcdm_end():
+    # the second 8-byte element starts 4 bytes before the end of the TCDM
+    with pytest.raises(SimulationFault) as ei:
+        run_source(read_stream_at(TCDM_END - 12), max_cycles=50)
+    assert ei.value.core == 0
+    assert "outside TCDM" in str(ei.value)
+
+
 def test_fault_ssr_enable_reconfigures_while_streaming():
     # config staged before the first ssr_enable stays staged, so a second
     # ssr_enable reconfigures slot 0 while it streams
