@@ -31,7 +31,7 @@ from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
 from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS
-from .errors import (CycleLimitExceeded, InvalidConfig, InvalidDescriptor,
+from .errors import (ConfigError, CycleLimitExceeded, InvalidConfig, InvalidDescriptor,
                      MisalignedAccess, NonFpInCapture, OutOfRangeAccess,
                      OverlappingTransfer, ReconfigWhileActive, SimError,
                      SimulationFault, StreamExhausted)
@@ -55,6 +55,23 @@ class ClusterConfig:
     # the loader streams the binary through the shared icache, so fetch hits
     # from cycle 0; set True to charge l2_latency on each first line touch
     cold_start_icache: bool = False
+
+    def validate(self):
+        """Raise ConfigError unless the cluster can be built and run."""
+        for name in ("n_cores", "tcdm_banks", "bank_width", "fp_queue_depth",
+                     "dma_queue_depth", "dma_bus_width", "icache_line"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
+        # _plan_int counts an L2 wait down from l2_latency - 1
+        if self.l2_latency < 1:
+            raise ConfigError(f"l2_latency {self.l2_latency} must be at least 1")
+        # one FP op pops a read stream up to three times
+        if self.ssr_fifo_depth < 3:
+            raise ConfigError(f"ssr_fifo_depth {self.ssr_fifo_depth} must be "
+                              "at least 3")
+        if (self.tcdm_base < self.l2_base + self.l2_size
+                and self.l2_base < self.tcdm_base + self.tcdm_size):
+            raise ConfigError("TCDM and L2 address ranges overlap")
 
 
 @dataclass
@@ -94,42 +111,53 @@ class CoreStats:
 
 
 class Memory:
-    """Byte-backed TCDM + L2 regions behind one address map."""
+    """Byte-backed TCDM + L2 regions behind one address map.
+
+    The L2 buffer holds bytes up to the highest one written; the rest of L2
+    reads as zeros.
+    """
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self.tcdm = bytearray(cfg.tcdm_size)
-        self.l2 = bytearray(cfg.l2_size)
+        self.l2 = bytearray()
         self.tcdm_base = cfg.tcdm_base
         self.tcdm_size = cfg.tcdm_size
         self.bank_width = cfg.bank_width
         self.n_banks = cfg.tcdm_banks
 
-    def _locate(self, addr, n):
+    def _locate(self, addr, n, grow=False):
+        """(buffer, offset) of the n bytes at addr; with grow, the L2 buffer
+        is first extended to hold them."""
         off = addr - self.tcdm_base
         if 0 <= off and off + n <= self.tcdm_size:
             return self.tcdm, off
         c = self.cfg
         if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
-            return self.l2, addr - c.l2_base
+            off = addr - c.l2_base
+            short = off + n - len(self.l2)
+            if grow and short > 0:
+                self.l2.extend(bytes(short))
+            return self.l2, off
         raise OutOfRangeAccess(f"address 0x{addr:x}+{n} outside TCDM and L2")
 
     def read(self, addr, n):
         buf, off = self._locate(addr, n)
-        return bytes(buf[off:off + n])
+        return bytes(buf[off:off + n]).ljust(n, b"\0")
 
     def write(self, addr, data):
-        buf, off = self._locate(addr, len(data))
+        buf, off = self._locate(addr, len(data), grow=True)
         buf[off:off + len(data)] = data
 
     def load(self, addr, n):
-        """The n bytes at addr as a little-endian unsigned integer."""
+        """The n bytes at addr as a little-endian unsigned integer; bytes past
+        the end of the L2 buffer are the zero high bytes."""
         buf, off = self._locate(addr, n)
         return int.from_bytes(buf[off:off + n], "little")
 
     def store(self, addr, n, value):
         """Write the low n bytes of value at addr, little-endian."""
-        buf, off = self._locate(addr, n)
+        buf, off = self._locate(addr, n, grow=True)
         buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
     def in_tcdm(self, addr):
@@ -361,7 +389,7 @@ class Core:
 
     def drained(self):
         return (not self.fq and self.seq.idle and self.capture_pending == 0
-                and all(s.drained for s in self.slots))
+                and not any(s.write_buf for s in self.slots))
 
 
 class RunResult:
@@ -432,6 +460,7 @@ def stats_lines(result: RunResult, active_cores=None):
 class ClusterSim:
     def __init__(self, config: ClusterConfig | None = None):
         self.cfg = config or ClusterConfig()
+        self.cfg.validate()
         self.mem = Memory(self.cfg)
         self.code = {}
         self.trace_enabled = False
@@ -552,13 +581,14 @@ class ClusterSim:
         if qop.mapped is not core.stream_map:
             self._map_operands(core, qop)
         for slot, n in qop.pops:
-            if not slot.can_pop(n):
-                if slot.gen.exhausted:      # no further element will come
+            if len(slot.fifo) < n:
+                if slot.issued >= slot.total:   # no further element will come
                     self._fault(core, StreamExhausted(
                         f"stream {slot.index} read past its {slot.total} elements"))
                 core.stats.fp_stall_stream += 1
                 return "stall:stream"
-        if qop.push is not None and not qop.push.can_push():
+        push = qop.push
+        if push is not None and len(push.write_buf) >= push.fifo_depth:
             core.stats.fp_stall_stream += 1
             return "stall:stream"
         if not core.sb.ok(self.cycle, qop.sb_srcs, qop.sb_dest):
@@ -589,8 +619,10 @@ class ClusterSim:
 
         f = core.state.f
         try:
-            # operand bits; each stream pops exactly once per occurrence
-            vals = [f[o] if o.__class__ is int else o.pop() for o in qop.operands]
+            # operand bits; each stream pops exactly once per occurrence, from
+            # a FIFO the plan found holding enough elements
+            vals = [f[o] if o.__class__ is int else o.fifo.popleft()
+                    for o in qop.operands]
             kind = qop.kind
             if kind == OP_ARITH:
                 flops = qop.flops
@@ -631,33 +663,43 @@ class ClusterSim:
 
     def _plan_streams(self, core, requests):
         """Bank requests of the active slots, in slot order: a read slot
-        prefetches, a write slot drains. Returns (slot, addr, bank, id)."""
+        with elements left and FIFO room prefetches the element at its
+        address, a write slot drains its oldest store. Returns
+        (slot, TCDM offset, bank, id) per request."""
         plans = []
+        mem = self.mem
         for slot in core.stream_map.values():
-            addr = slot.want_prefetch() if slot.is_read else slot.want_drain()
-            if addr is None:
+            if slot.is_read:
+                if slot.issued >= slot.total or len(slot.fifo) >= slot.fifo_depth:
+                    continue
+                addr = slot.addr
+            elif slot.write_buf:
+                addr = slot.write_buf[0][0]
+            else:
                 continue
-            bank = self.mem.bank_of(addr)
-            if bank is None:
+            off = addr - mem.tcdm_base
+            if not 0 <= off <= mem.tcdm_size - slot.width:
                 self._fault(core, f"stream {slot.index} address 0x{addr:x} "
                                   "outside TCDM")
+            bank = (off // mem.bank_width) % mem.n_banks
             rid = core.stream_rids[slot.index]
             requests[bank].add(rid)
-            plans.append((slot, addr, bank, rid))
+            plans.append((slot, off, bank, rid))
         return plans
 
     def _commit_streams(self, core, grants):
-        for slot, addr, bank, rid in core._stream_plans:
+        tcdm = self.mem.tcdm
+        for slot, off, bank, rid in core._stream_plans:
             if grants.get(bank) != rid:
                 continue  # lost arbitration, retry next cycle
-            try:
-                if slot.is_read:
-                    slot.commit_prefetch(self.mem.load(addr, slot.width))
-                else:
-                    a, raw = slot.commit_drain()
-                    self.mem.store(a, slot.width, raw)
-            except SimError as e:
-                self._fault(core, e)
+            end = off + slot.width
+            if slot.is_read:
+                slot.fifo.append(int.from_bytes(tcdm[off:end], "little"))
+                slot.advance()
+            else:
+                raw = slot.write_buf.popleft()[1]
+                tcdm[off:end] = (raw & ((1 << (8 * slot.width)) - 1)).to_bytes(
+                    slot.width, "little")
 
     # ------------------------------------------------------------- integer phase
     #
@@ -668,6 +710,10 @@ class ClusterSim:
 
     def _plan_int(self, core, requests):
         st = core.stats
+        if core._int_plan == "stall:frep_wait" and core.seq.mode is not _IDLE:
+            # pc, icache line and memory wait are as when the stall was planned
+            st.stall_frep_wait += 1
+            return "stall:frep_wait"
         if core.mem_stall > 0:
             core.mem_stall -= 1
             if core.mem_stall_cause == "icache":
@@ -948,7 +994,7 @@ class ClusterSim:
         self.cycle += 1
 
 
-_REPLAYING = Mode.REPLAYING
+_REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
 
 # int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the

@@ -296,41 +296,35 @@ def branch_taken(core: CoreState, instr: Instruction) -> bool:
     raise UnsupportedInstruction(f"'{mn}' is not a branch")
 
 
+# FP compute op -> (packed binary32 pair?, function on the operand values)
+_FP_OPS = {
+    "fmadd.d": (False, fp.fma64),
+    "fmsub.d": (False, lambda a, b, c: fp.fma64(a, b, -c)),
+    "fadd.d": (False, lambda a, b, c: a + b),
+    "fsub.d": (False, lambda a, b, c: a - b),
+    "fmul.d": (False, lambda a, b, c: a * b),
+    "fmadd.s": (True, fp.fma32),
+    "fmsub.s": (True, lambda a, b, c: fp.fma32(a, b, -c)),
+    "fadd.s": (True, lambda a, b, c: fp.round32(a + b)),
+    "fsub.s": (True, lambda a, b, c: fp.round32(a - b)),
+    "fmul.s": (True, lambda a, b, c: fp.round32(a * b)),
+}
+
+
 def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
     """Pure FP datapath: raw operand bits in, raw result bits out.
 
     .s ops follow the packed-pair convention: both 32-bit lanes of the 64-bit
     register are processed, which is what gives the FPU its 2-SP-FMA/cycle rate.
     """
-    mn = instr.mnemonic
-    if mn.endswith(".s"):
+    try:
+        single, op = _FP_OPS[instr.mnemonic]
+    except KeyError:
+        raise UnsupportedInstruction(
+            f"'{instr.mnemonic}' is not an FP compute op") from None
+    if single:
         alo, ahi = fp.bits_to_f32_pair(a_bits)
         blo, bhi = fp.bits_to_f32_pair(b_bits)
         clo, chi = fp.bits_to_f32_pair(c_bits)
-        if mn == "fmadd.s":
-            lo, hi = fp.fma32(alo, blo, clo), fp.fma32(ahi, bhi, chi)
-        elif mn == "fmsub.s":
-            lo, hi = fp.fma32(alo, blo, -clo), fp.fma32(ahi, bhi, -chi)
-        elif mn == "fadd.s":
-            lo, hi = fp.round32(alo + blo), fp.round32(ahi + bhi)
-        elif mn == "fsub.s":
-            lo, hi = fp.round32(alo - blo), fp.round32(ahi - bhi)
-        elif mn == "fmul.s":
-            lo, hi = fp.round32(alo * blo), fp.round32(ahi * bhi)
-        else:
-            raise UnsupportedInstruction(f"'{mn}' is not an FP compute op")
-        return fp.f32_pair_to_bits(lo, hi)
-    a, b, c = fp.bits_to_f64x3(a_bits, b_bits, c_bits)
-    if mn == "fmadd.d":
-        r = fp.fma64(a, b, c)
-    elif mn == "fmsub.d":
-        r = fp.fma64(a, b, -c)
-    elif mn == "fadd.d":
-        r = a + b
-    elif mn == "fsub.d":
-        r = a - b
-    elif mn == "fmul.d":
-        r = a * b
-    else:
-        raise UnsupportedInstruction(f"'{mn}' is not an FP compute op")
-    return fp.f64_to_bits(r)
+        return fp.f32_pair_to_bits(op(alo, blo, clo), op(ahi, bhi, chi))
+    return fp.f64_to_bits(op(*fp.bits_to_f64x3(a_bits, b_bits, c_bits)))

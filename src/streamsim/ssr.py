@@ -5,9 +5,11 @@ memory stream. Addresses follow the odometer law
 
     addr_k = base + sum_d idx_d(k) * stride_d
 
-with dimension 0 fastest. Each core owns three slots; the cluster drives them
-through per-cycle prefetch/drain requests, so stream traffic contends for
-TCDM banks like any other requester.
+with dimension 0 fastest. As in hardware, a slot is a set of loop counters
+and one address adder in front of its FIFO. Each core owns three slots; the
+cluster reads their counters and FIFOs in place every cycle and issues the
+element accesses itself, so stream traffic contends for TCDM banks like any
+other requester.
 """
 
 from dataclasses import dataclass
@@ -64,25 +66,52 @@ class SsrConfig:
         return n
 
 
-class AddressGen:
-    """Odometer over the configured dimensions.
+class StreamSlot:
+    """One stream register slot: the loop counters and address adder of its
+    generator, and its FIFO.
 
-    The current address is kept as a running sum, moved by one stride per
-    step, so reading it costs nothing.
+    The cluster reads the fields in place: a read slot prefetches the element
+    at `addr` while `issued < total` and its FIFO has room, and the FPU pops
+    `fifo` directly; a write slot drains `write_buf` from its head.
     """
 
-    def __init__(self, config: SsrConfig):
-        self.idx = [0] * len(config.dims)
-        self.issued = 0
+    __slots__ = ("index", "fifo_depth", "active", "is_read", "is_write",
+                 "total", "width", "fifo", "write_buf",
+                 "addr", "idx", "steps", "issued")
+
+    def __init__(self, index, fifo_depth=4):
+        self.index = index
+        self.fifo_depth = fifo_depth
+        self.reset()
+
+    def reset(self):
+        self.active = False
+        self.is_read = False
+        self.is_write = False
+        self.total = 0             # elements in the configured stream
+        self.width = 8             # bytes per element
+        self.fifo = deque()        # prefetched raw values (read streams)
+        self.write_buf = deque()   # pending (addr, raw) stores (write streams)
+        self.addr = 0              # address of the next element to issue
+        self.idx = []              # odometer position, dimension 0 first
+        self.steps = ()            # (stride, bound) per dimension
+        self.issued = 0            # elements fetched or pushed so far
+
+    def configure(self, config: SsrConfig):
+        """Reset the slot and load an already validated configuration."""
+        self.reset()
+        self.active = True
+        self.is_read = config.direction == Direction.READ
+        self.is_write = not self.is_read
         self.total = config.total
+        self.width = config.element_width
         self.addr = config.base
+        self.idx = [0] * len(config.dims)
         self.steps = tuple((d.stride, d.bound) for d in config.dims)
 
-    @property
-    def exhausted(self):
-        return self.issued >= self.total
-
     def advance(self):
+        """Step the odometer to the next element, moving `addr` by one
+        stride per dimension that turns over or steps."""
         self.issued += 1
         idx = self.idx
         pos = 0
@@ -96,81 +125,10 @@ class AddressGen:
             self.addr -= stride * (bound - 1)
             pos += 1
 
-
-class StreamSlot:
-    """One stream register slot with its FIFO state."""
-
-    def __init__(self, index, fifo_depth=4):
-        self.index = index
-        self.fifo_depth = fifo_depth
-        self.reset()
-
-    def reset(self):
-        self.gen = None
-        self.active = False
-        self.is_read = False
-        self.is_write = False
-        self.total = 0             # elements in the configured stream
-        self.width = 8             # bytes per element
-        self.fifo = deque()        # prefetched raw values (read streams)
-        self.write_buf = deque()   # pending (addr, raw) stores (write streams)
-        self.popped = 0
-        self.pushed = 0
-
-    def configure(self, config: SsrConfig):
-        """Reset the slot and load an already validated configuration."""
-        self.reset()
-        self.gen = AddressGen(config)
-        self.active = True
-        self.is_read = config.direction == Direction.READ
-        self.is_write = not self.is_read
-        self.total = self.gen.total
-        self.width = config.element_width
-
-    def want_prefetch(self):
-        if self.is_read and not self.gen.exhausted and len(self.fifo) < self.fifo_depth:
-            return self.gen.addr
-        return None
-
-    def commit_prefetch(self, raw):
-        self.fifo.append(raw)
-        self.gen.advance()
-
-    def can_pop(self, n=1):
-        return len(self.fifo) >= n
-
-    def pop(self):
-        if self.popped >= self.total:
-            raise StreamExhausted(f"stream {self.index} read past its "
-                                  f"{self.total} elements")
-        self.popped += 1
-        return self.fifo.popleft()
-
-    def can_push(self):
-        return len(self.write_buf) < self.fifo_depth
-
     def push(self, raw):
-        if self.pushed >= self.total:
+        """Queue raw for the write stream's next address."""
+        if self.issued >= self.total:
             raise StreamExhausted(f"stream {self.index} written past its "
                                   f"{self.total} elements")
-        self.write_buf.append((self.gen.addr, raw))
-        self.gen.advance()
-        self.pushed += 1
-
-    def want_drain(self):
-        return self.write_buf[0][0] if self.write_buf else None
-
-    def commit_drain(self):
-        return self.write_buf.popleft()
-
-    @property
-    def drained(self):
-        return not self.write_buf
-
-
-def iter_addresses(config: SsrConfig):
-    """All addresses of a configured stream, in issue order."""
-    gen = AddressGen(config)
-    while not gen.exhausted:
-        yield gen.addr
-        gen.advance()
+        self.write_buf.append((self.addr, raw))
+        self.advance()

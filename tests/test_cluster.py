@@ -14,7 +14,7 @@ import pytest
 from streamsim.asm import DATA_BASE, assemble
 from streamsim.cluster import (ClusterConfig, ClusterSim, DmaDescriptor,
                                DmaEngine, Memory, Tcdm, stats_lines)
-from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
+from streamsim.errors import (ConfigError, CycleLimitExceeded, InvalidConfig,
                               InvalidDescriptor, MisalignedAccess,
                               NonFpInCapture, OutOfRangeAccess,
                               OverlappingTransfer, ReconfigWhileActive,
@@ -74,6 +74,42 @@ def test_arbitrate_fairness_and_legality():
     for _ in range(4 * 25):
         wins[t2.arbitrate({5: set(ids)})[5]] += 1
     assert set(wins.values()) == {25}
+
+
+# ------------------------------------------------------------- config, memory
+
+@pytest.mark.parametrize("bad", [
+    dict(ssr_fifo_depth=2), dict(ssr_fifo_depth=1), dict(ssr_fifo_depth=0),
+    dict(n_cores=0), dict(tcdm_banks=0), dict(bank_width=0),
+    dict(bank_width=-8), dict(fp_queue_depth=0), dict(dma_queue_depth=0),
+    dict(dma_bus_width=0), dict(icache_line=0), dict(l2_latency=0),
+    dict(l2_base=0x0001_8000), dict(tcdm_base=0x7FFF_0000, tcdm_size=0x2_0000),
+])
+def test_bad_cluster_config_is_config_error(bad):
+    with pytest.raises(ConfigError):
+        ClusterSim(ClusterConfig(**bad))
+
+
+def test_l2_grows_to_highest_byte_written():
+    cfg = ClusterConfig()
+    mem = Memory(cfg)
+    assert len(mem.l2) == 0
+    assert mem.read(L2_BASE + 64, 8) == bytes(8)
+    mem.write(L2_BASE + 8, b"\x01\x02")
+    assert len(mem.l2) == 10
+    # a read across the written end, and past it, gives zeros there
+    assert mem.read(L2_BASE + 8, 4) == b"\x01\x02\0\0"
+    assert mem.load(L2_BASE + 8, 4) == 0x0201
+    assert mem.load(L2_BASE + 16, 8) == 0
+    top = L2_BASE + cfg.l2_size - 8
+    mem.store(top, 8, 0x1122334455667788)
+    assert len(mem.l2) == cfg.l2_size
+    assert mem.load(top, 8) == 0x1122334455667788
+    assert mem.read(L2_BASE + 16, 8) == bytes(8)
+    with pytest.raises(OutOfRangeAccess):
+        mem.read(top + 4, 8)
+    with pytest.raises(OutOfRangeAccess):
+        mem.write(L2_BASE + cfg.l2_size, b"\0")
 
 
 # ------------------------------------------------------------- DMA engine

@@ -1,17 +1,32 @@
 """Stream address generation and slot FIFO behavior.
 
 Oracle: a brute-force nested-loop enumerator, written independently of the
-odometer in the package, produces the expected address order.
+odometer in the package, produces the expected address order. The FIFO
+checks drive a core's slots through the cluster's own stream plan and
+commit, with every bank request granted.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from streamsim.cluster import ClusterSim
-from streamsim.errors import InvalidConfig
+from streamsim.errors import InvalidConfig, StreamExhausted
 from streamsim.ssr import (READ_SLOTS, WRITE_SLOTS, Direction, SsrConfig,
-                           SsrDim, StreamSlot, iter_addresses)
+                           SsrDim, StreamSlot)
+
+TCDM = 0x0001_0000
+
+
+def iter_addresses(config: SsrConfig):
+    """All addresses of a configured stream, in issue order, as the slot's
+    odometer steps through them."""
+    slot = StreamSlot(0)
+    slot.configure(config)
+    while slot.issued < slot.total:
+        yield slot.addr
+        slot.advance()
 
 
 def brute_force(base, dims):
@@ -84,59 +99,79 @@ def make_slot(idx, cfg, fifo_depth=4):
     return slot
 
 
+def streaming_core(*slots):
+    """Core 0 of a fresh cluster with these slots in place, streaming on."""
+    sim = ClusterSim()
+    core = sim.cores[0]
+    for slot in slots:
+        core.slots[slot.index] = slot
+    core.state.ssr_enabled = True
+    core.map_streams()
+    return sim, core
+
+
+def stream_cycle(sim, core):
+    """Plan and commit one cycle of the core's stream accesses, every
+    request granted; return the addresses accessed."""
+    requests = defaultdict(set)
+    core._stream_plans = sim._plan_streams(core, requests)
+    sim._commit_streams(core, {bank: rid for bank, (rid,) in requests.items()})
+    return [TCDM + off for _, off, _, _ in core._stream_plans]
+
+
 def test_read_slot_fifo():
-    slot = make_slot(0, SsrConfig(base=0x40, dims=(SsrDim(8, 6),)))
-    # prefetcher requests one address per cycle until the fifo fills
-    got = []
-    for _ in range(4):
-        a = slot.want_prefetch()
-        assert a is not None
-        got.append(a)
-        slot.commit_prefetch(raw=a)  # store the address as the data
-    assert got == [0x40, 0x48, 0x50, 0x58]
-    assert slot.want_prefetch() is None  # full
-    assert slot.can_pop(4) and not slot.can_pop(5)
-    assert slot.pop() == 0x40
-    assert slot.want_prefetch() == 0x60  # slot freed
+    base = TCDM + 0x40
+    slot = make_slot(0, SsrConfig(base=base, dims=(SsrDim(8, 6),)))
+    sim, core = streaming_core(slot)
+    for k in range(6):
+        sim.mem.store(base + 8 * k, 8, base + 8 * k)  # the address as the data
+    # the slot prefetches one element per cycle until the fifo fills
+    got = [stream_cycle(sim, core) for _ in range(4)]
+    assert got == [[base], [base + 0x8], [base + 0x10], [base + 0x18]]
+    assert stream_cycle(sim, core) == []  # full
+    assert len(slot.fifo) == 4
+    assert slot.fifo.popleft() == base
+    assert stream_cycle(sim, core) == [base + 0x20]  # slot freed
 
 
 def test_read_slot_exhaustion():
-    slot = make_slot(1, SsrConfig(base=0, dims=(SsrDim(8, 2),)))
-    for _ in range(2):
-        slot.commit_prefetch(raw=slot.want_prefetch())
-    assert slot.want_prefetch() is None  # nothing left to fetch
-    slot.pop()
-    slot.pop()
-    assert not slot.can_pop(1)
-    assert slot.gen.exhausted
+    slot = make_slot(1, SsrConfig(base=TCDM, dims=(SsrDim(8, 2),)))
+    sim, core = streaming_core(slot)
+    assert stream_cycle(sim, core) + stream_cycle(sim, core) == [TCDM, TCDM + 8]
+    assert stream_cycle(sim, core) == []  # nothing left to fetch
+    slot.fifo.popleft()
+    slot.fifo.popleft()
+    assert not slot.fifo
+    assert slot.issued == slot.total
 
 
 def test_write_slot_drain_order():
-    slot = make_slot(2, SsrConfig(base=0x200, dims=(SsrDim(16, 3),),
+    base = TCDM + 0x200
+    slot = make_slot(2, SsrConfig(base=base, dims=(SsrDim(16, 3),),
                                   direction=Direction.WRITE))
+    sim, core = streaming_core(slot)
     vals = [11, 22, 33]
     for v in vals:
-        assert slot.can_push()
+        assert len(slot.write_buf) < slot.fifo_depth
         slot.push(v)
-    drained = []
-    while True:
-        a = slot.want_drain()
-        if a is None:
-            break
-        drained.append((a, slot.commit_drain()[1]))
-    assert drained == [(0x200, 11), (0x210, 22), (0x220, 33)]
-    assert slot.drained
+    with pytest.raises(StreamExhausted):
+        slot.push(44)  # the stream has three elements
+    drained = [stream_cycle(sim, core) for _ in range(4)]
+    assert drained == [[base], [base + 0x10], [base + 0x20], []]
+    assert [sim.mem.load(base + 16 * k, 8) for k in range(3)] == vals
+    assert not slot.write_buf
 
 
 def test_write_slot_backpressure():
-    slot = make_slot(2, SsrConfig(base=0, dims=(SsrDim(8, 8),),
+    slot = make_slot(2, SsrConfig(base=TCDM, dims=(SsrDim(8, 8),),
                                   direction=Direction.WRITE),
                      fifo_depth=2)
+    sim, core = streaming_core(slot)
     slot.push(1)
     slot.push(2)
-    assert not slot.can_push()
-    slot.commit_drain()
-    assert slot.can_push()
+    assert len(slot.write_buf) >= slot.fifo_depth  # full
+    assert stream_cycle(sim, core) == [TCDM]
+    assert len(slot.write_buf) < slot.fifo_depth
 
 
 def test_engine_slot_roles():
