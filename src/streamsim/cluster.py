@@ -31,10 +31,10 @@ from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
 from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS
-from .errors import (ConfigError, CycleLimitExceeded, InvalidConfig, InvalidDescriptor,
-                     MisalignedAccess, NonFpInCapture, OutOfRangeAccess,
-                     OverlappingTransfer, ReconfigWhileActive, SimError,
-                     SimulationFault, StreamExhausted)
+from .errors import (ConfigError, CycleLimitExceeded, InvalidConfig,
+                     InvalidDescriptor, MisalignedAccess, NonFpInCapture,
+                     OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
+                     SimError, SimulationFault, StreamExhausted)
 
 
 @dataclass
@@ -150,8 +150,8 @@ class Memory:
         buf[off:off + len(data)] = data
 
     def load(self, addr, n):
-        """The n bytes at addr as a little-endian unsigned integer; bytes past
-        the end of the L2 buffer are the zero high bytes."""
+        """The n bytes at addr as a little-endian unsigned integer; L2 bytes
+        never written count as zero."""
         buf, off = self._locate(addr, n)
         return int.from_bytes(buf[off:off + n], "little")
 
