@@ -127,8 +127,9 @@ class Memory:
         self.n_banks = cfg.tcdm_banks
 
     def _locate(self, addr, n, grow=False):
-        """(buffer, offset) of the n bytes at addr; with grow, the L2 buffer
-        is first extended to hold them."""
+        """(buffer, offset) of the n bytes at addr. L2 bytes past the end of
+        its buffer are first appended with grow, else read from a copy
+        padded with zeros."""
         off = addr - self.tcdm_base
         if 0 <= off and off + n <= self.tcdm_size:
             return self.tcdm, off
@@ -136,22 +137,23 @@ class Memory:
         if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
             off = addr - c.l2_base
             short = off + n - len(self.l2)
-            if grow and short > 0:
+            if short > 0:
+                if not grow:
+                    return bytes(self.l2[off:]).ljust(n, b"\0"), 0
                 self.l2.extend(bytes(short))
             return self.l2, off
         raise OutOfRangeAccess(f"address 0x{addr:x}+{n} outside TCDM and L2")
 
     def read(self, addr, n):
         buf, off = self._locate(addr, n)
-        return bytes(buf[off:off + n]).ljust(n, b"\0")
+        return bytes(buf[off:off + n])
 
     def write(self, addr, data):
         buf, off = self._locate(addr, len(data), grow=True)
         buf[off:off + len(data)] = data
 
     def load(self, addr, n):
-        """The n bytes at addr as a little-endian unsigned integer; L2 bytes
-        never written count as zero."""
+        """The n bytes at addr as a little-endian unsigned integer."""
         buf, off = self._locate(addr, n)
         return int.from_bytes(buf[off:off + n], "little")
 
@@ -410,9 +412,6 @@ class RunResult:
     def stats(self):
         return self.core_stats[0]
 
-    def total_fma(self):
-        return sum(s.fma_executed for s in self.core_stats)
-
     def total_flops(self):
         return sum(s.flops for s in self.core_stats)
 
@@ -557,7 +556,7 @@ class ClusterSim:
         if push is not None:
             if qop.kind == OP_LOAD:
                 self._fault(core, f"load destination f{dest} is stream-mapped")
-            if not push.is_write:
+            if push.is_read:
                 self._fault(core, f"write to read-stream f{dest}")
             dest = None
         qop.operands = tuple(operands)
@@ -710,10 +709,10 @@ class ClusterSim:
 
     def _plan_int(self, core, requests):
         st = core.stats
-        if core._int_plan == "stall:frep_wait" and core.seq.mode is not _IDLE:
+        if core.seq.mode is not _IDLE and core._int_plan is _FREP_WAIT:
             # pc, icache line and memory wait are as when the stall was planned
             st.stall_frep_wait += 1
-            return "stall:frep_wait"
+            return _FREP_WAIT
         if core.mem_stall > 0:
             core.mem_stall -= 1
             if core.mem_stall_cause == "icache":
@@ -769,7 +768,7 @@ class ClusterSim:
         if kind == "frep":
             if not core.seq.idle or core.capture_pending:
                 st.stall_frep_wait += 1
-                return "stall:frep_wait"
+                return _FREP_WAIT
         elif kind == "drain":
             if not core.drained():
                 st.stall_drain += 1
@@ -995,6 +994,7 @@ class ClusterSim:
 
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
+_FREP_WAIT = "stall:frep_wait"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
 
 # int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the

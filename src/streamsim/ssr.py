@@ -75,9 +75,8 @@ class StreamSlot:
     `fifo` directly; a write slot drains `write_buf` from its head.
     """
 
-    __slots__ = ("index", "fifo_depth", "active", "is_read", "is_write",
-                 "total", "width", "fifo", "write_buf",
-                 "addr", "idx", "steps", "issued")
+    __slots__ = ("index", "fifo_depth", "active", "is_read", "total", "width",
+                 "fifo", "write_buf", "addr", "idx", "steps", "issued")
 
     def __init__(self, index, fifo_depth=4):
         self.index = index
@@ -87,7 +86,6 @@ class StreamSlot:
     def reset(self):
         self.active = False
         self.is_read = False
-        self.is_write = False
         self.total = 0             # elements in the configured stream
         self.width = 8             # bytes per element
         self.fifo = deque()        # prefetched raw values (read streams)
@@ -102,7 +100,6 @@ class StreamSlot:
         self.reset()
         self.active = True
         self.is_read = config.direction == Direction.READ
-        self.is_write = not self.is_read
         self.total = config.total
         self.width = config.element_width
         self.addr = config.base
