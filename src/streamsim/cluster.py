@@ -134,8 +134,8 @@ class Memory:
         if 0 <= off and off + n <= self.tcdm_size:
             return self.tcdm, off
         c = self.cfg
-        if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
-            off = addr - c.l2_base
+        off = addr - c.l2_base
+        if 0 <= off and off + n <= c.l2_size:
             short = off + n - len(self.l2)
             if short > 0:
                 if not grow:
@@ -149,7 +149,7 @@ class Memory:
         return bytes(buf[off:off + n])
 
     def write(self, addr, data):
-        buf, off = self._locate(addr, len(data), grow=True)
+        buf, off = self._locate(addr, len(data), True)
         buf[off:off + len(data)] = data
 
     def load(self, addr, n):
@@ -159,7 +159,7 @@ class Memory:
 
     def store(self, addr, n, value):
         """Write the low n bytes of value at addr, little-endian."""
-        buf, off = self._locate(addr, n, grow=True)
+        buf, off = self._locate(addr, n, True)
         buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
     def in_tcdm(self, addr):
@@ -709,7 +709,7 @@ class ClusterSim:
 
     def _plan_int(self, core, requests):
         st = core.stats
-        if core.seq.mode is not _IDLE and core._int_plan is _FREP_WAIT:
+        if core._int_plan is _FREP_WAIT and core.seq.mode is not _IDLE:
             # pc, icache line and memory wait are as when the stall was planned
             st.stall_frep_wait += 1
             return _FREP_WAIT
