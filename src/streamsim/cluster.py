@@ -23,6 +23,7 @@ for memory, so a sequential sweep is safe. A core has one data port: its FP
 and integer load/store units share it, with the FPU first.
 """
 
+import mmap
 from dataclasses import dataclass
 from collections import defaultdict, deque
 
@@ -59,7 +60,8 @@ class ClusterConfig:
     def validate(self):
         """Raise ConfigError unless the cluster can be built and run."""
         for name in ("n_cores", "tcdm_banks", "bank_width", "fp_queue_depth",
-                     "dma_queue_depth", "dma_bus_width", "icache_line"):
+                     "dma_queue_depth", "dma_bus_width", "icache_line",
+                     "l2_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
         # _plan_int counts an L2 wait down from l2_latency - 1
@@ -113,35 +115,25 @@ class CoreStats:
 class Memory:
     """Byte-backed TCDM + L2 regions behind one address map.
 
-    The L2 buffer holds bytes up to the highest one written; the rest of L2
-    reads as zeros.
+    L2 is an anonymous mapping, so the host backs only the pages written.
     """
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self.tcdm = bytearray(cfg.tcdm_size)
-        self.l2 = bytearray()
+        self.l2 = mmap.mmap(-1, cfg.l2_size)
         self.tcdm_base = cfg.tcdm_base
         self.tcdm_size = cfg.tcdm_size
         self.bank_width = cfg.bank_width
         self.n_banks = cfg.tcdm_banks
 
-    def _locate(self, addr, n, grow=False):
-        """(buffer, offset) of the n bytes at addr. L2 bytes past the end of
-        its buffer are first appended with grow, else read from a copy
-        padded with zeros."""
+    def _locate(self, addr, n):
         off = addr - self.tcdm_base
         if 0 <= off and off + n <= self.tcdm_size:
             return self.tcdm, off
         c = self.cfg
-        off = addr - c.l2_base
-        if 0 <= off and off + n <= c.l2_size:
-            short = off + n - len(self.l2)
-            if short > 0:
-                if not grow:
-                    return bytes(self.l2[off:]).ljust(n, b"\0"), 0
-                self.l2.extend(bytes(short))
-            return self.l2, off
+        if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
+            return self.l2, addr - c.l2_base
         raise OutOfRangeAccess(f"address 0x{addr:x}+{n} outside TCDM and L2")
 
     def read(self, addr, n):
@@ -149,7 +141,7 @@ class Memory:
         return bytes(buf[off:off + n])
 
     def write(self, addr, data):
-        buf, off = self._locate(addr, len(data), True)
+        buf, off = self._locate(addr, len(data))
         buf[off:off + len(data)] = data
 
     def load(self, addr, n):
@@ -159,7 +151,7 @@ class Memory:
 
     def store(self, addr, n, value):
         """Write the low n bytes of value at addr, little-endian."""
-        buf, off = self._locate(addr, n, True)
+        buf, off = self._locate(addr, n)
         buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
     def in_tcdm(self, addr):

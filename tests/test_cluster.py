@@ -83,6 +83,7 @@ def test_arbitrate_fairness_and_legality():
     dict(n_cores=0), dict(tcdm_banks=0), dict(bank_width=0),
     dict(bank_width=-8), dict(fp_queue_depth=0), dict(dma_queue_depth=0),
     dict(dma_bus_width=0), dict(icache_line=0), dict(l2_latency=0),
+    dict(l2_size=0),
     dict(l2_base=0x0001_8000), dict(tcdm_base=0x7FFF_0000, tcdm_size=0x2_0000),
 ])
 def test_bad_cluster_config_is_config_error(bad):
@@ -90,21 +91,19 @@ def test_bad_cluster_config_is_config_error(bad):
         ClusterSim(ClusterConfig(**bad))
 
 
-def test_l2_grows_to_highest_byte_written():
+def test_l2_reads_zeros_where_unwritten():
     cfg = ClusterConfig()
     mem = Memory(cfg)
-    assert len(mem.l2) == 0
     assert mem.read(L2_BASE + 64, 8) == bytes(8)
     mem.write(L2_BASE + 8, b"\x01\x02")
-    assert len(mem.l2) == 10
-    # a read across the written end, and past it, gives zeros there
+    # a read across the written bytes, and past them, gives zeros there
     assert mem.read(L2_BASE + 8, 4) == b"\x01\x02\0\0"
     assert mem.load(L2_BASE + 8, 4) == 0x0201
     assert mem.load(L2_BASE + 16, 8) == 0
     top = L2_BASE + cfg.l2_size - 8
     mem.store(top, 8, 0x1122334455667788)
-    assert len(mem.l2) == cfg.l2_size
     assert mem.load(top, 8) == 0x1122334455667788
+    assert mem.read(top - 8, 8) == bytes(8)
     assert mem.read(L2_BASE + 16, 8) == bytes(8)
     with pytest.raises(OutOfRangeAccess):
         mem.read(top + 4, 8)

@@ -3,13 +3,13 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench.py --out BENCH.json [--base DIR] [--runs 5]
-        [--seconds 20] [--seed 0] [--workload NAME ...]
 
-Each run is one `python3 perfbench/run.py --workload NAME --seed SEED
---seconds S --trace 0` in a fresh interpreter, in the checkout that holds this
-file. With `--base DIR` every run is paired with one in the checkout at DIR,
-and the side that runs first alternates from pair to pair, so that drift in
-the host's load falls on both sides alike.
+Each run is one `python3 perfbench/run.py --workload NAME --seed 0 --seconds S
+--trace 0` in a fresh interpreter, in the checkout that holds this file, for
+every workload BENCHMARK.json names, with S its `run_seconds`. With
+`--base DIR` every run is paired with one in the checkout at DIR, and the side
+that runs first alternates from pair to pair, so that drift in the host's load
+falls on both sides alike.
 
 The output records the host (nproc, Python version), the git revision of
 each checkout, and per workload and checkout the failed and attempted
@@ -44,10 +44,10 @@ def revision(checkout):
     return rev + ("+dirty" if dirty else "")
 
 
-def bench_once(checkout, workload, seed, seconds):
+def bench_once(checkout, workload, seconds):
     """The JSON summary line of one untraced benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"bench: {' '.join(cmd)} in {checkout} exited "
@@ -68,17 +68,11 @@ def main(argv=None):
                     help="checkout to pair every run with")
     ap.add_argument("--runs", type=int, default=5,
                     help="runs (pairs, with --base) per workload; at least 5")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run; default: BENCHMARK.json run_seconds")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workload", action="append", default=None,
-                    help="workload to run, repeatable; default: all")
     args = ap.parse_args(argv)
     if args.runs < 5:
         ap.error("--runs must be at least 5")
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     sides = {"change": CHECKOUT}
     if args.base is not None:
@@ -87,18 +81,17 @@ def main(argv=None):
     result = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "platform": platform.platform()},
-        "settings": {"runs": args.runs, "seconds": seconds, "seed": args.seed},
+        "settings": {"runs": args.runs, "seconds": seconds, "seed": 0},
         "checkouts": {side: {"path": str(path), "revision": revision(path)}
                       for side, path in sides.items()},
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in [w["name"] for w in spec["workloads"]]:
         runs = {side: [] for side in sides}
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(bench_once(sides[side], workload, args.seed,
-                                             seconds))
+                runs[side].append(bench_once(sides[side], workload, seconds))
                 print(f"bench: {workload} {side} run {i + 1}/{args.runs}",
                       file=sys.stderr)
         entry = {}
