@@ -701,10 +701,6 @@ class ClusterSim:
 
     def _plan_int(self, core, requests):
         st = core.stats
-        if core._int_plan is _FREP_WAIT and core.seq.mode is not _IDLE:
-            # pc, icache line and memory wait are as when the stall was planned
-            st.stall_frep_wait += 1
-            return _FREP_WAIT
         if core.mem_stall > 0:
             core.mem_stall -= 1
             if core.mem_stall_cause == "icache":
@@ -960,7 +956,11 @@ class ClusterSim:
             core._fpu_plan = self._plan_fpu(core, requests)
             core._stream_plans = (self._plan_streams(core, requests)
                                   if core.stream_map else ())
-            core._int_plan = self._plan_int(core, requests)
+            if core._int_plan is _FREP_WAIT and core.seq.mode is not _IDLE:
+                # pc, icache line and memory wait are as when it was planned
+                core.stats.stall_frep_wait += 1
+            else:
+                core._int_plan = self._plan_int(core, requests)
         dma = self.dma
         dma_busy = not dma.idle
         if dma_busy:
