@@ -82,8 +82,7 @@ def main(argv=None):
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "platform": platform.platform()},
         "settings": {"runs": args.runs, "seconds": seconds, "seed": 0},
-        "checkouts": {side: {"path": str(path), "revision": revision(path)}
-                      for side, path in sides.items()},
+        "revisions": {side: revision(path) for side, path in sides.items()},
         "workloads": {},
     }
     for workload in [w["name"] for w in spec["workloads"]]:
