@@ -4,8 +4,7 @@ layered above it."""
 
 from . import errors
 from .asm import AsmProgram, assemble
-from .cluster import (ClusterConfig, ClusterSim, CoreStats, DmaDescriptor,
-                      RunResult, stats_lines)
+from .cluster import ClusterSim, CoreStats, DmaDescriptor, RunResult, stats_lines
 from .fp import bits_to_f64, f64_to_bits, fma64
 from .kernels import KERNELS, KernelInstance, build, names, run_kernel
 from .ssr import Direction, SsrConfig, SsrDim
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsmProgram", "assemble",
-    "ClusterConfig", "ClusterSim", "CoreStats", "DmaDescriptor", "RunResult",
+    "ClusterSim", "CoreStats", "DmaDescriptor", "RunResult",
     "stats_lines",
     "bits_to_f64", "f64_to_bits", "fma64",
     "KERNELS", "KernelInstance", "build", "names", "run_kernel",

@@ -10,11 +10,11 @@ and data pointers are absolute addresses throughout.
 import re
 import struct
 
+from .cluster import TCDM_BASE as DATA_BASE
 from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
 from .isa import decode, XREGS, FREGS, SSR_FIELDS
 
 TEXT_BASE = 0x0000_0000
-DATA_BASE = 0x0001_0000
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):(.*)$")
 _SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")
@@ -41,14 +41,14 @@ def _parse_int(tok):
     return int(tok, 0)
 
 
-def assemble(source: str, text_base=TEXT_BASE, data_base=DATA_BASE) -> AsmProgram:
+def assemble(source: str) -> AsmProgram:
     # layout: bind labels, place directives and emit their bytes
     labels = {}
     section = "text"
-    cursors = {"text": text_base, "data": data_base}
+    cursors = {"text": TEXT_BASE, "data": DATA_BASE}
     entry_sym = None
     data = {}     # addr -> bytes
-    # instructions sit back to back from text_base, so their addresses
+    # instructions sit back to back from TEXT_BASE, so their addresses
     # need not be stored; two flat lists keep the peak memory down
     texts = []        # statement of each instruction
     text_lines = []   # its source line
@@ -123,7 +123,7 @@ def assemble(source: str, text_base=TEXT_BASE, data_base=DATA_BASE) -> AsmProgra
 
     # resolve: substitute label values, decode, fill symbolic words
     instructions = {}
-    addrs = range(text_base, cursors["text"], 4)
+    addrs = range(TEXT_BASE, cursors["text"], 4)
     for addr, no, stmt in zip(addrs, text_lines, texts):
         try:
             instructions[addr] = decode(_subst(stmt, labels, no))
@@ -138,7 +138,7 @@ def assemble(source: str, text_base=TEXT_BASE, data_base=DATA_BASE) -> AsmProgra
         v = labels[m.group(1)] + int(m.group(2) or 0)
         data[addr] = (v & 0xFFFFFFFF).to_bytes(4, "little")
 
-    entry = text_base
+    entry = TEXT_BASE
     if entry_sym is not None:
         if entry_sym not in labels:
             raise UnresolvedLabel(f".global symbol '{entry_sym}' is undefined")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import asm, kernels, system
-from .cluster import ClusterConfig, stats_lines
+from .cluster import stats_lines
 from .errors import (ConfigError, CycleLimitExceeded, MissingEnergyData,
                      ParseError, SimError)
 
@@ -49,13 +49,6 @@ def _write_out(path, text):
         Path(path).write_text(text)
 
 
-def _cluster_config(args) -> ClusterConfig:
-    cfg = ClusterConfig()
-    if getattr(args, "cold_icache", False):
-        cfg.cold_start_icache = True
-    return cfg
-
-
 def _csv_row(inst, result):
     active = [result.core_stats[i] for i in range(inst.active_cores)]
     fetched = sum(s.fetched for s in active)
@@ -74,8 +67,6 @@ def _run_one(args, n):
     extra = {}
     if args.filler is not None:
         extra["filler_ints"] = args.filler
-    if args.cores is not None:
-        extra["n_cores"] = args.cores
     try:
         inst = kernels.build(args.kernel, n=n, seed=args.seed, **extra)
     except KeyError:
@@ -85,7 +76,7 @@ def _run_one(args, n):
         raise ConfigError(str(e))
     except ValueError as e:
         raise ConfigError(str(e))
-    sim, result = kernels.run_kernel(inst, config=_cluster_config(args),
+    sim, result = kernels.run_kernel(inst, cold_start_icache=args.cold_icache,
                                      max_cycles=args.max_cycles,
                                      trace=args.trace_out is not None)
     if args.check and inst.check is not None:
@@ -135,7 +126,11 @@ def cmd_run(args):
 
 
 def cmd_assemble(args):
-    text = Path(args.source).read_text()
+    try:
+        text = Path(args.source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{args.source} is not UTF-8 text: {e.reason} at "
+                         f"byte {e.start}")
     prog = asm.assemble(text)
     lines = []
     for addr in sorted(prog.instructions):
@@ -205,7 +200,11 @@ def _read_measured(pairs):
         for line in Path(path).read_text().splitlines():
             parts = line.split()
             if len(parts) == 2 and parts[0] == "cluster.flops_per_cycle":
-                fpc = float(parts[1])
+                try:
+                    fpc = float(parts[1])
+                except ValueError:
+                    raise ConfigError(f"{path}: cluster.flops_per_cycle "
+                                      f"'{parts[1]}' is not a number")
         if fpc is None:
             raise ConfigError(f"{path} has no cluster.flops_per_cycle line")
         out[name] = fpc
@@ -270,8 +269,6 @@ def build_parser():
     run.add_argument("--filler", type=int, default=None,
                      help="independent integer filler instructions per "
                           "replay window (matvec48_ssr_frep)")
-    run.add_argument("--cores", type=int, default=None,
-                     help="core count override (matmul_ssr_frep)")
     run.add_argument("--sweep", default=None, metavar="n=16,64,256",
                      help="run several sizes, one CSV row each")
     run.add_argument("--max-cycles", type=int, default=2_000_000)

@@ -31,49 +31,26 @@ from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
                   fp_compute, sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
-from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS
-from .errors import (ConfigError, CycleLimitExceeded, InvalidConfig,
+from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS, FIFO_DEPTH
+from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
                      OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
                      SimError, SimulationFault, StreamExhausted)
 
 
-@dataclass
-class ClusterConfig:
-    n_cores: int = 8
-    tcdm_base: int = 0x0001_0000
-    tcdm_size: int = 128 * 1024
-    tcdm_banks: int = 32
-    bank_width: int = 8
-    l2_base: int = 0x8000_0000
-    l2_size: int = 2 * 1024 * 1024
-    l2_latency: int = 10          # extra cycles for L2/external access
-    fp_queue_depth: int = FP_QUEUE_DEPTH
-    ssr_fifo_depth: int = 4
-    dma_bus_width: int = 64       # bytes per busy cycle (512-bit bus)
-    dma_queue_depth: int = 8
-    icache_line: int = 32
-    # the loader streams the binary through the shared icache, so fetch hits
-    # from cycle 0; set True to charge l2_latency on each first line touch
-    cold_start_icache: bool = False
-
-    def validate(self):
-        """Raise ConfigError unless the cluster can be built and run."""
-        for name in ("n_cores", "tcdm_banks", "bank_width", "fp_queue_depth",
-                     "dma_queue_depth", "dma_bus_width", "icache_line",
-                     "l2_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
-        # _plan_int counts an L2 wait down from l2_latency - 1
-        if self.l2_latency < 1:
-            raise ConfigError(f"l2_latency {self.l2_latency} must be at least 1")
-        # one FP op pops a read stream up to three times
-        if self.ssr_fifo_depth < 3:
-            raise ConfigError(f"ssr_fifo_depth {self.ssr_fifo_depth} must be "
-                              "at least 3")
-        if (self.tcdm_base < self.l2_base + self.l2_size
-                and self.l2_base < self.tcdm_base + self.tcdm_size):
-            raise ConfigError("TCDM and L2 address ranges overlap")
+# The cluster's one geometry: eight cores, 32 banks of 64 bits, 128 KiB of
+# scratchpad, as in the Snitch cluster that Manticore tiles.
+N_CORES = 8
+TCDM_BASE = 0x0001_0000
+TCDM_SIZE = 128 * 1024
+TCDM_BANKS = 32
+BANK_WIDTH = 8            # bytes per bank word
+L2_BASE = 0x8000_0000
+L2_SIZE = 2 * 1024 * 1024
+L2_LATENCY = 10           # extra cycles for an L2 access or icache fill
+DMA_BUS_WIDTH = 64        # bytes per busy cycle (512-bit bus)
+DMA_QUEUE_DEPTH = 8
+ICACHE_LINE = 32          # bytes
 
 
 @dataclass
@@ -118,22 +95,17 @@ class Memory:
     L2 is an anonymous mapping, so the host backs only the pages written.
     """
 
-    def __init__(self, cfg: ClusterConfig):
-        self.cfg = cfg
-        self.tcdm = bytearray(cfg.tcdm_size)
-        self.l2 = mmap.mmap(-1, cfg.l2_size)
-        self.tcdm_base = cfg.tcdm_base
-        self.tcdm_size = cfg.tcdm_size
-        self.bank_width = cfg.bank_width
-        self.n_banks = cfg.tcdm_banks
+    def __init__(self):
+        self.tcdm = bytearray(TCDM_SIZE)
+        self.l2 = mmap.mmap(-1, L2_SIZE)
 
     def _locate(self, addr, n):
-        off = addr - self.tcdm_base
-        if 0 <= off and off + n <= self.tcdm_size:
+        off = addr - TCDM_BASE
+        if 0 <= off and off + n <= TCDM_SIZE:
             return self.tcdm, off
-        c = self.cfg
-        if c.l2_base <= addr and addr + n <= c.l2_base + c.l2_size:
-            return self.l2, addr - c.l2_base
+        off = addr - L2_BASE
+        if 0 <= off and off + n <= L2_SIZE:
+            return self.l2, off
         raise OutOfRangeAccess(f"address 0x{addr:x}+{n} outside TCDM and L2")
 
     def read(self, addr, n):
@@ -154,23 +126,19 @@ class Memory:
         buf, off = self._locate(addr, n)
         buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
-    def in_tcdm(self, addr):
-        return 0 <= addr - self.tcdm_base < self.tcdm_size
-
     def bank_of(self, addr):
-        off = addr - self.tcdm_base
-        if 0 <= off < self.tcdm_size:
-            return (off // self.bank_width) % self.n_banks
+        off = addr - TCDM_BASE
+        if 0 <= off < TCDM_SIZE:
+            return (off // BANK_WIDTH) % TCDM_BANKS
         return None
 
 
 class Tcdm:
     """Per-bank round-robin arbitration with persistent pointers."""
 
-    def __init__(self, cfg: ClusterConfig, n_requesters):
-        self.cfg = cfg
+    def __init__(self, n_requesters):
         self.n_requesters = n_requesters
-        self.rr = [0] * cfg.tcdm_banks
+        self.rr = [0] * TCDM_BANKS
 
     def arbitrate(self, requests):
         """requests: {bank: set(requester ids)} -> {bank: winning id}.
@@ -247,16 +215,15 @@ def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
 class DmaEngine:
     """One transfer in flight, descriptor queue behind it, 64 B per busy cycle."""
 
-    def __init__(self, cfg: ClusterConfig, mem: Memory, req_id):
-        self.cfg = cfg
+    def __init__(self, mem: Memory, req_id):
         self.mem = mem
         self.req_id = req_id
         self.queue = deque()
         self.active = None
         self.row = 0
         self.offset = 0
-        self.slices = []      # pending (src, dst, n, src bank, dst bank)
-                              # pieces of the current window
+        self.slices = []      # pending (src buf, src off, dst buf, dst off, n,
+                              # src bank, dst bank) pieces of the current window
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
@@ -266,7 +233,7 @@ class DmaEngine:
         if desc.total_bytes == 0:
             self.descriptors_done += 1   # completes immediately, no cycles
             return True
-        if len(self.queue) >= self.cfg.dma_queue_depth:
+        if len(self.queue) >= DMA_QUEUE_DEPTH:
             return False
         self.queue.append(desc)
         return True
@@ -279,23 +246,29 @@ class DmaEngine:
         return self.active is None and not self.queue
 
     def _open_window(self):
+        """Locate the window's source and destination once, and split it so
+        each slice touches one bank per TCDM side."""
         d = self.active
-        src = d.src + self.row * d.src_stride + self.offset
-        dst = d.dst + self.row * d.dst_stride + self.offset
-        n = min(self.cfg.dma_bus_width, d.inner - self.offset)
-        # split so each slice touches one bank per TCDM side
+        n = min(DMA_BUS_WIDTH, d.inner - self.offset)
+        mem = self.mem
+        sbuf, so = mem._locate(d.src + self.row * d.src_stride + self.offset, n)
+        dbuf, do = mem._locate(d.dst + self.row * d.dst_stride + self.offset, n)
+        tcdm = mem.tcdm
         cuts = {0, n}
-        bw = self.cfg.bank_width
-        for base in (src, dst):
-            if self.mem.in_tcdm(base):
-                a = (base // bw + 1) * bw - base
+        for buf, off in ((sbuf, so), (dbuf, do)):
+            if buf is tcdm:
+                a = BANK_WIDTH - off % BANK_WIDTH
                 while a < n:
                     cuts.add(a)
-                    a += bw
+                    a += BANK_WIDTH
         edges = sorted(cuts)
-        bank_of = self.mem.bank_of
-        self.slices = [(src + a, dst + a, b - a, bank_of(src + a), bank_of(dst + a))
-                       for a, b in zip(edges, edges[1:])]
+        sbank = sbuf is tcdm
+        dbank = dbuf is tcdm
+        self.slices = [
+            (sbuf, so + a, dbuf, do + a, b - a,
+             (so + a) // BANK_WIDTH % TCDM_BANKS if sbank else None,
+             (do + a) // BANK_WIDTH % TCDM_BANKS if dbank else None)
+            for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
         """Request the banks of the current window; requests is a
@@ -309,7 +282,7 @@ class DmaEngine:
         if not self.slices:
             self._open_window()
         rid = self.req_id
-        for _, _, _, sb, db in self.slices:
+        for _, _, _, _, _, sb, db in self.slices:
             if sb is not None:
                 requests[sb].add(rid)
             if db is not None:
@@ -323,10 +296,10 @@ class DmaEngine:
         moved = 0
         rid = self.req_id
         for piece in self.slices:
-            s, d, n, sb, db = piece
+            sbuf, so, dbuf, do, n, sb, db = piece
             if (sb is None or granted_banks.get(sb) == rid) and \
                (db is None or granted_banks.get(db) == rid):
-                self.mem.write(d, self.mem.read(s, n))
+                dbuf[do:do + n] = sbuf[so:so + n]
                 moved += n
             else:
                 remaining.append(piece)
@@ -335,7 +308,7 @@ class DmaEngine:
         if remaining:
             return
         desc = self.active
-        self.offset += min(self.cfg.dma_bus_width, desc.inner - self.offset)
+        self.offset += min(DMA_BUS_WIDTH, desc.inner - self.offset)
         if self.offset >= desc.inner:
             self.offset = 0
             self.row += 1
@@ -347,16 +320,15 @@ class DmaEngine:
 class Core:
     """One processor: integer pipe, FP queue, FPU + sequencer, stream slots."""
 
-    def __init__(self, index, cfg: ClusterConfig):
+    def __init__(self, index):
         self.index = index
-        self.cfg = cfg
         self.state = CoreState()
         self.halted = True
         self.stats = CoreStats()
         self.fq = deque()
         self.seq = Sequencer()
         self.sb = Scoreboard()
-        self.slots = [StreamSlot(i, cfg.ssr_fifo_depth) for i in range(N_SLOTS)]
+        self.slots = [StreamSlot(i) for i in range(N_SLOTS)]
         self.capture_pending = 0
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
@@ -449,10 +421,12 @@ def stats_lines(result: RunResult, active_cores=None):
 
 
 class ClusterSim:
-    def __init__(self, config: ClusterConfig | None = None):
-        self.cfg = config or ClusterConfig()
-        self.cfg.validate()
-        self.mem = Memory(self.cfg)
+    def __init__(self, cold_start_icache=False):
+        # the loader streams the binary through the shared icache, so fetch
+        # hits from cycle 0; cold_start_icache charges L2_LATENCY on the first
+        # touch of each line instead
+        self.cold_start_icache = cold_start_icache
+        self.mem = Memory()
         self.code = {}
         self.trace_enabled = False
         self.watch_pcs = frozenset()
@@ -461,11 +435,10 @@ class ClusterSim:
     def _new_run(self):
         """Build the state of one run: cores, DMA engine, arbitration
         pointers, icache, clock, trace and watch hits. Memory is kept."""
-        cfg = self.cfg
-        self.cores = [Core(i, cfg) for i in range(cfg.n_cores)]
+        self.cores = [Core(i) for i in range(N_CORES)]
         self.live = []              # cores not halted, in index order
-        self.dma = DmaEngine(cfg, self.mem, req_id=4 * cfg.n_cores)
-        self.tcdm = Tcdm(cfg, n_requesters=4 * cfg.n_cores + 1)
+        self.dma = DmaEngine(self.mem, req_id=4 * N_CORES)
+        self.tcdm = Tcdm(n_requesters=4 * N_CORES + 1)
         self.cycle = 0
         self.icache_warm = set()
         self.trace_rows = []
@@ -477,19 +450,19 @@ class ClusterSim:
         """Install an assembled program and start a new run on it.
 
         `entries` may give a per-core entry pc/label; cores beyond
-        `active_cores` stay halted. At reset a0 = core index, a1 = n_cores.
+        `active_cores` stay halted. At reset a0 = core index, a1 = N_CORES.
         """
         self._new_run()
         self.code = dict(program.instructions)
-        if not self.cfg.cold_start_icache:
+        if not self.cold_start_icache:
             for addr in self.code:
-                self.icache_warm.add(addr // self.cfg.icache_line)
+                self.icache_warm.add(addr // ICACHE_LINE)
         for addr, data in program.data_segments:
             self.mem.write(addr, data)
-        n_active = active_cores if active_cores is not None else self.cfg.n_cores
+        n_active = active_cores if active_cores is not None else N_CORES
         for i, core in enumerate(self.cores):
             core.state.x[10] = i
-            core.state.x[11] = self.cfg.n_cores
+            core.state.x[11] = N_CORES
             core.halted = i >= n_active
             if not core.halted:
                 if entries is not None:
@@ -579,7 +552,7 @@ class ClusterSim:
                 core.stats.fp_stall_stream += 1
                 return "stall:stream"
         push = qop.push
-        if push is not None and len(push.write_buf) >= push.fifo_depth:
+        if push is not None and len(push.write_buf) >= FIFO_DEPTH:
             core.stats.fp_stall_stream += 1
             return "stall:stream"
         if not core.sb.ok(self.cycle, qop.sb_srcs, qop.sb_dest):
@@ -658,21 +631,20 @@ class ClusterSim:
         address, a write slot drains its oldest store. Returns
         (slot, TCDM offset, bank, id) per request."""
         plans = []
-        mem = self.mem
         for slot in core.stream_map.values():
             if slot.is_read:
-                if slot.issued >= slot.total or len(slot.fifo) >= slot.fifo_depth:
+                if slot.issued >= slot.total or len(slot.fifo) >= FIFO_DEPTH:
                     continue
                 addr = slot.addr
             elif slot.write_buf:
                 addr = slot.write_buf[0][0]
             else:
                 continue
-            off = addr - mem.tcdm_base
-            if not 0 <= off <= mem.tcdm_size - slot.width:
+            off = addr - TCDM_BASE
+            if not 0 <= off <= TCDM_SIZE - slot.width:
                 self._fault(core, f"stream {slot.index} address 0x{addr:x} "
                                   "outside TCDM")
-            bank = (off // mem.bank_width) % mem.n_banks
+            bank = (off // BANK_WIDTH) % TCDM_BANKS
             rid = core.stream_rids[slot.index]
             requests[bank].add(rid)
             plans.append((slot, off, bank, rid))
@@ -716,14 +688,14 @@ class ClusterSim:
         instr = self.code.get(pc)
         if instr is None:
             self._fault(core, f"no instruction at pc 0x{pc:x}")
-        line = pc // self.cfg.icache_line
+        line = pc // ICACHE_LINE
         if line not in self.icache_warm:
             return line
         if core.capture_pending > 0:
             if instr.domain is not _FP:
                 self._fault(core, NonFpInCapture(
                     f"'{instr.mnemonic}' inside an frep capture range"))
-            if len(core.fq) >= self.cfg.fp_queue_depth:
+            if len(core.fq) >= FP_QUEUE_DEPTH:
                 st.stall_queue_full += 1
                 return "stall:queue_full"
             qop = self._make_qop(core, instr)
@@ -732,7 +704,7 @@ class ClusterSim:
 
         kind = _INT_KIND.get(instr.mnemonic)
         if kind == "fp":
-            if len(core.fq) >= self.cfg.fp_queue_depth:
+            if len(core.fq) >= FP_QUEUE_DEPTH:
                 st.stall_queue_full += 1
                 return "stall:queue_full"
             return self._make_qop(core, instr)
@@ -743,7 +715,7 @@ class ClusterSim:
             bank = self.mem.bank_of(addr)
             if bank is None:
                 core.pending_l2 = (instr, addr, None)
-                core.mem_stall = self.cfg.l2_latency - 1
+                core.mem_stall = L2_LATENCY - 1
                 core.mem_stall_cause = "mem"
                 st.stall_mem += 1
                 return "stall:mem"
@@ -762,7 +734,7 @@ class ClusterSim:
                 st.stall_drain += 1
                 return "stall:drain"
         elif kind == "dm_copy":
-            if len(self.dma.queue) >= self.cfg.dma_queue_depth:
+            if len(self.dma.queue) >= DMA_QUEUE_DEPTH:
                 st.stall_dma_full += 1
                 return "stall:dma_full"
         elif kind is None:
@@ -782,10 +754,10 @@ class ClusterSim:
             if addr % d.width:
                 self._fault(core, MisalignedAccess(
                     f"0x{addr:x} not {d.width}-byte aligned"))
-            if not self.mem.in_tcdm(addr):
+            qop.bank = self.mem.bank_of(addr)
+            if qop.bank is None:
                 self._fault(core, f"FP memory access 0x{addr:x} outside TCDM")
             qop.addr = addr
-            qop.bank = self.mem.bank_of(addr)
         elif instr.mnemonic == "fmv.d.x":
             qop.xval = core.state.x[instr.rs1]
         return qop
@@ -823,7 +795,7 @@ class ClusterSim:
             if instr.domain is _CUSTOM:
                 # another core may have filled the DMA queue earlier this cycle
                 if mn == "dm_copy" and \
-                        len(self.dma.queue) >= self.cfg.dma_queue_depth:
+                        len(self.dma.queue) >= DMA_QUEUE_DEPTH:
                     core.stats.stall_dma_full += 1
                     return "stall:dma_full"
                 self._exec_custom(core, instr)
@@ -864,7 +836,7 @@ class ClusterSim:
                 self._fault(core, e)
         else:  # the icache line missed at plan time
             self.icache_warm.add(plan)
-            core.mem_stall = self.cfg.l2_latency - 1
+            core.mem_stall = L2_LATENCY - 1
             core.mem_stall_cause = "icache"
             core.stats.stall_icache += 1
             return "stall:icache"

@@ -15,12 +15,12 @@ import random
 import struct
 from dataclasses import dataclass, field as dfield
 
-from .asm import assemble, AsmProgram, DATA_BASE
-from .cluster import ClusterConfig, ClusterSim
+from .asm import assemble, AsmProgram
+from .cluster import (ClusterSim, N_CORES, TCDM_BASE, TCDM_SIZE, TCDM_BANKS,
+                      BANK_WIDTH, L2_BASE)
 from .fp import fma64, f64_to_bits
 
-TCDM = DATA_BASE
-L2 = 0x8000_0000
+TCDM_END = TCDM_BASE + TCDM_SIZE
 
 
 @dataclass
@@ -42,9 +42,9 @@ class KernelInstance:
         return [self.program.labels[self.watch_label]]
 
 
-def run_kernel(inst: KernelInstance, config: ClusterConfig | None = None,
+def run_kernel(inst: KernelInstance, cold_start_icache=False,
                max_cycles=2_000_000, trace=False):
-    sim = ClusterSim(config)
+    sim = ClusterSim(cold_start_icache=cold_start_icache)
     sim.load_program(inst.program, active_cores=inst.active_cores,
                      entries=inst.entries)
     sim.load_image(inst.data)
@@ -125,7 +125,7 @@ def matmul_reference(a, b):
 # ------------------------------------------------------------------ dot family
 
 def _dot_layout(n):
-    x = TCDM
+    x = TCDM_BASE
     y = x + 8 * n + 8        # 8-byte pad keeps y's stream one bank behind x's
     r = y + 8 * n + 8
     return x, y, r
@@ -224,10 +224,10 @@ def build_axpy_ssr(n=256, seed=0):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    xa = TCDM
-    ya = TCDM + ((8 * n + 255) // 256) * 256 + 128
+    xa = TCDM_BASE
+    ya = TCDM_BASE + ((8 * n + 255) // 256) * 256 + 128
     aa = ya + 8 * n + 8
-    if aa + 8 > TCDM + 128 * 1024:
+    if aa + 8 > TCDM_END:
         raise ValueError("n too large for the scratchpad layout")
     rng = random.Random(seed)
     x = _rand_doubles(rng, n)
@@ -268,10 +268,10 @@ def build_matvec48(n=48, seed=0, streams=True, filler_ints=0):
     """
     if n % 4 or n < 8:
         raise ValueError("n must be a multiple of 4, at least 8")
-    aa = TCDM
+    aa = TCDM_BASE
     xa = aa + 8 * n * n + 8
     ya = xa + 8 * n + 8
-    if ya + 8 * n > TCDM + 128 * 1024:
+    if ya + 8 * n > TCDM_END:
         raise ValueError("n too large for the scratchpad layout")
     rng = random.Random(seed)
     rows = [_rand_doubles(rng, n) for _ in range(n)]
@@ -342,7 +342,7 @@ _MM_A_BANKS = (0, 1, 2, 3, 16, 17, 18, 19)
 _MM_B_BANKS = (10, 11, 12, 13, 26, 27, 28, 29)
 
 
-def build_matmul_ssr_frep(n=32, seed=0, n_cores=8):
+def build_matmul_ssr_frep(n=32, seed=0):
     """C = A @ B on all eight cores, each owning four rows.
 
     Every fmadd pops both read streams, so each stream needs one grant per
@@ -354,28 +354,28 @@ def build_matmul_ssr_frep(n=32, seed=0, n_cores=8):
     disjoint sets above. C goes out through the write stream and its rare
     drains are the only remaining contention.
     """
-    if n != 32 or n_cores != 8:
+    if n != 32:
         raise ValueError("layout is engineered for n=32 on 8 cores")
-    rpc = n // n_cores
+    rpc = n // N_CORES
     rng = random.Random(seed)
     a = [_rand_doubles(rng, n) for _ in range(n)]
     b = [_rand_doubles(rng, n) for _ in range(n)]
     ref = matmul_reference(a, b)
 
     prow = 8 * (n + 1)
-    cursor = TCDM
+    cursor = TCDM_BASE
 
     def place(size, bank):
         nonlocal cursor
-        while (cursor // 8) % 32 != bank:
-            cursor += 8
+        while (cursor // BANK_WIDTH) % TCDM_BANKS != bank:
+            cursor += BANK_WIDTH
         base = cursor
         cursor += size
         return base
 
     data = []
     a_base, b_base, c_base = [], [], []
-    for i in range(n_cores):
+    for i in range(N_CORES):
         ab = place(rpc * prow, _MM_A_BANKS[i])
         a_base.append(ab)
         block = [v for r in range(rpc) for v in (a[rpc * i + r] + [0.0])]
@@ -387,12 +387,12 @@ def build_matmul_ssr_frep(n=32, seed=0, n_cores=8):
         data.append((bb, b"".join(_pack(cols[j * n:(j + 1) * n]).ljust(256, b"\0")
                                   for j in range(n))))
 
-        c_base.append(place(rpc * prow, (_MM_A_BANKS[i] + 4) % 32))
-    if cursor > TCDM + 128 * 1024:
+        c_base.append(place(rpc * prow, (_MM_A_BANKS[i] + 4) % TCDM_BANKS))
+    if cursor > TCDM_END:
         raise ValueError("matrices too large for the scratchpad layout")
 
     blocks = []
-    for i in range(n_cores):
+    for i in range(N_CORES):
         blocks += ([f"core{i}:"]
                    + _stream_cfg(0, a_base[i], [(prow, rpc), (8, n), (0, n)])
                    + _stream_cfg(1, b_base[i], [(0, rpc), (8, n), (256, n)])
@@ -423,9 +423,9 @@ def build_matmul_ssr_frep(n=32, seed=0, n_cores=8):
                     raise AssertionError(
                         f"matmul c[{r}][{j}]: got {got!r} want {ref[r][j]!r}")
 
-    return KernelInstance("matmul_ssr_frep", prog, active_cores=n_cores,
+    return KernelInstance("matmul_ssr_frep", prog, active_cores=N_CORES,
                           n=n, flops=2 * n * n * n, check=check, data=data,
-                          entries=[f"core{i}" for i in range(n_cores)])
+                          entries=[f"core{i}" for i in range(N_CORES)])
 
 
 # ------------------------------------------------------------------ DMA stream
@@ -434,15 +434,15 @@ def build_dma_stream(n=32768, seed=0, chunk=4096):
     """Stream n bytes from L2 into the scratchpad through the DMA engine."""
     if n % chunk or n < chunk:
         raise ValueError(f"n must be a positive multiple of {chunk}")
-    if n > 128 * 1024:
+    if n > TCDM_SIZE:
         raise ValueError("n exceeds the scratchpad")
     rng = random.Random(seed)
     payload = bytes(rng.getrandbits(8) for _ in range(n))
     lines = ["start:", f"  li t2, {chunk}"]
     for off in range(0, n, chunk):
-        lines += [f"  li t0, {L2 + off}",
+        lines += [f"  li t0, {L2_BASE + off}",
                   "  dm_src t0",
-                  f"  li t1, {TCDM + off}",
+                  f"  li t1, {TCDM_BASE + off}",
                   "  dm_dst t1",
                   "  dm_copy t2"]
     lines += ["poll:",
@@ -452,12 +452,12 @@ def build_dma_stream(n=32768, seed=0, chunk=4096):
     prog = assemble("\n".join(lines))
 
     def check(sim):
-        got = sim.mem.read(TCDM, n)
+        got = sim.mem.read(TCDM_BASE, n)
         if got != payload:
             raise AssertionError("DMA payload mismatch")
 
     return KernelInstance("dma_stream", prog, n=n, traffic_bytes=n,
-                          check=check, data=[(L2, payload)])
+                          check=check, data=[(L2_BASE, payload)])
 
 
 # ------------------------------------------------------------------ TCDM probes
@@ -466,12 +466,12 @@ def _tcdm_probe(name, shift, stride, accesses=128):
     """All cores issue `accesses` back-to-back loads with the given per-core
     base shift and per-access stride (bytes)."""
     lines = ["start:",
-             f"  li t0, {TCDM}",
+             f"  li t0, {TCDM_BASE}",
              f"  slli t1, a0, {shift}",
              "  add t0, t0, t1"]
     lines += [f"  lw t2, {stride * j}(t0)" for j in range(accesses)]
     lines.append("  halt")
-    return KernelInstance(name, assemble("\n".join(lines)), active_cores=8,
+    return KernelInstance(name, assemble("\n".join(lines)), active_cores=N_CORES,
                           n=accesses)
 
 

@@ -19,6 +19,9 @@ from enum import Enum
 from .errors import InvalidConfig, StreamExhausted
 
 N_SLOTS = 3
+# elements a read slot prefetches ahead, and stores a write slot buffers; one
+# FP op pops a stream up to three times, so a shallower FIFO could deadlock
+FIFO_DEPTH = 4
 MAX_DIMS = 4
 READ_SLOTS = (0, 1, 2)
 WRITE_SLOTS = (2,)
@@ -71,16 +74,16 @@ class StreamSlot:
     generator, and its FIFO.
 
     The cluster reads the fields in place: a read slot prefetches the element
-    at `addr` while `issued < total` and its FIFO has room, and the FPU pops
-    `fifo` directly; a write slot drains `write_buf` from its head.
+    at `addr` while `issued < total` and `fifo` holds fewer than FIFO_DEPTH
+    elements, and the FPU pops `fifo` directly; a write slot takes up to
+    FIFO_DEPTH stores into `write_buf` and drains it from its head.
     """
 
-    __slots__ = ("index", "fifo_depth", "active", "is_read", "total", "width",
+    __slots__ = ("index", "active", "is_read", "total", "width",
                  "fifo", "write_buf", "addr", "idx", "steps", "issued")
 
-    def __init__(self, index, fifo_depth=4):
+    def __init__(self, index):
         self.index = index
-        self.fifo_depth = fifo_depth
         self.reset()
 
     def reset(self):

@@ -98,8 +98,10 @@ class RooflineParams:
     mem_bandwidth: float
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.mem_bandwidth <= 0:
-            raise ConfigError("roofline parameters must be positive")
+        # written so that NaN fails too
+        if not (0 < self.peak_flops < math.inf
+                and 0 < self.mem_bandwidth < math.inf):
+            raise ConfigError("roofline parameters must be finite and positive")
 
     @property
     def ridge_intensity(self):

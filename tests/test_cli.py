@@ -200,3 +200,23 @@ def test_exit_bad_config_file(tmp_path, capsys):
 def test_exit_bad_measured_spec(capsys):
     assert run_cli("roofline", "--measured", "noequalsign") == 7
     assert "error: ConfigError:" in capsys.readouterr().err
+
+
+def test_exit_non_utf8_source_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.s"
+    bad.write_bytes(b"li t0, 1\n\xff\xfe halt\n")
+    assert run_cli("assemble", str(bad)) == 3
+    assert "error: ParseError:" in capsys.readouterr().err
+
+
+def test_exit_bad_measured_value_is_config(tmp_path, capsys):
+    stats = tmp_path / "s.txt"
+    stats.write_text("cluster.flops_per_cycle abc\n")
+    assert run_cli("roofline", "--measured", f"conv_3x3_mid={stats}") == 7
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bw", ["nan", "inf"])
+def test_exit_bad_bandwidth_is_config(bw, capsys):
+    assert run_cli("roofline", "--bandwidth", bw) == 7
+    assert "error: ConfigError:" in capsys.readouterr().err

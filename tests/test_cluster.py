@@ -12,21 +12,21 @@ import time
 import pytest
 
 from streamsim.asm import DATA_BASE, assemble
-from streamsim.cluster import (ClusterConfig, ClusterSim, DmaDescriptor,
+from streamsim.cluster import (DMA_QUEUE_DEPTH, L2_BASE, L2_SIZE, N_CORES,
+                               TCDM_BASE, TCDM_SIZE, ClusterSim, DmaDescriptor,
                                DmaEngine, Memory, Tcdm, stats_lines)
-from streamsim.errors import (ConfigError, CycleLimitExceeded, InvalidConfig,
+from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               InvalidDescriptor, MisalignedAccess,
                               NonFpInCapture, OutOfRangeAccess,
                               OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
 from streamsim import kernels
 
-L2_BASE = 0x8000_0000
-N_REQ = 4 * 8 + 1  # 8 cores x (int pipe + 3 streams) + DMA
+N_REQ = 4 * N_CORES + 1  # 8 cores x (int pipe + 3 streams) + DMA
 
 
-def run_source(src, cores=1, cfg=None, max_cycles=20_000, **kw):
-    sim = ClusterSim(cfg)
+def run_source(src, cores=1, cold_start_icache=False, max_cycles=20_000, **kw):
+    sim = ClusterSim(cold_start_icache=cold_start_icache)
     sim.load_program(assemble(src), active_cores=cores)
     return sim, sim.run(max_cycles=max_cycles, **kw)
 
@@ -34,21 +34,21 @@ def run_source(src, cores=1, cfg=None, max_cycles=20_000, **kw):
 # ------------------------------------------------------------- arbitration
 
 def test_arbitrate_distinct_banks_all_granted():
-    t = Tcdm(ClusterConfig(), N_REQ)
+    t = Tcdm(N_REQ)
     grants = t.arbitrate({0: {5}, 1: {9}, 7: {2}, 31: {32}})
     assert grants == {0: 5, 1: 9, 7: 2, 31: 32}
     assert t.rr[0] == 6 and t.rr[1] == 10 and t.rr[7] == 3 and t.rr[31] == 0
 
 
 def test_arbitrate_same_bank_rotates():
-    t = Tcdm(ClusterConfig(), N_REQ)
+    t = Tcdm(N_REQ)
     wins = [t.arbitrate({3: {4, 8, 12}})[3] for _ in range(6)]
     # pointer starts at 0: 4 wins, pointer 5 -> 8 wins, pointer 9 -> 12 ...
     assert wins == [4, 8, 12, 4, 8, 12]
 
 
 def test_arbitrate_pointer_wraparound():
-    t = Tcdm(ClusterConfig(), N_REQ)
+    t = Tcdm(N_REQ)
     t.rr[0] = 30
     assert t.arbitrate({0: {2, 31}})[0] == 31  # 31 is closer from 30 mod 33
     assert t.rr[0] == 32
@@ -57,7 +57,7 @@ def test_arbitrate_pointer_wraparound():
 
 def test_arbitrate_fairness_and_legality():
     rng = random.Random(7)
-    t = Tcdm(ClusterConfig(), N_REQ)
+    t = Tcdm(N_REQ)
     counts = {}
     for _ in range(400):
         reqs = {b: set(rng.sample(range(N_REQ), rng.randint(1, 5)))
@@ -68,7 +68,7 @@ def test_arbitrate_fairness_and_legality():
             assert t.rr[bank] == (win + 1) % N_REQ
             counts[win] = counts.get(win, 0) + 1
     # persistent full contention on one bank serves every requester equally
-    t2 = Tcdm(ClusterConfig(), N_REQ)
+    t2 = Tcdm(N_REQ)
     ids = {1, 6, 11, 16}
     wins = {i: 0 for i in ids}
     for _ in range(4 * 25):
@@ -76,31 +76,17 @@ def test_arbitrate_fairness_and_legality():
     assert set(wins.values()) == {25}
 
 
-# ------------------------------------------------------------- config, memory
-
-@pytest.mark.parametrize("bad", [
-    dict(ssr_fifo_depth=2), dict(ssr_fifo_depth=1), dict(ssr_fifo_depth=0),
-    dict(n_cores=0), dict(tcdm_banks=0), dict(bank_width=0),
-    dict(bank_width=-8), dict(fp_queue_depth=0), dict(dma_queue_depth=0),
-    dict(dma_bus_width=0), dict(icache_line=0), dict(l2_latency=0),
-    dict(l2_size=0),
-    dict(l2_base=0x0001_8000), dict(tcdm_base=0x7FFF_0000, tcdm_size=0x2_0000),
-])
-def test_bad_cluster_config_is_config_error(bad):
-    with pytest.raises(ConfigError):
-        ClusterSim(ClusterConfig(**bad))
-
+# ------------------------------------------------------------- memory
 
 def test_l2_reads_zeros_where_unwritten():
-    cfg = ClusterConfig()
-    mem = Memory(cfg)
+    mem = Memory()
     assert mem.read(L2_BASE + 64, 8) == bytes(8)
     mem.write(L2_BASE + 8, b"\x01\x02")
     # a read across the written bytes, and past them, gives zeros there
     assert mem.read(L2_BASE + 8, 4) == b"\x01\x02\0\0"
     assert mem.load(L2_BASE + 8, 4) == 0x0201
     assert mem.load(L2_BASE + 16, 8) == 0
-    top = L2_BASE + cfg.l2_size - 8
+    top = L2_BASE + L2_SIZE - 8
     mem.store(top, 8, 0x1122334455667788)
     assert mem.load(top, 8) == 0x1122334455667788
     assert mem.read(top - 8, 8) == bytes(8)
@@ -108,7 +94,7 @@ def test_l2_reads_zeros_where_unwritten():
     with pytest.raises(OutOfRangeAccess):
         mem.read(top + 4, 8)
     with pytest.raises(OutOfRangeAccess):
-        mem.write(L2_BASE + cfg.l2_size, b"\0")
+        mem.write(L2_BASE + L2_SIZE, b"\0")
 
 
 # ------------------------------------------------------------- DMA engine
@@ -190,14 +176,13 @@ def test_dma_bad_geometry_and_range():
 
 
 def test_dma_queue_depth():
-    cfg = ClusterConfig()
-    eng = DmaEngine(cfg, Memory(cfg), req_id=32)
-    for i in range(cfg.dma_queue_depth):
+    eng = DmaEngine(Memory(), req_id=32)
+    for i in range(DMA_QUEUE_DEPTH):
         assert eng.submit(DmaDescriptor.flat(L2_BASE + 64 * i,
                                              DATA_BASE + 64 * i, 64))
     assert not eng.submit(DmaDescriptor.flat(L2_BASE + 4096, DATA_BASE + 4096, 64))
     sim = ClusterSim()
-    for i in range(cfg.dma_queue_depth):
+    for i in range(DMA_QUEUE_DEPTH):
         sim.dma_submit(DmaDescriptor.flat(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
     with pytest.raises(InvalidDescriptor):
         sim.dma_submit(DmaDescriptor.flat(L2_BASE + 4096, DATA_BASE + 4096, 64))
@@ -226,6 +211,28 @@ def test_dma_from_program_with_poll():
     assert res.dma_bytes == 256
     assert sim.dma.busy_cycles == 4
     assert sim.mem.read(DATA_BASE, 256) == blob
+
+
+def test_dma_shares_banks_with_cores():
+    # an unaligned 2-D copy inside the TCDM while all eight cores load from
+    # its source rows: a slice that loses a bank to a core waits for the
+    # next cycle, and the window finishes only once every slice has moved
+    src, dst = TCDM_BASE + 0x4003, TCDM_BASE + 0x8005
+    rows = [bytes((r * 250 + k) * 7 & 0xFF for k in range(250)) for r in range(4)]
+    sim = ClusterSim()
+    lines = ["start:", f"li t0, {TCDM_BASE + 0x4000}", "slli t1, a0, 3",
+             "add t0, t0, t1"] + [f"lw t2, {8 * j}(t0)" for j in range(16)]
+    sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
+    for r, row in enumerate(rows):
+        sim.mem.write(src + 256 * r, row)
+    sim.dma_submit(DmaDescriptor(src=src, dst=dst, inner=250, reps=4,
+                                 src_stride=256, dst_stride=256))
+    res = sim.run()
+    assert [sim.mem.read(dst + 256 * r, 250) for r in range(4)] == rows
+    assert res.dma_bytes == 1000 and res.dma_descriptors == 1
+    # 4 windows of at most 64 bytes per row, and at least one retry
+    assert sim.dma.busy_cycles > 16
+    assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
 
 
 # ------------------------------------------------------------- cycle oracles
@@ -288,14 +295,13 @@ def test_icache_warm_by_default():
 
 
 def test_icache_cold_start_charges_per_line():
-    cfg = ClusterConfig(cold_start_icache=True)
-    _, res = run_source("nop\nhalt", cfg=cfg)
+    _, res = run_source("nop\nhalt", cold_start_icache=True)
     s = res.stats
     assert s.stall_icache == 10  # one 32-byte line, one l2_latency charge
     assert s.cycles_at_halt == 12
     # 9 instructions span two lines (8 at 0x00-0x1c, one at 0x20)
     src = "\n".join(["nop"] * 8 + ["halt"])
-    _, res2 = run_source(src, cfg=ClusterConfig(cold_start_icache=True))
+    _, res2 = run_source(src, cold_start_icache=True)
     assert res2.stats.stall_icache == 20
     assert res2.stats.cycles_at_halt == 9 + 20
 
@@ -428,7 +434,7 @@ def test_core_data_port_serves_fpu_first(offset):
 
 
 def test_load_program_starts_a_new_run():
-    sim = ClusterSim(ClusterConfig(cold_start_icache=True))
+    sim = ClusterSim(cold_start_icache=True)
     prog = assemble(TWO_POPS)
     runs = []
     for _ in range(2):
@@ -663,7 +669,7 @@ def test_fault_stream_direction():
     assert "stream-mapped" in str(ei.value)
 
 
-TCDM_END = ClusterConfig().tcdm_base + ClusterConfig().tcdm_size
+TCDM_END = TCDM_BASE + TCDM_SIZE
 
 
 def read_stream_at(base):

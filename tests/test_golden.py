@@ -19,11 +19,11 @@ from pathlib import Path
 import pytest
 
 from streamsim import kernels
-from streamsim.cluster import ClusterConfig, stats_lines
+from streamsim.cluster import stats_lines
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
-# case name -> (kernel, cluster config overrides); every kernel at its
+# case name -> (kernel, run_kernel keyword arguments); every kernel at its
 # default n and seed 0, plus the icache-miss path, which no kernel reaches
 # with the warm-started icache: on one core, and on eight cores that miss
 # the same lines in the same cycle
@@ -42,8 +42,7 @@ def digests(case):
     inst = kernels.build(kernel)
     out = {}
     for trace in (False, True):
-        _, result = kernels.run_kernel(inst, ClusterConfig(**overrides),
-                                       trace=trace)
+        _, result = kernels.run_kernel(inst, **overrides, trace=trace)
         out["stats_traced" if trace else "stats"] = _sha256(
             stats_lines(result, inst.active_cores))
     out["trace"] = _sha256(result.trace)

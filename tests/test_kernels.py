@@ -7,7 +7,7 @@ import pytest
 
 from streamsim import kernels
 from streamsim.asm import DATA_BASE
-from streamsim.cluster import ClusterConfig, Memory
+from streamsim.cluster import Memory
 from streamsim.kernels import (axpy_reference, dot_reference, matmul_reference,
                                matvec_reference)
 
@@ -88,15 +88,13 @@ def test_builder_rejects():
                 dict(name="matvec48_ssr_frep", n=6)]:
         with pytest.raises(ValueError):
             kernels.build(**bad)
-    with pytest.raises(ValueError):
-        kernels.build("matmul_ssr_frep", n_cores=4)
 
 
 # ------------------------------------------------------------- layouts
 
 def test_dot_layout_offsets_streams():
     # y starts one bank after x so two lockstep unit-stride readers never meet
-    mem = Memory(ClusterConfig())
+    mem = Memory()
     inst = kernels.build("dot_baseline", n=256)
     xa, ya = inst.data[0][0], inst.data[1][0]
     assert mem.bank_of(xa) == 0
@@ -105,7 +103,7 @@ def test_dot_layout_offsets_streams():
 
 
 def test_axpy_layout_separates_read_and_write():
-    mem = Memory(ClusterConfig())
+    mem = Memory()
     inst = kernels.build("axpy_ssr", n=256)
     xa, ya = inst.data[0][0], inst.data[1][0]
     assert mem.bank_of(xa) == 0
@@ -115,7 +113,7 @@ def test_axpy_layout_separates_read_and_write():
 def test_matmul_base_banks_disjoint():
     banks = set(kernels._MM_A_BANKS) | set(kernels._MM_B_BANKS)
     assert len(banks) == 16
-    mem = Memory(ClusterConfig())
+    mem = Memory()
     inst = kernels.build("matmul_ssr_frep")
     placed = {mem.bank_of(addr) for addr, _ in inst.data}
     assert placed == banks  # every blob starts on its reserved bank

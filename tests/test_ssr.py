@@ -11,12 +11,11 @@ from collections import defaultdict
 
 import pytest
 
-from streamsim.cluster import ClusterSim
+from streamsim.cluster import TCDM_BASE as TCDM, ClusterSim
 from streamsim.errors import InvalidConfig, StreamExhausted
-from streamsim.ssr import (READ_SLOTS, WRITE_SLOTS, Direction, SsrConfig,
-                           SsrDim, StreamSlot)
-
-TCDM = 0x0001_0000
+from streamsim.isa import decode
+from streamsim.ssr import (FIFO_DEPTH, READ_SLOTS, WRITE_SLOTS, Direction,
+                           SsrConfig, SsrDim, StreamSlot)
 
 
 def iter_addresses(config: SsrConfig):
@@ -92,9 +91,9 @@ def test_validate_rejects():
     r.validate(slot=2)
 
 
-def make_slot(idx, cfg, fifo_depth=4):
+def make_slot(idx, cfg):
     cfg.validate(idx)
-    slot = StreamSlot(idx, fifo_depth)
+    slot = StreamSlot(idx)
     slot.configure(cfg)
     return slot
 
@@ -152,7 +151,7 @@ def test_write_slot_drain_order():
     sim, core = streaming_core(slot)
     vals = [11, 22, 33]
     for v in vals:
-        assert len(slot.write_buf) < slot.fifo_depth
+        assert len(slot.write_buf) < FIFO_DEPTH
         slot.push(v)
     with pytest.raises(StreamExhausted):
         slot.push(44)  # the stream has three elements
@@ -164,14 +163,16 @@ def test_write_slot_drain_order():
 
 def test_write_slot_backpressure():
     slot = make_slot(2, SsrConfig(base=TCDM, dims=(SsrDim(8, 8),),
-                                  direction=Direction.WRITE),
-                     fifo_depth=2)
+                                  direction=Direction.WRITE))
     sim, core = streaming_core(slot)
-    slot.push(1)
-    slot.push(2)
-    assert len(slot.write_buf) >= slot.fifo_depth  # full
+    for v in range(FIFO_DEPTH):
+        slot.push(v)
+    # a full write buffer holds back an FP op that writes the stream
+    core.fq.append(sim._make_qop(core, decode("fmv.d ft2, ft3")))
+    assert sim._plan_fpu(core, defaultdict(set)) == "stall:stream"
     assert stream_cycle(sim, core) == [TCDM]
-    assert len(slot.write_buf) < slot.fifo_depth
+    assert len(slot.write_buf) == FIFO_DEPTH - 1
+    assert sim._plan_fpu(core, defaultdict(set)) is core.fq[0]
 
 
 def test_engine_slot_roles():

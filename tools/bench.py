@@ -11,23 +11,32 @@ every workload BENCHMARK.json names, with S its `run_seconds`. With
 that runs first alternates from pair to pair, so that drift in the host's load
 falls on both sides alike.
 
+Each checkout's tier-1 suite, `python -m pytest -q --durations=0` with its
+own `src` on PYTHONPATH, runs as many times in the same alternating pairs.
+
 The output records the host (nproc, Python version), the git revision of
 each checkout, and per workload and checkout the failed and attempted
 operations and, for every end-to-end metric that BENCHMARK.json names, each
 run's value with their median and quartiles. With a base it also gives, per
 metric, the ratio of the medians and the number of pairs the change won.
+Under "suite" it records, per checkout, the suite's wall time and the call
+time of the correctness-oracle criterion, each run with median and
+quartiles.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+ORACLE_TEST = "test_criterion_8_correctness_oracles"
 
 
 def revision(checkout):
@@ -53,6 +62,26 @@ def bench_once(checkout, workload, seconds):
         raise SystemExit(f"bench: {' '.join(cmd)} in {checkout} exited "
                          f"{out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def suite_once(checkout):
+    """Host seconds of one tier-1 suite run, and the call time pytest
+    reports for ORACLE_TEST."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--durations=0",
+           "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+                         text=True)
+    wall = time.perf_counter() - t0
+    if out.returncode != 0:
+        raise SystemExit(f"bench: {' '.join(cmd)} in {checkout} exited "
+                         f"{out.returncode}:\n{out.stdout[-2000:]}")
+    m = re.search(rf"^([\d.]+)s call\s+\S+::{ORACLE_TEST}$", out.stdout,
+                  re.MULTILINE)
+    if m is None:
+        raise SystemExit(f"bench: no call time of {ORACLE_TEST} in {checkout}")
+    return wall, float(m.group(1))
 
 
 def summary(values):
@@ -117,6 +146,17 @@ def main(argv=None):
                     "pairs": args.runs,
                 }
         result["workloads"][workload] = entry
+    times = {side: [] for side in sides}
+    for i in range(args.runs):
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        for side in order:
+            times[side].append(suite_once(sides[side]))
+            print(f"bench: suite {side} run {i + 1}/{args.runs}",
+                  file=sys.stderr)
+    result["suite"] = {
+        side: {"wall_s": summary([w for w, _ in runs]),
+               f"{ORACLE_TEST}_s": summary([c for _, c in runs])}
+        for side, runs in times.items()}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
