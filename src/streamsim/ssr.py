@@ -20,7 +20,7 @@ from .errors import InvalidConfig, StreamExhausted
 
 N_SLOTS = 3
 # elements a read slot prefetches ahead, and stores a write slot buffers; one
-# FP op pops a stream up to three times, so a shallower FIFO could deadlock
+# FP op pops a stream up to three times, so below 3 such an op never issues
 FIFO_DEPTH = 4
 MAX_DIMS = 4
 READ_SLOTS = (0, 1, 2)
