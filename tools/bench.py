@@ -84,6 +84,18 @@ def suite_once(checkout):
     return wall, float(m.group(1))
 
 
+def paired(sides, runs, label, once):
+    """once(checkout) `runs` times per side, the side that goes first
+    alternating from pair to pair; the results per side, in run order."""
+    out = {side: [] for side in sides}
+    for i in range(runs):
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        for side in order:
+            out[side].append(once(sides[side]))
+            print(f"bench: {label} {side} run {i + 1}/{runs}", file=sys.stderr)
+    return out
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
@@ -115,13 +127,8 @@ def main(argv=None):
         "workloads": {},
     }
     for workload in [w["name"] for w in spec["workloads"]]:
-        runs = {side: [] for side in sides}
-        for i in range(args.runs):
-            order = list(sides) if i % 2 == 0 else list(reversed(sides))
-            for side in order:
-                runs[side].append(bench_once(sides[side], workload, seconds))
-                print(f"bench: {workload} {side} run {i + 1}/{args.runs}",
-                      file=sys.stderr)
+        runs = paired(sides, args.runs, workload,
+                      lambda checkout: bench_once(checkout, workload, seconds))
         entry = {}
         for side, outs in runs.items():
             entry[side] = {
@@ -146,13 +153,7 @@ def main(argv=None):
                     "pairs": args.runs,
                 }
         result["workloads"][workload] = entry
-    times = {side: [] for side in sides}
-    for i in range(args.runs):
-        order = list(sides) if i % 2 == 0 else list(reversed(sides))
-        for side in order:
-            times[side].append(suite_once(sides[side]))
-            print(f"bench: suite {side} run {i + 1}/{args.runs}",
-                  file=sys.stderr)
+    times = paired(sides, args.runs, "suite", suite_once)
     result["suite"] = {
         side: {"wall_s": summary([w for w, _ in runs]),
                f"{ORACLE_TEST}_s": summary([c for _, c in runs])}
