@@ -13,6 +13,7 @@ Every failure exits through one mapped code with a single-line diagnostic
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -197,14 +198,22 @@ def _read_measured(pairs):
         if not name or not path:
             raise ConfigError(f"bad --measured '{pair}', expected NAME=PATH")
         fpc = None
-        for line in Path(path).read_text().splitlines():
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text: {e.reason} at "
+                              f"byte {e.start}")
+        for line in text.splitlines():
             parts = line.split()
             if len(parts) == 2 and parts[0] == "cluster.flops_per_cycle":
                 try:
                     fpc = float(parts[1])
+                    ok = math.isfinite(fpc) and fpc >= 0
                 except ValueError:
+                    ok = False
+                if not ok:
                     raise ConfigError(f"{path}: cluster.flops_per_cycle "
-                                      f"'{parts[1]}' is not a number")
+                                      f"'{parts[1]}' is not a finite number >= 0")
         if fpc is None:
             raise ConfigError(f"{path} has no cluster.flops_per_cycle line")
         out[name] = fpc

@@ -24,8 +24,9 @@ and integer load/store units share it, with the FPU first.
 """
 
 import mmap
+import struct
 from dataclasses import dataclass
-from collections import defaultdict, deque
+from collections import deque
 
 from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
                   fp_compute, sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
@@ -141,7 +142,8 @@ class Tcdm:
         self.rr = [0] * TCDM_BANKS
 
     def arbitrate(self, requests):
-        """requests: {bank: set(requester ids)} -> {bank: winning id}.
+        """requests: {bank: sized collection of requester ids, where an id
+        may repeat} -> {bank: winning id}.
 
         The winner is the first requester at or after the bank's pointer,
         counting modulo the number of requesters.
@@ -271,8 +273,8 @@ class DmaEngine:
             for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
-        """Request the banks of the current window; requests is a
-        defaultdict(set) of bank -> requester ids."""
+        """Append this engine's id to requests[bank] for the banks of the
+        current window, twice where a source and a destination slice share one."""
         if self.active is None:
             if not self.queue:
                 return
@@ -284,9 +286,9 @@ class DmaEngine:
         rid = self.req_id
         for _, _, _, _, _, sb, db in self.slices:
             if sb is not None:
-                requests[sb].add(rid)
+                requests.setdefault(sb, []).append(rid)
             if db is not None:
-                requests[db].add(rid)
+                requests.setdefault(db, []).append(rid)
 
     def commit(self, granted_banks):
         if self.active is None or not self.slices:
@@ -498,37 +500,37 @@ class ClusterSim:
         pop their read streams and an f0..f2 destination pushes to its write
         stream while streaming is on; the rest go through the scoreboard."""
         smap = core.stream_map
+        dest = qop.dest
         if not smap:
-            qop.operands = qop.sb_srcs = qop.srcs
+            qop.operands = qop.srcs
+            qop.sb_regs = qop.srcs if dest is None else qop.srcs + (dest,)
             qop.pops = ()
             qop.push = None
-            qop.sb_dest = qop.dest
             qop.mapped = smap
             return
-        operands, sb_srcs, pops = [], [], {}
+        operands, sb_regs, pops = [], [], {}
         for reg in qop.srcs:
             slot = smap.get(reg)
             if slot is None:
                 operands.append(reg)
-                sb_srcs.append(reg)
+                sb_regs.append(reg)
             elif not slot.is_read:
                 self._fault(core, f"read of write-stream f{reg}")
             else:
                 operands.append(slot)
                 pops[slot] = pops.get(slot, 0) + 1
-        dest = qop.dest
         push = smap.get(dest)
         if push is not None:
             if qop.kind == OP_LOAD:
                 self._fault(core, f"load destination f{dest} is stream-mapped")
             if push.is_read:
                 self._fault(core, f"write to read-stream f{dest}")
-            dest = None
+        elif dest is not None:
+            sb_regs.append(dest)
         qop.operands = tuple(operands)
         qop.pops = tuple(pops.items())
         qop.push = push
-        qop.sb_srcs = tuple(sb_srcs)
-        qop.sb_dest = dest
+        qop.sb_regs = tuple(sb_regs)
         qop.mapped = smap
 
     def _plan_fpu(self, core, requests):
@@ -555,20 +557,22 @@ class ClusterSim:
         if push is not None and len(push.write_buf) >= FIFO_DEPTH:
             core.stats.fp_stall_stream += 1
             return "stall:stream"
-        if not core.sb.ok(self.cycle, qop.sb_srcs, qop.sb_dest):
-            core.stats.fp_stall_hazard += 1
-            return "stall:hazard"
+        # the scoreboard: a source in flight (RAW) or a pending write to the
+        # destination (WAW) holds the op back
+        ready = core.sb.ready
+        for r in qop.sb_regs:
+            if ready[r] > self.cycle:
+                core.stats.fp_stall_hazard += 1
+                return "stall:hazard"
         if qop.bank is not None:
             # FP loads/stores contend under the core's own request id
-            requests[qop.bank].add(core.int_rid)
+            requests.setdefault(qop.bank, []).append(core.int_rid)
         return qop
 
     def _commit_fpu(self, core, grants):
-        """Apply the FPU plan; return the trace event, or None for an event
-        that is only formatted while tracing."""
+        """Apply the FPU plan, a QueuedOp; return the trace event, or None
+        for an event that is only formatted while tracing."""
         qop = core._fpu_plan
-        if qop.__class__ is str:
-            return qop
         st = core.stats
         if qop.capture:
             qop.capture = False
@@ -585,8 +589,9 @@ class ClusterSim:
         try:
             # operand bits; each stream pops exactly once per occurrence, from
             # a FIFO the plan found holding enough elements
-            vals = [f[o] if o.__class__ is int else o.fifo.popleft()
-                    for o in qop.operands]
+            vals = []
+            for o in qop.operands:
+                vals.append(f[o] if o.__class__ is int else o.fifo.popleft())
             kind = qop.kind
             if kind == OP_ARITH:
                 flops = qop.flops
@@ -646,7 +651,7 @@ class ClusterSim:
                                   "outside TCDM")
             bank = (off // BANK_WIDTH) % TCDM_BANKS
             rid = core.stream_rids[slot.index]
-            requests[bank].add(rid)
+            requests.setdefault(bank, []).append(rid)
             plans.append((slot, off, bank, rid))
         return plans
 
@@ -655,14 +660,12 @@ class ClusterSim:
         for slot, off, bank, rid in core._stream_plans:
             if grants.get(bank) != rid:
                 continue  # lost arbitration, retry next cycle
-            end = off + slot.width
+            elem, mask = _ELEMENT[slot.width]
             if slot.is_read:
-                slot.fifo.append(int.from_bytes(tcdm[off:end], "little"))
+                slot.fifo.append(elem.unpack_from(tcdm, off)[0])
                 slot.advance()
             else:
-                raw = slot.write_buf.popleft()[1]
-                tcdm[off:end] = (raw & ((1 << (8 * slot.width)) - 1)).to_bytes(
-                    slot.width, "little")
+                elem.pack_into(tcdm, off, slot.write_buf.popleft()[1] & mask)
 
     # ------------------------------------------------------------- integer phase
     #
@@ -723,7 +726,7 @@ class ClusterSim:
             if fp.__class__ is QueuedOp and fp.bank is not None and not fp.capture:
                 st.stall_bank_conflict += 1   # the FPU holds the data port
                 return "stall:bank"
-            requests[bank].add(core.int_rid)
+            requests.setdefault(bank, []).append(core.int_rid)
             return (instr, addr, bank)
         if kind == "frep":
             if not core.seq.idle or core.capture_pending:
@@ -782,12 +785,10 @@ class ClusterSim:
             })
 
     def _commit_int(self, core, grants):
-        """Apply the int plan; return a stall event, or the instruction that
-        retired from the pc the cycle started at."""
+        """Apply the int plan, a record; return a stall event, or the
+        instruction that retired from the pc the cycle started at."""
         plan = core._int_plan
         cls = plan.__class__
-        if cls is str:
-            return plan
         state = core.state
         if cls is Instruction:
             instr = plan
@@ -922,7 +923,7 @@ class ClusterSim:
     def _step(self):
         """One cycle over the units that can act: cores not halted, stream
         slots while streaming is on, and the DMA engine while it has work."""
-        requests = defaultdict(set)
+        requests = {}               # bank -> requester ids
         live = self.live
         for core in live:
             core._fpu_plan = self._plan_fpu(core, requests)
@@ -942,10 +943,15 @@ class ClusterSim:
         for core in live:
             if trace:
                 pc = core.state.pc
-            fp_ev = self._commit_fpu(core, grants)
+            # a settled plan is its own trace event
+            fp_ev = core._fpu_plan
+            if fp_ev.__class__ is not str:
+                fp_ev = self._commit_fpu(core, grants)
             if core._stream_plans:
                 self._commit_streams(core, grants)
-            int_ev = self._commit_int(core, grants)
+            int_ev = core._int_plan
+            if int_ev.__class__ is not str:
+                int_ev = self._commit_int(core, grants)
             if trace:
                 if int_ev.__class__ is not str:
                     int_ev = f"{pc:#x} {int_ev.mnemonic}"
@@ -960,6 +966,8 @@ class ClusterSim:
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
 _FREP_WAIT = "stall:frep_wait"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
+# stream element format and store mask by element width in bytes
+_ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
 
 # int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the
 # write streams to empty, dm_copy for room in the DMA queue

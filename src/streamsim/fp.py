@@ -18,6 +18,8 @@ _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
 _F64X3 = struct.Struct("<3d")
 _U64X3 = struct.Struct("<3Q")
+_F32X2 = struct.Struct("<2f")
+_F32X6 = struct.Struct("<6f")
 
 # Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves, and
 # Dekker's product p + e == a*b is exact while neither the split overflows
@@ -57,6 +59,33 @@ def f32_pair_to_bits(lo: float, hi: float) -> int:
 
 def bits_to_f32_pair(b: int) -> tuple[float, float]:
     return struct.unpack("<ff", struct.pack("<Q", b & MASK64))
+
+
+def binary64_op(lane, negate_c=False):
+    """lane(a, b, c) on binary64 values as one function of the operands'
+    raw bits, returning raw bits; negate_c flips the sign of c first."""
+    flip = 1 << 63 if negate_c else 0
+
+    def op(a, b, c):
+        return _U64.unpack(_F64.pack(lane(*_F64X3.unpack(
+            _U64X3.pack(a, b, c ^ flip)))))[0]
+    return op
+
+
+def binary32_pair_op(lane, negate_c=False):
+    """binary64_op for registers that hold two binary32 lanes: lane runs on
+    the low lanes and on the high lanes, and each result is rounded to
+    binary32 as round32 rounds it."""
+    flip = 0x8000_0000_8000_0000 if negate_c else 0
+
+    def op(a, b, c):
+        alo, ahi, blo, bhi, clo, chi = _F32X6.unpack(_U64X3.pack(a, b, c ^ flip))
+        lo, hi = lane(alo, blo, clo), lane(ahi, bhi, chi)
+        try:
+            return _U64.unpack(_F32X2.pack(lo, hi))[0]
+        except OverflowError:   # packing overflows where round32 gives inf
+            return _U64.unpack(_F32X2.pack(round32(lo), round32(hi)))[0]
+    return op
 
 
 def _exact_ratio(a, b, c):

@@ -107,18 +107,11 @@ class Sequencer:
 
 
 class Scoreboard:
-    """Register -> cycle at which its pending result becomes usable."""
+    """Per FP register, the cycle at which its pending result becomes
+    usable; the FPU plan reads `ready` in place."""
 
     def __init__(self):
-        self.ready = {}
-
-    def ok(self, now, sources, dest=None):
-        for r in sources:
-            if self.ready.get(r, 0) > now:
-                return False
-        if dest is not None and self.ready.get(dest, 0) > now:
-            return False  # WAW: wait for the older write to land
-        return True
+        self.ready = [0] * 32
 
     def issue(self, now, dest, lat):
         if dest is not None:
@@ -185,6 +178,5 @@ class QueuedOp:
     operands: tuple = ()      # per source: its register, or the slot to pop
     pops: tuple = ()          # (read slot, pops) per stream source
     push: object = None       # write slot taking the result
-    sb_srcs: tuple = ()       # sources the scoreboard tracks
-    sb_dest: int | None = None
+    sb_regs: tuple = ()       # sources and destination not stream-mapped
     bank: int | None = None   # TCDM bank of a load/store, latched at dispatch

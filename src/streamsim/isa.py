@@ -296,19 +296,15 @@ def branch_taken(core: CoreState, instr: Instruction) -> bool:
     raise UnsupportedInstruction(f"'{mn}' is not a branch")
 
 
-# FP compute op -> (packed binary32 pair?, function on the operand values)
-_FP_OPS = {
-    "fmadd.d": (False, fp.fma64),
-    "fmsub.d": (False, lambda a, b, c: fp.fma64(a, b, -c)),
-    "fadd.d": (False, lambda a, b, c: a + b),
-    "fsub.d": (False, lambda a, b, c: a - b),
-    "fmul.d": (False, lambda a, b, c: a * b),
-    "fmadd.s": (True, fp.fma32),
-    "fmsub.s": (True, lambda a, b, c: fp.fma32(a, b, -c)),
-    "fadd.s": (True, lambda a, b, c: fp.round32(a + b)),
-    "fsub.s": (True, lambda a, b, c: fp.round32(a - b)),
-    "fmul.s": (True, lambda a, b, c: fp.round32(a * b)),
-}
+# FP compute op -> its datapath, from raw operand bits to raw result bits
+_FP_OPS = {"fmadd.d": fp.binary64_op(fp.fma64),
+           "fmsub.d": fp.binary64_op(fp.fma64, negate_c=True),
+           "fmadd.s": fp.binary32_pair_op(fp.fma32),
+           "fmsub.s": fp.binary32_pair_op(fp.fma32, negate_c=True)}
+for _name, _lane in (("add", lambda a, b, c: a + b), ("sub", lambda a, b, c: a - b),
+                     ("mul", lambda a, b, c: a * b)):
+    _FP_OPS[f"f{_name}.d"] = fp.binary64_op(_lane)
+    _FP_OPS[f"f{_name}.s"] = fp.binary32_pair_op(_lane)
 
 
 def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
@@ -318,13 +314,8 @@ def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) ->
     register are processed, which is what gives the FPU its 2-SP-FMA/cycle rate.
     """
     try:
-        single, op = _FP_OPS[instr.mnemonic]
+        op = _FP_OPS[instr.mnemonic]
     except KeyError:
         raise UnsupportedInstruction(
             f"'{instr.mnemonic}' is not an FP compute op") from None
-    if single:
-        alo, ahi = fp.bits_to_f32_pair(a_bits)
-        blo, bhi = fp.bits_to_f32_pair(b_bits)
-        clo, chi = fp.bits_to_f32_pair(c_bits)
-        return fp.f32_pair_to_bits(op(alo, blo, clo), op(ahi, bhi, chi))
-    return fp.f64_to_bits(op(*fp.bits_to_f64x3(a_bits, b_bits, c_bits)))
+    return op(a_bits, b_bits, c_bits)

@@ -216,6 +216,16 @@ def test_exit_bad_measured_value_is_config(tmp_path, capsys):
     assert "error: ConfigError:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [b"nan", b"-3", b"\xff"])
+def test_exit_bad_measured_file_is_config(value, tmp_path, capsys):
+    # a value that is not a finite number >= 0, or a file that is not UTF-8,
+    # ends in a mapped error rather than NaN or negative rows or a traceback
+    stats = tmp_path / "s.txt"
+    stats.write_bytes(b"cluster.flops_per_cycle " + value + b"\n")
+    assert run_cli("roofline", "--measured", f"conv_3x3_mid={stats}") == 7
+    assert "error: ConfigError:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bw", ["nan", "inf"])
 def test_exit_bad_bandwidth_is_config(bw, capsys):
     assert run_cli("roofline", "--bandwidth", bw) == 7

@@ -76,6 +76,25 @@ def test_arbitrate_fairness_and_legality():
     assert set(wins.values()) == {25}
 
 
+def test_arbitrate_lists_match_sets():
+    # the cluster hands arbitrate lists of requester ids; the DMA repeats
+    # its id when a TCDM-to-TCDM window's source and destination slices
+    # share a bank
+    rng = random.Random(11)
+    as_sets, as_lists = Tcdm(N_REQ), Tcdm(N_REQ)
+    for _ in range(300):
+        reqs = {b: rng.sample(range(N_REQ), rng.randint(1, 5))
+                for b in rng.sample(range(32), 3)}
+        dup = rng.choice(list(reqs))
+        reqs[dup].append(reqs[dup][0])
+        want = as_sets.arbitrate({b: set(ids) for b, ids in reqs.items()})
+        assert as_lists.arbitrate(reqs) == want
+        assert as_lists.rr == as_sets.rr
+    t = Tcdm(N_REQ)
+    assert t.arbitrate({4: [N_REQ - 1, N_REQ - 1]}) == {4: N_REQ - 1}
+    assert t.rr[4] == 0
+
+
 # ------------------------------------------------------------- memory
 
 def test_l2_reads_zeros_where_unwritten():
@@ -411,6 +430,49 @@ def test_stream_first_pop_waits_for_prefetch():
     assert res.stats.fp_stall_stream == 0
     f = sim.cores[0].state.f
     assert (f[3], f[4]) == (struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
+
+
+def test_four_byte_streams_through_the_cluster():
+    # a read stream of 4-byte elements zero-extends each into the register;
+    # a 4-byte write stream stores the low 32 bits of a 64-bit result and
+    # leaves the words around its elements untouched
+    sim, res = run_source("""
+        .data
+        big: .word 0xDEADBEEF
+        .word 0x01234567
+        src: .word 0x11223344
+        .word 0x55667788
+        .word 0xFFFFFFFF
+        dst: .word 0xFFFFFFFF
+        .word 0xFFFFFFFF
+        .word 0xFFFFFFFF
+        .text
+        li t1, src
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, 4
+        ssr_cfg_write 0, bound0, 2
+        ssr_cfg_write 0, width, 4
+        li t1, dst
+        ssr_cfg_write 2, base, t1
+        ssr_cfg_write 2, stride0, 4
+        ssr_cfg_write 2, bound0, 2
+        ssr_cfg_write 2, dir, 1
+        ssr_cfg_write 2, width, 4
+        li t1, big
+        fld ft3, 0(t1)
+        ssr_enable
+        fmv.d ft2, ft0
+        fmv.d ft4, ft0
+        fmv.d ft2, ft3
+        ssr_disable
+        halt
+    """)
+    f = sim.cores[0].state.f
+    assert f[3] == 0x01234567_DEADBEEF
+    assert f[4] == 0x55667788
+    dst = DATA_BASE + 20
+    assert sim.mem.read(dst - 4, 16) == struct.pack(
+        "<4I", 0xFFFFFFFF, 0x11223344, 0xDEADBEEF, 0xFFFFFFFF)
 
 
 @pytest.mark.parametrize("offset", [256, 8])

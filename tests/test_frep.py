@@ -1,11 +1,12 @@
-"""Sequencer capture/replay state machine and the FPU scoreboard."""
+"""Sequencer capture/replay state machine and the FPU scoreboard check."""
 
 import pytest
 
+from streamsim.cluster import TCDM_BASE, ClusterSim
 from streamsim.errors import CountZero, NestedFrep
 from streamsim.frep import (BUFFER_DEPTH, LAT_ADDMUL, LAT_FMA, LAT_LOAD,
                             LAT_MOVE, LAT_STORE, Mode, OP_ARITH, QueuedOp,
-                            Scoreboard, Sequencer, latency_of)
+                            Sequencer, latency_of)
 from streamsim.isa import decode
 
 
@@ -83,23 +84,42 @@ def test_arm_bounds():
     seq.arm(count=1, n_instr=BUFFER_DEPTH)
 
 
-def test_scoreboard_raw():
-    sb = Scoreboard()
-    sb.issue(now=10, dest=3, lat=3)
-    assert not sb.ok(now=11, sources=[3])
-    assert not sb.ok(now=12, sources=[3])
-    assert sb.ok(now=13, sources=[3])
-    assert sb.ok(now=11, sources=[4])
+def plan_at(cycle, text, pending=()):
+    """The FPU plan of core 0 at `cycle` with `text` at the head of its FP
+    queue, after the scoreboard took each (issue cycle, dest, latency) of
+    `pending`; the bank requests it made go to `requests`."""
+    sim = ClusterSim()
+    core = sim.cores[0]
+    core.state.x[6] = TCDM_BASE          # t1, the base of FP loads/stores
+    for now, dest, lat in pending:
+        core.sb.issue(now, dest, lat)
+    sim.cycle = cycle
+    core.fq.append(sim._make_qop(core, decode(text)))
+    requests = {}
+    return sim._plan_fpu(core, requests), core, requests
 
 
-def test_scoreboard_waw():
-    sb = Scoreboard()
-    sb.issue(now=0, dest=5, lat=3)
-    assert not sb.ok(now=1, sources=[], dest=5)
-    assert sb.ok(now=3, sources=[], dest=5)
+def test_plan_fpu_raw():
+    pending = [(10, 3, 3)]
+    for cycle in (11, 12):
+        plan, core, _ = plan_at(cycle, "fadd.d ft5, ft3, ft3", pending)
+        assert plan == "stall:hazard" and core.stats.fp_stall_hazard == 1
+    plan, core, _ = plan_at(13, "fadd.d ft5, ft3, ft3", pending)
+    assert plan is core.fq[0]
+    plan, core, _ = plan_at(11, "fadd.d ft5, ft4, ft4", pending)
+    assert plan is core.fq[0]
 
 
-def test_scoreboard_no_dest():
-    sb = Scoreboard()
-    sb.issue(now=0, dest=None, lat=3)  # stores write no register
-    assert sb.ok(now=0, sources=[])
+def test_plan_fpu_waw():
+    # WAW: the op waits for the older write to its destination to land
+    pending = [(0, 5, 3)]
+    assert plan_at(1, "fmv.d ft5, ft4", pending)[0] == "stall:hazard"
+    plan, core, _ = plan_at(3, "fmv.d ft5, ft4", pending)
+    assert plan is core.fq[0]
+
+
+def test_plan_fpu_store_without_destination():
+    # stores write no register, so issuing one leaves nothing pending
+    plan, core, requests = plan_at(0, "fsd ft4, 0(t1)", [(0, None, 3)])
+    assert plan is core.fq[0] and core.stats.fp_stall_hazard == 0
+    assert requests == {0: [core.int_rid]}

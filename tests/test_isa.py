@@ -1,14 +1,17 @@
 """Instruction decode and integer/FP execution semantics."""
 
+import itertools
+import operator
 import random
 
 import pytest
 
 from streamsim import errors
-from streamsim.fp import bits_to_f64, f32_pair_to_bits, bits_to_f32_pair, \
-    f64_to_bits, fma64
-from streamsim.isa import (MASK32, CoreState, Domain, XREGS, alu_result,
-                           branch_taken, decode, fp_compute, sext32)
+from streamsim.fp import bits_to_f64, bits_to_f64x3, f32_pair_to_bits, \
+    bits_to_f32_pair, f64_to_bits, fma32, fma64, round32
+from streamsim.isa import (MASK32, CoreState, Domain, XREGS, _FP_OPS,
+                           alu_result, branch_taken, decode, fp_compute,
+                           sext32)
 
 
 def st_with(**regs):
@@ -125,3 +128,47 @@ def test_fp_compute_matches_fma64():
         a, b, c = (rng.uniform(-1, 1) for _ in range(3))
         got = fp_compute(i, f64_to_bits(a), f64_to_bits(b), f64_to_bits(c))
         assert bits_to_f64(got) == fma64(a, b, c)
+
+
+def _reference(mn, a, b, c):
+    """fp_compute composed from the fp helpers: operand bits to values, the
+    op on the values, the result back to bits."""
+    neg = mn.startswith("fmsub")
+    if mn.endswith(".d"):
+        x, y, z = bits_to_f64x3(a, b, c)
+        if mn in ("fmadd.d", "fmsub.d"):
+            r = fma64(x, y, -z if neg else z)
+        else:
+            r = {"fadd.d": operator.add, "fsub.d": operator.sub,
+                 "fmul.d": operator.mul}[mn](x, y)
+        return f64_to_bits(r)
+    lanes = []
+    for x, y, z in zip(bits_to_f32_pair(a), bits_to_f32_pair(b),
+                       bits_to_f32_pair(c)):
+        if mn in ("fmadd.s", "fmsub.s"):
+            lanes.append(fma32(x, y, -z if neg else z))
+        else:
+            lanes.append(round32({"fadd.s": operator.add, "fsub.s": operator.sub,
+                                  "fmul.s": operator.mul}[mn](x, y)))
+    return f32_pair_to_bits(*lanes)
+
+
+# binary64 patterns: +-0, +-inf, a quiet NaN with a payload, the smallest
+# subnormal, the largest finite value, 1.5
+D_EDGES = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000,
+           0x7FF8000000012345, 1, 0x7FEFFFFFFFFFFFFF, 0x3FF8000000000000]
+# binary32 pairs: the same values per lane, plus 0x7F61B1E6 (about 3e38),
+# whose sum, difference with its negation, and square overflow binary32
+S_LANES = [0, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC01234, 1, 0x7F7FFFFF,
+           0x3FC00000, 0x7F61B1E6, 0xFF61B1E6]
+S_EDGES = [lo | hi << 32 for lo, hi in zip(S_LANES, S_LANES[::-1])]
+
+
+@pytest.mark.parametrize("mn", sorted(_FP_OPS))
+def test_fp_compute_bit_exact_on_edge_values(mn):
+    fused = mn.startswith(("fmadd", "fmsub"))
+    i = decode(f"{mn} ft3, ft0, ft1" + (", ft2" if fused else ""))
+    edges = D_EDGES if mn.endswith(".d") else S_EDGES
+    for a, b, c in itertools.product(edges, repeat=3):
+        assert fp_compute(i, a, b, c) == _reference(mn, a, b, c), \
+            (mn, hex(a), hex(b), hex(c))

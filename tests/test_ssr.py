@@ -7,7 +7,6 @@ commit, with every bank request granted.
 """
 
 import random
-from collections import defaultdict
 
 import pytest
 
@@ -112,7 +111,7 @@ def streaming_core(*slots):
 def stream_cycle(sim, core):
     """Plan and commit one cycle of the core's stream accesses, every
     request granted; return the addresses accessed."""
-    requests = defaultdict(set)
+    requests = {}
     core._stream_plans = sim._plan_streams(core, requests)
     sim._commit_streams(core, {bank: rid for bank, (rid,) in requests.items()})
     return [TCDM + off for _, off, _, _ in core._stream_plans]
@@ -169,10 +168,10 @@ def test_write_slot_backpressure():
         slot.push(v)
     # a full write buffer holds back an FP op that writes the stream
     core.fq.append(sim._make_qop(core, decode("fmv.d ft2, ft3")))
-    assert sim._plan_fpu(core, defaultdict(set)) == "stall:stream"
+    assert sim._plan_fpu(core, {}) == "stall:stream"
     assert stream_cycle(sim, core) == [TCDM]
     assert len(slot.write_buf) == FIFO_DEPTH - 1
-    assert sim._plan_fpu(core, defaultdict(set)) is core.fq[0]
+    assert sim._plan_fpu(core, {}) is core.fq[0]
 
 
 def test_engine_slot_roles():
