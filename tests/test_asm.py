@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from streamsim.asm import DATA_BASE, TEXT_BASE, assemble
-from streamsim.errors import DuplicateLabel, ParseError, UnresolvedLabel
+from streamsim.errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
 
 
 def test_basic_program():
@@ -149,3 +149,36 @@ def test_symbolic_word_is_filled_after_layout():
     assert segs[tail] == DATA_BASE.to_bytes(4, "little")
     with pytest.raises(UnresolvedLabel):
         assemble(".data\n.word nowhere")
+
+
+@pytest.mark.parametrize("stmt, why", [
+    ("add t0, t1", "'add' takes 3 operands, got 2 in 'add t0, t1'"),
+    ("halt t0", "'halt' takes 0 operands, got 1 in 'halt t0'"),
+    ("frobnicate t0", "unsupported mnemonic 'frobnicate' in 'frobnicate t0'"),
+    ("li t0, 0x1ffffffff",
+     "immediate 8589934591 out of 32-bit range in 'li t0, 0x1ffffffff'"),
+    ("slli t0, t0, 32", "shift amount 32 out of range in 'slli t0, t0, 32'"),
+    ("frep t0, 17", "frep body length 17 outside 1..16 in 'frep t0, 17'"),
+    ("lw t0, 4[t1]", "expected imm(reg), got '4[t1]' in 'lw t0, 4[t1]'"),
+    ("fld ft0, q0(t0)", "expected immediate, got 'q0' in 'fld ft0, q0(t0)'"),
+    ("fadd.d ft0, ft1, t0",
+     "expected FP register, got 't0' in 'fadd.d ft0, ft1, t0'"),
+    ("add t0,t1,ft0",
+     "expected integer register, got 'ft0' in 'add t0, t1, ft0'"),
+    ("add t0, t1,", "expected integer register, got '' in 'add t0, t1, '"),
+    ("j 0x", "expected immediate, got '0x' in 'j 0x'"),
+    ("li t0, base+4", "expected immediate, got 'base+4' in 'li t0, base+4'"),
+])
+def test_parse_error_messages(stmt, why):
+    with pytest.raises(ParseError) as ei:
+        assemble(f"nop\n{stmt}\nhalt")
+    assert str(ei.value) == f"line 2: {why}"
+
+
+def test_repeated_bad_statement_reports_first_line():
+    # the same malformed statement on several lines: the first one is named
+    for src in ("nop\nadd t0, t1\nnop\nadd t0, t1 # again\nadd t0, t1",
+                "nop\nj nowhere\nhalt\nj nowhere"):
+        with pytest.raises(SimError) as ei:
+            assemble(src)
+        assert str(ei.value).startswith("line 2: ")

@@ -1,9 +1,11 @@
-"""Frozen SHA-256 digests of every corpus kernel's stats and trace text.
+"""Frozen SHA-256 digests of every corpus kernel's stats and trace text, and
+of every assembled program.
 
 A refactor of the simulator must not move a single simulated cycle, so each
 kernel's `stats_lines` output and its `run(trace=True)` text are compared
 against digests taken before the refactor. Two runs of the same code agreeing
-would not catch a shifted stall; these digests do.
+would not catch a shifted stall; these digests do. Likewise a refactor of the
+assembler must not move one decoded field, data byte, label or entry point.
 
 To re-freeze after a change that is meant to alter simulated behaviour, run
 
@@ -22,6 +24,7 @@ from streamsim import kernels
 from streamsim.cluster import stats_lines
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
+GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
 
 # case name -> (kernel, run_kernel keyword arguments); every kernel at its
 # default n and seed 0, plus the icache-miss path, which no kernel reaches
@@ -30,6 +33,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 CASES = {name: (name, {}) for name in kernels.names()}
 for _kernel in ("dot_baseline", "matmul_ssr_frep"):
     CASES[f"{_kernel} cold_start_icache"] = (_kernel, {"cold_start_icache": True})
+
+# program case name -> (kernel, n): every kernel at its default n, plus the
+# two large unrolled baselines the benchmark assembles
+PROGRAMS = {name: (name, None) for name in kernels.names()}
+PROGRAMS.update({"dot_baseline n=4096": ("dot_baseline", 4096),
+                 "matvec48_baseline n=96": ("matvec48_baseline", 96)})
 
 
 def _sha256(lines):
@@ -49,6 +58,18 @@ def digests(case):
     return out
 
 
+def program_digest(case):
+    """Digest of the `repr` of every instruction by address, the data
+    segments, the labels in definition order and the entry point."""
+    kernel, n = PROGRAMS[case]
+    prog = kernels.build(kernel, n=n).program
+    lines = [f"{a:#x} {prog.instructions[a]!r}" for a in sorted(prog.instructions)]
+    lines += [f"data {a:#x} {blob.hex()}" for a, blob in prog.data_segments]
+    lines += [f"label {name} {a:#x}" for name, a in prog.labels.items()]
+    lines.append(f"entry {prog.entry:#x}")
+    return _sha256(lines)
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -63,6 +84,12 @@ def test_golden_digests(golden, case):
     assert got["trace"] == want["trace"], "trace text moved"
 
 
+@pytest.mark.parametrize("case", sorted(PROGRAMS))
+def test_golden_programs(case):
+    want = json.loads(GOLDEN_PROGRAMS.read_text())[case]
+    assert program_digest(case) == want, "assembled program moved"
+
+
 if __name__ == "__main__":
     frozen = {}
     for case in sorted(CASES):
@@ -71,4 +98,6 @@ if __name__ == "__main__":
             raise SystemExit(f"{case}: tracing changed the stats")
         frozen[case] = {"stats": d["stats"], "trace": d["trace"]}
     GOLDEN.write_text(json.dumps(frozen, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    programs = {case: program_digest(case) for case in sorted(PROGRAMS)}
+    GOLDEN_PROGRAMS.write_text(json.dumps(programs, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} and {GOLDEN_PROGRAMS}")
