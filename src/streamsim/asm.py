@@ -2,24 +2,22 @@
 
 One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
-then substitutes label values into those and decodes the instructions.
-`.text` starts at 0x0 and `.data` at the scratchpad base, so branch targets
-and data pointers are absolute addresses throughout.
+then decodes each distinct statement once, resolving its label operands, and
+fills the symbolic words. `.text` starts at 0x0 and `.data` at the scratchpad
+base, so branch targets and data pointers are absolute addresses throughout.
 """
 
 import re
 import struct
 
-from .cluster import TCDM_BASE as DATA_BASE
+from .cluster import TCDM_BASE as DATA_BASE, TCDM_SIZE
 from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
-from .isa import decode, XREGS, FREGS, SSR_FIELDS
+from .isa import decode, SYM_RE
 
 TEXT_BASE = 0x0000_0000
+DATA_END = DATA_BASE + TCDM_SIZE
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):(.*)$")
-_SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")
-
-_RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)
 
 
 class AsmProgram:
@@ -58,7 +56,7 @@ def assemble(source: str) -> AsmProgram:
         if not stmt:
             continue
         label = None
-        m = _LABEL_RE.match(stmt)
+        m = ":" in stmt and _LABEL_RE.match(stmt)
         if m:
             label, stmt = m.group(1), m.group(2).strip()
             if label in labels:
@@ -96,12 +94,14 @@ def assemble(source: str) -> AsmProgram:
                 raise ParseError(f"line {no}: .space needs a byte count")
             if n < 0:
                 raise ParseError(f"line {no}: .space count {n} is negative")
+            _check_fits(no, d, cursors["data"] + n)
             data[cursors["data"]] = bytes(n)
             cursors["data"] += n
         elif d == ".word":
             if not arg:
                 raise ParseError(f"line {no}: .word needs a value")
             addr = _aligned(cursors["data"], 4)
+            _check_fits(no, d, addr + 4)
             try:
                 v = _parse_int(arg)
             except ValueError:
@@ -113,6 +113,7 @@ def assemble(source: str) -> AsmProgram:
             cursors["data"] = addr + 4
         else:  # .double
             addr = _aligned(cursors["data"], 8)
+            _check_fits(no, d, addr + 8)
             try:
                 data[addr] = struct.pack("<d", float(arg))
             except ValueError:
@@ -121,18 +122,23 @@ def assemble(source: str) -> AsmProgram:
                 labels[label] = addr
             cursors["data"] = addr + 8
 
-    # resolve: substitute label values, decode, fill symbolic words
+    # resolve: decode each distinct statement once (identical statements
+    # share one frozen Instruction), then fill symbolic words
     instructions = {}
+    decoded = {}
     addrs = range(TEXT_BASE, cursors["text"], 4)
     for addr, no, stmt in zip(addrs, text_lines, texts):
-        try:
-            instructions[addr] = decode(_subst(stmt, labels, no))
-        except UnresolvedLabel:
-            raise
-        except SimError as e:
-            raise ParseError(f"line {no}: {e}") from e
+        instr = decoded.get(stmt)
+        if instr is None:
+            try:
+                instr = decoded[stmt] = decode(stmt, labels)
+            except UnresolvedLabel as e:
+                raise UnresolvedLabel(f"line {no}: {e}") from None
+            except SimError as e:
+                raise ParseError(f"line {no}: {e}") from e
+        instructions[addr] = instr
     for no, addr, tok in words:
-        m = _SYM_RE.match(tok)
+        m = SYM_RE.match(tok)
         if not (m and m.group(1) in labels):
             raise UnresolvedLabel(f"line {no}: unknown symbol '{tok}'")
         v = labels[m.group(1)] + int(m.group(2) or 0)
@@ -148,22 +154,10 @@ def assemble(source: str) -> AsmProgram:
     return AsmProgram(instructions, segments, labels, entry)
 
 
-def _subst(stmt, labels, no):
-    """The statement with each symbolic operand replaced by its value."""
-    head, _, rest = stmt.partition(" ")
-    if not rest:
-        return stmt
-    out = []
-    for tok in (t.strip() for t in rest.split(",")):
-        m = _SYM_RE.match(tok)
-        if m and m.group(1) not in _RESERVED:
-            base = m.group(1)
-            if base not in labels:
-                raise UnresolvedLabel(f"line {no}: unknown symbol '{base}'")
-            out.append(str(labels[base] + int(m.group(2) or 0)))
-        else:
-            out.append(tok)
-    return f"{head} {', '.join(out)}"
+def _check_fits(no, directive, end):
+    if end > DATA_END:
+        raise ParseError(f"line {no}: {directive} ends at {end:#x}, past the "
+                         f"scratchpad end {DATA_END:#x}")
 
 
 def _aligned(addr, a):

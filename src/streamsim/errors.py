@@ -92,11 +92,11 @@ class ParseError(SimError):
     """Source line that does not match the grammar."""
 
 
-class UnresolvedLabel(SimError):
+class UnresolvedLabel(ParseError):
     """Reference to a label that is never defined."""
 
 
-class DuplicateLabel(SimError):
+class DuplicateLabel(ParseError):
     """Label defined more than once."""
 
 

@@ -3,14 +3,14 @@
 The dialect is a small RV32 subset plus the custom stream/repetition/DMA ops.
 Instructions are decoded from assembly text (no binary encodings); immediates
 are plain signed 32-bit values and branch/jump targets are absolute addresses,
-which the assembler resolves before decode.
+which decode reads from the assembler's label table.
 """
 
 import re
 from dataclasses import dataclass, field as dfield
 from enum import Enum
 
-from .errors import MalformedOperands, UnsupportedInstruction
+from .errors import MalformedOperands, UnresolvedLabel, UnsupportedInstruction
 from . import fp
 
 MASK32 = 0xFFFFFFFF
@@ -61,10 +61,12 @@ def _build_fregs():
 XREGS = _build_xregs()
 FREGS = _build_fregs()
 
+SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")   # label, label+4, label-8
 _MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
+_RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instruction:
     mnemonic: str
     domain: Domain
@@ -82,169 +84,158 @@ class Instruction:
         return self.text or self.mnemonic
 
 
-def _xreg(tok, text):
+# Operand kinds. Each parses one operand token into the fields dict `f`; the
+# two label-reading kinds return the token's resolved text, others None.
+
+def _xreg(f, name, tok, labels):
     try:
-        return XREGS[tok]
+        f[name] = XREGS[tok]
     except KeyError:
-        raise MalformedOperands(f"expected integer register, got '{tok}' in '{text}'")
+        raise MalformedOperands(f"expected integer register, got '{tok}'") from None
 
 
-def _freg(tok, text):
+def _freg(f, name, tok, labels):
     try:
-        return FREGS[tok]
+        f[name] = FREGS[tok]
     except KeyError:
-        raise MalformedOperands(f"expected FP register, got '{tok}' in '{text}'")
+        raise MalformedOperands(f"expected FP register, got '{tok}'") from None
 
 
-def _imm(tok, text):
-    try:
-        v = int(tok, 0)
-    except (ValueError, TypeError):
-        raise MalformedOperands(f"expected immediate, got '{tok}' in '{text}'")
+def _in_range(v):
     if not -(1 << 31) <= v < (1 << 32):
-        raise MalformedOperands(f"immediate {v} out of 32-bit range in '{text}'")
+        raise MalformedOperands(f"immediate {v} out of 32-bit range")
     return v
 
 
-def _mem_operand(tok, text):
+def _int(tok):
+    try:
+        return _in_range(int(tok, 0))
+    except ValueError:
+        raise MalformedOperands(f"expected immediate, got '{tok}'") from None
+
+
+def _imm(f, name, tok, labels):
+    """An immediate, or a label with an optional +/- offset."""
+    m = SYM_RE.match(tok)
+    if m is None or m.group(1) in _RESERVED:
+        f[name] = _int(tok)
+        return None
+    try:
+        v = labels[m.group(1)]
+    except KeyError:
+        raise UnresolvedLabel(f"unknown symbol '{m.group(1)}'") from None
+    f[name] = v = _in_range(v + int(m.group(2) or 0))
+    return str(v)
+
+
+def _mem(f, name, tok, labels):
+    """imm(reg): sets imm and rs1."""
     m = _MEM_RE.match(tok)
-    if not m:
-        raise MalformedOperands(f"expected imm(reg), got '{tok}' in '{text}'")
-    return _imm(m.group(1), text), _xreg(m.group(2), text)
+    if m is None:
+        raise MalformedOperands(f"expected imm(reg), got '{tok}'")
+    f["imm"] = _int(m.group(1))
+    _xreg(f, "rs1", m.group(2), labels)
 
 
-def _split_operands(rest):
-    return [t.strip() for t in rest.split(",")] if rest.strip() else []
+def _ssr_field(f, name, tok, labels):
+    if tok not in SSR_FIELDS:
+        raise MalformedOperands(f"unknown stream field '{tok}'")
+    f[name] = tok
 
 
-def decode(text: str) -> Instruction:
-    """Decode one assembly statement (labels already resolved to immediates)."""
+def _reg_or_imm(f, name, tok, labels):
+    """An integer register into rs1, else an immediate or label into imm."""
+    if tok in XREGS:
+        f["rs1"] = XREGS[tok]
+        return None
+    return _imm(f, "imm", tok, labels)
+
+
+_KINDS = {"x": _xreg, "f": _freg, "i": _imm, "m": _mem, "s": _ssr_field,
+          "r": _reg_or_imm}
+
+# mnemonic -> (canonical mnemonic, domain, fixed fields, ((field, kind), ...))
+_FORMATS = {}
+
+
+def _format(mnemonics, operands, domain=Domain.INT, canon=None, **fixed):
+    """Add mnemonics whose operands are written "field:kind ..."."""
+    ops = tuple((name, _KINDS[kind]) for name, kind in
+                (op.split(":") for op in operands.split()))
+    if isinstance(mnemonics, str):
+        mnemonics = mnemonics.split()
+    for mn in mnemonics:
+        _FORMATS[mn] = (canon or mn, domain, fixed, ops)
+
+
+# pseudo-instructions expand to their canonical forms
+_format("li", "rd:x imm:i", canon="addi", rs1=0)
+_format("mv", "rd:x rs1:x", canon="addi", imm=0)
+_format("nop", "", canon="addi", rd=0, rs1=0, imm=0)
+_format("j", "imm:i", canon="jal", rd=0)
+_format("add sub", "rd:x rs1:x rs2:x")
+_format("addi slli", "rd:x rs1:x imm:i")
+_format("lui auipc jal", "rd:x imm:i")
+_format(INT_BRANCH, "rs1:x rs2:x imm:i")
+_format("jalr lw", "rd:x imm(rs1):m")
+_format("sw", "rs2:x imm(rs1):m")
+_format(FP_LOAD, "rd:f imm(rs1):m", Domain.FP)
+_format(FP_STORE, "rs2:f imm(rs1):m", Domain.FP)
+_format(FP_FMA, "rd:f rs1:f rs2:f rs3:f", Domain.FP)
+_format(FP_ADDMUL, "rd:f rs1:f rs2:f", Domain.FP)
+_format("fmv.d", "rd:f rs1:f", Domain.FP)
+_format("fmv.d.x", "rd:f rs1:x", Domain.FP)
+_format("frep", "rs1:x n_instr:i", Domain.CUSTOM)
+_format("ssr_cfg_write", "slot:i field:s rs1|imm:r", Domain.CUSTOM)
+_format("ssr_cfg_read", "rd:x slot:i field:s", Domain.CUSTOM)
+_format("ssr_enable ssr_disable halt", "", Domain.CUSTOM)
+_format("dm_src dm_dst dm_copy", "rs1:x", Domain.CUSTOM)
+_format("dm_poll", "rd:x", Domain.CUSTOM)
+
+
+def _shown(mn, ops):
+    return f"{mn} {', '.join(ops)}" if ops else mn
+
+
+def decode(text: str, labels=None) -> Instruction:
+    """Decode one assembly statement, resolving label operands from `labels`.
+
+    Each operand is parsed once, by the kind its mnemonic's format gives it.
+    The instruction's text is the statement with its operands joined by ", "
+    and each label operand replaced by its value.
+    """
     stmt = text.split("#", 1)[0].strip()
     if not stmt:
         raise MalformedOperands("empty statement")
+    if labels is None:
+        labels = {}
     parts = stmt.split(None, 1)
     mn = parts[0]
-    ops = _split_operands(parts[1]) if len(parts) > 1 else []
-
-    def need(n):
-        if len(ops) != n:
-            raise MalformedOperands(f"'{mn}' takes {n} operands, got {len(ops)} in '{text}'")
-
-    # pseudo-instructions expand to their canonical forms
-    if mn == "li":
-        need(2)
-        return Instruction("addi", Domain.INT, rd=_xreg(ops[0], text), rs1=0,
-                           imm=_imm(ops[1], text), text=stmt)
-    if mn == "mv":
-        need(2)
-        return Instruction("addi", Domain.INT, rd=_xreg(ops[0], text),
-                           rs1=_xreg(ops[1], text), imm=0, text=stmt)
-    if mn == "nop":
-        need(0)
-        return Instruction("addi", Domain.INT, rd=0, rs1=0, imm=0, text=stmt)
-    if mn == "j":
-        need(1)
-        return Instruction("jal", Domain.INT, rd=0, imm=_imm(ops[0], text), text=stmt)
-
-    if mn in ("add", "sub"):
-        need(3)
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text),
-                           rs1=_xreg(ops[1], text), rs2=_xreg(ops[2], text), text=stmt)
-    if mn in ("addi", "slli"):
-        need(3)
-        imm = _imm(ops[2], text)
-        if mn == "slli" and not 0 <= imm < 32:
-            raise MalformedOperands(f"shift amount {imm} out of range in '{text}'")
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text),
-                           rs1=_xreg(ops[1], text), imm=imm, text=stmt)
-    if mn in ("lui", "auipc"):
-        need(2)
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text),
-                           imm=_imm(ops[1], text), text=stmt)
-    if mn in INT_BRANCH:
-        need(3)
-        return Instruction(mn, Domain.INT, rs1=_xreg(ops[0], text),
-                           rs2=_xreg(ops[1], text), imm=_imm(ops[2], text), text=stmt)
-    if mn == "jal":
-        need(2)
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text),
-                           imm=_imm(ops[1], text), text=stmt)
-    if mn == "jalr":
-        need(2)
-        imm, rs1 = _mem_operand(ops[1], text)
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text), rs1=rs1, imm=imm,
-                           text=stmt)
-    if mn == "lw":
-        need(2)
-        imm, rs1 = _mem_operand(ops[1], text)
-        return Instruction(mn, Domain.INT, rd=_xreg(ops[0], text), rs1=rs1, imm=imm,
-                           text=stmt)
-    if mn == "sw":
-        need(2)
-        imm, rs1 = _mem_operand(ops[1], text)
-        return Instruction(mn, Domain.INT, rs2=_xreg(ops[0], text), rs1=rs1, imm=imm,
-                           text=stmt)
-    if mn in FP_LOAD:
-        need(2)
-        imm, rs1 = _mem_operand(ops[1], text)
-        return Instruction(mn, Domain.FP, rd=_freg(ops[0], text), rs1=rs1, imm=imm,
-                           text=stmt)
-    if mn in FP_STORE:
-        need(2)
-        imm, rs1 = _mem_operand(ops[1], text)
-        return Instruction(mn, Domain.FP, rs2=_freg(ops[0], text), rs1=rs1, imm=imm,
-                           text=stmt)
-    if mn in FP_FMA:
-        need(4)
-        return Instruction(mn, Domain.FP, rd=_freg(ops[0], text), rs1=_freg(ops[1], text),
-                           rs2=_freg(ops[2], text), rs3=_freg(ops[3], text), text=stmt)
-    if mn in FP_ADDMUL:
-        need(3)
-        return Instruction(mn, Domain.FP, rd=_freg(ops[0], text), rs1=_freg(ops[1], text),
-                           rs2=_freg(ops[2], text), text=stmt)
-    if mn == "fmv.d":
-        need(2)
-        return Instruction(mn, Domain.FP, rd=_freg(ops[0], text), rs1=_freg(ops[1], text),
-                           text=stmt)
-    if mn == "fmv.d.x":
-        need(2)
-        return Instruction(mn, Domain.FP, rd=_freg(ops[0], text), rs1=_xreg(ops[1], text),
-                           text=stmt)
-    if mn == "frep":
-        need(2)
-        n = _imm(ops[1], text)
-        if not 1 <= n <= 16:
-            raise MalformedOperands(f"frep body length {n} outside 1..16 in '{text}'")
-        return Instruction(mn, Domain.CUSTOM, rs1=_xreg(ops[0], text), n_instr=n,
-                           text=stmt)
-    if mn == "ssr_cfg_write":
-        need(3)
-        slot = _imm(ops[0], text)
-        if ops[1] not in SSR_FIELDS:
-            raise MalformedOperands(f"unknown stream field '{ops[1]}' in '{text}'")
-        if ops[2] in XREGS:
-            return Instruction(mn, Domain.CUSTOM, slot=slot, field=ops[1],
-                               rs1=XREGS[ops[2]], text=stmt)
-        return Instruction(mn, Domain.CUSTOM, slot=slot, field=ops[1],
-                           imm=_imm(ops[2], text), text=stmt)
-    if mn == "ssr_cfg_read":
-        need(3)
-        slot = _imm(ops[1], text)
-        if ops[2] not in SSR_FIELDS:
-            raise MalformedOperands(f"unknown stream field '{ops[2]}' in '{text}'")
-        return Instruction(mn, Domain.CUSTOM, rd=_xreg(ops[0], text), slot=slot,
-                           field=ops[2], text=stmt)
-    if mn in ("ssr_enable", "ssr_disable", "halt"):
-        need(0)
-        return Instruction(mn, Domain.CUSTOM, text=stmt)
-    if mn in ("dm_src", "dm_dst", "dm_copy"):
-        need(1)
-        return Instruction(mn, Domain.CUSTOM, rs1=_xreg(ops[0], text), text=stmt)
-    if mn == "dm_poll":
-        need(1)
-        return Instruction(mn, Domain.CUSTOM, rd=_xreg(ops[0], text), text=stmt)
-
-    raise UnsupportedInstruction(f"unsupported mnemonic '{mn}' in '{text}'")
+    ops = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
+    try:
+        canon, domain, fixed, operands = _FORMATS[mn]
+    except KeyError:
+        raise UnsupportedInstruction(
+            f"unsupported mnemonic '{mn}' in '{_shown(mn, ops)}'") from None
+    if len(ops) != len(operands):
+        raise MalformedOperands(f"'{mn}' takes {len(operands)} operands, "
+                                f"got {len(ops)} in '{_shown(mn, ops)}'")
+    f = dict(fixed)
+    resolved = ops
+    try:
+        for i, (tok, (name, kind)) in enumerate(zip(ops, operands)):
+            value = kind(f, name, tok, labels)
+            if value is not None:
+                if resolved is ops:
+                    resolved = ops.copy()
+                resolved[i] = value
+        if mn == "slli" and not 0 <= f["imm"] < 32:
+            raise MalformedOperands(f"shift amount {f['imm']} out of range")
+        if mn == "frep" and not 1 <= f["n_instr"] <= 16:
+            raise MalformedOperands(f"frep body length {f['n_instr']} outside 1..16")
+    except MalformedOperands as e:
+        raise MalformedOperands(f"{e} in '{_shown(mn, ops)}'") from None
+    return Instruction(canon, domain, **f, text=_shown(mn, resolved))
 
 
 @dataclass

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from streamsim.asm import DATA_BASE, TEXT_BASE, assemble
+from streamsim.cluster import TCDM_SIZE
 from streamsim.errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
 
 
@@ -133,6 +134,20 @@ def test_bad_directive_operands_are_parse_errors():
     with pytest.raises(ParseError) as ei:
         assemble(".data\n.word 1\n.word")
     assert "line 3" in str(ei.value)
+
+
+def test_data_past_scratchpad_is_parse_error():
+    end = DATA_BASE + TCDM_SIZE
+    # filling the scratchpad to its last byte is fine
+    prog = assemble(f".data\n.space {TCDM_SIZE - 12}\n.word 1\nlast: .double 2.0")
+    assert prog.labels["last"] == end - 8
+    for src, line in ((".data\nbuf: .space 200000", 2),
+                      (f".data\n.space {TCDM_SIZE - 2}\n.word 1", 3),
+                      (f".data\n.space {TCDM_SIZE - 4}\n\n.double 1.0", 4)):
+        with pytest.raises(ParseError) as ei:
+            assemble(src)
+        assert str(ei.value).startswith(f"line {line}: ")
+        assert f"past the scratchpad end {end:#x}" in str(ei.value)
 
 
 def test_symbolic_word_is_filled_after_layout():

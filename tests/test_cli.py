@@ -180,6 +180,24 @@ def test_exit_bad_directive_is_parse_error(tmp_path, capsys):
     assert "error: ParseError: line 2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, why", [
+    ("nop\nj nowhere\n", "UnresolvedLabel: line 2: unknown symbol 'nowhere'"),
+    ("x: nop\nx: halt\n", "DuplicateLabel: line 2: label 'x' redefined"),
+])
+def test_exit_label_errors_are_parse_errors(tmp_path, capsys, source, why):
+    bad = tmp_path / "bad.s"
+    bad.write_text(source)
+    assert run_cli("assemble", str(bad)) == 3
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
+def test_exit_data_past_scratchpad_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.s"
+    bad.write_text(".data\nbuf: .space 200000\n.text\nhalt\n")
+    assert run_cli("assemble", str(bad)) == 3
+    assert "error: ParseError: line 2: .space" in capsys.readouterr().err
+
+
 def test_exit_missing_file_is_usage(tmp_path, capsys):
     assert run_cli("assemble", str(tmp_path / "absent.s")) == 2
     assert "error: FileNotFoundError:" in capsys.readouterr().err
