@@ -142,8 +142,8 @@ class Tcdm:
         self.rr = [0] * TCDM_BANKS
 
     def arbitrate(self, requests):
-        """requests: {bank: sized collection of requester ids, where an id
-        may repeat} -> {bank: winning id}.
+        """requests: {bank: sized collection of distinct requester ids}
+        -> {bank: winning id}.
 
         The winner is the first requester at or after the bank's pointer,
         counting modulo the number of requesters.
@@ -273,8 +273,8 @@ class DmaEngine:
             for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
-        """Append this engine's id to requests[bank] for the banks of the
-        current window, twice where a source and a destination slice share one."""
+        """Append this engine's id to requests[bank] once for each bank the
+        pending slices of the current window touch."""
         if self.active is None:
             if not self.queue:
                 return
@@ -285,26 +285,38 @@ class DmaEngine:
             self._open_window()
         rid = self.req_id
         for _, _, _, _, _, sb, db in self.slices:
-            if sb is not None:
-                requests.setdefault(sb, []).append(rid)
-            if db is not None:
-                requests.setdefault(db, []).append(rid)
+            for bank in (sb, db):
+                if bank is not None:
+                    ids = requests.setdefault(bank, [])
+                    if not ids or ids[-1] != rid:
+                        ids.append(rid)
 
     def commit(self, granted_banks):
+        """Move the slices whose banks were granted. A granted bank serves one
+        access, a read or a write: a slice whose source bank was granted but
+        cannot take its write this cycle (its destination bank was not
+        granted, or serves a read) keeps the bytes it read and writes them
+        on a later grant, so a slice within one bank takes two grants."""
         if self.active is None or not self.slices:
             return
         self.busy_cycles += 1
         remaining = []
         moved = 0
         rid = self.req_id
+        reads = {}    # granted bank -> True if it serves a read this cycle
         for piece in self.slices:
             sbuf, so, dbuf, do, n, sb, db = piece
-            if (sb is None or granted_banks.get(sb) == rid) and \
-               (db is None or granted_banks.get(db) == rid):
+            if sb is not None:
+                if granted_banks.get(sb) != rid or not reads.setdefault(sb, True):
+                    remaining.append(piece)
+                    continue
+                sbuf, so, sb = sbuf[so:so + n], 0, None
+            if db is None or (granted_banks.get(db) == rid
+                              and not reads.setdefault(db, False)):
                 dbuf[do:do + n] = sbuf[so:so + n]
                 moved += n
             else:
-                remaining.append(piece)
+                remaining.append((sbuf, so, dbuf, do, n, sb, db))
         self.bytes_moved += moved
         self.slices = remaining
         if remaining:
