@@ -38,11 +38,6 @@ def bits_to_f64(b: int) -> float:
     return _F64.unpack(_U64.pack(b & MASK64))[0]
 
 
-def bits_to_f64x3(a: int, b: int, c: int) -> tuple[float, float, float]:
-    """bits_to_f64 of three patterns at once."""
-    return _F64X3.unpack(_U64X3.pack(a & MASK64, b & MASK64, c & MASK64))
-
-
 def round32(x: float) -> float:
     """Value of x rounded to binary32, returned as a double."""
     try:
@@ -51,14 +46,6 @@ def round32(x: float) -> float:
         # packing rounds to nearest-even and raises only where that rounding
         # overflows binary32, i.e. for |x| >= 2**128 - 2**103
         return math.copysign(math.inf, x)
-
-
-def f32_pair_to_bits(lo: float, hi: float) -> int:
-    return struct.unpack("<Q", struct.pack("<ff", lo, hi))[0]
-
-
-def bits_to_f32_pair(b: int) -> tuple[float, float]:
-    return struct.unpack("<ff", struct.pack("<Q", b & MASK64))
 
 
 def binary64_op(lane, negate_c=False):

@@ -2,13 +2,30 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
-from streamsim.fp import (MASK64, _fma64_exact, bits_to_f32_pair,
-                          bits_to_f64, bits_to_f64x3, f32_pair_to_bits,
-                          f64_to_bits, fma32, fma64, round32)
+from streamsim.fp import (MASK64, _fma64_exact, bits_to_f64, f64_to_bits,
+                          fma32, fma64, round32)
 
 ULP1 = 2.0 ** -52
+
+
+# Value/bit conversions of whole operand sets. The simulator's FP ops run on
+# raw bits; these compose the reference that test_isa checks them against.
+
+def bits_to_f64x3(a, b, c):
+    """bits_to_f64 of three patterns at once."""
+    return struct.unpack("<3d", struct.pack("<3Q", a & MASK64, b & MASK64,
+                                            c & MASK64))
+
+
+def f32_pair_to_bits(lo, hi):
+    return struct.unpack("<Q", struct.pack("<ff", lo, hi))[0]
+
+
+def bits_to_f32_pair(b):
+    return struct.unpack("<ff", struct.pack("<Q", b & MASK64))
 
 
 def test_bits_roundtrip():

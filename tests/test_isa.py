@@ -7,11 +7,11 @@ import random
 import pytest
 
 from streamsim import errors
-from streamsim.fp import bits_to_f64, bits_to_f64x3, f32_pair_to_bits, \
-    bits_to_f32_pair, f64_to_bits, fma32, fma64, round32
+from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
 from streamsim.isa import (MASK32, CoreState, Domain, XREGS, _FP_OPS,
                            alu_result, branch_taken, decode, fp_compute,
                            sext32)
+from test_fp import bits_to_f32_pair, bits_to_f64x3, f32_pair_to_bits
 
 
 def st_with(**regs):
