@@ -47,9 +47,9 @@ def assemble(source: str) -> AsmProgram:
     entry_sym = None
     data = {}     # addr -> bytes
     # instructions sit back to back from TEXT_BASE, so their addresses
-    # need not be stored; two flat lists keep the peak memory down
+    # need not be stored
     texts = []        # statement of each instruction
-    text_lines = []   # its source line
+    first_line = {}   # each distinct statement -> the line it first appears on
     words = []        # (line, addr, symbol) of each symbolic .word
     for no, raw in enumerate(source.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
@@ -68,7 +68,7 @@ def assemble(source: str) -> AsmProgram:
             if section != "text":
                 raise ParseError(f"line {no}: instruction outside .text")
             texts.append(stmt)
-            text_lines.append(no)
+            first_line.setdefault(stmt, no)
             cursors["text"] += 4
             continue
         parts = stmt.split(None, 1)
@@ -122,21 +122,19 @@ def assemble(source: str) -> AsmProgram:
                 labels[label] = addr
             cursors["data"] = addr + 8
 
-    # resolve: decode each distinct statement once (identical statements
-    # share one frozen Instruction), then fill symbolic words
-    instructions = {}
+    # resolve: decode each distinct statement once, in the order of first
+    # appearance, so an error names the first line that holds it; identical
+    # statements share one frozen Instruction. Then fill symbolic words.
     decoded = {}
-    addrs = range(TEXT_BASE, cursors["text"], 4)
-    for addr, no, stmt in zip(addrs, text_lines, texts):
-        instr = decoded.get(stmt)
-        if instr is None:
-            try:
-                instr = decoded[stmt] = decode(stmt, labels)
-            except UnresolvedLabel as e:
-                raise UnresolvedLabel(f"line {no}: {e}") from None
-            except SimError as e:
-                raise ParseError(f"line {no}: {e}") from e
-        instructions[addr] = instr
+    for stmt, no in first_line.items():
+        try:
+            decoded[stmt] = decode(stmt, labels)
+        except UnresolvedLabel as e:
+            raise UnresolvedLabel(f"line {no}: {e}") from None
+        except SimError as e:
+            raise ParseError(f"line {no}: {e}") from e
+    instructions = dict(zip(range(TEXT_BASE, cursors["text"], 4),
+                            map(decoded.__getitem__, texts)))
     for no, addr, tok in words:
         m = SYM_RE.match(tok)
         if not (m and m.group(1) in labels):

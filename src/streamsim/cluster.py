@@ -288,7 +288,7 @@ class DmaEngine:
             for bank in (sb, db):
                 if bank is not None:
                     ids = requests.setdefault(bank, [])
-                    if not ids or ids[-1] != rid:
+                    if rid not in ids:
                         ids.append(rid)
 
     def commit(self, granted_banks):
