@@ -226,6 +226,9 @@ class DmaEngine:
         self.offset = 0
         self.slices = []      # pending (src buf, src off, dst buf, dst off, n,
                               # src bank, dst bank) pieces of the current window
+        self.banks = {}       # bank they need -> True while a slice reads it
+        self.row_bufs = None  # (buffer, offset) of the current row's source
+                              # and destination
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
@@ -248,33 +251,46 @@ class DmaEngine:
         return self.active is None and not self.queue
 
     def _open_window(self):
-        """Locate the window's source and destination once, and split it so
-        each slice touches one bank per TCDM side."""
+        """Split the window so each slice touches one bank per TCDM side.
+        Each row's source and destination are located once."""
         d = self.active
         n = min(DMA_BUS_WIDTH, d.inner - self.offset)
         mem = self.mem
-        sbuf, so = mem._locate(d.src + self.row * d.src_stride + self.offset, n)
-        dbuf, do = mem._locate(d.dst + self.row * d.dst_stride + self.offset, n)
+        if self.offset == 0:    # a new row; submit checked it lies in one region
+            self.row_bufs = (mem._locate(d.src + self.row * d.src_stride, d.inner),
+                             mem._locate(d.dst + self.row * d.dst_stride, d.inner))
+        (sbuf, so), (dbuf, do) = self.row_bufs
+        so += self.offset
+        do += self.offset
         tcdm = mem.tcdm
         cuts = {0, n}
         for buf, off in ((sbuf, so), (dbuf, do)):
             if buf is tcdm:
-                a = BANK_WIDTH - off % BANK_WIDTH
-                while a < n:
-                    cuts.add(a)
-                    a += BANK_WIDTH
+                cuts.update(range(BANK_WIDTH - off % BANK_WIDTH, n, BANK_WIDTH))
         edges = sorted(cuts)
         sbank = sbuf is tcdm
         dbank = dbuf is tcdm
-        self.slices = [
+        self._set_pending([
             (sbuf, so + a, dbuf, do + a, b - a,
              (so + a) // BANK_WIDTH % TCDM_BANKS if sbank else None,
              (do + a) // BANK_WIDTH % TCDM_BANKS if dbank else None)
-            for a, b in zip(edges, edges[1:])]
+            for a, b in zip(edges, edges[1:])])
+
+    def _set_pending(self, slices):
+        """Keep the pending slices of the window and the banks they need,
+        each once, mapped to True where a slice still reads the bank: that
+        bank serves its reads before it takes a write."""
+        self.slices = slices
+        banks = self.banks = {}
+        for piece in slices:
+            if piece[5] is not None:
+                banks[piece[5]] = True
+            if piece[6] is not None:
+                banks.setdefault(piece[6], False)
 
     def plan(self, requests):
-        """Append this engine's id to requests[bank] once for each bank the
-        pending slices of the current window touch."""
+        """Append this engine's id to requests[bank] for each bank the
+        pending slices of the current window need, once per bank."""
         if self.active is None:
             if not self.queue:
                 return
@@ -284,43 +300,39 @@ class DmaEngine:
         if not self.slices:
             self._open_window()
         rid = self.req_id
-        for _, _, _, _, _, sb, db in self.slices:
-            for bank in (sb, db):
-                if bank is not None:
-                    ids = requests.setdefault(bank, [])
-                    if rid not in ids:
-                        ids.append(rid)
+        for bank in self.banks:
+            requests.setdefault(bank, []).append(rid)
 
     def commit(self, granted_banks):
         """Move the slices whose banks were granted. A granted bank serves one
-        access, a read or a write: a slice whose source bank was granted but
-        cannot take its write this cycle (its destination bank was not
-        granted, or serves a read) keeps the bytes it read and writes them
-        on a later grant, so a slice within one bank takes two grants."""
+        access: a slice reads when its source bank is granted, and writes
+        when its destination bank is granted and no slice still reads it.
+        A slice that has read but cannot write keeps the bytes for a later
+        grant, so a slice within one bank takes two grants."""
         if self.active is None or not self.slices:
             return
         self.busy_cycles += 1
         remaining = []
         moved = 0
         rid = self.req_id
-        reads = {}    # granted bank -> True if it serves a read this cycle
+        banks = self.banks
         for piece in self.slices:
             sbuf, so, dbuf, do, n, sb, db = piece
             if sb is not None:
-                if granted_banks.get(sb) != rid or not reads.setdefault(sb, True):
+                if granted_banks.get(sb) != rid:
                     remaining.append(piece)
                     continue
                 sbuf, so, sb = sbuf[so:so + n], 0, None
-            if db is None or (granted_banks.get(db) == rid
-                              and not reads.setdefault(db, False)):
+            if db is None or (granted_banks.get(db) == rid and not banks[db]):
                 dbuf[do:do + n] = sbuf[so:so + n]
                 moved += n
             else:
                 remaining.append((sbuf, so, dbuf, do, n, sb, db))
         self.bytes_moved += moved
-        self.slices = remaining
         if remaining:
+            self._set_pending(remaining)
             return
+        self.slices = []
         desc = self.active
         self.offset += min(DMA_BUS_WIDTH, desc.inner - self.offset)
         if self.offset >= desc.inner:

@@ -150,25 +150,33 @@ def test_dma_strided_rows():
         assert sim.mem.read(dst + r * 384, 384) == row
 
 
-def test_dma_tcdm_copy_within_one_bank_takes_two_grants():
-    # each source slice lies in the same bank as its destination slice: the
-    # engine asks each bank once, reads on the first grant and writes on
-    # the second, so no bank serves two accesses in one cycle
-    sim = ClusterSim()
+@pytest.mark.parametrize("gap, banks, cycles", [
+    # each source slice shares its bank with its own destination slice
+    (256, range(8), 2),
+    # source banks 0-7, destination banks 4-11: banks 4-7 are read by one
+    # slice and written by another
+    (288, range(12), 2),
+    # source banks 0-7, destination banks 16-23: nothing shared
+    (128, list(range(8)) + list(range(16, 24)), 1),
+])
+def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
+    # the engine asks each bank once per cycle, and a granted bank serves
+    # one access: a bank a slice reads serves that read first, and takes
+    # the write on a later grant
     blob = bytes(range(1, 65))
-    sim.mem.write(DATA_BASE, blob)
-    desc = DmaDescriptor.flat(DATA_BASE, DATA_BASE + 256, 64)
-    requests = {}
+    desc = DmaDescriptor.flat(DATA_BASE, DATA_BASE + gap, 64)
+    sim = ClusterSim()
     sim.dma.submit(desc)
+    requests = {}
     sim.dma.plan(requests)
-    assert requests == {b: [sim.dma.req_id] for b in range(8)}
+    assert requests == {b: [sim.dma.req_id] for b in banks}
     sim = ClusterSim()
     sim.mem.write(DATA_BASE, blob)
     sim.dma_submit(desc)
     res = sim.run()
-    assert sim.dma.busy_cycles == 2
+    assert sim.dma.busy_cycles == cycles
     assert res.dma_bytes == 64
-    assert sim.mem.read(DATA_BASE + 256, 64) == blob
+    assert sim.mem.read(DATA_BASE + gap, 64) == blob
 
 
 def test_dma_zero_length_completes_immediately():
