@@ -20,6 +20,7 @@ from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               NonFpInCapture, OutOfRangeAccess,
                               OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
+from streamsim.isa import XREGS
 from streamsim import kernels
 
 N_REQ = 4 * N_CORES + 1  # 8 cores x (int pipe + 3 streams) + DMA
@@ -810,18 +811,57 @@ def test_fault_ssr_enable_reconfigures_while_streaming():
     assert "slot 0 reconfigured while streaming" in str(ei.value)
 
 
-def test_fault_ssr_write_on_read_only_slot():
+@pytest.mark.parametrize("slot, writes, message", [
+    (0, {"dims": 0}, "dims 0 outside 1..4"),
+    (0, {"dims": 5}, "dims 5 outside 1..4"),
+    (1, {"bound0": 0}, "dimension bound 0 < 1"),
+    (2, {"width": 2}, "element width 2 not 4 or 8"),
+    (0, {"dir": 1}, "slot 0 is not write-capable"),
+], ids=["dims 0", "dims 5", "bound0 0", "width 2", "dir 1 on slot 0"])
+def test_fault_ssr_write_on_read_only_slot(slot, writes, message):
+    # a valid one-element read stream, then the one bad field write
+    fields = {"bound0": 1, **writes}
+    cfg = "\n".join(f"ssr_cfg_write {slot}, {f}, {v}" for f, v in fields.items())
     with pytest.raises(SimulationFault) as ei:
         run_source(f"""
             li t1, {DATA_BASE}
-            ssr_cfg_write 0, base, t1
-            ssr_cfg_write 0, bound0, 1
-            ssr_cfg_write 0, dir, 1
+            ssr_cfg_write {slot}, base, t1
+            {cfg}
             ssr_enable
             halt
         """)
     assert isinstance(ei.value.__cause__, InvalidConfig)
-    assert "not write-capable" in str(ei.value)
+    assert str(ei.value.__cause__) == message
+
+
+def test_ssr_cfg_read_returns_staged_value():
+    sim, _ = run_source(f"""
+        li t1, {DATA_BASE}
+        ssr_cfg_write 1, base, t1
+        ssr_cfg_write 1, stride0, -8
+        ssr_cfg_read t2, 1, base
+        ssr_cfg_read t3, 1, stride0
+        ssr_cfg_read t4, 1, bound3
+        ssr_cfg_read t5, 2, base
+        halt
+    """)
+    t1, t2, t3, t4, t5 = (sim.cores[0].state.x[XREGS[r]]
+                          for r in ("t1", "t2", "t3", "t4", "t5"))
+    assert t2 == t1 == DATA_BASE
+    assert t3 == -8 & 0xFFFFFFFF
+    assert t4 == t5 == 0   # never written
+
+
+@pytest.mark.parametrize("stmt", ["ssr_cfg_write 3, base, t1",
+                                  "ssr_cfg_read t0, 3, base"])
+def test_fault_ssr_cfg_no_slot(stmt):
+    with pytest.raises(SimulationFault) as ei:
+        run_source(f"""
+            {stmt}
+            halt
+        """)
+    assert isinstance(ei.value.__cause__, InvalidConfig)
+    assert str(ei.value.__cause__) == "no stream slot 3"
 
 
 def test_fault_dma_overlap_from_program():
