@@ -28,20 +28,6 @@ LAT_LOAD = 1
 LAT_STORE = 1
 
 
-def latency_of(mnemonic: str) -> int:
-    if mnemonic in FP_FMA:
-        return LAT_FMA
-    if mnemonic in FP_ADDMUL:
-        return LAT_ADDMUL
-    if mnemonic in FP_MOVE:
-        return LAT_MOVE
-    if mnemonic in FP_LOAD:
-        return LAT_LOAD
-    if mnemonic in FP_STORE:
-        return LAT_STORE
-    raise ValueError(f"no FPU latency for '{mnemonic}'")
-
-
 class Mode(Enum):
     IDLE = "idle"
     CAPTURING = "capturing"
@@ -137,19 +123,17 @@ class FpDecode:
 
 def _decode_entry(mn):
     if mn in FP_LOAD:
-        return FpDecode(OP_LOAD, (), latency_of(mn), 0, 8 if mn == "fld" else 4)
+        return FpDecode(OP_LOAD, (), LAT_LOAD, 0, 8 if mn == "fld" else 4)
     if mn in FP_STORE:
-        return FpDecode(OP_STORE, ("rs2",), latency_of(mn), 0,
-                        8 if mn == "fsd" else 4)
+        return FpDecode(OP_STORE, ("rs2",), LAT_STORE, 0, 8 if mn == "fsd" else 4)
     lanes = 2 if mn.endswith(".s") else 1
     if mn in FP_FMA:
-        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), latency_of(mn),
-                        2 * lanes, 8)
+        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), LAT_FMA, 2 * lanes, 8)
     if mn in FP_ADDMUL:
-        return FpDecode(OP_ARITH, ("rs1", "rs2"), latency_of(mn), lanes, 8)
+        return FpDecode(OP_ARITH, ("rs1", "rs2"), LAT_ADDMUL, lanes, 8)
     if mn == "fmv.d":
-        return FpDecode(OP_ARITH, ("rs1",), latency_of(mn), 0, 8)
-    return FpDecode(OP_ARITH, (), latency_of(mn), 0, 8)  # fmv.d.x: x source
+        return FpDecode(OP_ARITH, ("rs1",), LAT_MOVE, 0, 8)
+    return FpDecode(OP_ARITH, (), LAT_MOVE, 0, 8)  # fmv.d.x: x source
 
 
 FP_DECODE = {mn: _decode_entry(mn)

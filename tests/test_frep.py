@@ -4,9 +4,9 @@ import pytest
 
 from streamsim.cluster import TCDM_BASE, ClusterSim
 from streamsim.errors import CountZero, NestedFrep
-from streamsim.frep import (BUFFER_DEPTH, LAT_ADDMUL, LAT_FMA, LAT_LOAD,
-                            LAT_MOVE, LAT_STORE, Mode, OP_ARITH, QueuedOp,
-                            Sequencer, latency_of)
+from streamsim.frep import (BUFFER_DEPTH, FP_DECODE, LAT_ADDMUL, LAT_FMA,
+                            LAT_LOAD, LAT_MOVE, LAT_STORE, Mode, OP_ARITH,
+                            QueuedOp, Sequencer)
 from streamsim.isa import decode
 
 
@@ -15,13 +15,12 @@ def qop(text):
 
 
 def test_latency_table():
-    assert latency_of("fmadd.d") == LAT_FMA == 3
-    assert latency_of("fadd.d") == LAT_ADDMUL == 2
-    assert latency_of("fmv.d") == LAT_MOVE == 1
-    assert latency_of("fld") == LAT_LOAD == 1
-    assert latency_of("fsd") == LAT_STORE == 1
-    with pytest.raises(ValueError):
-        latency_of("addi")
+    assert FP_DECODE["fmadd.d"].lat == LAT_FMA == 3
+    assert FP_DECODE["fadd.d"].lat == LAT_ADDMUL == 2
+    assert FP_DECODE["fmv.d"].lat == LAT_MOVE == 1
+    assert FP_DECODE["fld"].lat == LAT_LOAD == 1
+    assert FP_DECODE["fsd"].lat == LAT_STORE == 1
+    assert "addi" not in FP_DECODE
 
 
 def test_capture_then_replay_full_iterations():
