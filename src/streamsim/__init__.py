@@ -7,7 +7,6 @@ from .asm import AsmProgram, assemble
 from .cluster import ClusterSim, CoreStats, DmaDescriptor, RunResult, stats_lines
 from .fp import bits_to_f64, f64_to_bits, fma64
 from .kernels import KERNELS, KernelInstance, build, names, run_kernel
-from .ssr import Direction, SsrConfig, SsrDim
 from .system import (HierarchyTree, OperatingPoint, RooflineParams,
                      SystemModel, WorkloadDescriptor, WorkloadKind,
                      attainable_performance, cluster_roofline, load_system,
@@ -22,7 +21,6 @@ __all__ = [
     "stats_lines",
     "bits_to_f64", "f64_to_bits", "fma64",
     "KERNELS", "KernelInstance", "build", "names", "run_kernel",
-    "Direction", "SsrConfig", "SsrDim",
     "HierarchyTree", "OperatingPoint", "RooflineParams", "SystemModel",
     "WorkloadDescriptor", "WorkloadKind", "attainable_performance",
     "cluster_roofline", "load_system", "load_workloads",

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from collections import deque
 
 from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
-                  fp_compute, sext32, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
+                  fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
-from .ssr import StreamSlot, SsrConfig, SsrDim, Direction, N_SLOTS, FIFO_DEPTH
+from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH
 from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
                      OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
@@ -380,7 +380,7 @@ class Core:
             self.stream_map = {}
 
     def drained(self):
-        return (not self.fq and self.seq.idle and self.capture_pending == 0
+        return (not self.fq and self.seq.idle
                 and not any(s.write_buf for s in self.slots))
 
 
@@ -388,8 +388,6 @@ class RunResult:
     def __init__(self, cluster):
         self.cycles = cluster.cycle
         self.core_stats = [c.stats for c in cluster.cores]
-        self.cores = cluster.cores
-        self.memory = cluster.mem
         self.dma_bytes = cluster.dma.bytes_moved
         self.dma_busy_cycles = cluster.dma.busy_cycles
         self.dma_descriptors = cluster.dma.descriptors_done
@@ -753,7 +751,7 @@ class ClusterSim:
             requests.setdefault(bank, []).append(core.int_rid)
             return (instr, addr, bank)
         if kind == "frep":
-            if not core.seq.idle or core.capture_pending:
+            if not core.seq.idle:
                 st.stall_frep_wait += 1
                 return _FREP_WAIT
         elif kind == "drain":
@@ -892,14 +890,12 @@ class ClusterSim:
             state.set_x(instr.rd, core.staged_cfg[instr.slot].get(instr.field, 0))
         elif mn == "ssr_enable":
             try:
-                for slot_idx, staged in enumerate(core.staged_cfg):
+                for slot, staged in zip(core.slots, core.staged_cfg):
                     if staged:
-                        config = _config_from_fields(staged)
                         if state.ssr_enabled:
                             raise ReconfigWhileActive(
-                                f"slot {slot_idx} reconfigured while streaming")
-                        config.validate(slot_idx)
-                        core.slots[slot_idx].configure(config)
+                                f"slot {slot.index} reconfigured while streaming")
+                        slot.configure(staged)
             except SimError as e:
                 self._fault(core, e)
             state.ssr_enabled = True
@@ -1001,15 +997,3 @@ _INT_KIND.update({mn: "custom" for mn in CUSTOM_OPS})
 _INT_KIND.update(lw="mem", sw="mem", frep="frep", ssr_disable="drain",
                  halt="drain", dm_copy="dm_copy")
 
-
-def _config_from_fields(staged):
-    """Build an SsrConfig from the symbolic field writes of the config bus."""
-    ndims = staged.get("dims", 1)
-    if not 1 <= ndims <= 4:
-        raise InvalidConfig(f"dims {ndims} outside 1..4")
-    dims = tuple(SsrDim(stride=sext32(staged.get(f"stride{i}", 0)),
-                        bound=staged.get(f"bound{i}", 0))
-                 for i in range(ndims))
-    direction = Direction.WRITE if staged.get("dir", 0) else Direction.READ
-    return SsrConfig(base=staged.get("base", 0), dims=dims, direction=direction,
-                     element_width=staged.get("width", 8))

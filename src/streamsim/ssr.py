@@ -12,61 +12,17 @@ element accesses itself, so stream traffic contends for TCDM banks like any
 other requester.
 """
 
-from dataclasses import dataclass
 from collections import deque
-from enum import Enum
 
 from .errors import InvalidConfig, StreamExhausted
+from .isa import sext32
 
 N_SLOTS = 3
 # elements a read slot prefetches ahead, and stores a write slot buffers; one
 # FP op pops a stream up to three times, so below 3 such an op never issues
 FIFO_DEPTH = 4
 MAX_DIMS = 4
-READ_SLOTS = (0, 1, 2)
-WRITE_SLOTS = (2,)
-
-
-class Direction(Enum):
-    READ = 0
-    WRITE = 1
-
-
-@dataclass(frozen=True)
-class SsrDim:
-    stride: int   # bytes, signed
-    bound: int    # iterations in this dimension, >= 1
-
-
-@dataclass(frozen=True)
-class SsrConfig:
-    base: int
-    dims: tuple          # 1..4 SsrDim entries, innermost first
-    direction: Direction = Direction.READ
-    element_width: int = 8
-
-    def validate(self, slot=None):
-        if not 1 <= len(self.dims) <= MAX_DIMS:
-            raise InvalidConfig(f"{len(self.dims)} dims outside 1..{MAX_DIMS}")
-        for d in self.dims:
-            if d.bound < 1:
-                raise InvalidConfig(f"dimension bound {d.bound} < 1")
-        if self.element_width not in (4, 8):
-            raise InvalidConfig(f"element width {self.element_width} not 4 or 8")
-        if not isinstance(self.direction, Direction):
-            raise InvalidConfig(f"bad direction {self.direction!r}")
-        if slot is not None:
-            if self.direction == Direction.READ and slot not in READ_SLOTS:
-                raise InvalidConfig(f"slot {slot} is not read-capable")
-            if self.direction == Direction.WRITE and slot not in WRITE_SLOTS:
-                raise InvalidConfig(f"slot {slot} is not write-capable")
-
-    @property
-    def total(self):
-        n = 1
-        for d in self.dims:
-            n *= d.bound
-        return n
+WRITE_SLOTS = (2,)      # every slot reads; only the last one writes
 
 
 class StreamSlot:
@@ -98,16 +54,34 @@ class StreamSlot:
         self.steps = ()            # (stride, bound) per dimension
         self.issued = 0            # elements fetched or pushed so far
 
-    def configure(self, config: SsrConfig):
-        """Reset the slot and load an already validated configuration."""
+    def configure(self, fields):
+        """Validate the slot's staged config-bus fields (names from
+        isa.SSR_FIELDS; one never written reads as dims 1, width 8 or 0)
+        and reset the slot to the start of that stream."""
+        ndims = fields.get("dims", 1)
+        if not 1 <= ndims <= MAX_DIMS:
+            raise InvalidConfig(f"dims {ndims} outside 1..{MAX_DIMS}")
+        steps = tuple((sext32(fields.get(f"stride{d}", 0)),
+                       fields.get(f"bound{d}", 0)) for d in range(ndims))
+        total = 1
+        for _, bound in steps:
+            if bound < 1:
+                raise InvalidConfig(f"dimension bound {bound} < 1")
+            total *= bound
+        width = fields.get("width", 8)
+        if width not in (4, 8):
+            raise InvalidConfig(f"element width {width} not 4 or 8")
+        is_read = not fields.get("dir", 0)
+        if not is_read and self.index not in WRITE_SLOTS:
+            raise InvalidConfig(f"slot {self.index} is not write-capable")
         self.reset()
         self.active = True
-        self.is_read = config.direction == Direction.READ
-        self.total = config.total
-        self.width = config.element_width
-        self.addr = config.base
-        self.idx = [0] * len(config.dims)
-        self.steps = tuple((d.stride, d.bound) for d in config.dims)
+        self.is_read = is_read
+        self.total = total
+        self.width = width
+        self.addr = fields.get("base", 0)
+        self.idx = [0] * ndims
+        self.steps = steps
 
     def advance(self):
         """Step the odometer to the next element, moving `addr` by one

@@ -12,16 +12,26 @@ import pytest
 
 from streamsim.cluster import TCDM_BASE as TCDM, ClusterSim
 from streamsim.errors import InvalidConfig, StreamExhausted
-from streamsim.isa import decode
-from streamsim.ssr import (FIFO_DEPTH, READ_SLOTS, WRITE_SLOTS, Direction,
-                           SsrConfig, SsrDim, StreamSlot)
+from streamsim.isa import MASK32, decode
+from streamsim.ssr import FIFO_DEPTH, WRITE_SLOTS, StreamSlot
 
 
-def iter_addresses(config: SsrConfig):
+def fields(base, dims, **extra):
+    """The config-bus fields of a stream over dims, (stride, bound) pairs
+    innermost first, as ssr_cfg_write stages them: each stride a 32-bit
+    register value."""
+    out = {"base": base, "dims": len(dims), **extra}
+    for d, (stride, bound) in enumerate(dims):
+        out[f"stride{d}"] = stride & MASK32
+        out[f"bound{d}"] = bound
+    return out
+
+
+def iter_addresses(staged):
     """All addresses of a configured stream, in issue order, as the slot's
     odometer steps through them."""
     slot = StreamSlot(0)
-    slot.configure(config)
+    slot.configure(staged)
     while slot.issued < slot.total:
         yield slot.addr
         slot.advance()
@@ -29,8 +39,8 @@ def iter_addresses(config: SsrConfig):
 
 def brute_force(base, dims):
     # dims innermost first; enumerate outer to inner with explicit loops
-    bounds = [d.bound for d in dims]
-    strides = [d.stride for d in dims]
+    bounds = [bound for _, bound in dims]
+    strides = [stride for stride, _ in dims]
     out = []
 
     def rec(level, offset):
@@ -45,55 +55,51 @@ def brute_force(base, dims):
 
 
 def test_one_dim_walk():
-    cfg = SsrConfig(base=0x100, dims=(SsrDim(8, 5),))
-    assert list(iter_addresses(cfg)) == [0x100, 0x108, 0x110, 0x118, 0x120]
+    staged = fields(0x100, [(8, 5)])
+    assert list(iter_addresses(staged)) == [0x100, 0x108, 0x110, 0x118, 0x120]
+    # dims defaults to 1 and an unwritten stride to 0
+    assert list(iter_addresses({"base": 0x40, "bound0": 3})) == [0x40] * 3
 
 
 def test_frozen_three_dim():
-    cfg = SsrConfig(base=0, dims=(SsrDim(8, 2), SsrDim(-16, 2), SsrDim(100, 2)))
+    staged = fields(0, [(8, 2), (-16, 2), (100, 2)])
     want = [0, 8, -16, -8, 100, 108, 84, 92]
-    assert list(iter_addresses(cfg)) == want
+    assert list(iter_addresses(staged)) == want
 
 
 def test_matches_brute_force():
     rng = random.Random(23)
     for _ in range(300):
         nd = rng.randint(1, 4)
-        dims = tuple(SsrDim(rng.choice([-24, -8, 0, 8, 16, 264]),
-                            rng.randint(1, 4)) for _ in range(nd))
+        dims = [(rng.choice([-24, -8, 0, 8, 16, 264]), rng.randint(1, 4))
+                for _ in range(nd)]
         base = rng.randrange(0, 1 << 16, 8)
-        cfg = SsrConfig(base=base, dims=dims)
-        assert list(iter_addresses(cfg)) == brute_force(base, dims)
+        assert list(iter_addresses(fields(base, dims))) == brute_force(base, dims)
 
 
 def test_total_and_exhaustion():
-    cfg = SsrConfig(base=0, dims=(SsrDim(8, 3), SsrDim(0, 4)))
-    assert cfg.total == 12
-    assert len(list(iter_addresses(cfg))) == 12
+    staged = fields(0, [(8, 3), (0, 4)])
+    slot = make_slot(0, staged)
+    assert slot.total == 12
+    assert slot.is_read and slot.width == 8   # dir 0 and width 8 by default
+    assert len(list(iter_addresses(staged))) == 12
 
 
 def test_validate_rejects():
-    with pytest.raises(InvalidConfig):
-        SsrConfig(base=0, dims=()).validate()
-    with pytest.raises(InvalidConfig):
-        SsrConfig(base=0, dims=tuple(SsrDim(8, 1) for _ in range(5))).validate()
-    with pytest.raises(InvalidConfig):
-        SsrConfig(base=0, dims=(SsrDim(8, 0),)).validate()
-    with pytest.raises(InvalidConfig):
-        SsrConfig(base=0, dims=(SsrDim(8, 1),), element_width=2).validate()
+    one = fields(0, [(8, 1)])
+    for bad in ({"dims": 0}, {"dims": 5}, {"bound0": 0}, {"width": 2}):
+        with pytest.raises(InvalidConfig):
+            StreamSlot(0).configure({**one, **bad})
     # slot 0 and 1 cannot write, slot 2 can
-    w = SsrConfig(base=0, dims=(SsrDim(8, 1),), direction=Direction.WRITE)
     with pytest.raises(InvalidConfig):
-        w.validate(slot=0)
-    w.validate(slot=2)
-    r = SsrConfig(base=0, dims=(SsrDim(8, 1),))
-    r.validate(slot=2)
+        StreamSlot(0).configure({**one, "dir": 1})
+    StreamSlot(2).configure({**one, "dir": 1})
+    StreamSlot(2).configure(one)
 
 
-def make_slot(idx, cfg):
-    cfg.validate(idx)
+def make_slot(idx, staged):
     slot = StreamSlot(idx)
-    slot.configure(cfg)
+    slot.configure(staged)
     return slot
 
 
@@ -119,7 +125,7 @@ def stream_cycle(sim, core):
 
 def test_read_slot_fifo():
     base = TCDM + 0x40
-    slot = make_slot(0, SsrConfig(base=base, dims=(SsrDim(8, 6),)))
+    slot = make_slot(0, fields(base, [(8, 6)]))
     sim, core = streaming_core(slot)
     for k in range(6):
         sim.mem.store(base + 8 * k, 8, base + 8 * k)  # the address as the data
@@ -133,7 +139,7 @@ def test_read_slot_fifo():
 
 
 def test_read_slot_exhaustion():
-    slot = make_slot(1, SsrConfig(base=TCDM, dims=(SsrDim(8, 2),)))
+    slot = make_slot(1, fields(TCDM, [(8, 2)]))
     sim, core = streaming_core(slot)
     assert stream_cycle(sim, core) + stream_cycle(sim, core) == [TCDM, TCDM + 8]
     assert stream_cycle(sim, core) == []  # nothing left to fetch
@@ -145,8 +151,7 @@ def test_read_slot_exhaustion():
 
 def test_write_slot_drain_order():
     base = TCDM + 0x200
-    slot = make_slot(2, SsrConfig(base=base, dims=(SsrDim(16, 3),),
-                                  direction=Direction.WRITE))
+    slot = make_slot(2, fields(base, [(16, 3)], dir=1))
     sim, core = streaming_core(slot)
     vals = [11, 22, 33]
     for v in vals:
@@ -161,8 +166,7 @@ def test_write_slot_drain_order():
 
 
 def test_write_slot_backpressure():
-    slot = make_slot(2, SsrConfig(base=TCDM, dims=(SsrDim(8, 8),),
-                                  direction=Direction.WRITE))
+    slot = make_slot(2, fields(TCDM, [(8, 8)], dir=1))
     sim, core = streaming_core(slot)
     for v in range(FIFO_DEPTH):
         slot.push(v)
@@ -179,5 +183,5 @@ def test_engine_slot_roles():
     # and only the last write-capable; the cluster tests cover the faults
     core = ClusterSim().cores[0]
     assert [s.index for s in core.slots] == [0, 1, 2]
-    assert READ_SLOTS == (0, 1, 2) and WRITE_SLOTS == (2,)
+    assert WRITE_SLOTS == (2,)
     assert not any(s.active for s in core.slots)
