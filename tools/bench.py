@@ -21,7 +21,8 @@ run's value with their median and quartiles. With a base it also gives, per
 metric, the ratio of the medians and the number of pairs the change won.
 Under "suite" it records, per checkout, the suite's wall time and the call
 time of the correctness-oracle criterion, each run with median and
-quartiles.
+quartiles. Under "source_lines" it records, per checkout, the line count of
+each src/streamsim/*.py (as `wc -l` counts them) and their total.
 """
 
 import argparse
@@ -84,6 +85,13 @@ def suite_once(checkout):
     return wall, float(m.group(1))
 
 
+def source_lines(checkout):
+    """Newlines in each src/streamsim/*.py of the checkout, and their sum."""
+    files = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((checkout / "src" / "streamsim").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def paired(sides, runs, label, once):
     """once(checkout) `runs` times per side, the side that goes first
     alternating from pair to pair; the results per side, in run order."""
@@ -124,6 +132,8 @@ def main(argv=None):
                  "platform": platform.platform()},
         "settings": {"runs": args.runs, "seconds": seconds, "seed": 0},
         "revisions": {side: revision(path) for side, path in sides.items()},
+        "source_lines": {side: source_lines(path)
+                         for side, path in sides.items()},
         "workloads": {},
     }
     for workload in [w["name"] for w in spec["workloads"]]:
