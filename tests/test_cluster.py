@@ -817,7 +817,7 @@ def test_fault_ssr_enable_reconfigures_while_streaming():
     (1, {"bound0": 0}, "dimension bound 0 < 1"),
     (2, {"width": 2}, "element width 2 not 4 or 8"),
     (0, {"dir": 1}, "slot 0 is not write-capable"),
-], ids=["dims 0", "dims 5", "bound0 0", "width 2", "dir 1 on slot 0"])
+], ids=["dims-0", "dims-5", "bound0-0", "width-2", "dir-1-on-slot-0"])
 def test_fault_ssr_write_on_read_only_slot(slot, writes, message):
     # a valid one-element read stream, then the one bad field write
     fields = {"bound0": 1, **writes}
@@ -853,7 +853,8 @@ def test_ssr_cfg_read_returns_staged_value():
 
 
 @pytest.mark.parametrize("stmt", ["ssr_cfg_write 3, base, t1",
-                                  "ssr_cfg_read t0, 3, base"])
+                                  "ssr_cfg_read t0, 3, base"],
+                         ids=["write", "read"])
 def test_fault_ssr_cfg_no_slot(stmt):
     with pytest.raises(SimulationFault) as ei:
         run_source(f"""
