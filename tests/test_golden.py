@@ -1,5 +1,6 @@
-"""Frozen SHA-256 digests of every corpus kernel's stats and trace text, and
-of every assembled program.
+"""Frozen SHA-256 digests of every corpus kernel's stats and trace text, of
+hand-written programs that reach the stall paths no kernel reaches, and of
+every assembled program.
 
 A refactor of the simulator must not move a single simulated cycle, so each
 kernel's `stats_lines` output and its `run(trace=True)` text are compared
@@ -21,7 +22,9 @@ from pathlib import Path
 import pytest
 
 from streamsim import kernels
-from streamsim.cluster import stats_lines
+from streamsim.asm import assemble
+from streamsim.cluster import (L2_BASE, N_CORES, TCDM_BASE, ClusterSim,
+                               stats_lines)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
@@ -34,6 +37,58 @@ CASES = {name: (name, {}) for name in kernels.names()}
 for _kernel in ("dot_baseline", "matmul_ssr_frep"):
     CASES[f"{_kernel} cold_start_icache"] = (_kernel, {"cold_start_icache": True})
 
+
+def _lines(*lines):
+    return "\n".join(lines)
+
+
+# case name -> (assembly, active cores, the stall counter the program exists
+# to reach): stall paths that no corpus kernel reaches
+STALL_PROGRAMS = {
+    # the int pipe fills the FP queue behind a chain of dependent fmadds
+    "queue_full": (_lines(
+        "fmv.d.x ft0, zero",
+        "fmv.d.x ft1, zero",
+        *["fmadd.d ft3, ft0, ft1, ft3"] * 14,
+        "halt"), 1, "stall_queue_full"),
+    # eight cores on one bank: an lw waits for the FPU's loads to leave the
+    # data port, and an lw that lost its grant while the FPU ran the fadd
+    # meets the next fld on the port when it is planned again
+    "port_vs_held_lw": (_lines(
+        f"li t0, {TCDM_BASE}",
+        "slli t1, a0, 11",
+        "add t0, t0, t1",
+        *["fld ft0, 0(t0)", "fadd.d ft1, ft0, ft0", "fld ft2, 512(t0)",
+          "lw t2, 256(t0)", "lw t3, 768(t0)"] * 6,
+        "halt"), N_CORES, "stall_bank_conflict"),
+    # 32 descriptors for an 8-deep queue: dm_copy waits for room, at plan
+    # time and, when another core took the last place, at commit
+    "dma_full_8_cores": (_lines(
+        "slli t4, a0, 12",
+        f"li t0, {L2_BASE}",
+        "add t0, t0, t4",
+        f"li t1, {TCDM_BASE}",
+        "add t1, t1, t4",
+        "li t2, 512",
+        *["dm_src t0", "dm_dst t1", "dm_copy t2",
+          "addi t0, t0, 512", "addi t1, t1, 512"] * 4,
+        "poll:",
+        "dm_poll t3",
+        "bne t3, zero, poll",
+        "halt"), N_CORES, "stall_dma_full"),
+    # integer stores and loads that take the L2 wait
+    "l2_lw_sw": (_lines(
+        "slli t1, a0, 3",
+        f"li t0, {L2_BASE}",
+        "add t0, t0, t1",
+        "sw a0, 0(t0)",
+        "lw t2, 0(t0)",
+        "addi t2, t2, 1",
+        "sw t2, 4(t0)",
+        "lw t3, 4(t0)",
+        "halt"), 2, "stall_mem"),
+}
+
 # program case name -> (kernel, n): every kernel at its default n, plus the
 # two large unrolled baselines the benchmark assembles
 PROGRAMS = {name: (name, None) for name in kernels.names()}
@@ -45,15 +100,26 @@ def _sha256(lines):
     return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
 
-def digests(case):
-    """Stats digests of an untraced and a traced run, and the trace digest."""
+def run_case(case, trace=False):
+    """The RunResult of one golden case and its number of active cores."""
+    if case in STALL_PROGRAMS:
+        source, cores, _ = STALL_PROGRAMS[case]
+        sim = ClusterSim()
+        sim.load_program(assemble(source), active_cores=cores)
+        return sim.run(trace=trace), cores
     kernel, overrides = CASES[case]
     inst = kernels.build(kernel)
+    _, result = kernels.run_kernel(inst, **overrides, trace=trace)
+    return result, inst.active_cores
+
+
+def digests(case):
+    """Stats digests of an untraced and a traced run, and the trace digest."""
     out = {}
     for trace in (False, True):
-        _, result = kernels.run_kernel(inst, **overrides, trace=trace)
+        result, cores = run_case(case, trace)
         out["stats_traced" if trace else "stats"] = _sha256(
-            stats_lines(result, inst.active_cores))
+            stats_lines(result, cores))
     out["trace"] = _sha256(result.trace)
     return out
 
@@ -75,13 +141,25 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(STALL_PROGRAMS))
 def test_golden_digests(golden, case):
     got = digests(case)
     want = golden[case]
     assert got["stats"] == want["stats"], "stats moved"
     assert got["stats_traced"] == want["stats"], "tracing changed the stats"
     assert got["trace"] == want["trace"], "trace text moved"
+
+
+@pytest.mark.parametrize("case", sorted(STALL_PROGRAMS))
+def test_stall_program_reaches_its_path(case):
+    """Each stall program still reaches the stall it guards, and its stall
+    counters close as `test_stat_closure` requires of the kernels."""
+    result, cores = run_case(case)
+    counter = STALL_PROGRAMS[case][2]
+    assert sum(getattr(s, counter) for s in result.core_stats) > 0
+    for s in result.core_stats[:cores]:
+        assert s.fetched + s.int_stalls() == s.cycles_at_halt
+        assert s.fp_slots() == s.cycles_at_halt
 
 
 @pytest.mark.parametrize("case", sorted(PROGRAMS))
@@ -92,7 +170,7 @@ def test_golden_programs(case):
 
 if __name__ == "__main__":
     frozen = {}
-    for case in sorted(CASES):
+    for case in sorted(CASES) + sorted(STALL_PROGRAMS):
         d = digests(case)
         if d["stats_traced"] != d["stats"]:
             raise SystemExit(f"{case}: tracing changed the stats")
