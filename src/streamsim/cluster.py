@@ -11,7 +11,11 @@ deterministic:
                FPU, a stream or hazard stall, an integer stall, the countdown
                of a memory wait and the start of an L2 access. Any other plan
                is the record commit applies, and registers the TCDM bank
-               request it needs,
+               request it needs. An int pipe that waited last cycle (on the
+               sequencer, a drain, DMA queue room or FP queue room) re-tests
+               only that wait, and an lw/sw that waited on L2 or lost its bank
+               is held and requested again: nothing else its plan read can
+               change while the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer),
   3. commit  - units apply their planned action if granted, else record a
                stall. Everything that retires an instruction stays here, and
@@ -32,7 +36,7 @@ from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
                   fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
-from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH
+from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
                      OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
@@ -355,13 +359,15 @@ class Core:
         self.seq = Sequencer()
         self.sb = Scoreboard()
         self.slots = [StreamSlot(i) for i in range(N_SLOTS)]
+        self.write_slots = tuple(self.slots[i] for i in WRITE_SLOTS)
         self.capture_pending = 0
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
         self.dma_dst = 0
         self.mem_stall = 0          # countdown, with .mem_stall_cause
         self.mem_stall_cause = None
-        self.pending_l2 = None      # lw/sw plan held over an L2 wait
+        self.held_access = None     # lw/sw plan held over an L2 wait or a
+                                    # lost bank grant
         # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
         self.int_rid = 4 * index
         self.stream_rids = tuple(4 * index + 1 + slot for slot in range(N_SLOTS))
@@ -380,8 +386,14 @@ class Core:
             self.stream_map = {}
 
     def drained(self):
-        return (not self.fq and self.seq.idle
-                and not any(s.write_buf for s in self.slots))
+        """The FP queue, the sequencer and the write streams are empty;
+        only a write slot can hold stores."""
+        if self.fq or not self.seq.idle:
+            return False
+        for slot in self.write_slots:
+            if slot.write_buf:
+                return False
+        return True
 
 
 class RunResult:
@@ -669,8 +681,8 @@ class ClusterSim:
                 continue
             off = addr - TCDM_BASE
             if not 0 <= off <= TCDM_SIZE - slot.width:
-                self._fault(core, f"stream {slot.index} address 0x{addr:x} "
-                                  "outside TCDM")
+                self._fault(core, OutOfRangeAccess(
+                    f"stream {slot.index} address 0x{addr:x} outside TCDM"))
             bank = (off // BANK_WIDTH) % TCDM_BANKS
             rid = core.stream_rids[slot.index]
             requests.setdefault(bank, []).append(rid)
@@ -694,7 +706,9 @@ class ClusterSim:
     # The int plan is the trace event of an outcome settled at plan time, or
     # one of the records commit applies: the QueuedOp it dispatches, the ALU
     # or custom Instruction, an (instr, addr, bank) lw/sw access with bank None
-    # for an L2 completion, or the int icache line it misses on.
+    # for an L2 completion, or the int icache line it misses on. Of the
+    # settled events, the four waits (_FREP_WAIT, _DRAIN, _DMA_FULL and
+    # _QUEUE_FULL) are re-tested by _step rather than planned again.
 
     def _plan_int(self, core, requests):
         st = core.stats
@@ -705,10 +719,12 @@ class ClusterSim:
             else:
                 st.stall_mem += 1
             return "stall:mem"
-        if core.pending_l2 is not None:
-            plan = core.pending_l2
-            core.pending_l2 = None
-            return plan
+        access = core.held_access
+        if access is not None:
+            core.held_access = None
+            if access[2] is None:       # the L2 wait is over
+                return access
+            return self._plan_access(core, access, requests)
         pc = core.state.pc
         instr = self.code.get(pc)
         if instr is None:
@@ -722,7 +738,7 @@ class ClusterSim:
                     f"'{instr.mnemonic}' inside an frep capture range"))
             if len(core.fq) >= FP_QUEUE_DEPTH:
                 st.stall_queue_full += 1
-                return "stall:queue_full"
+                return _QUEUE_FULL
             qop = self._make_qop(core, instr)
             qop.capture = True
             return qop
@@ -731,7 +747,7 @@ class ClusterSim:
         if kind == "fp":
             if len(core.fq) >= FP_QUEUE_DEPTH:
                 st.stall_queue_full += 1
-                return "stall:queue_full"
+                return _QUEUE_FULL
             return self._make_qop(core, instr)
         if kind == "mem":
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
@@ -739,17 +755,12 @@ class ClusterSim:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
             bank = self.mem.bank_of(addr)
             if bank is None:
-                core.pending_l2 = (instr, addr, None)
+                core.held_access = (instr, addr, None)
                 core.mem_stall = L2_LATENCY - 1
                 core.mem_stall_cause = "mem"
                 st.stall_mem += 1
                 return "stall:mem"
-            fp = core._fpu_plan
-            if fp.__class__ is QueuedOp and fp.bank is not None and not fp.capture:
-                st.stall_bank_conflict += 1   # the FPU holds the data port
-                return "stall:bank"
-            requests.setdefault(bank, []).append(core.int_rid)
-            return (instr, addr, bank)
+            return self._plan_access(core, (instr, addr, bank), requests)
         if kind == "frep":
             if not core.seq.idle:
                 st.stall_frep_wait += 1
@@ -757,14 +768,26 @@ class ClusterSim:
         elif kind == "drain":
             if not core.drained():
                 st.stall_drain += 1
-                return "stall:drain"
+                return _DRAIN
         elif kind == "dm_copy":
             if len(self.dma.queue) >= DMA_QUEUE_DEPTH:
                 st.stall_dma_full += 1
-                return "stall:dma_full"
+                return _DMA_FULL
         elif kind is None:
             self._fault(core, f"'{instr.mnemonic}' cannot be executed here")
         return instr
+
+    def _plan_access(self, core, access, requests):
+        """Request the bank of a TCDM lw/sw access, unless the FPU's load or
+        store holds the core's one data port this cycle: then the access
+        waits, held for the next cycle."""
+        fp = core._fpu_plan
+        if fp.__class__ is QueuedOp and fp.bank is not None and not fp.capture:
+            core.held_access = access
+            core.stats.stall_bank_conflict += 1
+            return "stall:bank"
+        requests.setdefault(access[2], []).append(core.int_rid)
+        return access
 
     def _make_qop(self, core, instr):
         """Decode an FP instruction into its queue entry, once per dispatch;
@@ -781,7 +804,8 @@ class ClusterSim:
                     f"0x{addr:x} not {d.width}-byte aligned"))
             qop.bank = self.mem.bank_of(addr)
             if qop.bank is None:
-                self._fault(core, f"FP memory access 0x{addr:x} outside TCDM")
+                self._fault(core, OutOfRangeAccess(
+                    f"FP memory access 0x{addr:x} outside TCDM"))
             qop.addr = addr
         elif instr.mnemonic == "fmv.d.x":
             qop.xval = core.state.x[instr.rs1]
@@ -848,6 +872,7 @@ class ClusterSim:
         elif cls is tuple:
             instr, addr, bank = plan
             if bank is not None and grants.get(bank) != core.int_rid:
+                core.held_access = plan
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
             try:
@@ -945,16 +970,31 @@ class ClusterSim:
         slots while streaming is on, and the DMA engine while it has work."""
         requests = {}               # bank -> requester ids
         live = self.live
+        dma = self.dma
         for core in live:
             core._fpu_plan = self._plan_fpu(core, requests)
             core._stream_plans = (self._plan_streams(core, requests)
                                   if core.stream_map else ())
-            if core._int_plan is _FREP_WAIT and core.seq.mode is not _IDLE:
-                # pc, icache line and memory wait are as when it was planned
-                core.stats.stall_frep_wait += 1
-            else:
-                core._int_plan = self._plan_int(core, requests)
-        dma = self.dma
+            # a wait planned last cycle re-tests only its own condition: pc,
+            # icache line, registers and memory wait are as when planned
+            plan = core._int_plan
+            if plan is _FREP_WAIT:
+                if core.seq.mode is not _IDLE:
+                    core.stats.stall_frep_wait += 1
+                    continue
+            elif plan is _DRAIN:
+                if not core.drained():
+                    core.stats.stall_drain += 1
+                    continue
+            elif plan is _DMA_FULL:
+                if len(dma.queue) >= DMA_QUEUE_DEPTH:
+                    core.stats.stall_dma_full += 1
+                    continue
+            elif plan is _QUEUE_FULL:
+                if len(core.fq) >= FP_QUEUE_DEPTH:
+                    core.stats.stall_queue_full += 1
+                    continue
+            core._int_plan = self._plan_int(core, requests)
         dma_busy = not dma.idle
         if dma_busy:
             dma.plan(requests)
@@ -984,7 +1024,11 @@ class ClusterSim:
 
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
+# the int-pipe waits that _step re-tests in place of planning again
 _FREP_WAIT = "stall:frep_wait"
+_DRAIN = "stall:drain"
+_DMA_FULL = "stall:dma_full"
+_QUEUE_FULL = "stall:queue_full"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
 # stream element format and store mask by element width in bytes
 _ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}

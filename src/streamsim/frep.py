@@ -45,7 +45,7 @@ class Sequencer:
 
     @property
     def idle(self):
-        return self.mode == Mode.IDLE
+        return self.mode is Mode.IDLE
 
     def arm(self, count: int, n_instr: int):
         """Begin a capture of n_instr instructions to be run count times."""

@@ -665,6 +665,7 @@ def test_fault_misaligned_fld_and_non_tcdm():
     assert isinstance(ei.value.__cause__, MisalignedAccess)
     with pytest.raises(SimulationFault) as ei:
         run_source(f"li t1, {L2_BASE}\nfld ft3, 0(t1)\nhalt")
+    assert isinstance(ei.value.__cause__, OutOfRangeAccess)
     assert "outside TCDM" in str(ei.value)
 
 
@@ -784,6 +785,7 @@ def test_fault_stream_base_outside_tcdm():
     with pytest.raises(SimulationFault) as ei:
         run_source(read_stream_at(L2_BASE), max_cycles=50)
     assert ei.value.core == 0
+    assert isinstance(ei.value.__cause__, OutOfRangeAccess)
     assert "outside TCDM" in str(ei.value)
 
 
@@ -792,6 +794,7 @@ def test_fault_stream_element_straddles_tcdm_end():
     with pytest.raises(SimulationFault) as ei:
         run_source(read_stream_at(TCDM_END - 12), max_cycles=50)
     assert ei.value.core == 0
+    assert isinstance(ei.value.__cause__, OutOfRangeAccess)
     assert "outside TCDM" in str(ei.value)
 
 
