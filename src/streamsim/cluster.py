@@ -11,11 +11,12 @@ deterministic:
                FPU, a stream or hazard stall, an integer stall, the countdown
                of a memory wait and the start of an L2 access. Any other plan
                is the record commit applies, and registers the TCDM bank
-               request it needs. An int pipe that waited last cycle (on the
-               sequencer, a drain, DMA queue room or FP queue room) re-tests
-               only that wait, and an lw/sw that waited on L2 or lost its bank
-               is held and requested again: nothing else its plan read can
-               change while the int pipe stalls,
+               request it needs. A wait planned last cycle is re-tested, not
+               planned again: an int pipe waiting on the sequencer, a drain,
+               DMA queue room or FP queue room tests only that condition, and
+               an lw/sw that waits on L2, its bank or the data port is held
+               and not fetched, decoded or addressed again. Nothing else the
+               plan read can change while the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer),
   3. commit  - units apply their planned action if granted, else record a
                stall. Everything that retires an instruction stays here, and
@@ -706,9 +707,7 @@ class ClusterSim:
     # The int plan is the trace event of an outcome settled at plan time, or
     # one of the records commit applies: the QueuedOp it dispatches, the ALU
     # or custom Instruction, an (instr, addr, bank) lw/sw access with bank None
-    # for an L2 completion, or the int icache line it misses on. Of the
-    # settled events, the four waits (_FREP_WAIT, _DRAIN, _DMA_FULL and
-    # _QUEUE_FULL) are re-tested by _step rather than planned again.
+    # for an L2 completion, or the int icache line it misses on.
 
     def _plan_int(self, core, requests):
         st = core.stats
