@@ -1,6 +1,6 @@
 """Frozen SHA-256 digests of every corpus kernel's stats and trace text, of
-hand-written programs that reach the stall paths no kernel reaches, and of
-every assembled program.
+hand-written programs that reach the stall and DMA paths no kernel reaches,
+and of every assembled program.
 
 A refactor of the simulator must not move a single simulated cycle, so each
 kernel's `stats_lines` output and its `run(trace=True)` text are compared
@@ -23,8 +23,8 @@ import pytest
 
 from streamsim import kernels
 from streamsim.asm import assemble
-from streamsim.cluster import (L2_BASE, N_CORES, TCDM_BASE, ClusterSim,
-                               stats_lines)
+from streamsim.cluster import (DMA_BUS_WIDTH, L2_BASE, N_CORES, TCDM_BASE,
+                               ClusterSim, stats_lines)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
@@ -89,6 +89,79 @@ STALL_PROGRAMS = {
         "halt"), 2, "stall_mem"),
 }
 
+def _fill(n, seed):
+    """.word lines for n bytes (n a multiple of 4), none of them zero."""
+    data = bytes((seed + 37 * k) % 255 + 1 for k in range(n))
+    return [f".word {int.from_bytes(data[k:k + 4], 'little')}"
+            for k in range(0, n, 4)]
+
+
+# DMA_PROGRAMS' data: eight 256-byte sources from the scratchpad base, and
+# each core's unaligned 200-byte copy from its source to a destination 133
+# bytes into its block of 256 from 0x800: a window's source banks (8k..8k+8
+# from its start) and destination banks (8k+16..8k+24) never meet
+_VS_SRC = TCDM_BASE
+_VS_DST = TCDM_BASE + 0x800 + 133
+
+# case name -> (assembly, active cores, [(src, dst, length)] of its copies,
+# the stall counter the cores reach or None): scratchpad-to-scratchpad DMA
+# copies whose windows no kernel makes, their sources non-zero
+DMA_PROGRAMS = {
+    # each core copies its block, then lw-walks the source and the
+    # destination banks of another core's window while the engine runs, so
+    # the engine loses some banks of a window to the cores and takes them
+    # on a later cycle
+    "dma_vs_lw": (_lines(
+        "slli t4, a0, 8",
+        f"li t0, {_VS_SRC + 3}",
+        "add t0, t0, t4",
+        f"li t1, {_VS_DST}",
+        "add t1, t1, t4",
+        "li t2, 200",
+        "dm_src t0",
+        "dm_dst t1",
+        "dm_copy t2",
+        "li t5, 7",
+        "sub t5, t5, a0",
+        "slli t5, t5, 8",
+        f"li t6, {_VS_SRC}",
+        "add t6, t6, t5",
+        *[f"lw t3, {8 * j}(t6)" for j in range(25)],
+        f"li t6, {_VS_DST + 3}",
+        "add t6, t6, t5",
+        *[f"lw t3, {8 * j}(t6)" for j in range(25)],
+        "poll:",
+        "dm_poll t3",
+        "bne t3, zero, poll",
+        "halt",
+        ".data",
+        *_fill(8 * 256, 1)), N_CORES,
+        [(_VS_SRC + 256 * i + 3, _VS_DST + 256 * i, 200) for i in range(N_CORES)],
+        "stall_bank_conflict"),
+    # two copies whose source and destination share every bank (gap 256),
+    # aligned and not, so each window reads on one grant and writes on the
+    # next; then one whose banks are all distinct (gap 128)
+    "dma_same_bank": (_lines(
+        *[line for src, dst, n in ((0, 256, 256), (515, 771, 200),
+                                   (1025, 1153, 120))
+          for line in (f"li t0, {TCDM_BASE + src}", "dm_src t0",
+                       f"li t1, {TCDM_BASE + dst}", "dm_dst t1",
+                       f"li t2, {n}", "dm_copy t2")],
+        "poll:",
+        "dm_poll t3",
+        "bne t3, zero, poll",
+        "halt",
+        ".data",
+        *_fill(256, 2), ".space 256",
+        *_fill(256, 3), ".space 256",
+        *_fill(128, 4)), 1,
+        [(TCDM_BASE + 0, TCDM_BASE + 256, 256),
+         (TCDM_BASE + 515, TCDM_BASE + 771, 200),
+         (TCDM_BASE + 1025, TCDM_BASE + 1153, 120)],
+        None),
+}
+
+
 # program case name -> (kernel, n): every kernel at its default n, plus the
 # two large unrolled baselines the benchmark assembles
 PROGRAMS = {name: (name, None) for name in kernels.names()}
@@ -100,13 +173,18 @@ def _sha256(lines):
     return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
 
+def run_program(source, cores, trace=False):
+    """The simulator and the RunResult of one hand-written program."""
+    sim = ClusterSim()
+    sim.load_program(assemble(source), active_cores=cores)
+    return sim, sim.run(trace=trace)
+
+
 def run_case(case, trace=False):
     """The RunResult of one golden case and its number of active cores."""
-    if case in STALL_PROGRAMS:
-        source, cores, _ = STALL_PROGRAMS[case]
-        sim = ClusterSim()
-        sim.load_program(assemble(source), active_cores=cores)
-        return sim.run(trace=trace), cores
+    if case in STALL_PROGRAMS or case in DMA_PROGRAMS:
+        source, cores = (STALL_PROGRAMS.get(case) or DMA_PROGRAMS[case])[:2]
+        return run_program(source, cores, trace)[1], cores
     kernel, overrides = CASES[case]
     inst = kernels.build(kernel)
     _, result = kernels.run_kernel(inst, **overrides, trace=trace)
@@ -141,7 +219,8 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + sorted(STALL_PROGRAMS))
+@pytest.mark.parametrize(
+    "case", sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS))
 def test_golden_digests(golden, case):
     got = digests(case)
     want = golden[case]
@@ -162,6 +241,28 @@ def test_stall_program_reaches_its_path(case):
         assert s.fp_slots() == s.cycles_at_halt
 
 
+@pytest.mark.parametrize("case", sorted(DMA_PROGRAMS))
+def test_dma_program_reaches_its_path(case):
+    """Each DMA program copies its non-zero sources exactly, its engine
+    needs more busy cycles than its copies have windows, and where cores
+    load beside the engine they lose bank grants too."""
+    source, cores, copies, counter = DMA_PROGRAMS[case]
+    sim, result = run_program(source, cores)
+    windows = sum(-(-n // DMA_BUS_WIDTH) for _, _, n in copies)
+    assert result.dma_descriptors == len(copies)
+    assert result.dma_bytes == sum(n for _, _, n in copies)
+    assert result.dma_busy_cycles > windows
+    for src, dst, n in copies:
+        data = sim.mem.read(src, n)
+        assert all(data)
+        assert sim.mem.read(dst, n) == data
+    if counter is not None:
+        assert sum(getattr(s, counter) for s in result.core_stats) > 0
+    for s in result.core_stats[:cores]:
+        assert s.fetched + s.int_stalls() == s.cycles_at_halt
+        assert s.fp_slots() == s.cycles_at_halt
+
+
 @pytest.mark.parametrize("case", sorted(PROGRAMS))
 def test_golden_programs(case):
     want = json.loads(GOLDEN_PROGRAMS.read_text())[case]
@@ -170,7 +271,7 @@ def test_golden_programs(case):
 
 if __name__ == "__main__":
     frozen = {}
-    for case in sorted(CASES) + sorted(STALL_PROGRAMS):
+    for case in sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS):
         d = digests(case)
         if d["stats_traced"] != d["stats"]:
             raise SystemExit(f"{case}: tracing changed the stats")
