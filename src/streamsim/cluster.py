@@ -21,7 +21,10 @@ deterministic:
   3. commit  - units apply their planned action if granted, else record a
                stall. Everything that retires an instruction stays here, and
                so does the icache fill, since the icache is shared: cores that
-               miss one line in the same cycle all miss.
+               miss one line in the same cycle all miss. A TCDM access commits
+               at the scratchpad offset its plan found. A DMA window that got
+               every bank it needs moves in one copy, unless a bank is both
+               read and written; any other window moves per bank slice.
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
 for memory, so a sequential sweep is safe. A core has one data port: its FP
@@ -132,12 +135,6 @@ class Memory:
         buf, off = self._locate(addr, n)
         buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
 
-    def bank_of(self, addr):
-        off = addr - TCDM_BASE
-        if 0 <= off < TCDM_SIZE:
-            return (off // BANK_WIDTH) % TCDM_BANKS
-        return None
-
 
 class Tcdm:
     """Per-bank round-robin arbitration with persistent pointers."""
@@ -171,52 +168,24 @@ class Tcdm:
         return grants
 
 
-@dataclass
+@dataclass(frozen=True)
 class DmaDescriptor:
     src: int
     dst: int
-    inner: int            # bytes per row
-    reps: int = 1         # rows
-    src_stride: int = 0   # byte distance between row starts
-    dst_stride: int = 0
-
-    @classmethod
-    def flat(cls, src, dst, length):
-        return cls(src=src, dst=dst, inner=length, reps=1)
-
-    @property
-    def total_bytes(self):
-        return self.inner * self.reps
-
-    def rows(self):
-        for r in range(self.reps):
-            yield self.src + r * self.src_stride, self.dst + r * self.dst_stride
+    length: int           # bytes
 
 
 def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
-    if desc.inner < 0 or desc.reps < 1:
-        raise InvalidDescriptor(f"bad geometry inner={desc.inner} reps={desc.reps}")
-    if desc.inner == 0:
+    s, d, n = desc.src, desc.dst, desc.length
+    if n < 0:
+        raise InvalidDescriptor(f"bad length {n}")
+    if n == 0:
         return
-    rows = []
-    for s, d in desc.rows():
-        mem._locate(s, desc.inner)
-        mem._locate(d, desc.inner)
-        rows.append((s, 0))
-        rows.append((d, 1))
-    # sweep the row intervals by start address, remembering the source and
-    # the destination row that reach furthest so far: a row overlaps a row
-    # of the other side exactly when it starts below that one's end
-    rows.sort()
-    reach = [None, None]       # per side: start of the furthest-reaching row
-    for start, side in rows:
-        other = reach[1 - side]
-        if other is not None and start < other + desc.inner:
-            s0, d0 = (start, other) if side == 0 else (other, start)
-            raise OverlappingTransfer(
-                f"src [0x{s0:x},0x{s0 + desc.inner:x}) overlaps "
-                f"dst [0x{d0:x},0x{d0 + desc.inner:x})")
-        reach[side] = start
+    mem._locate(s, n)
+    mem._locate(d, n)
+    if s < d + n and d < s + n:
+        raise OverlappingTransfer(
+            f"src [0x{s:x},0x{s + n:x}) overlaps dst [0x{d:x},0x{d + n:x})")
 
 
 class DmaEngine:
@@ -227,20 +196,23 @@ class DmaEngine:
         self.req_id = req_id
         self.queue = deque()
         self.active = None
-        self.row = 0
-        self.offset = 0
-        self.slices = []      # pending (src buf, src off, dst buf, dst off, n,
-                              # src bank, dst bank) pieces of the current window
-        self.banks = {}       # bank they need -> True while a slice reads it
-        self.row_bufs = None  # (buffer, offset) of the current row's source
-                              # and destination
+        self.bufs = None       # (buffer, offset) of the active transfer's
+                               # source and destination
+        self.offset = 0        # bytes of the active transfer moved
+        self.window = None     # (src buf, src off, dst buf, dst off, n) of
+                               # the current window
+        self.disjoint = False  # no bank of the window is both read and written
+        self.slices = None     # the window's pending (src buf, src off, dst
+                               # buf, dst off, n, src bank, dst bank) pieces,
+                               # once cut
+        self.banks = {}        # bank still needed -> True while it is read
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
 
     def submit(self, desc: DmaDescriptor):
         _validate_descriptor(desc, self.mem)
-        if desc.total_bytes == 0:
+        if desc.length == 0:
             self.descriptors_done += 1   # completes immediately, no cycles
             return True
         if len(self.queue) >= DMA_QUEUE_DEPTH:
@@ -256,18 +228,34 @@ class DmaEngine:
         return self.active is None and not self.queue
 
     def _open_window(self):
-        """Split the window so each slice touches one bank per TCDM side.
-        Each row's source and destination are located once."""
-        d = self.active
-        n = min(DMA_BUS_WIDTH, d.inner - self.offset)
-        mem = self.mem
-        if self.offset == 0:    # a new row; submit checked it lies in one region
-            self.row_bufs = (mem._locate(d.src + self.row * d.src_stride, d.inner),
-                             mem._locate(d.dst + self.row * d.dst_stride, d.inner))
-        (sbuf, so), (dbuf, do) = self.row_bufs
+        """Locate the next window of the active transfer and the banks it
+        needs: each bank word of a TCDM side once, True where the window
+        reads it. A bank it reads serves the read before it takes a write."""
+        (sbuf, so), (dbuf, do) = self.bufs
         so += self.offset
         do += self.offset
-        tcdm = mem.tcdm
+        n = min(DMA_BUS_WIDTH, self.active.length - self.offset)
+        self.window = (sbuf, so, dbuf, do, n)
+        self.slices = None
+        tcdm = self.mem.tcdm
+        banks = self.banks = {}
+        if sbuf is tcdm:
+            for w in range(so // BANK_WIDTH, (so + n - 1) // BANK_WIDTH + 1):
+                banks[w % TCDM_BANKS] = True
+        read = len(banks)
+        if dbuf is tcdm:
+            first = do // BANK_WIDTH
+            last = (do + n - 1) // BANK_WIDTH
+            for w in range(first, last + 1):
+                banks.setdefault(w % TCDM_BANKS, False)
+            self.disjoint = len(banks) - read == last - first + 1
+        else:
+            self.disjoint = True
+
+    def _cut(self):
+        """Cut the window into slices that each touch one bank per TCDM side."""
+        sbuf, so, dbuf, do, n = self.window
+        tcdm = self.mem.tcdm
         cuts = {0, n}
         for buf, off in ((sbuf, so), (dbuf, do)):
             if buf is tcdm:
@@ -275,53 +263,58 @@ class DmaEngine:
         edges = sorted(cuts)
         sbank = sbuf is tcdm
         dbank = dbuf is tcdm
-        self._set_pending([
-            (sbuf, so + a, dbuf, do + a, b - a,
-             (so + a) // BANK_WIDTH % TCDM_BANKS if sbank else None,
-             (do + a) // BANK_WIDTH % TCDM_BANKS if dbank else None)
-            for a, b in zip(edges, edges[1:])])
-
-    def _set_pending(self, slices):
-        """Keep the pending slices of the window and the banks they need,
-        each once, mapped to True where a slice still reads the bank: that
-        bank serves its reads before it takes a write."""
-        self.slices = slices
-        banks = self.banks = {}
-        for piece in slices:
-            if piece[5] is not None:
-                banks[piece[5]] = True
-            if piece[6] is not None:
-                banks.setdefault(piece[6], False)
+        return [(sbuf, so + a, dbuf, do + a, b - a,
+                 (so + a) // BANK_WIDTH % TCDM_BANKS if sbank else None,
+                 (do + a) // BANK_WIDTH % TCDM_BANKS if dbank else None)
+                for a, b in zip(edges, edges[1:])]
 
     def plan(self, requests):
         """Append this engine's id to requests[bank] for each bank the
-        pending slices of the current window need, once per bank."""
+        current window still needs, once per bank."""
         if self.active is None:
             if not self.queue:
                 return
-            self.active = self.queue.popleft()
-            self.row = self.offset = 0
-            self.slices = []
-        if not self.slices:
+            d = self.active = self.queue.popleft()
+            # submit checked that each side lies in one region
+            self.bufs = (self.mem._locate(d.src, d.length),
+                         self.mem._locate(d.dst, d.length))
+            self.offset = 0
+            self.window = None
+        if self.window is None:
             self._open_window()
         rid = self.req_id
         for bank in self.banks:
             requests.setdefault(bank, []).append(rid)
 
     def commit(self, granted_banks):
-        """Move the slices whose banks were granted. A granted bank serves one
-        access: a slice reads when its source bank is granted, and writes
-        when its destination bank is granted and no slice still reads it.
-        A slice that has read but cannot write keeps the bytes for a later
-        grant, so a slice within one bank takes two grants."""
-        if self.active is None or not self.slices:
+        """Move what the granted banks allow of the window. A granted bank
+        serves one access: a slice reads when its source bank is granted,
+        and writes when its destination bank is granted and no slice still
+        reads it. A slice that has read but cannot write keeps the bytes for
+        a later grant, so a slice within one bank takes two grants. When the
+        window gets every bank it needs and none is both read and written,
+        every slice moves, and the window moves in one copy."""
+        if self.active is None:
             return
         self.busy_cycles += 1
-        remaining = []
-        moved = 0
         rid = self.req_id
         banks = self.banks
-        for piece in self.slices:
+        slices = self.slices
+        if slices is None:
+            if self.disjoint:
+                for bank in banks:
+                    if granted_banks.get(bank) != rid:
+                        break
+                else:
+                    sbuf, so, dbuf, do, n = self.window
+                    dbuf[do:do + n] = sbuf[so:so + n]
+                    self.bytes_moved += n
+                    self._next_window(n)
+                    return
+            slices = self._cut()
+        remaining = []
+        moved = 0
+        for piece in slices:
             sbuf, so, dbuf, do, n, sb, db = piece
             if sb is not None:
                 if granted_banks.get(sb) != rid:
@@ -335,17 +328,24 @@ class DmaEngine:
                 remaining.append((sbuf, so, dbuf, do, n, sb, db))
         self.bytes_moved += moved
         if remaining:
-            self._set_pending(remaining)
+            self.slices = remaining
+            banks = self.banks = {}
+            for piece in remaining:
+                if piece[5] is not None:
+                    banks[piece[5]] = True
+                if piece[6] is not None:
+                    banks.setdefault(piece[6], False)
             return
-        self.slices = []
-        desc = self.active
-        self.offset += min(DMA_BUS_WIDTH, desc.inner - self.offset)
-        if self.offset >= desc.inner:
-            self.offset = 0
-            self.row += 1
-            if self.row >= desc.reps:
-                self.active = None
-                self.descriptors_done += 1
+        self._next_window(self.window[4])
+
+    def _next_window(self, n):
+        """Count the window's n bytes as moved; finish the transfer after
+        its last window."""
+        self.window = None
+        self.offset += n
+        if self.offset >= self.active.length:
+            self.active = None
+            self.descriptors_done += 1
 
 
 class Core:
@@ -645,10 +645,12 @@ class ClusterSim:
                     st.fma_executed += 1
                     st.flops += flops
             elif kind == OP_LOAD:
-                f[qop.dest] = self.mem.load(qop.addr, qop.width)
+                f[qop.dest] = _ELEMENT[qop.width][0].unpack_from(
+                    self.mem.tcdm, qop.off)[0]
                 core.sb.issue(self.cycle, qop.dest, qop.lat)
             else:  # OP_STORE
-                self.mem.store(qop.addr, qop.width, vals[0])
+                elem, mask = _ELEMENT[qop.width]
+                elem.pack_into(self.mem.tcdm, qop.off, vals[0] & mask)
         except SimError as e:
             self._fault(core, e)
 
@@ -706,8 +708,9 @@ class ClusterSim:
     #
     # The int plan is the trace event of an outcome settled at plan time, or
     # one of the records commit applies: the QueuedOp it dispatches, the ALU
-    # or custom Instruction, an (instr, addr, bank) lw/sw access with bank None
-    # for an L2 completion, or the int icache line it misses on.
+    # or custom Instruction, an lw/sw access, or the int icache line it misses
+    # on. An access is (instr, TCDM offset, bank), or (instr, address, None)
+    # for an L2 completion.
 
     def _plan_int(self, core, requests):
         st = core.stats
@@ -752,14 +755,15 @@ class ClusterSim:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
-            bank = self.mem.bank_of(addr)
-            if bank is None:
-                core.held_access = (instr, addr, None)
-                core.mem_stall = L2_LATENCY - 1
-                core.mem_stall_cause = "mem"
-                st.stall_mem += 1
-                return "stall:mem"
-            return self._plan_access(core, (instr, addr, bank), requests)
+            off = addr - TCDM_BASE
+            if 0 <= off < TCDM_SIZE:
+                return self._plan_access(
+                    core, (instr, off, off // BANK_WIDTH % TCDM_BANKS), requests)
+            core.held_access = (instr, addr, None)
+            core.mem_stall = L2_LATENCY - 1
+            core.mem_stall_cause = "mem"
+            st.stall_mem += 1
+            return "stall:mem"
         if kind == "frep":
             if not core.seq.idle:
                 st.stall_frep_wait += 1
@@ -801,11 +805,12 @@ class ClusterSim:
             if addr % d.width:
                 self._fault(core, MisalignedAccess(
                     f"0x{addr:x} not {d.width}-byte aligned"))
-            qop.bank = self.mem.bank_of(addr)
-            if qop.bank is None:
+            off = addr - TCDM_BASE
+            if not 0 <= off < TCDM_SIZE:
                 self._fault(core, OutOfRangeAccess(
                     f"FP memory access 0x{addr:x} outside TCDM"))
-            qop.addr = addr
+            qop.off = off
+            qop.bank = off // BANK_WIDTH % TCDM_BANKS
         elif instr.mnemonic == "fmv.d.x":
             qop.xval = core.state.x[instr.rs1]
         return qop
@@ -869,18 +874,23 @@ class ClusterSim:
                 core.capture_pending -= 1
             instr = plan.instr
         elif cls is tuple:
-            instr, addr, bank = plan
-            if bank is not None and grants.get(bank) != core.int_rid:
+            instr, where, bank = plan
+            if bank is None:            # the L2 wait is over
+                try:
+                    if instr.mnemonic == "lw":
+                        state.set_x(instr.rd, self.mem.load(where, 4))
+                    else:
+                        self.mem.store(where, 4, state.x[instr.rs2])
+                except SimError as e:
+                    self._fault(core, e)
+            elif grants.get(bank) != core.int_rid:
                 core.held_access = plan
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
-            try:
-                if instr.mnemonic == "lw":
-                    state.set_x(instr.rd, self.mem.load(addr, 4))
-                else:
-                    self.mem.store(addr, 4, state.x[instr.rs2])
-            except SimError as e:
-                self._fault(core, e)
+            elif instr.mnemonic == "lw":
+                state.set_x(instr.rd, _WORD.unpack_from(self.mem.tcdm, where)[0])
+            else:
+                _WORD.pack_into(self.mem.tcdm, where, state.x[instr.rs2])
         else:  # the icache line missed at plan time
             self.icache_warm.add(plan)
             core.mem_stall = L2_LATENCY - 1
@@ -906,8 +916,9 @@ class ClusterSim:
                     f"slot {instr.slot} reconfigured while streaming"))
             if not 0 <= instr.slot < N_SLOTS:
                 self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
+            # a config register is 32 bits wide, whatever the value's source
             value = instr.imm if instr.rs1 is None else state.x[instr.rs1]
-            core.staged_cfg[instr.slot][instr.field] = value
+            core.staged_cfg[instr.slot][instr.field] = value & MASK32
         elif mn == "ssr_cfg_read":
             if not 0 <= instr.slot < N_SLOTS:
                 self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
@@ -937,7 +948,7 @@ class ClusterSim:
         elif mn == "dm_dst":
             core.dma_dst = state.x[instr.rs1]
         elif mn == "dm_copy":
-            desc = DmaDescriptor.flat(core.dma_src, core.dma_dst, state.x[instr.rs1])
+            desc = DmaDescriptor(core.dma_src, core.dma_dst, state.x[instr.rs1])
             try:
                 ok = self.dma.submit(desc)
             except SimError as e:
@@ -1029,8 +1040,10 @@ _DRAIN = "stall:drain"
 _DMA_FULL = "stall:dma_full"
 _QUEUE_FULL = "stall:queue_full"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
-# stream element format and store mask by element width in bytes
+# scratchpad element format and store mask by width in bytes, for stream
+# elements and for the FPU's and the int pipe's loads and stores
 _ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
+_WORD = _ELEMENT[4][0]
 
 # int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the
 # write streams to empty, dm_copy for room in the DMA queue

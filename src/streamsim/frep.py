@@ -144,7 +144,7 @@ FP_DECODE = {mn: _decode_entry(mn)
 class QueuedOp:
     kind: str
     instr: Instruction
-    addr: int | None = None   # latched at dispatch for loads/stores
+    off: int | None = None    # TCDM offset of a load/store, latched at dispatch
     xval: int | None = None   # latched integer source for fmv.d.x
     capture: bool = False     # first pass fills the sequencer buffer instead
                               # of executing; cleared when the op is stored

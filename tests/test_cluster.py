@@ -7,7 +7,6 @@ usable next cycle, L2 at 10 extra cycles) before running the simulator.
 
 import random
 import struct
-import time
 
 import pytest
 
@@ -20,7 +19,7 @@ from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               NonFpInCapture, OutOfRangeAccess,
                               OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
-from streamsim.isa import XREGS
+from streamsim.isa import SSR_FIELDS, XREGS
 from streamsim import kernels
 
 N_REQ = 4 * N_CORES + 1  # 8 cores x (int pipe + 3 streams) + DMA
@@ -122,7 +121,7 @@ def test_dma_flat_l2_to_tcdm():
     sim = ClusterSim()
     blob = bytes((i * 37) & 0xFF for i in range(4096))
     sim.mem.write(L2_BASE, blob)
-    sim.dma_submit(DmaDescriptor.flat(L2_BASE, DATA_BASE, 4096))
+    sim.dma_submit(DmaDescriptor(L2_BASE, DATA_BASE, 4096))
     res = sim.run()
     # 64 bytes per busy cycle, sole requester: 4096/64 windows
     assert sim.dma.busy_cycles == 64
@@ -130,25 +129,6 @@ def test_dma_flat_l2_to_tcdm():
     assert res.dma_bytes == 4096
     assert res.dma_descriptors == 1
     assert sim.mem.read(DATA_BASE, 4096) == blob
-
-
-def test_dma_strided_rows():
-    sim = ClusterSim()
-    rng = random.Random(3)
-    rows = [bytes(rng.randrange(256) for _ in range(384)) for _ in range(12)]
-    for r, row in enumerate(rows):
-        sim.mem.write(DATA_BASE + r * 1024, row)
-    dst = DATA_BASE + 64 * 1024
-    sim.dma_submit(DmaDescriptor(src=DATA_BASE, dst=dst, inner=384, reps=12,
-                                 src_stride=1024, dst_stride=384))
-    res = sim.run()
-    # 12 rows x ceil(384/64) windows; in the six even rows each source
-    # slice shares its bank with its destination slice, so a window takes a
-    # read grant and then a write grant
-    assert sim.dma.busy_cycles == 6 * 6 + 6 * 6 * 2
-    assert res.dma_bytes == 12 * 384
-    for r, row in enumerate(rows):
-        assert sim.mem.read(dst + r * 384, 384) == row
 
 
 @pytest.mark.parametrize("gap, banks, cycles", [
@@ -165,7 +145,7 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     # one access: a bank a slice reads serves that read first, and takes
     # the write on a later grant
     blob = bytes(range(1, 65))
-    desc = DmaDescriptor.flat(DATA_BASE, DATA_BASE + gap, 64)
+    desc = DmaDescriptor(DATA_BASE, DATA_BASE + gap, 64)
     sim = ClusterSim()
     sim.dma.submit(desc)
     requests = {}
@@ -182,7 +162,7 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
 
 def test_dma_zero_length_completes_immediately():
     sim = ClusterSim()
-    sim.dma_submit(DmaDescriptor.flat(L2_BASE, DATA_BASE, 0))
+    sim.dma_submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
     res = sim.run()
     assert res.cycles == 0
     assert res.dma_descriptors == 1
@@ -192,51 +172,32 @@ def test_dma_zero_length_completes_immediately():
 def test_dma_overlap_rejected():
     sim = ClusterSim()
     with pytest.raises(OverlappingTransfer):
-        sim.dma_submit(DmaDescriptor.flat(DATA_BASE, DATA_BASE + 0x100, 512))
-    # overlap between *different* rows is caught too: dst row 0 crosses src row 1
+        sim.dma_submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
     with pytest.raises(OverlappingTransfer):
-        sim.dma_submit(DmaDescriptor(src=DATA_BASE, dst=DATA_BASE + 96,
-                                     inner=64, reps=2,
-                                     src_stride=128, dst_stride=512))
-
-
-def test_dma_validation_is_subquadratic():
-    # 50k L2 source rows gathered into one TCDM row: a pairwise overlap
-    # check would compare 2.5e9 row pairs
-    sim = ClusterSim()
-    desc = DmaDescriptor(src=L2_BASE, dst=DATA_BASE, inner=32, reps=50_000,
-                         src_stride=32, dst_stride=0)
-    t0 = time.perf_counter()
-    assert sim.dma.submit(desc)
-    assert time.perf_counter() - t0 < 2.0
-    # the same geometry with the destination row inside the source rows
-    with pytest.raises(OverlappingTransfer):
-        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=L2_BASE + 32 * 49_999,
-                                     inner=32, reps=50_000, src_stride=32,
-                                     dst_stride=0))
+        sim.dma_submit(DmaDescriptor(DATA_BASE + 0x100, DATA_BASE, 512))
+    # ranges that only touch do not overlap
+    sim.dma_submit(DmaDescriptor(DATA_BASE, DATA_BASE + 512, 512))
 
 
 def test_dma_bad_geometry_and_range():
     sim = ClusterSim()
     with pytest.raises(InvalidDescriptor):
-        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, inner=-1))
-    with pytest.raises(InvalidDescriptor):
-        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, inner=8, reps=0))
+        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=-1))
     with pytest.raises(OutOfRangeAccess):
-        sim.dma_submit(DmaDescriptor.flat(0x4000_0000, DATA_BASE, 64))
+        sim.dma_submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
 
 
 def test_dma_queue_depth():
     eng = DmaEngine(Memory(), req_id=32)
     for i in range(DMA_QUEUE_DEPTH):
-        assert eng.submit(DmaDescriptor.flat(L2_BASE + 64 * i,
+        assert eng.submit(DmaDescriptor(L2_BASE + 64 * i,
                                              DATA_BASE + 64 * i, 64))
-    assert not eng.submit(DmaDescriptor.flat(L2_BASE + 4096, DATA_BASE + 4096, 64))
+    assert not eng.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
     sim = ClusterSim()
     for i in range(DMA_QUEUE_DEPTH):
-        sim.dma_submit(DmaDescriptor.flat(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
+        sim.dma_submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
     with pytest.raises(InvalidDescriptor):
-        sim.dma_submit(DmaDescriptor.flat(L2_BASE + 4096, DATA_BASE + 4096, 64))
+        sim.dma_submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
 
 
 def test_dma_from_program_with_poll():
@@ -265,8 +226,8 @@ def test_dma_from_program_with_poll():
 
 
 def test_dma_shares_banks_with_cores():
-    # an unaligned 2-D copy inside the TCDM while all eight cores load from
-    # its source rows: a slice that loses a bank to a core waits for the
+    # four unaligned copies inside the TCDM while all eight cores load from
+    # their sources: a slice that loses a bank to a core waits for the
     # next cycle, and the window finishes only once every slice has moved
     src, dst = TCDM_BASE + 0x4003, TCDM_BASE + 0x8005
     rows = [bytes((r * 250 + k) * 7 & 0xFF for k in range(250)) for r in range(4)]
@@ -276,11 +237,10 @@ def test_dma_shares_banks_with_cores():
     sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
     for r, row in enumerate(rows):
         sim.mem.write(src + 256 * r, row)
-    sim.dma_submit(DmaDescriptor(src=src, dst=dst, inner=250, reps=4,
-                                 src_stride=256, dst_stride=256))
+        sim.dma_submit(DmaDescriptor(src + 256 * r, dst + 256 * r, 250))
     res = sim.run()
     assert [sim.mem.read(dst + 256 * r, 250) for r in range(4)] == rows
-    assert res.dma_bytes == 1000 and res.dma_descriptors == 1
+    assert res.dma_bytes == 1000 and res.dma_descriptors == 4
     # 4 windows of at most 64 bytes per row, and at least one retry
     assert sim.dma.busy_cycles > 16
     assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
@@ -853,6 +813,41 @@ def test_ssr_cfg_read_returns_staged_value():
     assert t2 == t1 == DATA_BASE
     assert t3 == -8 & 0xFFFFFFFF
     assert t4 == t5 == 0   # never written
+
+
+def _cfg_write_outcome(field, value, operand):
+    """Stage `value` into slot 0's `field` through `operand` (the immediate
+    or t1, which holds it either way) over a one-element read stream, read
+    it back and enable: the staged value, the readback, and the fault or
+    the stats."""
+    sim = ClusterSim()
+    sim.load_program(assemble(f"""
+        li t0, {DATA_BASE}
+        ssr_cfg_write 0, base, t0
+        ssr_cfg_write 0, bound0, 1
+        li t1, {value}
+        ssr_cfg_write 0, {field}, {operand}
+        ssr_cfg_read t2, 0, {field}
+        ssr_enable
+        halt
+    """), active_cores=1)
+    try:
+        outcome = stats_lines(sim.run(max_cycles=200), 1)
+    except SimulationFault as e:
+        outcome = (str(e), type(e.__cause__), str(e.__cause__))
+    core = sim.cores[0]
+    return core.staged_cfg[0][field], core.state.x[XREGS["t2"]], outcome
+
+
+@pytest.mark.parametrize("field", SSR_FIELDS)
+def test_ssr_cfg_write_immediate_equals_register(field):
+    # a config register holds 32 bits, so an immediate and a register with
+    # the same value stage, read back and configure alike
+    for value in (-(1 << 31), -8, -1, 0, 1, 2, 4, 8, 0xFFFF_FFFF, DATA_BASE):
+        imm = _cfg_write_outcome(field, value, value)
+        reg = _cfg_write_outcome(field, value, "t1")
+        assert imm == reg, value
+        assert imm[0] == imm[1] == value & 0xFFFF_FFFF
 
 
 @pytest.mark.parametrize("stmt", ["ssr_cfg_write 3, base, t1",

@@ -7,7 +7,7 @@ import pytest
 
 from streamsim import kernels
 from streamsim.asm import DATA_BASE
-from streamsim.cluster import Memory
+from streamsim.cluster import BANK_WIDTH, TCDM_BANKS, TCDM_BASE
 from streamsim.kernels import (axpy_reference, dot_reference, matmul_reference,
                                matvec_reference)
 
@@ -92,30 +92,32 @@ def test_builder_rejects():
 
 # ------------------------------------------------------------- layouts
 
+def bank_of(addr):
+    """The TCDM bank of a scratchpad address."""
+    return (addr - TCDM_BASE) // BANK_WIDTH % TCDM_BANKS
+
+
 def test_dot_layout_offsets_streams():
     # y starts one bank after x so two lockstep unit-stride readers never meet
-    mem = Memory()
     inst = kernels.build("dot_baseline", n=256)
     xa, ya = inst.data[0][0], inst.data[1][0]
-    assert mem.bank_of(xa) == 0
-    assert mem.bank_of(ya) == (256 + 1) % 32
-    assert mem.bank_of(ya) != mem.bank_of(xa)
+    assert bank_of(xa) == 0
+    assert bank_of(ya) == (256 + 1) % 32
+    assert bank_of(ya) != bank_of(xa)
 
 
 def test_axpy_layout_separates_read_and_write():
-    mem = Memory()
     inst = kernels.build("axpy_ssr", n=256)
     xa, ya = inst.data[0][0], inst.data[1][0]
-    assert mem.bank_of(xa) == 0
-    assert mem.bank_of(ya) == 16
+    assert bank_of(xa) == 0
+    assert bank_of(ya) == 16
 
 
 def test_matmul_base_banks_disjoint():
     banks = set(kernels._MM_A_BANKS) | set(kernels._MM_B_BANKS)
     assert len(banks) == 16
-    mem = Memory()
     inst = kernels.build("matmul_ssr_frep")
-    placed = {mem.bank_of(addr) for addr, _ in inst.data}
+    placed = {bank_of(addr) for addr, _ in inst.data}
     assert placed == banks  # every blob starts on its reserved bank
 
 
