@@ -67,7 +67,7 @@ class Sequencer:
         """Commit one capture pass; starts replay once the body is complete.
 
         The buffer holds queue entries, so operands latched at dispatch
-        (addresses, integer move sources) stay fixed across iterations.
+        (TCDM offsets, integer move sources) stay fixed across iterations.
         """
         assert self.mode == Mode.CAPTURING
         self.buffer.append(op)

@@ -191,7 +191,7 @@ def test_dma_queue_depth():
     eng = DmaEngine(Memory(), req_id=32)
     for i in range(DMA_QUEUE_DEPTH):
         assert eng.submit(DmaDescriptor(L2_BASE + 64 * i,
-                                             DATA_BASE + 64 * i, 64))
+                                        DATA_BASE + 64 * i, 64))
     assert not eng.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
     sim = ClusterSim()
     for i in range(DMA_QUEUE_DEPTH):
@@ -241,7 +241,7 @@ def test_dma_shares_banks_with_cores():
     res = sim.run()
     assert [sim.mem.read(dst + 256 * r, 250) for r in range(4)] == rows
     assert res.dma_bytes == 1000 and res.dma_descriptors == 4
-    # 4 windows of at most 64 bytes per row, and at least one retry
+    # 4 windows of at most 64 bytes per copy, and at least one retry
     assert sim.dma.busy_cycles > 16
     assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
 

@@ -89,6 +89,7 @@ STALL_PROGRAMS = {
         "halt"), 2, "stall_mem"),
 }
 
+
 def _fill(n, seed):
     """.word lines for n bytes (n a multiple of 4), none of them zero."""
     data = bytes((seed + 37 * k) % 255 + 1 for k in range(n))
