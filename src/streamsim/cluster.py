@@ -279,7 +279,6 @@ class DmaEngine:
             self.bufs = (self.mem._locate(d.src, d.length),
                          self.mem._locate(d.dst, d.length))
             self.offset = 0
-            self.window = None
         if self.window is None:
             self._open_window()
         rid = self.req_id
