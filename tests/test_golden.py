@@ -15,8 +15,10 @@ To re-freeze after a change that is meant to alter simulated behaviour, run
 and give the reason in CHANGES.md.
 """
 
+import functools
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ import pytest
 from streamsim import kernels
 from streamsim.asm import assemble
 from streamsim.cluster import (DMA_BUS_WIDTH, L2_BASE, N_CORES, TCDM_BASE,
-                               ClusterSim, stats_lines)
+                               ClusterSim, CoreStats, stats_lines)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
@@ -87,6 +89,21 @@ STALL_PROGRAMS = {
         "sw t2, 4(t0)",
         "lw t3, 4(t0)",
         "halt"), 2, "stall_mem"),
+    # three streams that walk bank 0 at stride 256 under one frep: the
+    # fmadd waits for the prefetchers and the write stream, which take the
+    # bank in turn
+    "stream_same_bank": (_lines(
+        *[line for slot, base in enumerate((0, 8192, 16384))
+          for line in (f"ssr_cfg_write {slot}, base, {TCDM_BASE + base}",
+                       f"ssr_cfg_write {slot}, stride0, 256",
+                       f"ssr_cfg_write {slot}, bound0, 32")],
+        "ssr_cfg_write 2, dir, 1",
+        "ssr_enable",
+        "li t0, 32",
+        "frep t0, 1",
+        "fmadd.d ft2, ft0, ft1, ft3",
+        "ssr_disable",
+        "halt"), 1, "fp_stall_stream"),
 }
 
 
@@ -192,11 +209,18 @@ def run_case(case, trace=False):
     return result, inst.active_cores
 
 
+@functools.cache
+def untraced_run(case):
+    """run_case(case), once per session: the digests and the tests of the
+    paths the cases reach share it."""
+    return run_case(case)
+
+
 def digests(case):
     """Stats digests of an untraced and a traced run, and the trace digest."""
     out = {}
     for trace in (False, True):
-        result, cores = run_case(case, trace)
+        result, cores = run_case(case, True) if trace else untraced_run(case)
         out["stats_traced" if trace else "stats"] = _sha256(
             stats_lines(result, cores))
     out["trace"] = _sha256(result.trace)
@@ -234,12 +258,24 @@ def test_golden_digests(golden, case):
 def test_stall_program_reaches_its_path(case):
     """Each stall program still reaches the stall it guards, and its stall
     counters close as `test_stat_closure` requires of the kernels."""
-    result, cores = run_case(case)
+    result, cores = untraced_run(case)
     counter = STALL_PROGRAMS[case][2]
     assert sum(getattr(s, counter) for s in result.core_stats) > 0
     for s in result.core_stats[:cores]:
         assert s.fetched + s.int_stalls() == s.cycles_at_halt
         assert s.fp_slots() == s.cycles_at_halt
+
+
+def test_every_stall_counter_is_reached():
+    """Every stall counter of CoreStats counts in at least one golden case,
+    so the digests guard each stall path."""
+    counters = {f.name for f in fields(CoreStats) if "stall" in f.name}
+    reached = set()
+    for case in sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS):
+        result, cores = untraced_run(case)
+        reached.update(c for c in counters
+                       for s in result.core_stats[:cores] if getattr(s, c))
+    assert sorted(counters - reached) == []
 
 
 @pytest.mark.parametrize("case", sorted(DMA_PROGRAMS))
