@@ -8,23 +8,24 @@ deterministic:
   1. plan    - every unit inspects start-of-cycle state. An outcome that needs
                no bank grant and touches only its own core is settled and
                counted here, and the plan is its trace event string: an idle
-               FPU, a stream or hazard stall, an integer stall, the countdown
-               of a memory wait and the start of an L2 access. Any other plan
-               is the record commit applies, and registers the TCDM bank
-               request it needs. A wait planned last cycle is re-tested, not
-               planned again: an int pipe waiting on the sequencer, a drain,
-               DMA queue room or FP queue room tests only that condition, and
-               an lw/sw that waits on L2, its bank or the data port is held
-               and not fetched, decoded or addressed again. Nothing else the
-               plan read can change while the int pipe stalls,
+               FPU, a stream or hazard stall, or an int-pipe wait. Any other
+               plan is the record commit applies, and registers the TCDM bank
+               request it needs. An int-pipe wait (on L2 or an icache fill, FP
+               queue room, the sequencer, a drain, DMA queue room) has one
+               test that counts its stall; a wait planned last cycle runs only
+               that test, not the plan, and an lw/sw that waits on L2, its
+               bank or the data port is held and not fetched, decoded or
+               addressed again. Nothing else the plan read can change while
+               the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer),
   3. commit  - units apply their planned action if granted, else record a
                stall. Everything that retires an instruction stays here, and
                so does the icache fill, since the icache is shared: cores that
                miss one line in the same cycle all miss. A TCDM access commits
-               at the scratchpad offset its plan found. A DMA window that got
-               every bank it needs moves in one copy, unless a bank is both
-               read and written; any other window moves per bank slice.
+               at the scratchpad offset its plan found, an lw/sw to L2 at the
+               one its wait located. A DMA window that got every bank it needs
+               moves in one copy, unless a bank is both read and written; any
+               other window moves per bank slice.
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
 for memory, so a sequential sweep is safe. A core has one data port: its FP
@@ -125,16 +126,6 @@ class Memory:
         buf, off = self._locate(addr, len(data))
         buf[off:off + len(data)] = data
 
-    def load(self, addr, n):
-        """The n bytes at addr as a little-endian unsigned integer."""
-        buf, off = self._locate(addr, n)
-        return int.from_bytes(buf[off:off + n], "little")
-
-    def store(self, addr, n, value):
-        """Write the low n bytes of value at addr, little-endian."""
-        buf, off = self._locate(addr, n)
-        buf[off:off + n] = (value & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
-
 
 class Tcdm:
     """Per-bank round-robin arbitration with persistent pointers."""
@@ -176,16 +167,18 @@ class DmaDescriptor:
 
 
 def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
+    """The (buffer, offset) of a non-empty descriptor's source and of its
+    destination, each lying in one region; None for an empty one."""
     s, d, n = desc.src, desc.dst, desc.length
     if n < 0:
         raise InvalidDescriptor(f"bad length {n}")
     if n == 0:
-        return
-    mem._locate(s, n)
-    mem._locate(d, n)
+        return None
+    bufs = (mem._locate(s, n), mem._locate(d, n))
     if s < d + n and d < s + n:
         raise OverlappingTransfer(
             f"src [0x{s:x},0x{s + n:x}) overlaps dst [0x{d:x},0x{d + n:x})")
+    return bufs
 
 
 class DmaEngine:
@@ -194,7 +187,7 @@ class DmaEngine:
     def __init__(self, mem: Memory, req_id):
         self.mem = mem
         self.req_id = req_id
-        self.queue = deque()
+        self.queue = deque()   # (descriptor, its located buffers)
         self.active = None
         self.bufs = None       # (buffer, offset) of the active transfer's
                                # source and destination
@@ -211,13 +204,13 @@ class DmaEngine:
         self.descriptors_done = 0
 
     def submit(self, desc: DmaDescriptor):
-        _validate_descriptor(desc, self.mem)
-        if desc.length == 0:
+        bufs = _validate_descriptor(desc, self.mem)
+        if bufs is None:
             self.descriptors_done += 1   # completes immediately, no cycles
             return True
         if len(self.queue) >= DMA_QUEUE_DEPTH:
             return False
-        self.queue.append(desc)
+        self.queue.append((desc, bufs))
         return True
 
     def outstanding(self):
@@ -274,10 +267,7 @@ class DmaEngine:
         if self.active is None:
             if not self.queue:
                 return
-            d = self.active = self.queue.popleft()
-            # submit checked that each side lies in one region
-            self.bufs = (self.mem._locate(d.src, d.length),
-                         self.mem._locate(d.dst, d.length))
+            self.active, self.bufs = self.queue.popleft()
             self.offset = 0
         if self.window is None:
             self._open_window()
@@ -681,10 +671,7 @@ class ClusterSim:
                 addr = slot.write_buf[0][0]
             else:
                 continue
-            off = addr - TCDM_BASE
-            if not 0 <= off <= TCDM_SIZE - slot.width:
-                self._fault(core, OutOfRangeAccess(
-                    f"stream {slot.index} address 0x{addr:x} outside TCDM"))
+            off = addr - TCDM_BASE      # ssr_enable checked the footprint
             bank = (off // BANK_WIDTH) % TCDM_BANKS
             rid = core.stream_rids[slot.index]
             requests.setdefault(bank, []).append(rid)
@@ -709,17 +696,44 @@ class ClusterSim:
     # one of the records commit applies: the QueuedOp it dispatches, the ALU
     # or custom Instruction, an lw/sw access, or the int icache line it misses
     # on. An access is (instr, TCDM offset, bank), or (instr, address, None)
-    # for an L2 completion.
+    # for an L2 completion, which commit locates. A wait is a token, and
+    # _waits alone tests its condition: when the plan meets it, when the next
+    # cycle re-tests it, and when a dm_copy commits after another core filled
+    # the DMA queue.
 
-    def _plan_int(self, core, requests):
+    def _waits(self, core, wait):
+        """Whether the int pipe still waits on `wait`, counting the stall if
+        it does; any plan that is not a wait token never waits."""
         st = core.stats
-        if core.mem_stall > 0:
+        if wait is _QUEUE_FULL:
+            if len(core.fq) < FP_QUEUE_DEPTH:
+                return False
+            st.stall_queue_full += 1
+        elif wait is _MEM_WAIT:
+            if not core.mem_stall:
+                return False
             core.mem_stall -= 1
             if core.mem_stall_cause == "icache":
                 st.stall_icache += 1
             else:
                 st.stall_mem += 1
-            return "stall:mem"
+        elif wait is _FREP_WAIT:
+            if core.seq.mode is _IDLE:
+                return False
+            st.stall_frep_wait += 1
+        elif wait is _DRAIN:
+            if core.drained():
+                return False
+            st.stall_drain += 1
+        elif wait is _DMA_FULL:
+            if len(self.dma.queue) < DMA_QUEUE_DEPTH:
+                return False
+            st.stall_dma_full += 1
+        else:
+            return False
+        return True
+
+    def _plan_int(self, core, requests):
         access = core.held_access
         if access is not None:
             core.held_access = None
@@ -733,24 +747,11 @@ class ClusterSim:
         line = pc // ICACHE_LINE
         if line not in self.icache_warm:
             return line
-        if core.capture_pending > 0:
-            if instr.domain is not _FP:
-                self._fault(core, NonFpInCapture(
-                    f"'{instr.mnemonic}' inside an frep capture range"))
-            if len(core.fq) >= FP_QUEUE_DEPTH:
-                st.stall_queue_full += 1
-                return _QUEUE_FULL
-            qop = self._make_qop(core, instr)
-            qop.capture = True
-            return qop
-
-        kind = _INT_KIND.get(instr.mnemonic)
-        if kind == "fp":
-            if len(core.fq) >= FP_QUEUE_DEPTH:
-                st.stall_queue_full += 1
-                return _QUEUE_FULL
-            return self._make_qop(core, instr)
-        if kind == "mem":
+        if core.capture_pending > 0 and instr.domain is not _FP:
+            self._fault(core, NonFpInCapture(
+                f"'{instr.mnemonic}' inside an frep capture range"))
+        wait = _INT_KIND[instr.mnemonic]
+        if wait is _MEM_WAIT:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
@@ -759,24 +760,14 @@ class ClusterSim:
                 return self._plan_access(
                     core, (instr, off, off // BANK_WIDTH % TCDM_BANKS), requests)
             core.held_access = (instr, addr, None)
-            core.mem_stall = L2_LATENCY - 1
+            core.mem_stall = L2_LATENCY     # _waits counts this first cycle
             core.mem_stall_cause = "mem"
-            st.stall_mem += 1
-            return "stall:mem"
-        if kind == "frep":
-            if not core.seq.idle:
-                st.stall_frep_wait += 1
-                return _FREP_WAIT
-        elif kind == "drain":
-            if not core.drained():
-                st.stall_drain += 1
-                return _DRAIN
-        elif kind == "dm_copy":
-            if len(self.dma.queue) >= DMA_QUEUE_DEPTH:
-                st.stall_dma_full += 1
-                return _DMA_FULL
-        elif kind is None:
-            self._fault(core, f"'{instr.mnemonic}' cannot be executed here")
+        if wait is not None and self._waits(core, wait):
+            return wait
+        if wait is _QUEUE_FULL:
+            qop = self._make_qop(core, instr)
+            qop.capture = core.capture_pending > 0
+            return qop
         return instr
 
     def _plan_access(self, core, access, requests):
@@ -844,10 +835,9 @@ class ClusterSim:
             mn = instr.mnemonic
             if instr.domain is _CUSTOM:
                 # another core may have filled the DMA queue earlier this cycle
-                if mn == "dm_copy" and \
-                        len(self.dma.queue) >= DMA_QUEUE_DEPTH:
-                    core.stats.stall_dma_full += 1
-                    return "stall:dma_full"
+                if mn == "dm_copy" and self._waits(core, _DMA_FULL):
+                    core._int_plan = _DMA_FULL
+                    return _DMA_FULL
                 self._exec_custom(core, instr)
                 self._retire_int(core, instr)
                 if mn != "halt":
@@ -873,28 +863,27 @@ class ClusterSim:
                 core.capture_pending -= 1
             instr = plan.instr
         elif cls is tuple:
-            instr, where, bank = plan
+            instr, off, bank = plan
+            buf = self.mem.tcdm
             if bank is None:            # the L2 wait is over
                 try:
-                    if instr.mnemonic == "lw":
-                        state.set_x(instr.rd, self.mem.load(where, 4))
-                    else:
-                        self.mem.store(where, 4, state.x[instr.rs2])
+                    buf, off = self.mem._locate(off, 4)
                 except SimError as e:
                     self._fault(core, e)
             elif grants.get(bank) != core.int_rid:
                 core.held_access = plan
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
-            elif instr.mnemonic == "lw":
-                state.set_x(instr.rd, _WORD.unpack_from(self.mem.tcdm, where)[0])
+            if instr.mnemonic == "lw":
+                state.set_x(instr.rd, _WORD.unpack_from(buf, off)[0])
             else:
-                _WORD.pack_into(self.mem.tcdm, where, state.x[instr.rs2])
-        else:  # the icache line missed at plan time
+                _WORD.pack_into(buf, off, state.x[instr.rs2])
+        else:  # the icache line missed at plan time: the fill's first cycle
             self.icache_warm.add(plan)
             core.mem_stall = L2_LATENCY - 1
             core.mem_stall_cause = "icache"
             core.stats.stall_icache += 1
+            core._int_plan = _MEM_WAIT
             return "stall:icache"
         self._retire_int(core, instr)
         state.pc += 4
@@ -930,6 +919,11 @@ class ClusterSim:
                             raise ReconfigWhileActive(
                                 f"slot {slot.index} reconfigured while streaming")
                         slot.configure(staged)
+                        low, high = slot.footprint()
+                        if low < TCDM_BASE or high > TCDM_BASE + TCDM_SIZE:
+                            raise OutOfRangeAccess(
+                                f"stream {slot.index} footprint "
+                                f"[0x{low:x}, 0x{high:x}) outside TCDM")
             except SimError as e:
                 self._fault(core, e)
             state.ssr_enabled = True
@@ -985,24 +979,10 @@ class ClusterSim:
             core._stream_plans = (self._plan_streams(core, requests)
                                   if core.stream_map else ())
             # a wait planned last cycle re-tests only its own condition: pc,
-            # icache line, registers and memory wait are as when planned
+            # icache line, registers and held access are as when planned
             plan = core._int_plan
-            if plan is _FREP_WAIT:
-                if core.seq.mode is not _IDLE:
-                    core.stats.stall_frep_wait += 1
-                    continue
-            elif plan is _DRAIN:
-                if not core.drained():
-                    core.stats.stall_drain += 1
-                    continue
-            elif plan is _DMA_FULL:
-                if len(dma.queue) >= DMA_QUEUE_DEPTH:
-                    core.stats.stall_dma_full += 1
-                    continue
-            elif plan is _QUEUE_FULL:
-                if len(core.fq) >= FP_QUEUE_DEPTH:
-                    core.stats.stall_queue_full += 1
-                    continue
+            if plan.__class__ is str and self._waits(core, plan):
+                continue
             core._int_plan = self._plan_int(core, requests)
         dma_busy = not dma.idle
         if dma_busy:
@@ -1033,22 +1013,25 @@ class ClusterSim:
 
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
-# the int-pipe waits that _step re-tests in place of planning again
+# the int-pipe waits, each its trace event; _waits tests their conditions:
+# the L2 access or icache fill counting down, FP queue room, an idle
+# sequencer, an empty FPU and write streams, DMA queue room
+_MEM_WAIT = "stall:mem"
+_QUEUE_FULL = "stall:queue_full"
 _FREP_WAIT = "stall:frep_wait"
 _DRAIN = "stall:drain"
 _DMA_FULL = "stall:dma_full"
-_QUEUE_FULL = "stall:queue_full"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
 # scratchpad element format and store mask by width in bytes, for stream
 # elements and for the FPU's and the int pipe's loads and stores
 _ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
 _WORD = _ELEMENT[4][0]
 
-# int-pipe plan kind of each mnemonic; "drain" ops wait for the FPU and the
-# write streams to empty, dm_copy for room in the DMA queue
-_INT_KIND = {mn: "fp" for mn in FP_DECODE}
-_INT_KIND.update({mn: "alu" for mn in INT_ALU | INT_BRANCH | {"jal", "jalr"}})
-_INT_KIND.update({mn: "custom" for mn in CUSTOM_OPS})
-_INT_KIND.update(lw="mem", sw="mem", frep="frep", ssr_disable="drain",
-                 halt="drain", dm_copy="dm_copy")
+# the wait each mnemonic may meet in the int pipe, None for none: an FP op
+# waits for queue room, an lw/sw outside the TCDM for L2, frep for an idle
+# sequencer, ssr_disable and halt for a drain, dm_copy for DMA queue room
+_INT_KIND = dict.fromkeys(FP_DECODE, _QUEUE_FULL)
+_INT_KIND.update(dict.fromkeys(INT_ALU | INT_BRANCH | CUSTOM_OPS | {"jal", "jalr"}))
+_INT_KIND.update(lw=_MEM_WAIT, sw=_MEM_WAIT, frep=_FREP_WAIT,
+                 ssr_disable=_DRAIN, halt=_DRAIN, dm_copy=_DMA_FULL)
 

@@ -257,15 +257,10 @@ def build_axpy_ssr(n=256, seed=0):
 
 # ------------------------------------------------------------------ matvec
 
-def build_matvec48(n=48, seed=0, streams=True, filler_ints=0):
-    """y = A @ x, rows unrolled by four; the stream variant is the
-    16-instruction loop whose replay covers 192 of every 204 FPU slots.
-
-    The x vector is padded one bank past A so its prefetcher trails A's
-    bank walk instead of colliding with it. `filler_ints` injects that many
-    independent integer adds after the captured body to demonstrate
-    integer-pipeline progress during replay.
-    """
+def _matvec48(n, seed):
+    """The layout, data and checker both matvec variants share: A at the
+    scratchpad base, x padded one bank past A so its prefetcher trails A's
+    bank walk instead of colliding with it, then y."""
     if n % 4 or n < 8:
         raise ValueError("n must be a multiple of 4, at least 8")
     aa = TCDM_BASE
@@ -278,58 +273,61 @@ def build_matvec48(n=48, seed=0, streams=True, filler_ints=0):
     x = _rand_doubles(rng, n)
     ref = matvec_reference(rows, x)
 
-    if not streams:
-        lines = ["start:", f"  li t0, {ya}"]
-        for r0 in range(0, n, 4):
-            for r in range(4):
-                lines.append(f"  fmv.d.x ft{3 + r}, zero")
-            for k in range(n):
-                for r in range(4):
-                    lines += [f"  fld ft0, {aa + 8 * (n * (r0 + r) + k)}(zero)",
-                              f"  fld ft1, {xa + 8 * k}(zero)",
-                              f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}"]
-            for r in range(4):
-                lines.append(f"  fsd ft{3 + r}, {ya + 8 * (r0 + r)}(zero)")
-        lines.append("  halt")
-        prog = assemble("\n".join(lines))
-        name = "matvec48_baseline"
-        watch = None
-    else:
-        row = 8 * n
-        lines = (["start:"]
-                 + _stream_cfg(0, aa, [(row, 4), (8, n), (4 * row, n // 4)])
-                 + _stream_cfg(1, xa, [(0, 4), (8, n), (0, n // 4)])
-                 + ["  ssr_enable",
-                    f"  li t0, {ya}",
-                    "  li t1, 0",
-                    f"  li t2, {n}",
-                    f"  li t3, {n // 4}",
-                    "loop:"]
-                 + [f"  fmv.d.x ft{3 + r}, zero" for r in range(4)]
-                 + ["  frep t2, 4"]
-                 + [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
-                 + ["  addi t4, t4, 1"] * filler_ints
-                 + [f"  fsd ft{3 + r}, {8 * r}(t0)" for r in range(4)]
-                 + ["  addi t0, t0, 32",
-                    "  addi t1, t1, 1",
-                    "loop_end: bltu t1, t3, loop",
-                    "  ssr_disable",
-                    "  halt"])
-        prog = assemble("\n".join(lines))
-        name = "matvec48_ssr_frep"
-        watch = "loop_end"
-
     def check(sim):
         _expect(sim, ya, ref, "matvec y")
 
-    return KernelInstance(name, prog, n=n, flops=2 * n * n, check=check,
-                          watch_label=watch,
-                          data=[(aa, _pack([v for r in rows for v in r])),
-                                (xa, _pack(x))])
+    data = [(aa, _pack([v for r in rows for v in r])), (xa, _pack(x))]
+    return aa, xa, ya, data, check
 
 
 def build_matvec48_baseline(n=48, seed=0):
-    return build_matvec48(n=n, seed=seed, streams=False)
+    """y = A @ x, rows unrolled by four, with explicit loads."""
+    aa, xa, ya, data, check = _matvec48(n, seed)
+    lines = ["start:", f"  li t0, {ya}"]
+    for r0 in range(0, n, 4):
+        for r in range(4):
+            lines.append(f"  fmv.d.x ft{3 + r}, zero")
+        for k in range(n):
+            for r in range(4):
+                lines += [f"  fld ft0, {aa + 8 * (n * (r0 + r) + k)}(zero)",
+                          f"  fld ft1, {xa + 8 * k}(zero)",
+                          f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}"]
+        for r in range(4):
+            lines.append(f"  fsd ft{3 + r}, {ya + 8 * (r0 + r)}(zero)")
+    lines.append("  halt")
+    return KernelInstance("matvec48_baseline", assemble("\n".join(lines)),
+                          n=n, flops=2 * n * n, check=check, data=data)
+
+
+def build_matvec48_ssr_frep(n=48, seed=0, filler_ints=0):
+    """y = A @ x, rows unrolled by four: the 16-instruction loop whose
+    replay covers 192 of every 204 FPU slots. `filler_ints` injects that
+    many independent integer adds after the captured body to demonstrate
+    integer-pipeline progress during replay."""
+    aa, xa, ya, data, check = _matvec48(n, seed)
+    row = 8 * n
+    lines = (["start:"]
+             + _stream_cfg(0, aa, [(row, 4), (8, n), (4 * row, n // 4)])
+             + _stream_cfg(1, xa, [(0, 4), (8, n), (0, n // 4)])
+             + ["  ssr_enable",
+                f"  li t0, {ya}",
+                "  li t1, 0",
+                f"  li t2, {n}",
+                f"  li t3, {n // 4}",
+                "loop:"]
+             + [f"  fmv.d.x ft{3 + r}, zero" for r in range(4)]
+             + ["  frep t2, 4"]
+             + [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
+             + ["  addi t4, t4, 1"] * filler_ints
+             + [f"  fsd ft{3 + r}, {8 * r}(t0)" for r in range(4)]
+             + ["  addi t0, t0, 32",
+                "  addi t1, t1, 1",
+                "loop_end: bltu t1, t3, loop",
+                "  ssr_disable",
+                "  halt"])
+    return KernelInstance("matvec48_ssr_frep", assemble("\n".join(lines)),
+                          n=n, flops=2 * n * n, check=check, data=data,
+                          watch_label="loop_end")
 
 
 # ------------------------------------------------------------------ matmul
@@ -430,16 +428,20 @@ def build_matmul_ssr_frep(n=32, seed=0):
 
 # ------------------------------------------------------------------ DMA stream
 
-def build_dma_stream(n=32768, seed=0, chunk=4096):
-    """Stream n bytes from L2 into the scratchpad through the DMA engine."""
-    if n % chunk or n < chunk:
-        raise ValueError(f"n must be a positive multiple of {chunk}")
+_DMA_CHUNK = 4096       # bytes per descriptor
+
+
+def build_dma_stream(n=32768, seed=0):
+    """Stream n bytes from L2 into the scratchpad through the DMA engine,
+    one descriptor per 4 KiB chunk."""
+    if n % _DMA_CHUNK or n < _DMA_CHUNK:
+        raise ValueError(f"n must be a positive multiple of {_DMA_CHUNK}")
     if n > TCDM_SIZE:
         raise ValueError("n exceeds the scratchpad")
     rng = random.Random(seed)
     payload = bytes(rng.getrandbits(8) for _ in range(n))
-    lines = ["start:", f"  li t2, {chunk}"]
-    for off in range(0, n, chunk):
+    lines = ["start:", f"  li t2, {_DMA_CHUNK}"]
+    for off in range(0, n, _DMA_CHUNK):
         lines += [f"  li t0, {L2_BASE + off}",
                   "  dm_src t0",
                   f"  li t1, {TCDM_BASE + off}",
@@ -495,7 +497,7 @@ KERNELS = {
     "dot_ssr_frep": (build_dot_ssr_frep, "dot product, streams plus replay", 256),
     "axpy_ssr": (build_axpy_ssr, "y = a*x + y with a write stream", 256),
     "matvec48_baseline": (build_matvec48_baseline, "matrix-vector, explicit loads", 48),
-    "matvec48_ssr_frep": (build_matvec48, "matrix-vector, the 16-instruction loop", 48),
+    "matvec48_ssr_frep": (build_matvec48_ssr_frep, "matrix-vector, the 16-instruction loop", 48),
     "matmul_ssr_frep": (build_matmul_ssr_frep, "blocked matmul on all cores", 32),
     "dma_stream": (build_dma_stream, "bulk L2 to scratchpad copy via DMA", 32768),
     "tcdm_unit_stride": (build_tcdm_unit_stride, "8-core conflict-free bank walk", 128),

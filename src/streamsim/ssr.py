@@ -83,6 +83,19 @@ class StreamSlot:
         self.idx = [0] * ndims
         self.steps = steps
 
+    def footprint(self):
+        """The [low, high) bytes the elements of a just-configured stream
+        cover, `addr` still at its base: per dimension, the odometer reaches
+        stride * (bound - 1) from it, up or down."""
+        low = high = self.addr
+        for stride, bound in self.steps:
+            reach = stride * (bound - 1)
+            if reach < 0:
+                low += reach
+            else:
+                high += reach
+        return low, high + self.width
+
     def advance(self):
         """Step the odometer to the next element, moving `addr` by one
         stride per dimension that turns over or steps."""

@@ -187,6 +187,14 @@ def test_filler_ints_plumbing():
     assert res.stats.fma_executed == res0.stats.fma_executed
 
 
+def test_each_matvec_variant_has_its_own_builder():
+    # the stream variant no longer builds the baseline on request
+    with pytest.raises(TypeError):
+        kernels.build("matvec48_ssr_frep", streams=False)
+    with pytest.raises(TypeError):
+        kernels.build("dma_stream", chunk=1024)
+
+
 def test_watch_label_resolves():
     inst = kernels.build("matvec48_ssr_frep")
     pcs = inst.watch_pcs()

@@ -128,7 +128,8 @@ def test_read_slot_fifo():
     slot = make_slot(0, fields(base, [(8, 6)]))
     sim, core = streaming_core(slot)
     for k in range(6):
-        sim.mem.store(base + 8 * k, 8, base + 8 * k)  # the address as the data
+        # the address as the data
+        sim.mem.write(base + 8 * k, (base + 8 * k).to_bytes(8, "little"))
     # the slot prefetches one element per cycle until the fifo fills
     got = [stream_cycle(sim, core) for _ in range(4)]
     assert got == [[base], [base + 0x8], [base + 0x10], [base + 0x18]]
@@ -161,7 +162,8 @@ def test_write_slot_drain_order():
         slot.push(44)  # the stream has three elements
     drained = [stream_cycle(sim, core) for _ in range(4)]
     assert drained == [[base], [base + 0x10], [base + 0x20], []]
-    assert [sim.mem.load(base + 16 * k, 8) for k in range(3)] == vals
+    assert [int.from_bytes(sim.mem.read(base + 16 * k, 8), "little")
+            for k in range(3)] == vals
     assert not slot.write_buf
 
 
