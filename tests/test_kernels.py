@@ -187,8 +187,8 @@ def test_filler_ints_plumbing():
     assert res.stats.fma_executed == res0.stats.fma_executed
 
 
-def test_each_matvec_variant_has_its_own_builder():
-    # the stream variant no longer builds the baseline on request
+def test_builders_take_no_unused_options():
+    # each matvec variant has its own builder, and dma_stream's chunk is fixed
     with pytest.raises(TypeError):
         kernels.build("matvec48_ssr_frep", streams=False)
     with pytest.raises(TypeError):
