@@ -1,6 +1,7 @@
 """Frozen SHA-256 digests of every corpus kernel's stats and trace text, of
 hand-written programs that reach the stall and DMA paths no kernel reaches,
-and of every assembled program.
+and of every assembled program; and the decoded form or error message of
+statements written in styles the corpus does not use.
 
 A refactor of the simulator must not move a single simulated cycle, so each
 kernel's `stats_lines` output and its `run(trace=True)` text are compared
@@ -25,11 +26,14 @@ import pytest
 
 from streamsim import kernels
 from streamsim.asm import assemble
+from streamsim.errors import SimError
+from streamsim.isa import decode
 from streamsim.cluster import (DMA_BUS_WIDTH, L2_BASE, N_CORES, TCDM_BASE,
                                ClusterSim, CoreStats, stats_lines)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
+GOLDEN_DECODE = GOLDEN.with_name("decode.json")
 
 # case name -> (kernel, run_kernel keyword arguments); every kernel at its
 # default n and seed 0, plus the icache-miss path, which no kernel reaches
@@ -187,6 +191,141 @@ PROGRAMS.update({"dot_baseline n=4096": ("dot_baseline", 4096),
                  "matvec48_baseline n=96": ("matvec48_baseline", 96)})
 
 
+# statements whose decoded `repr` is frozen: whitespace and comment styles
+# the corpus never writes, pseudo-instructions and label offsets, every
+# custom op without operands, both ssr_cfg_write operand forms, .s and .d
+DECODE_LABELS = {"loop": 0x40, "loop.2": 0x48, "buf": TCDM_BASE + 0x100}
+DECODE_STATEMENTS = [
+    "addi\tt0,\tt1,\t-3",
+    "addi   t0 ,  t1 ,   -3",
+    "  fld ft0,   8(t0)   # load x",
+    "fmadd.d\tft3,ft0,ft1,ft3\t# acc",
+    "sw t2, -4(sp)#no space",
+    "lw t0,0x10(a0)",
+    "lw t0, \u0663(t1)",
+    "bne t3, zero, loop  # back",
+    "jalr ra, 0(t0)",
+    "jal ra, loop.2",
+    "lui t0, 0x10",
+    "auipc t0, 1",
+    "slli t1, a0, 11",
+    "add x5, x0, fp",
+    "sub s11, t6, a7",
+    "beq a0, a1, 8",
+    "blt a0, a1, loop-8",
+    "bltu t1, t2, loop",
+    "nop",
+    "nop # idle",
+    "mv a0, t1",
+    "j loop",
+    "j 64",
+    "j loop+4",
+    "li t0, buf+4",
+    "li t0, buf-8",
+    "li a0, 0x80000000",
+    "li t0, -1",
+    "halt",
+    "halt # done",
+    "ssr_enable",
+    "ssr_disable",
+    "ssr_cfg_write 0, base, t0",
+    "ssr_cfg_write 1, stride0, 264",
+    "ssr_cfg_write 2, bound3, buf+8",
+    "ssr_cfg_write\t0,dir,1",
+    "ssr_cfg_read a0, 2, width",
+    "frep t0, 4",
+    "dm_src t0",
+    "dm_dst t1",
+    "dm_copy t2",
+    "dm_poll t3",
+    "fld ft0, 8(t0)",
+    "flw ft0, 4(a0)",
+    "fsd ft1, -8(a0)",
+    "fsw ft1, 8(a0)",
+    "fmadd.d fa0, fa1, fa2, fa3",
+    "fmsub.d f0, f1, f2, f31",
+    "fmadd.s fa0, fa1, fa2, fa3",
+    "fmsub.s ft8, ft9, ft10, ft11",
+    "fadd.d fs0, fs1, fs2",
+    "fsub.d fs0, fs1, fs2",
+    "fmul.d fs0, fs1, fs2",
+    "fadd.s fs0, fs1, fs2",
+    "fsub.s fs0, fs1, fs2",
+    "fmul.s fs0, fs1, fs2",
+    "fmv.d ft2, ft3",
+    "fmv.d.x ft3, zero",
+]
+# malformed statements whose exception type and message are frozen
+DECODE_ERRORS = [
+    "",
+    "  # only a comment",
+    "FLD ft0, 0(t0)",
+    "halt\tt0",
+    "addi t0 t1, 3",
+    "addi t0,, 3",
+    "fld ft0, 8 (t0)",
+    "fld ft0, 8(t0 )",
+    "lw t0, (t1)",
+    "lw t0, 4(t1",
+    "lw t0, -(t1)",
+    "sw t0, 4+4(t1)",
+    "fld ft0, 4(t1)(t2)",
+    "lw t0, 4(ft1)",
+    "lw t0, x1(t1)",
+    "fld ft0, 0x(t0)",
+    "li t0, nowhere",
+    "li t0, t1",
+    "j loop+",
+    "frep t0, 0",
+    "slli t0, t0, -1",
+    "ssr_cfg_write 0, nosuch, 1",
+    "ssr_cfg_write 0, base, ft0",
+]
+
+
+# an assembly source in the whitespace, comment and label styles the corpus
+# does not use; its assembled listing is frozen
+LAYOUT_SOURCE = (
+    "# header comment\r\n"
+    "\t.global main\n"
+    "\n"
+    "skip:\n"
+    "main:\tli t0, buf   # pointer\n"
+    "  \t\n"
+    "loop: lw t1, 0(t0)\n"
+    "\tlw\tt2,4(t0)\n"
+    "  lw t1, 0(t0)  \n"
+    "end_:  # label and comment only\n"
+    "\tbne t1, t2, loop#tight\n"
+    "\tj\tend_\n"
+    "  .data\n"
+    "buf:\t.word 7\n"
+    "\t.word loop+4 # symbolic\n"
+    "pad: .space 3\n"
+    "val:  .double -1.5\n"
+    "\t.text\n"
+    "tail: halt\n")
+
+
+def listing(prog):
+    """Every instruction's `repr` by address, the data segments, the labels
+    in definition order and the entry point of an assembled program."""
+    lines = [f"{a:#x} {prog.instructions[a]!r}" for a in sorted(prog.instructions)]
+    lines += [f"data {a:#x} {blob.hex()}" for a, blob in prog.data_segments]
+    lines += [f"label {name} {a:#x}" for name, a in prog.labels.items()]
+    lines.append(f"entry {prog.entry:#x}")
+    return lines
+
+
+def decoded(stmt):
+    """The `repr` of a statement's Instruction, or its error's type and
+    message."""
+    try:
+        return repr(decode(stmt, DECODE_LABELS))
+    except SimError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 def _sha256(lines):
     return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
@@ -231,12 +370,7 @@ def program_digest(case):
     """Digest of the `repr` of every instruction by address, the data
     segments, the labels in definition order and the entry point."""
     kernel, n = PROGRAMS[case]
-    prog = kernels.build(kernel, n=n).program
-    lines = [f"{a:#x} {prog.instructions[a]!r}" for a in sorted(prog.instructions)]
-    lines += [f"data {a:#x} {blob.hex()}" for a, blob in prog.data_segments]
-    lines += [f"label {name} {a:#x}" for name, a in prog.labels.items()]
-    lines.append(f"entry {prog.entry:#x}")
-    return _sha256(lines)
+    return _sha256(listing(kernels.build(kernel, n=n).program))
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +440,24 @@ def test_golden_programs(case):
     assert program_digest(case) == want, "assembled program moved"
 
 
+def test_golden_decode():
+    want = json.loads(GOLDEN_DECODE.read_text())
+    got = {stmt: decoded(stmt) for stmt in DECODE_STATEMENTS}
+    assert got == want["decode"], "decoded fields moved"
+
+
+def test_golden_decode_errors():
+    want = json.loads(GOLDEN_DECODE.read_text())
+    got = {stmt: decoded(stmt) for stmt in DECODE_ERRORS}
+    assert all(not v.startswith("Instruction(") for v in got.values())
+    assert got == want["errors"], "error messages moved"
+
+
+def test_golden_layout():
+    want = json.loads(GOLDEN_DECODE.read_text())["layout"]
+    assert listing(assemble(LAYOUT_SOURCE)) == want, "assembled listing moved"
+
+
 if __name__ == "__main__":
     frozen = {}
     for case in sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS):
@@ -316,4 +468,9 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(frozen, indent=2, sort_keys=True) + "\n")
     programs = {case: program_digest(case) for case in sorted(PROGRAMS)}
     GOLDEN_PROGRAMS.write_text(json.dumps(programs, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} and {GOLDEN_PROGRAMS}")
+    GOLDEN_DECODE.write_text(json.dumps(
+        {"decode": {stmt: decoded(stmt) for stmt in DECODE_STATEMENTS},
+         "errors": {stmt: decoded(stmt) for stmt in DECODE_ERRORS},
+         "layout": listing(assemble(LAYOUT_SOURCE))},
+        indent=2, ensure_ascii=False) + "\n")
+    print(f"wrote {GOLDEN}, {GOLDEN_PROGRAMS} and {GOLDEN_DECODE}")
