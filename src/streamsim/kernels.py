@@ -128,6 +128,8 @@ def _dot_layout(n):
     x = TCDM_BASE
     y = x + 8 * n + 8        # 8-byte pad keeps y's stream one bank behind x's
     r = y + 8 * n + 8
+    if r + 8 > TCDM_END:
+        raise ValueError("n too large for the scratchpad layout")
     return x, y, r
 
 
@@ -439,7 +441,10 @@ def build_dma_stream(n=32768, seed=0):
     if n > TCDM_SIZE:
         raise ValueError("n exceeds the scratchpad")
     rng = random.Random(seed)
-    payload = bytes(rng.getrandbits(8) for _ in range(n))
+    # byte k is the top byte of the generator's k-th 32-bit output, as
+    # getrandbits(8) draws it; made one descriptor chunk at a time
+    payload = b"".join(rng.randbytes(4 * _DMA_CHUNK)[3::4]
+                       for _ in range(n // _DMA_CHUNK))
     lines = ["start:", f"  li t2, {_DMA_CHUNK}"]
     for off in range(0, n, _DMA_CHUNK):
         lines += [f"  li t0, {L2_BASE + off}",
@@ -467,6 +472,9 @@ def build_dma_stream(n=32768, seed=0):
 def _tcdm_probe(name, shift, stride, accesses=128):
     """All cores issue `accesses` back-to-back loads with the given per-core
     base shift and per-access stride (bytes)."""
+    last = TCDM_BASE + ((N_CORES - 1) << shift) + stride * (accesses - 1)
+    if last + 4 > TCDM_END:
+        raise ValueError("n too large for the scratchpad layout")
     lines = ["start:",
              f"  li t0, {TCDM_BASE}",
              f"  slli t1, a0, {shift}",

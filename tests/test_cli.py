@@ -2,7 +2,9 @@
 
 import pytest
 
-from streamsim import cli
+from streamsim import cli, kernels
+from streamsim.asm import assemble
+from streamsim.cluster import N_CORES, TCDM_BASE, TCDM_SIZE
 
 
 def run_cli(*argv):
@@ -150,6 +152,17 @@ def test_exit_bad_size_is_config(capsys):
     assert "error: ConfigError:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel, n", [
+    ("dot_baseline", 100000), ("dot_ssr", 100000), ("dot_ssr_frep", 100000),
+    ("dot_baseline", 8192), ("tcdm_unit_stride", 100000),
+    ("tcdm_same_bank", 457)])
+def test_exit_oversized_n_is_config(capsys, kernel, n):
+    # refused when the kernel is built, before anything is assembled or run
+    assert run_cli("run", kernel, "--n", str(n)) == 7
+    assert capsys.readouterr().err == (
+        "error: ConfigError: n too large for the scratchpad layout\n")
+
+
 def test_exit_bad_kwarg_is_config(capsys):
     assert run_cli("run", "dot_baseline", "--filler", "5") == 7
     assert "error: ConfigError:" in capsys.readouterr().err
@@ -160,8 +173,16 @@ def test_exit_cycle_limit(capsys):
     assert "error: CycleLimitExceeded:" in capsys.readouterr().err
 
 
-def test_exit_fault_outside_memory(capsys):
-    assert run_cli("run", "tcdm_same_bank", "--n", "460") == 5
+def test_exit_fault_outside_memory(capsys, monkeypatch):
+    # every corpus kernel refuses an n its layout cannot hold, so a kernel
+    # whose core 7 loads just past the scratchpad stands in for one
+    def build_past_end(n, seed):
+        source = (f"li t0, 7\nbne a0, t0, done\nli t1, {TCDM_BASE + TCDM_SIZE}\n"
+                  "lw t2, 0(t1)\ndone: halt")
+        return kernels.KernelInstance("past_end", assemble(source),
+                                      active_cores=N_CORES)
+    monkeypatch.setitem(kernels.KERNELS, "past_end", (build_past_end, "", 1))
+    assert run_cli("run", "past_end") == 5
     err = capsys.readouterr().err
     assert err.startswith("error: SimulationFault:") and "core 7" in err
 

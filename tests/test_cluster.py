@@ -628,15 +628,17 @@ def test_fault_misaligned_fld_and_non_tcdm():
 
 
 def test_fault_lw_outside_memory_has_context():
-    # the last loads of core 7 run past the end of the TCDM; outside the
-    # TCDM they take the L2 path and fault when the access completes
-    inst = kernels.build("tcdm_same_bank", n=460)
+    # tcdm_same_bank's walk at an n its builder refuses: the last loads of
+    # core 7 run past the end of the TCDM; outside the TCDM they take the L2
+    # path and fault when the access completes
+    src = "\n".join([f"li t0, {TCDM_BASE}", "slli t1, a0, 11", "add t0, t0, t1"]
+                    + [f"lw t2, {256 * j}(t0)" for j in range(460)] + ["halt"])
     with pytest.raises(SimulationFault) as ei:
-        kernels.run_kernel(inst)
+        run_source(src, cores=N_CORES)
     f = ei.value
     assert isinstance(f.__cause__, OutOfRangeAccess)
     assert f.core == 7 and f.pc is not None and f.cycle is not None
-    assert inst.program.instructions[f.pc].mnemonic == "lw"
+    assert assemble(src).instructions[f.pc].mnemonic == "lw"
     assert "outside TCDM and L2" in str(f)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from streamsim import kernels
 from streamsim.asm import DATA_BASE
-from streamsim.cluster import BANK_WIDTH, TCDM_BANKS, TCDM_BASE
+from streamsim.cluster import BANK_WIDTH, L2_BASE, TCDM_BANKS, TCDM_BASE
 from streamsim.kernels import (axpy_reference, dot_reference, matmul_reference,
                                matvec_reference)
 
@@ -193,6 +193,24 @@ def test_builders_take_no_unused_options():
         kernels.build("matvec48_ssr_frep", streams=False)
     with pytest.raises(TypeError):
         kernels.build("dma_stream", chunk=1024)
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+@pytest.mark.parametrize("n", [4096, 131072])
+def test_dma_payload_matches_bytewise_draw(seed, n):
+    # the payload as it was once drawn, a byte at a time
+    rng = random.Random(seed)
+    want = bytes(rng.getrandbits(8) for _ in range(n))
+    assert kernels.build("dma_stream", n=n, seed=seed).data == [(L2_BASE, want)]
+
+
+def test_largest_probe_n_builds():
+    # the last lw of the last core ends at the scratchpad end or before it
+    kernels.build("tcdm_same_bank", n=456)
+    kernels.build("tcdm_unit_stride", n=2048)
+    for name, n in (("tcdm_same_bank", 457), ("tcdm_unit_stride", 2049)):
+        with pytest.raises(ValueError, match="n too large"):
+            kernels.build(name, n=n)
 
 
 def test_watch_label_resolves():
