@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError, MissingEnergyData
 
 FLOPS_PER_FMA = 2
@@ -233,6 +231,10 @@ class SystemModel:
 
 
 def load_system(path=None) -> SystemModel:
+    # imported here, not with the package, so that a simulation run never
+    # pays for importing the YAML parser
+    import yaml
+
     path = Path(path) if path is not None else DEFAULT_SYSTEM_YAML
     try:
         raw = yaml.safe_load(path.read_text())

@@ -5,10 +5,15 @@ Expected numbers are worked out from the topology by hand:
 256 GB/s (1.024 TB/s root), interconnect uplinks 32/64/128/256 GB/s.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamsim
 from streamsim.errors import ConfigError, MissingEnergyData
 from streamsim.system import (FLOPS_PER_FMA, HierarchyTree, Level,
                               OperatingPoint, RooflineParams, SystemModel,
@@ -203,6 +208,15 @@ def test_load_workloads_defaults():
     assert [w.intensity for w in ws] == [0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
                                          16.0, 32.0, 64.0]
     assert all(w.kind is None for w in ws)
+
+
+def test_package_import_leaves_yaml_out():
+    # only load_system imports the YAML parser
+    code = ("import sys, streamsim; assert 'yaml' not in sys.modules; "
+            "streamsim.load_system(); assert 'yaml' in sys.modules")
+    src = str(Path(streamsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_loader_errors(tmp_path):
