@@ -42,42 +42,42 @@ def _parse_int(tok):
 def assemble(source: str) -> AsmProgram:
     # layout: bind labels, place directives and emit their bytes
     labels = {}
-    section = "text"
-    cursors = {"text": TEXT_BASE, "data": DATA_BASE}
+    in_text = True
+    here = DATA_BASE  # the data cursor
     entry_sym = None
     data = {}     # addr -> bytes
-    # instructions sit back to back from TEXT_BASE, so their addresses
-    # need not be stored
+    # instructions sit back to back from TEXT_BASE, so the count of those
+    # seen so far gives the next one's address
     texts = []        # statement of each instruction
     first_line = {}   # each distinct statement -> the line it first appears on
     words = []        # (line, addr, symbol) of each symbolic .word
-    for no, raw in enumerate(source.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
+    for no, stmt in enumerate(source.splitlines(), start=1):
+        if "#" in stmt:
+            stmt = stmt.split("#", 1)[0]
+        stmt = stmt.strip()
         if not stmt:
             continue
         label = None
-        m = ":" in stmt and _LABEL_RE.match(stmt)
-        if m:
+        if ":" in stmt and (m := _LABEL_RE.match(stmt)):
             label, stmt = m.group(1), m.group(2).strip()
             if label in labels:
                 raise DuplicateLabel(f"line {no}: label '{label}' redefined")
-            labels[label] = cursors[section]
+            labels[label] = TEXT_BASE + 4 * len(texts) if in_text else here
             if not stmt:
                 continue
-        if not stmt.startswith("."):
-            if section != "text":
+        if stmt[0] != ".":
+            if not in_text:
                 raise ParseError(f"line {no}: instruction outside .text")
             texts.append(stmt)
             first_line.setdefault(stmt, no)
-            cursors["text"] += 4
             continue
         parts = stmt.split(None, 1)
         d = parts[0]
         arg = parts[1].strip() if len(parts) == 2 else ""
         if d == ".text":
-            section = "text"
+            in_text = True
         elif d == ".data":
-            section = "data"
+            in_text = False
         elif d == ".global":
             if not arg:
                 raise ParseError(f"line {no}: .global needs a symbol")
@@ -85,7 +85,7 @@ def assemble(source: str) -> AsmProgram:
                 entry_sym = arg
         elif d not in (".word", ".double", ".space"):
             raise ParseError(f"line {no}: unknown directive '{d}'")
-        elif section != "data":
+        elif in_text:
             raise ParseError(f"line {no}: {d} outside .data")
         elif d == ".space":
             try:
@@ -94,13 +94,13 @@ def assemble(source: str) -> AsmProgram:
                 raise ParseError(f"line {no}: .space needs a byte count")
             if n < 0:
                 raise ParseError(f"line {no}: .space count {n} is negative")
-            _check_fits(no, d, cursors["data"] + n)
-            data[cursors["data"]] = bytes(n)
-            cursors["data"] += n
+            _check_fits(no, d, here + n)
+            data[here] = bytes(n)
+            here += n
         elif d == ".word":
             if not arg:
                 raise ParseError(f"line {no}: .word needs a value")
-            addr = _aligned(cursors["data"], 4)
+            addr = _aligned(here, 4)
             _check_fits(no, d, addr + 4)
             try:
                 v = _parse_int(arg)
@@ -110,9 +110,9 @@ def assemble(source: str) -> AsmProgram:
             data[addr] = (v & 0xFFFFFFFF).to_bytes(4, "little")
             if label is not None:
                 labels[label] = addr
-            cursors["data"] = addr + 4
+            here = addr + 4
         else:  # .double
-            addr = _aligned(cursors["data"], 8)
+            addr = _aligned(here, 8)
             _check_fits(no, d, addr + 8)
             try:
                 data[addr] = struct.pack("<d", float(arg))
@@ -120,11 +120,11 @@ def assemble(source: str) -> AsmProgram:
                 raise ParseError(f"line {no}: .double needs a number")
             if label is not None:
                 labels[label] = addr
-            cursors["data"] = addr + 8
+            here = addr + 8
 
     # resolve: decode each distinct statement once, in the order of first
     # appearance, so an error names the first line that holds it; identical
-    # statements share one frozen Instruction. Then fill symbolic words.
+    # statements share one Instruction. Then fill symbolic words.
     decoded = {}
     for stmt, no in first_line.items():
         try:
@@ -133,7 +133,7 @@ def assemble(source: str) -> AsmProgram:
             raise UnresolvedLabel(f"line {no}: {e}") from None
         except SimError as e:
             raise ParseError(f"line {no}: {e}") from e
-    instructions = dict(zip(range(TEXT_BASE, cursors["text"], 4),
+    instructions = dict(zip(range(TEXT_BASE, TEXT_BASE + 4 * len(texts), 4),
                             map(decoded.__getitem__, texts)))
     for no, addr, tok in words:
         m = SYM_RE.match(tok)

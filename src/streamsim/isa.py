@@ -7,7 +7,7 @@ which decode reads from the assembler's label table.
 """
 
 import re
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields as dfields
 from enum import Enum
 
 from .errors import MalformedOperands, UnresolvedLabel, UnsupportedInstruction
@@ -62,12 +62,13 @@ XREGS = _build_xregs()
 FREGS = _build_fregs()
 
 SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")   # label, label+4, label-8
-_MEM_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Instruction:
+    """One decoded statement. The statements of a program that read alike
+    share one record, so nothing changes a record after decode."""
     mnemonic: str
     domain: Domain
     rd: int | None = None
@@ -84,27 +85,34 @@ class Instruction:
         return self.text or self.mnemonic
 
 
-# Operand kinds. Each parses one operand token into the fields dict `f`; the
-# two label-reading kinds return the token's resolved text, others None.
+# position of each Instruction field in its constructor's arguments
+_AT = {f.name: i for i, f in enumerate(dfields(Instruction))}
+_RS1, _IMM, _N_INSTR, _TEXT = (_AT[name] for name in ("rs1", "imm", "n_instr",
+                                                     "text"))
 
-def _xreg(f, name, tok, labels):
+
+# Operand kinds. Each parses one operand token into the field values `v` at
+# position `i`; the two label-reading kinds return the token's resolved
+# text, others None.
+
+def _xreg(v, i, tok, labels):
     try:
-        f[name] = XREGS[tok]
+        v[i] = XREGS[tok]
     except KeyError:
         raise MalformedOperands(f"expected integer register, got '{tok}'") from None
 
 
-def _freg(f, name, tok, labels):
+def _freg(v, i, tok, labels):
     try:
-        f[name] = FREGS[tok]
+        v[i] = FREGS[tok]
     except KeyError:
         raise MalformedOperands(f"expected FP register, got '{tok}'") from None
 
 
-def _in_range(v):
-    if not -(1 << 31) <= v < (1 << 32):
-        raise MalformedOperands(f"immediate {v} out of 32-bit range")
-    return v
+def _in_range(n):
+    if not -(1 << 31) <= n < (1 << 32):
+        raise MalformedOperands(f"immediate {n} out of 32-bit range")
+    return n
 
 
 def _int(tok):
@@ -114,58 +122,66 @@ def _int(tok):
         raise MalformedOperands(f"expected immediate, got '{tok}'") from None
 
 
-def _imm(f, name, tok, labels):
+def _imm(v, i, tok, labels):
     """An immediate, or a label with an optional +/- offset."""
     m = SYM_RE.match(tok)
     if m is None or m.group(1) in _RESERVED:
-        f[name] = _int(tok)
+        v[i] = _int(tok)
         return None
     try:
-        v = labels[m.group(1)]
+        n = labels[m.group(1)]
     except KeyError:
         raise UnresolvedLabel(f"unknown symbol '{m.group(1)}'") from None
-    f[name] = v = _in_range(v + int(m.group(2) or 0))
-    return str(v)
+    v[i] = n = _in_range(n + int(m.group(2) or 0))
+    return str(n)
 
 
-def _mem(f, name, tok, labels):
-    """imm(reg): sets imm and rs1."""
-    m = _MEM_RE.match(tok)
-    if m is None:
+def _mem(v, i, tok, labels):
+    """imm(reg), each part word characters and the immediate optionally
+    negative: sets imm and rs1."""
+    imm, _, reg = tok.partition("(")
+    reg = reg[:-1] if reg[-1:] == ")" else ""
+    if not (imm.removeprefix("-").replace("_", "0").isalnum()
+            and reg.replace("_", "0").isalnum()):
         raise MalformedOperands(f"expected imm(reg), got '{tok}'")
-    f["imm"] = _int(m.group(1))
-    _xreg(f, "rs1", m.group(2), labels)
+    v[_IMM] = _int(imm)
+    _xreg(v, _RS1, reg, labels)
 
 
-def _ssr_field(f, name, tok, labels):
+def _ssr_field(v, i, tok, labels):
     if tok not in SSR_FIELDS:
         raise MalformedOperands(f"unknown stream field '{tok}'")
-    f[name] = tok
+    v[i] = tok
 
 
-def _reg_or_imm(f, name, tok, labels):
+def _reg_or_imm(v, i, tok, labels):
     """An integer register into rs1, else an immediate or label into imm."""
     if tok in XREGS:
-        f["rs1"] = XREGS[tok]
+        v[_RS1] = XREGS[tok]
         return None
-    return _imm(f, "imm", tok, labels)
+    return _imm(v, _IMM, tok, labels)
 
 
 _KINDS = {"x": _xreg, "f": _freg, "i": _imm, "m": _mem, "s": _ssr_field,
           "r": _reg_or_imm}
 
-# mnemonic -> (canonical mnemonic, domain, fixed fields, ((field, kind), ...))
+# mnemonic -> (canonical mnemonic, the Instruction's field values before its
+# operands are parsed, ((field position, kind), ...))
 _FORMATS = {}
 
 
 def _format(mnemonics, operands, domain=Domain.INT, canon=None, **fixed):
     """Add mnemonics whose operands are written "field:kind ..."."""
-    ops = tuple((name, _KINDS[kind]) for name, kind in
+    ops = tuple((_AT.get(name), _KINDS[kind]) for name, kind in
                 (op.split(":") for op in operands.split()))
     if isinstance(mnemonics, str):
         mnemonics = mnemonics.split()
     for mn in mnemonics:
-        _FORMATS[mn] = (canon or mn, domain, fixed, ops)
+        values = [None] * len(_AT)
+        values[:2] = canon or mn, domain
+        for name, value in fixed.items():
+            values[_AT[name]] = value
+        _FORMATS[mn] = (canon or mn, tuple(values), ops)
 
 
 # pseudo-instructions expand to their canonical forms
@@ -204,38 +220,41 @@ def decode(text: str, labels=None) -> Instruction:
     The instruction's text is the statement with its operands joined by ", "
     and each label operand replaced by its value.
     """
-    stmt = text.split("#", 1)[0].strip()
-    if not stmt:
+    if "#" in text:
+        text = text.split("#", 1)[0]
+    parts = text.split(None, 1)
+    if not parts:
         raise MalformedOperands("empty statement")
     if labels is None:
         labels = {}
-    parts = stmt.split(None, 1)
     mn = parts[0]
     ops = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
     try:
-        canon, domain, fixed, operands = _FORMATS[mn]
+        _, values, operands = _FORMATS[mn]
     except KeyError:
         raise UnsupportedInstruction(
             f"unsupported mnemonic '{mn}' in '{_shown(mn, ops)}'") from None
     if len(ops) != len(operands):
         raise MalformedOperands(f"'{mn}' takes {len(operands)} operands, "
                                 f"got {len(ops)} in '{_shown(mn, ops)}'")
-    f = dict(fixed)
+    v = list(values)
     resolved = ops
     try:
-        for i, (tok, (name, kind)) in enumerate(zip(ops, operands)):
-            value = kind(f, name, tok, labels)
-            if value is not None:
+        for k, (i, kind) in enumerate(operands):
+            shown = kind(v, i, ops[k], labels)
+            if shown is not None:
                 if resolved is ops:
                     resolved = ops.copy()
-                resolved[i] = value
-        if mn == "slli" and not 0 <= f["imm"] < 32:
-            raise MalformedOperands(f"shift amount {f['imm']} out of range")
-        if mn == "frep" and not 1 <= f["n_instr"] <= 16:
-            raise MalformedOperands(f"frep body length {f['n_instr']} outside 1..16")
+                resolved[k] = shown
+        if mn == "slli" and not 0 <= v[_IMM] < 32:
+            raise MalformedOperands(f"shift amount {v[_IMM]} out of range")
+        if mn == "frep" and not 1 <= v[_N_INSTR] <= 16:
+            raise MalformedOperands(
+                f"frep body length {v[_N_INSTR]} outside 1..16")
     except MalformedOperands as e:
         raise MalformedOperands(f"{e} in '{_shown(mn, ops)}'") from None
-    return Instruction(canon, domain, **f, text=_shown(mn, resolved))
+    v[_TEXT] = _shown(mn, resolved)
+    return Instruction(*v)
 
 
 @dataclass
