@@ -51,10 +51,9 @@ def assemble(source: str) -> AsmProgram:
     texts = []        # statement of each instruction
     first_line = {}   # each distinct statement -> the line it first appears on
     words = []        # (line, addr, symbol) of each symbolic .word
-    for no, stmt in enumerate(source.splitlines(), start=1):
+    for no, stmt in enumerate(map(str.strip, source.splitlines()), start=1):
         if "#" in stmt:
-            stmt = stmt.split("#", 1)[0]
-        stmt = stmt.strip()
+            stmt = stmt.split("#", 1)[0].rstrip()
         if not stmt:
             continue
         label = None

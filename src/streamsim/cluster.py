@@ -481,8 +481,7 @@ class ClusterSim:
         self._new_run()
         self.code = dict(program.instructions)
         if not self.cold_start_icache:
-            for addr in self.code:
-                self.icache_warm.add(addr // ICACHE_LINE)
+            self.icache_warm = {addr // ICACHE_LINE for addr in self.code}
         for addr, data in program.data_segments:
             self.mem.write(addr, data)
         n_active = active_cores if active_cores is not None else N_CORES

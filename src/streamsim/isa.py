@@ -172,16 +172,14 @@ _FORMATS = {}
 
 def _format(mnemonics, operands, domain=Domain.INT, canon=None, **fixed):
     """Add mnemonics whose operands are written "field:kind ..."."""
+    # a kind that sets fields of its own, imm(rs1) or rs1|imm, gets None
     ops = tuple((_AT.get(name), _KINDS[kind]) for name, kind in
                 (op.split(":") for op in operands.split()))
     if isinstance(mnemonics, str):
         mnemonics = mnemonics.split()
     for mn in mnemonics:
-        values = [None] * len(_AT)
-        values[:2] = canon or mn, domain
-        for name, value in fixed.items():
-            values[_AT[name]] = value
-        _FORMATS[mn] = (canon or mn, tuple(values), ops)
+        blank = Instruction(canon or mn, domain, **fixed)
+        _FORMATS[mn] = (canon or mn, tuple(getattr(blank, f) for f in _AT), ops)
 
 
 # pseudo-instructions expand to their canonical forms
