@@ -87,8 +87,7 @@ class Instruction:
 
 # position of each Instruction field in its constructor's arguments
 _AT = {f.name: i for i, f in enumerate(dfields(Instruction))}
-_RS1, _IMM, _N_INSTR, _TEXT = (_AT[name] for name in ("rs1", "imm", "n_instr",
-                                                     "text"))
+_RS1, _IMM, _N_INSTR, _TEXT = (_AT[f] for f in ("rs1", "imm", "n_instr", "text"))
 
 
 # Operand kinds. Each parses one operand token into the field values `v` at

@@ -85,7 +85,10 @@ def test_builder_rejects():
                 dict(name="dot_ssr_frep", n=4), dict(name="axpy_ssr", n=0),
                 dict(name="matmul_ssr_frep", n=16),
                 dict(name="dma_stream", n=100),
-                dict(name="matvec48_ssr_frep", n=6)]:
+                dict(name="matvec48_ssr_frep", n=6),
+                dict(name="dot_baseline", n=8192),
+                dict(name="tcdm_same_bank", n=457),
+                dict(name="tcdm_unit_stride", n=2049)]:
         with pytest.raises(ValueError):
             kernels.build(**bad)
 
@@ -204,13 +207,12 @@ def test_dma_payload_matches_bytewise_draw(seed, n):
     assert kernels.build("dma_stream", n=n, seed=seed).data == [(L2_BASE, want)]
 
 
-def test_largest_probe_n_builds():
-    # the last lw of the last core ends at the scratchpad end or before it
-    kernels.build("tcdm_same_bank", n=456)
-    kernels.build("tcdm_unit_stride", n=2048)
-    for name, n in (("tcdm_same_bank", 457), ("tcdm_unit_stride", 2049)):
-        with pytest.raises(ValueError, match="n too large"):
-            kernels.build(name, n=n)
+def test_largest_n_builds():
+    # one n more is refused (test_builder_rejects): the last core's last lw,
+    # or the dot product's result, ends at the scratchpad end or before it
+    for name, n in (("tcdm_same_bank", 456), ("tcdm_unit_stride", 2048),
+                    ("dot_baseline", 8188)):
+        assert kernels.build(name, n=n).n == n
 
 
 def test_watch_label_resolves():
