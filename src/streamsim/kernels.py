@@ -472,6 +472,8 @@ def build_dma_stream(n=32768, seed=0):
 def _tcdm_probe(name, shift, stride, accesses=128):
     """All cores issue `accesses` back-to-back loads with the given per-core
     base shift and per-access stride (bytes)."""
+    if accesses < 1:
+        raise ValueError("n must be positive")
     last = TCDM_BASE + ((N_CORES - 1) << shift) + stride * (accesses - 1)
     if last + 4 > TCDM_END:
         raise ValueError("n too large for the scratchpad layout")

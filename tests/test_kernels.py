@@ -88,7 +88,9 @@ def test_builder_rejects():
                 dict(name="matvec48_ssr_frep", n=6),
                 dict(name="dot_baseline", n=8192),
                 dict(name="tcdm_same_bank", n=457),
-                dict(name="tcdm_unit_stride", n=2049)]:
+                dict(name="tcdm_unit_stride", n=2049),
+                dict(name="tcdm_same_bank", n=0),
+                dict(name="tcdm_unit_stride", n=-3)]:
         with pytest.raises(ValueError):
             kernels.build(**bad)
 
