@@ -108,6 +108,25 @@ STALL_PROGRAMS = {
         "fmadd.d ft2, ft0, ft1, ft3",
         "ssr_disable",
         "halt"), 1, "fp_stall_stream"),
+    # core 0 halts with its read stream still on and room in its FIFO,
+    # while core 1's loads keep taking the stream's bank: from the halt on,
+    # the stream must request no bank
+    "halt_with_stream": (_lines(
+        "bne a0, zero, loads",
+        f"ssr_cfg_write 0, base, {TCDM_BASE}",
+        "ssr_cfg_write 0, stride0, 256",
+        "ssr_cfg_write 0, bound0, 64",
+        "ssr_enable",
+        *["fmv.d ft3, ft0"] * 6,
+        "halt",
+        "loads:",
+        f"li t0, {TCDM_BASE + 8192}",
+        "li t1, 16",
+        "loop:",
+        *["lw t2, 0(t0)"] * 8,
+        "addi t1, t1, -1",
+        "bne t1, zero, loop",
+        "halt"), 2, "stall_bank_conflict"),
 }
 
 
