@@ -19,9 +19,11 @@ deterministic:
                the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer),
   3. commit  - units apply their planned action if granted, else record a
-               stall. Everything that retires an instruction stays here, and
-               so does the icache fill, since the icache is shared: cores that
-               miss one line in the same cycle all miss. A TCDM access commits
+               stall. The stream slots of all cores commit first, in one
+               pass, then each core's FPU and int pipe. Everything that
+               retires an instruction stays here, and so does the icache
+               fill, since the icache is shared: cores that miss one line in
+               the same cycle all miss. A TCDM access commits
                at the scratchpad offset its plan found, an lw/sw to L2 at the
                one its wait located. A DMA window that got every bank it needs
                moves in one copy, unless a bank is both read and written; any
@@ -33,7 +35,6 @@ and integer load/store units share it, with the FPU first.
 """
 
 import mmap
-import struct
 from dataclasses import dataclass
 from collections import deque
 
@@ -41,7 +42,7 @@ from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
                   fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
 from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
                    OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
-from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
+from .ssr import ELEMENT, StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
                      OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
@@ -348,7 +349,9 @@ class Core:
         self.fq = deque()
         self.seq = Sequencer()
         self.sb = Scoreboard()
-        self.slots = [StreamSlot(i) for i in range(N_SLOTS)]
+        # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
+        self.int_rid = 4 * index
+        self.slots = [StreamSlot(i, 4 * index + 1 + i) for i in range(N_SLOTS)]
         self.write_slots = tuple(self.slots[i] for i in WRITE_SLOTS)
         self.capture_pending = 0
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
@@ -358,13 +361,9 @@ class Core:
         self.mem_stall_cause = None
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
-        # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
-        self.int_rid = 4 * index
-        self.stream_rids = tuple(4 * index + 1 + slot for slot in range(N_SLOTS))
         self.map_streams()
         self._int_plan = None
         self._fpu_plan = None
-        self._stream_plans = ()
 
     def map_streams(self):
         """Resolve which FP registers are streams, once per ssr_enable or
@@ -463,6 +462,8 @@ class ClusterSim:
         pointers, icache, clock, trace and watch hits. Memory is kept."""
         self.cores = [Core(i) for i in range(N_CORES)]
         self.live = []              # cores not halted, in index order
+        self.streams = []           # the live cores' active slots, in core
+                                    # order, then slot order
         self.dma = DmaEngine(self.mem, req_id=4 * N_CORES)
         self.tcdm = Tcdm(n_requesters=4 * N_CORES + 1)
         self.cycle = 0
@@ -633,11 +634,11 @@ class ClusterSim:
                     st.fma_executed += 1
                     st.flops += flops
             elif kind == OP_LOAD:
-                f[qop.dest] = _ELEMENT[qop.width][0].unpack_from(
+                f[qop.dest] = ELEMENT[qop.width][0].unpack_from(
                     self.mem.tcdm, qop.off)[0]
                 core.sb.issue(self.cycle, qop.dest, qop.lat)
             else:  # OP_STORE
-                elem, mask = _ELEMENT[qop.width]
+                elem, mask = ELEMENT[qop.width]
                 elem.pack_into(self.mem.tcdm, qop.off, vals[0] & mask)
         except SimError as e:
             self._fault(core, e)
@@ -654,14 +655,26 @@ class ClusterSim:
         return qop.instr.mnemonic
 
     # ------------------------------------------------------------- stream phase
+    #
+    # Each cycle, one call plans and one commits the accesses of every slot
+    # in self.streams. The plan only reads. The commit runs before the cores'
+    # commits and touches only a FIFO's tail and a write buffer's head, while
+    # the FPU pops a FIFO's head and pushes at a write buffer's tail: so the
+    # FPU pops the elements its plan counted, and a drain stores the store
+    # its plan chose, whichever goes first.
 
-    def _plan_streams(self, core, requests):
-        """Bank requests of the active slots, in slot order: a read slot
-        with elements left and FIFO room prefetches the element at its
-        address, a write slot drains its oldest store. Returns
-        (slot, TCDM offset, bank, id) per request."""
+    def _map_streams(self):
+        """Rebuild self.streams, once per ssr_enable, ssr_disable or halt."""
+        self.streams = [slot for core in self.live
+                        for slot in core.stream_map.values()]
+
+    def _plan_streams(self, requests):
+        """Bank requests of the streaming slots: a read slot with elements
+        left and FIFO room prefetches the element at its address, a write
+        slot drains its oldest store. Returns (slot, TCDM offset, bank) per
+        request."""
         plans = []
-        for slot in core.stream_map.values():
+        for slot in self.streams:
             if slot.is_read:
                 if slot.issued >= slot.total or len(slot.fifo) >= FIFO_DEPTH:
                     continue
@@ -671,23 +684,22 @@ class ClusterSim:
             else:
                 continue
             off = addr - TCDM_BASE      # ssr_enable checked the footprint
-            bank = (off // BANK_WIDTH) % TCDM_BANKS
-            rid = core.stream_rids[slot.index]
-            requests.setdefault(bank, []).append(rid)
-            plans.append((slot, off, bank, rid))
+            bank = off // BANK_WIDTH % TCDM_BANKS
+            requests.setdefault(bank, []).append(slot.rid)
+            plans.append((slot, off, bank))
         return plans
 
-    def _commit_streams(self, core, grants):
+    def _commit_streams(self, plans, grants):
         tcdm = self.mem.tcdm
-        for slot, off, bank, rid in core._stream_plans:
-            if grants.get(bank) != rid:
+        for slot, off, bank in plans:
+            if grants.get(bank) != slot.rid:
                 continue  # lost arbitration, retry next cycle
-            elem, mask = _ELEMENT[slot.width]
             if slot.is_read:
-                slot.fifo.append(elem.unpack_from(tcdm, off)[0])
+                slot.fifo.append(slot.elem.unpack_from(tcdm, off)[0])
                 slot.advance()
             else:
-                elem.pack_into(tcdm, off, slot.write_buf.popleft()[1] & mask)
+                slot.elem.pack_into(tcdm, off,
+                                    slot.write_buf.popleft()[1] & slot.mask)
 
     # ------------------------------------------------------------- integer phase
     #
@@ -927,6 +939,7 @@ class ClusterSim:
                 self._fault(core, e)
             state.ssr_enabled = True
             core.map_streams()
+            self._map_streams()
         elif mn == "ssr_disable":
             # the drain plan has already emptied the write buffers
             for slot in core.slots:
@@ -935,6 +948,7 @@ class ClusterSim:
                 staged.clear()
             state.ssr_enabled = False
             core.map_streams()
+            self._map_streams()
         elif mn == "dm_src":
             core.dma_src = state.x[instr.rs1]
         elif mn == "dm_dst":
@@ -952,6 +966,7 @@ class ClusterSim:
             core.halted = True
             core.stats.cycles_at_halt = self.cycle + 1
             self.live = [c for c in self.live if c is not core]
+            self._map_streams()
         else:
             raise AssertionError(mn)
 
@@ -968,25 +983,26 @@ class ClusterSim:
         return RunResult(self)
 
     def _step(self):
-        """One cycle over the units that can act: cores not halted, stream
-        slots while streaming is on, and the DMA engine while it has work."""
+        """One cycle over the units that can act: cores not halted, the
+        slots of those that stream, and the DMA engine while it has work."""
         requests = {}               # bank -> requester ids
         live = self.live
         dma = self.dma
         for core in live:
             core._fpu_plan = self._plan_fpu(core, requests)
-            core._stream_plans = (self._plan_streams(core, requests)
-                                  if core.stream_map else ())
             # a wait planned last cycle re-tests only its own condition: pc,
             # icache line, registers and held access are as when planned
             plan = core._int_plan
             if plan.__class__ is str and self._waits(core, plan):
                 continue
             core._int_plan = self._plan_int(core, requests)
+        streams = self._plan_streams(requests) if self.streams else None
         dma_busy = not dma.idle
         if dma_busy:
             dma.plan(requests)
         grants = self.tcdm.arbitrate(requests) if requests else {}
+        if streams:
+            self._commit_streams(streams, grants)
         trace = self.trace_enabled
         for core in live:
             if trace:
@@ -995,8 +1011,6 @@ class ClusterSim:
             fp_ev = core._fpu_plan
             if fp_ev.__class__ is not str:
                 fp_ev = self._commit_fpu(core, grants)
-            if core._stream_plans:
-                self._commit_streams(core, grants)
             int_ev = core._int_plan
             if int_ev.__class__ is not str:
                 int_ev = self._commit_int(core, grants)
@@ -1021,10 +1035,7 @@ _FREP_WAIT = "stall:frep_wait"
 _DRAIN = "stall:drain"
 _DMA_FULL = "stall:dma_full"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
-# scratchpad element format and store mask by width in bytes, for stream
-# elements and for the FPU's and the int pipe's loads and stores
-_ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
-_WORD = _ELEMENT[4][0]
+_WORD = ELEMENT[4][0]
 
 # the wait each mnemonic may meet in the int pipe, None for none: an FP op
 # waits for queue room, an lw/sw outside the TCDM for L2, frep for an idle

@@ -1,21 +1,27 @@
 """Stream semantic registers: affine address generators feeding prefetch FIFOs.
 
 A configured slot turns reads/writes of FP registers f0..f2 into a strided
-memory stream. Addresses follow the odometer law
+memory stream. Addresses follow the law
 
     addr_k = base + sum_d idx_d(k) * stride_d
 
 with dimension 0 fastest. As in hardware, a slot is a set of loop counters
-and one address adder in front of its FIFO. Each core owns three slots; the
-cluster reads their counters and FIFOs in place every cycle and issues the
-element accesses itself, so stream traffic contends for TCDM banks like any
-other requester.
+and one address adder in front of its FIFO. Here the counters are a lazy
+walk over the stream's addresses, built once at configure: each dimension
+maps every address of the one outside it to a `range` (a `repeat` for
+stride 0) with `itertools`, so the walk steps in C. Each core owns three
+slots; the cluster reads their FIFOs in place every cycle and issues the
+element accesses of every live core's slots in one pass, so stream traffic
+contends for TCDM banks like any other requester.
 """
 
+import struct
 from collections import deque
+from itertools import chain, repeat, tee
+from operator import add
 
 from .errors import InvalidConfig, StreamExhausted
-from .isa import sext32
+from .isa import MASK32, sext32
 
 N_SLOTS = 3
 # elements a read slot prefetches ahead, and stores a write slot buffers; one
@@ -23,23 +29,51 @@ N_SLOTS = 3
 FIFO_DEPTH = 4
 MAX_DIMS = 4
 WRITE_SLOTS = (2,)      # every slot reads; only the last one writes
+# scratchpad element format and store mask by width in bytes, for stream
+# elements and for the FPU's and the int pipe's loads and stores
+ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
+
+
+def _rows(stride, bound, starts):
+    """For each address in starts, the bound addresses from it stride
+    apart, chained; every step runs in C."""
+    if not stride:
+        return chain.from_iterable(map(repeat, starts, repeat(bound)))
+    starts, again = tee(starts)
+    return chain.from_iterable(map(range, starts,
+                                   map(add, again, repeat(stride * bound)),
+                                   repeat(stride)))
+
+
+def _walk(base, steps):
+    """An iterator over the addresses of a stream, (stride, bound) per
+    dimension in steps, dimension 0 fastest. Each dimension maps the
+    addresses of the one outside it lazily to its rows, so building the
+    walk allocates O(dims) whatever the bounds."""
+    addrs = iter((base,))
+    for stride, bound in reversed(steps):
+        addrs = _rows(stride, bound, addrs)
+    return addrs
 
 
 class StreamSlot:
-    """One stream register slot: the loop counters and address adder of its
-    generator, and its FIFO.
+    """One stream register slot: the address walk of its generator, and its
+    FIFO.
 
     The cluster reads the fields in place: a read slot prefetches the element
     at `addr` while `issued < total` and `fifo` holds fewer than FIFO_DEPTH
     elements, and the FPU pops `fifo` directly; a write slot takes up to
-    FIFO_DEPTH stores into `write_buf` and drains it from its head.
+    FIFO_DEPTH stores into `write_buf` and drains it from its head. Each
+    access carries the slot's TCDM requester id `rid`, which its core sets,
+    and moves its element with `elem`, masking a store with `mask`.
     """
 
-    __slots__ = ("index", "active", "is_read", "total", "width",
-                 "fifo", "write_buf", "addr", "idx", "steps", "issued")
+    __slots__ = ("index", "rid", "active", "is_read", "total", "width", "elem",
+                 "mask", "fifo", "write_buf", "addr", "steps", "addrs", "issued")
 
-    def __init__(self, index):
+    def __init__(self, index, rid=None):
         self.index = index
+        self.rid = rid
         self.reset()
 
     def reset(self):
@@ -47,11 +81,12 @@ class StreamSlot:
         self.is_read = False
         self.total = 0             # elements in the configured stream
         self.width = 8             # bytes per element
+        self.elem, self.mask = ELEMENT[8]
         self.fifo = deque()        # prefetched raw values (read streams)
         self.write_buf = deque()   # pending (addr, raw) stores (write streams)
         self.addr = 0              # address of the next element to issue
-        self.idx = []              # odometer position, dimension 0 first
         self.steps = ()            # (stride, bound) per dimension
+        self.addrs = iter(())      # the addresses after `addr`
         self.issued = 0            # elements fetched or pushed so far
 
     def configure(self, fields):
@@ -79,13 +114,14 @@ class StreamSlot:
         self.is_read = is_read
         self.total = total
         self.width = width
-        self.addr = fields.get("base", 0)
-        self.idx = [0] * ndims
+        self.elem, self.mask = ELEMENT[width]
         self.steps = steps
+        self.addrs = _walk(fields.get("base", 0), steps)
+        self.addr = next(self.addrs)
 
     def footprint(self):
         """The [low, high) bytes the elements of a just-configured stream
-        cover, `addr` still at its base: per dimension, the odometer reaches
+        cover, `addr` still at its base: per dimension, the walk reaches
         stride * (bound - 1) from it, up or down."""
         low = high = self.addr
         for stride, bound in self.steps:
@@ -97,20 +133,10 @@ class StreamSlot:
         return low, high + self.width
 
     def advance(self):
-        """Step the odometer to the next element, moving `addr` by one
-        stride per dimension that turns over or steps."""
+        """Step to the next element's address; past the last one, `addr`
+        is None."""
         self.issued += 1
-        idx = self.idx
-        pos = 0
-        for stride, bound in self.steps:
-            i = idx[pos] + 1
-            if i < bound:
-                idx[pos] = i
-                self.addr += stride
-                return
-            idx[pos] = 0
-            self.addr -= stride * (bound - 1)
-            pos += 1
+        self.addr = next(self.addrs, None)
 
     def push(self, raw):
         """Queue raw for the write stream's next address."""

@@ -7,6 +7,7 @@ commit, with every bank request granted.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,25 @@ def test_total_and_exhaustion():
     assert len(list(iter_addresses(staged))) == 12
 
 
+def test_walk_is_lazy():
+    # an outer dimension of stride 0 may be legally huge: configuring it
+    # must not materialize its counters or addresses
+    staged = fields(0x100, [(8, 3), (0, 1 << 24)])
+    tracemalloc.start()
+    try:
+        slot = make_slot(0, staged)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert slot.total == 3 << 24
+    got = [slot.addr]
+    for _ in range(6):
+        slot.advance()
+        got.append(slot.addr)
+    assert got == [0x100, 0x108, 0x110] * 2 + [0x100]
+
+
 def test_validate_rejects():
     one = fields(0, [(8, 1)])
     for bad in ({"dims": 0}, {"dims": 5}, {"bound0": 0}, {"width": 2}):
@@ -104,23 +124,27 @@ def make_slot(idx, staged):
 
 
 def streaming_core(*slots):
-    """Core 0 of a fresh cluster with these slots in place, streaming on."""
+    """Core 0 of a fresh cluster with these slots in place, streaming on,
+    and the only live core."""
     sim = ClusterSim()
     core = sim.cores[0]
     for slot in slots:
+        slot.rid = core.slots[slot.index].rid
         core.slots[slot.index] = slot
     core.state.ssr_enabled = True
     core.map_streams()
+    sim.live = [core]
+    sim._map_streams()
     return sim, core
 
 
 def stream_cycle(sim, core):
-    """Plan and commit one cycle of the core's stream accesses, every
-    request granted; return the addresses accessed."""
+    """Plan and commit one cycle of the cluster's stream accesses, every
+    request granted; return the addresses the core's slots accessed."""
     requests = {}
-    core._stream_plans = sim._plan_streams(core, requests)
-    sim._commit_streams(core, {bank: rid for bank, (rid,) in requests.items()})
-    return [TCDM + off for _, off, _, _ in core._stream_plans]
+    plans = sim._plan_streams(requests)
+    sim._commit_streams(plans, {bank: rid for bank, (rid,) in requests.items()})
+    return [TCDM + off for slot, off, _ in plans if slot in core.slots]
 
 
 def test_read_slot_fifo():

@@ -219,6 +219,22 @@ def test_package_import_leaves_yaml_out():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_package_import_leaves_system_model_out():
+    # the system-model names load streamsim.system on first use
+    code = ("import sys, streamsim; "
+            "assert 'streamsim.system' not in sys.modules; "
+            "assert isinstance(streamsim.load_system(), streamsim.SystemModel); "
+            "assert 'streamsim.system' in sys.modules; "
+            "ns = {}; exec('from streamsim import *', ns); "
+            "assert all(name in ns for name in streamsim.__all__); "
+            "assert ns['RooflineParams'] is sys.modules['streamsim.system'].RooflineParams")
+    src = str(Path(streamsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        streamsim.nosuch
+
+
 def test_loader_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("operating_points: {}\n")

@@ -1,4 +1,5 @@
-"""The simulator names that the measuring tools wrap exist on the package.
+"""The simulator names that the measuring tools wrap exist on the package,
+and the bytecode counter counts.
 
 `tools/phases.py` and `perfbench/tracer.py` time the simulator by replacing
 its methods from outside, by name. A renamed method would otherwise show up
@@ -53,3 +54,17 @@ def test_tracer_hooks_resolve():
         t.uninstall()
     for owner, attr, fn in hooked:
         assert getattr(owner, attr) is fn, f"{attr} not restored"
+
+
+def test_opcount_counts_one_run():
+    opcount = _load(CHECKOUT / "tools" / "opcount.py")
+    inst = streamsim.kernels.build("dot_ssr_frep", n=64)
+    core_cycles, per_function = opcount.count([inst])
+    result = streamsim.run_kernel(inst)[1]
+    assert core_cycles == result.stats.cycles_at_halt > 0
+    # one _step per cycle, one stream plan in each of them while streaming
+    step = per_function["cluster.py:ClusterSim._step"]
+    assert step[1] == result.cycles and step[0] > step[1]
+    assert 0 < per_function["cluster.py:ClusterSim._plan_streams"][1] <= step[1]
+    lines = opcount.report(core_cycles, per_function, top=3)
+    assert len(lines) == 5 and lines[-1].startswith("total")

@@ -1,0 +1,106 @@
+"""Count the bytecodes and Python calls of each simulator function per
+core-cycle.
+
+Usage, from the root of a checkout:
+
+    python3 tools/opcount.py [--workload NAME] [--top N]
+
+This builds every kernel instance of the workload that perfbench/workloads.py
+names (default matmul8) at seed 0 and runs each once under `sys.settrace`
+with opcode events on (`f_trace_opcodes`). Only `ClusterSim.run` is counted,
+not the build or the load. For each Python function it counts the bytecodes
+run in its own frames and the calls into it, and prints both per core-cycle
+(one cycle of one active core up to its halt, as perfbench counts them),
+the N functions with the most bytecodes first (default 25), then the totals.
+
+Host load moves timings from run to run, but not these counts: the same code
+prints the same table every time, so a change to one layer shows as a change
+of its row. Code that runs in C (builtins, `struct`, `deque`, `itertools`)
+runs no bytecode and makes no Python call, so it adds nothing to the counts.
+"""
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(CHECKOUT / "src"))
+sys.path.insert(0, str(CHECKOUT / "perfbench"))
+
+from streamsim import cluster, kernels  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+
+def label(code):
+    """file:qualified name of a code object."""
+    return f"{Path(code.co_filename).name}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def count(instances):
+    """Run each instance once under the tracer; return its core-cycles and,
+    per function label, [bytecodes, calls]."""
+    ops, calls = Counter(), Counter()
+
+    def on_opcode(frame, event, arg):
+        if event == "opcode":
+            ops[frame.f_code] += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        calls[frame.f_code] += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    core_cycles = 0
+    for inst in instances:
+        sim = cluster.ClusterSim()
+        sim.load_program(inst.program, active_cores=inst.active_cores,
+                         entries=inst.entries)
+        sim.load_image(inst.data)
+        saved = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            result = sim.run(watch_pcs=inst.watch_pcs())
+        finally:
+            sys.settrace(saved)
+        core_cycles += sum(s.cycles_at_halt
+                           for s in result.core_stats[:inst.active_cores])
+    per_function = {}
+    for code in ops.keys() | calls.keys():
+        row = per_function.setdefault(label(code), [0, 0])
+        row[0] += ops[code]
+        row[1] += calls[code]
+    return core_cycles, per_function
+
+
+def report(core_cycles, per_function, top):
+    """The table of the `top` functions with the most bytecodes, per
+    core-cycle, and a line of totals."""
+    rows = sorted(per_function.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    lines = [f"{'function':<52} {'bytecodes':>10} {'calls':>8}"]
+    for name, (n_ops, n_calls) in rows[:top]:
+        lines.append(f"{name:<52} {n_ops / core_cycles:>10.1f} "
+                     f"{n_calls / core_cycles:>8.2f}")
+    n_ops = sum(r[0] for r in per_function.values())
+    n_calls = sum(r[1] for r in per_function.values())
+    lines.append(f"{'total':<52} {n_ops / core_cycles:>10.1f} "
+                 f"{n_calls / core_cycles:>8.2f}")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", default="matmul8", choices=sorted(WORKLOADS))
+    ap.add_argument("--top", type=int, default=25)
+    args = ap.parse_args(argv)
+    instances = [kernels.build(k, n=n, seed=DEFAULT_SEED, **kw)
+                 for k, n, kw in WORKLOADS[args.workload]]
+    core_cycles, per_function = count(instances)
+    print(f"# {args.workload}: {core_cycles} core-cycles; per core-cycle")
+    print("\n".join(report(core_cycles, per_function, args.top)))
+
+
+if __name__ == "__main__":
+    main()

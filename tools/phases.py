@@ -8,8 +8,10 @@ For every workload that perfbench/workloads.py names (or the ones given),
 this builds each kernel instance at seed 0 and runs it N times (default 3)
 with the phases of `ClusterSim._step` wrapped from outside, as
 perfbench/tracer.py wraps its layers; the program has no hook for it. The
-phases are the FPU, stream and int plans, the DMA plan, arbitration, and
-the FPU, stream, int and DMA commits.
+phases are each core's FPU and int plans, the stream plan, the DMA plan,
+arbitration, the stream commit, each core's FPU and int commits, and the
+DMA commit. The stream plan and commit are one call each per cycle, over
+the slots of every live core that streams.
 
 Per workload it prints each phase's call count, its time per pass, and its
 share of the time of the wrapped `ClusterSim.run`; the row "rest" is what
@@ -33,12 +35,12 @@ from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 # phase name -> (owner, method), in the order _step runs them
 PHASES = [
     ("fpu plan", cluster.ClusterSim, "_plan_fpu"),
-    ("stream plan", cluster.ClusterSim, "_plan_streams"),
     ("int plan", cluster.ClusterSim, "_plan_int"),
+    ("stream plan", cluster.ClusterSim, "_plan_streams"),
     ("dma plan", cluster.DmaEngine, "plan"),
     ("arbitrate", cluster.Tcdm, "arbitrate"),
-    ("fpu commit", cluster.ClusterSim, "_commit_fpu"),
     ("stream commit", cluster.ClusterSim, "_commit_streams"),
+    ("fpu commit", cluster.ClusterSim, "_commit_fpu"),
     ("int commit", cluster.ClusterSim, "_commit_int"),
     ("dma commit", cluster.DmaEngine, "commit"),
 ]
