@@ -1,7 +1,7 @@
 """Stream address generation and slot FIFO behavior.
 
 Oracle: a brute-force nested-loop enumerator, written independently of the
-odometer in the package, produces the expected address order. The FIFO
+address walk in the package, produces the expected address order. The FIFO
 checks drive a core's slots through the cluster's own stream plan and
 commit, with every bank request granted.
 """
@@ -29,8 +29,8 @@ def fields(base, dims, **extra):
 
 
 def iter_addresses(staged):
-    """All addresses of a configured stream, in issue order, as the slot's
-    odometer steps through them."""
+    """All addresses of a configured stream, in issue order, as the slot
+    steps through them."""
     slot = StreamSlot(0)
     slot.configure(staged)
     while slot.issued < slot.total:
