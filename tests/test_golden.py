@@ -203,6 +203,90 @@ DMA_PROGRAMS = {
 }
 
 
+# case name -> (assembly, active cores, {address: the 64-bit word the run
+# leaves there}): what a queue entry latches at dispatch and what it splits
+# under the stream map, in combinations no kernel makes
+DISPATCH_PROGRAMS = {
+    # an frep body of fld, fsd and fmv.d.x whose base and x source change
+    # while the body replays: every iteration reuses the offsets and the
+    # value latched when the body was dispatched, so ft2 sums x[0] (3) and
+    # ft3 sums t1 (2) four times; their stored sum (20) sets the loop count
+    "frep_latched_operands": (_lines(
+        "li t0, xs",
+        "li t1, 2",
+        "li t2, 4",
+        "fmv.d.x ft2, zero",
+        "fmv.d.x ft3, zero",
+        "frep t2, 6",
+        "fld ft0, 0(t0)",
+        "fadd.d ft2, ft2, ft0",
+        "fmv.d.x ft1, t1",
+        "fadd.d ft3, ft3, ft1",
+        "fsd ft2, 16(t0)",
+        "fsd ft3, 24(t0)",
+        "addi t0, t0, 8",
+        "addi t1, t1, 1",
+        "ssr_disable",              # a drain: the replay and its stores end
+        "li t0, xs",
+        "lw t3, 16(t0)",
+        "lw t4, 24(t0)",
+        "add t3, t3, t4",
+        "spin:",
+        "addi t3, t3, -1",
+        "bne t3, zero, spin",
+        "halt",
+        ".data",
+        "xs:", ".word 3", ".word 0", ".word 100", ".word 0",
+        ".space 32"), 1,
+        {TCDM_BASE + 16: 12, TCDM_BASE + 24: 8}),
+    # one shared fmadd.d Instruction sits in the FP queue as plain ops
+    # behind their RAW chain while its next statement is dispatched as the
+    # capture pass of a three-fold frep: six plain issues and three replays
+    # add 2.0 nine times
+    "shared_plain_and_capture": (_lines(
+        "li t0, ab",
+        "fld ft0, 0(t0)",
+        "fld ft1, 8(t0)",
+        "fmv.d.x ft3, zero",
+        *["fmadd.d ft3, ft0, ft1, ft3"] * 6,
+        "li t1, 3",
+        "frep t1, 1",
+        "fmadd.d ft3, ft0, ft1, ft3",
+        "fsd ft3, 16(t0)",
+        "halt",
+        ".data",
+        "ab:", ".double 1.0", ".double 2.0", ".space 8"), 1,
+        {TCDM_BASE + 16: 0x4032000000000000}),     # 18.0
+    # streams switch on while an frep replays fadd.d ft4, ft0, ft4: the
+    # two iterations before the ssr_enable add ft0 (1.0), the 38 after it
+    # pop its read stream (2.0 each): 78.0
+    "ssr_enable_mid_replay": (_lines(
+        "li t0, one",
+        "fld ft0, 0(t0)",
+        "fmv.d.x ft4, zero",
+        "li t1, 40",
+        "frep t1, 1",
+        "fadd.d ft4, ft0, ft4",
+        "ssr_cfg_write 0, base, twos",
+        "ssr_cfg_write 0, stride0, 8",
+        "ssr_cfg_write 0, bound0, 48",
+        "ssr_enable",
+        "ssr_disable",              # a drain: the replay ends first
+        "fsd ft4, 8(t0)",
+        "halt",
+        ".data",
+        "one:", ".double 1.0", ".space 8",
+        "twos:", *[".double 2.0"] * 48), 1,
+        {TCDM_BASE + 8: 0x4053800000000000}),      # 78.0
+}
+
+
+HAND_WRITTEN = {**STALL_PROGRAMS, **DMA_PROGRAMS, **DISPATCH_PROGRAMS}
+# every case with frozen digests
+ALL_CASES = (sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS)
+             + sorted(DISPATCH_PROGRAMS))
+
+
 # program case name -> (kernel, n): every kernel at its default n, plus the
 # two large unrolled baselines the benchmark assembles
 PROGRAMS = {name: (name, None) for name in kernels.names()}
@@ -358,8 +442,8 @@ def run_program(source, cores, trace=False):
 
 def run_case(case, trace=False):
     """The RunResult of one golden case and its number of active cores."""
-    if case in STALL_PROGRAMS or case in DMA_PROGRAMS:
-        source, cores = (STALL_PROGRAMS.get(case) or DMA_PROGRAMS[case])[:2]
+    if case in HAND_WRITTEN:
+        source, cores = HAND_WRITTEN[case][:2]
         return run_program(source, cores, trace)[1], cores
     kernel, overrides = CASES[case]
     inst = kernels.build(kernel)
@@ -398,7 +482,7 @@ def golden():
 
 
 @pytest.mark.parametrize(
-    "case", sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS))
+    "case", ALL_CASES)
 def test_golden_digests(golden, case):
     got = digests(case)
     want = golden[case]
@@ -424,7 +508,7 @@ def test_every_stall_counter_is_reached():
     so the digests guard each stall path."""
     counters = {f.name for f in fields(CoreStats) if "stall" in f.name}
     reached = set()
-    for case in sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS):
+    for case in ALL_CASES:
         result, cores = untraced_run(case)
         reached.update(c for c in counters
                        for s in result.core_stats[:cores] if getattr(s, c))
@@ -448,6 +532,19 @@ def test_dma_program_reaches_its_path(case):
         assert sim.mem.read(dst, n) == data
     if counter is not None:
         assert sum(getattr(s, counter) for s in result.core_stats) > 0
+    for s in result.core_stats[:cores]:
+        assert s.fetched + s.int_stalls() == s.cycles_at_halt
+        assert s.fp_slots() == s.cycles_at_halt
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH_PROGRAMS))
+def test_dispatch_program_result(case):
+    """Each dispatch program leaves the words that its latched operands,
+    its capture pass and its stream split give, and its counters close."""
+    source, cores, words = DISPATCH_PROGRAMS[case]
+    sim, result = run_program(source, cores)
+    got = {a: int.from_bytes(sim.mem.read(a, 8), "little") for a in words}
+    assert got == words
     for s in result.core_stats[:cores]:
         assert s.fetched + s.int_stalls() == s.cycles_at_halt
         assert s.fp_slots() == s.cycles_at_halt
@@ -479,7 +576,7 @@ def test_golden_layout():
 
 if __name__ == "__main__":
     frozen = {}
-    for case in sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS):
+    for case in ALL_CASES:
         d = digests(case)
         if d["stats_traced"] != d["stats"]:
             raise SystemExit(f"{case}: tracing changed the stats")
