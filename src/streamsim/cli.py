@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import asm, kernels, system
+from . import asm, kernels
 from .cluster import stats_lines
 from .errors import (ConfigError, CycleLimitExceeded, MissingEnergyData,
                      ParseError, SimError)
@@ -149,6 +149,7 @@ def _fmt_flops(v):
 
 
 def cmd_points(args):
+    from . import system    # only points and roofline use the system model
     model = system.load_system(args.config)
     if not model.points:
         raise ConfigError("config defines no operating points")
@@ -221,6 +222,7 @@ def _read_measured(pairs):
 
 
 def cmd_roofline(args):
+    from . import system
     model = system.load_system(args.config)
     point = model.point(args.point)
     workloads = system.load_workloads(args.workloads)

@@ -39,9 +39,10 @@ from dataclasses import dataclass
 from collections import deque
 
 from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
-                  fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH)
-from .frep import (Sequencer, Scoreboard, QueuedOp, Mode, FP_DECODE,
-                   OP_ARITH, OP_LOAD, OP_STORE, FP_QUEUE_DEPTH)
+                  fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH,
+                  FP_DECODE, OP_ARITH, OP_LOAD)
+from .frep import (Sequencer, Scoreboard, FpEntry, StreamSplit, Mode,
+                   FP_QUEUE_DEPTH)
 from .ssr import ELEMENT, StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
@@ -200,6 +201,7 @@ class DmaEngine:
                                # buf, dst off, n, src bank, dst bank) pieces,
                                # once cut
         self.banks = {}        # bank still needed -> True while it is read
+        self.idle = True       # no transfer active or queued
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
@@ -212,14 +214,11 @@ class DmaEngine:
         if len(self.queue) >= DMA_QUEUE_DEPTH:
             return False
         self.queue.append((desc, bufs))
+        self.idle = False
         return True
 
     def outstanding(self):
         return len(self.queue) + (1 if self.active else 0)
-
-    @property
-    def idle(self):
-        return self.active is None and not self.queue
 
     def _open_window(self):
         """Locate the next window of the active transfer and the banks it
@@ -336,6 +335,7 @@ class DmaEngine:
         if self.offset >= self.active.length:
             self.active = None
             self.descriptors_done += 1
+            self.idle = not self.queue
 
 
 class Core:
@@ -516,24 +516,23 @@ class ClusterSim:
     # ------------------------------------------------------------- FPU phase
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
-    # stream or hazard stall), or the QueuedOp that issues or makes its
+    # stream or hazard stall), or the FpEntry that issues or makes its
     # capture pass.
 
-    def _map_operands(self, core, qop):
-        """Split qop's registers under the core's stream map: f0..f2 sources
-        pop their read streams and an f0..f2 destination pushes to its write
-        stream while streaming is on; the rest go through the scoreboard."""
+    def _map_operands(self, core, entry):
+        """Split the entry's registers under the core's stream map: f0..f2
+        sources pop their read streams and an f0..f2 destination pushes to
+        its write stream while streaming is on; the rest go through the
+        scoreboard. Without streams the split is the FpOp itself."""
         smap = core.stream_map
-        dest = qop.dest
+        op = entry.op
+        entry.mapped = smap
         if not smap:
-            qop.operands = qop.srcs
-            qop.sb_regs = qop.srcs if dest is None else qop.srcs + (dest,)
-            qop.pops = ()
-            qop.push = None
-            qop.mapped = smap
+            entry.split = op
             return
+        dest = op.dest
         operands, sb_regs, pops = [], [], {}
-        for reg in qop.srcs:
+        for reg in op.operands:
             slot = smap.get(reg)
             if slot is None:
                 operands.append(reg)
@@ -545,114 +544,124 @@ class ClusterSim:
                 pops[slot] = pops.get(slot, 0) + 1
         push = smap.get(dest)
         if push is not None:
-            if qop.kind == OP_LOAD:
+            if op.kind == OP_LOAD:
                 self._fault(core, f"load destination f{dest} is stream-mapped")
             if push.is_read:
                 self._fault(core, f"write to read-stream f{dest}")
         elif dest is not None:
             sb_regs.append(dest)
-        qop.operands = tuple(operands)
-        qop.pops = tuple(pops.items())
-        qop.push = push
-        qop.sb_regs = tuple(sb_regs)
-        qop.mapped = smap
+        entry.split = StreamSplit(tuple(operands), tuple(pops.items()), push,
+                                  tuple(sb_regs))
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
         if seq.mode is _REPLAYING:
-            qop = seq.replay_op()
+            entry = seq.buffer[seq.inst_ptr]
         elif core.fq:
-            qop = core.fq[0]
+            entry = core.fq[0]
         else:
             core.stats.fp_idle += 1
             return "-"
-        if qop.capture:
-            return qop
-        if qop.mapped is not core.stream_map:
-            self._map_operands(core, qop)
-        for slot, n in qop.pops:
+        if entry.capture:
+            return entry
+        if entry.mapped is not core.stream_map:
+            self._map_operands(core, entry)
+        split = entry.split
+        for slot, n in split.pops:
             if len(slot.fifo) < n:
                 if slot.issued >= slot.total:   # no further element will come
                     self._fault(core, StreamExhausted(
                         f"stream {slot.index} read past its {slot.total} elements"))
                 core.stats.fp_stall_stream += 1
                 return "stall:stream"
-        push = qop.push
+        push = split.push
         if push is not None and len(push.write_buf) >= FIFO_DEPTH:
             core.stats.fp_stall_stream += 1
             return "stall:stream"
         # the scoreboard: a source in flight (RAW) or a pending write to the
         # destination (WAW) holds the op back
         ready = core.sb.ready
-        for r in qop.sb_regs:
+        for r in split.sb_regs:
             if ready[r] > self.cycle:
                 core.stats.fp_stall_hazard += 1
                 return "stall:hazard"
-        if qop.bank is not None:
+        if entry.bank is not None:
             # FP loads/stores contend under the core's own request id
-            requests.setdefault(qop.bank, []).append(core.int_rid)
-        return qop
+            requests.setdefault(entry.bank, []).append(core.int_rid)
+        return entry
 
     def _commit_fpu(self, core, grants):
-        """Apply the FPU plan, a QueuedOp; return the trace event, or None
-        for an event that is only formatted while tracing."""
-        qop = core._fpu_plan
+        """Apply the FPU plan, an FpEntry; return the trace event, or None
+        for an event that is only formatted while tracing. An issue sets
+        its destination's scoreboard entry and a replay steps the
+        sequencer here, as `Scoreboard.issue` and `Sequencer.advance_replay`
+        would."""
+        entry = core._fpu_plan
+        op = entry.op
         st = core.stats
-        if qop.capture:
-            qop.capture = False
-            core.seq.load_slot(qop)
+        if entry.capture:
+            entry.capture = False
+            core.seq.load_slot(entry)
             core.fq.popleft()
             st.fp_executed += 1
-            return f"capture {qop.instr.mnemonic}" if self.trace_enabled else None
-        bank = qop.bank
+            return f"capture {op.mnemonic}" if self.trace_enabled else None
+        bank = entry.bank
         if bank is not None and grants.get(bank) != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
 
+        split = entry.split
         f = core.state.f
         try:
             # operand bits; each stream pops exactly once per occurrence, from
             # a FIFO the plan found holding enough elements
             vals = []
-            for o in qop.operands:
+            for o in split.operands:
                 vals.append(f[o] if o.__class__ is int else o.fifo.popleft())
-            kind = qop.kind
+            kind = op.kind
             if kind == OP_ARITH:
-                flops = qop.flops
+                flops = op.flops
                 if flops:
-                    res = fp_compute(qop.instr, *vals)
+                    res = fp_compute(op, *vals)
                 elif vals:
                     res = vals[0]                  # fmv.d
                 else:
-                    res = qop.xval & MASK32        # fmv.d.x
-                if qop.push is not None:
-                    qop.push.push(res)
+                    res = entry.xval & MASK32      # fmv.d.x
+                if split.push is not None:
+                    split.push.push(res)
                 else:
-                    f[qop.dest] = res
-                    core.sb.issue(self.cycle, qop.dest, qop.lat)
+                    f[op.dest] = res
+                    core.sb.ready[op.dest] = self.cycle + op.lat
                 if flops:
                     st.fma_executed += 1
                     st.flops += flops
             elif kind == OP_LOAD:
-                f[qop.dest] = ELEMENT[qop.width][0].unpack_from(
-                    self.mem.tcdm, qop.off)[0]
-                core.sb.issue(self.cycle, qop.dest, qop.lat)
+                f[op.dest] = ELEMENT[op.width][0].unpack_from(
+                    self.mem.tcdm, entry.off)[0]
+                core.sb.ready[op.dest] = self.cycle + op.lat
             else:  # OP_STORE
-                elem, mask = ELEMENT[qop.width]
-                elem.pack_into(self.mem.tcdm, qop.off, vals[0] & mask)
+                elem, mask = ELEMENT[op.width]
+                elem.pack_into(self.mem.tcdm, entry.off, vals[0] & mask)
         except SimError as e:
             self._fault(core, e)
 
         st.fp_executed += 1
-        if core.seq.mode is _REPLAYING:
+        seq = core.seq
+        if seq.mode is _REPLAYING:
             ev = None
             if self.trace_enabled:
-                i, n = core.seq.replay_position()
-                ev = f"{qop.instr.mnemonic} [iter {i}/{n}]"
-            core.seq.advance_replay()
+                ev = f"{op.mnemonic} [iter {seq.iter_idx}/{seq.total_iters}]"
+            ptr = seq.inst_ptr + 1
+            if ptr == seq.n_instr:
+                ptr = 0
+                seq.iter_idx += 1
+                if seq.iter_idx > seq.total_iters:
+                    seq.mode = _IDLE
+                    seq.buffer = []
+            seq.inst_ptr = ptr
             return ev
         core.fq.popleft()
-        return qop.instr.mnemonic
+        return op.mnemonic
 
     # ------------------------------------------------------------- stream phase
     #
@@ -704,7 +713,7 @@ class ClusterSim:
     # ------------------------------------------------------------- integer phase
     #
     # The int plan is the trace event of an outcome settled at plan time, or
-    # one of the records commit applies: the QueuedOp it dispatches, the ALU
+    # one of the records commit applies: the FpEntry it dispatches, the ALU
     # or custom Instruction, an lw/sw access, or the int icache line it misses
     # on. An access is (instr, TCDM offset, bank), or (instr, address, None)
     # for an L2 completion, which commit locates. A wait is a token, and
@@ -776,9 +785,7 @@ class ClusterSim:
         if wait is not None and self._waits(core, wait):
             return wait
         if wait is _QUEUE_FULL:
-            qop = self._make_qop(core, instr)
-            qop.capture = core.capture_pending > 0
-            return qop
+            return self._fp_entry(core, instr)
         return instr
 
     def _plan_access(self, core, access, requests):
@@ -786,35 +793,43 @@ class ClusterSim:
         store holds the core's one data port this cycle: then the access
         waits, held for the next cycle."""
         fp = core._fpu_plan
-        if fp.__class__ is QueuedOp and fp.bank is not None and not fp.capture:
+        if fp.__class__ is FpEntry and fp.bank is not None and not fp.capture:
             core.held_access = access
             core.stats.stall_bank_conflict += 1
             return "stall:bank"
         requests.setdefault(access[2], []).append(core.int_rid)
         return access
 
-    def _make_qop(self, core, instr):
-        """Decode an FP instruction into its queue entry, once per dispatch;
-        an frep replay reuses the entry for every iteration."""
-        d = FP_DECODE[instr.mnemonic]
-        qop = QueuedOp(d.kind, instr, None, None, False,
-                       tuple([getattr(instr, f) for f in d.srcs]),
-                       None if d.kind == OP_STORE else instr.rd,
-                       d.lat, d.flops, d.width)
-        if d.kind != OP_ARITH:
-            addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
-            if addr % d.width:
-                self._fault(core, MisalignedAccess(
-                    f"0x{addr:x} not {d.width}-byte aligned"))
-            off = addr - TCDM_BASE
-            if not 0 <= off < TCDM_SIZE:
-                self._fault(core, OutOfRangeAccess(
-                    f"FP memory access 0x{addr:x} outside TCDM"))
-            qop.off = off
-            qop.bank = off // BANK_WIDTH % TCDM_BANKS
-        elif instr.mnemonic == "fmv.d.x":
-            qop.xval = core.state.x[instr.rs1]
-        return qop
+    def _fp_entry(self, core, instr):
+        """The FP queue entry of one dispatch of instr: its interned FpOp
+        and what this dispatch latches; an frep replay reuses the entry
+        for every iteration."""
+        op = instr.fp_op
+        entry = FpEntry()
+        entry.op = op
+        entry.capture = core.capture_pending > 0
+        smap = core.stream_map
+        if smap:
+            entry.mapped = None         # split at the first issue
+        else:
+            entry.mapped = smap
+            entry.split = op
+        if op.kind == OP_ARITH:
+            entry.bank = None
+            if op.mnemonic == "fmv.d.x":
+                entry.xval = core.state.x[instr.rs1]
+            return entry
+        addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
+        if addr % op.width:
+            self._fault(core, MisalignedAccess(
+                f"0x{addr:x} not {op.width}-byte aligned"))
+        off = addr - TCDM_BASE
+        if not 0 <= off < TCDM_SIZE:
+            self._fault(core, OutOfRangeAccess(
+                f"FP memory access 0x{addr:x} outside TCDM"))
+        entry.off = off
+        entry.bank = off // BANK_WIDTH % TCDM_BANKS
+        return entry
 
     def _retire_int(self, core, instr):
         st = core.stats
@@ -868,11 +883,11 @@ class ClusterSim:
                 state.set_x(instr.rd, state.pc + 4)
                 state.pc = target
             return instr
-        if cls is QueuedOp:
+        if cls is FpEntry:
             core.fq.append(plan)
             if plan.capture:
                 core.capture_pending -= 1
-            instr = plan.instr
+            instr = self.code[state.pc]     # the statement dispatched
         elif cls is tuple:
             instr, off, bank = plan
             buf = self.mem.tcdm
@@ -991,10 +1006,17 @@ class ClusterSim:
         for core in live:
             core._fpu_plan = self._plan_fpu(core, requests)
             # a wait planned last cycle re-tests only its own condition: pc,
-            # icache line, registers and held access are as when planned
+            # icache line, registers and held access are as when planned;
+            # the sequencer wait, which frep replays hold longest, is tested
+            # here as _waits would
             plan = core._int_plan
-            if plan.__class__ is str and self._waits(core, plan):
-                continue
+            if plan.__class__ is str:
+                if plan is _FREP_WAIT:
+                    if core.seq.mode is not _IDLE:
+                        core.stats.stall_frep_wait += 1
+                        continue
+                elif self._waits(core, plan):
+                    continue
             core._int_plan = self._plan_int(core, requests)
         streams = self._plan_streams(requests) if self.streams else None
         dma_busy = not dma.idle

@@ -9,23 +9,17 @@ Replay has priority over the FP queue and is never interleaved with it.
 The scoreboard models a fully pipelined FPU with per-class latencies; issue
 stalls while a source is in flight (RAW) or the destination has a pending
 write (WAW). Stream-mapped registers bypass the scoreboard entirely.
+
+The FP queue and the sequencer buffer hold one FpEntry per dispatch.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CountZero, NestedFrep
-from .isa import FP_FMA, FP_ADDMUL, FP_LOAD, FP_STORE, FP_MOVE, Instruction
 
 BUFFER_DEPTH = 16
 FP_QUEUE_DEPTH = 8
-
-# issue-to-result latencies, cycles
-LAT_FMA = 3
-LAT_ADDMUL = 2
-LAT_MOVE = 1
-LAT_LOAD = 1
-LAT_STORE = 1
 
 
 class Mode(Enum):
@@ -104,63 +98,30 @@ class Scoreboard:
             self.ready[dest] = now + lat
 
 
-# FP queue entry kinds
-OP_ARITH = "arith"      # compute or register move
-OP_LOAD = "load"        # fld/flw: memory -> FP reg at FPU issue
-OP_STORE = "store"      # fsd/fsw: FP reg -> memory at FPU issue
+class FpEntry:
+    """One dispatch of an FP instruction, as the FP queue and the sequencer
+    buffer hold it. Dispatch sets each field; the FpOp comes from decode,
+    the rest is what only this dispatch knows:
 
-
-@dataclass(frozen=True)
-class FpDecode:
-    """What the FPU needs of one FP mnemonic, looked up once per dispatch."""
-    kind: str          # OP_ARITH, OP_LOAD or OP_STORE
-    srcs: tuple        # Instruction fields of the FP sources, in operand order
-    lat: int           # issue-to-result latency, cycles
-    flops: int         # per op; nonzero exactly for the compute ops that
-                       # occupy the FMA datapath, which utilization counts
-    width: int         # bytes accessed by a load or store
-
-
-def _decode_entry(mn):
-    if mn in FP_LOAD:
-        return FpDecode(OP_LOAD, (), LAT_LOAD, 0, 8 if mn == "fld" else 4)
-    if mn in FP_STORE:
-        return FpDecode(OP_STORE, ("rs2",), LAT_STORE, 0, 8 if mn == "fsd" else 4)
-    lanes = 2 if mn.endswith(".s") else 1
-    if mn in FP_FMA:
-        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), LAT_FMA, 2 * lanes, 8)
-    if mn in FP_ADDMUL:
-        return FpDecode(OP_ARITH, ("rs1", "rs2"), LAT_ADDMUL, lanes, 8)
-    if mn == "fmv.d":
-        return FpDecode(OP_ARITH, ("rs1",), LAT_MOVE, 0, 8)
-    return FpDecode(OP_ARITH, (), LAT_MOVE, 0, 8)  # fmv.d.x: x source
-
-
-FP_DECODE = {mn: _decode_entry(mn)
-             for mn in sorted(FP_FMA | FP_ADDMUL | FP_MOVE | FP_LOAD | FP_STORE)}
+    - op:      the instruction's interned FpOp
+    - capture: this pass fills the sequencer buffer instead of executing;
+               cleared when the entry is stored
+    - off, bank: TCDM offset and bank of a load or store, latched at
+               dispatch, so every replay accesses the same word
+    - xval:    the latched integer source of fmv.d.x
+    - split, mapped: the operand split (the FpOp itself, or a StreamSplit)
+               and the stream map it was made under. A core that does not
+               stream uses the FpOp; one that streams splits at the first
+               issue and again whenever its stream map changed since.
+    """
+    __slots__ = ("op", "capture", "off", "bank", "xval", "split", "mapped")
 
 
 @dataclass(slots=True)
-class QueuedOp:
-    kind: str
-    instr: Instruction
-    off: int | None = None    # TCDM offset of a load/store, latched at dispatch
-    xval: int | None = None   # latched integer source for fmv.d.x
-    capture: bool = False     # first pass fills the sequencer buffer instead
-                              # of executing; cleared when the op is stored
-    # decoded at dispatch from FP_DECODE, so neither the queue nor a replay
-    # inspects the mnemonic again
-    srcs: tuple = ()          # FP source registers, in operand order
-    dest: int | None = None   # FP destination register
-    lat: int = 0
-    flops: int = 0
-    width: int = 8
-    # the registers split under the stream map `mapped` into stream pops, a
-    # stream push and scoreboard registers; split at first issue and reused
-    # by every replay
-    mapped: dict | None = None
-    operands: tuple = ()      # per source: its register, or the slot to pop
-    pops: tuple = ()          # (read slot, pops) per stream source
-    push: object = None       # write slot taking the result
-    sb_regs: tuple = ()       # sources and destination not stream-mapped
-    bank: int | None = None   # TCDM bank of a load/store, latched at dispatch
+class StreamSplit:
+    """An FP op's registers split under a core's stream map, as FpOp
+    splits them for a core that does not stream."""
+    operands: tuple       # per source: its register, or the slot to pop
+    pops: tuple           # (read slot, pops) per stream source
+    push: object          # write slot taking the result, or None
+    sb_regs: tuple        # sources and destination not stream-mapped

@@ -9,6 +9,7 @@ which decode reads from the assembler's label table.
 import re
 from dataclasses import dataclass, field as dfield, fields as dfields
 from enum import Enum
+from operator import itemgetter
 
 from .errors import MalformedOperands, UnresolvedLabel, UnsupportedInstruction
 from . import fp
@@ -61,6 +62,72 @@ def _build_fregs():
 XREGS = _build_xregs()
 FREGS = _build_fregs()
 
+# issue-to-result latencies, cycles
+LAT_FMA = 3
+LAT_ADDMUL = 2
+LAT_MOVE = 1
+LAT_LOAD = 1
+LAT_STORE = 1
+
+# FP op kinds
+OP_ARITH = "arith"      # compute or register move
+OP_LOAD = "load"        # fld/flw: memory -> FP reg at FPU issue
+OP_STORE = "store"      # fsd/fsw: FP reg -> memory at FPU issue
+
+
+@dataclass(frozen=True)
+class FpDecode:
+    """What the FPU needs of one FP mnemonic."""
+    kind: str          # OP_ARITH, OP_LOAD or OP_STORE
+    srcs: tuple        # Instruction fields of the FP sources, in operand order
+    lat: int           # issue-to-result latency, cycles
+    flops: int         # per op; nonzero exactly for the compute ops that
+                       # occupy the FMA datapath, which utilization counts
+    width: int         # bytes accessed by a load or store
+
+
+def _decode_entry(mn):
+    if mn in FP_LOAD:
+        return FpDecode(OP_LOAD, (), LAT_LOAD, 0, 8 if mn == "fld" else 4)
+    if mn in FP_STORE:
+        return FpDecode(OP_STORE, ("rs2",), LAT_STORE, 0, 8 if mn == "fsd" else 4)
+    lanes = 2 if mn.endswith(".s") else 1
+    if mn in FP_FMA:
+        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), LAT_FMA, 2 * lanes, 8)
+    if mn in FP_ADDMUL:
+        return FpDecode(OP_ARITH, ("rs1", "rs2"), LAT_ADDMUL, lanes, 8)
+    if mn == "fmv.d":
+        return FpDecode(OP_ARITH, ("rs1",), LAT_MOVE, 0, 8)
+    return FpDecode(OP_ARITH, (), LAT_MOVE, 0, 8)  # fmv.d.x: x source
+
+
+FP_DECODE = {mn: _decode_entry(mn)
+             for mn in sorted(FP_FMA | FP_ADDMUL | FP_MOVE | FP_LOAD | FP_STORE)}
+
+
+@dataclass(frozen=True, slots=True)
+class FpOp:
+    """What the FPU needs of an FP instruction: its mnemonic's FpDecode
+    with the FP registers filled in. Address operands and the x source of
+    fmv.d.x are not part of it, so the few records of a program are shared
+    by all its FP statements that name the same registers (decode interns
+    them) and by every core.
+
+    A record is also the op's operand split on a core that does not
+    stream: each operand is a register, every register goes through the
+    scoreboard, and no stream pops or takes a push."""
+    mnemonic: str
+    kind: str
+    operands: tuple       # FP source registers, in operand order
+    dest: int | None      # FP destination register; None for a store
+    lat: int
+    flops: int
+    width: int
+    sb_regs: tuple        # the operands and the destination
+    pops: tuple = ()
+    push: None = None
+
+
 SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")   # label, label+4, label-8
 _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 
@@ -68,7 +135,10 @@ _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 @dataclass(slots=True)
 class Instruction:
     """One decoded statement. The statements of a program that read alike
-    share one record, so nothing changes a record after decode."""
+    share one record, so nothing changes a record after decode.
+
+    An FP instruction carries its interned FpOp in `fp_op`, which decode
+    fills and which neither `repr` nor comparison shows."""
     mnemonic: str
     domain: Domain
     rd: int | None = None
@@ -80,6 +150,7 @@ class Instruction:
     field: str | None = None    # ssr_cfg_* field name
     n_instr: int | None = None  # frep body length
     text: str = ""
+    fp_op: FpOp | None = dfield(default=None, repr=False, compare=False)
 
     def __str__(self):
         return self.text or self.mnemonic
@@ -87,7 +158,8 @@ class Instruction:
 
 # position of each Instruction field in its constructor's arguments
 _AT = {f.name: i for i, f in enumerate(dfields(Instruction))}
-_RS1, _IMM, _N_INSTR, _TEXT = (_AT[f] for f in ("rs1", "imm", "n_instr", "text"))
+_RS1, _IMM, _N_INSTR, _TEXT, _FP_OP = (
+    _AT[f] for f in ("rs1", "imm", "n_instr", "text", "fp_op"))
 
 
 # Operand kinds. Each parses one operand token into the field values `v` at
@@ -165,7 +237,8 @@ _KINDS = {"x": _xreg, "f": _freg, "i": _imm, "m": _mem, "s": _ssr_field,
           "r": _reg_or_imm}
 
 # mnemonic -> (canonical mnemonic, the Instruction's field values before its
-# operands are parsed, ((field position, kind), ...))
+# operands are parsed, ((field position, kind), ...), and for an FP
+# mnemonic a getter of its FP register fields from those values, else None)
 _FORMATS = {}
 
 
@@ -176,9 +249,12 @@ def _format(mnemonics, operands, domain=Domain.INT, canon=None, **fixed):
                 (op.split(":") for op in operands.split()))
     if isinstance(mnemonics, str):
         mnemonics = mnemonics.split()
+    fregs = (itemgetter(*(i for i, kind in ops if kind is _freg))
+             if domain is Domain.FP else None)
     for mn in mnemonics:
         blank = Instruction(canon or mn, domain, **fixed)
-        _FORMATS[mn] = (canon or mn, tuple(getattr(blank, f) for f in _AT), ops)
+        _FORMATS[mn] = (canon or mn, tuple(getattr(blank, f) for f in _AT),
+                        ops, fregs)
 
 
 # pseudo-instructions expand to their canonical forms
@@ -206,6 +282,22 @@ _format("dm_src dm_dst dm_copy", "rs1:x", Domain.CUSTOM)
 _format("dm_poll", "rd:x", Domain.CUSTOM)
 
 
+# (mnemonic, its FP register values) -> FpOp, shared by every program
+_FP_INTERNED = {}
+
+
+def _intern_fp_op(key, v):
+    """The FpOp of the FP statement with field values v, made once per key."""
+    mn = key[0]
+    d = FP_DECODE[mn]
+    srcs = tuple(v[_AT[f]] for f in d.srcs)
+    dest = None if d.kind == OP_STORE else v[_AT["rd"]]
+    op = _FP_INTERNED[key] = FpOp(
+        mn, d.kind, srcs, dest, d.lat, d.flops, d.width,
+        srcs if dest is None else srcs + (dest,))
+    return op
+
+
 def _shown(mn, ops):
     return f"{mn} {', '.join(ops)}" if ops else mn
 
@@ -227,7 +319,7 @@ def decode(text: str, labels=None) -> Instruction:
     mn = parts[0]
     ops = [t.strip() for t in parts[1].split(",")] if len(parts) > 1 else []
     try:
-        _, values, operands = _FORMATS[mn]
+        canon, values, operands, fregs = _FORMATS[mn]
     except KeyError:
         raise UnsupportedInstruction(
             f"unsupported mnemonic '{mn}' in '{_shown(mn, ops)}'") from None
@@ -251,6 +343,9 @@ def decode(text: str, labels=None) -> Instruction:
     except MalformedOperands as e:
         raise MalformedOperands(f"{e} in '{_shown(mn, ops)}'") from None
     v[_TEXT] = _shown(mn, resolved)
+    if fregs is not None:
+        key = (canon, fregs(v))
+        v[_FP_OP] = _FP_INTERNED.get(key) or _intern_fp_op(key, v)
     return Instruction(*v)
 
 
@@ -314,8 +409,9 @@ for _name, _lane in (("add", lambda a, b, c: a + b), ("sub", lambda a, b, c: a -
     _FP_OPS[f"f{_name}.s"] = fp.binary32_pair_op(_lane)
 
 
-def fp_compute(instr: Instruction, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
-    """Pure FP datapath: raw operand bits in, raw result bits out.
+def fp_compute(instr, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
+    """Pure FP datapath: raw operand bits in, raw result bits out. `instr`
+    is an Instruction or its FpOp; only its mnemonic is read.
 
     .s ops follow the packed-pair convention: both 32-bit lanes of the 64-bit
     register are processed, which is what gives the FPU its 2-SP-FMA/cycle rate.

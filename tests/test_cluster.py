@@ -198,6 +198,26 @@ def test_dma_queue_depth():
         sim.dma_submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
 
 
+def test_dma_idle_flag():
+    """`idle` turns false on a queued submit, stays true across a
+    zero-length descriptor, and turns true after the last window of the
+    last queued transfer, not before."""
+    eng = DmaEngine(Memory(), req_id=32)
+    assert eng.idle
+    assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    assert eng.idle and eng.descriptors_done == 1
+    assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
+    assert eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
+    assert not eng.idle
+    all_banks = {bank: eng.req_id for bank in range(32)}
+    for left in (2, 1, 0):                  # windows of 64, 32 and 64 bytes
+        eng.plan({})
+        assert not eng.idle
+        eng.commit(all_banks)
+        assert eng.idle == (left == 0)
+    assert eng.descriptors_done == 3 and eng.bytes_moved == 160
+
+
 def test_dma_from_program_with_poll():
     src = f"""
         li t0, {L2_BASE}

@@ -4,14 +4,19 @@ import pytest
 
 from streamsim.cluster import TCDM_BASE, ClusterSim
 from streamsim.errors import CountZero, NestedFrep
-from streamsim.frep import (BUFFER_DEPTH, FP_DECODE, LAT_ADDMUL, LAT_FMA,
-                            LAT_LOAD, LAT_MOVE, LAT_STORE, Mode, OP_ARITH,
-                            QueuedOp, Sequencer)
-from streamsim.isa import decode
+from streamsim.frep import BUFFER_DEPTH, Mode, Sequencer
+from streamsim.isa import (FP_DECODE, LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE,
+                           LAT_STORE, decode)
 
 
-def qop(text):
-    return QueuedOp(OP_ARITH, decode(text))
+def entry(text, x=()):
+    """The FP queue entry that core 0 of a new cluster dispatches for
+    `text`, after setting each (x register, value) of `x`."""
+    sim = ClusterSim()
+    core = sim.cores[0]
+    for reg, value in x:
+        core.state.x[reg] = value
+    return sim._fp_entry(core, decode(text))
 
 
 def test_latency_table():
@@ -27,7 +32,7 @@ def test_capture_then_replay_full_iterations():
     seq = Sequencer()
     seq.arm(count=3, n_instr=2)
     assert seq.mode == Mode.CAPTURING
-    body = [qop("fmadd.d ft3, ft0, ft1, ft3"), qop("fmadd.d ft4, ft0, ft1, ft4")]
+    body = [entry("fmadd.d ft3, ft0, ft1, ft3"), entry("fmadd.d ft4, ft0, ft1, ft4")]
     seq.load_slot(body[0])
     assert seq.mode == Mode.CAPTURING
     seq.load_slot(body[1])
@@ -44,7 +49,7 @@ def test_capture_then_replay_full_iterations():
 def test_replay_position():
     seq = Sequencer()
     seq.arm(count=2, n_instr=1)
-    op = qop("fadd.d ft3, ft4, ft5")
+    op = entry("fadd.d ft3, ft4, ft5")
     seq.load_slot(op)
     assert seq.replay_position() == (1, 2)
     seq.advance_replay()
@@ -57,7 +62,7 @@ def test_replayed_op_identity():
     # the buffer stores the queue entry itself, so latched operands persist
     seq = Sequencer()
     seq.arm(count=2, n_instr=1)
-    op = QueuedOp(OP_ARITH, decode("fmv.d.x ft3, t0"), xval=42)
+    op = entry("fmv.d.x ft3, t0", x=[(5, 42)])
     seq.load_slot(op)
     assert seq.replay_op() is op
     seq.advance_replay()
@@ -69,7 +74,7 @@ def test_nested_frep_rejected():
     seq.arm(count=2, n_instr=1)
     with pytest.raises(NestedFrep):
         seq.arm(count=2, n_instr=1)
-    seq.load_slot(qop("fadd.d ft3, ft4, ft5"))
+    seq.load_slot(entry("fadd.d ft3, ft4, ft5"))
     with pytest.raises(NestedFrep):  # still replaying
         seq.arm(count=1, n_instr=1)
 
@@ -93,7 +98,7 @@ def plan_at(cycle, text, pending=()):
     for now, dest, lat in pending:
         core.sb.issue(now, dest, lat)
     sim.cycle = cycle
-    core.fq.append(sim._make_qop(core, decode(text)))
+    core.fq.append(sim._fp_entry(core, decode(text)))
     requests = {}
     return sim._plan_fpu(core, requests), core, requests
 

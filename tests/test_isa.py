@@ -8,7 +8,8 @@ import pytest
 
 from streamsim import errors
 from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
-from streamsim.isa import (MASK32, CoreState, Domain, XREGS, _FP_OPS,
+from streamsim.isa import (LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
+                           OP_STORE, CoreState, Domain, XREGS, _FP_OPS,
                            alu_result, branch_taken, decode, fp_compute,
                            sext32)
 from test_fp import bits_to_f32_pair, bits_to_f64x3, f32_pair_to_bits
@@ -44,6 +45,31 @@ def test_decode_pseudos():
     assert decode("nop").mnemonic == "addi"
     j = decode("j 64")
     assert (j.mnemonic, j.rd, j.imm) == ("jal", 0, 64)
+
+
+def test_fp_op_interned_per_fp_registers():
+    """Decode gives FP statements that name the same FP registers one FpOp,
+    whatever their address operands or x source; it is not part of the
+    Instruction's repr or equality."""
+    fld = decode("fld ft0, 0(t0)")
+    assert decode("fld ft0, 8(a1)").fp_op is fld.fp_op
+    assert decode("fld ft1, 0(t0)").fp_op is not fld.fp_op
+    assert decode("flw ft0, 0(t0)").fp_op is not fld.fp_op
+    assert decode("fmv.d.x ft3, t0").fp_op is decode("fmv.d.x ft3, a0").fp_op
+    assert (fld.fp_op.kind, fld.fp_op.operands, fld.fp_op.dest,
+            fld.fp_op.sb_regs, fld.fp_op.lat, fld.fp_op.width) == (
+                OP_LOAD, (), 0, (0,), LAT_LOAD, 8)
+    fma = decode("fmadd.s ft3, ft0, ft1, ft2").fp_op
+    assert (fma.mnemonic, fma.kind, fma.operands, fma.dest, fma.sb_regs,
+            fma.lat, fma.flops) == (
+                "fmadd.s", OP_ARITH, (0, 1, 2), 3, (0, 1, 2, 3), LAT_FMA, 4)
+    fsd = decode("fsd ft4, -8(t1)").fp_op
+    assert (fsd.kind, fsd.operands, fsd.dest, fsd.sb_regs) == (
+        OP_STORE, (4,), None, (4,))
+    assert (fma.pops, fma.push, fsd.pops, fsd.push) == ((), None, (), None)
+    assert decode("addi t0, t0, 1").fp_op is None
+    assert "fp_op" not in repr(fld)
+    assert fld == decode("fld ft0, 0(t0)")
 
 
 def test_decode_rejects():

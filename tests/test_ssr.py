@@ -197,7 +197,7 @@ def test_write_slot_backpressure():
     for v in range(FIFO_DEPTH):
         slot.push(v)
     # a full write buffer holds back an FP op that writes the stream
-    core.fq.append(sim._make_qop(core, decode("fmv.d ft2, ft3")))
+    core.fq.append(sim._fp_entry(core, decode("fmv.d ft2, ft3")))
     assert sim._plan_fpu(core, {}) == "stall:stream"
     assert stream_cycle(sim, core) == [TCDM]
     assert len(slot.write_buf) == FIFO_DEPTH - 1

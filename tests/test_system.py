@@ -235,6 +235,15 @@ def test_package_import_leaves_system_model_out():
         streamsim.nosuch
 
 
+def test_cli_import_leaves_system_model_out():
+    # only the points and roofline commands import the system model
+    code = ("import sys, streamsim.cli; "
+            "assert 'streamsim.system' not in sys.modules")
+    src = str(Path(streamsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_loader_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("operating_points: {}\n")
