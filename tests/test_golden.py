@@ -19,6 +19,7 @@ and give the reason in CHANGES.md.
 import functools
 import hashlib
 import json
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -281,10 +282,144 @@ DISPATCH_PROGRAMS = {
 }
 
 
-HAND_WRITTEN = {**STALL_PROGRAMS, **DMA_PROGRAMS, **DISPATCH_PROGRAMS}
+def _f32(x):
+    """The binary32 bits of x."""
+    return int.from_bytes(struct.pack("<f", x), "little")
+
+
+def _f64(x):
+    """The binary64 bits of x."""
+    return int.from_bytes(struct.pack("<d", x), "little")
+
+
+def _f32_pair(lo, hi):
+    """The 64-bit word of two binary32 lanes."""
+    return _f32(lo) | _f32(hi) << 32
+
+
+# case name -> (assembly, active cores, {address: (bytes, the value the run
+# leaves there)}): the ops no kernel runs, each leaving a value that tells a
+# wrong result, a wrong branch or a wrong link apart from the right one. The
+# result words start non-zero, so a store that never happens shows too.
+OP_PROGRAMS = {
+    # each branch once taken and once not: a branch that falls through
+    # sets its bit of s0, so s0 = 0b10101010; blt compares signed and bltu
+    # unsigned, on -1 and 5. Then a call and return through jal and jalr,
+    # a jalr whose link register is its base, and one whose target's low
+    # bit is cleared, each link checked against its label; lui, auipc,
+    # and ssr_cfg_read of a staged field, an unstaged one and a staged
+    # register value
+    "int_ops": (_lines(
+        "li t0, out",
+        "li t1, -1",
+        "li t2, 5",
+        "li s0, 0",
+        *[line for k, branch in enumerate((
+            "beq t2, t2", "beq t1, t2", "bne t1, t2", "bne t2, t2",
+            "blt t1, t2", "blt t2, t1", "bltu t2, t1", "bltu t1, t2"))
+          for line in (f"{branch}, b{k}", f"addi s0, s0, {1 << k}", f"b{k}:")],
+        "sw s0, 0(t0)",
+        "jal ra, func1",
+        "ret1:",
+        "li t4, func2",
+        "jalr t4, 0(t4)",
+        "ret2:",
+        "li t5, func3",
+        "jalr ra, 1(t5)",
+        "ret3:",
+        "lui a5, 0x80001",
+        "sw a5, 16(t0)",
+        "here:",
+        "auipc a6, 3",
+        "li t3, here",
+        "sub a6, a6, t3",
+        "sw a6, 20(t0)",
+        "ssr_cfg_write 1, stride0, 264",
+        "li t3, -8",
+        "ssr_cfg_write 2, base, t3",
+        "ssr_cfg_read a7, 1, stride0",
+        "sw a7, 24(t0)",
+        "ssr_cfg_read a7, 1, bound0",
+        "sw a7, 28(t0)",
+        "ssr_cfg_read a7, 2, base",
+        "sw a7, 32(t0)",
+        "halt",
+        "func1:",
+        "li t3, ret1",
+        "sub a3, ra, t3",
+        "addi a3, a3, 100",
+        "sw a3, 4(t0)",
+        "jalr zero, 0(ra)",
+        "func2:",
+        "li t3, ret2",
+        "sub a3, t4, t3",
+        "addi a3, a3, 200",
+        "sw a3, 8(t0)",
+        "jalr zero, 0(t4)",
+        "func3:",
+        "li t3, ret3",
+        "sub a3, ra, t3",
+        "addi a3, a3, 300",
+        "sw a3, 12(t0)",
+        "j ret3",
+        ".data",
+        "out:", *[".word 7"] * 9), 1,
+        {TCDM_BASE: (4, 0b10101010),
+         TCDM_BASE + 4: (4, 100), TCDM_BASE + 8: (4, 200),
+         TCDM_BASE + 12: (4, 300),
+         TCDM_BASE + 16: (4, 0x80001000), TCDM_BASE + 20: (4, 0x3000),
+         TCDM_BASE + 24: (4, 264), TCDM_BASE + 28: (4, 0),
+         TCDM_BASE + 32: (4, 0xFFFFFFF8)}),
+    # every .s op on lanes that flw loads and fsw stores, an fmsub.s on the
+    # two lanes of an fld, and the .d ops the kernels do not run
+    "fp_ops": (_lines(
+        "li t0, xs",
+        "flw ft0, 0(t0)",
+        "flw ft1, 4(t0)",
+        "flw ft2, 8(t0)",
+        "fadd.s ft3, ft0, ft1",
+        "fsub.s ft4, ft0, ft1",
+        "fmul.s ft5, ft0, ft1",
+        "fmadd.s ft6, ft0, ft1, ft2",
+        "fmsub.s ft7, ft0, ft1, ft2",
+        *[f"fsw ft{3 + k}, {12 + 4 * k}(t0)" for k in range(5)],
+        "fld ft0, 32(t0)",
+        "fld ft1, 40(t0)",
+        "fld ft2, 48(t0)",
+        "fmsub.s ft3, ft0, ft1, ft2",
+        "fsd ft3, 56(t0)",
+        "fld ft0, 64(t0)",
+        "fld ft1, 72(t0)",
+        "fld ft2, 80(t0)",
+        "fsub.d ft3, ft0, ft1",
+        "fmul.d ft4, ft0, ft1",
+        "fmsub.d ft5, ft0, ft1, ft2",
+        "fsd ft3, 88(t0)",
+        "fsd ft4, 96(t0)",
+        "fsd ft5, 104(t0)",
+        "halt",
+        ".data",
+        "xs:",
+        *[f".word {_f32(x)}" for x in (1.5, 2.25, 0.5)],
+        *[".word 7"] * 5,
+        *[f".word {_f32(x)}" for x in (1.5, 3.0, 2.25, 2.0, 0.5, 0.5)],
+        ".double 7.0",
+        *[f".double {x}" for x in (1.5, 2.25, 0.5)],
+        *[".double 7.0"] * 3), 1,
+        {**{TCDM_BASE + 12 + 4 * k: (4, _f32(x)) for k, x in enumerate(
+            (3.75, -0.75, 3.375, 3.875, 2.875))},
+         TCDM_BASE + 56: (8, _f32_pair(2.875, 5.5)),
+         TCDM_BASE + 88: (8, _f64(-0.75)),
+         TCDM_BASE + 96: (8, _f64(3.375)),
+         TCDM_BASE + 104: (8, _f64(2.875))}),
+}
+
+
+HAND_WRITTEN = {**STALL_PROGRAMS, **DMA_PROGRAMS, **DISPATCH_PROGRAMS,
+                **OP_PROGRAMS}
 # every case with frozen digests
 ALL_CASES = (sorted(CASES) + sorted(STALL_PROGRAMS) + sorted(DMA_PROGRAMS)
-             + sorted(DISPATCH_PROGRAMS))
+             + sorted(DISPATCH_PROGRAMS) + sorted(OP_PROGRAMS))
 
 
 # program case name -> (kernel, n): every kernel at its default n, plus the
@@ -544,6 +679,20 @@ def test_dispatch_program_result(case):
     source, cores, words = DISPATCH_PROGRAMS[case]
     sim, result = run_program(source, cores)
     got = {a: int.from_bytes(sim.mem.read(a, 8), "little") for a in words}
+    assert got == words
+    for s in result.core_stats[:cores]:
+        assert s.fetched + s.int_stalls() == s.cycles_at_halt
+        assert s.fp_slots() == s.cycles_at_halt
+
+
+@pytest.mark.parametrize("case", sorted(OP_PROGRAMS))
+def test_op_program_result(case):
+    """Each op program leaves the values its ops compute, and its counters
+    close."""
+    source, cores, words = OP_PROGRAMS[case]
+    sim, result = run_program(source, cores)
+    got = {a: (n, int.from_bytes(sim.mem.read(a, n), "little"))
+           for a, (n, _) in words.items()}
     assert got == words
     for s in result.core_stats[:cores]:
         assert s.fetched + s.int_stalls() == s.cycles_at_halt
