@@ -38,9 +38,9 @@ import mmap
 from dataclasses import dataclass
 from collections import deque
 
-from .isa import (Domain, CoreState, Instruction, alu_result, branch_taken,
-                  fp_compute, MASK32, CUSTOM_OPS, INT_ALU, INT_BRANCH,
-                  FP_DECODE, OP_ARITH, OP_LOAD)
+from .isa import (Domain, CoreState, Instruction, fp_compute, MASK32, OPS,
+                  OP_ARITH, OP_LOAD, MEM_WAIT, QUEUE_FULL, FREP_WAIT, DRAIN,
+                  DMA_FULL)
 from .frep import (Sequencer, Scoreboard, FpEntry, StreamSplit, Mode,
                    FP_QUEUE_DEPTH)
 from .ssr import ELEMENT, StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
@@ -593,9 +593,9 @@ class ClusterSim:
     def _commit_fpu(self, core, grants):
         """Apply the FPU plan, an FpEntry; return the trace event, or None
         for an event that is only formatted while tracing. An issue sets
-        its destination's scoreboard entry and a replay steps the
-        sequencer here, as `Scoreboard.issue` and `Sequencer.advance_replay`
-        would."""
+        its destination's scoreboard entry here, as `Scoreboard.issue`
+        would, and a replay steps the sequencer's body pointer and
+        iteration count here."""
         entry = core._fpu_plan
         op = entry.op
         st = core.stats
@@ -725,11 +725,11 @@ class ClusterSim:
         """Whether the int pipe still waits on `wait`, counting the stall if
         it does; any plan that is not a wait token never waits."""
         st = core.stats
-        if wait is _QUEUE_FULL:
+        if wait is QUEUE_FULL:
             if len(core.fq) < FP_QUEUE_DEPTH:
                 return False
             st.stall_queue_full += 1
-        elif wait is _MEM_WAIT:
+        elif wait is MEM_WAIT:
             if not core.mem_stall:
                 return False
             core.mem_stall -= 1
@@ -737,15 +737,15 @@ class ClusterSim:
                 st.stall_icache += 1
             else:
                 st.stall_mem += 1
-        elif wait is _FREP_WAIT:
+        elif wait is FREP_WAIT:
             if core.seq.mode is _IDLE:
                 return False
             st.stall_frep_wait += 1
-        elif wait is _DRAIN:
+        elif wait is DRAIN:
             if core.drained():
                 return False
             st.stall_drain += 1
-        elif wait is _DMA_FULL:
+        elif wait is DMA_FULL:
             if len(self.dma.queue) < DMA_QUEUE_DEPTH:
                 return False
             st.stall_dma_full += 1
@@ -770,8 +770,8 @@ class ClusterSim:
         if core.capture_pending > 0 and instr.domain is not _FP:
             self._fault(core, NonFpInCapture(
                 f"'{instr.mnemonic}' inside an frep capture range"))
-        wait = _INT_KIND[instr.mnemonic]
-        if wait is _MEM_WAIT:
+        wait = instr.op.wait
+        if wait is MEM_WAIT:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
@@ -784,7 +784,7 @@ class ClusterSim:
             core.mem_stall_cause = "mem"
         if wait is not None and self._waits(core, wait):
             return wait
-        if wait is _QUEUE_FULL:
+        if wait is QUEUE_FULL:
             return self._fp_entry(core, instr)
         return instr
 
@@ -816,7 +816,7 @@ class ClusterSim:
             entry.split = op
         if op.kind == OP_ARITH:
             entry.bank = None
-            if op.mnemonic == "fmv.d.x":
+            if op.latches_x:
                 entry.xval = core.state.x[instr.rs1]
             return entry
         addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
@@ -858,30 +858,18 @@ class ClusterSim:
         state = core.state
         if cls is Instruction:
             instr = plan
-            mn = instr.mnemonic
             if instr.domain is _CUSTOM:
                 # another core may have filled the DMA queue earlier this cycle
-                if mn == "dm_copy" and self._waits(core, _DMA_FULL):
-                    core._int_plan = _DMA_FULL
-                    return _DMA_FULL
-                self._exec_custom(core, instr)
+                if instr.op.wait is DMA_FULL and self._waits(core, DMA_FULL):
+                    core._int_plan = DMA_FULL
+                    return DMA_FULL
+                _CUSTOM_HANDLERS[instr.mnemonic](self, core, instr)
                 self._retire_int(core, instr)
-                if mn != "halt":
+                if not core.halted:
                     state.pc += 4
                 return instr
             self._retire_int(core, instr)
-            if mn in INT_ALU:
-                state.set_x(instr.rd, alu_result(state, instr))
-                state.pc += 4
-            elif mn in INT_BRANCH:
-                state.pc = instr.imm if branch_taken(state, instr) else state.pc + 4
-            elif mn == "jal":
-                state.set_x(instr.rd, state.pc + 4)
-                state.pc = instr.imm
-            else:  # jalr
-                target = (state.x[instr.rs1] + instr.imm) & MASK32 & ~1
-                state.set_x(instr.rd, state.pc + 4)
-                state.pc = target
+            instr.op.execute(state, instr)
             return instr
         if cls is FpEntry:
             core.fq.append(plan)
@@ -900,7 +888,7 @@ class ClusterSim:
                 core.held_access = plan
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
-            if instr.mnemonic == "lw":
+            if instr.op.kind == OP_LOAD:
                 state.set_x(instr.rd, _WORD.unpack_from(buf, off)[0])
             else:
                 _WORD.pack_into(buf, off, state.x[instr.rs2])
@@ -909,81 +897,94 @@ class ClusterSim:
             core.mem_stall = L2_LATENCY - 1
             core.mem_stall_cause = "icache"
             core.stats.stall_icache += 1
-            core._int_plan = _MEM_WAIT
+            core._int_plan = MEM_WAIT
             return "stall:icache"
         self._retire_int(core, instr)
         state.pc += 4
         return instr
 
-    def _exec_custom(self, core, instr):
-        mn = instr.mnemonic
+    # ------------------------------------------------------------- custom ops
+    #
+    # The method named _<mnemonic> applies a custom op at commit;
+    # _commit_int then retires it and steps the pc past it, unless it halted
+    # the core.
+
+    def _frep(self, core, instr):
+        try:
+            core.seq.arm(core.state.x[instr.rs1], instr.n_instr)
+        except SimError as e:
+            self._fault(core, e)
+        core.capture_pending = instr.n_instr
+
+    def _ssr_cfg_write(self, core, instr):
         state = core.state
-        if mn == "frep":
-            try:
-                core.seq.arm(state.x[instr.rs1], instr.n_instr)
-            except SimError as e:
-                self._fault(core, e)
-            core.capture_pending = instr.n_instr
-        elif mn == "ssr_cfg_write":
-            if state.ssr_enabled:
-                self._fault(core, ReconfigWhileActive(
-                    f"slot {instr.slot} reconfigured while streaming"))
-            if not 0 <= instr.slot < N_SLOTS:
-                self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
-            # a config register is 32 bits wide, whatever the value's source
-            value = instr.imm if instr.rs1 is None else state.x[instr.rs1]
-            core.staged_cfg[instr.slot][instr.field] = value & MASK32
-        elif mn == "ssr_cfg_read":
-            if not 0 <= instr.slot < N_SLOTS:
-                self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
-            state.set_x(instr.rd, core.staged_cfg[instr.slot].get(instr.field, 0))
-        elif mn == "ssr_enable":
-            try:
-                for slot, staged in zip(core.slots, core.staged_cfg):
-                    if staged:
-                        if state.ssr_enabled:
-                            raise ReconfigWhileActive(
-                                f"slot {slot.index} reconfigured while streaming")
-                        slot.configure(staged)
-                        low, high = slot.footprint()
-                        if low < TCDM_BASE or high > TCDM_BASE + TCDM_SIZE:
-                            raise OutOfRangeAccess(
-                                f"stream {slot.index} footprint "
-                                f"[0x{low:x}, 0x{high:x}) outside TCDM")
-            except SimError as e:
-                self._fault(core, e)
-            state.ssr_enabled = True
-            core.map_streams()
-            self._map_streams()
-        elif mn == "ssr_disable":
-            # the drain plan has already emptied the write buffers
-            for slot in core.slots:
-                slot.reset()
-            for staged in core.staged_cfg:
-                staged.clear()
-            state.ssr_enabled = False
-            core.map_streams()
-            self._map_streams()
-        elif mn == "dm_src":
-            core.dma_src = state.x[instr.rs1]
-        elif mn == "dm_dst":
-            core.dma_dst = state.x[instr.rs1]
-        elif mn == "dm_copy":
-            desc = DmaDescriptor(core.dma_src, core.dma_dst, state.x[instr.rs1])
-            try:
-                ok = self.dma.submit(desc)
-            except SimError as e:
-                self._fault(core, e)
-            assert ok  # commit path re-checks queue room first
-        elif mn == "dm_poll":
-            state.set_x(instr.rd, self.dma.outstanding())
-        elif mn == "halt":
-            core.halted = True
-            core.stats.cycles_at_halt = self.cycle + 1
-            self.live = [c for c in self.live if c is not core]
-            self._map_streams()
-        else:
-            raise AssertionError(mn)
+        if state.ssr_enabled:
+            self._fault(core, ReconfigWhileActive(
+                f"slot {instr.slot} reconfigured while streaming"))
+        if not 0 <= instr.slot < N_SLOTS:
+            self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
+        # a config register is 32 bits wide, whatever the value's source
+        value = instr.imm if instr.rs1 is None else state.x[instr.rs1]
+        core.staged_cfg[instr.slot][instr.field] = value & MASK32
+
+    def _ssr_cfg_read(self, core, instr):
+        if not 0 <= instr.slot < N_SLOTS:
+            self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
+        core.state.set_x(instr.rd,
+                         core.staged_cfg[instr.slot].get(instr.field, 0))
+
+    def _ssr_enable(self, core, instr):
+        state = core.state
+        try:
+            for slot, staged in zip(core.slots, core.staged_cfg):
+                if staged:
+                    if state.ssr_enabled:
+                        raise ReconfigWhileActive(
+                            f"slot {slot.index} reconfigured while streaming")
+                    slot.configure(staged)
+                    low, high = slot.footprint()
+                    if low < TCDM_BASE or high > TCDM_BASE + TCDM_SIZE:
+                        raise OutOfRangeAccess(
+                            f"stream {slot.index} footprint "
+                            f"[0x{low:x}, 0x{high:x}) outside TCDM")
+        except SimError as e:
+            self._fault(core, e)
+        state.ssr_enabled = True
+        core.map_streams()
+        self._map_streams()
+
+    def _ssr_disable(self, core, instr):
+        # the drain plan has already emptied the write buffers
+        for slot in core.slots:
+            slot.reset()
+        for staged in core.staged_cfg:
+            staged.clear()
+        core.state.ssr_enabled = False
+        core.map_streams()
+        self._map_streams()
+
+    def _dm_src(self, core, instr):
+        core.dma_src = core.state.x[instr.rs1]
+
+    def _dm_dst(self, core, instr):
+        core.dma_dst = core.state.x[instr.rs1]
+
+    def _dm_copy(self, core, instr):
+        desc = DmaDescriptor(core.dma_src, core.dma_dst, core.state.x[instr.rs1])
+        try:
+            ok = self.dma.submit(desc)
+        except SimError as e:
+            self._fault(core, e)
+        assert ok  # commit path re-checks queue room first
+
+    def _dm_poll(self, core, instr):
+        core.state.set_x(instr.rd, self.dma.outstanding())
+
+    def _halt(self, core, instr):
+        core.halted = True
+        core.stats.cycles_at_halt = self.cycle + 1
+        self.live = [c for c in self.live if c is not core]
+        self._map_streams()
 
     # ------------------------------------------------------------- main loop
 
@@ -1011,7 +1012,7 @@ class ClusterSim:
             # here as _waits would
             plan = core._int_plan
             if plan.__class__ is str:
-                if plan is _FREP_WAIT:
+                if plan is FREP_WAIT:
                     if core.seq.mode is not _IDLE:
                         core.stats.stall_frep_wait += 1
                         continue
@@ -1048,22 +1049,9 @@ class ClusterSim:
 
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
-# the int-pipe waits, each its trace event; _waits tests their conditions:
-# the L2 access or icache fill counting down, FP queue room, an idle
-# sequencer, an empty FPU and write streams, DMA queue room
-_MEM_WAIT = "stall:mem"
-_QUEUE_FULL = "stall:queue_full"
-_FREP_WAIT = "stall:frep_wait"
-_DRAIN = "stall:drain"
-_DMA_FULL = "stall:dma_full"
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
 _WORD = ELEMENT[4][0]
 
-# the wait each mnemonic may meet in the int pipe, None for none: an FP op
-# waits for queue room, an lw/sw outside the TCDM for L2, frep for an idle
-# sequencer, ssr_disable and halt for a drain, dm_copy for DMA queue room
-_INT_KIND = dict.fromkeys(FP_DECODE, _QUEUE_FULL)
-_INT_KIND.update(dict.fromkeys(INT_ALU | INT_BRANCH | CUSTOM_OPS | {"jal", "jalr"}))
-_INT_KIND.update(lw=_MEM_WAIT, sw=_MEM_WAIT, frep=_FREP_WAIT,
-                 ssr_disable=_DRAIN, halt=_DRAIN, dm_copy=_DMA_FULL)
-
+# custom mnemonic -> its handler, a ClusterSim method (sim, core, instr)
+_CUSTOM_HANDLERS = {mn: getattr(ClusterSim, f"_{mn}")
+               for mn, op in OPS.items() if op.domain is _CUSTOM}

@@ -70,21 +70,6 @@ class Sequencer:
             self.iter_idx = 1
             self.inst_ptr = 0
 
-    def replay_op(self):
-        return self.buffer[self.inst_ptr]
-
-    def replay_position(self):
-        return self.iter_idx, self.total_iters
-
-    def advance_replay(self):
-        self.inst_ptr += 1
-        if self.inst_ptr == self.n_instr:
-            self.inst_ptr = 0
-            self.iter_idx += 1
-            if self.iter_idx > self.total_iters:
-                self.mode = Mode.IDLE
-                self.buffer = []
-
 
 class Scoreboard:
     """Per FP register, the cycle at which its pending result becomes

@@ -1,15 +1,18 @@
-"""Instruction set core: decoding, register state, integer-pipeline semantics.
+"""Instruction set core: the op table, decoding, register state.
 
 The dialect is a small RV32 subset plus the custom stream/repetition/DMA ops.
-Instructions are decoded from assembly text (no binary encodings); immediates
-are plain signed 32-bit values and branch/jump targets are absolute addresses,
-which decode reads from the assembler's label table.
+Each canonical mnemonic is declared once, with its operand format and the
+facts of its Op record: domain, int-pipe wait, an INT op's execute function
+and an FP op's FPU facts. Instructions are decoded from assembly text (no
+binary encodings); immediates are plain signed 32-bit values and
+branch/jump targets are absolute addresses, which decode reads from the
+assembler's label table.
 """
 
 import re
 from dataclasses import dataclass, field as dfield, fields as dfields
 from enum import Enum
-from operator import itemgetter
+from operator import eq, itemgetter, lt, ne
 
 from .errors import MalformedOperands, UnresolvedLabel, UnsupportedInstruction
 from . import fp
@@ -23,16 +26,14 @@ class Domain(Enum):
     CUSTOM = "custom"
 
 
-# mnemonic groups; every supported mnemonic appears in exactly one
-INT_ALU = {"add", "sub", "addi", "slli", "lui", "auipc"}
-INT_BRANCH = {"beq", "bne", "blt", "bltu"}
-FP_LOAD = {"fld", "flw"}
-FP_STORE = {"fsd", "fsw"}
-FP_FMA = {"fmadd.d", "fmsub.d", "fmadd.s", "fmsub.s"}
-FP_ADDMUL = {"fadd.d", "fsub.d", "fmul.d", "fadd.s", "fsub.s", "fmul.s"}
-FP_MOVE = {"fmv.d", "fmv.d.x"}
-CUSTOM_OPS = {"frep", "ssr_cfg_write", "ssr_cfg_read", "ssr_enable", "ssr_disable",
-              "dm_src", "dm_dst", "dm_copy", "dm_poll", "halt"}
+# the int-pipe waits, each its trace event: an lw/sw outside the TCDM waits
+# for L2 (as an icache fill does), an FP op for FP queue room, frep for an
+# idle sequencer, ssr_disable and halt for a drain, dm_copy for DMA queue room
+MEM_WAIT = "stall:mem"
+QUEUE_FULL = "stall:queue_full"
+FREP_WAIT = "stall:frep_wait"
+DRAIN = "stall:drain"
+DMA_FULL = "stall:dma_full"
 
 SSR_FIELDS = ("base", "stride0", "stride1", "stride2", "stride3",
               "bound0", "bound1", "bound2", "bound3", "dims", "dir", "width")
@@ -69,49 +70,43 @@ LAT_MOVE = 1
 LAT_LOAD = 1
 LAT_STORE = 1
 
-# FP op kinds
-OP_ARITH = "arith"      # compute or register move
-OP_LOAD = "load"        # fld/flw: memory -> FP reg at FPU issue
-OP_STORE = "store"      # fsd/fsw: FP reg -> memory at FPU issue
+# op kinds
+OP_ARITH = "arith"      # compute, register move, branch, custom op
+OP_LOAD = "load"        # lw, fld, flw: memory -> register
+OP_STORE = "store"      # sw, fsd, fsw: register -> memory
 
 
-@dataclass(frozen=True)
-class FpDecode:
-    """What the FPU needs of one FP mnemonic."""
-    kind: str          # OP_ARITH, OP_LOAD or OP_STORE
-    srcs: tuple        # Instruction fields of the FP sources, in operand order
-    lat: int           # issue-to-result latency, cycles
-    flops: int         # per op; nonzero exactly for the compute ops that
-                       # occupy the FMA datapath, which utilization counts
-    width: int         # bytes accessed by a load or store
-
-
-def _decode_entry(mn):
-    if mn in FP_LOAD:
-        return FpDecode(OP_LOAD, (), LAT_LOAD, 0, 8 if mn == "fld" else 4)
-    if mn in FP_STORE:
-        return FpDecode(OP_STORE, ("rs2",), LAT_STORE, 0, 8 if mn == "fsd" else 4)
-    lanes = 2 if mn.endswith(".s") else 1
-    if mn in FP_FMA:
-        return FpDecode(OP_ARITH, ("rs1", "rs2", "rs3"), LAT_FMA, 2 * lanes, 8)
-    if mn in FP_ADDMUL:
-        return FpDecode(OP_ARITH, ("rs1", "rs2"), LAT_ADDMUL, lanes, 8)
-    if mn == "fmv.d":
-        return FpDecode(OP_ARITH, ("rs1",), LAT_MOVE, 0, 8)
-    return FpDecode(OP_ARITH, (), LAT_MOVE, 0, 8)  # fmv.d.x: x source
-
-
-FP_DECODE = {mn: _decode_entry(mn)
-             for mn in sorted(FP_FMA | FP_ADDMUL | FP_MOVE | FP_LOAD | FP_STORE)}
+@dataclass(frozen=True, slots=True)
+class Op:
+    """What the simulator knows of one canonical mnemonic. Its declaration
+    below makes it once, at import, and decode hands it to every
+    Instruction of that mnemonic."""
+    mnemonic: str
+    domain: Domain
+    wait: str | None = None   # the int-pipe wait it may meet, or None
+    execute: object = None    # INT but lw/sw: execute(CoreState,
+                              # Instruction), which also sets the pc
+    kind: str = OP_ARITH
+    # FP facts
+    srcs: tuple = ()          # Instruction fields of the FP sources, in
+                              # operand order
+    lat: int = 0              # issue-to-result latency, cycles
+    flops: int = 0            # nonzero exactly for the compute ops that
+                              # occupy the FMA datapath, which utilization
+                              # counts
+    width: int = 0            # bytes accessed by a load or store
+    compute: object = None    # compute(a, b, c) from raw operand bits to
+                              # raw result bits, for an op with flops
+    latches_x: bool = False   # reads an integer register at dispatch
 
 
 @dataclass(frozen=True, slots=True)
 class FpOp:
-    """What the FPU needs of an FP instruction: its mnemonic's FpDecode
-    with the FP registers filled in. Address operands and the x source of
-    fmv.d.x are not part of it, so the few records of a program are shared
-    by all its FP statements that name the same registers (decode interns
-    them) and by every core.
+    """What the FPU needs of an FP instruction: its Op's FP facts with the
+    FP registers filled in. Address operands and the x source of fmv.d.x
+    are not part of it, so the few records of a program are shared by all
+    its FP statements that name the same registers (decode interns them)
+    and by every core.
 
     A record is also the op's operand split on a core that does not
     stream: each operand is a register, every register goes through the
@@ -123,6 +118,8 @@ class FpOp:
     lat: int
     flops: int
     width: int
+    compute: object
+    latches_x: bool
     sb_regs: tuple        # the operands and the destination
     pops: tuple = ()
     push: None = None
@@ -137,8 +134,9 @@ class Instruction:
     """One decoded statement. The statements of a program that read alike
     share one record, so nothing changes a record after decode.
 
-    An FP instruction carries its interned FpOp in `fp_op`, which decode
-    fills and which neither `repr` nor comparison shows."""
+    Decode fills two fields that neither `repr` nor comparison shows: `op`,
+    the mnemonic's Op, and for an FP instruction `fp_op`, its interned
+    FpOp."""
     mnemonic: str
     domain: Domain
     rd: int | None = None
@@ -151,6 +149,7 @@ class Instruction:
     n_instr: int | None = None  # frep body length
     text: str = ""
     fp_op: FpOp | None = dfield(default=None, repr=False, compare=False)
+    op: Op | None = dfield(default=None, repr=False, compare=False)
 
     def __str__(self):
         return self.text or self.mnemonic
@@ -158,8 +157,8 @@ class Instruction:
 
 # position of each Instruction field in its constructor's arguments
 _AT = {f.name: i for i, f in enumerate(dfields(Instruction))}
-_RS1, _IMM, _N_INSTR, _TEXT, _FP_OP = (
-    _AT[f] for f in ("rs1", "imm", "n_instr", "text", "fp_op"))
+_RS1, _IMM, _N_INSTR, _TEXT, _FP_OP, _OP = (
+    _AT[f] for f in ("rs1", "imm", "n_instr", "text", "fp_op", "op"))
 
 
 # Operand kinds. Each parses one operand token into the field values `v` at
@@ -240,46 +239,126 @@ _KINDS = {"x": _xreg, "f": _freg, "i": _imm, "m": _mem, "s": _ssr_field,
 # operands are parsed, ((field position, kind), ...), and for an FP
 # mnemonic a getter of its FP register fields from those values, else None)
 _FORMATS = {}
+OPS = {}    # canonical mnemonic -> its Op
 
 
-def _format(mnemonics, operands, domain=Domain.INT, canon=None, **fixed):
-    """Add mnemonics whose operands are written "field:kind ..."."""
+def _format(mn, operands, canon=None, **fixed):
+    """Add mnemonic mn, whose operands are written "field:kind ...", as a
+    form of the declared op `canon` (mn itself unless a pseudo-instruction)
+    with the given fields fixed."""
+    op = OPS[canon or mn]
     # a kind that sets fields of its own, imm(rs1) or rs1|imm, gets None
     ops = tuple((_AT.get(name), _KINDS[kind]) for name, kind in
-                (op.split(":") for op in operands.split()))
-    if isinstance(mnemonics, str):
-        mnemonics = mnemonics.split()
+                (o.split(":") for o in operands.split()))
     fregs = (itemgetter(*(i for i, kind in ops if kind is _freg))
-             if domain is Domain.FP else None)
-    for mn in mnemonics:
-        blank = Instruction(canon or mn, domain, **fixed)
-        _FORMATS[mn] = (canon or mn, tuple(getattr(blank, f) for f in _AT),
-                        ops, fregs)
+             if op.domain is Domain.FP else None)
+    blank = Instruction(op.mnemonic, op.domain, **fixed, op=op)
+    _FORMATS[mn] = (op.mnemonic, tuple(getattr(blank, f) for f in _AT),
+                    ops, fregs)
 
 
+def _op(mnemonics, operands, domain=Domain.INT, **facts):
+    """Declare each of `mnemonics`: its operands, written "field:kind ...",
+    and the facts of its Op. An FP op waits for FP queue room, its sources
+    are its FP register operands but rd, and it latches an integer
+    register operand at dispatch."""
+    if domain is Domain.FP:
+        kinds = [o.split(":") for o in operands.split()]
+        facts.update(wait=QUEUE_FULL,
+                     srcs=tuple(f for f, kind in kinds
+                                if kind == "f" and f != "rd"),
+                     latches_x=any(kind == "x" for _, kind in kinds))
+    for mn in mnemonics.split():
+        OPS[mn] = Op(mn, domain, **facts)
+        _format(mn, operands)
+
+
+def sext32(v: int) -> int:
+    v &= MASK32
+    return v - (1 << 32) if v & 0x80000000 else v
+
+
+def _alu(result):
+    """The execute function of an ALU op that writes result(state, instr),
+    wrapped to 32 bits, to rd."""
+    def execute(s, i):
+        if i.rd:                # x0 is hardwired to zero
+            s.x[i.rd] = result(s, i) & MASK32
+        s.pc += 4
+    return execute
+
+
+def _jal(s, i):
+    s.set_x(i.rd, s.pc + 4)
+    s.pc = i.imm
+
+
+def _jalr(s, i):
+    target = (s.x[i.rs1] + i.imm) & MASK32 & ~1    # before rd is written
+    s.set_x(i.rd, s.pc + 4)
+    s.pc = target
+
+
+def _branch(taken):
+    """The execute function of a branch to imm when taken(x[rs1], x[rs2])."""
+    def execute(s, i):
+        s.pc = i.imm if taken(s.x[i.rs1], s.x[i.rs2]) else s.pc + 4
+    return execute
+
+
+def _compute(stem, operands, lat, flops, lane_d, lane_s=None, negate_c=False):
+    """Declare the .d form of an FP compute op, which runs lane_d(a, b, c)
+    on binary64 values, and its .s form, which runs lane_s (default lane_d)
+    on both binary32 lanes for twice the flops."""
+    _op(f"{stem}.d", operands, Domain.FP, lat=lat, flops=flops,
+        compute=fp.binary64_op(lane_d, negate_c))
+    _op(f"{stem}.s", operands, Domain.FP, lat=lat, flops=2 * flops,
+        compute=fp.binary32_pair_op(lane_s or lane_d, negate_c))
+
+
+# every canonical mnemonic, declared once
+_op("add", "rd:x rs1:x rs2:x",
+    execute=_alu(lambda s, i: s.x[i.rs1] + s.x[i.rs2]))
+_op("sub", "rd:x rs1:x rs2:x",
+    execute=_alu(lambda s, i: s.x[i.rs1] - s.x[i.rs2]))
+_op("addi", "rd:x rs1:x imm:i", execute=_alu(lambda s, i: s.x[i.rs1] + i.imm))
+_op("slli", "rd:x rs1:x imm:i", execute=_alu(lambda s, i: s.x[i.rs1] << i.imm))
+_op("lui", "rd:x imm:i", execute=_alu(lambda s, i: i.imm << 12))
+_op("auipc", "rd:x imm:i", execute=_alu(lambda s, i: s.pc + (i.imm << 12)))
+_op("jal", "rd:x imm:i", execute=_jal)
+_op("jalr", "rd:x imm(rs1):m", execute=_jalr)
+_op("beq", "rs1:x rs2:x imm:i", execute=_branch(eq))
+_op("bne", "rs1:x rs2:x imm:i", execute=_branch(ne))
+_op("blt", "rs1:x rs2:x imm:i",
+    execute=_branch(lambda a, b: sext32(a) < sext32(b)))
+_op("bltu", "rs1:x rs2:x imm:i", execute=_branch(lt))
+_op("lw", "rd:x imm(rs1):m", wait=MEM_WAIT, kind=OP_LOAD)
+_op("sw", "rs2:x imm(rs1):m", wait=MEM_WAIT, kind=OP_STORE)
+_op("fld", "rd:f imm(rs1):m", Domain.FP, kind=OP_LOAD, lat=LAT_LOAD, width=8)
+_op("flw", "rd:f imm(rs1):m", Domain.FP, kind=OP_LOAD, lat=LAT_LOAD, width=4)
+_op("fsd", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=8)
+_op("fsw", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=4)
+_compute("fmadd", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32)
+_compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32,
+         negate_c=True)
+_compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a + b)
+_compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a - b)
+_compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a * b)
+_op("fmv.d", "rd:f rs1:f", Domain.FP, lat=LAT_MOVE)
+_op("fmv.d.x", "rd:f rs1:x", Domain.FP, lat=LAT_MOVE)
+_op("frep", "rs1:x n_instr:i", Domain.CUSTOM, wait=FREP_WAIT)
+_op("ssr_cfg_write", "slot:i field:s rs1|imm:r", Domain.CUSTOM)
+_op("ssr_cfg_read", "rd:x slot:i field:s", Domain.CUSTOM)
+_op("ssr_enable", "", Domain.CUSTOM)
+_op("ssr_disable halt", "", Domain.CUSTOM, wait=DRAIN)
+_op("dm_src dm_dst", "rs1:x", Domain.CUSTOM)
+_op("dm_copy", "rs1:x", Domain.CUSTOM, wait=DMA_FULL)
+_op("dm_poll", "rd:x", Domain.CUSTOM)
 # pseudo-instructions expand to their canonical forms
-_format("li", "rd:x imm:i", canon="addi", rs1=0)
-_format("mv", "rd:x rs1:x", canon="addi", imm=0)
-_format("nop", "", canon="addi", rd=0, rs1=0, imm=0)
-_format("j", "imm:i", canon="jal", rd=0)
-_format("add sub", "rd:x rs1:x rs2:x")
-_format("addi slli", "rd:x rs1:x imm:i")
-_format("lui auipc jal", "rd:x imm:i")
-_format(INT_BRANCH, "rs1:x rs2:x imm:i")
-_format("jalr lw", "rd:x imm(rs1):m")
-_format("sw", "rs2:x imm(rs1):m")
-_format(FP_LOAD, "rd:f imm(rs1):m", Domain.FP)
-_format(FP_STORE, "rs2:f imm(rs1):m", Domain.FP)
-_format(FP_FMA, "rd:f rs1:f rs2:f rs3:f", Domain.FP)
-_format(FP_ADDMUL, "rd:f rs1:f rs2:f", Domain.FP)
-_format("fmv.d", "rd:f rs1:f", Domain.FP)
-_format("fmv.d.x", "rd:f rs1:x", Domain.FP)
-_format("frep", "rs1:x n_instr:i", Domain.CUSTOM)
-_format("ssr_cfg_write", "slot:i field:s rs1|imm:r", Domain.CUSTOM)
-_format("ssr_cfg_read", "rd:x slot:i field:s", Domain.CUSTOM)
-_format("ssr_enable ssr_disable halt", "", Domain.CUSTOM)
-_format("dm_src dm_dst dm_copy", "rs1:x", Domain.CUSTOM)
-_format("dm_poll", "rd:x", Domain.CUSTOM)
+_format("li", "rd:x imm:i", "addi", rs1=0)
+_format("mv", "rd:x rs1:x", "addi", imm=0)
+_format("nop", "", "addi", rd=0, rs1=0, imm=0)
+_format("j", "imm:i", "jal", rd=0)
 
 
 # (mnemonic, its FP register values) -> FpOp, shared by every program
@@ -288,13 +367,12 @@ _FP_INTERNED = {}
 
 def _intern_fp_op(key, v):
     """The FpOp of the FP statement with field values v, made once per key."""
-    mn = key[0]
-    d = FP_DECODE[mn]
+    d = v[_OP]
     srcs = tuple(v[_AT[f]] for f in d.srcs)
     dest = None if d.kind == OP_STORE else v[_AT["rd"]]
     op = _FP_INTERNED[key] = FpOp(
-        mn, d.kind, srcs, dest, d.lat, d.flops, d.width,
-        srcs if dest is None else srcs + (dest,))
+        d.mnemonic, d.kind, srcs, dest, d.lat, d.flops, d.width, d.compute,
+        d.latches_x, srcs if dest is None else srcs + (dest,))
     return op
 
 
@@ -361,64 +439,11 @@ class CoreState:
             self.x[idx] = value & MASK32
 
 
-def sext32(v: int) -> int:
-    v &= MASK32
-    return v - (1 << 32) if v & 0x80000000 else v
-
-
-def alu_result(core: CoreState, instr: Instruction) -> int:
-    """Result value of an integer ALU op (32-bit wrapped)."""
-    mn = instr.mnemonic
-    if mn == "add":
-        return (core.x[instr.rs1] + core.x[instr.rs2]) & MASK32
-    if mn == "sub":
-        return (core.x[instr.rs1] - core.x[instr.rs2]) & MASK32
-    if mn == "addi":
-        return (core.x[instr.rs1] + instr.imm) & MASK32
-    if mn == "slli":
-        return (core.x[instr.rs1] << instr.imm) & MASK32
-    if mn == "lui":
-        return (instr.imm << 12) & MASK32
-    if mn == "auipc":
-        return (core.pc + (instr.imm << 12)) & MASK32
-    raise UnsupportedInstruction(f"'{mn}' is not an ALU op")
-
-
-def branch_taken(core: CoreState, instr: Instruction) -> bool:
-    a, b = core.x[instr.rs1], core.x[instr.rs2]
-    mn = instr.mnemonic
-    if mn == "beq":
-        return a == b
-    if mn == "bne":
-        return a != b
-    if mn == "blt":
-        return sext32(a) < sext32(b)
-    if mn == "bltu":
-        return a < b
-    raise UnsupportedInstruction(f"'{mn}' is not a branch")
-
-
-# FP compute op -> its datapath, from raw operand bits to raw result bits
-_FP_OPS = {"fmadd.d": fp.binary64_op(fp.fma64),
-           "fmsub.d": fp.binary64_op(fp.fma64, negate_c=True),
-           "fmadd.s": fp.binary32_pair_op(fp.fma32),
-           "fmsub.s": fp.binary32_pair_op(fp.fma32, negate_c=True)}
-for _name, _lane in (("add", lambda a, b, c: a + b), ("sub", lambda a, b, c: a - b),
-                     ("mul", lambda a, b, c: a * b)):
-    _FP_OPS[f"f{_name}.d"] = fp.binary64_op(_lane)
-    _FP_OPS[f"f{_name}.s"] = fp.binary32_pair_op(_lane)
-
-
-def fp_compute(instr, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
-    """Pure FP datapath: raw operand bits in, raw result bits out. `instr`
-    is an Instruction or its FpOp; only its mnemonic is read.
+def fp_compute(op, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
+    """Pure FP datapath: raw operand bits in, raw result bits out, by the
+    compute function of `op`, an FpOp or an Op with flops.
 
     .s ops follow the packed-pair convention: both 32-bit lanes of the 64-bit
     register are processed, which is what gives the FPU its 2-SP-FMA/cycle rate.
     """
-    try:
-        op = _FP_OPS[instr.mnemonic]
-    except KeyError:
-        raise UnsupportedInstruction(
-            f"'{instr.mnemonic}' is not an FP compute op") from None
-    return op(a_bits, b_bits, c_bits)
+    return op.compute(a_bits, b_bits, c_bits)

@@ -662,10 +662,24 @@ def test_fault_lw_outside_memory_has_context():
     assert "outside TCDM and L2" in str(f)
 
 
-def test_every_mnemonic_has_its_int_pipe_wait():
-    # the int pipe looks up the wait of every instruction it meets
+def test_op_table_is_closed():
+    """Every mnemonic decode accepts resolves to one declared Op, every Op is
+    reached from a mnemonic, and each has what runs it: an INT op but
+    lw/sw its execute function, a custom op its handler, and an op a
+    compute function exactly when it counts flops."""
     from streamsim import cluster, isa
-    assert {canon for canon, *_ in isa._FORMATS.values()} == set(cluster._INT_KIND)
+    reached = set()
+    for mn, (canon, values, _, _) in isa._FORMATS.items():
+        assert values[isa._OP] is isa.OPS[canon], mn
+        reached.add(canon)
+    assert reached == set(isa.OPS)
+    for mn, op in isa.OPS.items():
+        assert op.mnemonic == mn
+        assert (op.execute is not None) == (
+            op.domain is isa.Domain.INT and mn not in ("lw", "sw")), mn
+        assert (op.compute is not None) == (op.flops > 0), mn
+    assert set(cluster._CUSTOM_HANDLERS) == {
+        mn for mn, op in isa.OPS.items() if op.domain is isa.Domain.CUSTOM}
 
 
 def test_fault_int_op_in_capture():

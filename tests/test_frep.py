@@ -2,71 +2,65 @@
 
 import pytest
 
+from streamsim.asm import assemble
 from streamsim.cluster import TCDM_BASE, ClusterSim
 from streamsim.errors import CountZero, NestedFrep
-from streamsim.frep import BUFFER_DEPTH, Mode, Sequencer
-from streamsim.isa import (FP_DECODE, LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE,
-                           LAT_STORE, decode)
+from streamsim.frep import BUFFER_DEPTH, Sequencer
+from streamsim.isa import (LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE, LAT_STORE,
+                           OPS, Domain, decode)
 
 
-def entry(text, x=()):
+def entry(text):
     """The FP queue entry that core 0 of a new cluster dispatches for
-    `text`, after setting each (x register, value) of `x`."""
+    `text`."""
     sim = ClusterSim()
-    core = sim.cores[0]
-    for reg, value in x:
-        core.state.x[reg] = value
-    return sim._fp_entry(core, decode(text))
+    return sim._fp_entry(sim.cores[0], decode(text))
 
 
 def test_latency_table():
-    assert FP_DECODE["fmadd.d"].lat == LAT_FMA == 3
-    assert FP_DECODE["fadd.d"].lat == LAT_ADDMUL == 2
-    assert FP_DECODE["fmv.d"].lat == LAT_MOVE == 1
-    assert FP_DECODE["fld"].lat == LAT_LOAD == 1
-    assert FP_DECODE["fsd"].lat == LAT_STORE == 1
-    assert "addi" not in FP_DECODE
+    assert OPS["fmadd.d"].lat == LAT_FMA == 3
+    assert OPS["fadd.d"].lat == LAT_ADDMUL == 2
+    assert OPS["fmv.d"].lat == LAT_MOVE == 1
+    assert OPS["fld"].lat == LAT_LOAD == 1
+    assert OPS["fsd"].lat == LAT_STORE == 1
+    assert OPS["addi"].domain is not Domain.FP and OPS["addi"].lat == 0
+
+
+def fp_issues(source):
+    """The fp-pipe trace events of core 0 running `source` that capture or
+    issue an op, and the core after its halt."""
+    sim = ClusterSim()
+    sim.load_program(assemble(source), active_cores=1)
+    events = [row.split("fp-pipe: ")[1] for row in sim.run(trace=True).trace]
+    return [e for e in events if e != "-" and not e.startswith("stall:")], \
+        sim.cores[0]
 
 
 def test_capture_then_replay_full_iterations():
-    seq = Sequencer()
-    seq.arm(count=3, n_instr=2)
-    assert seq.mode == Mode.CAPTURING
-    body = [entry("fmadd.d ft3, ft0, ft1, ft3"), entry("fmadd.d ft4, ft0, ft1, ft4")]
-    seq.load_slot(body[0])
-    assert seq.mode == Mode.CAPTURING
-    seq.load_slot(body[1])
-    assert seq.mode == Mode.REPLAYING
-    # replay performs count complete passes over the body
-    seen = []
-    while seq.mode == Mode.REPLAYING:
-        seen.append(seq.replay_op())
-        seq.advance_replay()
-    assert seen == body * 3
-    assert seq.idle
+    # each body op passes once to fill the buffer, then replay performs
+    # count complete passes over the body
+    events, core = fp_issues(
+        "li t0, 3\nfrep t0, 2\nfmadd.d ft3, ft0, ft1, ft3\n"
+        "fadd.d ft4, ft0, ft4\nhalt")
+    assert events == ["capture fmadd.d", "capture fadd.d"] + [
+        f"{mn} [iter {i}/3]" for i in (1, 2, 3) for mn in ("fmadd.d", "fadd.d")]
+    assert core.seq.idle and core.seq.buffer == []
 
 
 def test_replay_position():
-    seq = Sequencer()
-    seq.arm(count=2, n_instr=1)
-    op = entry("fadd.d ft3, ft4, ft5")
-    seq.load_slot(op)
-    assert seq.replay_position() == (1, 2)
-    seq.advance_replay()
-    assert seq.replay_position() == (2, 2)
-    seq.advance_replay()
-    assert seq.idle
+    events, core = fp_issues("li t0, 2\nfrep t0, 1\nfadd.d ft3, ft4, ft5\nhalt")
+    assert events == ["capture fadd.d", "fadd.d [iter 1/2]", "fadd.d [iter 2/2]"]
+    assert core.seq.idle
 
 
 def test_replayed_op_identity():
-    # the buffer stores the queue entry itself, so latched operands persist
-    seq = Sequencer()
-    seq.arm(count=2, n_instr=1)
-    op = entry("fmv.d.x ft3, t0", x=[(5, 42)])
-    seq.load_slot(op)
-    assert seq.replay_op() is op
-    seq.advance_replay()
-    assert seq.replay_op() is op
+    # the buffer stores the queue entry itself, so the x source latched at
+    # dispatch persists while t0 changes under the replay
+    events, core = fp_issues("li t0, 42\nli t1, 3\nfrep t1, 1\n"
+                             "fmv.d.x ft3, t0\nli t0, 7\nhalt")
+    assert events == ["capture fmv.d.x"] + [
+        f"fmv.d.x [iter {i}/3]" for i in (1, 2, 3)]
+    assert core.state.x[5] == 7 and core.state.f[3] == 42
 
 
 def test_nested_frep_rejected():

@@ -28,7 +28,7 @@ import pytest
 from streamsim import kernels
 from streamsim.asm import assemble
 from streamsim.errors import SimError
-from streamsim.isa import decode
+from streamsim.isa import OPS, Domain, decode
 from streamsim.cluster import (DMA_BUS_WIDTH, L2_BASE, N_CORES, TCDM_BASE,
                                ClusterSim, CoreStats, stats_lines)
 
@@ -593,15 +593,35 @@ def untraced_run(case):
     return run_case(case)
 
 
+def ops_run(trace):
+    """The mnemonics a trace shows retired by an int pipe, and those it
+    shows issued by an FPU, capture passes aside."""
+    retired, issued = set(), set()
+    for row in trace:
+        _, _, int_ev, fp_ev = row.split(" | ")
+        int_ev = int_ev.split()
+        if len(int_ev) == 3:                # int-pipe: <pc> <mnemonic>
+            retired.add(int_ev[2])
+        fp_ev = fp_ev.split()
+        if fp_ev[1] not in ("-", "capture") and not fp_ev[1].startswith("stall:"):
+            issued.add(fp_ev[1])
+    return retired, issued
+
+
+@functools.cache
+def traced_run(case):
+    """The stats digest and trace digest of a traced run of one golden
+    case, and the ops it ran, once per session."""
+    result, cores = run_case(case, True)
+    return (_sha256(stats_lines(result, cores)), _sha256(result.trace),
+            ops_run(result.trace))
+
+
 def digests(case):
     """Stats digests of an untraced and a traced run, and the trace digest."""
-    out = {}
-    for trace in (False, True):
-        result, cores = run_case(case, True) if trace else untraced_run(case)
-        out["stats_traced" if trace else "stats"] = _sha256(
-            stats_lines(result, cores))
-    out["trace"] = _sha256(result.trace)
-    return out
+    stats_traced, trace, _ = traced_run(case)
+    return {"stats": _sha256(stats_lines(*untraced_run(case))),
+            "stats_traced": stats_traced, "trace": trace}
 
 
 def program_digest(case):
@@ -648,6 +668,19 @@ def test_every_stall_counter_is_reached():
         reached.update(c for c in counters
                        for s in result.core_stats[:cores] if getattr(s, c))
     assert sorted(counters - reached) == []
+
+
+def test_every_op_is_run():
+    """Every op of the table is retired by an int pipe or, for an FP op,
+    issued by an FPU in at least one golden case, so the digests guard its
+    record."""
+    retired, issued = set(), set()
+    for case in ALL_CASES:
+        r, i = traced_run(case)[2]
+        retired |= r
+        issued |= i
+    assert sorted(mn for mn, op in OPS.items() if mn not in (
+        issued if op.domain is Domain.FP else retired)) == []
 
 
 @pytest.mark.parametrize("case", sorted(DMA_PROGRAMS))

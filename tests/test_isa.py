@@ -9,9 +9,8 @@ import pytest
 from streamsim import errors
 from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
 from streamsim.isa import (LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
-                           OP_STORE, CoreState, Domain, XREGS, _FP_OPS,
-                           alu_result, branch_taken, decode, fp_compute,
-                           sext32)
+                           OP_STORE, OPS, CoreState, Domain, XREGS, decode,
+                           fp_compute, sext32)
 from test_fp import bits_to_f32_pair, bits_to_f64x3, f32_pair_to_bits
 
 
@@ -20,6 +19,24 @@ def st_with(**regs):
     for name, val in regs.items():
         st.set_x(XREGS[name], val)
     return st
+
+
+def executed(st, text):
+    """st after the execute function of text's Op ran on it."""
+    i = decode(text)
+    i.op.execute(st, i)
+    return st
+
+
+def alu_result(st, text):
+    """The value an ALU op `text` that writes t0 leaves there."""
+    return executed(st, text).x[XREGS["t0"]]
+
+
+def branch_taken(st, text):
+    """Whether the branch `text` to 64, run from pc 0, is taken."""
+    st.pc = 0
+    return {64: True, 4: False}[executed(st, text).pc]
 
 
 def test_decode_fields():
@@ -90,7 +107,7 @@ def test_alu_frozen():
         "lui t0, 0x12345": 0x12345000,
     }
     for text, want in cases.items():
-        assert alu_result(st, decode(text)) == want, text
+        assert alu_result(st, text) == want, text
 
 
 def test_alu_wraps_to_32_bits():
@@ -100,7 +117,7 @@ def test_alu_wraps_to_32_bits():
         a, b = rng.getrandbits(32), rng.getrandbits(32)
         st.set_x(6, a)
         st.set_x(7, b)
-        got = alu_result(st, decode("add t0, t1, t2"))
+        got = alu_result(st, "add t0, t1, t2")
         assert got == (a + b) & MASK32
 
 
@@ -112,12 +129,22 @@ def test_x0_stays_zero():
 
 def test_branches():
     st = st_with(t1=5, t2=0xFFFFFFFF)
-    assert branch_taken(st, decode("bltu t1, t2, 0"))        # 5 < 2^32-1
-    assert not branch_taken(st, decode("blt t1, t2, 0"))     # 5 > -1 signed
-    assert branch_taken(st, decode("bne t1, t2, 0"))
-    assert branch_taken(st, decode("beq t1, t1, 0"))
-    assert not branch_taken(st, decode("beq t1, t2, 0"))
-    assert not branch_taken(st, decode("bltu t2, t1, 0"))
+    assert branch_taken(st, "bltu t1, t2, 64")        # 5 < 2^32-1
+    assert not branch_taken(st, "blt t1, t2, 64")     # 5 > -1 signed
+    assert branch_taken(st, "bne t1, t2, 64")
+    assert branch_taken(st, "beq t1, t1, 64")
+    assert not branch_taken(st, "beq t1, t2, 64")
+    assert not branch_taken(st, "bltu t2, t1, 64")
+
+
+def test_jumps_link_past_themselves():
+    st = st_with(t1=0x103)
+    st.pc = 8
+    assert executed(st, "jal ra, 64").pc == 64 and st.x[XREGS["ra"]] == 12
+    # the target is read before the link is written, and its low bit cleared
+    assert executed(st, "jalr t1, 1(t1)").pc == 0x104
+    assert st.x[XREGS["t1"]] == 68
+    assert executed(st, "auipc t0, 2").x[XREGS["t0"]] == 0x104 + 0x2000
 
 
 def test_sext32():
@@ -127,19 +154,19 @@ def test_sext32():
 
 
 def test_fp_compute_double():
-    i = decode("fmadd.d ft3, ft0, ft1, ft2")
+    i = decode("fmadd.d ft3, ft0, ft1, ft2").fp_op
     a, b, c = f64_to_bits(2.5), f64_to_bits(4.0), f64_to_bits(1.0)
     assert bits_to_f64(fp_compute(i, a, b, c)) == 11.0
-    s = decode("fmsub.d ft3, ft0, ft1, ft2")
+    s = decode("fmsub.d ft3, ft0, ft1, ft2").fp_op
     assert bits_to_f64(fp_compute(s, a, b, c)) == 9.0
-    add = decode("fadd.d ft3, ft0, ft1")
+    add = decode("fadd.d ft3, ft0, ft1").fp_op
     assert bits_to_f64(fp_compute(add, a, b)) == 6.5
-    mul = decode("fmul.d ft3, ft0, ft1")
+    mul = decode("fmul.d ft3, ft0, ft1").fp_op
     assert bits_to_f64(fp_compute(mul, a, b)) == 10.0
 
 
 def test_fp_compute_single_lanes():
-    i = decode("fmadd.s ft3, ft0, ft1, ft2")
+    i = decode("fmadd.s ft3, ft0, ft1, ft2").fp_op
     a = f32_pair_to_bits(2.0, 3.0)
     b = f32_pair_to_bits(10.0, 100.0)
     c = f32_pair_to_bits(1.0, -1.0)
@@ -149,7 +176,7 @@ def test_fp_compute_single_lanes():
 
 def test_fp_compute_matches_fma64():
     rng = random.Random(5)
-    i = decode("fmadd.d ft3, ft0, ft1, ft2")
+    i = decode("fmadd.d ft3, ft0, ft1, ft2").fp_op
     for _ in range(200):
         a, b, c = (rng.uniform(-1, 1) for _ in range(3))
         got = fp_compute(i, f64_to_bits(a), f64_to_bits(b), f64_to_bits(c))
@@ -190,11 +217,10 @@ S_LANES = [0, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC01234, 1, 0x7F7FFFFF,
 S_EDGES = [lo | hi << 32 for lo, hi in zip(S_LANES, S_LANES[::-1])]
 
 
-@pytest.mark.parametrize("mn", sorted(_FP_OPS))
+@pytest.mark.parametrize(
+    "mn", sorted(mn for mn, op in OPS.items() if op.compute is not None))
 def test_fp_compute_bit_exact_on_edge_values(mn):
-    fused = mn.startswith(("fmadd", "fmsub"))
-    i = decode(f"{mn} ft3, ft0, ft1" + (", ft2" if fused else ""))
     edges = D_EDGES if mn.endswith(".d") else S_EDGES
     for a, b, c in itertools.product(edges, repeat=3):
-        assert fp_compute(i, a, b, c) == _reference(mn, a, b, c), \
+        assert fp_compute(OPS[mn], a, b, c) == _reference(mn, a, b, c), \
             (mn, hex(a), hex(b), hex(c))
