@@ -297,6 +297,13 @@ def _f32_pair(lo, hi):
     return _f32(lo) | _f32(hi) << 32
 
 
+# binary64 patterns: a signalling NaN, a negative NaN with a payload, -0.0,
+# the smallest subnormal and the largest finite value
+_EDGE_BITS = (0x7FF0000000000001, 0xFFF8000000012345, 1 << 63, 1,
+              0x7FEFFFFFFFFFFFFF)
+_OUT = TCDM_BASE + 64     # the result words of "fp_bits"
+
+
 # case name -> (assembly, active cores, {address: (bytes, the value the run
 # leaves there)}): the ops no kernel runs, each leaving a value that tells a
 # wrong result, a wrong branch or a wrong link apart from the right one. The
@@ -412,6 +419,59 @@ OP_PROGRAMS = {
          TCDM_BASE + 88: (8, _f64(-0.75)),
          TCDM_BASE + 96: (8, _f64(3.375)),
          TCDM_BASE + 104: (8, _f64(2.875))}),
+    # the _EDGE_BITS patterns, each through fld, fmv.d and fsd and then
+    # through a read stream into a write stream; fmv.d.x of -1; flw then
+    # fsd of one word; fsd then fsw of one value; fmsub.d of -0.0 * 1.0
+    # minus a never-written register (-0.0), and of 1.0 * 1.0 minus the
+    # signalling NaN, which quiets it
+    "fp_bits": (_lines(
+        "li t0, pats",
+        "li t1, out",
+        *[line for k in range(5) for line in (
+            f"fld ft3, {8 * k}(t0)", "fmv.d ft4, ft3", f"fsd ft4, {8 * k}(t1)")],
+        "ssr_cfg_write 0, base, t0",
+        "ssr_cfg_write 0, stride0, 8",
+        "ssr_cfg_write 0, bound0, 5",
+        "addi t2, t1, 40",
+        "ssr_cfg_write 2, base, t2",
+        "ssr_cfg_write 2, stride0, 8",
+        "ssr_cfg_write 2, bound0, 5",
+        "ssr_cfg_write 2, dir, 1",
+        "ssr_enable",
+        *["fmv.d ft2, ft0"] * 5,
+        "ssr_disable",
+        "li t3, -1",
+        "fmv.d.x ft5, t3",
+        "fsd ft5, 80(t1)",
+        "flw ft6, 40(t0)",
+        "fsd ft6, 88(t1)",
+        "fld ft7, 48(t0)",
+        "fsd ft7, 96(t1)",
+        "fsw ft7, 104(t1)",
+        "fld ft8, 16(t0)",
+        "fld ft9, 56(t0)",
+        "fmsub.d fs0, ft8, ft9, ft11",
+        "fsd fs0, 112(t1)",
+        "fld fs1, 0(t0)",
+        "fmsub.d fs2, ft9, ft9, fs1",
+        "fsd fs2, 120(t1)",
+        "halt",
+        ".data",
+        "pats:",
+        *[f".word {w >> s & 0xFFFFFFFF}" for w in (
+            *_EDGE_BITS, 0xFFFFFFFF_89ABCDEF, 0x01234567_89ABCDEF)
+          for s in (0, 32)],
+        ".double 1.0",
+        "out:", *[".word 7"] * 32), 1,
+        {**{_OUT + 40 * r + 8 * k: (8, w) for r in range(2)
+            for k, w in enumerate(_EDGE_BITS)},
+         _OUT + 80: (8, 0xFFFFFFFF),
+         _OUT + 88: (8, 0x89ABCDEF),
+         _OUT + 96: (8, 0x01234567_89ABCDEF),
+         _OUT + 104: (4, 0x89ABCDEF),
+         _OUT + 108: (4, 7),
+         _OUT + 112: (8, 1 << 63),
+         _OUT + 120: (8, 0xFFF8000000000001)}),
 }
 
 
