@@ -75,6 +75,30 @@ def binary32_pair_op(lane, negate_c=False):
     return op
 
 
+def _nan(r, *operands):
+    """r, the result of an op on operands, unless one of them is a NaN: then
+    the first NaN operand, quieted (x + x of a NaN x is x quieted, its sign
+    and payload kept). Where two operands are NaNs, CPython leaves the
+    choice to the C compiler, and its generic and specialized float paths
+    choose differently; an op that can meet two NaNs picks here."""
+    for x in operands:
+        if x != x:
+            return x + x
+    return r
+
+
+def add64(a, b, c=0.0):
+    """a + b, a NaN result by _nan."""
+    r = a + b
+    return r if r == r else _nan(r, a, b)
+
+
+def mul64(a, b, c=0.0):
+    """a * b, a NaN result by _nan."""
+    r = a * b
+    return r if r == r else _nan(r, a, b)
+
+
 def _exact_ratio(a, b, c):
     """a*b + c for finite doubles as an exact ratio n / d, d a power of two."""
     na, da = a.as_integer_ratio()
@@ -110,7 +134,7 @@ def fma64(a: float, b: float, c: float) -> float:
 def _fma64_exact(a, b, c):
     """fma64 by integer-ratio arithmetic; the reference for every input."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return a * b + c
+        return _nan(a * b + c, a, b, c)
     n, d = _exact_ratio(a, b, c)
     if n == 0:
         # exact zero: keep IEEE sign-of-zero for the all-zero-addend case
@@ -131,7 +155,7 @@ def fma32(a: float, b: float, c: float) -> float:
     """
     a, b, c = round32(a), round32(b), round32(c)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return round32(a * b + c)
+        return round32(_nan(a * b + c, a, b, c))
     n, d = _exact_ratio(a, b, c)
     if n == 0:
         return a * b + c

@@ -341,9 +341,9 @@ _op("fsw", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=4)
 _compute("fmadd", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32)
 _compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32,
          negate_c=True)
-_compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a + b)
+_compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.add64)
 _compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a - b)
-_compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a * b)
+_compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.mul64)
 _op("fmv.d", "rd:f rs1:f", Domain.FP, lat=LAT_MOVE)
 _op("fmv.d.x", "rd:f rs1:x", Domain.FP, lat=LAT_MOVE)
 _op("frep", "rs1:x n_instr:i", Domain.CUSTOM, wait=FREP_WAIT)

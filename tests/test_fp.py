@@ -5,8 +5,8 @@ import random
 import struct
 from fractions import Fraction
 
-from streamsim.fp import (MASK64, _fma64_exact, bits_to_f64, f64_to_bits,
-                          fma32, fma64, round32)
+from streamsim.fp import (MASK64, _fma64_exact, add64, bits_to_f64,
+                          f64_to_bits, fma32, fma64, mul64, round32)
 
 ULP1 = 2.0 ** -52
 
@@ -117,6 +117,23 @@ def test_fma_subnormal_rounding():
     tiny = bits_to_f64(1)  # smallest positive subnormal
     assert fma64(tiny, 1.0, tiny) == 2 * tiny
     assert fma64(tiny, 0.5, 0.0) == 0.0  # rounds to even (zero)
+
+
+def test_nan_operands_give_the_first_nan():
+    # where two operands are NaNs, the first one wins, quieted, on every
+    # call: CPython's float ops choose by how far they are specialized
+    q = bits_to_f64(0xFFF8000000012345)        # quiet, negative, a payload
+    s = bits_to_f64(0x7FF0000000000001)        # signalling
+    for _ in range(20):
+        assert f64_to_bits(add64(q, s)) == 0xFFF8000000012345
+        assert f64_to_bits(add64(s, q)) == 0x7FF8000000000001
+        assert f64_to_bits(mul64(s, q)) == 0x7FF8000000000001
+        assert f64_to_bits(fma64(1.0, s, q)) == 0x7FF8000000000001
+        assert f64_to_bits(fma64(q, math.inf, s)) == 0xFFF8000000012345
+        assert f64_to_bits(fma32(1.0, q, s)) == 0xFFF8000000000000
+        # one NaN operand, or none, gives what the plain op gives
+        assert f64_to_bits(add64(1.0, s)) == f64_to_bits(1.0 + s)
+        assert f64_to_bits(mul64(0.0, math.inf)) == f64_to_bits(0.0 * math.inf)
 
 
 def test_f32_pair_pack():

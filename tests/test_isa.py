@@ -7,7 +7,8 @@ import random
 import pytest
 
 from streamsim import errors
-from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
+from streamsim.fp import (add64, bits_to_f64, f64_to_bits, fma32, fma64,
+                          mul64, round32)
 from streamsim.isa import (LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
                            OP_STORE, OPS, CoreState, Domain, XREGS, decode,
                            fp_compute, sext32)
@@ -192,8 +193,8 @@ def _reference(mn, a, b, c):
         if mn in ("fmadd.d", "fmsub.d"):
             r = fma64(x, y, -z if neg else z)
         else:
-            r = {"fadd.d": operator.add, "fsub.d": operator.sub,
-                 "fmul.d": operator.mul}[mn](x, y)
+            r = {"fadd.d": add64, "fsub.d": operator.sub,
+                 "fmul.d": mul64}[mn](x, y)
         return f64_to_bits(r)
     lanes = []
     for x, y, z in zip(bits_to_f32_pair(a), bits_to_f32_pair(b),
@@ -201,19 +202,22 @@ def _reference(mn, a, b, c):
         if mn in ("fmadd.s", "fmsub.s"):
             lanes.append(fma32(x, y, -z if neg else z))
         else:
-            lanes.append(round32({"fadd.s": operator.add, "fsub.s": operator.sub,
-                                  "fmul.s": operator.mul}[mn](x, y)))
+            lanes.append(round32({"fadd.s": add64, "fsub.s": operator.sub,
+                                  "fmul.s": mul64}[mn](x, y)))
     return f32_pair_to_bits(*lanes)
 
 
 # binary64 patterns: +-0, +-inf, a quiet NaN with a payload, the smallest
-# subnormal, the largest finite value, 1.5
+# subnormal, the largest finite value, 1.5, a signalling NaN and a negative
+# quiet NaN with a payload
 D_EDGES = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000,
-           0x7FF8000000012345, 1, 0x7FEFFFFFFFFFFFFF, 0x3FF8000000000000]
+           0x7FF8000000012345, 1, 0x7FEFFFFFFFFFFFFF, 0x3FF8000000000000,
+           0x7FF0000000000001, 0xFFF8000000012345]
 # binary32 pairs: the same values per lane, plus 0x7F61B1E6 (about 3e38),
-# whose sum, difference with its negation, and square overflow binary32
+# whose sum, difference with its negation, and square overflow binary32,
+# and a signalling NaN
 S_LANES = [0, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC01234, 1, 0x7F7FFFFF,
-           0x3FC00000, 0x7F61B1E6, 0xFF61B1E6]
+           0x3FC00000, 0x7F61B1E6, 0xFF61B1E6, 0x7F800001]
 S_EDGES = [lo | hi << 32 for lo, hi in zip(S_LANES, S_LANES[::-1])]
 
 
