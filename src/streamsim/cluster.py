@@ -35,6 +35,7 @@ and integer load/store units share it, with the FPU first.
 """
 
 import mmap
+import struct
 from dataclasses import dataclass
 from collections import deque
 
@@ -43,7 +44,8 @@ from .isa import (Domain, CoreState, Instruction, fp_compute, MASK32, OPS,
                   DMA_FULL)
 from .frep import (Sequencer, Scoreboard, FpEntry, StreamSplit, Mode,
                    FP_QUEUE_DEPTH)
-from .ssr import ELEMENT, StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
+from .fp import ELEMENT, bits_to_f64
+from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig,
                      InvalidDescriptor, MisalignedAccess, NonFpInCapture,
                      OutOfRangeAccess, OverlappingTransfer, ReconfigWhileActive,
@@ -551,7 +553,7 @@ class ClusterSim:
         elif dest is not None:
             sb_regs.append(dest)
         entry.split = StreamSplit(tuple(operands), tuple(pops.items()), push,
-                                  tuple(sb_regs))
+                                  tuple(dict.fromkeys(sb_regs)))
 
     def _plan_fpu(self, core, requests):
         seq = core.seq
@@ -613,7 +615,7 @@ class ClusterSim:
         split = entry.split
         f = core.state.f
         try:
-            # operand bits; each stream pops exactly once per occurrence, from
+            # operand values; each stream pops exactly once per occurrence, from
             # a FIFO the plan found holding enough elements
             vals = []
             for o in split.operands:
@@ -626,7 +628,7 @@ class ClusterSim:
                 elif vals:
                     res = vals[0]                  # fmv.d
                 else:
-                    res = entry.xval & MASK32      # fmv.d.x
+                    res = bits_to_f64(entry.xval & MASK32)     # fmv.d.x
                 if split.push is not None:
                     split.push.push(res)
                 else:
@@ -636,12 +638,11 @@ class ClusterSim:
                     st.fma_executed += 1
                     st.flops += flops
             elif kind == OP_LOAD:
-                f[op.dest] = ELEMENT[op.width][0].unpack_from(
+                f[op.dest] = ELEMENT[op.width].unpack_from(
                     self.mem.tcdm, entry.off)[0]
                 core.sb.ready[op.dest] = self.cycle + op.lat
             else:  # OP_STORE
-                elem, mask = ELEMENT[op.width]
-                elem.pack_into(self.mem.tcdm, entry.off, vals[0] & mask)
+                ELEMENT[op.width].pack_into(self.mem.tcdm, entry.off, vals[0])
         except SimError as e:
             self._fault(core, e)
 
@@ -707,8 +708,7 @@ class ClusterSim:
                 slot.fifo.append(slot.elem.unpack_from(tcdm, off)[0])
                 slot.advance()
             else:
-                slot.elem.pack_into(tcdm, off,
-                                    slot.write_buf.popleft()[1] & slot.mask)
+                slot.elem.pack_into(tcdm, off, slot.write_buf.popleft()[1])
 
     # ------------------------------------------------------------- integer phase
     #
@@ -1050,7 +1050,7 @@ class ClusterSim:
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE
 _FP, _INT, _CUSTOM = Domain.FP, Domain.INT, Domain.CUSTOM
-_WORD = ELEMENT[4][0]
+_WORD = struct.Struct("<I")     # the int pipe's lw/sw word
 
 # custom mnemonic -> its handler, a ClusterSim method (sim, core, instr)
 _CUSTOM_HANDLERS = {mn: getattr(ClusterSim, f"_{mn}")

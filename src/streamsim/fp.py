@@ -1,12 +1,17 @@
 """Binary64/binary32 value helpers shared by the FPU model and the kernel references.
 
-The simulator keeps FP registers as raw 64-bit patterns, so every arithmetic op
-goes bits -> float -> bits through these helpers. fma64 performs a true fused
-multiply-add (single rounding); Python 3.10 has no math.fma, so the exact value
-is formed either as an unevaluated sum of doubles, summed with one correct
-rounding by math.fsum, or, where that could under- or overflow, with
-integer-ratio arithmetic rounded once by bignum division, which CPython rounds
-correctly to nearest-even.
+The simulator keeps FP registers, stream FIFOs and write buffers as binary64
+values, Python floats, and converts to bits only where bytes are read or
+written (ELEMENT) and where an integer moves in (fmv.d.x). On IEEE hosts
+CPython packs and unpacks binary64 by copying its bytes, so every pattern
+makes the round trip: signalling NaNs, NaN payloads and signs, -0.0 and
+subnormals.
+
+fma64 performs a true fused multiply-add (single rounding); Python 3.10 has
+no math.fma, so the exact value is formed either as an unevaluated sum of
+doubles, summed with one correct rounding by math.fsum, or, where that could
+under- or overflow, with integer-ratio arithmetic rounded once by bignum
+division, which CPython rounds correctly to nearest-even.
 """
 
 import math
@@ -17,9 +22,9 @@ MASK64 = (1 << 64) - 1
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
 _F64X3 = struct.Struct("<3d")
-_U64X3 = struct.Struct("<3Q")
 _F32X2 = struct.Struct("<2f")
 _F32X6 = struct.Struct("<6f")
+_ZERO32 = bytes(4)
 
 # Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves, and
 # Dekker's product p + e == a*b is exact while neither the split overflows
@@ -48,31 +53,39 @@ def round32(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
-def binary64_op(lane, negate_c=False):
-    """lane(a, b, c) on binary64 values as one function of the operands'
-    raw bits, returning raw bits; negate_c flips the sign of c first."""
-    flip = 1 << 63 if negate_c else 0
-
+def binary32_pair_op(lane):
+    """The compute function of a .s op, on binary64 values that each hold
+    two binary32 lanes: lane(a, b, c) runs on the low lanes and on the high
+    lanes, and each result is rounded to binary32 as round32 rounds it."""
     def op(a, b, c):
-        return _U64.unpack(_F64.pack(lane(*_F64X3.unpack(
-            _U64X3.pack(a, b, c ^ flip)))))[0]
-    return op
-
-
-def binary32_pair_op(lane, negate_c=False):
-    """binary64_op for registers that hold two binary32 lanes: lane runs on
-    the low lanes and on the high lanes, and each result is rounded to
-    binary32 as round32 rounds it."""
-    flip = 0x8000_0000_8000_0000 if negate_c else 0
-
-    def op(a, b, c):
-        alo, ahi, blo, bhi, clo, chi = _F32X6.unpack(_U64X3.pack(a, b, c ^ flip))
+        alo, ahi, blo, bhi, clo, chi = _F32X6.unpack(_F64X3.pack(a, b, c))
         lo, hi = lane(alo, blo, clo), lane(ahi, bhi, chi)
         try:
-            return _U64.unpack(_F32X2.pack(lo, hi))[0]
+            return _F64.unpack(_F32X2.pack(lo, hi))[0]
         except OverflowError:   # packing overflows where round32 gives inf
-            return _U64.unpack(_F32X2.pack(round32(lo), round32(hi)))[0]
+            return _F64.unpack(_F32X2.pack(round32(lo), round32(hi)))[0]
     return op
+
+
+class _Word:
+    """The format of a 4-byte FP element, with the two methods of a
+    struct.Struct that loads and stores call: a load zero-extends the word
+    into the value's bit pattern, a store writes the pattern's low 32
+    bits."""
+    __slots__ = ()
+
+    @staticmethod
+    def unpack_from(buf, off):
+        return _F64.unpack(buf[off:off + 4] + _ZERO32)
+
+    @staticmethod
+    def pack_into(buf, off, x):
+        buf[off:off + 4] = _F64.pack(x)[:4]
+
+
+# scratchpad format of an FP element by width in bytes, for the FPU's loads
+# and stores and for stream elements
+ELEMENT = {4: _Word(), 8: _F64}
 
 
 def _nan(r, *operands):

@@ -95,8 +95,9 @@ class Op:
                               # occupy the FMA datapath, which utilization
                               # counts
     width: int = 0            # bytes accessed by a load or store
-    compute: object = None    # compute(a, b, c) from raw operand bits to
-                              # raw result bits, for an op with flops
+    compute: object = None    # compute(a, b, c) from binary64 operand
+                              # values to the result's value, for an op
+                              # with flops
     latches_x: bool = False   # reads an integer register at dispatch
 
 
@@ -120,7 +121,7 @@ class FpOp:
     width: int
     compute: object
     latches_x: bool
-    sb_regs: tuple        # the operands and the destination
+    sb_regs: tuple        # the operands and the destination, each once
     pops: tuple = ()
     push: None = None
 
@@ -306,14 +307,13 @@ def _branch(taken):
     return execute
 
 
-def _compute(stem, operands, lat, flops, lane_d, lane_s=None, negate_c=False):
-    """Declare the .d form of an FP compute op, which runs lane_d(a, b, c)
-    on binary64 values, and its .s form, which runs lane_s (default lane_d)
-    on both binary32 lanes for twice the flops."""
-    _op(f"{stem}.d", operands, Domain.FP, lat=lat, flops=flops,
-        compute=fp.binary64_op(lane_d, negate_c))
+def _compute(stem, operands, lat, flops, lane_d, lane_s=None):
+    """Declare the .d form of an FP compute op, whose compute is
+    lane_d(a, b, c) on binary64 values, and its .s form, which runs lane_s
+    (default lane_d) on both binary32 lanes for twice the flops."""
+    _op(f"{stem}.d", operands, Domain.FP, lat=lat, flops=flops, compute=lane_d)
     _op(f"{stem}.s", operands, Domain.FP, lat=lat, flops=2 * flops,
-        compute=fp.binary32_pair_op(lane_s or lane_d, negate_c))
+        compute=fp.binary32_pair_op(lane_s or lane_d))
 
 
 # every canonical mnemonic, declared once
@@ -339,8 +339,9 @@ _op("flw", "rd:f imm(rs1):m", Domain.FP, kind=OP_LOAD, lat=LAT_LOAD, width=4)
 _op("fsd", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=8)
 _op("fsw", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=4)
 _compute("fmadd", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32)
-_compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32,
-         negate_c=True)
+# float negation flips only the sign bit, of a NaN too
+_compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2,
+         lambda a, b, c: fp.fma64(a, b, -c), lambda a, b, c: fp.fma32(a, b, -c))
 _compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.add64)
 _compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a - b)
 _compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.mul64)
@@ -372,7 +373,8 @@ def _intern_fp_op(key, v):
     dest = None if d.kind == OP_STORE else v[_AT["rd"]]
     op = _FP_INTERNED[key] = FpOp(
         d.mnemonic, d.kind, srcs, dest, d.lat, d.flops, d.width, d.compute,
-        d.latches_x, srcs if dest is None else srcs + (dest,))
+        d.latches_x, tuple(dict.fromkeys(srcs if dest is None
+                                         else srcs + (dest,))))
     return op
 
 
@@ -431,7 +433,9 @@ def decode(text: str, labels=None) -> Instruction:
 class CoreState:
     pc: int = 0
     x: list = dfield(default_factory=lambda: [0] * 32)
-    f: list = dfield(default_factory=lambda: [0] * 32)  # raw 64-bit patterns
+    # binary64 values, from 0.0: fmsub negates a never-written source to
+    # -0.0, where int 0 would negate to +0
+    f: list = dfield(default_factory=lambda: [0.0] * 32)
     ssr_enabled: bool = False
 
     def set_x(self, idx, value):
@@ -439,11 +443,11 @@ class CoreState:
             self.x[idx] = value & MASK32
 
 
-def fp_compute(op, a_bits: int, b_bits: int, c_bits: int = 0) -> int:
-    """Pure FP datapath: raw operand bits in, raw result bits out, by the
-    compute function of `op`, an FpOp or an Op with flops.
+def fp_compute(op, a: float, b: float, c: float = 0.0) -> float:
+    """Pure FP datapath: binary64 operand values in, the result's value out,
+    by the compute function of `op`, an FpOp or an Op with flops.
 
     .s ops follow the packed-pair convention: both 32-bit lanes of the 64-bit
     register are processed, which is what gives the FPU its 2-SP-FMA/cycle rate.
     """
-    return op.compute(a_bits, b_bits, c_bits)
+    return op.compute(a, b, c)

@@ -15,13 +15,13 @@ element accesses of every live core's slots in one pass, so stream traffic
 contends for TCDM banks like any other requester.
 """
 
-import struct
 from collections import deque
 from itertools import chain, repeat, tee
 from operator import add
 
 from .errors import InvalidConfig, StreamExhausted
-from .isa import MASK32, sext32
+from .fp import ELEMENT
+from .isa import sext32
 
 N_SLOTS = 3
 # elements a read slot prefetches ahead, and stores a write slot buffers; one
@@ -29,9 +29,6 @@ N_SLOTS = 3
 FIFO_DEPTH = 4
 MAX_DIMS = 4
 WRITE_SLOTS = (2,)      # every slot reads; only the last one writes
-# scratchpad element format and store mask by width in bytes, for stream
-# elements and for the FPU's and the int pipe's loads and stores
-ELEMENT = {4: (struct.Struct("<I"), MASK32), 8: (struct.Struct("<Q"), (1 << 64) - 1)}
 
 
 def _rows(stride, bound, starts):
@@ -65,11 +62,12 @@ class StreamSlot:
     elements, and the FPU pops `fifo` directly; a write slot takes up to
     FIFO_DEPTH stores into `write_buf` and drains it from its head. Each
     access carries the slot's TCDM requester id `rid`, which its core sets,
-    and moves its element with `elem`, masking a store with `mask`.
+    and moves its element, a binary64 value, with `elem`, the FP element
+    format of its width.
     """
 
     __slots__ = ("index", "rid", "active", "is_read", "total", "width", "elem",
-                 "mask", "fifo", "write_buf", "addr", "steps", "addrs", "issued")
+                 "fifo", "write_buf", "addr", "steps", "addrs", "issued")
 
     def __init__(self, index, rid=None):
         self.index = index
@@ -81,9 +79,9 @@ class StreamSlot:
         self.is_read = False
         self.total = 0             # elements in the configured stream
         self.width = 8             # bytes per element
-        self.elem, self.mask = ELEMENT[8]
-        self.fifo = deque()        # prefetched raw values (read streams)
-        self.write_buf = deque()   # pending (addr, raw) stores (write streams)
+        self.elem = ELEMENT[8]
+        self.fifo = deque()        # prefetched values (read streams)
+        self.write_buf = deque()   # pending (addr, value) stores (write streams)
         self.addr = 0              # address of the next element to issue
         self.steps = ()            # (stride, bound) per dimension
         self.addrs = iter(())      # the addresses after `addr`
@@ -114,7 +112,7 @@ class StreamSlot:
         self.is_read = is_read
         self.total = total
         self.width = width
-        self.elem, self.mask = ELEMENT[width]
+        self.elem = ELEMENT[width]
         self.steps = steps
         self.addrs = _walk(fields.get("base", 0), steps)
         self.addr = next(self.addrs)
@@ -138,10 +136,10 @@ class StreamSlot:
         self.issued += 1
         self.addr = next(self.addrs, None)
 
-    def push(self, raw):
-        """Queue raw for the write stream's next address."""
+    def push(self, value):
+        """Queue value for the write stream's next address."""
         if self.issued >= self.total:
             raise StreamExhausted(f"stream {self.index} written past its "
                                   f"{self.total} elements")
-        self.write_buf.append((self.addr, raw))
+        self.write_buf.append((self.addr, value))
         self.advance()

@@ -19,6 +19,7 @@ from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               NonFpInCapture, OutOfRangeAccess,
                               OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
+from streamsim.fp import f64_to_bits
 from streamsim.isa import SSR_FIELDS, XREGS
 from streamsim import kernels
 
@@ -439,7 +440,8 @@ def test_stream_first_pop_waits_for_prefetch():
     assert fp[:8] == ["-"] * 6 + ["fmv.d", "fmv.d"]
     assert res.stats.fp_stall_stream == 0
     f = sim.cores[0].state.f
-    assert (f[3], f[4]) == (struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
+    assert (f64_to_bits(f[3]), f64_to_bits(f[4])) == (
+        struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
 
 
 def test_four_byte_streams_through_the_cluster():
@@ -478,8 +480,8 @@ def test_four_byte_streams_through_the_cluster():
         halt
     """)
     f = sim.cores[0].state.f
-    assert f[3] == 0x01234567_DEADBEEF
-    assert f[4] == 0x55667788
+    assert f64_to_bits(f[3]) == 0x01234567_DEADBEEF
+    assert f64_to_bits(f[4]) == 0x55667788
     dst = DATA_BASE + 20
     assert sim.mem.read(dst - 4, 16) == struct.pack(
         "<4I", 0xFFFFFFFF, 0x11223344, 0xDEADBEEF, 0xFFFFFFFF)

@@ -5,6 +5,7 @@ import pytest
 from streamsim.asm import assemble
 from streamsim.cluster import TCDM_BASE, ClusterSim
 from streamsim.errors import CountZero, NestedFrep
+from streamsim.fp import f64_to_bits
 from streamsim.frep import BUFFER_DEPTH, Sequencer
 from streamsim.isa import (LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE, LAT_STORE,
                            OPS, Domain, decode)
@@ -60,7 +61,7 @@ def test_replayed_op_identity():
                              "fmv.d.x ft3, t0\nli t0, 7\nhalt")
     assert events == ["capture fmv.d.x"] + [
         f"fmv.d.x [iter {i}/3]" for i in (1, 2, 3)]
-    assert core.state.x[5] == 7 and core.state.f[3] == 42
+    assert core.state.x[5] == 7 and f64_to_bits(core.state.f[3]) == 42
 
 
 def test_nested_frep_rejected():

@@ -154,16 +154,22 @@ def test_sext32():
     assert sext32(0xFFFFFFFF) == -1
 
 
+def fp_compute_bits(op, *bits):
+    """fp_compute of op on the values of bit patterns, as the bits of its
+    result: the register file's byte edges."""
+    return f64_to_bits(fp_compute(op, *map(bits_to_f64, bits)))
+
+
 def test_fp_compute_double():
     i = decode("fmadd.d ft3, ft0, ft1, ft2").fp_op
     a, b, c = f64_to_bits(2.5), f64_to_bits(4.0), f64_to_bits(1.0)
-    assert bits_to_f64(fp_compute(i, a, b, c)) == 11.0
+    assert bits_to_f64(fp_compute_bits(i, a, b, c)) == 11.0
     s = decode("fmsub.d ft3, ft0, ft1, ft2").fp_op
-    assert bits_to_f64(fp_compute(s, a, b, c)) == 9.0
+    assert bits_to_f64(fp_compute_bits(s, a, b, c)) == 9.0
     add = decode("fadd.d ft3, ft0, ft1").fp_op
-    assert bits_to_f64(fp_compute(add, a, b)) == 6.5
+    assert bits_to_f64(fp_compute_bits(add, a, b)) == 6.5
     mul = decode("fmul.d ft3, ft0, ft1").fp_op
-    assert bits_to_f64(fp_compute(mul, a, b)) == 10.0
+    assert bits_to_f64(fp_compute_bits(mul, a, b)) == 10.0
 
 
 def test_fp_compute_single_lanes():
@@ -171,7 +177,7 @@ def test_fp_compute_single_lanes():
     a = f32_pair_to_bits(2.0, 3.0)
     b = f32_pair_to_bits(10.0, 100.0)
     c = f32_pair_to_bits(1.0, -1.0)
-    lo, hi = bits_to_f32_pair(fp_compute(i, a, b, c))
+    lo, hi = bits_to_f32_pair(fp_compute_bits(i, a, b, c))
     assert (lo, hi) == (21.0, 299.0)
 
 
@@ -180,7 +186,7 @@ def test_fp_compute_matches_fma64():
     i = decode("fmadd.d ft3, ft0, ft1, ft2").fp_op
     for _ in range(200):
         a, b, c = (rng.uniform(-1, 1) for _ in range(3))
-        got = fp_compute(i, f64_to_bits(a), f64_to_bits(b), f64_to_bits(c))
+        got = fp_compute_bits(i, f64_to_bits(a), f64_to_bits(b), f64_to_bits(c))
         assert bits_to_f64(got) == fma64(a, b, c)
 
 
@@ -226,5 +232,5 @@ S_EDGES = [lo | hi << 32 for lo, hi in zip(S_LANES, S_LANES[::-1])]
 def test_fp_compute_bit_exact_on_edge_values(mn):
     edges = D_EDGES if mn.endswith(".d") else S_EDGES
     for a, b, c in itertools.product(edges, repeat=3):
-        assert fp_compute(OPS[mn], a, b, c) == _reference(mn, a, b, c), \
+        assert fp_compute_bits(OPS[mn], a, b, c) == _reference(mn, a, b, c), \
             (mn, hex(a), hex(b), hex(c))

@@ -13,6 +13,7 @@ import pytest
 
 from streamsim.cluster import TCDM_BASE as TCDM, ClusterSim
 from streamsim.errors import InvalidConfig, StreamExhausted
+from streamsim.fp import bits_to_f64, f64_to_bits
 from streamsim.isa import MASK32, decode
 from streamsim.ssr import FIFO_DEPTH, WRITE_SLOTS, StreamSlot
 
@@ -159,7 +160,7 @@ def test_read_slot_fifo():
     assert got == [[base], [base + 0x8], [base + 0x10], [base + 0x18]]
     assert stream_cycle(sim, core) == []  # full
     assert len(slot.fifo) == 4
-    assert slot.fifo.popleft() == base
+    assert f64_to_bits(slot.fifo.popleft()) == base
     assert stream_cycle(sim, core) == [base + 0x20]  # slot freed
 
 
@@ -181,7 +182,7 @@ def test_write_slot_drain_order():
     vals = [11, 22, 33]
     for v in vals:
         assert len(slot.write_buf) < FIFO_DEPTH
-        slot.push(v)
+        slot.push(bits_to_f64(v))
     with pytest.raises(StreamExhausted):
         slot.push(44)  # the stream has three elements
     drained = [stream_cycle(sim, core) for _ in range(4)]
