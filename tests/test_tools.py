@@ -1,5 +1,6 @@
 """The simulator names that the measuring tools wrap exist on the package,
-and the bytecode counter counts.
+the bytecode counter counts, and the benchmark summary records its base's
+revision.
 
 `tools/phases.py` and `perfbench/tracer.py` time the simulator by replacing
 its methods from outside, by name. A renamed method would otherwise show up
@@ -10,6 +11,8 @@ phase that no longer counts anything.
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import streamsim
 
@@ -66,5 +69,27 @@ def test_opcount_counts_one_run():
     step = per_function["cluster.py:ClusterSim._step"]
     assert step[1] == result.cycles and step[0] > step[1]
     assert 0 < per_function["cluster.py:ClusterSim._plan_streams"][1] <= step[1]
+    # builtin calls: every stream commit accesses the scratchpad through a
+    # struct method, and each fma64 makes at least its math.fsum call
+    commit = per_function["cluster.py:ClusterSim._commit_streams"]
+    assert commit[2] >= commit[1] > 0
+    fma = per_function["fp.py:fma64"]
+    assert fma[2] >= fma[1] > 0
     lines = opcount.report(core_cycles, per_function, top=3)
     assert len(lines) == 5 and lines[-1].startswith("total")
+    assert lines[0].split()[-2:] == ["C", "calls"]
+    assert [len(line.split()) for line in lines[1:]] == [4] * 4
+
+
+def test_bench_records_base_rev(tmp_path):
+    # a git archive export is no work tree: git gives it no revision, and
+    # --base-rev stands in for one
+    bench = _load(CHECKOUT / "tools" / "bench.py")
+    sides = {"change": CHECKOUT, "base": tmp_path}
+    assert bench.revisions(sides)["base"] is None
+    revs = bench.revisions(sides, "0123abc")
+    assert revs["base"] == "0123abc"
+    assert revs["change"] == bench.revision(CHECKOUT)
+    with pytest.raises(SystemExit):
+        bench.main(["--out", str(tmp_path / "out.json"), "--base-rev", "x"])
+    assert not (tmp_path / "out.json").exists()

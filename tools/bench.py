@@ -2,7 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench.py --out BENCH.json [--base DIR] [--runs 5]
+    python3 tools/bench.py --out BENCH.json [--base DIR [--base-rev REV]]
+                           [--runs 5]
 
 Each run is one `python3 perfbench/run.py --workload NAME --seed 0 --seconds S
 --trace 0` in a fresh interpreter, in the checkout that holds this file, for
@@ -17,7 +18,9 @@ own `src` on PYTHONPATH, runs as many times in the same alternating pairs.
 The output records the host (nproc, Python version), the git revision of
 each checkout, and per workload and checkout the failed and attempted
 operations and, for every end-to-end metric that BENCHMARK.json names, each
-run's value with their median and quartiles. With a base it also gives, per
+run's value with their median and quartiles. A base that is no git work
+tree, such as a `git archive` export, has no revision of its own: give it
+with `--base-rev REV`, which is recorded in place of what git reports. With a base it also gives, per
 metric, the ratio of the medians and the number of pairs the change won.
 Under "suite" it records, per checkout, the suite's wall time and the call
 time of the correctness-oracle criterion, each run with median and
@@ -52,6 +55,15 @@ def revision(checkout):
     except (OSError, subprocess.CalledProcessError):
         return None
     return rev + ("+dirty" if dirty else "")
+
+
+def revisions(sides, base_rev=None):
+    """The revision of each side's checkout; base_rev, where given, stands
+    for the base's."""
+    revs = {side: revision(path) for side, path in sides.items()}
+    if base_rev is not None:
+        revs["base"] = base_rev
+    return revs
 
 
 def bench_once(checkout, workload, seconds):
@@ -115,11 +127,15 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--base", type=Path, default=None,
                     help="checkout to pair every run with")
+    ap.add_argument("--base-rev", default=None,
+                    help="revision to record for the --base checkout")
     ap.add_argument("--runs", type=int, default=5,
                     help="runs (pairs, with --base) per workload; at least 5")
     args = ap.parse_args(argv)
     if args.runs < 5:
         ap.error("--runs must be at least 5")
+    if args.base_rev is not None and args.base is None:
+        ap.error("--base-rev needs --base")
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -131,7 +147,7 @@ def main(argv=None):
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "platform": platform.platform()},
         "settings": {"runs": args.runs, "seconds": seconds, "seed": 0},
-        "revisions": {side: revision(path) for side, path in sides.items()},
+        "revisions": revisions(sides, args.base_rev),
         "source_lines": {side: source_lines(path)
                          for side, path in sides.items()},
         "workloads": {},

@@ -1,5 +1,5 @@
-"""Count the bytecodes and Python calls of each simulator function per
-core-cycle.
+"""Count the bytecodes, Python calls and builtin calls of each simulator
+function per core-cycle.
 
 Usage, from the root of a checkout:
 
@@ -7,16 +7,20 @@ Usage, from the root of a checkout:
 
 This builds every kernel instance of the workload that perfbench/workloads.py
 names (default matmul8) at seed 0 and runs each once under `sys.settrace`
-with opcode events on (`f_trace_opcodes`). Only `ClusterSim.run` is counted,
-not the build or the load. For each Python function it counts the bytecodes
-run in its own frames and the calls into it, and prints both per core-cycle
-(one cycle of one active core up to its halt, as perfbench counts them),
-the N functions with the most bytecodes first (default 25), then the totals.
+with opcode events on (`f_trace_opcodes`), and under `sys.setprofile`, whose
+`c_call` events see each call of a builtin function or method. Only
+`ClusterSim.run` is counted, not the build or the load. For each Python
+function it counts the bytecodes run in its own frames, the calls into it
+and the builtin calls it makes, and prints them per core-cycle (one cycle
+of one active core up to its halt, as perfbench counts them), the N
+functions with the most bytecodes first (default 25), then the totals.
 
 Host load moves timings from run to run, but not these counts: the same code
 prints the same table every time, so a change to one layer shows as a change
-of its row. Code that runs in C (builtins, `struct`, `deque`, `itertools`)
-runs no bytecode and makes no Python call, so it adds nothing to the counts.
+of its row. Code that runs in C (`struct`, `deque`, `math.fsum`) runs no
+bytecode and makes no Python call; it shows only in the builtin-call column,
+and a builtin call can cost many bytecodes' time. So size a change by its
+time, reading the bytecodes and the builtin calls together.
 """
 
 import argparse
@@ -38,9 +42,10 @@ def label(code):
 
 
 def count(instances):
-    """Run each instance once under the tracer; return its core-cycles and,
-    per function label, [bytecodes, calls]."""
-    ops, calls = Counter(), Counter()
+    """Run each instance once under the tracer and the profiler; return its
+    core-cycles and, per function label, [bytecodes, calls, builtin
+    calls]."""
+    ops, calls, c_calls = Counter(), Counter(), Counter()
 
     def on_opcode(frame, event, arg):
         if event == "opcode":
@@ -53,25 +58,32 @@ def count(instances):
         frame.f_trace_opcodes = True
         return on_opcode
 
+    def on_profile(frame, event, arg):
+        if event == "c_call":
+            c_calls[frame.f_code] += 1
+
     core_cycles = 0
     for inst in instances:
         sim = cluster.ClusterSim()
         sim.load_program(inst.program, active_cores=inst.active_cores,
                          entries=inst.entries)
         sim.load_image(inst.data)
-        saved = sys.gettrace()
+        saved, saved_profile = sys.gettrace(), sys.getprofile()
         sys.settrace(on_call)
+        sys.setprofile(on_profile)
         try:
             result = sim.run(watch_pcs=inst.watch_pcs())
         finally:
+            sys.setprofile(saved_profile)
             sys.settrace(saved)
         core_cycles += sum(s.cycles_at_halt
                            for s in result.core_stats[:inst.active_cores])
     per_function = {}
-    for code in ops.keys() | calls.keys():
-        row = per_function.setdefault(label(code), [0, 0])
+    for code in ops.keys() | calls.keys() | c_calls.keys():
+        row = per_function.setdefault(label(code), [0, 0, 0])
         row[0] += ops[code]
         row[1] += calls[code]
+        row[2] += c_calls[code]
     return core_cycles, per_function
 
 
@@ -79,14 +91,11 @@ def report(core_cycles, per_function, top):
     """The table of the `top` functions with the most bytecodes, per
     core-cycle, and a line of totals."""
     rows = sorted(per_function.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    lines = [f"{'function':<52} {'bytecodes':>10} {'calls':>8}"]
-    for name, (n_ops, n_calls) in rows[:top]:
+    lines = [f"{'function':<52} {'bytecodes':>10} {'calls':>8} {'C calls':>8}"]
+    totals = [sum(r[k] for r in per_function.values()) for k in range(3)]
+    for name, (n_ops, n_calls, n_c) in rows[:top] + [("total", totals)]:
         lines.append(f"{name:<52} {n_ops / core_cycles:>10.1f} "
-                     f"{n_calls / core_cycles:>8.2f}")
-    n_ops = sum(r[0] for r in per_function.values())
-    n_calls = sum(r[1] for r in per_function.values())
-    lines.append(f"{'total':<52} {n_ops / core_cycles:>10.1f} "
-                 f"{n_calls / core_cycles:>8.2f}")
+                     f"{n_calls / core_cycles:>8.2f} {n_c / core_cycles:>8.2f}")
     return lines
 
 
