@@ -101,13 +101,14 @@ def _nan(r, *operands):
 
 
 def add64(a, b, c=0.0):
-    """a + b, a NaN result by _nan."""
+    """a + b as a lane function, which takes c and ignores it; a NaN result
+    by _nan."""
     r = a + b
     return r if r == r else _nan(r, a, b)
 
 
 def mul64(a, b, c=0.0):
-    """a * b, a NaN result by _nan."""
+    """a * b as a lane function, like add64; a NaN result by _nan."""
     r = a * b
     return r if r == r else _nan(r, a, b)
 

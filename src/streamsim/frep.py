@@ -109,4 +109,5 @@ class StreamSplit:
     operands: tuple       # per source: its register, or the slot to pop
     pops: tuple           # (read slot, pops) per stream source
     push: object          # write slot taking the result, or None
-    sb_regs: tuple        # sources and destination not stream-mapped
+    sb_regs: tuple        # sources and destination not stream-mapped,
+                          # each once
