@@ -615,8 +615,8 @@ class ClusterSim:
         split = entry.split
         f = core.state.f
         try:
-            # operand values; each stream pops exactly once per occurrence, from
-            # a FIFO the plan found holding enough elements
+            # operand values; each stream pops exactly once per occurrence,
+            # from a FIFO the plan found holding enough elements
             vals = []
             for o in split.operands:
                 vals.append(f[o] if o.__class__ is int else o.fifo.popleft())

@@ -341,7 +341,8 @@ _op("fsw", "rs2:f imm(rs1):m", Domain.FP, kind=OP_STORE, lat=LAT_STORE, width=4)
 _compute("fmadd", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2, fp.fma64, fp.fma32)
 # float negation flips only the sign bit, of a NaN too
 _compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2,
-         lambda a, b, c: fp.fma64(a, b, -c), lambda a, b, c: fp.fma32(a, b, -c))
+         lambda a, b, c: fp.fma64(a, b, -c),
+         lambda a, b, c: fp.fma32(a, b, -c))
 _compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.add64)
 _compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a - b)
 _compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.mul64)

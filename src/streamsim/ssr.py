@@ -81,7 +81,7 @@ class StreamSlot:
         self.width = 8             # bytes per element
         self.elem = ELEMENT[8]
         self.fifo = deque()        # prefetched values (read streams)
-        self.write_buf = deque()   # pending (addr, value) stores (write streams)
+        self.write_buf = deque()   # pending (addr, value) stores (writes)
         self.addr = 0              # address of the next element to issue
         self.steps = ()            # (stride, bound) per dimension
         self.addrs = iter(())      # the addresses after `addr`

@@ -428,7 +428,8 @@ OP_PROGRAMS = {
         "li t0, pats",
         "li t1, out",
         *[line for k in range(5) for line in (
-            f"fld ft3, {8 * k}(t0)", "fmv.d ft4, ft3", f"fsd ft4, {8 * k}(t1)")],
+            f"fld ft3, {8 * k}(t0)", "fmv.d ft4, ft3",
+            f"fsd ft4, {8 * k}(t1)")],
         "ssr_cfg_write 0, base, t0",
         "ssr_cfg_write 0, stride0, 8",
         "ssr_cfg_write 0, bound0, 5",

@@ -186,7 +186,7 @@ def test_fp_compute_matches_fma64():
     i = decode("fmadd.d ft3, ft0, ft1, ft2").fp_op
     for _ in range(200):
         a, b, c = (rng.uniform(-1, 1) for _ in range(3))
-        got = fp_compute_bits(i, f64_to_bits(a), f64_to_bits(b), f64_to_bits(c))
+        got = fp_compute_bits(i, *map(f64_to_bits, (a, b, c)))
         assert bits_to_f64(got) == fma64(a, b, c)
 
 

@@ -20,8 +20,9 @@ each checkout, and per workload and checkout the failed and attempted
 operations and, for every end-to-end metric that BENCHMARK.json names, each
 run's value with their median and quartiles. A base that is no git work
 tree, such as a `git archive` export, has no revision of its own: give it
-with `--base-rev REV`, which is recorded in place of what git reports. With a base it also gives, per
-metric, the ratio of the medians and the number of pairs the change won.
+with `--base-rev REV`, which is recorded in place of what git reports.
+With a base it also gives, per metric, the ratio of the medians and the
+number of pairs the change won.
 Under "suite" it records, per checkout, the suite's wall time and the call
 time of the correctness-oracle criterion, each run with median and
 quartiles. Under "source_lines" it records, per checkout, the line count of

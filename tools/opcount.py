@@ -95,7 +95,8 @@ def report(core_cycles, per_function, top):
     totals = [sum(r[k] for r in per_function.values()) for k in range(3)]
     for name, (n_ops, n_calls, n_c) in rows[:top] + [("total", totals)]:
         lines.append(f"{name:<52} {n_ops / core_cycles:>10.1f} "
-                     f"{n_calls / core_cycles:>8.2f} {n_c / core_cycles:>8.2f}")
+                     f"{n_calls / core_cycles:>8.2f} "
+                     f"{n_c / core_cycles:>8.2f}")
     return lines
 
 
