@@ -107,6 +107,12 @@ def add64(a, b, c=0.0):
     return r if r == r else _nan(r, a, b)
 
 
+def sub64(a, b, c=0.0):
+    """a - b as a lane function, like add64; a NaN result by _nan."""
+    r = a - b
+    return r if r == r else _nan(r, a, b)
+
+
 def mul64(a, b, c=0.0):
     """a * b as a lane function, like add64; a NaN result by _nan."""
     r = a * b

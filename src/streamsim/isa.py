@@ -344,7 +344,7 @@ _compute("fmsub", "rd:f rs1:f rs2:f rs3:f", LAT_FMA, 2,
          lambda a, b, c: fp.fma64(a, b, -c),
          lambda a, b, c: fp.fma32(a, b, -c))
 _compute("fadd", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.add64)
-_compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, lambda a, b, c: a - b)
+_compute("fsub", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.sub64)
 _compute("fmul", "rd:f rs1:f rs2:f", LAT_ADDMUL, 1, fp.mul64)
 _op("fmv.d", "rd:f rs1:f", Domain.FP, lat=LAT_MOVE)
 _op("fmv.d.x", "rd:f rs1:x", Domain.FP, lat=LAT_MOVE)

@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 from streamsim.fp import (MASK64, _fma64_exact, add64, bits_to_f64,
-                          f64_to_bits, fma32, fma64, mul64, round32)
+                          f64_to_bits, fma32, fma64, mul64, round32, sub64)
 
 ULP1 = 2.0 ** -52
 
@@ -128,11 +128,13 @@ def test_nan_operands_give_the_first_nan():
         assert f64_to_bits(add64(q, s)) == 0xFFF8000000012345
         assert f64_to_bits(add64(s, q)) == 0x7FF8000000000001
         assert f64_to_bits(mul64(s, q)) == 0x7FF8000000000001
+        assert f64_to_bits(sub64(q, s)) == 0xFFF8000000012345
         assert f64_to_bits(fma64(1.0, s, q)) == 0x7FF8000000000001
         assert f64_to_bits(fma64(q, math.inf, s)) == 0xFFF8000000012345
         assert f64_to_bits(fma32(1.0, q, s)) == 0xFFF8000000000000
         # one NaN operand, or none, gives what the plain op gives
         assert f64_to_bits(add64(1.0, s)) == f64_to_bits(1.0 + s)
+        assert f64_to_bits(sub64(1.0, q)) == f64_to_bits(1.0 - q)
         assert f64_to_bits(mul64(0.0, math.inf)) == f64_to_bits(0.0 * math.inf)
 
 

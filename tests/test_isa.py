@@ -3,12 +3,12 @@
 import itertools
 import operator
 import random
+import struct
 
 import pytest
 
 from streamsim import errors
-from streamsim.fp import (add64, bits_to_f64, f64_to_bits, fma32, fma64,
-                          mul64, round32)
+from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
 from streamsim.isa import (LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
                            OP_STORE, OPS, CoreState, Domain, XREGS, decode,
                            fp_compute, sext32)
@@ -190,27 +190,44 @@ def test_fp_compute_matches_fma64():
         assert bits_to_f64(got) == fma64(a, b, c)
 
 
+def _first_nan(width, *operands):
+    """The first NaN among bit patterns of width 64 or 32, with its quiet
+    bit set, or None: the NaN rule of fadd, fsub and fmul, on bits."""
+    frac = 52 if width == 64 else 23
+    ones = (1 << (width - 1 - frac)) - 1
+    for b in operands:
+        if (b >> frac) & ones == ones and b & ((1 << frac) - 1):
+            return b | 1 << (frac - 1)
+    return None
+
+
+_PLAIN = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul}
+
+
 def _reference(mn, a, b, c):
     """fp_compute composed from the fp helpers: operand bits to values, the
-    op on the values, the result back to bits."""
+    op on the values, the result back to bits. fadd, fsub and fmul take the
+    plain float op and the NaN rule on bits, none of fp's lane functions."""
     neg = mn.startswith("fmsub")
+    plain = _PLAIN.get(mn[:-2])
     if mn.endswith(".d"):
         x, y, z = bits_to_f64x3(a, b, c)
-        if mn in ("fmadd.d", "fmsub.d"):
-            r = fma64(x, y, -z if neg else z)
-        else:
-            r = {"fadd.d": add64, "fsub.d": operator.sub,
-                 "fmul.d": mul64}[mn](x, y)
-        return f64_to_bits(r)
+        if plain is None:
+            return f64_to_bits(fma64(x, y, -z if neg else z))
+        nan = _first_nan(64, a, b)
+        return f64_to_bits(plain(x, y)) if nan is None else nan
     lanes = []
-    for x, y, z in zip(bits_to_f32_pair(a), bits_to_f32_pair(b),
-                       bits_to_f32_pair(c)):
-        if mn in ("fmadd.s", "fmsub.s"):
-            lanes.append(fma32(x, y, -z if neg else z))
+    for la, lb, x, y, z in zip((a & MASK32, a >> 32), (b & MASK32, b >> 32),
+                               bits_to_f32_pair(a), bits_to_f32_pair(b),
+                               bits_to_f32_pair(c)):
+        nan = None if plain is None else _first_nan(32, la, lb)
+        if nan is not None:
+            lanes.append(nan)
         else:
-            lanes.append(round32({"fadd.s": add64, "fsub.s": operator.sub,
-                                  "fmul.s": mul64}[mn](x, y)))
-    return f32_pair_to_bits(*lanes)
+            r = fma32(x, y, -z if neg else z) if plain is None else \
+                round32(plain(x, y))
+            lanes.append(struct.unpack("<I", struct.pack("<f", r))[0])
+    return lanes[0] | lanes[1] << 32
 
 
 # binary64 patterns: +-0, +-inf, a quiet NaN with a payload, the smallest
