@@ -93,3 +93,24 @@ def test_bench_records_base_rev(tmp_path):
     with pytest.raises(SystemExit):
         bench.main(["--out", str(tmp_path / "out.json"), "--base-rev", "x"])
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("name, n, pairs, grants", [
+    # no two requesters meet at a bank: one grant per (bank, requester) pair
+    ("matmul_ssr_frep", 32, 66560, 66560),
+    # eight cores on bank 0: one grant per cycle among the eight requests
+    ("tcdm_same_bank", 128, 8164, 1024),
+])
+def test_tracer_counts_arbitration(name, n, pairs, grants):
+    # the tracer's arbitrate wrapper sums the request lists' lengths after
+    # the call and counts the banks of the grants it returns; the counts
+    # were frozen on the arbiter that returned {bank: winner}
+    tracer = _load(CHECKOUT / "perfbench" / "tracer.py")
+    inst = streamsim.kernels.build(name, n=n)
+    t = tracer.Tracer()
+    t.install(streamsim)
+    try:
+        streamsim.run_kernel(inst)
+    finally:
+        t.uninstall()
+    assert (t.tcdm_pairs, t.tcdm_grants) == (pairs, grants)
