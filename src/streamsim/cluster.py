@@ -17,7 +17,11 @@ deterministic:
                bank or the data port is held and not fetched, decoded or
                addressed again. Nothing else the plan read can change while
                the int pipe stalls,
-  2. grant   - each bank grants one request (round robin, persistent pointer),
+  2. grant   - each bank grants one request (round robin, persistent pointer).
+               A request is granted in place: each request map entry is a
+               list of requester ids whose first is the grant, and only a
+               bank that two requesters asked is arbitrated, its winner
+               swapped to the front,
   3. commit  - units apply their planned action if granted, else record a
                stall. The stream slots of all cores commit first, in one
                pass, then each core's FPU and int pipe. Everything that
@@ -132,35 +136,42 @@ class Memory:
 
 
 class Tcdm:
-    """Per-bank round-robin arbitration with persistent pointers."""
+    """Per-bank round-robin arbitration with persistent pointers, granted
+    in place.
+
+    A request map is {bank: list of distinct requester ids}. A request
+    site stores [rid] for a bank not yet asked this cycle; only when a
+    second requester asks does it append and add the bank to `contested`.
+    A grant is the first id of a bank's list, so an uncontested request is
+    granted as it stands. `last` maps each bank to the list it last
+    granted: its pointer is that winner + 1, or 0 for a bank never granted.
+    """
 
     def __init__(self, n_requesters):
         self.n_requesters = n_requesters
-        self.rr = [0] * TCDM_BANKS
+        self.contested = set()     # banks asked by two or more this cycle
+        self.last = {}
 
     def arbitrate(self, requests):
-        """requests: {bank: sized collection of distinct requester ids}
-        -> {bank: winning id}.
-
-        The winner is the first requester at or after the bank's pointer,
-        counting modulo the number of requesters.
-        """
-        rr = self.rr
+        """Grant every bank of requests, which it returns as the grants:
+        on a contested bank, the first requester at or after the bank's
+        pointer, counting modulo the number of requesters, is swapped to
+        the front of its list. No list changes length."""
+        last = self.last
         n = self.n_requesters
-        grants = {}
-        for bank, ids in requests.items():
-            if len(ids) == 1:
-                (win,) = ids
-            else:
-                ptr = rr[bank]
-                win, best = None, n
-                for i in ids:
-                    d = (i - ptr) % n
-                    if d < best:
-                        win, best = i, d
-            grants[bank] = win
-            rr[bank] = (win + 1) % n
-        return grants
+        for bank in self.contested:
+            ids = requests[bank]
+            prev = last.get(bank)
+            ptr = prev[0] + 1 if prev is not None else 0
+            win, best = 0, n
+            for k, i in enumerate(ids):
+                d = (i - ptr) % n
+                if d < best:
+                    win, best = k, d
+            ids[0], ids[win] = ids[win], ids[0]
+        self.contested.clear()
+        last.update(requests)
+        return requests
 
 
 @dataclass(frozen=True)
@@ -263,9 +274,10 @@ class DmaEngine:
                  (do + a) // BANK_WIDTH % TCDM_BANKS if dbank else None)
                 for a, b in zip(edges, edges[1:])]
 
-    def plan(self, requests):
-        """Append this engine's id to requests[bank] for each bank the
-        current window still needs, once per bank."""
+    def plan(self, requests, contested):
+        """Request each bank the current window still needs, once per
+        bank, as every TCDM requester does: [id] for a bank not yet asked,
+        else append the id and add the bank to contested."""
         if self.active is None:
             if not self.queue:
                 return
@@ -275,9 +287,13 @@ class DmaEngine:
             self._open_window()
         rid = self.req_id
         for bank in self.banks:
-            requests.setdefault(bank, []).append(rid)
+            if bank in requests:
+                requests[bank].append(rid)
+                contested.add(bank)
+            else:
+                requests[bank] = [rid]
 
-    def commit(self, granted_banks):
+    def commit(self, grants):
         """Move what the granted banks allow of the window. A granted bank
         serves one access: a slice reads when its source bank is granted,
         and writes when its destination bank is granted and no slice still
@@ -294,7 +310,7 @@ class DmaEngine:
         if slices is None:
             if self.disjoint:
                 for bank in banks:
-                    if granted_banks.get(bank) != rid:
+                    if grants[bank][0] != rid:
                         break
                 else:
                     sbuf, so, dbuf, do, n = self.window
@@ -308,11 +324,11 @@ class DmaEngine:
         for piece in slices:
             sbuf, so, dbuf, do, n, sb, db = piece
             if sb is not None:
-                if granted_banks.get(sb) != rid:
+                if grants[sb][0] != rid:
                     remaining.append(piece)
                     continue
                 sbuf, so, sb = sbuf[so:so + n], 0, None
-            if db is None or (granted_banks.get(db) == rid and not banks[db]):
+            if db is None or (grants[db][0] == rid and not banks[db]):
                 dbuf[do:do + n] = sbuf[so:so + n]
                 moved += n
             else:
@@ -587,9 +603,14 @@ class ClusterSim:
             if ready[r] > self.cycle:
                 core.stats.fp_stall_hazard += 1
                 return "stall:hazard"
-        if entry.bank is not None:
+        bank = entry.bank
+        if bank is not None:
             # FP loads/stores contend under the core's own request id
-            requests.setdefault(entry.bank, []).append(core.int_rid)
+            if bank in requests:
+                requests[bank].append(core.int_rid)
+                self.tcdm.contested.add(bank)
+            else:
+                requests[bank] = [core.int_rid]
         return entry
 
     def _commit_fpu(self, core, grants):
@@ -608,7 +629,7 @@ class ClusterSim:
             st.fp_executed += 1
             return f"capture {op.mnemonic}" if self.trace_enabled else None
         bank = entry.bank
-        if bank is not None and grants.get(bank) != core.int_rid:
+        if bank is not None and grants[bank][0] != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
 
@@ -680,33 +701,41 @@ class ClusterSim:
 
     def _plan_streams(self, requests):
         """Bank requests of the streaming slots: a read slot with elements
-        left and FIFO room prefetches the element at its address, a write
-        slot drains its oldest store. Returns (slot, TCDM offset, bank) per
-        request."""
+        left and FIFO room prefetches the element at its offset, a write
+        slot drains its oldest store. The offsets are the scratchpad's,
+        inside the footprint ssr_enable checked. Returns (slot, TCDM
+        offset, bank) per request."""
         plans = []
+        contested = self.tcdm.contested
         for slot in self.streams:
             if slot.is_read:
-                if slot.issued >= slot.total or len(slot.fifo) >= FIFO_DEPTH:
+                off = slot.off
+                if off is None or len(slot.fifo) >= FIFO_DEPTH:
                     continue
-                addr = slot.addr
             elif slot.write_buf:
-                addr = slot.write_buf[0][0]
+                off = slot.write_buf[0][0]
             else:
                 continue
-            off = addr - TCDM_BASE      # ssr_enable checked the footprint
             bank = off // BANK_WIDTH % TCDM_BANKS
-            requests.setdefault(bank, []).append(slot.rid)
+            if bank in requests:
+                requests[bank].append(slot.rid)
+                contested.add(bank)
+            else:
+                requests[bank] = [slot.rid]
             plans.append((slot, off, bank))
         return plans
 
     def _commit_streams(self, plans, grants):
+        """Move each granted element; a read steps its slot's walk here,
+        as StreamSlot.advance would."""
         tcdm = self.mem.tcdm
         for slot, off, bank in plans:
-            if grants.get(bank) != slot.rid:
+            if grants[bank][0] != slot.rid:
                 continue  # lost arbitration, retry next cycle
             if slot.is_read:
                 slot.fifo.append(slot.elem.unpack_from(tcdm, off)[0])
-                slot.advance()
+                slot.issued += 1
+                slot.off = next(slot.walk, None)
             else:
                 slot.elem.pack_into(tcdm, off, slot.write_buf.popleft()[1])
 
@@ -797,7 +826,12 @@ class ClusterSim:
             core.held_access = access
             core.stats.stall_bank_conflict += 1
             return "stall:bank"
-        requests.setdefault(access[2], []).append(core.int_rid)
+        bank = access[2]
+        if bank in requests:
+            requests[bank].append(core.int_rid)
+            self.tcdm.contested.add(bank)
+        else:
+            requests[bank] = [core.int_rid]
         return access
 
     def _fp_entry(self, core, instr):
@@ -884,7 +918,7 @@ class ClusterSim:
                     buf, off = self.mem._locate(off, 4)
                 except SimError as e:
                     self._fault(core, e)
-            elif grants.get(bank) != core.int_rid:
+            elif grants[bank][0] != core.int_rid:
                 core.held_access = plan
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
@@ -941,12 +975,22 @@ class ClusterSim:
                     if state.ssr_enabled:
                         raise ReconfigWhileActive(
                             f"slot {slot.index} reconfigured while streaming")
-                    slot.configure(staged)
+                    # the slot walks scratchpad offsets
+                    slot.configure(dict(
+                        staged, base=staged.get("base", 0) - TCDM_BASE))
                     low, high = slot.footprint()
-                    if low < TCDM_BASE or high > TCDM_BASE + TCDM_SIZE:
+                    if low < 0 or high > TCDM_SIZE:
                         raise OutOfRangeAccess(
                             f"stream {slot.index} footprint "
-                            f"[0x{low:x}, 0x{high:x}) outside TCDM")
+                            f"[0x{low + TCDM_BASE:x}, 0x{high + TCDM_BASE:x}) "
+                            f"outside TCDM")
+                    # an element lies in one bank word, as for fld/fsd
+                    width = slot.width
+                    if slot.off % width or any(
+                            stride % width for stride, _ in slot.steps):
+                        raise MisalignedAccess(
+                            f"stream {slot.index} base or stride not "
+                            f"{width}-byte aligned")
         except SimError as e:
             self._fault(core, e)
         state.ssr_enabled = True
@@ -1022,8 +1066,9 @@ class ClusterSim:
         streams = self._plan_streams(requests) if self.streams else None
         dma_busy = not dma.idle
         if dma_busy:
-            dma.plan(requests)
-        grants = self.tcdm.arbitrate(requests) if requests else {}
+            dma.plan(requests, self.tcdm.contested)
+        # the grants are the request lists, each winner first
+        grants = self.tcdm.arbitrate(requests) if requests else requests
         if streams:
             self._commit_streams(streams, grants)
         trace = self.trace_enabled

@@ -7,10 +7,14 @@ CPython packs and unpacks binary64 by copying its bytes, so every pattern
 makes the round trip: signalling NaNs, NaN payloads and signs, -0.0 and
 subnormals.
 
+Every arithmetic op whose result is a NaN returns the canonical quiet NaN,
+as RISC-V requires: 0x7FF8000000000000 for binary64, 0x7FC00000 per binary32
+lane. Moves, loads, stores and streams keep every bit.
+
 fma64 performs a true fused multiply-add (single rounding); Python 3.10 has
 no math.fma, so the exact value is formed either as an unevaluated sum of
 doubles, summed with one correct rounding by math.fsum, or, where that could
-under- or overflow, with integer-ratio arithmetic rounded once by bignum
+underflow or overflow, with integer-ratio arithmetic rounded once by bignum
 division, which CPython rounds correctly to nearest-even.
 """
 
@@ -26,14 +30,6 @@ _F32X2 = struct.Struct("<2f")
 _F32X6 = struct.Struct("<6f")
 _ZERO32 = bytes(4)
 
-# Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves, and
-# Dekker's product p + e == a*b is exact while neither the split overflows
-# nor the error term e underflows; these bounds keep well inside both
-_SPLIT = 134217729.0
-_SPLIT_MAX = 2.0 ** 990
-_PRODUCT_MIN = 2.0 ** -960
-_PRODUCT_MAX = 2.0 ** 1000
-
 
 def f64_to_bits(x: float) -> int:
     return _U64.unpack(_F64.pack(x))[0]
@@ -41,6 +37,10 @@ def f64_to_bits(x: float) -> int:
 
 def bits_to_f64(b: int) -> float:
     return _F64.unpack(_U64.pack(b & MASK64))[0]
+
+
+# the canonical quiet NaN; packed to binary32 it is 0x7FC00000
+NAN = bits_to_f64(0x7FF8000000000000)
 
 
 def round32(x: float) -> float:
@@ -88,35 +88,23 @@ class _Word:
 ELEMENT = {4: _Word(), 8: _F64}
 
 
-def _nan(r, *operands):
-    """r, the result of an op on operands, unless one of them is a NaN: then
-    the first NaN operand, quieted (x + x of a NaN x is x quieted, its sign
-    and payload kept). Where two operands are NaNs, CPython leaves the
-    choice to the C compiler, and its generic and specialized float paths
-    choose differently; an op that can meet two NaNs picks here."""
-    for x in operands:
-        if x != x:
-            return x + x
-    return r
-
-
 def add64(a, b, c=0.0):
     """a + b as a lane function, which takes c and ignores it; a NaN result
-    by _nan."""
+    is the canonical NaN, whatever payload the host FPU gives it."""
     r = a + b
-    return r if r == r else _nan(r, a, b)
+    return r if r == r else NAN
 
 
 def sub64(a, b, c=0.0):
-    """a - b as a lane function, like add64; a NaN result by _nan."""
+    """a - b as a lane function, like add64."""
     r = a - b
-    return r if r == r else _nan(r, a, b)
+    return r if r == r else NAN
 
 
 def mul64(a, b, c=0.0):
-    """a * b as a lane function, like add64; a NaN result by _nan."""
+    """a * b as a lane function, like add64."""
     r = a * b
-    return r if r == r else _nan(r, a, b)
+    return r if r == r else NAN
 
 
 def _exact_ratio(a, b, c):
@@ -133,36 +121,49 @@ def _exact_ratio(a, b, c):
 
 
 def fma64(a: float, b: float, c: float) -> float:
-    """a*b + c with a single rounding, exact for all finite doubles."""
+    """a*b + c with a single rounding, exact for all doubles.
+
+    Veltkamp's constant 2**27 + 1 splits a double into two 26-bit halves,
+    and Dekker's product p + e == a*b is exact unless the error term e
+    underflows, which |p| > 2**-960 rules out, or a step overflows. An
+    overflow in the split or the partial products makes an inf or a NaN,
+    which no later step turns finite; so where fsum raises (an overflow,
+    or inf - inf) or returns a non-finite value, the exact path decides.
+    """
     p = a * b
-    if (_PRODUCT_MIN < abs(p) < _PRODUCT_MAX and abs(a) < _SPLIT_MAX
-            and abs(b) < _SPLIT_MAX and math.isfinite(c)):
-        t = _SPLIT * a
+    if p > 2.0 ** -960 or p < -2.0 ** -960:
+        t = 134217729.0 * a
         ah = t - (t - a)
         al = a - ah
-        t = _SPLIT * b
+        t = 134217729.0 * b
         bh = t - (t - b)
         bl = b - bh
         e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
         try:
-            return math.fsum((p, e, c))
-        except OverflowError:
-            pass
+            r = math.fsum((p, e, c))
+        except (OverflowError, ValueError):
+            return _fma64_exact(a, b, c)
+        if r - r == 0.0:            # finite
+            return r
     return _fma64_exact(a, b, c)
 
 
 def _fma64_exact(a, b, c):
     """fma64 by integer-ratio arithmetic; the reference for every input."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return _nan(a * b + c, a, b, c)
-    n, d = _exact_ratio(a, b, c)
-    if n == 0:
-        # exact zero: keep IEEE sign-of-zero for the all-zero-addend case
-        return a * b + c
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        r = a * b + c               # an inf or NaN product decides with c
+    elif not math.isfinite(c):
+        r = c                       # the exact product is finite
+    else:
+        n, d = _exact_ratio(a, b, c)
+        if n == 0:
+            # exact zero: keep IEEE sign-of-zero for the all-zero-addend case
+            return a * b + c
+        try:
+            return n / d
+        except OverflowError:
+            return math.inf if n > 0 else -math.inf
+    return r if r == r else NAN
 
 
 def fma32(a: float, b: float, c: float) -> float:
@@ -175,7 +176,9 @@ def fma32(a: float, b: float, c: float) -> float:
     """
     a, b, c = round32(a), round32(b), round32(c)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        return round32(_nan(a * b + c, a, b, c))
+        # binary32 operands: a finite product cannot overflow binary64
+        r = a * b + c
+        return r if r == r else NAN
     n, d = _exact_ratio(a, b, c)
     if n == 0:
         return a * b + c

@@ -7,8 +7,9 @@ memory stream. Addresses follow the law
 
 with dimension 0 fastest. As in hardware, a slot is a set of loop counters
 and one address adder in front of its FIFO. Here the counters are a lazy
-walk over the stream's addresses, built once at configure: each dimension
-maps every address of the one outside it to a `range` (a `repeat` for
+walk over the stream's offsets from a base (the cluster gives its slots
+bases relative to the scratchpad), built once at configure: each dimension
+maps every offset of the one outside it to a `range` (a `repeat` for
 stride 0) with `itertools`, so the walk steps in C. Each core owns three
 slots; the cluster reads their FIFOs in place every cycle and issues the
 element accesses of every live core's slots in one pass, so stream traffic
@@ -32,8 +33,8 @@ WRITE_SLOTS = (2,)      # every slot reads; only the last one writes
 
 
 def _rows(stride, bound, starts):
-    """For each address in starts, the bound addresses from it stride
-    apart, chained; every step runs in C."""
+    """For each offset in starts, the bound offsets from it stride apart,
+    chained; every step runs in C."""
     if not stride:
         return chain.from_iterable(map(repeat, starts, repeat(bound)))
     starts, again = tee(starts)
@@ -43,31 +44,32 @@ def _rows(stride, bound, starts):
 
 
 def _walk(base, steps):
-    """An iterator over the addresses of a stream, (stride, bound) per
-    dimension in steps, dimension 0 fastest. Each dimension maps the
-    addresses of the one outside it lazily to its rows, so building the
-    walk allocates O(dims) whatever the bounds."""
-    addrs = iter((base,))
+    """An iterator over the offsets of a stream from base, (stride, bound)
+    per dimension in steps, dimension 0 fastest. Each dimension maps the
+    offsets of the one outside it lazily to its rows, so building the walk
+    allocates O(dims) whatever the bounds."""
+    offs = iter((base,))
     for stride, bound in reversed(steps):
-        addrs = _rows(stride, bound, addrs)
-    return addrs
+        offs = _rows(stride, bound, offs)
+    return offs
 
 
 class StreamSlot:
-    """One stream register slot: the address walk of its generator, and its
+    """One stream register slot: the offset walk of its generator, and its
     FIFO.
 
-    The cluster reads the fields in place: a read slot prefetches the element
-    at `addr` while `issued < total` and `fifo` holds fewer than FIFO_DEPTH
-    elements, and the FPU pops `fifo` directly; a write slot takes up to
-    FIFO_DEPTH stores into `write_buf` and drains it from its head. Each
-    access carries the slot's TCDM requester id `rid`, which its core sets,
-    and moves its element, a binary64 value, with `elem`, the FP element
-    format of its width.
+    The cluster reads and steps the fields in place: a read slot prefetches
+    the element at offset `off` until the walk ends (`off` is None) while
+    `fifo` holds fewer than FIFO_DEPTH elements, counting it in `issued`
+    and taking the next offset from `walk`, and the FPU pops `fifo`
+    directly; a write slot takes up to FIFO_DEPTH stores into `write_buf`
+    and drains it from its head. Each access carries the slot's TCDM
+    requester id `rid`, which its core sets, and moves its element, a
+    binary64 value, with `elem`, the FP element format of its width.
     """
 
     __slots__ = ("index", "rid", "active", "is_read", "total", "width", "elem",
-                 "fifo", "write_buf", "addr", "steps", "addrs", "issued")
+                 "fifo", "write_buf", "off", "steps", "walk", "issued")
 
     def __init__(self, index, rid=None):
         self.index = index
@@ -81,10 +83,10 @@ class StreamSlot:
         self.width = 8             # bytes per element
         self.elem = ELEMENT[8]
         self.fifo = deque()        # prefetched values (read streams)
-        self.write_buf = deque()   # pending (addr, value) stores (writes)
-        self.addr = 0              # address of the next element to issue
+        self.write_buf = deque()   # pending (off, value) stores (writes)
+        self.off = None            # offset of the next element to issue
         self.steps = ()            # (stride, bound) per dimension
-        self.addrs = iter(())      # the addresses after `addr`
+        self.walk = iter(())       # the offsets after `off`
         self.issued = 0            # elements fetched or pushed so far
 
     def configure(self, fields):
@@ -114,14 +116,14 @@ class StreamSlot:
         self.width = width
         self.elem = ELEMENT[width]
         self.steps = steps
-        self.addrs = _walk(fields.get("base", 0), steps)
-        self.addr = next(self.addrs)
+        self.walk = _walk(fields.get("base", 0), steps)
+        self.off = next(self.walk)
 
     def footprint(self):
-        """The [low, high) bytes the elements of a just-configured stream
-        cover, `addr` still at its base: per dimension, the walk reaches
+        """The [low, high) offsets the elements of a just-configured stream
+        cover, `off` still at its base: per dimension, the walk reaches
         stride * (bound - 1) from it, up or down."""
-        low = high = self.addr
+        low = high = self.off
         for stride, bound in self.steps:
             reach = stride * (bound - 1)
             if reach < 0:
@@ -131,15 +133,15 @@ class StreamSlot:
         return low, high + self.width
 
     def advance(self):
-        """Step to the next element's address; past the last one, `addr`
-        is None."""
+        """Step to the next element's offset; past the last one, `off` is
+        None."""
         self.issued += 1
-        self.addr = next(self.addrs, None)
+        self.off = next(self.walk, None)
 
     def push(self, value):
-        """Queue value for the write stream's next address."""
+        """Queue value for the write stream's next element."""
         if self.issued >= self.total:
             raise StreamExhausted(f"stream {self.index} written past its "
                                   f"{self.total} elements")
-        self.write_buf.append((self.addr, value))
+        self.write_buf.append((self.off, value))
         self.advance()

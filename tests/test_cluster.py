@@ -34,26 +34,74 @@ def run_source(src, cores=1, cold_start_icache=False, max_cycles=20_000, **kw):
 
 # ------------------------------------------------------------- arbitration
 
+def request(requests, contested, bank, rid):
+    """Ask bank for rid as the cluster's request sites do."""
+    ids = requests.get(bank)
+    if ids is None:
+        requests[bank] = [rid]
+    else:
+        ids.append(rid)
+        contested.add(bank)
+
+
+def grant(t, reqs):
+    """Arbitrate reqs, {bank: requester ids}, handed over as the request
+    sites hand them; returns {bank: winner}. The grants are the request
+    lists themselves, each still holding every requester."""
+    requests = {}
+    for bank, ids in reqs.items():
+        for rid in ids:
+            request(requests, t.contested, bank, rid)
+    grants = t.arbitrate(requests)
+    assert grants is requests and not t.contested
+    for bank, ids in reqs.items():
+        assert sorted(grants[bank]) == sorted(ids)
+    return {bank: ids[0] for bank, ids in grants.items()}
+
+
+def pointer(t, bank):
+    """The round-robin pointer of bank: one past its last winner."""
+    last = t.last.get(bank)
+    return 0 if last is None else (last[0] + 1) % N_REQ
+
+
+def reference_arbitrate(rr, n, requests):
+    """The per-bank round-robin loop the arbiter ran before it granted in
+    place, kept as the reference: requests {bank: collection of ids} ->
+    {bank: winner}, stepping the pointer list rr."""
+    grants = {}
+    for bank, ids in requests.items():
+        ptr = rr[bank]
+        win, best = None, n
+        for i in ids:
+            d = (i - ptr) % n
+            if d < best:
+                win, best = i, d
+        grants[bank] = win
+        rr[bank] = (win + 1) % n
+    return grants
+
+
 def test_arbitrate_distinct_banks_all_granted():
     t = Tcdm(N_REQ)
-    grants = t.arbitrate({0: {5}, 1: {9}, 7: {2}, 31: {32}})
-    assert grants == {0: 5, 1: 9, 7: 2, 31: 32}
-    assert t.rr[0] == 6 and t.rr[1] == 10 and t.rr[7] == 3 and t.rr[31] == 0
+    assert grant(t, {0: {5}, 1: {9}, 7: {2}, 31: {32}}) == {0: 5, 1: 9, 7: 2,
+                                                           31: 32}
+    assert [pointer(t, b) for b in (0, 1, 7, 31)] == [6, 10, 3, 0]
 
 
 def test_arbitrate_same_bank_rotates():
     t = Tcdm(N_REQ)
-    wins = [t.arbitrate({3: {4, 8, 12}})[3] for _ in range(6)]
+    wins = [grant(t, {3: {4, 8, 12}})[3] for _ in range(6)]
     # pointer starts at 0: 4 wins, pointer 5 -> 8 wins, pointer 9 -> 12 ...
     assert wins == [4, 8, 12, 4, 8, 12]
 
 
 def test_arbitrate_pointer_wraparound():
     t = Tcdm(N_REQ)
-    t.rr[0] = 30
-    assert t.arbitrate({0: {2, 31}})[0] == 31  # 31 is closer from 30 mod 33
-    assert t.rr[0] == 32
-    assert t.arbitrate({0: {2, 31}})[0] == 2
+    t.last[0] = [29]                            # pointer 30
+    assert grant(t, {0: {2, 31}})[0] == 31  # 31 is closer from 30 mod 33
+    assert pointer(t, 0) == 32
+    assert grant(t, {0: {2, 31}})[0] == 2
 
 
 def test_arbitrate_fairness_and_legality():
@@ -63,36 +111,65 @@ def test_arbitrate_fairness_and_legality():
     for _ in range(400):
         reqs = {b: set(rng.sample(range(N_REQ), rng.randint(1, 5)))
                 for b in rng.sample(range(32), 3)}
-        grants = t.arbitrate(reqs)
+        grants = grant(t, reqs)
         for bank, win in grants.items():
             assert win in reqs[bank]
-            assert t.rr[bank] == (win + 1) % N_REQ
+            assert pointer(t, bank) == (win + 1) % N_REQ
             counts[win] = counts.get(win, 0) + 1
     # persistent full contention on one bank serves every requester equally
     t2 = Tcdm(N_REQ)
     ids = {1, 6, 11, 16}
     wins = {i: 0 for i in ids}
     for _ in range(4 * 25):
-        wins[t2.arbitrate({5: set(ids)})[5]] += 1
+        wins[grant(t2, {5: ids})[5]] += 1
     assert set(wins.values()) == {25}
 
 
 def test_arbitrate_lists_match_sets():
-    # the cluster hands arbitrate lists of requester ids, each requester at
-    # most once per bank; a repeated id is granted as in a set all the same
+    # the request sites hand arbitrate lists, each requester at most once
+    # per bank; a repeated id is granted as the reference grants a set
     rng = random.Random(11)
-    as_sets, as_lists = Tcdm(N_REQ), Tcdm(N_REQ)
+    t, rr = Tcdm(N_REQ), [0] * 32
     for _ in range(300):
         reqs = {b: rng.sample(range(N_REQ), rng.randint(1, 5))
                 for b in rng.sample(range(32), 3)}
         dup = rng.choice(list(reqs))
         reqs[dup].append(reqs[dup][0])
-        want = as_sets.arbitrate({b: set(ids) for b, ids in reqs.items()})
-        assert as_lists.arbitrate(reqs) == want
-        assert as_lists.rr == as_sets.rr
+        want = reference_arbitrate(rr, N_REQ,
+                                   {b: set(ids) for b, ids in reqs.items()})
+        assert grant(t, reqs) == want
+        assert [pointer(t, b) for b in range(32)] == rr
     t = Tcdm(N_REQ)
-    assert t.arbitrate({4: [N_REQ - 1, N_REQ - 1]}) == {4: N_REQ - 1}
-    assert t.rr[4] == 0
+    assert grant(t, {4: [N_REQ - 1, N_REQ - 1]}) == {4: N_REQ - 1}
+    assert pointer(t, 4) == 0
+
+
+def test_arbitrate_matches_reference():
+    # cycles of mixed uncontested and contested banks, the DMA (id 32)
+    # among the requesters, against the loop over every bank
+    rng = random.Random(19)
+    t, rr = Tcdm(N_REQ), [0] * 32
+    contested_banks = 0
+    for _ in range(500):
+        requests, order = {}, []
+        for bank in rng.sample(range(32), rng.randint(1, 16)):
+            k = rng.choice((1, 1, 1, 2, 3, 8))
+            ids = rng.sample(range(N_REQ), k)
+            if rng.random() < 0.2 and 32 not in ids:
+                ids[-1] = 32
+            order += [(bank, rid) for rid in ids]
+        rng.shuffle(order)              # requests arrive site by site
+        for bank, rid in order:
+            request(requests, t.contested, bank, rid)
+        contested_banks += len(t.contested)
+        asked = {bank: list(ids) for bank, ids in requests.items()}
+        want = reference_arbitrate(rr, N_REQ, asked)
+        grants = t.arbitrate(requests)
+        assert {bank: ids[0] for bank, ids in grants.items()} == want
+        assert {b: sorted(ids) for b, ids in grants.items()} == \
+            {b: sorted(ids) for b, ids in asked.items()}
+        assert [pointer(t, b) for b in range(32)] == rr
+    assert 500 < contested_banks
 
 
 # ------------------------------------------------------------- memory
@@ -148,8 +225,9 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     sim = ClusterSim()
     sim.dma.submit(desc)
     requests = {}
-    sim.dma.plan(requests)
+    sim.dma.plan(requests, sim.tcdm.contested)
     assert requests == {b: [sim.dma.req_id] for b in banks}
+    assert not sim.tcdm.contested
     sim = ClusterSim()
     sim.mem.write(DATA_BASE, blob)
     sim.dma_submit(desc)
@@ -210,9 +288,9 @@ def test_dma_idle_flag():
     assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
     assert eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
     assert not eng.idle
-    all_banks = {bank: eng.req_id for bank in range(32)}
+    all_banks = {bank: [eng.req_id] for bank in range(32)}
     for left in (2, 1, 0):                  # windows of 64, 32 and 64 bytes
-        eng.plan({})
+        eng.plan({}, set())
         assert not eng.idle
         eng.commit(all_banks)
         assert eng.idle == (left == 0)
@@ -818,6 +896,36 @@ def test_fault_stream_footprint_at_ssr_enable():
     assert ei.value.pc == assemble(src).labels["enable"]
     assert isinstance(ei.value.__cause__, OutOfRangeAccess)
     assert "stream 2" in str(ei.value) and "outside TCDM" in str(ei.value)
+
+
+@pytest.mark.parametrize("base, stride, width", [
+    (TCDM_BASE + 4, 8, 8),      # every element covers two bank words
+    (TCDM_BASE, 12, 8),         # the second element does
+    (TCDM_BASE + 2, 4, 4),
+])
+def test_fault_stream_misaligned_at_ssr_enable(base, stride, width):
+    # a stream element lies in one bank word, as an fld/fsd's does
+    src = f"""
+        li t1, {base}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, {stride}
+        ssr_cfg_write 0, bound0, 2
+        ssr_cfg_write 0, width, {width}
+        enable: ssr_enable
+        fmv.d ft3, ft0
+        fmv.d ft3, ft0
+        ssr_disable
+        halt
+    """
+    with pytest.raises(SimulationFault) as ei:
+        run_source(src)
+    assert ei.value.pc == assemble(src).labels["enable"]
+    assert isinstance(ei.value.__cause__, MisalignedAccess)
+    assert "stream 0" in str(ei.value)
+    # a 4-byte stream at the same base and stride 4 runs
+    if base % 4 == 0:
+        aligned = src.replace(f"stride0, {stride}", "stride0, 4")
+        run_source(aligned.replace(f"width, {width}", "width, 4"))
 
 
 def test_fault_stream_walks_below_tcdm():

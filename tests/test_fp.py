@@ -113,29 +113,79 @@ def test_fma_fast_path_matches_exact():
             (a.hex(), b.hex(), c.hex())
 
 
+def test_fma_where_the_range_guards_were():
+    """fma64 takes its double-double path for every product above 2**-960
+    in magnitude and falls back to the exact path where that path
+    overflows: against the integer-ratio reference, bit for bit."""
+    rng = random.Random(13)
+    inf, nan = math.inf, math.nan
+
+    def rand(lo, hi):
+        return math.ldexp(rng.uniform(1, 2), rng.randint(lo, hi)) * rng.choice((-1, 1))
+
+    def addends(a, b):
+        p = a * b
+        out = [rand(-1074, 1023), 0.0, inf, -inf, nan]
+        if math.isfinite(p):
+            out += [-p, -p * (1 + ULP1), p]
+        return out
+
+    cases = []
+    for _ in range(600):
+        big = rand(990, 996)                    # the split does not overflow
+        huge = rand(997, 1023)                  # the split overflows
+        for a in (big, huge):
+            for b in (rand(-60, 26), rand(-1074, -1023), rand(-1000, -980)):
+                cases += [(a, b, c) for c in addends(a, b)]
+                cases += [(b, a, c) for c in addends(b, a)]
+        a = rand(-500, 500)
+        for e in (1021, 1022, 1023, -962, -961, -960, -959):   # p near the bounds
+            b = math.ldexp(rng.uniform(1, 2), e) / a
+            cases += [(a, b, c) for c in addends(a, b)]
+        # the sum overflows, or meets inf - inf in fsum or in e
+        m = rand(1023, 1023)
+        cases += [(m, 1.0, m), (m, 2.0, -inf), (m, 1.5, inf), (inf, 1.0, -inf),
+                  (m, rand(0, 1), rand(1022, 1023))]
+    for a, b, c in cases:
+        assert f64_to_bits(fma64(a, b, c)) == f64_to_bits(_fma64_exact(a, b, c)), \
+            (a.hex(), b.hex(), c.hex())
+    # an infinite addend decides against a finite product that overflows
+    # only when rounded; a NaN addend gives the canonical NaN
+    assert fma64(1e308, 10.0, -inf) == -inf
+    assert fma64(-1e308, 10.0, inf) == inf
+    assert f64_to_bits(fma64(1e308, 10.0, nan)) == 0x7FF8000000000000
+
+
 def test_fma_subnormal_rounding():
     tiny = bits_to_f64(1)  # smallest positive subnormal
     assert fma64(tiny, 1.0, tiny) == 2 * tiny
     assert fma64(tiny, 0.5, 0.0) == 0.0  # rounds to even (zero)
 
 
-def test_nan_operands_give_the_first_nan():
-    # where two operands are NaNs, the first one wins, quieted, on every
-    # call: CPython's float ops choose by how far they are specialized
+def test_nan_results_are_canonical():
+    # every arithmetic op whose result is a NaN gives the canonical quiet
+    # NaN, whatever the operands' payloads and signs; a .s lane gives
+    # 0x7FC00000
     q = bits_to_f64(0xFFF8000000012345)        # quiet, negative, a payload
     s = bits_to_f64(0x7FF0000000000001)        # signalling
+    inf = math.inf
+    canon = 0x7FF8000000000000
     for _ in range(20):
-        assert f64_to_bits(add64(q, s)) == 0xFFF8000000012345
-        assert f64_to_bits(add64(s, q)) == 0x7FF8000000000001
-        assert f64_to_bits(mul64(s, q)) == 0x7FF8000000000001
-        assert f64_to_bits(sub64(q, s)) == 0xFFF8000000012345
-        assert f64_to_bits(fma64(1.0, s, q)) == 0x7FF8000000000001
-        assert f64_to_bits(fma64(q, math.inf, s)) == 0xFFF8000000012345
-        assert f64_to_bits(fma32(1.0, q, s)) == 0xFFF8000000000000
-        # one NaN operand, or none, gives what the plain op gives
-        assert f64_to_bits(add64(1.0, s)) == f64_to_bits(1.0 + s)
-        assert f64_to_bits(sub64(1.0, q)) == f64_to_bits(1.0 - q)
-        assert f64_to_bits(mul64(0.0, math.inf)) == f64_to_bits(0.0 * math.inf)
+        for got in (add64(q, s), add64(s, q), add64(1.0, s), sub64(q, s),
+                    sub64(1.0, q), mul64(s, q), mul64(q, 2.0),
+                    fma64(1.0, s, q), fma64(q, inf, s), fma64(1.0, 1.0, -s),
+                    fma32(1.0, q, s), fma32(s, 1.0, 1.0),
+                    # inf * 0 and inf - inf, from operands that are no NaN
+                    mul64(inf, 0.0), mul64(-0.0, -inf), add64(inf, -inf),
+                    sub64(-inf, -inf), fma64(inf, 0.0, 1.0),
+                    fma64(1.0, -inf, inf), fma64(inf, 2.0, -inf),
+                    fma32(0.0, inf, 1.0), fma32(inf, 1.0, -inf)):
+            assert f64_to_bits(got) == canon
+        assert struct.pack("<f", fma32(inf, 0.0, 0.0)) == \
+            (0x7FC00000).to_bytes(4, "little")
+        # a result that is no NaN is what the plain op gives
+        assert add64(1.0, inf) == inf and mul64(-inf, 2.0) == -inf
+        assert f64_to_bits(sub64(0.0, 0.0)) == 0
 
 
 def test_f32_pair_pack():

@@ -423,7 +423,8 @@ OP_PROGRAMS = {
     # through a read stream into a write stream; fmv.d.x of -1; flw then
     # fsd of one word; fsd then fsw of one value; fmsub.d of -0.0 * 1.0
     # minus a never-written register (-0.0), and of 1.0 * 1.0 minus the
-    # signalling NaN, which quiets it
+    # signalling NaN, which gives the canonical NaN as every arithmetic op
+    # with a NaN result does
     "fp_bits": (_lines(
         "li t0, pats",
         "li t1, out",
@@ -472,7 +473,7 @@ OP_PROGRAMS = {
          _OUT + 104: (4, 0x89ABCDEF),
          _OUT + 108: (4, 7),
          _OUT + 112: (8, 1 << 63),
-         _OUT + 120: (8, 0xFFF8000000000001)}),
+         _OUT + 120: (8, 0x7FF8000000000000)}),
 }
 
 

@@ -190,43 +190,27 @@ def test_fp_compute_matches_fma64():
         assert bits_to_f64(got) == fma64(a, b, c)
 
 
-def _first_nan(width, *operands):
-    """The first NaN among bit patterns of width 64 or 32, with its quiet
-    bit set, or None: the NaN rule of fadd, fsub and fmul, on bits."""
-    frac = 52 if width == 64 else 23
-    ones = (1 << (width - 1 - frac)) - 1
-    for b in operands:
-        if (b >> frac) & ones == ones and b & ((1 << frac) - 1):
-            return b | 1 << (frac - 1)
-    return None
-
-
 _PLAIN = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul}
 
 
 def _reference(mn, a, b, c):
     """fp_compute composed from the fp helpers: operand bits to values, the
-    op on the values, the result back to bits. fadd, fsub and fmul take the
-    plain float op and the NaN rule on bits, none of fp's lane functions."""
+    op on the values, the result back to bits, a NaN result as the
+    canonical NaN (per lane for .s). fadd, fsub and fmul take the plain
+    float op, none of fp's lane functions."""
     neg = mn.startswith("fmsub")
     plain = _PLAIN.get(mn[:-2])
     if mn.endswith(".d"):
         x, y, z = bits_to_f64x3(a, b, c)
-        if plain is None:
-            return f64_to_bits(fma64(x, y, -z if neg else z))
-        nan = _first_nan(64, a, b)
-        return f64_to_bits(plain(x, y)) if nan is None else nan
+        r = fma64(x, y, -z if neg else z) if plain is None else plain(x, y)
+        return 0x7FF8000000000000 if r != r else f64_to_bits(r)
     lanes = []
-    for la, lb, x, y, z in zip((a & MASK32, a >> 32), (b & MASK32, b >> 32),
-                               bits_to_f32_pair(a), bits_to_f32_pair(b),
-                               bits_to_f32_pair(c)):
-        nan = None if plain is None else _first_nan(32, la, lb)
-        if nan is not None:
-            lanes.append(nan)
-        else:
-            r = fma32(x, y, -z if neg else z) if plain is None else \
-                round32(plain(x, y))
-            lanes.append(struct.unpack("<I", struct.pack("<f", r))[0])
+    for x, y, z in zip(bits_to_f32_pair(a), bits_to_f32_pair(b),
+                       bits_to_f32_pair(c)):
+        r = fma32(x, y, -z if neg else z) if plain is None else \
+            round32(plain(x, y))
+        lanes.append(0x7FC00000 if r != r else
+                     struct.unpack("<I", struct.pack("<f", r))[0])
     return lanes[0] | lanes[1] << 32
 
 

@@ -2,8 +2,9 @@
 
 Oracle: a brute-force nested-loop enumerator, written independently of the
 address walk in the package, produces the expected address order. The FIFO
-checks drive a core's slots through the cluster's own stream plan and
-commit, with every bank request granted.
+checks configure a slot as ssr_enable does, from its base minus TCDM_BASE,
+and drive it through the cluster's own stream plan and commit, with every
+bank request granted.
 """
 
 import random
@@ -35,7 +36,7 @@ def iter_addresses(staged):
     slot = StreamSlot(0)
     slot.configure(staged)
     while slot.issued < slot.total:
-        yield slot.addr
+        yield slot.off
         slot.advance()
 
 
@@ -99,10 +100,10 @@ def test_walk_is_lazy():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert slot.total == 3 << 24
-    got = [slot.addr]
+    got = [slot.off]
     for _ in range(6):
         slot.advance()
-        got.append(slot.addr)
+        got.append(slot.off)
     assert got == [0x100, 0x108, 0x110] * 2 + [0x100]
 
 
@@ -144,13 +145,14 @@ def stream_cycle(sim, core):
     request granted; return the addresses the core's slots accessed."""
     requests = {}
     plans = sim._plan_streams(requests)
-    sim._commit_streams(plans, {bank: rid for bank, (rid,) in requests.items()})
+    assert all(len(ids) == 1 for ids in requests.values())
+    sim._commit_streams(plans, requests)    # each lone request granted
     return [TCDM + off for slot, off, _ in plans if slot in core.slots]
 
 
 def test_read_slot_fifo():
     base = TCDM + 0x40
-    slot = make_slot(0, fields(base, [(8, 6)]))
+    slot = make_slot(0, fields(base - TCDM, [(8, 6)]))
     sim, core = streaming_core(slot)
     for k in range(6):
         # the address as the data
@@ -165,7 +167,7 @@ def test_read_slot_fifo():
 
 
 def test_read_slot_exhaustion():
-    slot = make_slot(1, fields(TCDM, [(8, 2)]))
+    slot = make_slot(1, fields(0, [(8, 2)]))
     sim, core = streaming_core(slot)
     assert stream_cycle(sim, core) + stream_cycle(sim, core) == [TCDM, TCDM + 8]
     assert stream_cycle(sim, core) == []  # nothing left to fetch
@@ -177,7 +179,7 @@ def test_read_slot_exhaustion():
 
 def test_write_slot_drain_order():
     base = TCDM + 0x200
-    slot = make_slot(2, fields(base, [(16, 3)], dir=1))
+    slot = make_slot(2, fields(base - TCDM, [(16, 3)], dir=1))
     sim, core = streaming_core(slot)
     vals = [11, 22, 33]
     for v in vals:
@@ -193,7 +195,7 @@ def test_write_slot_drain_order():
 
 
 def test_write_slot_backpressure():
-    slot = make_slot(2, fields(TCDM, [(8, 8)], dir=1))
+    slot = make_slot(2, fields(0, [(8, 8)], dir=1))
     sim, core = streaming_core(slot)
     for v in range(FIFO_DEPTH):
         slot.push(v)

@@ -70,7 +70,7 @@ def test_opcount_counts_one_run():
     assert step[1] == result.cycles and step[0] > step[1]
     assert 0 < per_function["cluster.py:ClusterSim._plan_streams"][1] <= step[1]
     # builtin calls: every stream commit accesses the scratchpad through a
-    # struct method, and each fma64 calls at least abs()
+    # struct method, and each fma64 calls at least math.fsum
     commit = per_function["cluster.py:ClusterSim._commit_streams"]
     assert commit[2] >= commit[1] > 0
     fma = per_function["fp.py:fma64"]
