@@ -1067,6 +1067,215 @@ def test_fault_dma_overlap_from_program():
     assert isinstance(ei.value.__cause__, OverlappingTransfer)
 
 
+# ------------------------------------------------------------- fault table
+#
+# One program per place in cluster.py that finds a fault, and the fault it
+# ends in: the message, the core, pc and cycle it names, and the type of
+# its cause.
+
+ONE_ELEMENT_AT_X = """
+    .data
+    x: .double 1.0
+    .text
+    li t1, x
+"""
+
+FAULTS = {
+    "no-instruction": ("beq zero, zero, 16\nhalt", 1,
+        ("no instruction at pc 0x10 (core 0, pc 0x10, cycle 1)",
+         0, 0x10, 1, "NoneType")),
+    "non-fp-in-capture": ("li t0, 2\nfrep t0, 1\naddi t1, t1, 1\nhalt", 1,
+        ("'addi' inside an frep capture range (core 0, pc 0x8, cycle 2)",
+         0, 0x8, 2, "NonFpInCapture")),
+    "lw-misaligned": (f"li t1, {DATA_BASE + 2}\nlw t2, 0(t1)\nhalt", 1,
+        ("0x10002 not 4-byte aligned (core 0, pc 0x4, cycle 1)",
+         0, 0x4, 1, "MisalignedAccess")),
+    # the lw waits out the L2 latency, then faults as it completes
+    "lw-outside-memory": (f"li t1, {L2_BASE + L2_SIZE}\nlw t2, 0(t1)\nhalt", 1,
+        ("address 0x80200000+4 outside TCDM and L2 "
+         "(core 0, pc 0x4, cycle 11)",
+         0, 0x4, 11, "OutOfRangeAccess")),
+    # core 1"s address is misaligned, core 0"s is not
+    "lw-misaligned-core1": (f"li t1, {DATA_BASE}\nadd t1, t1, a0\n"
+                            "lw t2, 0(t1)\nhalt", 2,
+        ("0x10001 not 4-byte aligned (core 1, pc 0x8, cycle 2)",
+         1, 0x8, 2, "MisalignedAccess")),
+    # tcdm_same_bank"s walk past the end of the TCDM: core 7"s last loads
+    # take the L2 path and fault as they complete
+    "lw-outside-memory-core7": ("\n".join(
+        [f"li t0, {TCDM_BASE}", "slli t1, a0, 11", "add t0, t0, t1"]
+        + [f"lw t2, {256 * j}(t0)" for j in range(460)] + ["halt"]), 8,
+        ("address 0x30000+4 outside TCDM and L2 "
+         "(core 7, pc 0x72c, cycle 3661)",
+         7, 0x72c, 3661, "OutOfRangeAccess")),
+    "fld-misaligned": (f"li t1, {DATA_BASE + 4}\nfld ft3, 0(t1)\nhalt", 1,
+        ("0x10004 not 8-byte aligned (core 0, pc 0x4, cycle 1)",
+         0, 0x4, 1, "MisalignedAccess")),
+    "fld-outside-tcdm": (f"li t1, {L2_BASE}\nfld ft3, 0(t1)\nhalt", 1,
+        ("FP memory access 0x80000000 outside TCDM "
+         "(core 0, pc 0x4, cycle 1)",
+         0, 0x4, 1, "OutOfRangeAccess")),
+    "stream-read-past": ("""
+        .data
+        x: .double 1.0
+        .double 2.0
+        .text
+        li t1, x
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, 8
+        ssr_cfg_write 0, bound0, 2
+        ssr_enable
+        fmv.d ft3, ft0
+        fmv.d ft4, ft0
+        fmv.d ft5, ft0
+        ssr_disable
+        halt
+    """, 1,
+        ("stream 0 read past its 2 elements (core 0, pc 0x20, cycle 8)",
+         0, 0x20, 8, "StreamExhausted")),
+    # the fadd waits two cycles on the fmadd, then pushes a second element
+    "stream-written-past": (f"""
+        li t0, {TCDM_BASE}
+        ssr_cfg_write 2, base, t0
+        ssr_cfg_write 2, bound0, 1
+        ssr_cfg_write 2, dir, 1
+        ssr_enable
+        fmv.d ft2, ft3
+        fmadd.d ft4, ft3, ft3, ft3
+        fadd.d ft2, ft4, ft4
+        halt
+    """, 1,
+        ("stream 2 written past its 1 elements (core 0, pc 0x20, cycle 10)",
+         0, 0x20, 10, "StreamExhausted")),
+    "write-to-read-stream": (ONE_ELEMENT_AT_X + """
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_enable
+        fadd.d ft0, ft3, ft3
+        halt
+    """, 1,
+        ("write to read-stream f0 (core 0, pc 0x14, cycle 5)",
+         0, 0x14, 5, "NoneType")),
+    "read-of-write-stream": (ONE_ELEMENT_AT_X + """
+        ssr_cfg_write 2, base, t1
+        ssr_cfg_write 2, bound0, 1
+        ssr_cfg_write 2, dir, 1
+        ssr_enable
+        fmv.d ft3, ft2
+        halt
+    """, 1,
+        ("read of write-stream f2 (core 0, pc 0x18, cycle 6)",
+         0, 0x18, 6, "NoneType")),
+    "load-to-stream": (ONE_ELEMENT_AT_X + """
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_enable
+        fld ft0, 0(t1)
+        halt
+    """, 1,
+        ("load destination f0 is stream-mapped (core 0, pc 0x14, cycle 5)",
+         0, 0x14, 5, "NoneType")),
+    "frep-count-zero": ("li t0, 0\nfrep t0, 1\nfmv.d ft2, ft3\nhalt", 1,
+        ("frep with repetition count 0 (core 0, pc 0x4, cycle 1)",
+         0, 0x4, 1, "CountZero")),
+    "cfg-write-while-streaming": (f"""
+        li t1, {DATA_BASE}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_enable
+        ssr_cfg_write 0, bound0, 2
+        halt
+    """, 1,
+        ("slot 0 reconfigured while streaming (core 0, pc 0x10, cycle 4)",
+         0, 0x10, 4, "ReconfigWhileActive")),
+    "cfg-write-no-slot": ("ssr_cfg_write 3, base, t1\nhalt", 1,
+        ("no stream slot 3 (core 0, pc 0x0, cycle 0)",
+         0, 0x0, 0, "InvalidConfig")),
+    "cfg-read-no-slot": ("ssr_cfg_read t0, 3, base\nhalt", 1,
+        ("no stream slot 3 (core 0, pc 0x0, cycle 0)",
+         0, 0x0, 0, "InvalidConfig")),
+    "enable-reconfigures": (f"""
+        li t1, {DATA_BASE}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_enable
+        ssr_enable
+        halt
+    """, 1,
+        ("slot 0 reconfigured while streaming (core 0, pc 0x10, cycle 4)",
+         0, 0x10, 4, "ReconfigWhileActive")),
+    "enable-bad-config": (f"""
+        li t1, {DATA_BASE}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_cfg_write 0, dir, 1
+        ssr_enable
+        halt
+    """, 1,
+        ("slot 0 is not write-capable (core 0, pc 0x10, cycle 4)",
+         0, 0x10, 4, "InvalidConfig")),
+    "enable-footprint-outside": (f"""
+        li t1, {TCDM_BASE + TCDM_SIZE}
+        ssr_cfg_write 2, base, t1
+        ssr_cfg_write 2, stride0, 8
+        ssr_cfg_write 2, bound0, 4
+        ssr_cfg_write 2, dir, 1
+        ssr_enable
+        ssr_disable
+        halt
+    """, 1,
+        ("stream 2 footprint [0x30000, 0x30020) outside TCDM "
+         "(core 0, pc 0x14, cycle 5)",
+         0, 0x14, 5, "OutOfRangeAccess")),
+    "enable-misaligned": (f"""
+        li t1, {TCDM_BASE + 4}
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, 8
+        ssr_cfg_write 0, bound0, 2
+        ssr_enable
+        fmv.d ft3, ft0
+        fmv.d ft3, ft0
+        ssr_disable
+        halt
+    """, 1,
+        ("stream 0 base or stride not 8-byte aligned "
+         "(core 0, pc 0x10, cycle 4)",
+         0, 0x10, 4, "MisalignedAccess")),
+    "dm-copy-overlap": (f"""
+        li t1, {DATA_BASE}
+        dm_src t1
+        dm_dst t1
+        li t2, 64
+        dm_copy t2
+        halt
+    """, 1,
+        ("src [0x10000,0x10040) overlaps dst [0x10000,0x10040) "
+         "(core 0, pc 0x10, cycle 4)",
+         0, 0x10, 4, "OverlappingTransfer")),
+    "dm-copy-outside-memory": (f"""
+        li t1, {DATA_BASE}
+        dm_dst t1
+        li t1, 4
+        dm_src t1
+        li t2, 64
+        dm_copy t2
+        halt
+    """, 1,
+        ("address 0x4+64 outside TCDM and L2 (core 0, pc 0x14, cycle 5)",
+         0, 0x14, 5, "OutOfRangeAccess")),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_table(name):
+    src, cores, expected = FAULTS[name]
+    with pytest.raises(SimulationFault) as ei:
+        run_source(src, cores=cores)
+    f = ei.value
+    assert (str(f), f.core, f.pc, f.cycle,
+            type(f.__cause__).__name__) == expected
+
+
 def test_cycle_limit():
     with pytest.raises(CycleLimitExceeded):
         run_source("loop: j loop", max_cycles=100)
