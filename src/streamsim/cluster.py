@@ -35,7 +35,9 @@ deterministic:
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
 for memory, so a sequential sweep is safe. A core has one data port: its FP
-and integer load/store units share it, with the FPU first.
+and integer load/store units share it, with the FPU first. A fault is raised
+as its typed SimError where it is found; _step turns it into a
+SimulationFault naming the core, pc and cycle, with the SimError as cause.
 """
 
 import mmap
@@ -277,10 +279,9 @@ class DmaEngine:
     def plan(self, requests, contested):
         """Request each bank the current window still needs, once per
         bank, as every TCDM requester does: [id] for a bank not yet asked,
-        else append the id and add the bank to contested."""
+        else append the id and add the bank to contested. Called only
+        while the engine is not idle."""
         if self.active is None:
-            if not self.queue:
-                return
             self.active, self.bufs = self.queue.popleft()
             self.offset = 0
         if self.window is None:
@@ -300,9 +301,8 @@ class DmaEngine:
         reads it. A slice that has read but cannot write keeps the bytes for
         a later grant, so a slice within one bank takes two grants. When the
         window gets every bank it needs and none is both read and written,
-        every slice moves, and the window moves in one copy."""
-        if self.active is None:
-            return
+        every slice moves, and the window moves in one copy. Called only
+        after a plan, which made a transfer active."""
         self.busy_cycles += 1
         rid = self.req_id
         banks = self.banks
@@ -375,8 +375,7 @@ class Core:
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
         self.dma_dst = 0
-        self.mem_stall = 0          # countdown, with .mem_stall_cause
-        self.mem_stall_cause = None
+        self.mem_stall = 0          # countdown of an L2 or icache wait
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
         self.map_streams()
@@ -524,13 +523,6 @@ class ClusterSim:
         if not self.dma.submit(desc):
             raise InvalidDescriptor("DMA descriptor queue full")
 
-    # ------------------------------------------------------------- faults
-
-    def _fault(self, core, exc_or_msg):
-        raise SimulationFault(str(exc_or_msg), core=core.index, pc=core.state.pc,
-                              cycle=self.cycle) from (
-            exc_or_msg if isinstance(exc_or_msg, BaseException) else None)
-
     # ------------------------------------------------------------- FPU phase
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
@@ -556,16 +548,16 @@ class ClusterSim:
                 operands.append(reg)
                 sb_regs.append(reg)
             elif not slot.is_read:
-                self._fault(core, f"read of write-stream f{reg}")
+                raise InvalidConfig(f"read of write-stream f{reg}")
             else:
                 operands.append(slot)
                 pops[slot] = pops.get(slot, 0) + 1
         push = smap.get(dest)
         if push is not None:
             if op.kind == OP_LOAD:
-                self._fault(core, f"load destination f{dest} is stream-mapped")
+                raise InvalidConfig(f"load destination f{dest} is stream-mapped")
             if push.is_read:
-                self._fault(core, f"write to read-stream f{dest}")
+                raise InvalidConfig(f"write to read-stream f{dest}")
         elif dest is not None:
             sb_regs.append(dest)
         entry.split = StreamSplit(tuple(operands), tuple(pops.items()), push,
@@ -588,8 +580,8 @@ class ClusterSim:
         for slot, n in split.pops:
             if len(slot.fifo) < n:
                 if slot.issued >= slot.total:   # no further element will come
-                    self._fault(core, StreamExhausted(
-                        f"stream {slot.index} read past its {slot.total} elements"))
+                    raise StreamExhausted(
+                        f"stream {slot.index} read past its {slot.total} elements")
                 core.stats.fp_stall_stream += 1
                 return "stall:stream"
         push = split.push
@@ -635,37 +627,34 @@ class ClusterSim:
 
         split = entry.split
         f = core.state.f
-        try:
-            # operand values; each stream pops exactly once per occurrence,
-            # from a FIFO the plan found holding enough elements
-            vals = []
-            for o in split.operands:
-                vals.append(f[o] if o.__class__ is int else o.fifo.popleft())
-            kind = op.kind
-            if kind == OP_ARITH:
-                flops = op.flops
-                if flops:
-                    res = fp_compute(op, *vals)
-                elif vals:
-                    res = vals[0]                  # fmv.d
-                else:
-                    res = bits_to_f64(entry.xval & MASK32)     # fmv.d.x
-                if split.push is not None:
-                    split.push.push(res)
-                else:
-                    f[op.dest] = res
-                    core.sb.ready[op.dest] = self.cycle + op.lat
-                if flops:
-                    st.fma_executed += 1
-                    st.flops += flops
-            elif kind == OP_LOAD:
-                f[op.dest] = ELEMENT[op.width].unpack_from(
-                    self.mem.tcdm, entry.off)[0]
+        # operand values; each stream pops exactly once per occurrence, from
+        # a FIFO the plan found holding enough elements
+        vals = []
+        for o in split.operands:
+            vals.append(f[o] if o.__class__ is int else o.fifo.popleft())
+        kind = op.kind
+        if kind == OP_ARITH:
+            flops = op.flops
+            if flops:
+                res = fp_compute(op, *vals)
+            elif vals:
+                res = vals[0]                  # fmv.d
+            else:
+                res = bits_to_f64(entry.xval & MASK32)     # fmv.d.x
+            if split.push is not None:
+                split.push.push(res)
+            else:
+                f[op.dest] = res
                 core.sb.ready[op.dest] = self.cycle + op.lat
-            else:  # OP_STORE
-                ELEMENT[op.width].pack_into(self.mem.tcdm, entry.off, vals[0])
-        except SimError as e:
-            self._fault(core, e)
+            if flops:
+                st.fma_executed += 1
+                st.flops += flops
+        elif kind == OP_LOAD:
+            f[op.dest] = ELEMENT[op.width].unpack_from(
+                self.mem.tcdm, entry.off)[0]
+            core.sb.ready[op.dest] = self.cycle + op.lat
+        else:  # OP_STORE
+            ELEMENT[op.width].pack_into(self.mem.tcdm, entry.off, vals[0])
 
         st.fp_executed += 1
         seq = core.seq
@@ -762,7 +751,9 @@ class ClusterSim:
             if not core.mem_stall:
                 return False
             core.mem_stall -= 1
-            if core.mem_stall_cause == "icache":
+            # an icache fill never holds an access: a fetch that misses
+            # runs only once any held lw/sw was used
+            if core.held_access is None:
                 st.stall_icache += 1
             else:
                 st.stall_mem += 1
@@ -792,25 +783,24 @@ class ClusterSim:
         pc = core.state.pc
         instr = self.code.get(pc)
         if instr is None:
-            self._fault(core, f"no instruction at pc 0x{pc:x}")
+            raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
         line = pc // ICACHE_LINE
         if line not in self.icache_warm:
             return line
         if core.capture_pending > 0 and instr.domain is not _FP:
-            self._fault(core, NonFpInCapture(
-                f"'{instr.mnemonic}' inside an frep capture range"))
+            raise NonFpInCapture(
+                f"'{instr.mnemonic}' inside an frep capture range")
         wait = instr.op.wait
         if wait is MEM_WAIT:
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
-                self._fault(core, MisalignedAccess(f"0x{addr:x} not 4-byte aligned"))
+                raise MisalignedAccess(f"0x{addr:x} not 4-byte aligned")
             off = addr - TCDM_BASE
             if 0 <= off < TCDM_SIZE:
                 return self._plan_access(
                     core, (instr, off, off // BANK_WIDTH % TCDM_BANKS), requests)
             core.held_access = (instr, addr, None)
             core.mem_stall = L2_LATENCY     # _waits counts this first cycle
-            core.mem_stall_cause = "mem"
         if wait is not None and self._waits(core, wait):
             return wait
         if wait is QUEUE_FULL:
@@ -855,12 +845,10 @@ class ClusterSim:
             return entry
         addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
         if addr % op.width:
-            self._fault(core, MisalignedAccess(
-                f"0x{addr:x} not {op.width}-byte aligned"))
+            raise MisalignedAccess(f"0x{addr:x} not {op.width}-byte aligned")
         off = addr - TCDM_BASE
         if not 0 <= off < TCDM_SIZE:
-            self._fault(core, OutOfRangeAccess(
-                f"FP memory access 0x{addr:x} outside TCDM"))
+            raise OutOfRangeAccess(f"FP memory access 0x{addr:x} outside TCDM")
         entry.off = off
         entry.bank = off // BANK_WIDTH % TCDM_BANKS
         return entry
@@ -914,10 +902,7 @@ class ClusterSim:
             instr, off, bank = plan
             buf = self.mem.tcdm
             if bank is None:            # the L2 wait is over
-                try:
-                    buf, off = self.mem._locate(off, 4)
-                except SimError as e:
-                    self._fault(core, e)
+                buf, off = self.mem._locate(off, 4)
             elif grants[bank][0] != core.int_rid:
                 core.held_access = plan
                 core.stats.stall_bank_conflict += 1
@@ -929,7 +914,6 @@ class ClusterSim:
         else:  # the icache line missed at plan time: the fill's first cycle
             self.icache_warm.add(plan)
             core.mem_stall = L2_LATENCY - 1
-            core.mem_stall_cause = "icache"
             core.stats.stall_icache += 1
             core._int_plan = MEM_WAIT
             return "stall:icache"
@@ -944,55 +928,49 @@ class ClusterSim:
     # the core.
 
     def _frep(self, core, instr):
-        try:
-            core.seq.arm(core.state.x[instr.rs1], instr.n_instr)
-        except SimError as e:
-            self._fault(core, e)
+        core.seq.arm(core.state.x[instr.rs1], instr.n_instr)
         core.capture_pending = instr.n_instr
 
     def _ssr_cfg_write(self, core, instr):
         state = core.state
         if state.ssr_enabled:
-            self._fault(core, ReconfigWhileActive(
-                f"slot {instr.slot} reconfigured while streaming"))
+            raise ReconfigWhileActive(
+                f"slot {instr.slot} reconfigured while streaming")
         if not 0 <= instr.slot < N_SLOTS:
-            self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
+            raise InvalidConfig(f"no stream slot {instr.slot}")
         # a config register is 32 bits wide, whatever the value's source
         value = instr.imm if instr.rs1 is None else state.x[instr.rs1]
         core.staged_cfg[instr.slot][instr.field] = value & MASK32
 
     def _ssr_cfg_read(self, core, instr):
         if not 0 <= instr.slot < N_SLOTS:
-            self._fault(core, InvalidConfig(f"no stream slot {instr.slot}"))
+            raise InvalidConfig(f"no stream slot {instr.slot}")
         core.state.set_x(instr.rd,
                          core.staged_cfg[instr.slot].get(instr.field, 0))
 
     def _ssr_enable(self, core, instr):
         state = core.state
-        try:
-            for slot, staged in zip(core.slots, core.staged_cfg):
-                if staged:
-                    if state.ssr_enabled:
-                        raise ReconfigWhileActive(
-                            f"slot {slot.index} reconfigured while streaming")
-                    # the slot walks scratchpad offsets
-                    slot.configure(dict(
-                        staged, base=staged.get("base", 0) - TCDM_BASE))
-                    low, high = slot.footprint()
-                    if low < 0 or high > TCDM_SIZE:
-                        raise OutOfRangeAccess(
-                            f"stream {slot.index} footprint "
-                            f"[0x{low + TCDM_BASE:x}, 0x{high + TCDM_BASE:x}) "
-                            f"outside TCDM")
-                    # an element lies in one bank word, as for fld/fsd
-                    width = slot.width
-                    if slot.off % width or any(
-                            stride % width for stride, _ in slot.steps):
-                        raise MisalignedAccess(
-                            f"stream {slot.index} base or stride not "
-                            f"{width}-byte aligned")
-        except SimError as e:
-            self._fault(core, e)
+        for slot, staged in zip(core.slots, core.staged_cfg):
+            if staged:
+                if state.ssr_enabled:
+                    raise ReconfigWhileActive(
+                        f"slot {slot.index} reconfigured while streaming")
+                # the slot walks scratchpad offsets
+                slot.configure(dict(
+                    staged, base=staged.get("base", 0) - TCDM_BASE))
+                low, high = slot.footprint()
+                if low < 0 or high > TCDM_SIZE:
+                    raise OutOfRangeAccess(
+                        f"stream {slot.index} footprint "
+                        f"[0x{low + TCDM_BASE:x}, 0x{high + TCDM_BASE:x}) "
+                        f"outside TCDM")
+                # an element lies in one bank word, as for fld/fsd
+                width = slot.width
+                if slot.off % width or any(
+                        stride % width for stride, _ in slot.steps):
+                    raise MisalignedAccess(
+                        f"stream {slot.index} base or stride not "
+                        f"{width}-byte aligned")
         state.ssr_enabled = True
         core.map_streams()
         self._map_streams()
@@ -1015,10 +993,7 @@ class ClusterSim:
 
     def _dm_copy(self, core, instr):
         desc = DmaDescriptor(core.dma_src, core.dma_dst, core.state.x[instr.rs1])
-        try:
-            ok = self.dma.submit(desc)
-        except SimError as e:
-            self._fault(core, e)
+        ok = self.dma.submit(desc)
         assert ok  # commit path re-checks queue room first
 
     def _dm_poll(self, core, instr):
@@ -1047,50 +1022,55 @@ class ClusterSim:
         slots of those that stream, and the DMA engine while it has work."""
         requests = {}               # bank -> requester ids
         live = self.live
-        dma = self.dma
-        for core in live:
-            core._fpu_plan = self._plan_fpu(core, requests)
-            # a wait planned last cycle re-tests only its own condition: pc,
-            # icache line, registers and held access are as when planned;
-            # the sequencer wait, which frep replays hold longest, is tested
-            # here as _waits would
-            plan = core._int_plan
-            if plan.__class__ is str:
-                if plan is FREP_WAIT:
-                    if core.seq.mode is not _IDLE:
-                        core.stats.stall_frep_wait += 1
+        try:
+            for core in live:
+                core._fpu_plan = self._plan_fpu(core, requests)
+                # a wait planned last cycle re-tests only its own condition:
+                # pc, icache line, registers and held access are as when
+                # planned; the sequencer wait, which frep replays hold
+                # longest, is tested here as _waits would
+                plan = core._int_plan
+                if plan.__class__ is str:
+                    if plan is FREP_WAIT:
+                        if core.seq.mode is not _IDLE:
+                            core.stats.stall_frep_wait += 1
+                            continue
+                    elif self._waits(core, plan):
                         continue
-                elif self._waits(core, plan):
-                    continue
-            core._int_plan = self._plan_int(core, requests)
-        streams = self._plan_streams(requests) if self.streams else None
-        dma_busy = not dma.idle
-        if dma_busy:
-            dma.plan(requests, self.tcdm.contested)
-        # the grants are the request lists, each winner first
-        grants = self.tcdm.arbitrate(requests) if requests else requests
-        if streams:
-            self._commit_streams(streams, grants)
-        trace = self.trace_enabled
-        for core in live:
-            if trace:
-                pc = core.state.pc
-            # a settled plan is its own trace event
-            fp_ev = core._fpu_plan
-            if fp_ev.__class__ is not str:
-                fp_ev = self._commit_fpu(core, grants)
-            int_ev = core._int_plan
-            if int_ev.__class__ is not str:
-                int_ev = self._commit_int(core, grants)
-            if trace:
+                core._int_plan = self._plan_int(core, requests)
+            # the stream pass and the DMA raise nothing: ssr_enable checked
+            # every stream's footprint, and submit every descriptor
+            streams = self._plan_streams(requests) if self.streams else None
+            dma_busy = not self.dma.idle
+            if dma_busy:
+                self.dma.plan(requests, self.tcdm.contested)
+            # the grants are the request lists, each winner first
+            grants = self.tcdm.arbitrate(requests) if requests else requests
+            if streams:
+                self._commit_streams(streams, grants)
+            trace = self.trace_enabled
+            for core in live:
+                if trace:
+                    pc = core.state.pc
+                # a settled plan is its own trace event
+                fp_ev = core._fpu_plan
+                if fp_ev.__class__ is not str:
+                    fp_ev = self._commit_fpu(core, grants)
+                int_ev = core._int_plan
                 if int_ev.__class__ is not str:
-                    int_ev = f"{pc:#x} {int_ev.mnemonic}"
-                self.trace_rows.append(
-                    f"{self.cycle:8d} | core{core.index} | "
-                    f"int-pipe: {int_ev:<24} | fp-pipe: {fp_ev}")
-        if dma_busy:
-            dma.commit(grants)
-        self.cycle += 1
+                    int_ev = self._commit_int(core, grants)
+                if trace:
+                    if int_ev.__class__ is not str:
+                        int_ev = f"{pc:#x} {int_ev.mnemonic}"
+                    self.trace_rows.append(
+                        f"{self.cycle:8d} | core{core.index} | "
+                        f"int-pipe: {int_ev:<24} | fp-pipe: {fp_ev}")
+            if dma_busy:
+                self.dma.commit(grants)
+            self.cycle += 1
+        except SimError as e:
+            raise SimulationFault(str(e), core=core.index, pc=core.state.pc,
+                                  cycle=self.cycle) from e
 
 
 _REPLAYING, _IDLE = Mode.REPLAYING, Mode.IDLE

@@ -70,20 +70,15 @@ class CycleLimitExceeded(SimError):
 
 
 class SimulationFault(SimError):
-    """Runtime fault inside a simulated core, annotated with core/pc/cycle."""
+    """A SimError raised inside a cycle, as the cluster re-raises it: the
+    message names the core, its pc and the cycle, and the SimError that
+    found the fault is the cause."""
 
-    def __init__(self, message, core=None, pc=None, cycle=None):
+    def __init__(self, message, core, pc, cycle):
         self.core = core
         self.pc = pc
         self.cycle = cycle
-        ctx = []
-        if core is not None:
-            ctx.append(f"core {core}")
-        if pc is not None:
-            ctx.append(f"pc 0x{pc:x}")
-        if cycle is not None:
-            ctx.append(f"cycle {cycle}")
-        super().__init__(f"{message}" + (f" ({', '.join(ctx)})" if ctx else ""))
+        super().__init__(f"{message} (core {core}, pc 0x{pc:x}, cycle {cycle})")
 
 
 # --- assembler ---

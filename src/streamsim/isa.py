@@ -15,6 +15,7 @@ from enum import Enum
 from operator import eq, itemgetter, lt, ne
 
 from .errors import MalformedOperands, UnresolvedLabel, UnsupportedInstruction
+from .frep import BUFFER_DEPTH
 from . import fp
 
 MASK32 = 0xFFFFFFFF
@@ -418,9 +419,9 @@ def decode(text: str, labels=None) -> Instruction:
                 resolved[k] = shown
         if mn == "slli" and not 0 <= v[_IMM] < 32:
             raise MalformedOperands(f"shift amount {v[_IMM]} out of range")
-        if mn == "frep" and not 1 <= v[_N_INSTR] <= 16:
+        if mn == "frep" and not 1 <= v[_N_INSTR] <= BUFFER_DEPTH:
             raise MalformedOperands(
-                f"frep body length {v[_N_INSTR]} outside 1..16")
+                f"frep body length {v[_N_INSTR]} outside 1..{BUFFER_DEPTH}")
     except MalformedOperands as e:
         raise MalformedOperands(f"{e} in '{_shown(mn, ops)}'") from None
     v[_TEXT] = _shown(mn, resolved)

@@ -343,6 +343,37 @@ def test_dma_shares_banks_with_cores():
     assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
 
 
+def test_dma_tcdm_to_l2():
+    # write-back of a result: an unaligned copy out of the scratchpad, whose
+    # windows need only source banks
+    blob = bytes((k * 13 + 5) & 0xFF for k in range(1000))
+    sim = ClusterSim()
+    sim.mem.write(TCDM_BASE + 4, blob)
+    sim.dma_submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    res = sim.run()
+    assert sim.mem.read(L2_BASE + 12, 1000) == blob
+    assert res.dma_bytes == 1000 and res.dma_descriptors == 1
+    assert sim.dma.busy_cycles == 16        # one cycle per 64-byte window
+
+
+def test_dma_tcdm_to_l2_shares_banks_with_cores():
+    # the same copy while all eight cores load from its source banks: a
+    # window that loses a source bank moves per slice, each slice with no
+    # destination bank moving once its source bank is granted
+    blob = bytes((k * 13 + 5) & 0xFF for k in range(1000))
+    lines = [f"li t0, {TCDM_BASE}", "slli t1, a0, 3", "add t0, t0, t1"] + [
+        f"lw t2, {8 * j}(t0)" for j in range(16)]
+    sim = ClusterSim()
+    sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
+    sim.mem.write(TCDM_BASE + 4, blob)
+    sim.dma_submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    res = sim.run()
+    assert sim.mem.read(L2_BASE + 12, 1000) == blob
+    assert res.dma_bytes == 1000 and res.dma_descriptors == 1
+    assert sim.dma.busy_cycles > 16
+    assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
+
+
 # ------------------------------------------------------------- cycle oracles
 
 def test_alu_loop_cycle_exact():
@@ -1083,7 +1114,7 @@ ONE_ELEMENT_AT_X = """
 FAULTS = {
     "no-instruction": ("beq zero, zero, 16\nhalt", 1,
         ("no instruction at pc 0x10 (core 0, pc 0x10, cycle 1)",
-         0, 0x10, 1, "NoneType")),
+         0, 0x10, 1, "OutOfRangeAccess")),
     "non-fp-in-capture": ("li t0, 2\nfrep t0, 1\naddi t1, t1, 1\nhalt", 1,
         ("'addi' inside an frep capture range (core 0, pc 0x8, cycle 2)",
          0, 0x8, 2, "NonFpInCapture")),
@@ -1155,7 +1186,7 @@ FAULTS = {
         halt
     """, 1,
         ("write to read-stream f0 (core 0, pc 0x14, cycle 5)",
-         0, 0x14, 5, "NoneType")),
+         0, 0x14, 5, "InvalidConfig")),
     "read-of-write-stream": (ONE_ELEMENT_AT_X + """
         ssr_cfg_write 2, base, t1
         ssr_cfg_write 2, bound0, 1
@@ -1165,7 +1196,7 @@ FAULTS = {
         halt
     """, 1,
         ("read of write-stream f2 (core 0, pc 0x18, cycle 6)",
-         0, 0x18, 6, "NoneType")),
+         0, 0x18, 6, "InvalidConfig")),
     "load-to-stream": (ONE_ELEMENT_AT_X + """
         ssr_cfg_write 0, base, t1
         ssr_cfg_write 0, bound0, 1
@@ -1174,7 +1205,7 @@ FAULTS = {
         halt
     """, 1,
         ("load destination f0 is stream-mapped (core 0, pc 0x14, cycle 5)",
-         0, 0x14, 5, "NoneType")),
+         0, 0x14, 5, "InvalidConfig")),
     "frep-count-zero": ("li t0, 0\nfrep t0, 1\nfmv.d ft2, ft3\nhalt", 1,
         ("frep with repetition count 0 (core 0, pc 0x4, cycle 1)",
          0, 0x4, 1, "CountZero")),
