@@ -204,6 +204,30 @@ DMA_PROGRAMS = {
 }
 
 
+def _queued_ops(staged):
+    """A RAW chain of fmadd.d ft3 that holds two fadd.d reading ft0 in the
+    FP queue while ssr_enable commits, then two more after it; with staged,
+    slot 0 streams four doubles into ft0."""
+    return _lines(
+        *(("ssr_cfg_write 0, base, xs",
+           "ssr_cfg_write 0, stride0, 8",
+           "ssr_cfg_write 0, bound0, 4") if staged else ()),
+        "li t0, out",
+        "fmv.d.x ft3, zero",
+        *["fmadd.d ft3, ft1, ft2, ft3"] * 3,
+        "fadd.d ft4, ft0, ft3",
+        "fadd.d ft5, ft0, ft4",
+        "ssr_enable",
+        "fadd.d ft6, ft0, ft5",
+        "fadd.d ft7, ft0, ft6",
+        "ssr_disable",
+        *[f"fsd ft{4 + k}, {8 * k}(t0)" for k in range(4)],
+        "halt",
+        ".data",
+        "xs:", *[f".double {x}" for x in (1.5, 2.5, 3.5, 4.5)],
+        "out:", *[".double 7.0"] * 4)
+
+
 # case name -> (assembly, active cores, {address: the 64-bit word the run
 # leaves there}): what a queue entry latches at dispatch and what it splits
 # under the stream map, in combinations no kernel makes
@@ -279,6 +303,15 @@ DISPATCH_PROGRAMS = {
         "one:", ".double 1.0", ".space 8",
         "twos:", *[".double 2.0"] * 48), 1,
         {TCDM_BASE + 8: 0x4053800000000000}),      # 78.0
+    # the two fadd.d queued before the ssr_enable pop the stream as the
+    # two after it do: 1.5, 4.0, 7.5 and 12.0
+    "ssr_enable_queued_ops": (_queued_ops(True), 1, {
+        TCDM_BASE + 32: 0x3FF8000000000000, TCDM_BASE + 40: 0x4010000000000000,
+        TCDM_BASE + 48: 0x401E000000000000, TCDM_BASE + 56: 0x4028000000000000}),
+    # with nothing staged, ssr_enable maps no stream and every fadd.d reads
+    # the register ft0, 0.0
+    "ssr_enable_no_stream": (_queued_ops(False), 1,
+                             {TCDM_BASE + 32 + 8 * k: 0 for k in range(4)}),
 }
 
 
