@@ -378,23 +378,14 @@ class Core:
         self.mem_stall = 0          # countdown of an L2 or icache wait
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
-        self.map_streams()
+        self.stream_map = {}        # FP register -> its active slot
         self._int_plan = None
         self._fpu_plan = None
-
-    def map_streams(self):
-        """Resolve which FP registers are streams, once per ssr_enable or
-        ssr_disable rather than once per operand: while streaming is on,
-        f0..f2 map to their active slots."""
-        if self.state.ssr_enabled:
-            self.stream_map = {s.index: s for s in self.slots if s.active}
-        else:
-            self.stream_map = {}
 
     def drained(self):
         """The FP queue, the sequencer and the write streams are empty;
         only a write slot can hold stores."""
-        if self.fq or not self.seq.idle:
+        if self.fq or self.seq.mode is not _IDLE:
             return False
         for slot in self.write_slots:
             if slot.write_buf:
@@ -530,16 +521,12 @@ class ClusterSim:
     # capture pass.
 
     def _map_operands(self, core, entry):
-        """Split the entry's registers under the core's stream map: f0..f2
-        sources pop their read streams and an f0..f2 destination pushes to
-        its write stream while streaming is on; the rest go through the
-        scoreboard. Without streams the split is the FpOp itself."""
+        """Split the entry's registers under the core's stream map, which
+        has a stream: f0..f2 sources pop their read streams and an f0..f2
+        destination pushes to its write stream; the rest go through the
+        scoreboard."""
         smap = core.stream_map
         op = entry.op
-        entry.mapped = smap
-        if not smap:
-            entry.split = op
-            return
         dest = op.dest
         operands, sb_regs, pops = [], [], {}
         for reg in op.operands:
@@ -574,12 +561,12 @@ class ClusterSim:
             return "-"
         if entry.capture:
             return entry
-        if entry.mapped is not core.stream_map:
+        if entry.split is None:
             self._map_operands(core, entry)
         split = entry.split
         for slot, n in split.pops:
             if len(slot.fifo) < n:
-                if slot.issued >= slot.total:   # no further element will come
+                if slot.off is None:    # no further element will come
                     raise StreamExhausted(
                         f"stream {slot.index} read past its {slot.total} elements")
                 core.stats.fp_stall_stream += 1
@@ -683,10 +670,17 @@ class ClusterSim:
     # FPU pops the elements its plan counted, and a drain stores the store
     # its plan chose, whichever goes first.
 
-    def _map_streams(self):
-        """Rebuild self.streams, once per ssr_enable, ssr_disable or halt."""
-        self.streams = [slot for core in self.live
-                        for slot in core.stream_map.values()]
+    def _remap(self, core):
+        """Resolve which FP registers of core are streams, and rebuild
+        self.streams: once per ssr_enable, ssr_disable or halt rather than
+        once per operand. While streaming is on, f0..f2 map to their
+        active slots."""
+        if core.state.ssr_enabled:
+            core.stream_map = {s.index: s for s in core.slots if s.active}
+        else:
+            core.stream_map = {}
+        self.streams = [slot for c in self.live
+                        for slot in c.stream_map.values()]
 
     def _plan_streams(self, requests):
         """Bank requests of the streaming slots: a read slot with elements
@@ -715,15 +709,13 @@ class ClusterSim:
         return plans
 
     def _commit_streams(self, plans, grants):
-        """Move each granted element; a read steps its slot's walk here,
-        as StreamSlot.advance would."""
+        """Move each granted element; a read steps its slot's walk."""
         tcdm = self.mem.tcdm
         for slot, off, bank in plans:
             if grants[bank][0] != slot.rid:
                 continue  # lost arbitration, retry next cycle
             if slot.is_read:
                 slot.fifo.append(slot.elem.unpack_from(tcdm, off)[0])
-                slot.issued += 1
                 slot.off = next(slot.walk, None)
             else:
                 slot.elem.pack_into(tcdm, off, slot.write_buf.popleft()[1])
@@ -832,12 +824,8 @@ class ClusterSim:
         entry = FpEntry()
         entry.op = op
         entry.capture = core.capture_pending > 0
-        smap = core.stream_map
-        if smap:
-            entry.mapped = None         # split at the first issue
-        else:
-            entry.mapped = smap
-            entry.split = op
+        # a core that streams splits the entry at its first issue
+        entry.split = None if core.stream_map else op
         if op.kind == OP_ARITH:
             entry.bank = None
             if op.latches_x:
@@ -972,8 +960,12 @@ class ClusterSim:
                         f"stream {slot.index} base or stride not "
                         f"{width}-byte aligned")
         state.ssr_enabled = True
-        core.map_streams()
-        self._map_streams()
+        self._remap(core)
+        if core.stream_map:
+            # the one commit that changes a stream map while entries wait
+            # (ssr_disable and halt drain first): they split again
+            for entry in (*core.fq, *core.seq.buffer):
+                entry.split = None
 
     def _ssr_disable(self, core, instr):
         # the drain plan has already emptied the write buffers
@@ -982,8 +974,7 @@ class ClusterSim:
         for staged in core.staged_cfg:
             staged.clear()
         core.state.ssr_enabled = False
-        core.map_streams()
-        self._map_streams()
+        self._remap(core)
 
     def _dm_src(self, core, instr):
         core.dma_src = core.state.x[instr.rs1]
@@ -1003,7 +994,7 @@ class ClusterSim:
         core.halted = True
         core.stats.cycles_at_halt = self.cycle + 1
         self.live = [c for c in self.live if c is not core]
-        self._map_streams()
+        self._remap(core)
 
     # ------------------------------------------------------------- main loop
 

@@ -43,10 +43,6 @@ class StreamExhausted(SimError):
 
 # --- FP repetition sequencer ---
 
-class NestedFrep(SimError):
-    """frep issued inside a capture range, or sequencer API used while busy."""
-
-
 class NonFpInCapture(SimError):
     """Non-FP instruction encountered while capturing an frep body."""
 

@@ -16,7 +16,7 @@ The FP queue and the sequencer buffer hold one FpEntry per dispatch.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CountZero, NestedFrep
+from .errors import CountZero
 
 BUFFER_DEPTH = 16
 FP_QUEUE_DEPTH = 8
@@ -37,19 +37,13 @@ class Sequencer:
         self.inst_ptr = 0
         self.mode = Mode.IDLE
 
-    @property
-    def idle(self):
-        return self.mode is Mode.IDLE
-
     def arm(self, count: int, n_instr: int):
-        """Begin a capture of n_instr instructions to be run count times."""
-        if not self.idle:
-            raise NestedFrep("frep issued while the sequencer is busy")
+        """Begin a capture of n_instr instructions to be run count times.
+        An frep reaches here only with the sequencer idle, since it waits
+        on FREP_WAIT and faults inside a capture range, and with a body
+        that decode bounded to 1..BUFFER_DEPTH."""
         if count == 0:
             raise CountZero("frep with repetition count 0")
-        if not 1 <= n_instr <= BUFFER_DEPTH:
-            raise NestedFrep(f"frep body of {n_instr} exceeds the "
-                             f"{BUFFER_DEPTH}-entry buffer")
         self.buffer = []
         self.n_instr = n_instr
         self.total_iters = count
@@ -94,12 +88,12 @@ class FpEntry:
     - off, bank: TCDM offset and bank of a load or store, latched at
                dispatch, so every replay accesses the same word
     - xval:    the latched integer source of fmv.d.x
-    - split, mapped: the operand split (the FpOp itself, or a StreamSplit)
-               and the stream map it was made under. A core that does not
-               stream uses the FpOp; one that streams splits at the first
-               issue and again whenever its stream map changed since.
+    - split:   the operand split: the FpOp itself on a core that does not
+               stream, else a StreamSplit, made at the first issue (None
+               until then). ssr_enable, the one commit that changes a
+               stream map while entries wait, sets it back to None.
     """
-    __slots__ = ("op", "capture", "off", "bank", "xval", "split", "mapped")
+    __slots__ = ("op", "capture", "off", "bank", "xval", "split")
 
 
 @dataclass(slots=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dfield
 from .asm import assemble, AsmProgram
 from .cluster import (ClusterSim, N_CORES, TCDM_BASE, TCDM_SIZE, TCDM_BANKS,
                       BANK_WIDTH, L2_BASE)
-from .fp import fma64, f64_to_bits
+from .fp import fma64
 
 TCDM_END = TCDM_BASE + TCDM_SIZE
 
@@ -416,12 +416,8 @@ def build_matmul_ssr_frep(n=32, seed=0):
 
     def check(sim):
         for r in range(n):
-            base = c_base[r // rpc] + (r % rpc) * prow
-            for j in range(n):
-                got = struct.unpack("<d", sim.mem.read(base + 8 * j, 8))[0]
-                if f64_to_bits(got) != f64_to_bits(ref[r][j]):
-                    raise AssertionError(
-                        f"matmul c[{r}][{j}]: got {got!r} want {ref[r][j]!r}")
+            _expect(sim, c_base[r // rpc] + (r % rpc) * prow, ref[r],
+                    f"matmul c[{r}]")
 
     return KernelInstance("matmul_ssr_frep", prog, active_cores=N_CORES,
                           n=n, flops=2 * n * n * n, check=check, data=data,

@@ -59,17 +59,18 @@ class StreamSlot:
     FIFO.
 
     The cluster reads and steps the fields in place: a read slot prefetches
-    the element at offset `off` until the walk ends (`off` is None) while
-    `fifo` holds fewer than FIFO_DEPTH elements, counting it in `issued`
-    and taking the next offset from `walk`, and the FPU pops `fifo`
+    the element at offset `off` while `fifo` holds fewer than FIFO_DEPTH
+    elements, taking the next offset from `walk`, and the FPU pops `fifo`
     directly; a write slot takes up to FIFO_DEPTH stores into `write_buf`
-    and drains it from its head. Each access carries the slot's TCDM
-    requester id `rid`, which its core sets, and moves its element, a
-    binary64 value, with `elem`, the FP element format of its width.
+    and drains it from its head. Past the walk's last element `off` is
+    None, for a read and a write slot alike. Each access carries the
+    slot's TCDM requester id `rid`, which its core sets, and moves its
+    element, a binary64 value, with `elem`, the FP element format of its
+    width.
     """
 
     __slots__ = ("index", "rid", "active", "is_read", "total", "width", "elem",
-                 "fifo", "write_buf", "off", "steps", "walk", "issued")
+                 "fifo", "write_buf", "off", "steps", "walk")
 
     def __init__(self, index, rid=None):
         self.index = index
@@ -84,10 +85,9 @@ class StreamSlot:
         self.elem = ELEMENT[8]
         self.fifo = deque()        # prefetched values (read streams)
         self.write_buf = deque()   # pending (off, value) stores (writes)
-        self.off = None            # offset of the next element to issue
+        self.off = None            # next element's offset, None past the last
         self.steps = ()            # (stride, bound) per dimension
         self.walk = iter(())       # the offsets after `off`
-        self.issued = 0            # elements fetched or pushed so far
 
     def configure(self, fields):
         """Validate the slot's staged config-bus fields (names from
@@ -132,16 +132,10 @@ class StreamSlot:
                 high += reach
         return low, high + self.width
 
-    def advance(self):
-        """Step to the next element's offset; past the last one, `off` is
-        None."""
-        self.issued += 1
-        self.off = next(self.walk, None)
-
     def push(self, value):
         """Queue value for the write stream's next element."""
-        if self.issued >= self.total:
+        if self.off is None:
             raise StreamExhausted(f"stream {self.index} written past its "
                                   f"{self.total} elements")
         self.write_buf.append((self.off, value))
-        self.advance()
+        self.off = next(self.walk, None)

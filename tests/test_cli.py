@@ -187,6 +187,20 @@ def test_exit_fault_outside_memory(capsys, monkeypatch):
     assert err.startswith("error: SimulationFault:") and "core 7" in err
 
 
+def test_exit_check_failed(capsys, monkeypatch):
+    # every corpus kernel passes its check, so a kernel that expects 1.0
+    # where its program stores nothing stands in for one that does not
+    def build_unwritten(n, seed):
+        return kernels.KernelInstance(
+            "unwritten", assemble("halt"),
+            check=lambda sim: kernels._expect(sim, TCDM_BASE, [1.0], "x"))
+    monkeypatch.setitem(kernels.KERNELS, "unwritten", (build_unwritten, "", 1))
+    assert run_cli("run", "unwritten") == 0
+    capsys.readouterr()
+    assert run_cli("run", "unwritten", "--check") == 5
+    assert capsys.readouterr().err.startswith("error: CheckFailed: x[0]: got")
+
+
 def test_exit_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.s"
     bad.write_text("frobnicate t0\n")

@@ -4,18 +4,11 @@ import pytest
 
 from streamsim.asm import assemble
 from streamsim.cluster import TCDM_BASE, ClusterSim
-from streamsim.errors import CountZero, NestedFrep
+from streamsim.errors import CountZero
 from streamsim.fp import f64_to_bits
-from streamsim.frep import BUFFER_DEPTH, Sequencer
+from streamsim.frep import BUFFER_DEPTH, Mode, Sequencer
 from streamsim.isa import (LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE, LAT_STORE,
                            OPS, Domain, decode)
-
-
-def entry(text):
-    """The FP queue entry that core 0 of a new cluster dispatches for
-    `text`."""
-    sim = ClusterSim()
-    return sim._fp_entry(sim.cores[0], decode(text))
 
 
 def test_latency_table():
@@ -45,13 +38,13 @@ def test_capture_then_replay_full_iterations():
         "fadd.d ft4, ft0, ft4\nhalt")
     assert events == ["capture fmadd.d", "capture fadd.d"] + [
         f"{mn} [iter {i}/3]" for i in (1, 2, 3) for mn in ("fmadd.d", "fadd.d")]
-    assert core.seq.idle and core.seq.buffer == []
+    assert core.seq.mode is Mode.IDLE and core.seq.buffer == []
 
 
 def test_replay_position():
     events, core = fp_issues("li t0, 2\nfrep t0, 1\nfadd.d ft3, ft4, ft5\nhalt")
     assert events == ["capture fadd.d", "fadd.d [iter 1/2]", "fadd.d [iter 2/2]"]
-    assert core.seq.idle
+    assert core.seq.mode is Mode.IDLE
 
 
 def test_replayed_op_identity():
@@ -64,22 +57,10 @@ def test_replayed_op_identity():
     assert core.state.x[5] == 7 and f64_to_bits(core.state.f[3]) == 42
 
 
-def test_nested_frep_rejected():
-    seq = Sequencer()
-    seq.arm(count=2, n_instr=1)
-    with pytest.raises(NestedFrep):
-        seq.arm(count=2, n_instr=1)
-    seq.load_slot(entry("fadd.d ft3, ft4, ft5"))
-    with pytest.raises(NestedFrep):  # still replaying
-        seq.arm(count=1, n_instr=1)
-
-
 def test_arm_bounds():
     seq = Sequencer()
     with pytest.raises(CountZero):
         seq.arm(count=0, n_instr=1)
-    with pytest.raises(NestedFrep):
-        seq.arm(count=1, n_instr=BUFFER_DEPTH + 1)
     seq.arm(count=1, n_instr=BUFFER_DEPTH)
 
 

@@ -173,6 +173,22 @@ def test_frozen_cycle_counts():
     assert res.cycles == 283
 
 
+# every kernel at its default n (None) and at one other; matmul_ssr_frep's
+# layout takes n=32 alone
+FLOP_SIZES = [(name, None) for name in ALL_NAMES] + [
+    ("dot_baseline", 16), ("dot_ssr", 16), ("dot_ssr_frep", 16),
+    ("axpy_ssr", 16), ("matvec48_baseline", 8), ("matvec48_ssr_frep", 8),
+    ("dma_stream", 8192), ("tcdm_same_bank", 32), ("tcdm_unit_stride", 32)]
+
+
+@pytest.mark.parametrize("name,n", FLOP_SIZES)
+def test_flops_match_simulation(name, n):
+    # the roofline places a kernel by its `flops`: the FPUs must count them
+    inst = kernels.build(name, n=n)
+    _, res = kernels.run_kernel(inst)
+    assert res.total_flops() == inst.flops
+
+
 def test_check_detects_corruption():
     inst = kernels.build("dot_baseline", n=16)
     sim, _ = kernels.run_kernel(inst)

@@ -35,9 +35,9 @@ def iter_addresses(staged):
     steps through them."""
     slot = StreamSlot(0)
     slot.configure(staged)
-    while slot.issued < slot.total:
+    while slot.off is not None:
         yield slot.off
-        slot.advance()
+        slot.off = next(slot.walk, None)
 
 
 def brute_force(base, dims):
@@ -100,10 +100,7 @@ def test_walk_is_lazy():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert slot.total == 3 << 24
-    got = [slot.off]
-    for _ in range(6):
-        slot.advance()
-        got.append(slot.off)
+    got = [slot.off, *(next(slot.walk) for _ in range(6))]
     assert got == [0x100, 0x108, 0x110] * 2 + [0x100]
 
 
@@ -134,9 +131,8 @@ def streaming_core(*slots):
         slot.rid = core.slots[slot.index].rid
         core.slots[slot.index] = slot
     core.state.ssr_enabled = True
-    core.map_streams()
     sim.live = [core]
-    sim._map_streams()
+    sim._remap(core)
     return sim, core
 
 
@@ -174,7 +170,7 @@ def test_read_slot_exhaustion():
     slot.fifo.popleft()
     slot.fifo.popleft()
     assert not slot.fifo
-    assert slot.issued == slot.total
+    assert slot.off is None
 
 
 def test_write_slot_drain_order():
