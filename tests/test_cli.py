@@ -238,9 +238,11 @@ def test_exit_missing_file_is_usage(tmp_path, capsys):
     assert "error: FileNotFoundError:" in capsys.readouterr().err
 
 
-def test_exit_bad_sweep_is_usage(capsys):
-    assert run_cli("run", "dot_ssr", "--sweep", "m=1,2") == 2
-    assert "UsageError" in capsys.readouterr().err
+@pytest.mark.parametrize("spec", ["m=1,2", "n=", "n=16,,32"])
+def test_exit_bad_sweep_is_usage(capsys, spec):
+    assert run_cli("run", "dot_ssr", "--sweep", spec) == 2
+    assert capsys.readouterr().err == (
+        f"error: UsageError: bad --sweep '{spec}', expected n=16,64,256\n")
 
 
 def test_exit_bad_config_file(tmp_path, capsys):

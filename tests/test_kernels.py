@@ -80,6 +80,11 @@ def test_names_and_build():
         assert inst.active_cores >= 1
 
 
+def test_build_defaults_come_from_the_registry():
+    for name in ALL_NAMES:
+        assert kernels.build(name).n == kernels.KERNELS[name][2]
+
+
 def test_builder_rejects():
     for bad in [dict(name="dot_baseline", n=3), dict(name="dot_baseline", n=0),
                 dict(name="dot_ssr_frep", n=4), dict(name="axpy_ssr", n=0),
