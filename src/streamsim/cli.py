@@ -1,15 +1,20 @@
 """Command-line front end: run kernels, assemble sources, print roofline and
 operating-point tables.
 
-Every failure exits through one mapped code with a single-line diagnostic
-`error: <ExceptionName>: <message>` on stderr:
+Every failure after the arguments are parsed exits through one mapped code
+with a single-line diagnostic `error: <ExceptionName>: <message>` on stderr.
+The first matching line of this table, as `EXIT_CODES` holds it, gives the
+code:
 
-  2  usage (bad flags, bad sweep syntax, kwargs a kernel does not take)
+  2  usage: bad sweep syntax, a file that cannot be read or written
   3  assembly parse error
   4  unknown kernel name
-  5  simulation fault or failed result check
   6  cycle limit exceeded
-  7  bad config / model input
+  7  bad config / model input, kwargs a kernel does not take
+  5  any other simulation fault, or a failed result check
+
+argparse's own errors (an unknown flag, a missing or mistyped argument) print
+its usage text instead, and exit 2.
 """
 
 import argparse
@@ -21,14 +26,6 @@ from . import asm, kernels
 from .cluster import stats_lines
 from .errors import (ConfigError, CycleLimitExceeded, MissingEnergyData,
                      ParseError, SimError)
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_UNKNOWN_KERNEL = 4
-EXIT_FAULT = 5
-EXIT_CYCLE_LIMIT = 6
-EXIT_CONFIG = 7
 
 CSV_COLUMNS = ("kernel", "n", "seed", "active_cores", "cycles", "fetched",
                "fp_executed", "fma_executed", "flops", "flops_per_cycle",
@@ -43,6 +40,15 @@ class UnknownKernel(SimError):
     pass
 
 
+class UsageError(SimError):
+    pass
+
+
+EXIT_CODES = ((UsageError, 2), (OSError, 2), (ParseError, 3),
+              (UnknownKernel, 4), (CycleLimitExceeded, 6), (ConfigError, 7),
+              (MissingEnergyData, 7), (SimError, 5))
+
+
 def _write_out(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -50,18 +56,19 @@ def _write_out(path, text):
         Path(path).write_text(text)
 
 
-def _csv_row(inst, result):
+def _csv_row(inst, result, seed):
     active = [result.core_stats[i] for i in range(inst.active_cores)]
     fetched = sum(s.fetched for s in active)
     fp = sum(s.fp_executed for s in active)
     fma = sum(s.fma_executed for s in active)
     flops = sum(s.flops for s in active)
     util = fma / (result.cycles * inst.active_cores) if result.cycles else 0.0
-    return {"kernel": inst.name, "n": inst.n, "seed": "", "active_cores":
-            inst.active_cores, "cycles": result.cycles, "fetched": fetched,
-            "fp_executed": fp, "fma_executed": fma, "flops": flops,
-            "flops_per_cycle": f"{flops / result.cycles:.6f}" if result.cycles
-            else "0", "utilization": f"{util:.6f}"}
+    row = {"kernel": inst.name, "n": inst.n, "seed": seed, "active_cores":
+           inst.active_cores, "cycles": result.cycles, "fetched": fetched,
+           "fp_executed": fp, "fma_executed": fma, "flops": flops,
+           "flops_per_cycle": f"{flops / result.cycles:.6f}" if result.cycles
+           else "0", "utilization": f"{util:.6f}"}
+    return ",".join(str(row[c]) for c in CSV_COLUMNS)
 
 
 def _run_one(args, n):
@@ -72,10 +79,8 @@ def _run_one(args, n):
         inst = kernels.build(args.kernel, n=n, seed=args.seed, **extra)
     except KeyError:
         raise UnknownKernel(f"unknown kernel '{args.kernel}'; see list-kernels")
-    except TypeError as e:
-        # builder rejected a kwarg such as --filler on a non-matvec kernel
-        raise ConfigError(str(e))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
+        # the builder refused an n, or a kwarg such as --filler it does not take
         raise ConfigError(str(e))
     sim, result = kernels.run_kernel(inst, cold_start_icache=args.cold_icache,
                                      max_cycles=args.max_cycles,
@@ -85,7 +90,7 @@ def _run_one(args, n):
             inst.check(sim)
         except AssertionError as e:
             raise CheckFailed(str(e))
-    return inst, sim, result
+    return inst, result
 
 
 def cmd_run(args):
@@ -93,37 +98,24 @@ def cmd_run(args):
     if args.sweep:
         try:
             key, _, vals = args.sweep.partition("=")
-            if key.strip() != "n" or not vals:
+            if key.strip() != "n":
                 raise ValueError
             sizes = [int(v) for v in vals.split(",")]
         except ValueError:
-            print(f"error: UsageError: bad --sweep '{args.sweep}', expected "
-                  "n=16,64,256", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"bad --sweep '{args.sweep}', "
+                             "expected n=16,64,256")
 
-    rows = []
-    trace_text = None
-    for n in sizes:
-        inst, sim, result = _run_one(args, n)
-        seed_col = str(args.seed)
-        row = _csv_row(inst, result)
-        row["seed"] = seed_col
-        rows.append((inst, result, row))
-        if args.trace_out is not None:
-            trace_text = "\n".join(result.trace) + "\n"
-
-    if args.trace_out is not None and trace_text is not None:
-        _write_out(args.trace_out, trace_text)
-
+    runs = [_run_one(args, n) for n in sizes]
+    inst, result = runs[-1]
+    if args.trace_out is not None:
+        _write_out(args.trace_out, "\n".join(result.trace) + "\n")
     if args.format == "csv" or args.sweep:
         out = [",".join(CSV_COLUMNS)]
-        out += [",".join(str(r[c]) for c in CSV_COLUMNS) for _, _, r in rows]
-        _write_out(args.stats_out, "\n".join(out) + "\n")
+        out += [_csv_row(i, r, args.seed) for i, r in runs]
     else:
-        inst, result, _ = rows[-1]
-        _write_out(args.stats_out,
-                   "\n".join(stats_lines(result, inst.active_cores)) + "\n")
-    return EXIT_OK
+        out = stats_lines(result, inst.active_cores)
+    _write_out(args.stats_out, "\n".join(out) + "\n")
+    return 0
 
 
 def cmd_assemble(args):
@@ -139,7 +131,7 @@ def cmd_assemble(args):
     for addr, blob in prog.data_segments:
         lines.append(f".data 0x{addr:08x} {len(blob)} bytes")
     _write_out(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return 0
 
 
 def _fmt_flops(v):
@@ -153,41 +145,28 @@ def cmd_points(args):
     model = system.load_system(args.config)
     if not model.points:
         raise ConfigError("config defines no operating points")
-    rows = []
-    for name, p in model.points.items():
-        row = {"name": name, "vdd": f"{p.vdd:.2f}",
-               "freq_ghz": f"{p.freq / 1e9:.3f}",
-               "perf_24core": system.scale_performance(p, 24),
-               "perf_4096core": system.scale_performance(p, 4096)}
-        try:
-            power, eff = system.power_and_efficiency(p, 24)
-            row["efficiency"] = f"{eff / 1e9:.1f}"
-            row["power_24core_w"] = f"{power:.3f}"
-            row["power_cell"] = f"{power:.3f} W"
-        except MissingEnergyData:
-            row["efficiency"] = "n/a"
-            row["power_24core_w"] = "n/a"
-            row["power_cell"] = "n/a"
-        rows.append(row)
-
     if args.format == "csv":
         out = ["name,vdd,freq_ghz,perf_24core,perf_4096core,"
                "efficiency_gflops_w,power_24core_w"]
-        for r in rows:
-            out.append(f"{r['name']},{r['vdd']},{r['freq_ghz']},"
-                       f"{r['perf_24core']:.6g},{r['perf_4096core']:.6g},"
-                       f"{r['efficiency']},{r['power_24core_w']}")
-        _write_out(args.stats_out, "\n".join(out) + "\n")
     else:
         out = [f"{'point':<18} {'vdd':>5} {'GHz':>6} {'24-core':>16} "
                f"{'4096-core':>16} {'Gflop/s/W':>10} {'power(24c)':>11}"]
-        for r in rows:
-            out.append(f"{r['name']:<18} {r['vdd']:>5} {r['freq_ghz']:>6} "
-                       f"{_fmt_flops(r['perf_24core']):>16} "
-                       f"{_fmt_flops(r['perf_4096core']):>16} "
-                       f"{r['efficiency']:>10} {r['power_cell']:>11}")
-        _write_out(args.stats_out, "\n".join(out) + "\n")
-    return EXIT_OK
+    for name, p in model.points.items():
+        vdd, ghz = f"{p.vdd:.2f}", f"{p.freq / 1e9:.3f}"
+        p24 = system.scale_performance(p, 24)
+        p4096 = system.scale_performance(p, 4096)
+        try:
+            power, eff = system.power_and_efficiency(p, 24)
+            eff, watts, unit = f"{eff / 1e9:.1f}", f"{power:.3f}", " W"
+        except MissingEnergyData:
+            eff, watts, unit = "n/a", "n/a", ""
+        if args.format == "csv":
+            out.append(f"{name},{vdd},{ghz},{p24:.6g},{p4096:.6g},{eff},{watts}")
+        else:
+            out.append(f"{name:<18} {vdd:>5} {ghz:>6} {_fmt_flops(p24):>16} "
+                       f"{_fmt_flops(p4096):>16} {eff:>10} {watts + unit:>11}")
+    _write_out(args.stats_out, "\n".join(out) + "\n")
+    return 0
 
 
 def _read_measured(pairs):
@@ -255,14 +234,14 @@ def cmd_roofline(args):
                        f"{r['kind']:>8} {_fmt_flops(r['attainable']):>16} "
                        f"{m:>16} {fmt_det(r['detachment']):>7}")
     _write_out(args.stats_out, "\n".join(out) + "\n")
-    return EXIT_OK
+    return 0
 
 
 def cmd_list_kernels(args):
     for name in kernels.names():
         _, summary, default_n = kernels.KERNELS[name]
         print(f"{name:<22} n={default_n:<8} {summary}")
-    return EXIT_OK
+    return 0
 
 
 def build_parser():
@@ -327,20 +306,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (SimError, OSError) as e:
-        if isinstance(e, ParseError):
-            code = EXIT_PARSE
-        elif isinstance(e, UnknownKernel):
-            code = EXIT_UNKNOWN_KERNEL
-        elif isinstance(e, CycleLimitExceeded):
-            code = EXIT_CYCLE_LIMIT
-        elif isinstance(e, (ConfigError, MissingEnergyData)):
-            code = EXIT_CONFIG
-        elif isinstance(e, OSError):
-            code = EXIT_USAGE
-        else:
-            code = EXIT_FAULT
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return code
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

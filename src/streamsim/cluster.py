@@ -488,7 +488,7 @@ class ClusterSim:
         `active_cores` stay halted. At reset a0 = core index, a1 = N_CORES.
         """
         self._new_run()
-        self.code = dict(program.instructions)
+        self.code = program.instructions     # shared: nothing writes it
         if not self.cold_start_icache:
             self.icache_warm = {addr // ICACHE_LINE for addr in self.code}
         for addr, data in program.data_segments:

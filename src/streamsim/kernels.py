@@ -133,92 +133,74 @@ def _dot_layout(n):
     return x, y, r
 
 
-def _dot_data(n, seed):
+# the four accumulators ft3..ft6 of the kernels unrolled by four: zeroed, and
+# one fmadd into each from ft0 and ft1 (two read streams while SSR is on)
+_ZERO_ACC = [f"  fmv.d.x ft{3 + r}, zero" for r in range(4)]
+_FMADD_ACC = [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
+
+
+def _dot(name, n, seed, fold, ssr=True):
+    """The frame every dot kernel shares: x and y laid out and drawn, the
+    accumulators zeroed, `fold(xa, ya)`'s lines folding x * y into them, the
+    pairwise reduction dot_reference mirrors, the stored result and its check.
+    With `ssr`, x and y are read streams 0 and 1, enabled around the fold."""
+    xa, ya, ra = _dot_layout(n)
     rng = random.Random(seed)
     x = _rand_doubles(rng, n)
     y = _rand_doubles(rng, n)
-    return x, y
-
-
-def _dot_check(xaddr_r, x, y):
     ref = dot_reference(x, y)
+    streams = (_stream_cfg(0, xa, [(8, n)]) + _stream_cfg(1, ya, [(8, n)])
+               if ssr else [])
+    lines = (["start:"] + streams + _ZERO_ACC
+             + (["  ssr_enable"] if ssr else []) + fold(xa, ya)
+             + ["  fadd.d ft3, ft3, ft4",
+                "  fadd.d ft5, ft5, ft6",
+                "  fadd.d ft3, ft3, ft5",
+                f"  fsd ft3, {ra}(zero)"]
+             + (["  ssr_disable"] if ssr else []) + ["  halt"])
 
     def check(sim):
-        _expect(sim, xaddr_r, [ref], "dot")
-    return check
+        _expect(sim, ra, [ref], "dot")
+
+    return KernelInstance(name, assemble("\n".join(lines)), n=n,
+                          flops=2 * n + 3, check=check,
+                          data=[(xa, _pack(x)), (ya, _pack(y))])
 
 
-def build_dot_baseline(n=256, seed=0):
+def build_dot_baseline(n, seed):
     if n % 4 or n < 4:
         raise ValueError("n must be a positive multiple of 4")
-    xa, ya, ra = _dot_layout(n)
-    x, y = _dot_data(n, seed)
-    lines = ["start:"]
-    for r in range(4):
-        lines.append(f"  fmv.d.x ft{3 + r}, zero")
-    for i in range(n):
-        acc = f"ft{3 + i % 4}"
-        lines += [f"  fld ft0, {xa + 8 * i}(zero)",
-                  f"  fld ft1, {ya + 8 * i}(zero)",
-                  f"  fmadd.d {acc}, ft0, ft1, {acc}"]
-    lines += ["  fadd.d ft3, ft3, ft4",
-              "  fadd.d ft5, ft5, ft6",
-              "  fadd.d ft3, ft3, ft5",
-              f"  fsd ft3, {ra}(zero)",
-              "  halt"]
-    prog = assemble("\n".join(lines))
-    return KernelInstance("dot_baseline", prog, n=n, flops=2 * n + 3,
-                          data=[(xa, _pack(x)), (ya, _pack(y))],
-                          check=_dot_check(ra, x, y))
+
+    def fold(xa, ya):
+        lines = []
+        for i in range(n):
+            acc = f"ft{3 + i % 4}"
+            lines += [f"  fld ft0, {xa + 8 * i}(zero)",
+                      f"  fld ft1, {ya + 8 * i}(zero)",
+                      f"  fmadd.d {acc}, ft0, ft1, {acc}"]
+        return lines
+
+    return _dot("dot_baseline", n, seed, fold, ssr=False)
 
 
-def _dot_stream_prologue(n, xa, ya):
-    return (_stream_cfg(0, xa, [(8, n)]) + _stream_cfg(1, ya, [(8, n)])
-            + [f"  fmv.d.x ft{3 + r}, zero" for r in range(4)]
-            + ["  ssr_enable"])
-
-
-_DOT_EPILOGUE = ["  fadd.d ft3, ft3, ft4",
-                 "  fadd.d ft5, ft5, ft6",
-                 "  fadd.d ft3, ft3, ft5"]
-
-
-def build_dot_ssr(n=256, seed=0):
+def build_dot_ssr(n, seed):
     if n % 4 or n < 4:
         raise ValueError("n must be a positive multiple of 4")
-    xa, ya, ra = _dot_layout(n)
-    x, y = _dot_data(n, seed)
-    lines = (["start:"] + _dot_stream_prologue(n, xa, ya)
-             + ["  li t1, 0", f"  li t2, {n // 4}", "loop:"]
-             + [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
-             + ["  addi t1, t1, 1", "  bltu t1, t2, loop"]
-             + _DOT_EPILOGUE
-             + [f"  fsd ft3, {ra}(zero)", "  ssr_disable", "  halt"])
-    prog = assemble("\n".join(lines))
-    return KernelInstance("dot_ssr", prog, n=n, flops=2 * n + 3,
-                          data=[(xa, _pack(x)), (ya, _pack(y))],
-                          check=_dot_check(ra, x, y))
+    return _dot("dot_ssr", n, seed, lambda xa, ya: (
+        ["  li t1, 0", f"  li t2, {n // 4}", "loop:"] + _FMADD_ACC
+        + ["  addi t1, t1, 1", "  bltu t1, t2, loop"]))
 
 
-def build_dot_ssr_frep(n=256, seed=0):
+def build_dot_ssr_frep(n, seed):
     if n % 4 or n < 8:
         raise ValueError("n must be a multiple of 4, at least 8")
-    xa, ya, ra = _dot_layout(n)
-    x, y = _dot_data(n, seed)
-    lines = (["start:"] + _dot_stream_prologue(n, xa, ya)
-             + [f"  li t0, {n // 4}", "  frep t0, 4"]
-             + [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
-             + _DOT_EPILOGUE
-             + [f"  fsd ft3, {ra}(zero)", "  ssr_disable", "  halt"])
-    prog = assemble("\n".join(lines))
-    return KernelInstance("dot_ssr_frep", prog, n=n, flops=2 * n + 3,
-                          data=[(xa, _pack(x)), (ya, _pack(y))],
-                          check=_dot_check(ra, x, y))
+    return _dot("dot_ssr_frep", n, seed, lambda xa, ya: (
+        [f"  li t0, {n // 4}", "  frep t0, 4"] + _FMADD_ACC))
 
 
 # ------------------------------------------------------------------ axpy
 
-def build_axpy_ssr(n=256, seed=0):
+def build_axpy_ssr(n, seed):
     """y = a*x + y with x, y read streams and y as the write stream.
 
     x sits in bank 0 and y in bank 16, so the two read prefetchers and the
@@ -282,13 +264,12 @@ def _matvec48(n, seed):
     return aa, xa, ya, data, check
 
 
-def build_matvec48_baseline(n=48, seed=0):
+def build_matvec48_baseline(n, seed):
     """y = A @ x, rows unrolled by four, with explicit loads."""
     aa, xa, ya, data, check = _matvec48(n, seed)
     lines = ["start:", f"  li t0, {ya}"]
     for r0 in range(0, n, 4):
-        for r in range(4):
-            lines.append(f"  fmv.d.x ft{3 + r}, zero")
+        lines += _ZERO_ACC
         for k in range(n):
             for r in range(4):
                 lines += [f"  fld ft0, {aa + 8 * (n * (r0 + r) + k)}(zero)",
@@ -301,11 +282,13 @@ def build_matvec48_baseline(n=48, seed=0):
                           n=n, flops=2 * n * n, check=check, data=data)
 
 
-def build_matvec48_ssr_frep(n=48, seed=0, filler_ints=0):
+def build_matvec48_ssr_frep(n, seed, filler_ints=0):
     """y = A @ x, rows unrolled by four: the 16-instruction loop whose
     replay covers 192 of every 204 FPU slots. `filler_ints` injects that
     many independent integer adds after the captured body to demonstrate
     integer-pipeline progress during replay."""
+    if filler_ints < 0:
+        raise ValueError(f"filler_ints must be >= 0, got {filler_ints}")
     aa, xa, ya, data, check = _matvec48(n, seed)
     row = 8 * n
     lines = (["start:"]
@@ -317,9 +300,7 @@ def build_matvec48_ssr_frep(n=48, seed=0, filler_ints=0):
                 f"  li t2, {n}",
                 f"  li t3, {n // 4}",
                 "loop:"]
-             + [f"  fmv.d.x ft{3 + r}, zero" for r in range(4)]
-             + ["  frep t2, 4"]
-             + [f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}" for r in range(4)]
+             + _ZERO_ACC + ["  frep t2, 4"] + _FMADD_ACC
              + ["  addi t4, t4, 1"] * filler_ints
              + [f"  fsd ft{3 + r}, {8 * r}(t0)" for r in range(4)]
              + ["  addi t0, t0, 32",
@@ -342,7 +323,7 @@ _MM_A_BANKS = (0, 1, 2, 3, 16, 17, 18, 19)
 _MM_B_BANKS = (10, 11, 12, 13, 26, 27, 28, 29)
 
 
-def build_matmul_ssr_frep(n=32, seed=0):
+def build_matmul_ssr_frep(n, seed):
     """C = A @ B on all eight cores, each owning four rows.
 
     Every fmadd pops both read streams, so each stream needs one grant per
@@ -429,7 +410,7 @@ def build_matmul_ssr_frep(n=32, seed=0):
 _DMA_CHUNK = 4096       # bytes per descriptor
 
 
-def build_dma_stream(n=32768, seed=0):
+def build_dma_stream(n, seed):
     """Stream n bytes from L2 into the scratchpad through the DMA engine,
     one descriptor per 4 KiB chunk."""
     if n % _DMA_CHUNK or n < _DMA_CHUNK:
@@ -465,34 +446,34 @@ def build_dma_stream(n=32768, seed=0):
 
 # ------------------------------------------------------------------ TCDM probes
 
-def _tcdm_probe(name, shift, stride, accesses=128):
-    """All cores issue `accesses` back-to-back loads with the given per-core
-    base shift and per-access stride (bytes)."""
-    if accesses < 1:
+def _tcdm_probe(name, n, shift, stride):
+    """All cores issue n back-to-back loads with the given per-core base
+    shift and per-access stride (bytes)."""
+    if n < 1:
         raise ValueError("n must be positive")
-    last = TCDM_BASE + ((N_CORES - 1) << shift) + stride * (accesses - 1)
+    last = TCDM_BASE + ((N_CORES - 1) << shift) + stride * (n - 1)
     if last + 4 > TCDM_END:
         raise ValueError("n too large for the scratchpad layout")
     lines = ["start:",
              f"  li t0, {TCDM_BASE}",
              f"  slli t1, a0, {shift}",
              "  add t0, t0, t1"]
-    lines += [f"  lw t2, {stride * j}(t0)" for j in range(accesses)]
+    lines += [f"  lw t2, {stride * j}(t0)" for j in range(n)]
     lines.append("  halt")
     return KernelInstance(name, assemble("\n".join(lines)), active_cores=N_CORES,
-                          n=accesses)
+                          n=n)
 
 
-def build_tcdm_unit_stride(n=128, seed=0):
+def build_tcdm_unit_stride(n, seed):
     """Core i walks banks (i + 8t) mod 32: all eight cores hit distinct banks
     every cycle, so conflict stalls stay at zero."""
-    return _tcdm_probe("tcdm_unit_stride", shift=3, stride=64, accesses=n)
+    return _tcdm_probe("tcdm_unit_stride", n, shift=3, stride=64)
 
 
-def build_tcdm_same_bank(n=128, seed=0):
+def build_tcdm_same_bank(n, seed):
     """Stride of one full bank rotation (256 B): every access of every core
     lands in bank 0 and the arbiter serializes them eight to one."""
-    return _tcdm_probe("tcdm_same_bank", shift=11, stride=256, accesses=n)
+    return _tcdm_probe("tcdm_same_bank", n, shift=11, stride=256)
 
 
 # ------------------------------------------------------------------ registry

@@ -157,6 +157,11 @@ def roofline_report(workloads, roofline: RooflineParams, measured=None):
     if not workloads:
         raise ConfigError("no workloads to report on")
     measured = measured or {}
+    names = {w.name for w in workloads}
+    unknown = [name for name in measured if name not in names]
+    if unknown:
+        raise ConfigError("measured workloads not in the workload table: "
+                          + ", ".join(unknown))
     rows = []
     for w in workloads:
         bound = attainable_performance(w, roofline)

@@ -245,6 +245,25 @@ def test_exit_bad_sweep_is_usage(capsys, spec):
         f"error: UsageError: bad --sweep '{spec}', expected n=16,64,256\n")
 
 
+def test_exit_negative_filler_is_config(capsys):
+    # no filler and a negative count used to give the same program
+    assert run_cli("run", "matvec48_ssr_frep", "--filler", "-1") == 7
+    assert capsys.readouterr() == (
+        "", "error: ConfigError: filler_ints must be >= 0, got -1\n")
+
+
+def test_exit_unknown_measured_workload_is_config(tmp_path, capsys):
+    # every --measured name must have a row; a typo used to print no value
+    stats = tmp_path / "s.txt"
+    stats.write_text("cluster.flops_per_cycle 1.5\n")
+    assert run_cli("roofline", "--measured", f"conv_3x3_mid={stats}",
+                   "--measured", f"nope={stats}",
+                   "--measured", f"typo={stats}") == 7
+    assert capsys.readouterr() == ("", "error: ConfigError: measured "
+                                   "workloads not in the workload table: "
+                                   "nope, typo\n")
+
+
 def test_exit_bad_config_file(tmp_path, capsys):
     cfgp = tmp_path / "c.yaml"
     cfgp.write_text("topology: {}\n")

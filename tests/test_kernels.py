@@ -95,7 +95,9 @@ def test_builder_rejects():
                 dict(name="tcdm_same_bank", n=457),
                 dict(name="tcdm_unit_stride", n=2049),
                 dict(name="tcdm_same_bank", n=0),
-                dict(name="tcdm_unit_stride", n=-3)]:
+                dict(name="tcdm_unit_stride", n=-3),
+                # a negative count would build the program of filler_ints=0
+                dict(name="matvec48_ssr_frep", filler_ints=-3)]:
         with pytest.raises(ValueError):
             kernels.build(**bad)
 

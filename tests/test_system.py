@@ -139,6 +139,9 @@ def test_roofline_report():
     assert rows[1]["measured"] is None and rows[1]["detachment"] is None
     with pytest.raises(ConfigError):
         roofline_report([], rp)
+    # a measurement with no row would be dropped without a word
+    with pytest.raises(ConfigError, match="table: c, d$"):
+        roofline_report(ws, rp, measured={"c": 1.0, "a": 32.0e9, "d": 2.0})
 
 
 # ------------------------------------------------------------- operating points
