@@ -151,8 +151,9 @@ def attainable_performance(workload: WorkloadDescriptor, roofline: RooflineParam
 def roofline_report(workloads, roofline: RooflineParams, measured=None):
     """Rows of (name, intensity, kind, attainable, measured, detachment).
 
-    `measured` maps workload name to achieved flop/s; detachment is the
-    relative shortfall below the detachment-0 bound.
+    `measured` maps workload name to achieved flop/s, and a name with no
+    workload is refused; detachment is the relative shortfall below the
+    detachment-0 bound.
     """
     if not workloads:
         raise ConfigError("no workloads to report on")
