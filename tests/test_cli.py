@@ -121,6 +121,52 @@ def test_roofline_text(capsys):
     assert "compute" in deep and "2.304 Tflop/s" in deep
 
 
+# The whole stdout of the system-model reports, frozen as text.
+SYSTEM_REPORTS = {
+    ("points",): [
+        "point                vdd    GHz          24-core        4096-core  Gflop/s/W  power(24c)",
+        "high_performance    0.90  1.125   54.000 Gflop/s    9.216 Tflop/s        n/a         n/a",
+        "max_efficiency      0.60  0.500   24.000 Gflop/s    4.096 Tflop/s      188.0     0.133 W",
+    ],
+    ("points", "--format", "csv"): [
+        "name,vdd,freq_ghz,perf_24core,perf_4096core,efficiency_gflops_w,power_24core_w",
+        "high_performance,0.90,1.125,5.4e+10,9.216e+12,n/a,n/a",
+        "max_efficiency,0.60,0.500,2.4e+10,4.096e+12,188.0,0.133",
+    ],
+    ("roofline",): [
+        "# peak 2.304 Tflop/s, bandwidth 256.0 GB/s, ridge 9.000 flop/byte",
+        "workload                 flop/B    bound       attainable         measured  detach",
+        "pool_avg                   0.25   memory   64.000 Gflop/s" + " " * 25,
+        "embedding_lookup            0.5   memory  128.000 Gflop/s" + " " * 25,
+        "elementwise_add               1   memory  256.000 Gflop/s" + " " * 25,
+        "linear_batch1                 2   memory  512.000 Gflop/s" + " " * 25,
+        "conv_pointwise                4   memory    1.024 Tflop/s" + " " * 25,
+        "conv_3x3_small                8   memory    2.048 Tflop/s" + " " * 25,
+        "conv_3x3_mid                 16  compute    2.304 Tflop/s" + " " * 25,
+        "conv_3x3_deep                32  compute    2.304 Tflop/s" + " " * 25,
+        "conv_residual_block          64  compute    2.304 Tflop/s" + " " * 25,
+    ],
+    ("roofline", "--format", "csv"): [
+        "name,intensity,kind,attainable_flops,measured_flops,detachment",
+        "pool_avg,0.25,memory,6.4e+10,,",
+        "embedding_lookup,0.5,memory,1.28e+11,,",
+        "elementwise_add,1,memory,2.56e+11,,",
+        "linear_batch1,2,memory,5.12e+11,,",
+        "conv_pointwise,4,memory,1.024e+12,,",
+        "conv_3x3_small,8,memory,2.048e+12,,",
+        "conv_3x3_mid,16,compute,2.304e+12,,",
+        "conv_3x3_deep,32,compute,2.304e+12,,",
+        "conv_residual_block,64,compute,2.304e+12,,",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", SYSTEM_REPORTS)
+def test_system_reports_frozen(argv, capsys):
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == "\n".join(SYSTEM_REPORTS[argv]) + "\n"
+
+
 def test_roofline_measured_detachment(tmp_path, capsys):
     stats = tmp_path / "mv.txt"
     assert run_cli("run", "matvec48_ssr_frep", "--stats-out", str(stats)) == 0

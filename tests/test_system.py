@@ -79,6 +79,30 @@ def test_bandwidth_monotone_and_capacity():
         prev = bw
 
 
+# Fanouts 2, 3, 2 under 2 chiplets: 24 clusters behind 12 a, 4 b and 2 c
+# uplinks. In each case one node binds: a level at a count of active
+# clusters above its own uplink count and at most the count one level
+# nearer the leaves, so a walk that counts that level's uplinks one level
+# late or early gets another share.
+@pytest.mark.parametrize("uplinks, root, active, share", [
+    # c: 2 uplinks x 8 / 4 = 4; a and b 16; root 64 / 4 = 16
+    ((16.0, 16.0, 8.0), 64.0, 4, 4.0),
+    # b: 4 uplinks x 12 / 12 = 4; a 16; c 2 x 48 / 12 = 8; root 96 / 12 = 8
+    ((16.0, 12.0, 48.0), 96.0, 12, 4.0),
+    # a: 12 uplinks x 4 / 24 = 2; b 4 x 18 / 24 = 3; c 2 x 48 / 24 = 4;
+    # root 96 / 24 = 4
+    ((4.0, 18.0, 48.0), 96.0, 24, 2.0),
+    # root: 24 / 12 = 2; a 16; b 4 x 16 / 12 = 5.3; c 2 x 16 / 12 = 2.7
+    ((16.0, 16.0, 16.0), 24.0, 12, 2.0),
+], ids=["c", "b", "a", "root"])
+def test_bandwidth_binds_at_each_level(uplinks, root, active, share):
+    levels = tuple(Level(name, fanout, bw) for name, fanout, bw
+                   in zip("abc", (2, 3, 2), uplinks))
+    tree = HierarchyTree(levels=levels, chiplets=2, hbm_channels=(root,))
+    assert tree.n_clusters == 24
+    assert sustainable_cluster_bandwidth(tree, active) == share
+
+
 # ------------------------------------------------------------- roofline
 
 def test_ridge_intensity():
