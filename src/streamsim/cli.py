@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import asm, kernels
-from .cluster import stats_lines
+from .cluster import MAX_CYCLES, stats_lines
 from .errors import (ConfigError, CycleLimitExceeded, MissingEnergyData,
                      ParseError, SimError)
 
@@ -71,7 +71,7 @@ def _csv_row(inst, result, seed):
     return ",".join(str(row[c]) for c in CSV_COLUMNS)
 
 
-def _run_one(args, n):
+def _run_one(args, n, trace):
     extra = {}
     if args.filler is not None:
         extra["filler_ints"] = args.filler
@@ -83,8 +83,7 @@ def _run_one(args, n):
         # the builder refused an n, or a kwarg such as --filler it does not take
         raise ConfigError(str(e))
     sim, result = kernels.run_kernel(inst, cold_start_icache=args.cold_icache,
-                                     max_cycles=args.max_cycles,
-                                     trace=args.trace_out is not None)
+                                     max_cycles=args.max_cycles, trace=trace)
     if args.check and inst.check is not None:
         try:
             inst.check(sim)
@@ -105,7 +104,9 @@ def cmd_run(args):
             raise UsageError(f"bad --sweep '{args.sweep}', "
                              "expected n=16,64,256")
 
-    runs = [_run_one(args, n) for n in sizes]
+    # only the last size's trace is written, so only that run records one
+    runs = [_run_one(args, n, trace=False) for n in sizes[:-1]]
+    runs.append(_run_one(args, sizes[-1], trace=args.trace_out is not None))
     inst, result = runs[-1]
     if args.trace_out is not None:
         _write_out(args.trace_out, "\n".join(result.trace) + "\n")
@@ -153,10 +154,10 @@ def cmd_points(args):
                f"{'4096-core':>16} {'Gflop/s/W':>10} {'power(24c)':>11}"]
     for name, p in model.points.items():
         vdd, ghz = f"{p.vdd:.2f}", f"{p.freq / 1e9:.3f}"
-        p24 = system.scale_performance(p, 24)
+        p24 = system.scale_performance(p, system.GROUP_CORES)
         p4096 = system.scale_performance(p, 4096)
         try:
-            power, eff = system.power_and_efficiency(p, 24)
+            power, eff = system.power_and_efficiency(p, system.GROUP_CORES)
             eff, watts, unit = f"{eff / 1e9:.1f}", f"{power:.3f}", " W"
         except MissingEnergyData:
             eff, watts, unit = "n/a", "n/a", ""
@@ -261,7 +262,7 @@ def build_parser():
                           "replay window (matvec48_ssr_frep)")
     run.add_argument("--sweep", default=None, metavar="n=16,64,256",
                      help="run several sizes, one CSV row each")
-    run.add_argument("--max-cycles", type=int, default=2_000_000)
+    run.add_argument("--max-cycles", type=int, default=MAX_CYCLES)
     run.add_argument("--cold-icache", action="store_true",
                      help="charge first-touch instruction fetch misses")
     run.add_argument("--check", action="store_true",
@@ -279,7 +280,7 @@ def build_parser():
     roof = sub.add_parser("roofline", help="attainable-performance table")
     roof.add_argument("--config", default=None)
     roof.add_argument("--workloads", default=None,
-                      help="CSV of name,flops,bytes[,kind]")
+                      help="CSV of name,flops,bytes")
     roof.add_argument("--measured", action="append", metavar="NAME=STATSFILE")
     roof.add_argument("--point", default="high_performance")
     roof.add_argument("--roofline-cores", type=int, default=1024,

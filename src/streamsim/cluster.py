@@ -71,6 +71,7 @@ L2_LATENCY = 10           # extra cycles for an L2 access or icache fill
 DMA_BUS_WIDTH = 64        # bytes per busy cycle (512-bit bus)
 DMA_QUEUE_DEPTH = 8
 ICACHE_LINE = 32          # bytes
+MAX_CYCLES = 2_000_000    # a run's cycle budget unless the caller sets one
 
 
 @dataclass
@@ -457,7 +458,7 @@ class ClusterSim:
     def __init__(self, cold_start_icache=False):
         # the loader streams the binary through the shared icache, so fetch
         # hits from cycle 0; cold_start_icache charges L2_LATENCY on the first
-        # touch of each line instead
+        # touch of each line instead, holding the untouched lines cold
         self.cold_start_icache = cold_start_icache
         self.mem = Memory()
         self.code = {}
@@ -475,7 +476,7 @@ class ClusterSim:
         self.dma = DmaEngine(self.mem, req_id=4 * N_CORES)
         self.tcdm = Tcdm(n_requesters=4 * N_CORES + 1)
         self.cycle = 0
-        self.icache_warm = set()
+        self.icache_cold = set()
         self.trace_rows = []
         self.watch_hits = {}
 
@@ -489,8 +490,8 @@ class ClusterSim:
         """
         self._new_run()
         self.code = program.instructions     # shared: nothing writes it
-        if not self.cold_start_icache:
-            self.icache_warm = {addr // ICACHE_LINE for addr in self.code}
+        if self.cold_start_icache:
+            self.icache_cold = {addr // ICACHE_LINE for addr in self.code}
         for addr, data in program.data_segments:
             self.mem.write(addr, data)
         n_active = active_cores if active_cores is not None else N_CORES
@@ -777,7 +778,7 @@ class ClusterSim:
         if instr is None:
             raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
         line = pc // ICACHE_LINE
-        if line not in self.icache_warm:
+        if line in self.icache_cold:
             return line
         if core.capture_pending > 0 and instr.domain is not _FP:
             raise NonFpInCapture(
@@ -900,7 +901,7 @@ class ClusterSim:
             else:
                 _WORD.pack_into(buf, off, state.x[instr.rs2])
         else:  # the icache line missed at plan time: the fill's first cycle
-            self.icache_warm.add(plan)
+            self.icache_cold.discard(plan)
             core.mem_stall = L2_LATENCY - 1
             core.stats.stall_icache += 1
             core._int_plan = MEM_WAIT
@@ -998,7 +999,7 @@ class ClusterSim:
 
     # ------------------------------------------------------------- main loop
 
-    def run(self, max_cycles=1_000_000, trace=False, watch_pcs=None) -> RunResult:
+    def run(self, max_cycles=MAX_CYCLES, trace=False, watch_pcs=None) -> RunResult:
         self.trace_enabled = trace
         self.watch_pcs = frozenset(watch_pcs or ())
         while self.live or not self.dma.idle:

@@ -16,8 +16,8 @@ import struct
 from dataclasses import dataclass, field as dfield
 
 from .asm import assemble, AsmProgram
-from .cluster import (ClusterSim, N_CORES, TCDM_BASE, TCDM_SIZE, TCDM_BANKS,
-                      BANK_WIDTH, L2_BASE)
+from .cluster import (ClusterSim, MAX_CYCLES, N_CORES, TCDM_BASE, TCDM_SIZE,
+                      TCDM_BANKS, BANK_WIDTH, L2_BASE)
 from .fp import fma64
 
 TCDM_END = TCDM_BASE + TCDM_SIZE
@@ -43,7 +43,7 @@ class KernelInstance:
 
 
 def run_kernel(inst: KernelInstance, cold_start_icache=False,
-               max_cycles=2_000_000, trace=False):
+               max_cycles=MAX_CYCLES, trace=False):
     sim = ClusterSim(cold_start_icache=cold_start_icache)
     sim.load_program(inst.program, active_cores=inst.active_cores,
                      entries=inst.entries)

@@ -6,7 +6,8 @@ lone cluster sees its full S1 uplink while all clusters together are bound by
 the root. Everything here is closed-form; nothing simulates cycles.
 
 Performance accounting is double precision with one FMA = 2 flops; every peak
-derives from cores x 2 x frequency.
+derives from cores x 2 x frequency. A cluster's roofline takes its cores from
+the cluster model and its bandwidth from the tree.
 """
 
 import csv
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .cluster import N_CORES
 from .errors import ConfigError, MissingEnergyData
 
 FLOPS_PER_FMA = 2
+GROUP_CORES = 24                 # cores behind an operating point's stated figure
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_SYSTEM_YAML = _DATA_DIR / "system.yaml"
@@ -56,15 +59,6 @@ class HierarchyTree:
     def root_bandwidth(self):
         return sum(self.hbm_channels)
 
-    def uplinks(self, level: Level):
-        """Number of uplinks of this level in the whole system."""
-        per = 1
-        for lvl in self.levels:
-            per *= lvl.fanout
-            if lvl is level:
-                return self.n_clusters // per
-        raise ConfigError(f"level '{level.name}' is not in this tree")
-
 
 def sustainable_cluster_bandwidth(tree: HierarchyTree, active_clusters: int):
     """Bytes/s one cluster can sustain from root memory with
@@ -78,8 +72,9 @@ def sustainable_cluster_bandwidth(tree: HierarchyTree, active_clusters: int):
         raise ConfigError(f"active_clusters {active_clusters} outside "
                           f"1..{tree.n_clusters}")
     share = tree.root_bandwidth / active_clusters
+    count = tree.n_clusters
     for lvl in tree.levels:
-        count = tree.uplinks(lvl)
+        count //= lvl.fanout        # this level's uplinks in the whole system
         if active_clusters > count:
             level_share = lvl.uplink_bandwidth * count / active_clusters
         else:
@@ -116,7 +111,6 @@ class WorkloadDescriptor:
     name: str
     flops: float
     bytes: float
-    kind: WorkloadKind | None = None    # classified against the ridge if None
 
     def __post_init__(self):
         if self.flops < 0 or self.bytes < 0 or (self.flops == 0 and self.bytes == 0):
@@ -130,22 +124,17 @@ class WorkloadDescriptor:
         return self.flops / self.bytes
 
     def classify(self, roofline: RooflineParams) -> WorkloadKind:
-        if self.kind is not None:
-            return self.kind
         return (WorkloadKind.COMPUTE_BOUND
                 if self.intensity >= roofline.ridge_intensity
                 else WorkloadKind.MEMORY_BOUND)
 
 
-def attainable_performance(workload: WorkloadDescriptor, roofline: RooflineParams,
-                           detachment: float = 0.0):
-    """Flop/s bound: (1 - detachment) x min(peak, bandwidth x intensity)."""
-    if not 0.0 <= detachment < 1.0:
-        raise ConfigError(f"detachment {detachment} outside [0, 1)")
+def attainable_performance(workload: WorkloadDescriptor, roofline: RooflineParams):
+    """Flop/s bound: min(peak, bandwidth x intensity)."""
     i = workload.intensity
-    bound = roofline.peak_flops if math.isinf(i) else \
-        min(roofline.peak_flops, roofline.mem_bandwidth * i)
-    return (1.0 - detachment) * bound
+    if math.isinf(i):
+        return roofline.peak_flops
+    return min(roofline.peak_flops, roofline.mem_bandwidth * i)
 
 
 def roofline_report(workloads, roofline: RooflineParams, measured=None):
@@ -153,7 +142,7 @@ def roofline_report(workloads, roofline: RooflineParams, measured=None):
 
     `measured` maps workload name to achieved flop/s, and a name with no
     workload is refused; detachment is the relative shortfall below the
-    detachment-0 bound.
+    bound.
     """
     if not workloads:
         raise ConfigError("no workloads to report on")
@@ -185,15 +174,16 @@ class OperatingPoint:
     name: str
     vdd: float
     freq: float
-    perf_24core: float           # stated figure; checked against 24 x 2 x freq
+    perf_24core: float           # stated figure of GROUP_CORES cores
     efficiency: float | None = None   # flop/s per watt
 
     def __post_init__(self):
-        computed = 24 * FLOPS_PER_FMA * self.freq
+        computed = GROUP_CORES * FLOPS_PER_FMA * self.freq
         if abs(self.perf_24core - computed) > 0.05 * computed:
             raise ConfigError(
                 f"operating point '{self.name}': stated {self.perf_24core:g} "
-                f"flop/s is more than 5% from 24 x 2 x {self.freq:g} Hz")
+                f"flop/s is more than 5% from {GROUP_CORES} x {FLOPS_PER_FMA} "
+                f"x {self.freq:g} Hz")
 
 
 def scale_performance(point: OperatingPoint, n_cores: int):
@@ -210,16 +200,17 @@ def power_and_efficiency(point: OperatingPoint, n_cores: int):
         raise MissingEnergyData(
             f"operating point '{point.name}' carries no efficiency figure")
     if n_cores < 1:
-        raise MissingEnergyData(f"degenerate core count {n_cores}")
-    perf = point.perf_24core * n_cores / 24
+        raise ConfigError(f"n_cores {n_cores} must be at least 1")
+    perf = point.perf_24core * n_cores / GROUP_CORES
     return perf / point.efficiency, point.efficiency
 
 
-def cluster_roofline(point: OperatingPoint, n_cores=8, uplink_bandwidth=32.0e9):
-    """Single-cluster roofline at an operating point: smallest unit the
-    cycle-level simulator can be compared against."""
-    return RooflineParams(peak_flops=scale_performance(point, n_cores),
-                          mem_bandwidth=uplink_bandwidth)
+def cluster_roofline(point: OperatingPoint, tree: HierarchyTree):
+    """Roofline of one cluster streaming alone through `tree` at an operating
+    point: the smallest unit the cycle-level simulator can be compared
+    against."""
+    return RooflineParams(peak_flops=scale_performance(point, N_CORES),
+                          mem_bandwidth=sustainable_cluster_bandwidth(tree, 1))
 
 
 # ------------------------------------------------------------------ config IO
@@ -271,12 +262,9 @@ def load_workloads(path=None):
     try:
         with open(path, newline="") as f:
             for row in csv.DictReader(f):
-                kind = row.get("kind", "").strip()
-                out.append(WorkloadDescriptor(
-                    name=row["name"].strip(),
-                    flops=float(row["flops"]),
-                    bytes=float(row["bytes"]),
-                    kind=WorkloadKind(kind) if kind else None))
+                out.append(WorkloadDescriptor(name=row["name"].strip(),
+                                              flops=float(row["flops"]),
+                                              bytes=float(row["bytes"])))
     except (OSError, KeyError, ValueError) as e:
         raise ConfigError(f"cannot load workloads {path}: {e}") from e
     if not out:

@@ -117,8 +117,9 @@ def test_criterion_5_bank_conflicts():
 
 def test_criterion_6_roofline_properties():
     t0 = time.perf_counter()
-    point = system.load_system().point("high_performance")
-    roof = system.cluster_roofline(point)  # 8 cores, 32 GB/s uplink
+    model = system.load_system()
+    point = model.point("high_performance")
+    roof = system.cluster_roofline(point, model.tree)  # 8 cores, 32 GB/s
     over = []
     for name in kernels.names():
         inst = kernels.build(name)

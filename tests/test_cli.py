@@ -61,6 +61,23 @@ def test_sweep_emits_one_row_per_size(capsys):
     assert utils[0] < utils[1] < utils[2]
 
 
+def test_sweep_traces_only_the_written_run(capsys, monkeypatch):
+    # --trace-out writes the last size's trace, so only that run records one
+    flags = []
+    run_kernel = kernels.run_kernel
+
+    def recording(inst, **kw):
+        flags.append(kw["trace"])
+        return run_kernel(inst, **kw)
+
+    monkeypatch.setattr(kernels, "run_kernel", recording)
+    assert run_cli("run", "dot_ssr_frep", "--sweep", "n=16,32",
+                   "--trace-out", "-") == 0
+    assert flags == [False, True]
+    rows = capsys.readouterr().out.splitlines()[-2:]
+    assert [r.split(",")[1] for r in rows] == ["16", "32"]
+
+
 def test_stats_and_trace_files_reproducible(tmp_path):
     paths = []
     for tag in ("a", "b"):
