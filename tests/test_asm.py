@@ -7,6 +7,7 @@ import pytest
 from streamsim.asm import DATA_BASE, TEXT_BASE, assemble
 from streamsim.cluster import TCDM_SIZE
 from streamsim.errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
+from streamsim.isa import decode
 
 
 def test_basic_program():
@@ -197,3 +198,38 @@ def test_repeated_bad_statement_reports_first_line():
         with pytest.raises(SimError) as ei:
             assemble(src)
         assert str(ei.value).startswith("line 2: ")
+
+
+# Each case follows a statement that differs from it only in the literal of
+# its last operand, and repeats on a later line.
+@pytest.mark.parametrize("first, stmt, why", [
+    ("fld ft0, 8(zero)", "fld ft0, 08(zero)",
+     "expected immediate, got '08' in 'fld ft0, 08(zero)'"),
+    ("fld ft0, 8(zero)", "fld ft0, 4294967296(zero)",
+     "immediate 4294967296 out of 32-bit range in "
+     "'fld ft0, 4294967296(zero)'"),
+    ("lw t0, 8(t1)", "lw t0, +8(t1)",
+     "expected imm(reg), got '+8(t1)' in 'lw t0, +8(t1)'"),
+    ("lw t0, 8(t1)", "lw t0, --8(t1)",
+     "expected imm(reg), got '--8(t1)' in 'lw t0, --8(t1)'"),
+    ("slli t0, t1, 3", "slli t0, t1, 32",
+     "shift amount 32 out of range in 'slli t0, t1, 32'"),
+    ("frep t0, 4", "frep t0, 17",
+     "frep body length 17 outside 1..16 in 'frep t0, 17'"),
+])
+def test_rejected_literal_after_its_shape(first, stmt, why):
+    with pytest.raises(ParseError) as ei:
+        assemble(f"nop\n{first}\n{stmt}\nnop\n{stmt}\nhalt")
+    assert str(ei.value) == f"line 3: {why}"
+
+
+@pytest.mark.parametrize("first, stmt, fields", [
+    ("addi t0, t1, 5", "addi t0, t1, 1_0", dict(rd=5, rs1=6, imm=10)),
+    ("lw t0, 8(t1)", "lw t0, 0x8(t1)", dict(rd=5, rs1=6, imm=8)),
+    ("li t0, 5", "li t0, -2147483648", dict(rd=5, rs1=0, imm=-2147483648)),
+])
+def test_accepted_literal_after_its_shape(first, stmt, fields):
+    ins = assemble(f"{first}\n{stmt}").instructions[4]
+    assert ins == decode(stmt)
+    assert ins.text == stmt
+    assert {f: getattr(ins, f) for f in fields} == fields
