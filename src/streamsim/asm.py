@@ -3,7 +3,9 @@
 One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
 then decodes each distinct statement once, resolving its label operands, and
-fills the symbolic words. `.text` starts at 0x0 and `.data` at the scratchpad
+fills the symbolic words. Statements that differ only in the integer literal
+of their last operand share a shape, and only the first of a shape goes
+through the full decode: each further one parses just its literal. `.text` starts at 0x0 and `.data` at the scratchpad
 base, so branch targets and data pointers are absolute addresses throughout.
 """
 
@@ -11,8 +13,9 @@ import re
 import struct
 
 from .cluster import TCDM_BASE as DATA_BASE, TCDM_SIZE
-from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
-from .isa import decode, SYM_RE
+from .errors import (DuplicateLabel, MalformedOperands, ParseError, SimError,
+                     UnresolvedLabel)
+from .isa import decode, shape_fill, SHAPE_RE, SYM_RE
 
 TEXT_BASE = 0x0000_0000
 DATA_END = DATA_BASE + TCDM_SIZE
@@ -123,15 +126,31 @@ def assemble(source: str) -> AsmProgram:
 
     # resolve: decode each distinct statement once, in the order of first
     # appearance, so an error names the first line that holds it; identical
-    # statements share one Instruction. Then fill symbolic words.
+    # statements share one Instruction. A statement of a shape already
+    # decoded (isa.SHAPE_RE) costs only the parse of its literal; a literal
+    # that fill refuses goes to decode, which raises its message. Then fill
+    # symbolic words.
     decoded = {}
+    fills = {}    # shape -> its fill, made from its first statement
     for stmt, no in first_line.items():
+        m = SHAPE_RE.fullmatch(stmt)
+        if m is not None:
+            head, lit, tail = m.groups()
+            fill = fills.get((head, tail))
+            if fill is not None:
+                try:
+                    decoded[stmt] = fill(lit)
+                    continue
+                except MalformedOperands:
+                    pass
         try:
-            decoded[stmt] = decode(stmt, labels)
+            decoded[stmt] = ins = decode(stmt, labels)
         except UnresolvedLabel as e:
             raise UnresolvedLabel(f"line {no}: {e}") from None
         except SimError as e:
             raise ParseError(f"line {no}: {e}") from e
+        if m is not None:
+            fills[head, tail] = shape_fill(ins, lit, tail)
     instructions = dict(zip(range(TEXT_BASE, TEXT_BASE + 4 * len(texts), 4),
                             map(decoded.__getitem__, texts)))
     for no, addr, tok in words:

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import asm, kernels
-from .cluster import MAX_CYCLES, stats_lines
+from .cluster import MAX_CYCLES, N_CORES, stats_lines
 from .errors import (ConfigError, CycleLimitExceeded, MissingEnergyData,
                      ParseError, SimError)
 
@@ -146,26 +146,27 @@ def cmd_points(args):
     model = system.load_system(args.config)
     if not model.points:
         raise ConfigError("config defines no operating points")
+    cores = model.tree.n_clusters * N_CORES     # the whole machine's
     if args.format == "csv":
-        out = ["name,vdd,freq_ghz,perf_24core,perf_4096core,"
+        out = [f"name,vdd,freq_ghz,perf_24core,perf_{cores}core,"
                "efficiency_gflops_w,power_24core_w"]
     else:
         out = [f"{'point':<18} {'vdd':>5} {'GHz':>6} {'24-core':>16} "
-               f"{'4096-core':>16} {'Gflop/s/W':>10} {'power(24c)':>11}"]
+               f"{f'{cores}-core':>16} {'Gflop/s/W':>10} {'power(24c)':>11}"]
     for name, p in model.points.items():
         vdd, ghz = f"{p.vdd:.2f}", f"{p.freq / 1e9:.3f}"
         p24 = system.scale_performance(p, system.GROUP_CORES)
-        p4096 = system.scale_performance(p, 4096)
+        pall = system.scale_performance(p, cores)
         try:
             power, eff = system.power_and_efficiency(p, system.GROUP_CORES)
             eff, watts, unit = f"{eff / 1e9:.1f}", f"{power:.3f}", " W"
         except MissingEnergyData:
             eff, watts, unit = "n/a", "n/a", ""
         if args.format == "csv":
-            out.append(f"{name},{vdd},{ghz},{p24:.6g},{p4096:.6g},{eff},{watts}")
+            out.append(f"{name},{vdd},{ghz},{p24:.6g},{pall:.6g},{eff},{watts}")
         else:
             out.append(f"{name:<18} {vdd:>5} {ghz:>6} {_fmt_flops(p24):>16} "
-                       f"{_fmt_flops(p4096):>16} {eff:>10} {watts + unit:>11}")
+                       f"{_fmt_flops(pall):>16} {eff:>10} {watts + unit:>11}")
     _write_out(args.stats_out, "\n".join(out) + "\n")
     return 0
 
@@ -284,9 +285,11 @@ def build_parser():
     roof.add_argument("--measured", action="append", metavar="NAME=STATSFILE")
     roof.add_argument("--point", default="high_performance")
     roof.add_argument("--roofline-cores", type=int, default=1024,
-                      help="cores behind the peak (default one chiplet quarter)")
+                      help="cores behind the peak (default 1024, one chiplet "
+                           "of the bundled tree: 128 clusters of 8)")
     roof.add_argument("--bandwidth", type=float, default=256.0e9,
-                      help="memory bandwidth in bytes/s")
+                      help="memory bandwidth in bytes/s (default 256e9, the "
+                           "bundled tree's chiplet uplink)")
     roof.add_argument("--stats-out", default=None)
     roof.add_argument("--format", choices=("text", "csv"), default="text")
     roof.set_defaults(fn=cmd_roofline)

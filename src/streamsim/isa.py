@@ -384,6 +384,16 @@ def _shown(mn, ops):
     return f"{mn} {', '.join(ops)}" if ops else mn
 
 
+def _check(mn, v):
+    """The range checks of mnemonic mn on its field values v that its
+    operand kinds leave: the slli shift amount and the frep body length."""
+    if mn == "slli" and not 0 <= v[_IMM] < 32:
+        raise MalformedOperands(f"shift amount {v[_IMM]} out of range")
+    if mn == "frep" and not 1 <= v[_N_INSTR] <= BUFFER_DEPTH:
+        raise MalformedOperands(
+            f"frep body length {v[_N_INSTR]} outside 1..{BUFFER_DEPTH}")
+
+
 def decode(text: str, labels=None) -> Instruction:
     """Decode one assembly statement, resolving label operands from `labels`.
 
@@ -417,11 +427,7 @@ def decode(text: str, labels=None) -> Instruction:
                 if resolved is ops:
                     resolved = ops.copy()
                 resolved[k] = shown
-        if mn == "slli" and not 0 <= v[_IMM] < 32:
-            raise MalformedOperands(f"shift amount {v[_IMM]} out of range")
-        if mn == "frep" and not 1 <= v[_N_INSTR] <= BUFFER_DEPTH:
-            raise MalformedOperands(
-                f"frep body length {v[_N_INSTR]} outside 1..{BUFFER_DEPTH}")
+        _check(mn, v)
     except MalformedOperands as e:
         raise MalformedOperands(f"{e} in '{_shown(mn, ops)}'") from None
     v[_TEXT] = _shown(mn, resolved)
@@ -429,6 +435,35 @@ def decode(text: str, labels=None) -> Instruction:
         key = (canon, fregs(v))
         v[_FP_OP] = _FP_INTERNED.get(key) or _intern_fp_op(key, v)
     return Instruction(*v)
+
+
+# A statement whose last operand is an integer literal, alone or as the imm
+# of imm(reg): the text before the literal, the literal, and the (reg) part
+# or "". The statements that share the first and last part share a shape.
+SHAPE_RE = re.compile(r"(.*,\s*|\S+\s+)(-?\d\w*)((?:\(\w*\))?)")
+
+
+def shape_fill(ins, lit, tail):
+    """Given the Instruction that decode made of a statement that SHAPE_RE
+    splits as (head, lit, tail), return a function of another literal that
+    gives what decode gives for head + that literal + tail, or raises
+    MalformedOperands where decode raises.
+
+    In a statement of that shape the literal is the whole last operand
+    token, or the whole imm of imm(reg), so decode parses it with `_int`
+    alone, and the other fields, the FpOp and the text before it stay."""
+    mn = ins.text.partition(" ")[0]
+    i, kind = _FORMATS[mn][2][-1]
+    at = i if kind is _imm else _IMM    # imm(rs1) and rs1|imm set imm
+    v = [getattr(ins, f) for f in _AT]
+    head = ins.text[:len(ins.text) - len(lit) - len(tail)]
+
+    def fill(lit):
+        v[at] = _int(lit)
+        _check(mn, v)
+        v[_TEXT] = head + lit + tail
+        return Instruction(*v)
+    return fill
 
 
 @dataclass

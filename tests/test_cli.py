@@ -124,6 +124,22 @@ def test_points_csv_frozen(capsys):
         "max_efficiency,0.60,0.500,2.4e+10,4.096e+12,188.0,0.133"
 
 
+def test_points_counts_the_trees_cores(tmp_path, capsys):
+    # the bundled tree under 2 chiplets: 2 x 128 clusters of 8 cores
+    from streamsim.system import DEFAULT_SYSTEM_YAML
+    cfg = tmp_path / "two.yaml"
+    cfg.write_text(DEFAULT_SYSTEM_YAML.read_text().replace(
+        "chiplets: 4", "chiplets: 2"))
+    assert run_cli("points", "--config", str(cfg)) == 0
+    head, hp, _ = capsys.readouterr().out.splitlines()
+    assert head.split()[4] == "2048-core"
+    assert hp.split()[5:7] == ["4.608", "Tflop/s"]   # 2048 x 2 x 1.125 GHz
+    assert run_cli("points", "--config", str(cfg), "--format", "csv") == 0
+    head, hp, _ = capsys.readouterr().out.splitlines()
+    assert head.split(",")[4] == "perf_2048core"
+    assert hp.split(",")[4] == "4.608e+12"
+
+
 def test_roofline_text(capsys):
     assert run_cli("roofline") == 0
     out = capsys.readouterr().out.splitlines()
