@@ -146,7 +146,7 @@ def cmd_points(args):
     model = system.load_system(args.config)
     if not model.points:
         raise ConfigError("config defines no operating points")
-    cores = model.tree.n_clusters * N_CORES     # the whole machine's
+    cores = model.tree.n_clusters * N_CORES     # of the whole machine
     if args.format == "csv":
         out = [f"name,vdd,freq_ghz,perf_24core,perf_{cores}core,"
                "efficiency_gflops_w,power_24core_w"]
