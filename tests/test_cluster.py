@@ -237,6 +237,14 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     assert sim.mem.read(DATA_BASE + gap, 64) == blob
 
 
+def test_dma_descriptor_by_keyword():
+    desc = DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=64)
+    assert (desc.src, desc.dst, desc.length) == (L2_BASE, DATA_BASE, 64)
+    sim = ClusterSim()
+    sim.dma_submit(desc)
+    assert sim.run().dma_bytes == 64
+
+
 def test_dma_zero_length_completes_immediately():
     sim = ClusterSim()
     sim.dma_submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))

@@ -9,9 +9,9 @@ import pytest
 
 from streamsim import errors
 from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
-from streamsim.isa import (LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
-                           OP_STORE, OPS, CoreState, Domain, XREGS, decode,
-                           fp_compute, sext32)
+from streamsim.isa import (_AT, LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
+                           OP_STORE, OPS, CoreState, Domain, Instruction,
+                           XREGS, decode, fp_compute, sext32)
 from test_fp import bits_to_f32_pair, bits_to_f64x3, f32_pair_to_bits
 
 
@@ -88,6 +88,35 @@ def test_fp_op_interned_per_fp_registers():
     assert decode("addi t0, t0, 1").fp_op is None
     assert "fp_op" not in repr(fld)
     assert fld == decode("fld ft0, 0(t0)")
+
+
+def test_instruction_record():
+    """An Instruction's repr and equality show the fields before fp_op and
+    op, in constructor order, and never those two; a record is not
+    hashable, and _AT gives each field's constructor position."""
+    addi = decode("addi t0, t1, -3")
+    assert repr(addi) == (
+        "Instruction(mnemonic='addi', domain=<Domain.INT: 'int'>, rd=5, "
+        "rs1=6, rs2=None, rs3=None, imm=-3, slot=None, field=None, "
+        "n_instr=None, text='addi t0, t1, -3')")
+    bare = Instruction("addi", Domain.INT, 5, 6, imm=-3, text="addi t0, t1, -3")
+    assert (bare.op, bare.fp_op, addi.op) == (None, None, OPS["addi"])
+    assert bare == addi and not bare != addi
+    fld, fld1 = decode("fld ft0, 0(t0)"), decode("fld ft1, 0(t0)")
+    assert fld.fp_op is not fld1.fp_op
+    swapped = Instruction(*[fld1.fp_op if f == "fp_op" else getattr(fld, f)
+                            for f in _AT])
+    assert swapped == fld and repr(swapped) == repr(fld)
+    assert fld != decode("fld ft0, 8(t0)") and fld != addi
+    assert fld != "fld ft0, 0(t0)"
+    with pytest.raises(TypeError):
+        hash(fld)
+    assert list(_AT) == ["mnemonic", "domain", "rd", "rs1", "rs2", "rs3",
+                         "imm", "slot", "field", "n_instr", "text", "fp_op",
+                         "op"]
+    marks = [object() for _ in _AT]
+    made = Instruction(*marks)
+    assert all(getattr(made, f) is marks[i] for f, i in _AT.items())
 
 
 def test_decode_rejects():

@@ -245,3 +245,12 @@ def test_watch_label_resolves():
     pcs = inst.watch_pcs()
     assert pcs == [inst.program.labels["loop_end"]]
     assert kernels.build("dot_baseline", n=16).watch_pcs() == []
+
+
+def test_kernel_instances_own_their_data():
+    prog = kernels.assemble("halt")
+    a = kernels.KernelInstance("a", prog)
+    b = kernels.KernelInstance("b", prog)
+    assert (a.data, a.active_cores, a.check, a.entries) == ([], 1, None, None)
+    a.data.append((DATA_BASE, b"\x01"))
+    assert b.data == []

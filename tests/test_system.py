@@ -47,6 +47,49 @@ def test_tree_validation():
                       hbm_channels=())
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: HierarchyTree(levels=(), chiplets=4, hbm_channels=(1.0e9,)),
+     "topology needs levels, chiplets and HBM channels"),
+    (lambda: HierarchyTree(levels=(Level("a", 2, 1.0e9),), chiplets=0,
+                           hbm_channels=(1.0e9,)),
+     "topology needs levels, chiplets and HBM channels"),
+    (lambda: HierarchyTree((Level("s1", 2, 1.0e9), Level("s2", 2, 0.0)), 1,
+                           (1.0e9,)),
+     "level 's2' has a non-positive fanout or bandwidth"),
+    (lambda: RooflineParams(float("nan"), 1.0),
+     "roofline parameters must be finite and positive"),
+    (lambda: RooflineParams(peak_flops=1.0, mem_bandwidth=float("inf")),
+     "roofline parameters must be finite and positive"),
+    (lambda: WorkloadDescriptor("w", flops=1.0, bytes=-1.0),
+     "workload 'w' needs non-negative flops/bytes, not both zero"),
+    (lambda: OperatingPoint("far", 0.9, 1.0e9, 50.5e9, 1.0),
+     "operating point 'far': stated 5.05e+10 flop/s is more than 5% from "
+     "24 x 2 x 1e+09 Hz"),
+])
+def test_record_check_messages(make, message):
+    with pytest.raises(ConfigError) as ei:
+        make()
+    assert str(ei.value) == message
+
+
+def test_records_keep_their_fields():
+    lvl = Level("s1", 4, 32.0e9)
+    assert (lvl.name, lvl.fanout, lvl.uplink_bandwidth) == ("s1", 4, 32.0e9)
+    tree = HierarchyTree((lvl,), 2, (1.0e9, 2.0e9))
+    assert (tree.levels, tree.chiplets, tree.hbm_channels) == (
+        (lvl,), 2, (1.0e9, 2.0e9))
+    assert (tree.n_clusters, tree.root_bandwidth) == (8, 3.0e9)
+    rp = RooflineParams(2.0, 4.0)
+    assert (rp.peak_flops, rp.mem_bandwidth, rp.ridge_intensity) == (2.0, 4.0, 0.5)
+    w = WorkloadDescriptor(name="w", flops=8.0, bytes=2.0)
+    assert (w.name, w.flops, w.bytes, w.intensity) == ("w", 8.0, 2.0, 4.0)
+    p = OperatingPoint("p", vdd=0.9, freq=1.0e9, perf_24core=48.0e9)
+    assert (p.name, p.vdd, p.freq, p.perf_24core, p.efficiency) == (
+        "p", 0.9, 1.0e9, 48.0e9, None)
+    model = SystemModel(tree=tree, points={"p": p})
+    assert (model.tree, model.point("p")) == (tree, p)
+
+
 def test_bandwidth_endpoints():
     assert sustainable_cluster_bandwidth(TREE, 1) == 32.0e9
     assert sustainable_cluster_bandwidth(TREE, 4) == 32.0e9
