@@ -42,7 +42,6 @@ SimulationFault naming the core, pc and cycle, with the SimError as cause.
 
 import mmap
 import struct
-from dataclasses import dataclass
 from collections import deque
 
 from .isa import (Domain, CoreState, Instruction, fp_compute, MASK32, OPS,
@@ -74,27 +73,19 @@ ICACHE_LINE = 32          # bytes
 MAX_CYCLES = 2_000_000    # a run's cycle budget unless the caller sets one
 
 
-@dataclass
 class CoreStats:
-    fetched: int = 0
-    int_retired: int = 0
-    custom_retired: int = 0
-    fp_executed: int = 0
-    fma_executed: int = 0
-    flops: int = 0
-    int_replay_overlap: int = 0   # integer instructions retired during replay
-    stall_bank_conflict: int = 0
-    stall_queue_full: int = 0
-    stall_frep_wait: int = 0
-    stall_drain: int = 0
-    stall_icache: int = 0
-    stall_mem: int = 0
-    stall_dma_full: int = 0
-    fp_stall_hazard: int = 0
-    fp_stall_stream: int = 0
-    fp_stall_bank: int = 0
-    fp_idle: int = 0
-    cycles_at_halt: int = 0
+    # int_replay_overlap counts the integer instructions retired during
+    # replay
+    __slots__ = ("fetched", "int_retired", "custom_retired", "fp_executed",
+                 "fma_executed", "flops", "int_replay_overlap",
+                 "stall_bank_conflict", "stall_queue_full", "stall_frep_wait",
+                 "stall_drain", "stall_icache", "stall_mem", "stall_dma_full",
+                 "fp_stall_hazard", "fp_stall_stream", "fp_stall_bank",
+                 "fp_idle", "cycles_at_halt")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def int_stalls(self):
         return (self.stall_bank_conflict + self.stall_queue_full
@@ -177,11 +168,11 @@ class Tcdm:
         return requests
 
 
-@dataclass(frozen=True)
 class DmaDescriptor:
-    src: int
-    dst: int
-    length: int           # bytes
+    def __init__(self, src, dst, length):
+        self.src = src
+        self.dst = dst
+        self.length = length    # bytes
 
 
 def _validate_descriptor(desc: DmaDescriptor, mem: Memory):

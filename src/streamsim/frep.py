@@ -13,7 +13,6 @@ write (WAW). Stream-mapped registers bypass the scoreboard entirely.
 The FP queue and the sequencer buffer hold one FpEntry per dispatch.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CountZero
@@ -96,12 +95,15 @@ class FpEntry:
     __slots__ = ("op", "capture", "off", "bank", "xval", "split")
 
 
-@dataclass(slots=True)
 class StreamSplit:
     """An FP op's registers split under a core's stream map, as FpOp
     splits them for a core that does not stream."""
-    operands: tuple       # per source: its register, or the slot to pop
-    pops: tuple           # (read slot, pops) per stream source
-    push: object          # write slot taking the result, or None
-    sb_regs: tuple        # sources and destination not stream-mapped,
-                          # each once
+    __slots__ = ("operands", "pops", "push", "sb_regs")
+
+    def __init__(self, operands, pops, push, sb_regs):
+        self.operands = operands    # per source: its register, or the slot
+                                    # to pop
+        self.pops = pops            # (read slot, pops) per stream source
+        self.push = push            # write slot taking the result, or None
+        self.sb_regs = sb_regs      # sources and destination not
+                                    # stream-mapped, each once

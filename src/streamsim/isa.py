@@ -10,7 +10,6 @@ assembler's label table.
 """
 
 import re
-from dataclasses import dataclass, field as dfield, fields as dfields
 from enum import Enum
 from operator import eq, itemgetter, lt, ne
 
@@ -77,32 +76,36 @@ OP_LOAD = "load"        # lw, fld, flw: memory -> register
 OP_STORE = "store"      # sw, fsd, fsw: register -> memory
 
 
-@dataclass(frozen=True, slots=True)
 class Op:
     """What the simulator knows of one canonical mnemonic. Its declaration
     below makes it once, at import, and decode hands it to every
     Instruction of that mnemonic."""
-    mnemonic: str
-    domain: Domain
-    wait: str | None = None   # the int-pipe wait it may meet, or None
-    execute: object = None    # INT but lw/sw: execute(CoreState,
-                              # Instruction), which also sets the pc
-    kind: str = OP_ARITH
-    # FP facts
-    srcs: tuple = ()          # Instruction fields of the FP sources, in
-                              # operand order
-    lat: int = 0              # issue-to-result latency, cycles
-    flops: int = 0            # nonzero exactly for the compute ops that
-                              # occupy the FMA datapath, which utilization
-                              # counts
-    width: int = 0            # bytes accessed by a load or store
-    compute: object = None    # compute(a, b, c) from binary64 operand
-                              # values to the result's value, for an op
-                              # with flops
-    latches_x: bool = False   # reads an integer register at dispatch
+    __slots__ = ("mnemonic", "domain", "wait", "execute", "kind", "srcs",
+                 "lat", "flops", "width", "compute", "latches_x")
+
+    def __init__(self, mnemonic, domain, wait=None, execute=None,
+                 kind=OP_ARITH, srcs=(), lat=0, flops=0, width=0,
+                 compute=None, latches_x=False):
+        self.mnemonic = mnemonic
+        self.domain = domain
+        self.wait = wait          # the int-pipe wait it may meet, or None
+        self.execute = execute    # INT but lw/sw: execute(CoreState,
+                                  # Instruction), which also sets the pc
+        self.kind = kind
+        # FP facts
+        self.srcs = srcs          # Instruction fields of the FP sources, in
+                                  # operand order
+        self.lat = lat            # issue-to-result latency, cycles
+        self.flops = flops        # nonzero exactly for the compute ops that
+                                  # occupy the FMA datapath, which
+                                  # utilization counts
+        self.width = width        # bytes accessed by a load or store
+        self.compute = compute    # compute(a, b, c) from binary64 operand
+                                  # values to the result's value, for an op
+                                  # with flops
+        self.latches_x = latches_x    # reads an integer register at dispatch
 
 
-@dataclass(frozen=True, slots=True)
 class FpOp:
     """What the FPU needs of an FP instruction: its Op's FP facts with the
     FP registers filled in. Address operands and the x source of fmv.d.x
@@ -113,52 +116,78 @@ class FpOp:
     A record is also the op's operand split on a core that does not
     stream: each operand is a register, every register goes through the
     scoreboard, and no stream pops or takes a push."""
-    mnemonic: str
-    kind: str
-    operands: tuple       # FP source registers, in operand order
-    dest: int | None      # FP destination register; None for a store
-    lat: int
-    flops: int
-    width: int
-    compute: object
-    latches_x: bool
-    sb_regs: tuple        # the operands and the destination, each once
-    pops: tuple = ()
-    push: None = None
+    __slots__ = ("mnemonic", "kind", "operands", "dest", "lat", "flops",
+                 "width", "compute", "latches_x", "sb_regs", "pops", "push")
+
+    def __init__(self, mnemonic, kind, operands, dest, lat, flops, width,
+                 compute, latches_x, sb_regs):
+        self.mnemonic = mnemonic
+        self.kind = kind
+        self.operands = operands    # FP source registers, in operand order
+        self.dest = dest            # FP destination register; None for a
+                                    # store
+        self.lat = lat
+        self.flops = flops
+        self.width = width
+        self.compute = compute
+        self.latches_x = latches_x
+        self.sb_regs = sb_regs      # the operands and the destination,
+                                    # each once
+        self.pops = ()
+        self.push = None
 
 
 SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")   # label, label+4, label-8
 _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 
 
-@dataclass(slots=True)
 class Instruction:
     """One decoded statement. The statements of a program that read alike
     share one record, so nothing changes a record after decode.
 
-    Decode fills two fields that neither `repr` nor comparison shows: `op`,
-    the mnemonic's Op, and for an FP instruction `fp_op`, its interned
-    FpOp."""
-    mnemonic: str
-    domain: Domain
-    rd: int | None = None
-    rs1: int | None = None
-    rs2: int | None = None
-    rs3: int | None = None
-    imm: int | None = None
-    slot: int | None = None     # ssr_cfg_* target stream
-    field: str | None = None    # ssr_cfg_* field name
-    n_instr: int | None = None  # frep body length
-    text: str = ""
-    fp_op: FpOp | None = dfield(default=None, repr=False, compare=False)
-    op: Op | None = dfield(default=None, repr=False, compare=False)
+    Decode fills the last two fields, which neither `repr` nor comparison
+    shows: `op`, the mnemonic's Op, and for an FP instruction `fp_op`, its
+    interned FpOp. A record is not hashable."""
+    __slots__ = ("mnemonic", "domain", "rd", "rs1", "rs2", "rs3", "imm",
+                 "slot", "field", "n_instr", "text", "fp_op", "op")
+
+    def __init__(self, mnemonic, domain, rd=None, rs1=None, rs2=None,
+                 rs3=None, imm=None, slot=None, field=None, n_instr=None,
+                 text="", fp_op=None, op=None):
+        self.mnemonic = mnemonic
+        self.domain = domain
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
+        self.rs3 = rs3
+        self.imm = imm
+        self.slot = slot          # ssr_cfg_* target stream
+        self.field = field        # ssr_cfg_* field name
+        self.n_instr = n_instr    # frep body length
+        self.text = text
+        self.fp_op = fp_op
+        self.op = op
+
+    def _shown(self):
+        return (self.mnemonic, self.domain, self.rd, self.rs1, self.rs2,
+                self.rs3, self.imm, self.slot, self.field, self.n_instr,
+                self.text)
+
+    def __eq__(self, other):
+        if other.__class__ is not Instruction:
+            return NotImplemented
+        return self._shown() == other._shown()
+
+    def __repr__(self):
+        return "Instruction(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self.__slots__, self._shown())) + ")"
 
     def __str__(self):
         return self.text or self.mnemonic
 
 
 # position of each Instruction field in its constructor's arguments
-_AT = {f.name: i for i, f in enumerate(dfields(Instruction))}
+_AT = {f: i for i, f in enumerate(Instruction.__slots__)}
 _RS1, _IMM, _N_INSTR, _TEXT, _FP_OP, _OP = (
     _AT[f] for f in ("rs1", "imm", "n_instr", "text", "fp_op", "op"))
 
@@ -466,14 +495,14 @@ def shape_fill(ins, lit, tail):
     return fill
 
 
-@dataclass
 class CoreState:
-    pc: int = 0
-    x: list = dfield(default_factory=lambda: [0] * 32)
-    # binary64 values, from 0.0: fmsub negates a never-written source to
-    # -0.0, where int 0 would negate to +0
-    f: list = dfield(default_factory=lambda: [0.0] * 32)
-    ssr_enabled: bool = False
+    def __init__(self):
+        self.pc = 0
+        self.x = [0] * 32
+        # binary64 values, from 0.0: fmsub negates a never-written source to
+        # -0.0, where int 0 would negate to +0
+        self.f = [0.0] * 32
+        self.ssr_enabled = False
 
     def set_x(self, idx, value):
         if idx:  # x0 is hardwired to zero

@@ -13,7 +13,6 @@ accumulation order the kernels use, so comparisons are bitwise.
 
 import random
 import struct
-from dataclasses import dataclass, field as dfield
 
 from .asm import assemble, AsmProgram
 from .cluster import (ClusterSim, MAX_CYCLES, N_CORES, TCDM_BASE, TCDM_SIZE,
@@ -23,18 +22,21 @@ from .fp import fma64
 TCDM_END = TCDM_BASE + TCDM_SIZE
 
 
-@dataclass
 class KernelInstance:
-    name: str
-    program: AsmProgram
-    active_cores: int = 1
-    data: list = dfield(default_factory=list)     # [(addr, bytes)]
-    check: object = None                          # callable(sim) -> None
-    watch_label: str | None = None
-    entries: list | None = None                   # per-core entry labels
-    n: int = 0
-    flops: int = 0
-    traffic_bytes: int = 0    # main-memory traffic; 0 = scratchpad resident
+    def __init__(self, name, program: AsmProgram, active_cores=1, data=None,
+                 check=None, watch_label=None, entries=None, n=0, flops=0,
+                 traffic_bytes=0):
+        self.name = name
+        self.program = program
+        self.active_cores = active_cores
+        self.data = [] if data is None else data    # [(addr, bytes)]
+        self.check = check                  # callable(sim) -> None
+        self.watch_label = watch_label
+        self.entries = entries              # per-core entry labels, or None
+        self.n = n
+        self.flops = flops
+        self.traffic_bytes = traffic_bytes  # main-memory traffic; 0 =
+                                            # scratchpad resident
 
     def watch_pcs(self):
         if self.watch_label is None:

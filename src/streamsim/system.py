@@ -12,7 +12,6 @@ the cluster model and its bandwidth from the tree.
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -27,26 +26,24 @@ DEFAULT_SYSTEM_YAML = _DATA_DIR / "system.yaml"
 DEFAULT_WORKLOADS_CSV = _DATA_DIR / "workloads.csv"
 
 
-@dataclass(frozen=True)
 class Level:
-    name: str
-    fanout: int                  # members per parent node
-    uplink_bandwidth: float      # bytes/s per uplink
+    def __init__(self, name, fanout, uplink_bandwidth):
+        self.name = name
+        self.fanout = fanout                        # members per parent node
+        self.uplink_bandwidth = uplink_bandwidth    # bytes/s per uplink
 
 
-@dataclass(frozen=True)
 class HierarchyTree:
-    levels: tuple                # leaf to root, chiplet level last
-    chiplets: int
-    hbm_channels: tuple          # bytes/s per channel
-
-    def __post_init__(self):
-        if not self.levels or self.chiplets < 1 or not self.hbm_channels:
+    def __init__(self, levels, chiplets, hbm_channels):
+        if not levels or chiplets < 1 or not hbm_channels:
             raise ConfigError("topology needs levels, chiplets and HBM channels")
-        for lvl in self.levels:
+        for lvl in levels:
             if lvl.fanout < 1 or lvl.uplink_bandwidth <= 0:
                 raise ConfigError(f"level '{lvl.name}' has a non-positive "
                                   "fanout or bandwidth")
+        self.levels = levels                # leaf to root, chiplet level last
+        self.chiplets = chiplets
+        self.hbm_channels = hbm_channels    # bytes/s per channel
 
     @property
     def n_clusters(self):
@@ -85,16 +82,13 @@ def sustainable_cluster_bandwidth(tree: HierarchyTree, active_clusters: int):
 
 # ------------------------------------------------------------------ roofline
 
-@dataclass(frozen=True)
 class RooflineParams:
-    peak_flops: float
-    mem_bandwidth: float
-
-    def __post_init__(self):
+    def __init__(self, peak_flops, mem_bandwidth):
         # written so that NaN fails too
-        if not (0 < self.peak_flops < math.inf
-                and 0 < self.mem_bandwidth < math.inf):
+        if not (0 < peak_flops < math.inf and 0 < mem_bandwidth < math.inf):
             raise ConfigError("roofline parameters must be finite and positive")
+        self.peak_flops = peak_flops
+        self.mem_bandwidth = mem_bandwidth
 
     @property
     def ridge_intensity(self):
@@ -106,16 +100,14 @@ class WorkloadKind(Enum):
     MEMORY_BOUND = "memory"
 
 
-@dataclass(frozen=True)
 class WorkloadDescriptor:
-    name: str
-    flops: float
-    bytes: float
-
-    def __post_init__(self):
-        if self.flops < 0 or self.bytes < 0 or (self.flops == 0 and self.bytes == 0):
-            raise ConfigError(f"workload '{self.name}' needs non-negative "
+    def __init__(self, name, flops, bytes):
+        if flops < 0 or bytes < 0 or (flops == 0 and bytes == 0):
+            raise ConfigError(f"workload '{name}' needs non-negative "
                               "flops/bytes, not both zero")
+        self.name = name
+        self.flops = flops
+        self.bytes = bytes
 
     @property
     def intensity(self):
@@ -169,21 +161,19 @@ def roofline_report(workloads, roofline: RooflineParams, measured=None):
 
 # ------------------------------------------------------------------ DVFS points
 
-@dataclass(frozen=True)
 class OperatingPoint:
-    name: str
-    vdd: float
-    freq: float
-    perf_24core: float           # stated figure of GROUP_CORES cores
-    efficiency: float | None = None   # flop/s per watt
-
-    def __post_init__(self):
-        computed = GROUP_CORES * FLOPS_PER_FMA * self.freq
-        if abs(self.perf_24core - computed) > 0.05 * computed:
+    def __init__(self, name, vdd, freq, perf_24core, efficiency=None):
+        computed = GROUP_CORES * FLOPS_PER_FMA * freq
+        if abs(perf_24core - computed) > 0.05 * computed:
             raise ConfigError(
-                f"operating point '{self.name}': stated {self.perf_24core:g} "
+                f"operating point '{name}': stated {perf_24core:g} "
                 f"flop/s is more than 5% from {GROUP_CORES} x {FLOPS_PER_FMA} "
-                f"x {self.freq:g} Hz")
+                f"x {freq:g} Hz")
+        self.name = name
+        self.vdd = vdd
+        self.freq = freq
+        self.perf_24core = perf_24core    # stated figure of GROUP_CORES cores
+        self.efficiency = efficiency      # flop/s per watt, or None
 
 
 def scale_performance(point: OperatingPoint, n_cores: int):
@@ -215,10 +205,10 @@ def cluster_roofline(point: OperatingPoint, tree: HierarchyTree):
 
 # ------------------------------------------------------------------ config IO
 
-@dataclass(frozen=True)
 class SystemModel:
-    tree: HierarchyTree
-    points: dict                 # name -> OperatingPoint
+    def __init__(self, tree: HierarchyTree, points):
+        self.tree = tree
+        self.points = points    # name -> OperatingPoint
 
     def point(self, name):
         try:

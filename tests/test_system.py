@@ -305,6 +305,25 @@ def test_cli_import_leaves_system_model_out():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+@pytest.mark.parametrize("module", ["streamsim", "streamsim.cli",
+                                    "streamsim.system"])
+def test_import_leaves_dataclasses_and_inspect_out(module):
+    # the records are plain classes: importing the package generates no
+    # code and loads neither module, beyond what a bare interpreter
+    # started the same way has already loaded
+    src = str(Path(streamsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loaded(imports):
+        code = (f"import sys{imports}; print(' '.join(sorted("
+                "{'dataclasses', 'inspect'} & set(sys.modules))))")
+        return set(subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.split())
+
+    assert loaded(f", {module}") == loaded("")
+
+
 def test_loader_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("operating_points: {}\n")
