@@ -103,6 +103,21 @@ def test_bad_instruction_reports_line():
     assert "line 2" in str(ei.value)
 
 
+@pytest.mark.parametrize("ws", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_at_newlines(ws):
+    # whitespace that str.splitlines breaks at stays inside its line
+    with pytest.raises(ParseError) as ei:
+        assemble(f"nop{ws}\nfrobnicate")
+    assert str(ei.value).startswith("line 2: ")
+    ins = assemble(f"lw t0,{ws}8(t1)").instructions[0]
+    want = decode("lw t0, 8(t1)")
+    assert (repr(ins), ins.text) == (repr(want), "lw t0, 8(t1)")
+    with pytest.raises(ParseError) as ei:
+        assemble(f"nop\r\nnop{ws}\rfrobnicate")
+    assert str(ei.value).startswith("line 3: ")
+
+
 def test_data_directives_need_data_section():
     with pytest.raises(ParseError):
         assemble(".word 1")

@@ -29,6 +29,10 @@ EDGES = (0, 1, 3, 4, 16, 17, 31, 32, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
          (1 << 32) - 1, 1 << 32)
 WORDS = ("loop", "end", "buf+8", "buf-4", "nowhere", "t0", "base", "0x",
          "1__0", "_1", "1_", "")
+# whitespace inside a statement, \v, \f, \x1c and \u2028 among it: none of
+# them ends a line
+GAPS = (" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\u2028")
+SEPARATORS = (", ", ",", ",\t", " , ", ",\x0b", "\x0c,", ",\x1c", " ,\u2028")
 BASES = {"": "d", "0x": "x", "0X": "X", "0b": "b", "0o": "o"}
 
 
@@ -53,8 +57,8 @@ def literals(draw):
 def sources(draw):
     """Lines of a few spellings of a few shapes, each with its literal."""
     spellings = draw(st.lists(
-        st.tuples(st.sampled_from(SHAPES), st.sampled_from((" ", "\t", "  ")),
-                  st.sampled_from((", ", ",", ",\t", " , "))),
+        st.tuples(st.sampled_from(SHAPES), st.sampled_from(GAPS),
+                  st.sampled_from(SEPARATORS)),
         min_size=1, max_size=2))
     lines = []
     for _ in range(draw(st.integers(1, 8))):
