@@ -15,10 +15,11 @@ falls on both sides alike.
 Each checkout's tier-1 suite, `python -m pytest -q --durations=0` with its
 own `src` on PYTHONPATH, runs as many times in the same alternating pairs.
 
-The output records the host (nproc, Python version), the git revision of
-each checkout, and per workload and checkout the failed and attempted
-operations and, for every end-to-end metric that BENCHMARK.json names, each
-run's value with their median and quartiles. A base that is no git work
+The output records the host (nproc, Python version, whether the interpreter
+writes bytecode), the git revision of each checkout, and per workload and
+checkout the failed and attempted operations and, for every end-to-end
+metric that BENCHMARK.json names, each run's value with their median and
+quartiles. A base that is no git work
 tree, such as a `git archive` export, has no revision of its own: give it
 with `--base-rev REV`, which is recorded in place of what git reports.
 With a base it also gives, per metric, the ratio of the medians and the
@@ -42,6 +43,16 @@ from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 ORACLE_TEST = "test_criterion_8_correctness_oracles"
+
+
+def host():
+    """The host's facts that a run's times depend on. An interpreter that
+    writes no bytecode (PYTHONDONTWRITEBYTECODE, -B) compiles the whole
+    package in every fresh interpreter, which set-up times count, and the
+    runs inherit this interpreter's setting."""
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "platform": platform.platform(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def revision(checkout):
@@ -145,8 +156,7 @@ def main(argv=None):
         sides["base"] = args.base.resolve()
 
     result = {
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                 "platform": platform.platform()},
+        "host": host(),
         "settings": {"runs": args.runs, "seconds": seconds, "seed": 0},
         "revisions": revisions(sides, args.base_rev),
         "source_lines": {side: source_lines(path)
