@@ -54,11 +54,7 @@ def assemble(source: str) -> AsmProgram:
     texts = []        # statement of each instruction
     first_line = {}   # each distinct statement -> the line it first appears on
     words = []        # (line, addr, symbol) of each symbolic .word
-    # lines end at \n, \r\n or \r only: str.splitlines would also end
-    # them at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, which a
-    # statement reads as whitespace
-    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for no, stmt in enumerate(map(str.strip, lines), start=1):
+    for no, stmt in enumerate(map(str.strip, _lines(source)), start=1):
         if "#" in stmt:
             stmt = stmt.split("#", 1)[0].rstrip()
         if not stmt:
@@ -172,6 +168,13 @@ def assemble(source: str) -> AsmProgram:
 
     segments = [(a, data[a]) for a in sorted(data)]
     return AsmProgram(instructions, segments, labels, entry)
+
+
+def _lines(source):
+    r"""The lines of source, which end at \n, \r\n or \r only: str.splitlines
+    would also end them at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029,
+    which a statement reads as whitespace."""
+    return source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _check_fits(no, directive, end):
