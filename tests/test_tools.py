@@ -9,10 +9,9 @@ phase that no longer counts anything.
 """
 
 import importlib.util
-import os
-import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,22 +96,14 @@ def test_bench_records_base_rev(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("flag", [[], ["-B"]])
-def test_bench_records_bytecode_writing(flag, tmp_path):
+@pytest.mark.parametrize("flag", [0, 1])
+def test_bench_records_bytecode_writing(flag, monkeypatch):
     # set-up times differ by whether bytecode is written, so the host
-    # record says which; what is written goes under tmp_path
-    code = ("import importlib.util, sys; "
-            f"spec = importlib.util.spec_from_file_location('bench', "
-            f"{str(CHECKOUT / 'tools' / 'bench.py')!r}); "
-            "m = importlib.util.module_from_spec(spec); "
-            "spec.loader.exec_module(m); "
-            "print(m.host()['dont_write_bytecode'])")
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(tmp_path)
-    out = subprocess.run([sys.executable, *flag, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == [str(bool(flag))]
+    # record says which, as the interpreter's flag gives it
+    bench = _load(CHECKOUT / "tools" / "bench.py")
+    flags = SimpleNamespace(dont_write_bytecode=flag)
+    monkeypatch.setattr(bench, "sys", SimpleNamespace(flags=flags))
+    assert bench.host()["dont_write_bytecode"] is bool(flag)
 
 
 @pytest.mark.parametrize("name, n, pairs, grants", [
