@@ -586,54 +586,64 @@ class ClusterSim:
 
     def _commit_fpu(self, core, grants):
         """Apply the FPU plan, an FpEntry; return the trace event, or None
-        for an event that is only formatted while tracing. An issue sets
-        its destination's scoreboard entry here, as `Scoreboard.issue`
-        would, and a replay steps the sequencer's body pointer and
-        iteration count here."""
+        for an event that is only formatted while tracing. An issue fetches
+        each source in its fixed position, left to right: a register read,
+        or a pop of the read stream's FIFO, which the plan found holding
+        enough elements, so a stream that feeds two sources pops in operand
+        order. It sets its destination's scoreboard entry here, as
+        `Scoreboard.issue` would, and a replay steps the sequencer's body
+        pointer and iteration count here."""
         entry = core._fpu_plan
         op = entry.op
         st = core.stats
-        if entry.capture:
+        if op.kind == OP_ARITH and not entry.capture:
+            # the common case first: a compute op or a move, replayed or
+            # from the queue; it needs no bank
+            split = entry.split
+            f = core.state.f
+            srcs = split.operands
+            if op.flops:
+                a = srcs[0]
+                a = f[a] if a.__class__ is int else a.fifo.popleft()
+                b = srcs[1]
+                b = f[b] if b.__class__ is int else b.fifo.popleft()
+                if len(srcs) == 3:
+                    c = srcs[2]
+                    res = fp_compute(op, a, b, f[c] if c.__class__ is int
+                                     else c.fifo.popleft())
+                else:
+                    res = fp_compute(op, a, b)
+                st.fma_executed += 1
+                st.flops += op.flops
+            elif srcs:                                  # fmv.d
+                a = srcs[0]
+                res = f[a] if a.__class__ is int else a.fifo.popleft()
+            else:                                       # fmv.d.x
+                res = bits_to_f64(entry.xval & MASK32)
+            push = split.push
+            if push is None:
+                f[op.dest] = res
+                core.sb.ready[op.dest] = self.cycle + op.lat
+            else:
+                push.push(res)
+        elif entry.capture:
             entry.capture = False
             core.seq.load_slot(entry)
             core.fq.popleft()
             st.fp_executed += 1
             return f"capture {op.mnemonic}" if self.trace_enabled else None
-        bank = entry.bank
-        if bank is not None and grants[bank][0] != core.int_rid:
+        elif grants[entry.bank][0] != core.int_rid:
             st.fp_stall_bank += 1
             return "stall:bank"
-
-        split = entry.split
-        f = core.state.f
-        # operand values; each stream pops exactly once per occurrence, from
-        # a FIFO the plan found holding enough elements
-        vals = []
-        for o in split.operands:
-            vals.append(f[o] if o.__class__ is int else o.fifo.popleft())
-        kind = op.kind
-        if kind == OP_ARITH:
-            flops = op.flops
-            if flops:
-                res = fp_compute(op, *vals)
-            elif vals:
-                res = vals[0]                  # fmv.d
-            else:
-                res = bits_to_f64(entry.xval & MASK32)     # fmv.d.x
-            if split.push is not None:
-                split.push.push(res)
-            else:
-                f[op.dest] = res
-                core.sb.ready[op.dest] = self.cycle + op.lat
-            if flops:
-                st.fma_executed += 1
-                st.flops += flops
-        elif kind == OP_LOAD:
-            f[op.dest] = ELEMENT[op.width].unpack_from(
+        elif op.kind == OP_LOAD:
+            core.state.f[op.dest] = ELEMENT[op.width].unpack_from(
                 self.mem.tcdm, entry.off)[0]
             core.sb.ready[op.dest] = self.cycle + op.lat
         else:  # OP_STORE
-            ELEMENT[op.width].pack_into(self.mem.tcdm, entry.off, vals[0])
+            a = entry.split.operands[0]
+            ELEMENT[op.width].pack_into(
+                self.mem.tcdm, entry.off,
+                core.state.f[a] if a.__class__ is int else a.fifo.popleft())
 
         st.fp_executed += 1
         seq = core.seq

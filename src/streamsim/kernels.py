@@ -60,7 +60,10 @@ def _pack(vals):
 
 
 def _rand_doubles(rng, n):
-    return [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    """n draws of rng.uniform(-1.0, 1.0), each computed inline as uniform
+    computes it, a + (b - a) * random(), so every value is the same."""
+    rand = rng.random
+    return [-1.0 + 2.0 * rand() for _ in range(n)]
 
 
 def _expect(sim, addr, vals, what):
@@ -218,7 +221,7 @@ def build_axpy_ssr(n, seed):
     rng = random.Random(seed)
     x = _rand_doubles(rng, n)
     y = _rand_doubles(rng, n)
-    a = rng.uniform(-1.0, 1.0)
+    a = -1.0 + 2.0 * rng.random()      # rng.uniform(-1.0, 1.0)
     ref = axpy_reference(a, x, y)
 
     lines = (["start:", f"  fld fa0, {aa}(zero)"]
@@ -371,8 +374,6 @@ def build_matmul_ssr_frep(n, seed):
                                   for j in range(n))))
 
         c_base.append(place(rpc * prow, (_MM_A_BANKS[i] + 4) % TCDM_BANKS))
-    if cursor > TCDM_END:
-        raise ValueError("matrices too large for the scratchpad layout")
 
     blocks = []
     for i in range(N_CORES):

@@ -143,15 +143,6 @@ def test_resolve():
         prog.resolve("zz")
 
 
-def test_bad_directive_operands_are_parse_errors():
-    with pytest.raises(ParseError) as ei:
-        assemble(".data\nbuf: .space -5")
-    assert "line 2" in str(ei.value) and "negative" in str(ei.value)
-    with pytest.raises(ParseError) as ei:
-        assemble(".data\n.word 1\n.word")
-    assert "line 3" in str(ei.value)
-
-
 def test_data_past_scratchpad_is_parse_error():
     end = DATA_BASE + TCDM_SIZE
     # filling the scratchpad to its last byte is fine
@@ -204,6 +195,24 @@ def test_parse_error_messages(stmt, why):
     with pytest.raises(ParseError) as ei:
         assemble(f"nop\n{stmt}\nhalt")
     assert str(ei.value) == f"line 2: {why}"
+
+
+# The directive and data errors of the layout pass, each on line 3 of its
+# source.
+@pytest.mark.parametrize("source, why", [
+    (".data\nx: .word 1\nnop", "instruction outside .text"),
+    ("nop\nnop\n.global", ".global needs a symbol"),
+    ("nop\nnop\n.align 8", "unknown directive '.align'"),
+    ("nop\nnop\n.word 1", ".word outside .data"),
+    (".data\n.word 1\n.space", ".space needs a byte count"),
+    (".data\n.word 1\nbuf: .space -8", ".space count -8 is negative"),
+    (".data\n.word 1\n.word", ".word needs a value"),
+    (".data\n.word 1\n.double pi", ".double needs a number"),
+])
+def test_directive_error_messages(source, why):
+    with pytest.raises(ParseError) as ei:
+        assemble(source)
+    assert str(ei.value) == f"line 3: {why}"
 
 
 def test_repeated_bad_statement_reports_first_line():

@@ -20,8 +20,8 @@ from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               OverlappingTransfer, ReconfigWhileActive,
                               SimulationFault, StreamExhausted)
 from streamsim.fp import f64_to_bits
-from streamsim.isa import SSR_FIELDS, XREGS
-from streamsim import kernels
+from streamsim.isa import FREGS, SSR_FIELDS, XREGS
+from streamsim import fp, kernels
 
 N_REQ = 4 * N_CORES + 1  # 8 cores x (int pipe + 3 streams) + DMA
 
@@ -739,6 +739,158 @@ def test_fp32_overflow_gives_inf_lanes():
     """)
     lo, hi = struct.unpack("<ff", sim.mem.read(DATA_BASE + 8, 8))
     assert lo == hi == float("inf")
+
+
+# Each source form of an FPU issue, on a core that streams and on one that
+# does not. While streaming, ft0 and ft1 read the streams over X and Y and
+# ft2 writes the stream at OUT; without streams ft0 and ft1 hold X[0] and
+# Y[0], and ft2 is a register. The operands are doubles whose two binary32
+# lanes are moderate values, so the .s ops compute on ordinary lanes too.
+def _pair(lo, hi):
+    return struct.unpack("<d", struct.pack("<ff", lo, hi))[0]
+
+
+FP_X = [_pair(1.5, -2.0), _pair(0.375, 3.25), _pair(-1.125, 0.5),
+        _pair(7.0, 0.0625)]
+FP_Y = [_pair(2.5, 1.75), _pair(-0.625, -4.0), _pair(3.0, 0.25),
+        _pair(-8.5, 6.0)]
+FP_REGS = {"ft4": _pair(0.1, -1.3), "ft5": _pair(-2.7, 0.9),
+           "ft6": _pair(5.5, -0.4), "ft7": float("inf")}
+FP_XVAL = 0xC0490FDB            # the integer source of fmv.d.x
+FP_MARK = 0xA5A5A5A5_A5A5A5A5   # OUT before the run
+_MUL_PAIR = fp.binary32_pair_op(fp.mul64)
+FP_LANES = {"fmadd.d": fp.fma64,
+            "fmsub.d": lambda a, b, c: fp.fma64(a, b, -c),
+            "fmadd.s": fp.binary32_pair_op(fp.fma32),
+            "fadd.d": fp.add64, "fsub.d": fp.sub64,
+            "fmul.s": lambda a, b: _MUL_PAIR(a, b, 0.0)}
+FP_COMMIT_FORMS = [
+    # three sources: registers, two read streams, one stream as two sources
+    "fmadd.d ft3, ft4, ft5, ft6",
+    "fmadd.d ft3, ft0, ft1, ft4",
+    "fmadd.d ft3, ft0, ft4, ft0",
+    "fmsub.d ft3, ft4, ft5, ft6",
+    "fmsub.d ft3, ft0, ft1, ft4",
+    "fmsub.d ft3, ft0, ft4, ft0",
+    "fmsub.d ft3, ft4, ft0, ft0",
+    "fmadd.s ft3, ft4, ft5, ft6",
+    "fmadd.s ft3, ft0, ft1, ft4",
+    "fmadd.s ft3, ft0, ft4, ft0",
+    "fmadd.d ft2, ft0, ft1, ft4",
+    # two sources; ft0 twice pops two elements, and fsub shows their order
+    "fadd.d ft3, ft4, ft5",
+    "fadd.d ft3, ft0, ft1",
+    "fadd.d ft2, ft0, ft0",
+    "fsub.d ft2, ft0, ft0",
+    "fsub.d ft3, ft7, ft7",
+    "fmul.s ft3, ft4, ft5",
+    "fmul.s ft3, ft0, ft1",
+    "fmul.s ft2, ft0, ft0",
+    # moves
+    "fmv.d ft3, ft0",
+    "fmv.d ft3, ft4",
+    "fmv.d ft2, ft4",
+    "fmv.d.x ft3, t2",
+    "fmv.d.x ft2, t2",
+    # stores to OUT
+    "fsd ft4, 0(t3)",
+    "fsd ft0, 0(t3)",
+    "fsw ft5, 0(t3)",
+    "fsw ft1, 0(t3)",
+]
+
+
+def _fp_words(values):
+    return "\n".join(f".word {w:#x}" for v in values
+                     for w in struct.unpack("<II", struct.pack("<d", v)))
+
+
+def _fp_commit_program(stmt, streaming):
+    if streaming:
+        setup = """
+            li t1, x
+            ssr_cfg_write 0, base, t1
+            ssr_cfg_write 0, stride0, 8
+            ssr_cfg_write 0, bound0, 4
+            li t1, y
+            ssr_cfg_write 1, base, t1
+            ssr_cfg_write 1, stride0, 8
+            ssr_cfg_write 1, bound0, 4
+            ssr_cfg_write 2, base, t3
+            ssr_cfg_write 2, stride0, 8
+            ssr_cfg_write 2, bound0, 1
+            ssr_cfg_write 2, dir, 1
+            ssr_enable"""
+    else:
+        setup = """
+            li t1, x
+            fld ft0, 0(t1)
+            li t1, y
+            fld ft1, 0(t1)"""
+    return f"""
+        .data
+        x: {_fp_words(FP_X)}
+        y: {_fp_words(FP_Y)}
+        r: {_fp_words(FP_REGS.values())}
+        out: .word {FP_MARK & 0xFFFFFFFF:#x}
+        .word {FP_MARK >> 32:#x}
+        .text
+        li t1, r
+        fld ft4, 0(t1)
+        fld ft5, 8(t1)
+        fld ft6, 16(t1)
+        fld ft7, 24(t1)
+        li t2, {FP_XVAL}
+        li t3, out
+        {setup}
+        {stmt}
+        {"ssr_disable" if streaming else ""}
+        halt
+    """
+
+
+def _fp_commit_expected(stmt, streaming):
+    """Where the statement's result goes, "out" or its register, and its
+    bits: each source fetched left to right, a stream source popping its
+    next element."""
+    mn, rest = stmt.split(None, 1)
+    ops = [o.strip() for o in rest.split(",")]
+    pops = {"ft0": list(FP_X), "ft1": list(FP_Y)} if streaming else {}
+    regs = {"ft0": FP_X[0], "ft1": FP_Y[0], **FP_REGS}
+
+    def fetch(reg):
+        return pops[reg].pop(0) if reg in pops else regs[reg]
+
+    if mn in ("fsd", "fsw"):
+        bits = f64_to_bits(fetch(ops[0]))
+        if mn == "fsw":     # the low word only
+            bits = FP_MARK & ~0xFFFFFFFF | bits & 0xFFFFFFFF
+        return "out", bits
+    if mn == "fmv.d.x":
+        bits = FP_XVAL
+    elif mn == "fmv.d":
+        bits = f64_to_bits(fetch(ops[1]))
+    else:
+        bits = f64_to_bits(FP_LANES[mn](*[fetch(r) for r in ops[1:]]))
+    return "out" if streaming and ops[0] == "ft2" else ops[0], bits
+
+
+@pytest.mark.parametrize("streaming", [False, True],
+                         ids=["no_streams", "streams"])
+@pytest.mark.parametrize("stmt", FP_COMMIT_FORMS)
+def test_fpu_commit_source_forms(stmt, streaming):
+    sim, res = run_source(_fp_commit_program(stmt, streaming))
+    where, bits = _fp_commit_expected(stmt, streaming)
+    # OUT follows the twelve doubles of X, Y and the registers
+    out = int.from_bytes(sim.mem.read(DATA_BASE + 8 * 12, 8), "little")
+    if where == "out":
+        assert out == bits
+    else:
+        assert out == FP_MARK
+        assert f64_to_bits(sim.cores[0].state.f[FREGS[where]]) == bits
+    # the four loads of ft4..ft7, those of ft0 and ft1 without streams, and
+    # the statement, once
+    assert res.stats.fp_executed == (4 if streaming else 6) + 1
 
 
 # ------------------------------------------------------------- fault paths

@@ -82,6 +82,21 @@ def test_opcount_counts_one_run():
     assert [len(line.split()) for line in lines[1:]] == [4] * 4
 
 
+def test_opcount_prints_one_table_per_workload(monkeypatch, capsys):
+    opcount = _load(CHECKOUT / "tools" / "opcount.py")
+    built = []
+    monkeypatch.setattr(opcount.kernels, "build",
+                        lambda name, **kw: built.append(name) or name)
+    monkeypatch.setattr(opcount, "count", lambda instances: (1, {}))
+    opcount.main(["--workload", "memsys", "--workload", "matmul8"])
+    opcount.main([])
+    heads = [line.split(":")[0] for line in capsys.readouterr().out.split("\n")
+             if line.startswith("#")]
+    assert heads == ["# memsys", "# matmul8", "# matmul8"]
+    assert built == ["tcdm_same_bank", "tcdm_unit_stride", "dma_stream",
+                     "matmul_ssr_frep", "matmul_ssr_frep"]
+
+
 def test_bench_records_base_rev(tmp_path):
     # a git archive export is no work tree: git gives it no revision, and
     # --base-rev stands in for one

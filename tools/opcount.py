@@ -3,17 +3,19 @@ function per core-cycle.
 
 Usage, from the root of a checkout:
 
-    python3 tools/opcount.py [--workload NAME] [--top N]
+    python3 tools/opcount.py [--workload NAME ...] [--top N]
 
-This builds every kernel instance of the workload that perfbench/workloads.py
-names (default matmul8) at seed 0 and runs each once under `sys.settrace`
-with opcode events on (`f_trace_opcodes`), and under `sys.setprofile`, whose
-`c_call` events see each call of a builtin function or method. Only
+For each workload given (default matmul8; the option repeats), this builds
+every kernel instance that perfbench/workloads.py names for it at seed 0
+and runs each once under `sys.settrace` with opcode events on
+(`f_trace_opcodes`), and under `sys.setprofile`, whose `c_call` events see
+each call of a builtin function or method. Only
 `ClusterSim.run` is counted, not the build or the load. For each Python
 function it counts the bytecodes run in its own frames, the calls into it
 and the builtin calls it makes, and prints them per core-cycle (one cycle
 of one active core up to its halt, as perfbench counts them), the N
-functions with the most bytecodes first (default 25), then the totals.
+functions with the most bytecodes first (default 25), then the totals: one
+table per workload.
 
 Host load moves timings from run to run, but not these counts: the same code
 prints the same table every time, so a change to one layer shows as a change
@@ -102,14 +104,15 @@ def report(core_cycles, per_function, top):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", default="matmul8", choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args(argv)
-    instances = [kernels.build(k, n=n, seed=DEFAULT_SEED, **kw)
-                 for k, n, kw in WORKLOADS[args.workload]]
-    core_cycles, per_function = count(instances)
-    print(f"# {args.workload}: {core_cycles} core-cycles; per core-cycle")
-    print("\n".join(report(core_cycles, per_function, args.top)))
+    for workload in args.workload or ["matmul8"]:
+        instances = [kernels.build(k, n=n, seed=DEFAULT_SEED, **kw)
+                     for k, n, kw in WORKLOADS[workload]]
+        core_cycles, per_function = count(instances)
+        print(f"# {workload}: {core_cycles} core-cycles; per core-cycle")
+        print("\n".join(report(core_cycles, per_function, args.top)))
 
 
 if __name__ == "__main__":
