@@ -52,6 +52,9 @@ def test_global_entry():
         main: halt
     """)
     assert prog.entry == prog.labels["main"] == 4
+    with pytest.raises(UnresolvedLabel) as ei:
+        assemble(".global main\nnop")
+    assert str(ei.value) == ".global symbol 'main' is undefined"
 
 
 def test_data_directives():
