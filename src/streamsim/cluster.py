@@ -10,13 +10,16 @@ deterministic:
                counted here, and the plan is its trace event string: an idle
                FPU, a stream or hazard stall, or an int-pipe wait. Any other
                plan is the record commit applies, and registers the TCDM bank
-               request it needs. An int-pipe wait (on L2 or an icache fill, FP
-               queue room, the sequencer, a drain, DMA queue room) has one
-               test that counts its stall; a wait planned last cycle runs only
-               that test, not the plan, and an lw/sw that waits on L2, its
-               bank or the data port is held and not fetched, decoded or
-               addressed again. Nothing else the plan read can change while
-               the int pipe stalls,
+               request it needs. A unit that acts costs one plan call, and an
+               idle FPU (no replay, an empty FP queue) none: the cycle loop
+               counts it. An int-pipe wait (on L2 or an icache fill, the
+               sequencer, a drain, DMA queue room) has one test that counts
+               its stall; a wait planned last cycle runs only that test, not
+               the plan, and an lw/sw that waits on L2, its bank or the data
+               port is held and not fetched, decoded or addressed again. A
+               wait for FP queue room is tested where the plan dispatches, so
+               it is re-tested by planning again. Nothing else the plan read
+               can change while the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer).
                A request is granted in place: each request map entry is a
                list of requester ids whose first is the grant, and only a
@@ -31,7 +34,8 @@ deterministic:
                at the scratchpad offset its plan found, an lw/sw to L2 at the
                one its wait located. A DMA window that got every bank it needs
                moves in one copy, unless a bank is both read and written; any
-               other window moves per bank slice.
+               other window moves per bank slice. The int commit counts
+               every retire at one point, with the pc the cycle started at.
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
 for memory, so a sequential sweep is safe. A core has one data port: its FP
@@ -510,7 +514,7 @@ class ClusterSim:
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
     # stream or hazard stall), or the FpEntry that issues or makes its
-    # capture pass.
+    # capture pass. _step settles an idle FPU without a plan call.
 
     def _map_operands(self, core, entry):
         """Split the entry's registers under the core's stream map, which
@@ -543,14 +547,13 @@ class ClusterSim:
                                   tuple(dict.fromkeys(sb_regs)))
 
     def _plan_fpu(self, core, requests):
+        """Plan the FPU of a core with FP work: a replay, or an entry at the
+        head of its FP queue. _step settles an idle FPU itself."""
         seq = core.seq
         if seq.mode is _REPLAYING:
             entry = seq.buffer[seq.inst_ptr]
-        elif core.fq:
-            entry = core.fq[0]
         else:
-            core.stats.fp_idle += 1
-            return "-"
+            entry = core.fq[0]
         if entry.capture:
             return entry
         if entry.split is None:
@@ -728,20 +731,17 @@ class ClusterSim:
     # one of the records commit applies: the FpEntry it dispatches, the ALU
     # or custom Instruction, an lw/sw access, or the int icache line it misses
     # on. An access is (instr, TCDM offset, bank), or (instr, address, None)
-    # for an L2 completion, which commit locates. A wait is a token, and
-    # _waits alone tests its condition: when the plan meets it, when the next
-    # cycle re-tests it, and when a dm_copy commits after another core filled
-    # the DMA queue.
+    # for an L2 completion, which commit locates. A wait is a token. _waits
+    # tests its condition when the next cycle re-tests it and when a dm_copy
+    # commits after another core filled the DMA queue; the plan tests it
+    # where it meets the wait, and plans again after a QUEUE_FULL wait.
 
     def _waits(self, core, wait):
         """Whether the int pipe still waits on `wait`, counting the stall if
-        it does; any plan that is not a wait token never waits."""
+        it does. Any other plan, QUEUE_FULL too, does not wait here: the
+        int pipe plans again."""
         st = core.stats
-        if wait is QUEUE_FULL:
-            if len(core.fq) < FP_QUEUE_DEPTH:
-                return False
-            st.stall_queue_full += 1
-        elif wait is MEM_WAIT:
+        if wait is MEM_WAIT:
             if not core.mem_stall:
                 return False
             core.mem_stall -= 1
@@ -768,43 +768,71 @@ class ClusterSim:
         return True
 
     def _plan_int(self, core, requests):
+        """Plan the int pipe: fetch and decode at the pc, meet the
+        statement's wait, and for an FP statement build the FP queue entry
+        of this dispatch. A TCDM lw/sw, fresh or held over a lost grant,
+        requests its bank, unless the FPU's load or store holds the core's
+        one data port this cycle: then it waits, held for the next cycle."""
         access = core.held_access
         if access is not None:
             core.held_access = None
             if access[2] is None:       # the L2 wait is over
                 return access
-            return self._plan_access(core, access, requests)
-        pc = core.state.pc
-        instr = self.code.get(pc)
-        if instr is None:
-            raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
-        line = pc // ICACHE_LINE
-        if line in self.icache_cold:
-            return line
-        if core.capture_pending > 0 and instr.domain is not _FP:
-            raise NonFpInCapture(
-                f"'{instr.mnemonic}' inside an frep capture range")
-        wait = instr.op.wait
-        if wait is MEM_WAIT:
+        else:
+            pc = core.state.pc
+            instr = self.code.get(pc)
+            if instr is None:
+                raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
+            line = pc // ICACHE_LINE
+            if line in self.icache_cold:
+                return line
+            if core.capture_pending > 0 and instr.domain is not _FP:
+                raise NonFpInCapture(
+                    f"'{instr.mnemonic}' inside an frep capture range")
+            wait = instr.op.wait
+            if wait is None:
+                return instr
+            if wait is QUEUE_FULL:
+                if len(core.fq) >= FP_QUEUE_DEPTH:
+                    core.stats.stall_queue_full += 1
+                    return QUEUE_FULL
+                # the entry holds the interned FpOp and what this dispatch
+                # latches; an frep replay reuses it for every iteration
+                op = instr.fp_op
+                entry = FpEntry()
+                entry.op = op
+                entry.capture = core.capture_pending > 0
+                # a core that streams splits the entry at its first issue
+                entry.split = None if core.stream_map else op
+                if op.kind == OP_ARITH:
+                    entry.bank = None
+                    if op.latches_x:
+                        entry.xval = core.state.x[instr.rs1]
+                    return entry
+                addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
+                if addr % op.width:
+                    raise MisalignedAccess(
+                        f"0x{addr:x} not {op.width}-byte aligned")
+                off = addr - TCDM_BASE
+                if not 0 <= off < TCDM_SIZE:
+                    raise OutOfRangeAccess(
+                        f"FP memory access 0x{addr:x} outside TCDM")
+                entry.off = off
+                entry.bank = off // BANK_WIDTH % TCDM_BANKS
+                return entry
+            if wait is not MEM_WAIT:
+                return wait if self._waits(core, wait) else instr
             addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 raise MisalignedAccess(f"0x{addr:x} not 4-byte aligned")
             off = addr - TCDM_BASE
-            if 0 <= off < TCDM_SIZE:
-                return self._plan_access(
-                    core, (instr, off, off // BANK_WIDTH % TCDM_BANKS), requests)
-            core.held_access = (instr, addr, None)
-            core.mem_stall = L2_LATENCY     # _waits counts this first cycle
-        if wait is not None and self._waits(core, wait):
-            return wait
-        if wait is QUEUE_FULL:
-            return self._fp_entry(core, instr)
-        return instr
-
-    def _plan_access(self, core, access, requests):
-        """Request the bank of a TCDM lw/sw access, unless the FPU's load or
-        store holds the core's one data port this cycle: then the access
-        waits, held for the next cycle."""
+            if not 0 <= off < TCDM_SIZE:
+                # held over the L2 wait, whose first cycle this is
+                core.held_access = (instr, addr, None)
+                core.mem_stall = L2_LATENCY - 1
+                core.stats.stall_mem += 1
+                return MEM_WAIT
+            access = (instr, off, off // BANK_WIDTH % TCDM_BANKS)
         fp = core._fpu_plan
         if fp.__class__ is FpEntry and fp.bank is not None and not fp.capture:
             core.held_access = access
@@ -818,56 +846,14 @@ class ClusterSim:
             requests[bank] = [core.int_rid]
         return access
 
-    def _fp_entry(self, core, instr):
-        """The FP queue entry of one dispatch of instr: its interned FpOp
-        and what this dispatch latches; an frep replay reuses the entry
-        for every iteration."""
-        op = instr.fp_op
-        entry = FpEntry()
-        entry.op = op
-        entry.capture = core.capture_pending > 0
-        # a core that streams splits the entry at its first issue
-        entry.split = None if core.stream_map else op
-        if op.kind == OP_ARITH:
-            entry.bank = None
-            if op.latches_x:
-                entry.xval = core.state.x[instr.rs1]
-            return entry
-        addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
-        if addr % op.width:
-            raise MisalignedAccess(f"0x{addr:x} not {op.width}-byte aligned")
-        off = addr - TCDM_BASE
-        if not 0 <= off < TCDM_SIZE:
-            raise OutOfRangeAccess(f"FP memory access 0x{addr:x} outside TCDM")
-        entry.off = off
-        entry.bank = off // BANK_WIDTH % TCDM_BANKS
-        return entry
-
-    def _retire_int(self, core, instr):
-        st = core.stats
-        st.fetched += 1
-        if instr.domain is _INT:
-            st.int_retired += 1
-            if core.seq.mode is _REPLAYING:
-                st.int_replay_overlap += 1
-        elif instr.domain is _CUSTOM:
-            st.custom_retired += 1
-        if core.state.pc in self.watch_pcs:
-            self.watch_hits.setdefault(core.state.pc, []).append({
-                "cycle": self.cycle,
-                "core": core.index,
-                "fetched": st.fetched,
-                "fp_executed": st.fp_executed,
-                "fma_executed": st.fma_executed,
-                "int_retired": st.int_retired,
-            })
-
     def _commit_int(self, core, grants):
         """Apply the int plan, a record; return a stall event, or the
-        instruction that retired from the pc the cycle started at."""
+        instruction that retired from the pc the cycle started at. Every
+        retire is counted at the one retire point at the end."""
         plan = core._int_plan
         cls = plan.__class__
         state = core.state
+        pc = state.pc
         if cls is Instruction:
             instr = plan
             if instr.domain is _CUSTOM:
@@ -876,18 +862,16 @@ class ClusterSim:
                     core._int_plan = DMA_FULL
                     return DMA_FULL
                 _CUSTOM_HANDLERS[instr.mnemonic](self, core, instr)
-                self._retire_int(core, instr)
                 if not core.halted:
-                    state.pc += 4
-                return instr
-            self._retire_int(core, instr)
-            instr.op.execute(state, instr)
-            return instr
-        if cls is FpEntry:
+                    state.pc = pc + 4
+            else:
+                instr.op.execute(state, instr)
+        elif cls is FpEntry:
             core.fq.append(plan)
             if plan.capture:
                 core.capture_pending -= 1
-            instr = self.code[state.pc]     # the statement dispatched
+            instr = self.code[pc]       # the statement dispatched
+            state.pc = pc + 4
         elif cls is tuple:
             instr, off, bank = plan
             buf = self.mem.tcdm
@@ -898,17 +882,35 @@ class ClusterSim:
                 core.stats.stall_bank_conflict += 1
                 return "stall:bank"
             if instr.op.kind == OP_LOAD:
-                state.set_x(instr.rd, _WORD.unpack_from(buf, off)[0])
+                if instr.rd:            # x0 is hardwired to zero
+                    state.x[instr.rd] = _WORD.unpack_from(buf, off)[0]
             else:
                 _WORD.pack_into(buf, off, state.x[instr.rs2])
+            state.pc = pc + 4
         else:  # the icache line missed at plan time: the fill's first cycle
             self.icache_cold.discard(plan)
             core.mem_stall = L2_LATENCY - 1
             core.stats.stall_icache += 1
             core._int_plan = MEM_WAIT
             return "stall:icache"
-        self._retire_int(core, instr)
-        state.pc += 4
+        st = core.stats
+        st.fetched += 1
+        domain = instr.domain
+        if domain is _INT:
+            st.int_retired += 1
+            if core.seq.mode is _REPLAYING:
+                st.int_replay_overlap += 1
+        elif domain is _CUSTOM:
+            st.custom_retired += 1
+        if pc in self.watch_pcs:
+            self.watch_hits.setdefault(pc, []).append({
+                "cycle": self.cycle,
+                "core": core.index,
+                "fetched": st.fetched,
+                "fp_executed": st.fp_executed,
+                "fma_executed": st.fma_executed,
+                "int_retired": st.int_retired,
+            })
         return instr
 
     # ------------------------------------------------------------- custom ops
@@ -1017,11 +1019,18 @@ class ClusterSim:
         live = self.live
         try:
             for core in live:
-                core._fpu_plan = self._plan_fpu(core, requests)
+                # an FPU with no replay and an empty FP queue is idle, and
+                # costs no plan
+                if core.seq.mode is _REPLAYING or core.fq:
+                    core._fpu_plan = self._plan_fpu(core, requests)
+                else:
+                    core.stats.fp_idle += 1
+                    core._fpu_plan = "-"
                 # a wait planned last cycle re-tests only its own condition:
                 # pc, icache line, registers and held access are as when
                 # planned; the sequencer wait, which frep replays hold
-                # longest, is tested here as _waits would
+                # longest, is tested here as _waits would, and a wait for
+                # FP queue room is planned again
                 plan = core._int_plan
                 if plan.__class__ is str:
                     if plan is FREP_WAIT:

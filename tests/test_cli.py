@@ -234,12 +234,36 @@ def test_exit_bad_size_is_config(capsys):
 @pytest.mark.parametrize("kernel, n", [
     ("dot_baseline", 100000), ("dot_ssr", 100000), ("dot_ssr_frep", 100000),
     ("dot_baseline", 8192), ("tcdm_unit_stride", 100000),
-    ("tcdm_same_bank", 457)])
+    ("tcdm_same_bank", 457), ("axpy_ssr", 8192), ("matvec48_ssr_frep", 128),
+    ("matvec48_baseline", 128)])
 def test_exit_oversized_n_is_config(capsys, kernel, n):
     # refused when the kernel is built, before anything is assembled or run
     assert run_cli("run", kernel, "--n", str(n)) == 7
     assert capsys.readouterr().err == (
         "error: ConfigError: n too large for the scratchpad layout\n")
+
+
+def test_exit_dma_past_scratchpad_is_config(capsys):
+    n = TCDM_SIZE + 4096            # a whole number of 4 KiB descriptors
+    assert run_cli("run", "dma_stream", "--n", str(n)) == 7
+    assert capsys.readouterr() == (
+        "", "error: ConfigError: n exceeds the scratchpad\n")
+
+
+def test_exit_dma_payload_mismatch_is_check_failed(capsys, monkeypatch):
+    # the copy always lands, so a TCDM byte overwritten after the run
+    # stands in for a copy that went wrong
+    run_kernel = kernels.run_kernel
+
+    def corrupted(inst, **kw):
+        sim, result = run_kernel(inst, **kw)
+        byte = sim.mem.read(TCDM_BASE + 100, 1)[0]
+        sim.mem.write(TCDM_BASE + 100, bytes([byte ^ 0xFF]))
+        return sim, result
+    monkeypatch.setattr(kernels, "run_kernel", corrupted)
+    assert run_cli("run", "dma_stream", "--n", "4096", "--check") == 5
+    assert capsys.readouterr().err == (
+        "error: CheckFailed: DMA payload mismatch\n")
 
 
 def test_exit_bad_kwarg_is_config(capsys):
@@ -348,6 +372,26 @@ def test_exit_bad_config_file(tmp_path, capsys):
     cfgp.write_text("topology: {}\n")
     assert run_cli("points", "--config", str(cfgp)) == 7
     assert "error: ConfigError:" in capsys.readouterr().err
+
+
+def test_exit_config_without_points_is_config(tmp_path, capsys):
+    from streamsim.system import DEFAULT_SYSTEM_YAML
+    text = DEFAULT_SYSTEM_YAML.read_text()
+    cfg = tmp_path / "nopoints.yaml"
+    cfg.write_text(text[:text.index("operating_points:")]
+                   + "operating_points: {}\n")
+    assert run_cli("points", "--config", str(cfg)) == 7
+    assert capsys.readouterr() == (
+        "", "error: ConfigError: config defines no operating points\n")
+
+
+def test_exit_measured_without_flops_line_is_config(tmp_path, capsys):
+    stats = tmp_path / "s.txt"
+    stats.write_text("cluster.cycles 10\ncluster.flops 20\n")
+    assert run_cli("roofline", "--measured", f"conv_3x3_mid={stats}") == 7
+    assert capsys.readouterr() == (
+        "", f"error: ConfigError: {stats} has no cluster.flops_per_cycle "
+        "line\n")
 
 
 def test_exit_bad_measured_spec(capsys):

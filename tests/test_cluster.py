@@ -693,6 +693,59 @@ def test_watch_hits_record_retires():
     assert all(h["core"] == 0 for h in res.watch_hits)
 
 
+RETIRE_PATHS = f"""
+    .data
+    d: .double 1.5
+    v: .word 7
+    .text
+        li t1, d
+        li t3, {L2_BASE}
+        li t6, 2
+    tcdm: lw t2, 8(t1)
+    l2: lw t4, 0(t3)
+    fpld: fld ft0, 0(t1)
+        fmadd.d ft1, ft0, ft0, ft1
+    alu: addi t6, t6, -1
+    poll: dm_poll t5
+        bne t6, zero, tcdm
+        lw zero, 8(t1)
+        lw zero, 0(t3)
+        halt
+"""
+
+
+def test_watch_hits_on_every_retire_path():
+    # a TCDM lw, an L2 lw, an FP dispatch, an ALU op and a custom op each
+    # retire by their own path; no digest covers the hits, so they are
+    # frozen here, counters as they stand after the retire
+    sim = ClusterSim()
+    prog = assemble(RETIRE_PATHS)
+    sim.load_program(prog, active_cores=1)
+    sim.mem.write(L2_BASE, (99).to_bytes(4, "little"))
+    labels = ("tcdm", "l2", "fpld", "alu", "poll")
+    res = sim.run(watch_pcs=[prog.labels[name] for name in labels])
+    hit = ("cycle", "core", "fetched", "fp_executed", "fma_executed",
+           "int_retired")
+    assert {name: [tuple(h.values()) for h in sim.watch_hits[prog.labels[name]]]
+            for name in labels} == {
+        "tcdm": [(3, 0, 4, 0, 0, 4), (20, 0, 11, 2, 1, 8)],
+        "l2": [(14, 0, 5, 0, 0, 5), (31, 0, 12, 2, 1, 9)],
+        "fpld": [(15, 0, 6, 0, 0, 5), (32, 0, 13, 2, 1, 9)],
+        "alu": [(17, 0, 8, 2, 1, 6), (34, 0, 15, 4, 2, 10)],
+        "poll": [(18, 0, 9, 2, 1, 6), (35, 0, 16, 4, 2, 10)],
+    }
+    assert all(tuple(h) == hit for h in res.watch_hits)
+    assert [h["cycle"] for h in res.watch_hits] == [
+        3, 14, 15, 17, 18, 20, 31, 32, 34, 35]
+    # lw zero from the TCDM and from L2 still retire, and x0 stays 0: 13
+    # int retires are the three li, four per pass and the two lw zero
+    x = sim.cores[0].state.x
+    assert x[0] == 0 and (x[7], x[29]) == (7, 99)
+    s = res.stats
+    assert (s.fetched, s.int_retired, s.custom_retired) == (20, 13, 3)
+    assert (s.cycles_at_halt, s.stall_mem) == (50, 30)
+
+
 # ------------------------------------------------------------- stat closure
 
 @pytest.mark.parametrize("name,n", [("dot_baseline", 64), ("dot_ssr", 64),

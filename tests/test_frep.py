@@ -8,7 +8,7 @@ from streamsim.errors import CountZero
 from streamsim.fp import f64_to_bits
 from streamsim.frep import BUFFER_DEPTH, Mode, Sequencer
 from streamsim.isa import (LAT_ADDMUL, LAT_FMA, LAT_LOAD, LAT_MOVE, LAT_STORE,
-                           OPS, Domain, decode)
+                           OPS, Domain)
 
 
 def test_latency_table():
@@ -65,16 +65,18 @@ def test_arm_bounds():
 
 
 def plan_at(cycle, text, pending=()):
-    """The FPU plan of core 0 at `cycle` with `text` at the head of its FP
-    queue, after the scoreboard took each (issue cycle, dest, latency) of
-    `pending`; the bank requests it made go to `requests`."""
+    """The FPU plan of core 0 at `cycle` with `text`, dispatched by the int
+    pipe's plan, at the head of its FP queue, after the scoreboard took
+    each (issue cycle, dest, latency) of `pending`; the bank requests it
+    made go to `requests`."""
     sim = ClusterSim()
+    sim.load_program(assemble(text), active_cores=1)
     core = sim.cores[0]
     core.state.x[6] = TCDM_BASE          # t1, the base of FP loads/stores
     for now, dest, lat in pending:
         core.sb.issue(now, dest, lat)
     sim.cycle = cycle
-    core.fq.append(sim._fp_entry(core, decode(text)))
+    core.fq.append(sim._plan_int(core, {}))
     requests = {}
     return sim._plan_fpu(core, requests), core, requests
 

@@ -114,6 +114,9 @@ def test_instruction_record():
     assert list(_AT) == ["mnemonic", "domain", "rd", "rs1", "rs2", "rs3",
                          "imm", "slot", "field", "n_instr", "text", "fp_op",
                          "op"]
+    # str is the statement's text, or the bare mnemonic of one without
+    assert str(addi) == "addi t0, t1, -3" and str(bare) == str(addi)
+    assert str(Instruction("halt", Domain.CUSTOM)) == "halt"
     marks = [object() for _ in _AT]
     made = Instruction(*marks)
     assert all(getattr(made, f) is marks[i] for f, i in _AT.items())

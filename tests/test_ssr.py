@@ -195,8 +195,10 @@ def test_write_slot_backpressure():
     sim, core = streaming_core(slot)
     for v in range(FIFO_DEPTH):
         slot.push(v)
-    # a full write buffer holds back an FP op that writes the stream
-    core.fq.append(sim._fp_entry(core, decode("fmv.d ft2, ft3")))
+    # a full write buffer holds back an FP op that writes the stream,
+    # dispatched from pc 0 by the int pipe's plan
+    sim.code = {0: decode("fmv.d ft2, ft3")}
+    core.fq.append(sim._plan_int(core, {}))
     assert sim._plan_fpu(core, {}) == "stall:stream"
     assert stream_cycle(sim, core) == [TCDM]
     assert len(slot.write_buf) == FIFO_DEPTH - 1

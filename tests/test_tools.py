@@ -140,3 +140,16 @@ def test_tracer_counts_arbitration(name, n, pairs, grants):
     finally:
         t.uninstall()
     assert (t.tcdm_pairs, t.tcdm_grants) == (pairs, grants)
+
+
+def test_opcount_idle_fpu_and_int_pipe_calls():
+    # on a kernel of plain lw/sw with every FPU idle throughout, no FPU is
+    # planned, and the int pipe costs one plan and one commit call per
+    # core-cycle: the whole run stays at or below 3 Python calls per
+    # core-cycle
+    opcount = _load(CHECKOUT / "tools" / "opcount.py")
+    core_cycles, per_function = opcount.count(
+        [streamsim.kernels.build("tcdm_unit_stride", n=64)])
+    assert "cluster.py:ClusterSim._plan_fpu" not in per_function
+    calls = sum(row[1] for row in per_function.values())
+    assert calls / core_cycles <= 3.0
