@@ -10,16 +10,15 @@ deterministic:
                counted here, and the plan is its trace event string: an idle
                FPU, a stream or hazard stall, or an int-pipe wait. Any other
                plan is the record commit applies, and registers the TCDM bank
-               request it needs. A unit that acts costs one plan call, and an
-               idle FPU (no replay, an empty FP queue) none: the cycle loop
-               counts it. An int-pipe wait (on L2 or an icache fill, the
-               sequencer, a drain, DMA queue room) has one test that counts
-               its stall; a wait planned last cycle runs only that test, not
-               the plan, and an lw/sw that waits on L2, its bank or the data
-               port is held and not fetched, decoded or addressed again. A
-               wait for FP queue room is tested where the plan dispatches, so
-               it is re-tested by planning again. Nothing else the plan read
-               can change while the int pipe stalls,
+               request it needs. An idle FPU (no replay, an empty FP queue)
+               costs no plan call: the cycle loop counts it. An int-pipe wait
+               (on L2 or an icache fill, the sequencer, a drain, DMA queue
+               room) has one test that counts its stall; a wait planned last
+               cycle runs only that test, not the plan, and an lw/sw that
+               waits on L2, its bank or the data port is held and not
+               fetched, decoded or addressed again. A wait for FP queue room
+               is re-tested by planning again. Nothing else the plan read can
+               change while the int pipe stalls,
   2. grant   - each bank grants one request (round robin, persistent pointer).
                A request is granted in place: each request map entry is a
                list of requester ids whose first is the grant, and only a
@@ -514,7 +513,8 @@ class ClusterSim:
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
     # stream or hazard stall), or the FpEntry that issues or makes its
-    # capture pass. _step settles an idle FPU without a plan call.
+    # capture pass. Only a core with a replay or a queued op is planned:
+    # _step settles an idle FPU without a call.
 
     def _map_operands(self, core, entry):
         """Split the entry's registers under the core's stream map, which
@@ -547,8 +547,6 @@ class ClusterSim:
                                   tuple(dict.fromkeys(sb_regs)))
 
     def _plan_fpu(self, core, requests):
-        """Plan the FPU of a core with FP work: a replay, or an entry at the
-        head of its FP queue. _step settles an idle FPU itself."""
         seq = core.seq
         if seq.mode is _REPLAYING:
             entry = seq.buffer[seq.inst_ptr]
@@ -768,11 +766,10 @@ class ClusterSim:
         return True
 
     def _plan_int(self, core, requests):
-        """Plan the int pipe: fetch and decode at the pc, meet the
-        statement's wait, and for an FP statement build the FP queue entry
-        of this dispatch. A TCDM lw/sw, fresh or held over a lost grant,
-        requests its bank, unless the FPU's load or store holds the core's
-        one data port this cycle: then it waits, held for the next cycle."""
+        """Fetch at the pc and meet the statement's wait; an FP statement
+        gets the FP queue entry of this dispatch. A TCDM lw/sw, fresh or
+        held, requests its bank, unless the FPU's load or store holds the
+        core's one data port: then it waits, held for the next cycle."""
         access = core.held_access
         if access is not None:
             core.held_access = None
@@ -848,8 +845,8 @@ class ClusterSim:
 
     def _commit_int(self, core, grants):
         """Apply the int plan, a record; return a stall event, or the
-        instruction that retired from the pc the cycle started at. Every
-        retire is counted at the one retire point at the end."""
+        instruction that retired from the pc the cycle started at, counted
+        at the one retire point at the end."""
         plan = core._int_plan
         cls = plan.__class__
         state = core.state
@@ -1019,8 +1016,7 @@ class ClusterSim:
         live = self.live
         try:
             for core in live:
-                # an FPU with no replay and an empty FP queue is idle, and
-                # costs no plan
+                # an FPU with no replay and an empty FP queue is idle
                 if core.seq.mode is _REPLAYING or core.fq:
                     core._fpu_plan = self._plan_fpu(core, requests)
                 else:

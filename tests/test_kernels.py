@@ -87,6 +87,7 @@ def test_build_defaults_come_from_the_registry():
 
 def test_builder_rejects():
     for bad in [dict(name="dot_baseline", n=3), dict(name="dot_baseline", n=0),
+                dict(name="dot_ssr", n=6),
                 dict(name="dot_ssr_frep", n=4), dict(name="axpy_ssr", n=0),
                 dict(name="matmul_ssr_frep", n=16),
                 dict(name="dma_stream", n=100),
