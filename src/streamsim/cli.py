@@ -207,6 +207,11 @@ def cmd_roofline(args):
     model = system.load_system(args.config)
     point = model.point(args.point)
     workloads = system.load_workloads(args.workloads)
+    tree = model.tree       # by default, one chiplet's cores and uplink
+    if args.roofline_cores is None:
+        args.roofline_cores = tree.n_clusters // tree.chiplets * N_CORES
+    if args.bandwidth is None:
+        args.bandwidth = tree.levels[-1].uplink_bandwidth
     roof = system.RooflineParams(
         peak_flops=system.scale_performance(point, args.roofline_cores),
         mem_bandwidth=args.bandwidth)
@@ -284,12 +289,12 @@ def build_parser():
                       help="CSV of name,flops,bytes")
     roof.add_argument("--measured", action="append", metavar="NAME=STATSFILE")
     roof.add_argument("--point", default="high_performance")
-    roof.add_argument("--roofline-cores", type=int, default=1024,
-                      help="cores behind the peak (default 1024, one chiplet "
-                           "of the bundled tree: 128 clusters of 8)")
-    roof.add_argument("--bandwidth", type=float, default=256.0e9,
-                      help="memory bandwidth in bytes/s (default 256e9, the "
-                           "bundled tree's chiplet uplink)")
+    roof.add_argument("--roofline-cores", type=int, default=None,
+                      help="cores behind the peak (default one chiplet's "
+                           "cores in the tree: 1024 in the bundled one)")
+    roof.add_argument("--bandwidth", type=float, default=None,
+                      help="memory bandwidth in bytes/s (default the tree's "
+                           "chiplet uplink: 256e9 in the bundled one)")
     roof.add_argument("--stats-out", default=None)
     roof.add_argument("--format", choices=("text", "csv"), default="text")
     roof.set_defaults(fn=cmd_roofline)

@@ -47,11 +47,10 @@ import mmap
 import struct
 from collections import deque
 
-from .isa import (Domain, CoreState, Instruction, fp_compute, MASK32, OPS,
-                  OP_ARITH, OP_LOAD, MEM_WAIT, QUEUE_FULL, FREP_WAIT, DRAIN,
-                  DMA_FULL)
-from .frep import (Sequencer, Scoreboard, FpEntry, StreamSplit, Mode,
-                   FP_QUEUE_DEPTH)
+from .isa import (Domain, CoreState, FpOp, Instruction, fp_compute, MASK32,
+                  OPS, OP_ARITH, OP_LOAD, MEM_WAIT, QUEUE_FULL, FREP_WAIT,
+                  DRAIN, DMA_FULL)
+from .frep import Sequencer, Scoreboard, FpEntry, Mode, FP_QUEUE_DEPTH
 from .fp import ELEMENT, bits_to_f64
 from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
 from .errors import (CycleLimitExceeded, InvalidConfig,
@@ -74,6 +73,9 @@ DMA_BUS_WIDTH = 64        # bytes per busy cycle (512-bit bus)
 DMA_QUEUE_DEPTH = 8
 ICACHE_LINE = 32          # bytes
 MAX_CYCLES = 2_000_000    # a run's cycle budget unless the caller sets one
+# TCDM requester ids: core i's int pipe 4*i and slots 4*i+1+slot, then DMA
+DMA_RID = 4 * N_CORES
+N_REQUESTERS = DMA_RID + 1
 
 
 class CoreStats:
@@ -144,8 +146,7 @@ class Tcdm:
     granted: its pointer is that winner + 1, or 0 for a bank never granted.
     """
 
-    def __init__(self, n_requesters):
-        self.n_requesters = n_requesters
+    def __init__(self):
         self.contested = set()     # banks asked by two or more this cycle
         self.last = {}
 
@@ -155,7 +156,7 @@ class Tcdm:
         pointer, counting modulo the number of requesters, is swapped to
         the front of its list. No list changes length."""
         last = self.last
-        n = self.n_requesters
+        n = N_REQUESTERS
         for bank in self.contested:
             ids = requests[bank]
             prev = last.get(bank)
@@ -196,9 +197,8 @@ def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
 class DmaEngine:
     """One transfer in flight, descriptor queue behind it, 64 B per busy cycle."""
 
-    def __init__(self, mem: Memory, req_id):
+    def __init__(self, mem: Memory):
         self.mem = mem
-        self.req_id = req_id
         self.queue = deque()   # (descriptor, its located buffers)
         self.active = None
         self.bufs = None       # (buffer, offset) of the active transfer's
@@ -281,7 +281,7 @@ class DmaEngine:
             self.offset = 0
         if self.window is None:
             self._open_window()
-        rid = self.req_id
+        rid = DMA_RID
         for bank in self.banks:
             if bank in requests:
                 requests[bank].append(rid)
@@ -299,7 +299,7 @@ class DmaEngine:
         every slice moves, and the window moves in one copy. Called only
         after a plan, which made a transfer active."""
         self.busy_cycles += 1
-        rid = self.req_id
+        rid = DMA_RID
         banks = self.banks
         slices = self.slices
         if slices is None:
@@ -362,7 +362,6 @@ class Core:
         self.fq = deque()
         self.seq = Sequencer()
         self.sb = Scoreboard()
-        # TCDM requester ids: 4*i for the int pipe, 4*i+1+slot for streams
         self.int_rid = 4 * index
         self.slots = [StreamSlot(i, 4 * index + 1 + i) for i in range(N_SLOTS)]
         self.write_slots = tuple(self.slots[i] for i in WRITE_SLOTS)
@@ -374,6 +373,7 @@ class Core:
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
         self.stream_map = {}        # FP register -> its active slot
+        self.splits = {}            # FpOp -> its split under stream_map
         self._int_plan = None
         self._fpu_plan = None
 
@@ -467,8 +467,8 @@ class ClusterSim:
         self.live = []              # cores not halted, in index order
         self.streams = []           # the live cores' active slots, in core
                                     # order, then slot order
-        self.dma = DmaEngine(self.mem, req_id=4 * N_CORES)
-        self.tcdm = Tcdm(n_requesters=4 * N_CORES + 1)
+        self.dma = DmaEngine(self.mem)
+        self.tcdm = Tcdm()
         self.cycle = 0
         self.icache_cold = set()
         self.trace_rows = []
@@ -486,8 +486,7 @@ class ClusterSim:
         self.code = program.instructions     # shared: nothing writes it
         if self.cold_start_icache:
             self.icache_cold = {addr // ICACHE_LINE for addr in self.code}
-        for addr, data in program.data_segments:
-            self.mem.write(addr, data)
+        self.load_image(program.data_segments)
         n_active = active_cores if active_cores is not None else N_CORES
         for i, core in enumerate(self.cores):
             core.state.x[10] = i
@@ -513,16 +512,19 @@ class ClusterSim:
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
     # stream or hazard stall), or the FpEntry that issues or makes its
-    # capture pass. Only a core with a replay or a queued op is planned:
-    # _step settles an idle FPU without a call.
+    # capture pass. _step picks the FPU's next entry and settles an idle
+    # FPU without a call. An entry issues as the split that its core keeps
+    # for its FpOp (core.splits) until _remap changes the stream map.
 
-    def _map_operands(self, core, entry):
-        """Split the entry's registers under the core's stream map, which
-        has a stream: f0..f2 sources pop their read streams and an f0..f2
-        destination pushes to its write stream; the rest go through the
-        scoreboard."""
+    def _map_operands(self, core, op):
+        """Make and keep op's split under the core's stream map: op itself
+        on a core that does not stream, else a copy whose f0..f2 sources
+        name the read slots they pop and whose f0..f2 destination pushes
+        to its write slot; the rest go through the scoreboard."""
         smap = core.stream_map
-        op = entry.op
+        if not smap:
+            core.splits[op] = op
+            return op
         dest = op.dest
         operands, sb_regs, pops = [], [], {}
         for reg in op.operands:
@@ -543,20 +545,20 @@ class ClusterSim:
                 raise InvalidConfig(f"write to read-stream f{dest}")
         elif dest is not None:
             sb_regs.append(dest)
-        entry.split = StreamSplit(tuple(operands), tuple(pops.items()), push,
-                                  tuple(dict.fromkeys(sb_regs)))
+        split = core.splits[op] = FpOp(
+            op.mnemonic, op.kind, tuple(operands), dest, op.lat, op.flops,
+            op.width, op.compute, op.latches_x, tuple(dict.fromkeys(sb_regs)))
+        split.pops = tuple(pops.items())
+        split.push = push
+        return split
 
-    def _plan_fpu(self, core, requests):
-        seq = core.seq
-        if seq.mode is _REPLAYING:
-            entry = seq.buffer[seq.inst_ptr]
-        else:
-            entry = core.fq[0]
+    def _plan_fpu(self, core, entry, requests):
         if entry.capture:
             return entry
-        if entry.split is None:
-            self._map_operands(core, entry)
-        split = entry.split
+        try:
+            split = core.splits[entry.op]
+        except KeyError:
+            split = self._map_operands(core, entry.op)
         for slot, n in split.pops:
             if len(slot.fifo) < n:
                 if slot.off is None:    # no further element will come
@@ -600,7 +602,7 @@ class ClusterSim:
         if op.kind == OP_ARITH and not entry.capture:
             # the common case first: a compute op or a move, replayed or
             # from the queue; it needs no bank
-            split = entry.split
+            split = core.splits[op]
             f = core.state.f
             srcs = split.operands
             if op.flops:
@@ -641,7 +643,7 @@ class ClusterSim:
                 self.mem.tcdm, entry.off)[0]
             core.sb.ready[op.dest] = self.cycle + op.lat
         else:  # OP_STORE
-            a = entry.split.operands[0]
+            a = core.splits[op].operands[0]
             ELEMENT[op.width].pack_into(
                 self.mem.tcdm, entry.off,
                 core.state.f[a] if a.__class__ is int else a.fifo.popleft())
@@ -674,14 +676,15 @@ class ClusterSim:
     # its plan chose, whichever goes first.
 
     def _remap(self, core):
-        """Resolve which FP registers of core are streams, and rebuild
-        self.streams: once per ssr_enable, ssr_disable or halt rather than
-        once per operand. While streaming is on, f0..f2 map to their
-        active slots."""
+        """Resolve which FP registers of core are streams, drop the
+        core's splits made under its old map, and rebuild self.streams:
+        once per ssr_enable, ssr_disable or halt rather than once per
+        operand. While streaming is on, f0..f2 map to their active slots."""
         if core.state.ssr_enabled:
             core.stream_map = {s.index: s for s in core.slots if s.active}
         else:
             core.stream_map = {}
+        core.splits.clear()
         self.streams = [slot for c in self.live
                         for slot in c.stream_map.values()]
 
@@ -799,8 +802,6 @@ class ClusterSim:
                 entry = FpEntry()
                 entry.op = op
                 entry.capture = core.capture_pending > 0
-                # a core that streams splits the entry at its first issue
-                entry.split = None if core.stream_map else op
                 if op.kind == OP_ARITH:
                     entry.bank = None
                     if op.latches_x:
@@ -962,11 +963,6 @@ class ClusterSim:
                         f"{width}-byte aligned")
         state.ssr_enabled = True
         self._remap(core)
-        if core.stream_map:
-            # the one commit that changes a stream map while entries wait
-            # (ssr_disable and halt drain first): they split again
-            for entry in (*core.fq, *core.seq.buffer):
-                entry.split = None
 
     def _ssr_disable(self, core, instr):
         # the drain plan has already emptied the write buffers
@@ -1016,9 +1012,13 @@ class ClusterSim:
         live = self.live
         try:
             for core in live:
-                # an FPU with no replay and an empty FP queue is idle
-                if core.seq.mode is _REPLAYING or core.fq:
-                    core._fpu_plan = self._plan_fpu(core, requests)
+                # the FPU's next entry: the replay's, else the FP queue's
+                if core.seq.mode is _REPLAYING:
+                    seq = core.seq
+                    core._fpu_plan = self._plan_fpu(
+                        core, seq.buffer[seq.inst_ptr], requests)
+                elif core.fq:
+                    core._fpu_plan = self._plan_fpu(core, core.fq[0], requests)
                 else:
                     core.stats.fp_idle += 1
                     core._fpu_plan = "-"

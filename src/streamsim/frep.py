@@ -87,23 +87,7 @@ class FpEntry:
     - off, bank: TCDM offset and bank of a load or store, latched at
                dispatch, so every replay accesses the same word
     - xval:    the latched integer source of fmv.d.x
-    - split:   the operand split: the FpOp itself on a core that does not
-               stream, else a StreamSplit, made at the first issue (None
-               until then). ssr_enable, the one commit that changes a
-               stream map while entries wait, sets it back to None.
+
+    The entry issues as the split its core keeps for op (`Core.splits`).
     """
-    __slots__ = ("op", "capture", "off", "bank", "xval", "split")
-
-
-class StreamSplit:
-    """An FP op's registers split under a core's stream map, as FpOp
-    splits them for a core that does not stream."""
-    __slots__ = ("operands", "pops", "push", "sb_regs")
-
-    def __init__(self, operands, pops, push, sb_regs):
-        self.operands = operands    # per source: its register, or the slot
-                                    # to pop
-        self.pops = pops            # (read slot, pops) per stream source
-        self.push = push            # write slot taking the result, or None
-        self.sb_regs = sb_regs      # sources and destination not
-                                    # stream-mapped, each once
+    __slots__ = ("op", "capture", "off", "bank", "xval")

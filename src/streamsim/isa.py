@@ -115,7 +115,10 @@ class FpOp:
 
     A record is also the op's operand split on a core that does not
     stream: each operand is a register, every register goes through the
-    scoreboard, and no stream pops or takes a push."""
+    scoreboard, and no stream pops or takes a push. A core that streams
+    issues a copy instead (`Core.splits`): its operands name the read
+    slots they pop, as `pops` counts them, `push` names the write slot or
+    None, and `sb_regs` leaves the streams out."""
     __slots__ = ("mnemonic", "kind", "operands", "dest", "lat", "flops",
                  "width", "compute", "latches_x", "sb_regs", "pops", "push")
 

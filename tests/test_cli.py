@@ -140,6 +140,24 @@ def test_points_counts_the_trees_cores(tmp_path, capsys):
     assert hp.split(",")[4] == "4.608e+12"
 
 
+def test_roofline_defaults_follow_the_tree(tmp_path, capsys):
+    # S3 fanout 4 gives a chiplet 256 clusters of 8 cores; its uplink 512e9
+    from streamsim.system import DEFAULT_SYSTEM_YAML
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(DEFAULT_SYSTEM_YAML.read_text().replace(
+        "{name: s3, fanout: 2,", "{name: s3, fanout: 4,").replace(
+        "chiplet, fanout: 4, uplink_bandwidth: 256.0e+9",
+        "chiplet, fanout: 4, uplink_bandwidth: 512.0e+9"))
+    assert run_cli("roofline", "--config", str(cfg)) == 0
+    # peak: 2048 cores x 2 flop x 1.125 GHz
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "# peak 4.608 Tflop/s, bandwidth 512.0 GB/s, ridge 9.000 flop/byte")
+    assert run_cli("roofline", "--config", str(cfg), "--roofline-cores",
+                   "1024", "--bandwidth", "256e9") == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "# peak 2.304 Tflop/s, bandwidth 256.0 GB/s, ridge 9.000 flop/byte")
+
+
 def test_roofline_text(capsys):
     assert run_cli("roofline") == 0
     out = capsys.readouterr().out.splitlines()

@@ -11,9 +11,10 @@ import struct
 import pytest
 
 from streamsim.asm import DATA_BASE, assemble
-from streamsim.cluster import (DMA_QUEUE_DEPTH, L2_BASE, L2_SIZE, N_CORES,
-                               TCDM_BASE, TCDM_SIZE, ClusterSim, DmaDescriptor,
-                               DmaEngine, Memory, Tcdm, stats_lines)
+from streamsim.cluster import (DMA_QUEUE_DEPTH, DMA_RID, L2_BASE, L2_SIZE,
+                               N_CORES, N_REQUESTERS, TCDM_BASE, TCDM_SIZE,
+                               ClusterSim, DmaDescriptor, DmaEngine, Memory,
+                               Tcdm, stats_lines)
 from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               InvalidDescriptor, MisalignedAccess,
                               NonFpInCapture, OutOfRangeAccess,
@@ -23,7 +24,7 @@ from streamsim.fp import f64_to_bits
 from streamsim.isa import FREGS, SSR_FIELDS, XREGS
 from streamsim import fp, kernels
 
-N_REQ = 4 * N_CORES + 1  # 8 cores x (int pipe + 3 streams) + DMA
+N_REQ = N_REQUESTERS     # 8 cores x (int pipe + 3 streams) + DMA
 
 
 def run_source(src, cores=1, cold_start_icache=False, max_cycles=20_000, **kw):
@@ -83,21 +84,21 @@ def reference_arbitrate(rr, n, requests):
 
 
 def test_arbitrate_distinct_banks_all_granted():
-    t = Tcdm(N_REQ)
+    t = Tcdm()
     assert grant(t, {0: {5}, 1: {9}, 7: {2}, 31: {32}}) == {0: 5, 1: 9, 7: 2,
                                                            31: 32}
     assert [pointer(t, b) for b in (0, 1, 7, 31)] == [6, 10, 3, 0]
 
 
 def test_arbitrate_same_bank_rotates():
-    t = Tcdm(N_REQ)
+    t = Tcdm()
     wins = [grant(t, {3: {4, 8, 12}})[3] for _ in range(6)]
     # pointer starts at 0: 4 wins, pointer 5 -> 8 wins, pointer 9 -> 12 ...
     assert wins == [4, 8, 12, 4, 8, 12]
 
 
 def test_arbitrate_pointer_wraparound():
-    t = Tcdm(N_REQ)
+    t = Tcdm()
     t.last[0] = [29]                            # pointer 30
     assert grant(t, {0: {2, 31}})[0] == 31  # 31 is closer from 30 mod 33
     assert pointer(t, 0) == 32
@@ -106,7 +107,7 @@ def test_arbitrate_pointer_wraparound():
 
 def test_arbitrate_fairness_and_legality():
     rng = random.Random(7)
-    t = Tcdm(N_REQ)
+    t = Tcdm()
     counts = {}
     for _ in range(400):
         reqs = {b: set(rng.sample(range(N_REQ), rng.randint(1, 5)))
@@ -117,7 +118,7 @@ def test_arbitrate_fairness_and_legality():
             assert pointer(t, bank) == (win + 1) % N_REQ
             counts[win] = counts.get(win, 0) + 1
     # persistent full contention on one bank serves every requester equally
-    t2 = Tcdm(N_REQ)
+    t2 = Tcdm()
     ids = {1, 6, 11, 16}
     wins = {i: 0 for i in ids}
     for _ in range(4 * 25):
@@ -129,7 +130,7 @@ def test_arbitrate_lists_match_sets():
     # the request sites hand arbitrate lists, each requester at most once
     # per bank; a repeated id is granted as the reference grants a set
     rng = random.Random(11)
-    t, rr = Tcdm(N_REQ), [0] * 32
+    t, rr = Tcdm(), [0] * 32
     for _ in range(300):
         reqs = {b: rng.sample(range(N_REQ), rng.randint(1, 5))
                 for b in rng.sample(range(32), 3)}
@@ -139,7 +140,7 @@ def test_arbitrate_lists_match_sets():
                                    {b: set(ids) for b, ids in reqs.items()})
         assert grant(t, reqs) == want
         assert [pointer(t, b) for b in range(32)] == rr
-    t = Tcdm(N_REQ)
+    t = Tcdm()
     assert grant(t, {4: [N_REQ - 1, N_REQ - 1]}) == {4: N_REQ - 1}
     assert pointer(t, 4) == 0
 
@@ -148,7 +149,7 @@ def test_arbitrate_matches_reference():
     # cycles of mixed uncontested and contested banks, the DMA (id 32)
     # among the requesters, against the loop over every bank
     rng = random.Random(19)
-    t, rr = Tcdm(N_REQ), [0] * 32
+    t, rr = Tcdm(), [0] * 32
     contested_banks = 0
     for _ in range(500):
         requests, order = {}, []
@@ -226,7 +227,7 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     sim.dma.submit(desc)
     requests = {}
     sim.dma.plan(requests, sim.tcdm.contested)
-    assert requests == {b: [sim.dma.req_id] for b in banks}
+    assert requests == {b: [DMA_RID] for b in banks}
     assert not sim.tcdm.contested
     sim = ClusterSim()
     sim.mem.write(DATA_BASE, blob)
@@ -273,7 +274,7 @@ def test_dma_bad_geometry_and_range():
 
 
 def test_dma_queue_depth():
-    eng = DmaEngine(Memory(), req_id=32)
+    eng = DmaEngine(Memory())
     for i in range(DMA_QUEUE_DEPTH):
         assert eng.submit(DmaDescriptor(L2_BASE + 64 * i,
                                         DATA_BASE + 64 * i, 64))
@@ -289,14 +290,14 @@ def test_dma_idle_flag():
     """`idle` turns false on a queued submit, stays true across a
     zero-length descriptor, and turns true after the last window of the
     last queued transfer, not before."""
-    eng = DmaEngine(Memory(), req_id=32)
+    eng = DmaEngine(Memory())
     assert eng.idle
     assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
     assert eng.idle and eng.descriptors_done == 1
     assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
     assert eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
     assert not eng.idle
-    all_banks = {bank: [eng.req_id] for bank in range(32)}
+    all_banks = {bank: [DMA_RID] for bank in range(32)}
     for left in (2, 1, 0):                  # windows of 64, 32 and 64 bytes
         eng.plan({}, set())
         assert not eng.idle
@@ -559,6 +560,54 @@ def test_stream_first_pop_waits_for_prefetch():
     f = sim.cores[0].state.f
     assert (f64_to_bits(f[3]), f64_to_bits(f[4])) == (
         struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
+
+
+def test_split_made_once_per_op_and_stream_map():
+    # the two dispatches of one statement under one stream map issue as one
+    # split; ssr_disable and ssr_enable make a fresh one, and a core that
+    # does not stream issues the interned FpOp itself
+    sim = ClusterSim()
+    sim.load_program(assemble("""
+        .data
+        x: .double 1.0
+        .double 2.0
+        .double 3.0
+        .text
+        li t1, x
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, stride0, 8
+        ssr_cfg_write 0, bound0, 2
+        ssr_enable
+        fmv.d ft3, ft0
+        fmv.d ft3, ft0
+        ssr_disable
+        addi t1, t1, 16
+        ssr_cfg_write 0, base, t1
+        ssr_cfg_write 0, bound0, 1
+        ssr_enable
+        fmv.d ft3, ft0
+        ssr_disable
+        fmv.d ft3, ft0
+        halt
+    """), active_cores=1)
+    made = []
+    map_operands = sim._map_operands
+
+    def spy(core, op):
+        made.append(map_operands(core, op))
+        return made[-1]
+
+    sim._map_operands = spy
+    res = sim.run()
+    assert res.stats.fp_executed == 4
+    op = next(i.fp_op for i in sim.code.values() if i.mnemonic == "fmv.d")
+    slot = sim.cores[0].slots[0]
+    first, again, plain = made
+    assert first is not again and plain is op
+    for split in (first, again):
+        assert split.operands == (slot,) and split.pops == ((slot, 1),)
+        assert split.push is None and split.sb_regs == (3,)
+    assert op.operands == (0,) and op.sb_regs == (0, 3)
 
 
 def test_four_byte_streams_through_the_cluster():

@@ -78,7 +78,7 @@ def plan_at(cycle, text, pending=()):
     sim.cycle = cycle
     core.fq.append(sim._plan_int(core, {}))
     requests = {}
-    return sim._plan_fpu(core, requests), core, requests
+    return sim._plan_fpu(core, core.fq[0], requests), core, requests
 
 
 def test_plan_fpu_raw():

@@ -199,10 +199,10 @@ def test_write_slot_backpressure():
     # dispatched from pc 0 by the int pipe's plan
     sim.code = {0: decode("fmv.d ft2, ft3")}
     core.fq.append(sim._plan_int(core, {}))
-    assert sim._plan_fpu(core, {}) == "stall:stream"
+    assert sim._plan_fpu(core, core.fq[0], {}) == "stall:stream"
     assert stream_cycle(sim, core) == [TCDM]
     assert len(slot.write_buf) == FIFO_DEPTH - 1
-    assert sim._plan_fpu(core, {}) is core.fq[0]
+    assert sim._plan_fpu(core, core.fq[0], {}) is core.fq[0]
 
 
 def test_engine_slot_roles():

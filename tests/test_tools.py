@@ -70,6 +70,13 @@ def test_opcount_counts_one_run():
     step = per_function["cluster.py:ClusterSim._step"]
     assert step[1] == result.cycles and step[0] > step[1]
     assert 0 < per_function["cluster.py:ClusterSim._plan_streams"][1] <= step[1]
+    # a core splits each distinct FpOp at most once under each stream map:
+    # the one before ssr_enable and the one it sets
+    code = inst.program.instructions.values()
+    fp_ops = {i.fp_op for i in code if i.fp_op is not None}
+    enables = sum(i.mnemonic == "ssr_enable" for i in code)
+    splits = per_function["cluster.py:ClusterSim._map_operands"][1]
+    assert 0 < splits <= len(fp_ops) * (1 + enables)
     # builtin calls: every stream commit accesses the scratchpad through a
     # struct method, and each fma64 calls at least math.fsum
     commit = per_function["cluster.py:ClusterSim._commit_streams"]
