@@ -12,29 +12,31 @@ deterministic:
                plan is the record commit applies, and registers the TCDM bank
                request it needs. An idle FPU (no replay, an empty FP queue)
                costs no plan call: the cycle loop counts it. An int-pipe wait
-               (on L2 or an icache fill, the sequencer, a drain, DMA queue
+               (on an icache fill or L2, the sequencer, a drain, DMA queue
                room) has one test that counts its stall; a wait planned last
                cycle runs only that test, not the plan, and an lw/sw that
                waits on L2, its bank or the data port is held and not
                fetched, decoded or addressed again. A wait for FP queue room
                is re-tested by planning again. Nothing else the plan read can
-               change while the int pipe stalls,
+               change while the int pipe stalls. The icache is shared: every
+               core that fetches a cold line in the cycle of its first miss
+               misses, and from the next cycle on the line hits,
   2. grant   - each bank grants one request (round robin, persistent pointer).
                A request is granted in place: each request map entry is a
                list of requester ids whose first is the grant, and only a
                bank that two requesters asked is arbitrated, its winner
                swapped to the front,
   3. commit  - units apply their planned action if granted, else record a
-               stall. The stream slots of all cores commit first, in one
-               pass, then each core's FPU and int pipe. Everything that
-               retires an instruction stays here, and so does the icache
-               fill, since the icache is shared: cores that miss one line in
-               the same cycle all miss. A TCDM access commits
-               at the scratchpad offset its plan found, an lw/sw to L2 at the
-               one its wait located. A DMA window that got every bank it needs
-               moves in one copy, unless a bank is both read and written; any
-               other window moves per bank slice. The int commit counts
-               every retire at one point, with the pc the cycle started at.
+               stall: a lost bank grant, or DMA queue room that another
+               core's commit took. The stream slots of all cores commit
+               first, in one pass, then each core's FPU and int pipe.
+               Everything that retires an instruction stays here. A TCDM
+               access commits at the scratchpad offset its plan found, an
+               lw/sw to L2 at the one its wait located. A DMA window that
+               got every bank it needs moves in one copy, unless a bank is
+               both read and written; any other window moves per bank slice.
+               The int commit counts every retire at one point, with the pc
+               the cycle started at.
 
 Bank exclusivity (one grant per bank per cycle) makes commit order irrelevant
 for memory, so a sequential sweep is safe. A core has one data port: its FP
@@ -48,8 +50,8 @@ import struct
 from collections import deque
 
 from .isa import (Domain, CoreState, FpOp, Instruction, fp_compute, MASK32,
-                  OPS, OP_ARITH, OP_LOAD, MEM_WAIT, QUEUE_FULL, FREP_WAIT,
-                  DRAIN, DMA_FULL)
+                  OPS, OP_ARITH, OP_LOAD, ICACHE_WAIT, MEM_WAIT, QUEUE_FULL,
+                  FREP_WAIT, DRAIN, DMA_FULL)
 from .frep import Sequencer, Scoreboard, FpEntry, Mode, FP_QUEUE_DEPTH
 from .fp import ELEMENT, bits_to_f64
 from .ssr import StreamSlot, N_SLOTS, FIFO_DEPTH, WRITE_SLOTS
@@ -78,28 +80,33 @@ DMA_RID = 4 * N_CORES
 N_REQUESTERS = DMA_RID + 1
 
 
+# A core's counters: every cycle up to its halt is one fetch or one of
+# INT_STALLS, and one of FP_SLOTS
+INT_STALLS = ("stall_bank_conflict", "stall_queue_full", "stall_frep_wait",
+              "stall_drain", "stall_icache", "stall_mem", "stall_dma_full")
+FP_SLOTS = ("fp_executed", "fp_stall_hazard", "fp_stall_stream",
+            "fp_stall_bank", "fp_idle")
+# a core's stats_lines after its "cycles", in order: each counter, and the
+# derived utilization; int_replay_overlap counts the int instructions
+# retired during replay
+CORE_LINES = ("fetched", "int_retired", "custom_retired", "fp_executed",
+              "fma_executed", "flops", "utilization", "int_replay_overlap",
+              *INT_STALLS, *FP_SLOTS[1:])
+
+
 class CoreStats:
-    # int_replay_overlap counts the integer instructions retired during
-    # replay
-    __slots__ = ("fetched", "int_retired", "custom_retired", "fp_executed",
-                 "fma_executed", "flops", "int_replay_overlap",
-                 "stall_bank_conflict", "stall_queue_full", "stall_frep_wait",
-                 "stall_drain", "stall_icache", "stall_mem", "stall_dma_full",
-                 "fp_stall_hazard", "fp_stall_stream", "fp_stall_bank",
-                 "fp_idle", "cycles_at_halt")
+    __slots__ = ("cycles_at_halt",
+                 *(name for name in CORE_LINES if name != "utilization"))
 
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, 0)
 
     def int_stalls(self):
-        return (self.stall_bank_conflict + self.stall_queue_full
-                + self.stall_frep_wait + self.stall_drain + self.stall_icache
-                + self.stall_mem + self.stall_dma_full)
+        return sum(getattr(self, name) for name in INT_STALLS)
 
     def fp_slots(self):
-        return (self.fp_executed + self.fp_stall_hazard + self.fp_stall_stream
-                + self.fp_stall_bank + self.fp_idle)
+        return sum(getattr(self, name) for name in FP_SLOTS)
 
     @property
     def utilization(self):
@@ -369,7 +376,7 @@ class Core:
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
         self.dma_dst = 0
-        self.mem_stall = 0          # countdown of an L2 or icache wait
+        self.mem_stall = 0          # countdown of an icache or L2 wait
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
         self.stream_map = {}        # FP register -> its active slot
@@ -419,32 +426,14 @@ def stats_lines(result: RunResult, active_cores=None):
              f"cluster.dma_descriptors {result.dma_descriptors}",
              f"cluster.flops {result.total_flops()}",
              f"cluster.flops_per_cycle {result.flops_per_cycle():.6f}"]
-    n = active_cores if active_cores is not None else len(result.core_stats)
-    for i in range(n):
-        s = result.core_stats[i]
+    for i, s in enumerate(result.core_stats[:active_cores]):
         p = f"core{i}."
-        lines += [
-            f"{p}cycles {s.cycles_at_halt}",
-            f"{p}fetched {s.fetched}",
-            f"{p}int_retired {s.int_retired}",
-            f"{p}custom_retired {s.custom_retired}",
-            f"{p}fp_executed {s.fp_executed}",
-            f"{p}fma_executed {s.fma_executed}",
-            f"{p}flops {s.flops}",
-            f"{p}utilization {s.utilization:.6f}",
-            f"{p}int_replay_overlap {s.int_replay_overlap}",
-            f"{p}stall_bank_conflict {s.stall_bank_conflict}",
-            f"{p}stall_queue_full {s.stall_queue_full}",
-            f"{p}stall_frep_wait {s.stall_frep_wait}",
-            f"{p}stall_drain {s.stall_drain}",
-            f"{p}stall_icache {s.stall_icache}",
-            f"{p}stall_mem {s.stall_mem}",
-            f"{p}stall_dma_full {s.stall_dma_full}",
-            f"{p}fp_stall_hazard {s.fp_stall_hazard}",
-            f"{p}fp_stall_stream {s.fp_stall_stream}",
-            f"{p}fp_stall_bank {s.fp_stall_bank}",
-            f"{p}fp_idle {s.fp_idle}",
-        ]
+        lines.append(f"{p}cycles {s.cycles_at_halt}")
+        for name in CORE_LINES:
+            value = getattr(s, name)
+            if name == "utilization":
+                value = f"{value:.6f}"
+            lines.append(f"{p}{name} {value}")
     return lines
 
 
@@ -470,7 +459,8 @@ class ClusterSim:
         self.dma = DmaEngine(self.mem)
         self.tcdm = Tcdm()
         self.cycle = 0
-        self.icache_cold = set()
+        self.icache_cold = {}       # cold line -> the cycle of its first
+                                    # miss, None before it
         self.trace_rows = []
         self.watch_hits = {}
 
@@ -485,7 +475,8 @@ class ClusterSim:
         self._new_run()
         self.code = program.instructions     # shared: nothing writes it
         if self.cold_start_icache:
-            self.icache_cold = {addr // ICACHE_LINE for addr in self.code}
+            self.icache_cold = dict.fromkeys(
+                addr // ICACHE_LINE for addr in self.code)
         self.load_image(program.data_segments)
         n_active = active_cores if active_cores is not None else N_CORES
         for i, core in enumerate(self.cores):
@@ -730,12 +721,12 @@ class ClusterSim:
     #
     # The int plan is the trace event of an outcome settled at plan time, or
     # one of the records commit applies: the FpEntry it dispatches, the ALU
-    # or custom Instruction, an lw/sw access, or the int icache line it misses
-    # on. An access is (instr, TCDM offset, bank), or (instr, address, None)
-    # for an L2 completion, which commit locates. A wait is a token. _waits
-    # tests its condition when the next cycle re-tests it and when a dm_copy
-    # commits after another core filled the DMA queue; the plan tests it
-    # where it meets the wait, and plans again after a QUEUE_FULL wait.
+    # or custom Instruction, or an lw/sw access. An access is (instr, TCDM
+    # offset, bank), or (instr, address, None) for an L2 completion, which
+    # commit locates. A wait is a token. _waits tests its condition when the
+    # next cycle re-tests it and when a dm_copy commits after another core
+    # filled the DMA queue; the plan tests it where it meets the wait, and
+    # plans again after a QUEUE_FULL wait.
 
     def _waits(self, core, wait):
         """Whether the int pipe still waits on `wait`, counting the stall if
@@ -746,12 +737,7 @@ class ClusterSim:
             if not core.mem_stall:
                 return False
             core.mem_stall -= 1
-            # an icache fill never holds an access: a fetch that misses
-            # runs only once any held lw/sw was used
-            if core.held_access is None:
-                st.stall_icache += 1
-            else:
-                st.stall_mem += 1
+            st.stall_mem += 1
         elif wait is FREP_WAIT:
             if core.seq.mode is _IDLE:
                 return False
@@ -764,6 +750,11 @@ class ClusterSim:
             if len(self.dma.queue) < DMA_QUEUE_DEPTH:
                 return False
             st.stall_dma_full += 1
+        elif wait is ICACHE_WAIT:
+            if not core.mem_stall:
+                return False
+            core.mem_stall -= 1
+            st.stall_icache += 1
         else:
             return False
         return True
@@ -785,7 +776,17 @@ class ClusterSim:
                 raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
             line = pc // ICACHE_LINE
             if line in self.icache_cold:
-                return line
+                # the shared icache: each core that fetches the line in the
+                # cycle of its first miss misses; from the next cycle it hits
+                cold = self.icache_cold
+                missed = cold[line]
+                if missed is None:          # the first miss
+                    missed = cold[line] = self.cycle
+                if missed == self.cycle:
+                    core.mem_stall = L2_LATENCY - 1
+                    core.stats.stall_icache += 1
+                    return ICACHE_WAIT
+                del cold[line]
             if core.capture_pending > 0 and instr.domain is not _FP:
                 raise NonFpInCapture(
                     f"'{instr.mnemonic}' inside an frep capture range")
@@ -870,7 +871,7 @@ class ClusterSim:
                 core.capture_pending -= 1
             instr = self.code[pc]       # the statement dispatched
             state.pc = pc + 4
-        elif cls is tuple:
+        else:                           # an lw/sw access
             instr, off, bank = plan
             buf = self.mem.tcdm
             if bank is None:            # the L2 wait is over
@@ -885,12 +886,6 @@ class ClusterSim:
             else:
                 _WORD.pack_into(buf, off, state.x[instr.rs2])
             state.pc = pc + 4
-        else:  # the icache line missed at plan time: the fill's first cycle
-            self.icache_cold.discard(plan)
-            core.mem_stall = L2_LATENCY - 1
-            core.stats.stall_icache += 1
-            core._int_plan = MEM_WAIT
-            return "stall:icache"
         st = core.stats
         st.fetched += 1
         domain = instr.domain
@@ -1023,10 +1018,10 @@ class ClusterSim:
                     core.stats.fp_idle += 1
                     core._fpu_plan = "-"
                 # a wait planned last cycle re-tests only its own condition:
-                # pc, icache line, registers and held access are as when
-                # planned; the sequencer wait, which frep replays hold
-                # longest, is tested here as _waits would, and a wait for
-                # FP queue room is planned again
+                # pc, registers and held access are as when planned; the
+                # sequencer wait, which frep replays hold longest, is tested
+                # here as _waits would, and a wait for FP queue room is
+                # planned again
                 plan = core._int_plan
                 if plan.__class__ is str:
                     if plan is FREP_WAIT:

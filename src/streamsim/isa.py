@@ -26,9 +26,11 @@ class Domain(Enum):
     CUSTOM = "custom"
 
 
-# the int-pipe waits, each its trace event: an lw/sw outside the TCDM waits
-# for L2 (as an icache fill does), an FP op for FP queue room, frep for an
-# idle sequencer, ssr_disable and halt for a drain, dm_copy for DMA queue room
+# the int-pipe waits, each its trace event: a fetch from a cold icache line
+# waits for its fill, an lw/sw outside the TCDM for L2, an FP op for FP queue
+# room, frep for an idle sequencer, ssr_disable and halt for a drain,
+# dm_copy for DMA queue room
+ICACHE_WAIT = "stall:icache"
 MEM_WAIT = "stall:mem"
 QUEUE_FULL = "stall:queue_full"
 FREP_WAIT = "stall:frep_wait"

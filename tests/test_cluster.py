@@ -454,6 +454,25 @@ def test_icache_cold_start_charges_per_line():
     assert res2.stats.cycles_at_halt == 9 + 20
 
 
+def test_icache_shared_by_the_cores():
+    """Cores 0 and 1 miss line 0 in cycle 0 and core 2 misses line 1: each
+    waits the whole fill, every row of it stall:icache. Core 2 then jumps
+    to line 0, filled before, and hits."""
+    prog = assemble("\n".join(["main:", *["nop"] * 7, "halt",
+                               "late:", "j main"]))
+    sim = ClusterSim(cold_start_icache=True)
+    sim.load_program(prog, active_cores=3, entries=["main", "main", "late"])
+    res = sim.run(trace=True)
+    for i, s in enumerate(res.core_stats[:3]):
+        events = [row.split(" | ")[2] for row in res.trace
+                  if f"| core{i} |" in row]
+        assert s.stall_icache == 10
+        assert [ev for ev in events if "stall:" in ev] == events[:10]
+        assert all(ev.split()[1] == "stall:icache" for ev in events[:10])
+    assert [s.cycles_at_halt for s in res.core_stats[:3]] == [18, 18, 19]
+    assert res.core_stats[2].fetched == 9
+
+
 def test_two_cores_same_bank_serialize():
     sim, res = run_source(f"""
         li t1, {DATA_BASE}

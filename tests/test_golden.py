@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,8 @@ from streamsim import kernels
 from streamsim.asm import assemble
 from streamsim.errors import SimError
 from streamsim.isa import OPS, Domain, decode
-from streamsim.cluster import (DMA_BUS_WIDTH, L2_BASE, N_CORES, TCDM_BASE,
-                               ClusterSim, CoreStats, stats_lines)
+from streamsim.cluster import (DMA_BUS_WIDTH, FP_SLOTS, INT_STALLS, L2_BASE,
+                               N_CORES, TCDM_BASE, ClusterSim, stats_lines)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 GOLDEN_PROGRAMS = GOLDEN.with_name("programs.json")
@@ -687,33 +688,50 @@ def untraced_run(case):
     return run_case(case)
 
 
-def ops_run(trace):
-    """The mnemonics a trace shows retired by an int pipe, and those it
-    shows issued by an FPU, capture passes aside."""
+# how read_trace counts an int-pipe row that retires "<pc> <mnemonic>", and
+# an FP-pipe row that issues an op or makes a capture pass
+RETIRE, ISSUE = "<pc> <mnemonic>", "issue"
+
+
+def read_trace(trace, cores):
+    """The mnemonics a trace shows retired by an int pipe and those it
+    shows issued by an FPU, capture passes aside; and per active core, how
+    many of its rows show each int-pipe event and each FP-pipe event."""
     retired, issued = set(), set()
+    events = [(Counter(), Counter()) for _ in range(cores)]
     for row in trace:
-        _, _, int_ev, fp_ev = row.split(" | ")
+        _, core, int_ev, fp_ev = row.split(" | ")
+        int_n, fp_n = events[int(core[len("core"):])]
         int_ev = int_ev.split()
         if len(int_ev) == 3:                # int-pipe: <pc> <mnemonic>
             retired.add(int_ev[2])
-        fp_ev = fp_ev.split()
-        if fp_ev[1] not in ("-", "capture") and not fp_ev[1].startswith("stall:"):
-            issued.add(fp_ev[1])
-    return retired, issued
+            int_n[RETIRE] += 1
+        else:
+            int_n[int_ev[1]] += 1
+        fp_ev = fp_ev.split()[1]
+        if fp_ev == "-" or fp_ev.startswith("stall:"):
+            fp_n[fp_ev] += 1
+        else:
+            fp_n[ISSUE] += 1
+            if fp_ev != "capture":
+                issued.add(fp_ev)
+    return retired, issued, events
 
 
 @functools.cache
 def traced_run(case):
     """The stats digest and trace digest of a traced run of one golden
-    case, and the ops it ran, once per session."""
+    case, the ops it ran, its rows' events per active core and those
+    cores' CoreStats, once per session."""
     result, cores = run_case(case, True)
+    retired, issued, events = read_trace(result.trace, cores)
     return (_sha256(stats_lines(result, cores)), _sha256(result.trace),
-            ops_run(result.trace))
+            (retired, issued), events, result.core_stats[:cores])
 
 
 def digests(case):
     """Stats digests of an untraced and a traced run, and the trace digest."""
-    stats_traced, trace, _ = traced_run(case)
+    stats_traced, trace = traced_run(case)[:2]
     return {"stats": _sha256(stats_lines(*untraced_run(case))),
             "stats_traced": stats_traced, "trace": trace}
 
@@ -752,11 +770,40 @@ def test_stall_program_reaches_its_path(case):
         assert s.fp_slots() == s.cycles_at_halt
 
 
+# trace event -> the counter of its rows: of an int pipe that stalls, and of
+# an FPU that stalls or idles
+INT_EVENTS = {"stall:bank": "stall_bank_conflict",
+              "stall:queue_full": "stall_queue_full",
+              "stall:frep_wait": "stall_frep_wait",
+              "stall:drain": "stall_drain",
+              "stall:icache": "stall_icache",
+              "stall:mem": "stall_mem",
+              "stall:dma_full": "stall_dma_full"}
+FP_EVENTS = {"-": "fp_idle", "stall:hazard": "fp_stall_hazard",
+             "stall:stream": "fp_stall_stream", "stall:bank": "fp_stall_bank"}
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_trace_events_count_the_counters(case):
+    """A core's trace rows count its counters: the retire rows `fetched`,
+    each int stall event its counter, and on the FP side the idle and stall
+    events theirs and every other event `fp_executed`. int_replay_overlap
+    is not shown by a row alone."""
+    events, stats = traced_run(case)[3:]
+    for (int_n, fp_n), s in zip(events, stats):
+        want_int = Counter({RETIRE: s.fetched, **{
+            ev: getattr(s, name) for ev, name in INT_EVENTS.items()}})
+        want_fp = Counter({ISSUE: s.fp_executed, **{
+            ev: getattr(s, name) for ev, name in FP_EVENTS.items()}})
+        assert +int_n == +want_int
+        assert +fp_n == +want_fp
+
+
 def test_every_stall_counter_is_reached():
-    """Every stall counter of CoreStats counts in at least one golden case,
-    so the digests guard each stall path."""
-    counters = {name for name in CoreStats.__slots__ if "stall" in name}
-    assert len(counters) == 10
+    """Every int stall and FP slot counter counts in at least one golden
+    case, so the digests guard each stall path."""
+    counters = {*INT_STALLS, *FP_SLOTS}
+    assert len(counters) == 12
     reached = set()
     for case in ALL_CASES:
         result, cores = untraced_run(case)
