@@ -186,33 +186,16 @@ class DmaDescriptor:
         self.length = length    # bytes
 
 
-def _validate_descriptor(desc: DmaDescriptor, mem: Memory):
-    """The (buffer, offset) of a non-empty descriptor's source and of its
-    destination, each lying in one region; None for an empty one."""
-    s, d, n = desc.src, desc.dst, desc.length
-    if n < 0:
-        raise InvalidDescriptor(f"bad length {n}")
-    if n == 0:
-        return None
-    bufs = (mem._locate(s, n), mem._locate(d, n))
-    if s < d + n and d < s + n:
-        raise OverlappingTransfer(
-            f"src [0x{s:x},0x{s + n:x}) overlaps dst [0x{d:x},0x{d + n:x})")
-    return bufs
-
-
 class DmaEngine:
-    """One transfer in flight, descriptor queue behind it, 64 B per busy cycle."""
+    """One transfer in flight, descriptor queue behind it, 64 B per busy
+    cycle. A transfer is its cursor, [src buf, src off, dst buf, dst off,
+    bytes left], located at submit; its window is the cursor's next
+    min(DMA_BUS_WIDTH, bytes left) bytes, and only `_next_window` steps it."""
 
     def __init__(self, mem: Memory):
         self.mem = mem
-        self.queue = deque()   # (descriptor, its located buffers)
-        self.active = None
-        self.bufs = None       # (buffer, offset) of the active transfer's
-                               # source and destination
-        self.offset = 0        # bytes of the active transfer moved
-        self.window = None     # (src buf, src off, dst buf, dst off, n) of
-                               # the current window
+        self.queue = deque()   # cursors of the queued transfers
+        self.active = None     # cursor of the transfer in flight
         self.disjoint = False  # no bank of the window is both read and written
         self.slices = None     # the window's pending (src buf, src off, dst
                                # buf, dst off, n, src bank, dst bank) pieces,
@@ -224,28 +207,31 @@ class DmaEngine:
         self.descriptors_done = 0
 
     def submit(self, desc: DmaDescriptor):
-        bufs = _validate_descriptor(desc, self.mem)
-        if bufs is None:
-            self.descriptors_done += 1   # completes immediately, no cycles
-            return True
+        """Queue desc as its cursor. It is refused, in this order, for a
+        negative length, a range outside one region, overlapping ranges and
+        a full queue; an empty one completes at once, with no cycles."""
+        s, d, n = desc.src, desc.dst, desc.length
+        if n < 0:
+            raise InvalidDescriptor(f"bad length {n}")
+        if n == 0:
+            self.descriptors_done += 1
+            return
+        sbuf, so = self.mem._locate(s, n)
+        dbuf, do = self.mem._locate(d, n)
+        if s < d + n and d < s + n:
+            raise OverlappingTransfer(
+                f"src [0x{s:x},0x{s + n:x}) overlaps dst [0x{d:x},0x{d + n:x})")
         if len(self.queue) >= DMA_QUEUE_DEPTH:
-            return False
-        self.queue.append((desc, bufs))
+            raise InvalidDescriptor("DMA descriptor queue full")
+        self.queue.append([sbuf, so, dbuf, do, n])
         self.idle = False
-        return True
-
-    def outstanding(self):
-        return len(self.queue) + (1 if self.active else 0)
 
     def _open_window(self):
-        """Locate the next window of the active transfer and the banks it
-        needs: each bank word of a TCDM side once, True where the window
-        reads it. A bank it reads serves the read before it takes a write."""
-        (sbuf, so), (dbuf, do) = self.bufs
-        so += self.offset
-        do += self.offset
-        n = min(DMA_BUS_WIDTH, self.active.length - self.offset)
-        self.window = (sbuf, so, dbuf, do, n)
+        """Find the banks the cursor's next window needs: each bank word of
+        a TCDM side once, True where the window reads it. A bank it reads
+        serves the read before it takes a write."""
+        sbuf, so, dbuf, do, left = self.active
+        n = min(DMA_BUS_WIDTH, left)
         self.slices = None
         tcdm = self.mem.tcdm
         banks = self.banks = {}
@@ -264,7 +250,8 @@ class DmaEngine:
 
     def _cut(self):
         """Cut the window into slices that each touch one bank per TCDM side."""
-        sbuf, so, dbuf, do, n = self.window
+        sbuf, so, dbuf, do, left = self.active
+        n = min(DMA_BUS_WIDTH, left)
         tcdm = self.mem.tcdm
         cuts = {0, n}
         for buf, off in ((sbuf, so), (dbuf, do)):
@@ -284,9 +271,7 @@ class DmaEngine:
         else append the id and add the bank to contested. Called only
         while the engine is not idle."""
         if self.active is None:
-            self.active, self.bufs = self.queue.popleft()
-            self.offset = 0
-        if self.window is None:
+            self.active = self.queue.popleft()
             self._open_window()
         rid = DMA_RID
         for bank in self.banks:
@@ -315,10 +300,11 @@ class DmaEngine:
                     if grants[bank][0] != rid:
                         break
                 else:
-                    sbuf, so, dbuf, do, n = self.window
+                    sbuf, so, dbuf, do, left = self.active
+                    n = min(DMA_BUS_WIDTH, left)
                     dbuf[do:do + n] = sbuf[so:so + n]
                     self.bytes_moved += n
-                    self._next_window(n)
+                    self._next_window()
                     return
             slices = self._cut()
         remaining = []
@@ -345,14 +331,19 @@ class DmaEngine:
                 if piece[6] is not None:
                     banks.setdefault(piece[6], False)
             return
-        self._next_window(self.window[4])
+        self._next_window()
 
-    def _next_window(self, n):
-        """Count the window's n bytes as moved; finish the transfer after
-        its last window."""
-        self.window = None
-        self.offset += n
-        if self.offset >= self.active.length:
+    def _next_window(self):
+        """Step the cursor past its window and open the next one; finish
+        the transfer after its last window."""
+        cur = self.active
+        left = cur[4]
+        if left > DMA_BUS_WIDTH:
+            cur[1] += DMA_BUS_WIDTH
+            cur[3] += DMA_BUS_WIDTH
+            cur[4] = left - DMA_BUS_WIDTH
+            self._open_window()
+        else:
             self.active = None
             self.descriptors_done += 1
             self.idle = not self.queue
@@ -376,23 +367,13 @@ class Core:
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
         self.dma_src = 0
         self.dma_dst = 0
-        self.mem_stall = 0          # countdown of an icache or L2 wait
+        self.wait_end = 0           # the cycle an icache or L2 wait ends
         self.held_access = None     # lw/sw plan held over an L2 wait or a
                                     # lost bank grant
         self.stream_map = {}        # FP register -> its active slot
         self.splits = {}            # FpOp -> its split under stream_map
         self._int_plan = None
         self._fpu_plan = None
-
-    def drained(self):
-        """The FP queue, the sequencer and the write streams are empty;
-        only a write slot can hold stores."""
-        if self.fq or self.seq.mode is not _IDLE:
-            return False
-        for slot in self.write_slots:
-            if slot.write_buf:
-                return False
-        return True
 
 
 class RunResult:
@@ -495,10 +476,6 @@ class ClusterSim:
         for addr, data in records:
             self.mem.write(addr, data)
 
-    def dma_submit(self, desc: DmaDescriptor):
-        if not self.dma.submit(desc):
-            raise InvalidDescriptor("DMA descriptor queue full")
-
     # ------------------------------------------------------------- FPU phase
     #
     # The FPU plan is the trace event of an outcome settled at plan time (idle,
@@ -585,8 +562,8 @@ class ClusterSim:
         or a pop of the read stream's FIFO, which the plan found holding
         enough elements, so a stream that feeds two sources pops in operand
         order. It sets its destination's scoreboard entry here, as
-        `Scoreboard.issue` would, and a replay steps the sequencer's body
-        pointer and iteration count here."""
+        `Scoreboard.issue` would; a replay steps the sequencer's one
+        counter here, and a capture pass fills its buffer."""
         entry = core._fpu_plan
         op = entry.op
         st = core.stats
@@ -621,8 +598,12 @@ class ClusterSim:
             else:
                 push.push(res)
         elif entry.capture:
+            # the body's last capture pass starts the replay
             entry.capture = False
-            core.seq.load_slot(entry)
+            seq = core.seq
+            seq.buffer.append(entry)
+            if len(seq.buffer) == seq.n_instr:
+                seq.mode = _REPLAYING
             core.fq.popleft()
             st.fp_executed += 1
             return f"capture {op.mnemonic}" if self.trace_enabled else None
@@ -644,15 +625,12 @@ class ClusterSim:
         if seq.mode is _REPLAYING:
             ev = None
             if self.trace_enabled:
-                ev = f"{op.mnemonic} [iter {seq.iter_idx}/{seq.total_iters}]"
-            ptr = seq.inst_ptr + 1
-            if ptr == seq.n_instr:
-                ptr = 0
-                seq.iter_idx += 1
-                if seq.iter_idx > seq.total_iters:
-                    seq.mode = _IDLE
-                    seq.buffer = []
-            seq.inst_ptr = ptr
+                ev = (f"{op.mnemonic} [iter {seq.issued // seq.n_instr + 1}"
+                      f"/{seq.end // seq.n_instr}]")
+            seq.issued += 1
+            if seq.issued == seq.end:
+                seq.mode = _IDLE
+                seq.buffer = []
             return ev
         core.fq.popleft()
         return op.mnemonic
@@ -734,26 +712,30 @@ class ClusterSim:
         int pipe plans again."""
         st = core.stats
         if wait is MEM_WAIT:
-            if not core.mem_stall:
+            if self.cycle >= core.wait_end:
                 return False
-            core.mem_stall -= 1
             st.stall_mem += 1
         elif wait is FREP_WAIT:
             if core.seq.mode is _IDLE:
                 return False
             st.stall_frep_wait += 1
         elif wait is DRAIN:
-            if core.drained():
-                return False
+            # drained: the FP queue, the sequencer and the write streams are
+            # empty; only a write slot can hold stores
+            if not core.fq and core.seq.mode is _IDLE:
+                for slot in core.write_slots:
+                    if slot.write_buf:
+                        break
+                else:
+                    return False
             st.stall_drain += 1
         elif wait is DMA_FULL:
             if len(self.dma.queue) < DMA_QUEUE_DEPTH:
                 return False
             st.stall_dma_full += 1
         elif wait is ICACHE_WAIT:
-            if not core.mem_stall:
+            if self.cycle >= core.wait_end:
                 return False
-            core.mem_stall -= 1
             st.stall_icache += 1
         else:
             return False
@@ -783,7 +765,7 @@ class ClusterSim:
                 if missed is None:          # the first miss
                     missed = cold[line] = self.cycle
                 if missed == self.cycle:
-                    core.mem_stall = L2_LATENCY - 1
+                    core.wait_end = self.cycle + L2_LATENCY
                     core.stats.stall_icache += 1
                     return ICACHE_WAIT
                 del cold[line]
@@ -828,7 +810,7 @@ class ClusterSim:
             if not 0 <= off < TCDM_SIZE:
                 # held over the L2 wait, whose first cycle this is
                 core.held_access = (instr, addr, None)
-                core.mem_stall = L2_LATENCY - 1
+                core.wait_end = self.cycle + L2_LATENCY
                 core.stats.stall_mem += 1
                 return MEM_WAIT
             access = (instr, off, off // BANK_WIDTH % TCDM_BANKS)
@@ -975,12 +957,14 @@ class ClusterSim:
         core.dma_dst = core.state.x[instr.rs1]
 
     def _dm_copy(self, core, instr):
-        desc = DmaDescriptor(core.dma_src, core.dma_dst, core.state.x[instr.rs1])
-        ok = self.dma.submit(desc)
-        assert ok  # commit path re-checks queue room first
+        # the commit tested queue room first
+        self.dma.submit(DmaDescriptor(core.dma_src, core.dma_dst,
+                                      core.state.x[instr.rs1]))
 
     def _dm_poll(self, core, instr):
-        core.state.set_x(instr.rd, self.dma.outstanding())
+        # the transfers queued and in flight
+        core.state.set_x(instr.rd, len(self.dma.queue)
+                         + (self.dma.active is not None))
 
     def _halt(self, core, instr):
         core.halted = True
@@ -1011,7 +995,7 @@ class ClusterSim:
                 if core.seq.mode is _REPLAYING:
                     seq = core.seq
                     core._fpu_plan = self._plan_fpu(
-                        core, seq.buffer[seq.inst_ptr], requests)
+                        core, seq.buffer[seq.issued % seq.n_instr], requests)
                 elif core.fq:
                     core._fpu_plan = self._plan_fpu(core, core.fq[0], requests)
                 else:

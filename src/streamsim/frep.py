@@ -28,12 +28,19 @@ class Mode(Enum):
 
 
 class Sequencer:
+    """The micro-loop buffer and its one counter. `arm` starts a capture of
+    n_instr entries, which the FPU commit appends to `buffer`, the queue's
+    entries themselves, so operands latched at dispatch (TCDM offsets,
+    integer move sources) stay fixed across iterations. The full buffer
+    then replays: `issued` counts its issues, the next is
+    buffer[issued % n_instr], and the replay ends when `issued` reaches
+    `end`, n_instr times the repetition count."""
+
     def __init__(self):
         self.buffer = []
         self.n_instr = 0
-        self.total_iters = 0
-        self.iter_idx = 0
-        self.inst_ptr = 0
+        self.issued = 0
+        self.end = 0
         self.mode = Mode.IDLE
 
     def arm(self, count: int, n_instr: int):
@@ -45,23 +52,9 @@ class Sequencer:
             raise CountZero("frep with repetition count 0")
         self.buffer = []
         self.n_instr = n_instr
-        self.total_iters = count
-        self.iter_idx = 0
-        self.inst_ptr = 0
+        self.issued = 0
+        self.end = n_instr * count
         self.mode = Mode.CAPTURING
-
-    def load_slot(self, op):
-        """Commit one capture pass; starts replay once the body is complete.
-
-        The buffer holds queue entries, so operands latched at dispatch
-        (TCDM offsets, integer move sources) stay fixed across iterations.
-        """
-        assert self.mode == Mode.CAPTURING
-        self.buffer.append(op)
-        if len(self.buffer) == self.n_instr:
-            self.mode = Mode.REPLAYING
-            self.iter_idx = 1
-            self.inst_ptr = 0
 
 
 class Scoreboard:

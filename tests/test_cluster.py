@@ -198,7 +198,7 @@ def test_dma_flat_l2_to_tcdm():
     sim = ClusterSim()
     blob = bytes((i * 37) & 0xFF for i in range(4096))
     sim.mem.write(L2_BASE, blob)
-    sim.dma_submit(DmaDescriptor(L2_BASE, DATA_BASE, 4096))
+    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 4096))
     res = sim.run()
     # 64 bytes per busy cycle, sole requester: 4096/64 windows
     assert sim.dma.busy_cycles == 64
@@ -231,7 +231,7 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     assert not sim.tcdm.contested
     sim = ClusterSim()
     sim.mem.write(DATA_BASE, blob)
-    sim.dma_submit(desc)
+    sim.dma.submit(desc)
     res = sim.run()
     assert sim.dma.busy_cycles == cycles
     assert res.dma_bytes == 64
@@ -242,13 +242,13 @@ def test_dma_descriptor_by_keyword():
     desc = DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=64)
     assert (desc.src, desc.dst, desc.length) == (L2_BASE, DATA_BASE, 64)
     sim = ClusterSim()
-    sim.dma_submit(desc)
+    sim.dma.submit(desc)
     assert sim.run().dma_bytes == 64
 
 
 def test_dma_zero_length_completes_immediately():
     sim = ClusterSim()
-    sim.dma_submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
     res = sim.run()
     assert res.cycles == 0
     assert res.dma_descriptors == 1
@@ -258,32 +258,48 @@ def test_dma_zero_length_completes_immediately():
 def test_dma_overlap_rejected():
     sim = ClusterSim()
     with pytest.raises(OverlappingTransfer):
-        sim.dma_submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
+        sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
     with pytest.raises(OverlappingTransfer):
-        sim.dma_submit(DmaDescriptor(DATA_BASE + 0x100, DATA_BASE, 512))
+        sim.dma.submit(DmaDescriptor(DATA_BASE + 0x100, DATA_BASE, 512))
     # ranges that only touch do not overlap
-    sim.dma_submit(DmaDescriptor(DATA_BASE, DATA_BASE + 512, 512))
+    sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 512, 512))
 
 
 def test_dma_bad_geometry_and_range():
     sim = ClusterSim()
     with pytest.raises(InvalidDescriptor):
-        sim.dma_submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=-1))
+        sim.dma.submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=-1))
     with pytest.raises(OutOfRangeAccess):
-        sim.dma_submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
+        sim.dma.submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
 
 
 def test_dma_queue_depth():
     eng = DmaEngine(Memory())
     for i in range(DMA_QUEUE_DEPTH):
-        assert eng.submit(DmaDescriptor(L2_BASE + 64 * i,
-                                        DATA_BASE + 64 * i, 64))
-    assert not eng.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+        eng.submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
+    with pytest.raises(InvalidDescriptor, match="queue full"):
+        eng.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+    assert len(eng.queue) == DMA_QUEUE_DEPTH
+
+
+def test_dma_submit_refusal_order():
+    """With the queue full, submit still completes an empty descriptor and
+    refuses a bad one for its own fault; only a valid one meets the full
+    queue."""
     sim = ClusterSim()
     for i in range(DMA_QUEUE_DEPTH):
-        sim.dma_submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
-    with pytest.raises(InvalidDescriptor):
-        sim.dma_submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+        sim.dma.submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
+    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    assert sim.dma.descriptors_done == 1
+    with pytest.raises(OverlappingTransfer):
+        sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
+    with pytest.raises(InvalidDescriptor, match="^bad length -1$"):
+        sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, -1))
+    with pytest.raises(OutOfRangeAccess):
+        sim.dma.submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
+    with pytest.raises(InvalidDescriptor, match="^DMA descriptor queue full$"):
+        sim.dma.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+    assert len(sim.dma.queue) == DMA_QUEUE_DEPTH
 
 
 def test_dma_idle_flag():
@@ -292,10 +308,10 @@ def test_dma_idle_flag():
     last queued transfer, not before."""
     eng = DmaEngine(Memory())
     assert eng.idle
-    assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
     assert eng.idle and eng.descriptors_done == 1
-    assert eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
-    assert eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
+    eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
+    eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
     assert not eng.idle
     all_banks = {bank: [DMA_RID] for bank in range(32)}
     for left in (2, 1, 0):                  # windows of 64, 32 and 64 bytes
@@ -331,6 +347,34 @@ def test_dma_from_program_with_poll():
     assert sim.mem.read(DATA_BASE, 256) == blob
 
 
+def test_dma_poll_counts_queued_and_active():
+    # the same 512-byte copy, 8 busy cycles, queued three times back to
+    # back, then each dm_poll stored to L2 until one reads 0: the first poll
+    # sees all three, and each store's L2 wait lets the engine move on
+    src = f"""
+        li t0, {L2_BASE}
+        li t1, {DATA_BASE}
+        li t2, 512
+        li t4, {L2_BASE + 0x1000}
+        dm_src t0
+        dm_dst t1
+        dm_copy t2
+        dm_copy t2
+        dm_copy t2
+    poll:
+        dm_poll t3
+        sw t3, 0(t4)
+        addi t4, t4, 4
+        bne t3, zero, poll
+        halt
+    """
+    sim, res = run_source(src)
+    polls = struct.unpack("<4I", sim.mem.read(L2_BASE + 0x1000, 16))
+    assert list(polls) == [3, 1, 0, 0]      # the fourth word was never stored
+    assert res.dma_descriptors == 3 and res.dma_bytes == 1536
+    assert res.dma_busy_cycles == 24 and res.cycles == 52
+
+
 def test_dma_shares_banks_with_cores():
     # four unaligned copies inside the TCDM while all eight cores load from
     # their sources: a slice that loses a bank to a core waits for the
@@ -343,7 +387,7 @@ def test_dma_shares_banks_with_cores():
     sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
     for r, row in enumerate(rows):
         sim.mem.write(src + 256 * r, row)
-        sim.dma_submit(DmaDescriptor(src + 256 * r, dst + 256 * r, 250))
+        sim.dma.submit(DmaDescriptor(src + 256 * r, dst + 256 * r, 250))
     res = sim.run()
     assert [sim.mem.read(dst + 256 * r, 250) for r in range(4)] == rows
     assert res.dma_bytes == 1000 and res.dma_descriptors == 4
@@ -358,7 +402,7 @@ def test_dma_tcdm_to_l2():
     blob = bytes((k * 13 + 5) & 0xFF for k in range(1000))
     sim = ClusterSim()
     sim.mem.write(TCDM_BASE + 4, blob)
-    sim.dma_submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    sim.dma.submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
     res = sim.run()
     assert sim.mem.read(L2_BASE + 12, 1000) == blob
     assert res.dma_bytes == 1000 and res.dma_descriptors == 1
@@ -375,7 +419,7 @@ def test_dma_tcdm_to_l2_shares_banks_with_cores():
     sim = ClusterSim()
     sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
     sim.mem.write(TCDM_BASE + 4, blob)
-    sim.dma_submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    sim.dma.submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
     res = sim.run()
     assert sim.mem.read(L2_BASE + 12, 1000) == blob
     assert res.dma_bytes == 1000 and res.dma_descriptors == 1

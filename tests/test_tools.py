@@ -83,6 +83,10 @@ def test_opcount_counts_one_run():
     assert commit[2] >= commit[1] > 0
     fma = per_function["fp.py:fma64"]
     assert fma[2] >= fma[1] > 0
+    # the replay steps in cluster.py alone: its one frep.py call is the arm
+    frep_calls = {name: counts[1] for name, counts in per_function.items()
+                  if name.startswith("frep.py:")}
+    assert frep_calls == {"frep.py:Sequencer.arm": 1}
     lines = opcount.report(core_cycles, per_function, top=3)
     assert len(lines) == 5 and lines[-1].startswith("total")
     assert lines[0].split()[-2:] == ["C", "calls"]
