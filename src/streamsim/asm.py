@@ -1,26 +1,36 @@
-"""Assembler for the cluster's instruction set.
+r"""Assembler for the cluster's instruction set.
 
 One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
 then decodes each distinct statement once, resolving its label operands, and
-fills the symbolic words. Statements that differ only in the integer literal
-of their last operand share a shape, and only the first of a shape goes
-through the full decode: each further one parses just its literal. `.text` starts at 0x0 and `.data` at the scratchpad
-base, so branch targets and data pointers are absolute addresses throughout.
+fills the symbolic words.
+
+Statements that differ only in the integer literal of their last operand,
+alone or as the imm of imm(reg), share a shape, which string methods split
+off: the text before the last comma (without a comma, the mnemonic and its
+whitespace), and what follows the literal. The literal must have the form
+-?\d\w*, so it holds no whitespace that int() would strip. Only the first
+statement of a shape goes through the full decode; each further one is
+filled in from the first's fields and text with one int() of its literal,
+and a literal outside the range decode takes goes to decode for its
+message.
+
+`.text` starts at 0x0 and `.data` at the scratchpad base, so branch targets
+and data pointers are absolute addresses throughout.
 """
 
 import re
 import struct
 
 from .cluster import TCDM_BASE as DATA_BASE, TCDM_SIZE
-from .errors import (DuplicateLabel, MalformedOperands, ParseError, SimError,
-                     UnresolvedLabel)
-from .isa import decode, shape_fill, SHAPE_RE, SYM_RE
+from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
+from .isa import decode, literal_field, Instruction, SYM_RE
 
 TEXT_BASE = 0x0000_0000
 DATA_END = DATA_BASE + TCDM_SIZE
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):(.*)$")
+_TEXT = Instruction.__slots__.index("text")     # its constructor position
 
 
 class AsmProgram:
@@ -126,31 +136,50 @@ def assemble(source: str) -> AsmProgram:
 
     # resolve: decode each distinct statement once, in the order of first
     # appearance, so an error names the first line that holds it; identical
-    # statements share one Instruction. A statement of a shape already
-    # decoded (isa.SHAPE_RE) costs only the parse of its literal; a literal
-    # that fill refuses goes to decode, which raises its message. Then fill
-    # symbolic words.
+    # statements share one Instruction. A statement whose last operand is an
+    # integer literal (-?\d\w*), alone or as the imm of imm(reg), has a
+    # shape: the text before its last comma, or without a comma the mnemonic
+    # and its whitespace, and what follows the literal. The first statement
+    # of a shape goes through decode, which accepts it only if what follows
+    # is "" or (reg); each further one is filled in from the first's fields
+    # and text, and costs one int() of its literal and a range test. A
+    # literal that the fill refuses goes to decode, which raises its
+    # message. Then fill symbolic words.
     decoded = {}
-    fills = {}    # shape -> its fill, made from its first statement
+    shapes = {}   # shape -> (fields, literal's position, lo, hi, text head)
     for stmt, no in first_line.items():
-        m = SHAPE_RE.fullmatch(stmt)
-        if m is not None:
-            head, lit, tail = m.groups()
-            fill = fills.get((head, tail))
-            if fill is not None:
+        head, comma, last = stmt.rpartition(",")
+        if not comma:
+            last = stmt.split(None, 1)[-1]
+            head = stmt[:len(stmt) - len(last)]
+        lit, paren, tail = last.partition("(")
+        lit = lit.lstrip()
+        shape = None
+        if lit.isdecimal() or _literal(lit):
+            tail = paren + tail
+            shape = head, tail
+            known = shapes.get(shape)
+            if known is not None:
+                v, at, lo, hi, text = known
                 try:
-                    decoded[stmt] = fill(lit)
-                    continue
-                except MalformedOperands:
+                    n = int(lit, 0)
+                except ValueError:
                     pass
+                else:
+                    if lo <= n < hi:
+                        v[at] = n
+                        v[_TEXT] = text + lit + tail
+                        decoded[stmt] = Instruction(*v)
+                        continue
         try:
             decoded[stmt] = ins = decode(stmt, labels)
         except UnresolvedLabel as e:
             raise UnresolvedLabel(f"line {no}: {e}") from None
         except SimError as e:
             raise ParseError(f"line {no}: {e}") from e
-        if m is not None:
-            fills[head, tail] = shape_fill(ins, lit, tail)
+        if shape is not None:
+            shapes[shape] = (*literal_field(ins),
+                             ins.text[:len(ins.text) - len(lit) - len(tail)])
     instructions = dict(zip(range(TEXT_BASE, TEXT_BASE + 4 * len(texts), 4),
                             map(decoded.__getitem__, texts)))
     for no, addr, tok in words:
@@ -168,6 +197,13 @@ def assemble(source: str) -> AsmProgram:
 
     segments = [(a, data[a]) for a in sorted(data)]
     return AsmProgram(instructions, segments, labels, entry)
+
+
+def _literal(tok):
+    r"""Whether tok has the form -?\d\w* of an integer literal, with no
+    whitespace in it, which int() would strip."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    return digits[:1].isdecimal() and digits.replace("_", "0").isalnum()
 
 
 def _lines(source):

@@ -215,8 +215,11 @@ def _freg(v, i, tok, labels):
         raise MalformedOperands(f"expected FP register, got '{tok}'") from None
 
 
+_IMM_MIN, _IMM_END = -(1 << 31), 1 << 32     # the 32-bit range of a value
+
+
 def _in_range(n):
-    if not -(1 << 31) <= n < (1 << 32):
+    if not _IMM_MIN <= n < _IMM_END:
         raise MalformedOperands(f"immediate {n} out of 32-bit range")
     return n
 
@@ -418,14 +421,23 @@ def _shown(mn, ops):
     return f"{mn} {', '.join(ops)}" if ops else mn
 
 
+# the range checks that a mnemonic's operand kinds leave, each inside the
+# 32-bit range: mnemonic -> (field position, lo, hi, message), lo <= value < hi
+_LIMITS = {
+    "slli": (_IMM, 0, 32, "shift amount {} out of range"),
+    "frep": (_N_INSTR, 1, BUFFER_DEPTH + 1,
+             f"frep body length {{}} outside 1..{BUFFER_DEPTH}"),
+}
+
+
 def _check(mn, v):
-    """The range checks of mnemonic mn on its field values v that its
-    operand kinds leave: the slli shift amount and the frep body length."""
-    if mn == "slli" and not 0 <= v[_IMM] < 32:
-        raise MalformedOperands(f"shift amount {v[_IMM]} out of range")
-    if mn == "frep" and not 1 <= v[_N_INSTR] <= BUFFER_DEPTH:
-        raise MalformedOperands(
-            f"frep body length {v[_N_INSTR]} outside 1..{BUFFER_DEPTH}")
+    """The range check of mnemonic mn on its field values v, if it has one:
+    the slli shift amount and the frep body length."""
+    limit = _LIMITS.get(mn)
+    if limit is not None:
+        at, lo, hi, why = limit
+        if not lo <= v[at] < hi:
+            raise MalformedOperands(why.format(v[at]))
 
 
 def decode(text: str, labels=None) -> Instruction:
@@ -471,33 +483,21 @@ def decode(text: str, labels=None) -> Instruction:
     return Instruction(*v)
 
 
-# A statement whose last operand is an integer literal, alone or as the imm
-# of imm(reg): the text before the literal, the literal, and the (reg) part
-# or "". The statements that share the first and last part share a shape.
-SHAPE_RE = re.compile(r"(.*,\s*|\S+\s+)(-?\d\w*)((?:\(\w*\))?)")
-
-
-def shape_fill(ins, lit, tail):
-    """Given the Instruction that decode made of a statement that SHAPE_RE
-    splits as (head, lit, tail), return a function of another literal that
-    gives what decode gives for head + that literal + tail, or raises
-    MalformedOperands where decode raises.
-
-    In a statement of that shape the literal is the whole last operand
-    token, or the whole imm of imm(reg), so decode parses it with `_int`
-    alone, and the other fields, the FpOp and the text before it stay."""
+def literal_field(ins):
+    """For the Instruction that decode made of a statement whose last
+    operand is an integer literal, alone or as the imm of imm(reg): its
+    field values in constructor order, the position of the field that the
+    literal sets, and the range lo <= n < hi of the values decode takes
+    there. Decode parses any other literal of that spelling with `_int`
+    alone, and leaves every other field and the text before that literal
+    as they are."""
     mn = ins.text.partition(" ")[0]
     i, kind = _FORMATS[mn][2][-1]
     at = i if kind is _imm else _IMM    # imm(rs1) and rs1|imm set imm
-    v = [getattr(ins, f) for f in _AT]
-    head = ins.text[:len(ins.text) - len(lit) - len(tail)]
-
-    def fill(lit):
-        v[at] = _int(lit)
-        _check(mn, v)
-        v[_TEXT] = head + lit + tail
-        return Instruction(*v)
-    return fill
+    limit = _LIMITS.get(mn)
+    lo, hi = (limit[1:3] if limit is not None and limit[0] == at
+              else (_IMM_MIN, _IMM_END))
+    return [getattr(ins, f) for f in _AT], at, lo, hi
 
 
 class CoreState:

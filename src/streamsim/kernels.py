@@ -177,13 +177,10 @@ def build_dot_baseline(n, seed):
         raise ValueError("n must be a positive multiple of 4")
 
     def fold(xa, ya):
-        lines = []
-        for i in range(n):
-            acc = f"ft{3 + i % 4}"
-            lines += [f"  fld ft0, {xa + 8 * i}(zero)",
-                      f"  fld ft1, {ya + 8 * i}(zero)",
-                      f"  fmadd.d {acc}, ft0, ft1, {acc}"]
-        return lines
+        # each load/load/fmadd group is one string of three lines
+        return [f"  fld ft0, {xa + 8 * i}(zero)\n"
+                f"  fld ft1, {ya + 8 * i}(zero)\n{_FMADD_ACC[i % 4]}"
+                for i in range(n)]
 
     return _dot("dot_baseline", n, seed, fold, ssr=False)
 
@@ -275,11 +272,12 @@ def build_matvec48_baseline(n, seed):
     lines = ["start:", f"  li t0, {ya}"]
     for r0 in range(0, n, 4):
         lines += _ZERO_ACC
+        bases = [aa + 8 * n * (r0 + r) for r in range(4)]    # of A's rows
         for k in range(n):
-            for r in range(4):
-                lines += [f"  fld ft0, {aa + 8 * (n * (r0 + r) + k)}(zero)",
-                          f"  fld ft1, {xa + 8 * k}(zero)",
-                          f"  fmadd.d ft{3 + r}, ft0, ft1, ft{3 + r}"]
+            # each load/load/fmadd group is one string of three lines
+            x_load = f"  fld ft1, {xa + 8 * k}(zero)\n"
+            lines += [f"  fld ft0, {base + 8 * k}(zero)\n{x_load}{fmadd}"
+                      for base, fmadd in zip(bases, _FMADD_ACC)]
         for r in range(4):
             lines.append(f"  fsd ft{3 + r}, {ya + 8 * (r0 + r)}(zero)")
     lines.append("  halt")
@@ -359,6 +357,9 @@ def build_matmul_ssr_frep(n, seed):
         cursor += size
         return base
 
+    # B column-major, each column padded to 256 bytes: every core's copy
+    b_image = b"".join(_pack([b[k][j] for k in range(n)]).ljust(256, b"\0")
+                       for j in range(n))
     data = []
     a_base, b_base, c_base = [], [], []
     for i in range(N_CORES):
@@ -369,9 +370,7 @@ def build_matmul_ssr_frep(n, seed):
 
         bb = place(n * 256, _MM_B_BANKS[i])
         b_base.append(bb)
-        cols = [b[k][j] for j in range(n) for k in range(n)]
-        data.append((bb, b"".join(_pack(cols[j * n:(j + 1) * n]).ljust(256, b"\0")
-                                  for j in range(n))))
+        data.append((bb, b_image))
 
         c_base.append(place(rpc * prow, (_MM_A_BANKS[i] + 4) % TCDM_BANKS))
 

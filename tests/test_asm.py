@@ -243,6 +243,13 @@ def test_repeated_bad_statement_reports_first_line():
      "shift amount 32 out of range in 'slli t0, t1, 32'"),
     ("frep t0, 4", "frep t0, 17",
      "frep body length 17 outside 1..16 in 'frep t0, 17'"),
+    # int() takes "8 " and " 8", and decode does not
+    ("fld ft0, 8(zero)", "fld ft0, 8 (zero)",
+     "expected imm(reg), got '8 (zero)' in 'fld ft0, 8 (zero)'"),
+    ("lw t0, 8(t1)", "lw t0, 8( t1)",
+     "expected imm(reg), got '8( t1)' in 'lw t0, 8( t1)'"),
+    ("addi t0, t1, 5", "addi t0, t1, 5 6",
+     "expected immediate, got '5 6' in 'addi t0, t1, 5 6'"),
 ])
 def test_rejected_literal_after_its_shape(first, stmt, why):
     with pytest.raises(ParseError) as ei:

@@ -3,7 +3,9 @@
 The sources repeat a few statement shapes (a statement with the integer
 literal of its last operand cut out) with literals near every edge that
 decode knows: spellings int() refuses, the 32-bit range, the slli and frep
-limits, and labels. Whatever the assembler gives must be what decode gives
+limits, and labels; and with the spellings where int() takes what decode
+does not: whitespace between the literal and its "(reg)", inside the
+parentheses, and a second token after the literal. Whatever the assembler gives must be what decode gives
 for each statement, or the error of the first distinct statement that
 decode refuses, named by its first line.
 """
@@ -17,13 +19,18 @@ from streamsim.asm import DATA_BASE, assemble  # noqa: E402
 from streamsim.errors import ParseError, SimError, UnresolvedLabel  # noqa: E402
 from streamsim.isa import decode  # noqa: E402
 
-# {g} is the gap after the mnemonic, {s} each operand separator
+# {g} is the gap after the mnemonic and {s} each operand separator, both
+# fixed for a spelling; {in} is a gap, or none, inside the literal's operand,
+# drawn for each line
 SHAPES = (
     "fld{g}ft0{s}{lit}(zero)", "fsd{g}ft1{s}{lit}(t1)", "lw{g}t0{s}{lit}(t1)",
     "sw{g}t2{s}{lit}(sp)", "jalr{g}ra{s}{lit}(t0)", "addi{g}t0{s}t1{s}{lit}",
     "li{g}a0{s}{lit}", "slli{g}t0{s}t1{s}{lit}", "frep{g}t0{s}{lit}",
     "lui{g}t0{s}{lit}", "j{g}{lit}", "beq{g}t0{s}t1{s}{lit}",
     "ssr_cfg_write{g}0{s}bound0{s}{lit}", "add{g}t0{s}t1{s}{lit}",
+    "fld{g}ft0{s}{lit}{in}(zero)", "lw{g}t0{s}{lit}({in}t1)",
+    "sw{g}t2{s}{lit}(sp{in})", "addi{g}t0{s}t1{s}{lit}{in}6",
+    "j{g}{lit}{in}{lit}",
 )
 EDGES = (0, 1, 3, 4, 16, 17, 31, 32, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
          (1 << 32) - 1, 1 << 32)
@@ -64,7 +71,9 @@ def sources(draw):
     for _ in range(draw(st.integers(1, 8))):
         shape, g, s = draw(st.sampled_from(spellings))
         pad = draw(st.sampled_from(("", "  ", "\t")))
-        lines.append(pad + shape.format(g=g, s=s, lit=draw(literals())) + pad)
+        gap = draw(st.sampled_from(("",) + GAPS))
+        lines.append(pad + shape.format(g=g, s=s, lit=draw(literals()),
+                                        **{"in": gap}) + pad)
     return lines
 
 

@@ -37,6 +37,23 @@ def test_phases_wrap_existing_methods():
     assert phases.PHASES
     for name, owner, attr in phases.PHASES:
         assert callable(getattr(owner, attr, None)), f"{name}: {attr}"
+    assert phases.SETUP
+    for name, owner, attr in phases.SETUP:
+        assert callable(getattr(owner, attr, None)), f"{name}: {attr}"
+
+
+def test_phases_split_set_up(monkeypatch, capsys):
+    phases = _load(CHECKOUT / "tools" / "phases.py")
+    monkeypatch.setitem(phases.WORKLOADS, "tiny", [("dot_baseline", 8, {})])
+    names = [(owner, attr, getattr(owner, attr))
+             for _, owner, attr in phases.PHASES + phases.SETUP]
+    phases.split("tiny", 2)
+    for owner, attr, fn in names:
+        assert getattr(owner, attr) is fn, f"{attr} not restored"
+    setup = capsys.readouterr().out.split("# tiny: set-up ")[1].splitlines()
+    calls = {row.split()[0]: row.split()[-2] for row in setup[2:]}
+    assert calls == {"build": "1", "assemble": "1", "references": "1",
+                     "load": "1", "check": "1", "gc": calls["gc"]}
 
 
 def test_tracer_hooks_resolve():
