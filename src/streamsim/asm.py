@@ -3,20 +3,17 @@ r"""Assembler for the cluster's instruction set.
 One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
 then decodes each distinct statement once, resolving its label operands, and
-fills the symbolic words.
-
-Statements that differ only in the integer literal of their last operand,
-alone or as the imm of imm(reg), share a shape, which string methods split
-off: the text before the last comma (without a comma, the mnemonic and its
-whitespace), and what follows the literal. The literal must have the form
--?\d\w*, so it holds no whitespace that int() would strip. Only the first
-statement of a shape goes through the full decode; each further one is
-filled in from the first's fields and text with one int() of its literal,
-and a literal outside the range decode takes goes to decode for its
-message.
-
-`.text` starts at 0x0 and `.data` at the scratchpad base, so branch targets
-and data pointers are absolute addresses throughout.
+fills the symbolic words. A statement whose last operand is an integer
+literal -?\d\w*, alone or as the imm of imm(reg), has a shape: the text
+before its last comma (without a comma, the mnemonic and its whitespace)
+and what follows the literal. String methods split it off, and the literal
+holds no whitespace, which int() would strip. Only the first statement of a
+shape goes through decode, which takes nothing but "" or (reg) after the
+literal; each further one is filled in from the first's fields and text
+with one int() of its literal and a range test, and one that these refuse
+goes to decode, which raises its message. `.text` starts at 0x0 and `.data`
+at the scratchpad base, so branch targets and data pointers are absolute
+addresses throughout.
 """
 
 import re
@@ -136,15 +133,8 @@ def assemble(source: str) -> AsmProgram:
 
     # resolve: decode each distinct statement once, in the order of first
     # appearance, so an error names the first line that holds it; identical
-    # statements share one Instruction. A statement whose last operand is an
-    # integer literal (-?\d\w*), alone or as the imm of imm(reg), has a
-    # shape: the text before its last comma, or without a comma the mnemonic
-    # and its whitespace, and what follows the literal. The first statement
-    # of a shape goes through decode, which accepts it only if what follows
-    # is "" or (reg); each further one is filled in from the first's fields
-    # and text, and costs one int() of its literal and a range test. A
-    # literal that the fill refuses goes to decode, which raises its
-    # message. Then fill symbolic words.
+    # statements share one Instruction, and a statement of a shape already
+    # decoded is filled in. Then fill symbolic words.
     decoded = {}
     shapes = {}   # shape -> (fields, literal's position, lo, hi, text head)
     for stmt, no in first_line.items():
