@@ -243,7 +243,8 @@ def test_repeated_bad_statement_reports_first_line():
      "shift amount 32 out of range in 'slli t0, t1, 32'"),
     ("frep t0, 4", "frep t0, 17",
      "frep body length 17 outside 1..16 in 'frep t0, 17'"),
-    # int() takes "8 " and " 8", and decode does not
+    # whitespace in the literal's operand, which decode refuses and int()
+    # strips from a literal's ends
     ("fld ft0, 8(zero)", "fld ft0, 8 (zero)",
      "expected imm(reg), got '8 (zero)' in 'fld ft0, 8 (zero)'"),
     ("lw t0, 8(t1)", "lw t0, 8( t1)",

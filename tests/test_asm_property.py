@@ -3,11 +3,12 @@
 The sources repeat a few statement shapes (a statement with the integer
 literal of its last operand cut out) with literals near every edge that
 decode knows: spellings int() refuses, the 32-bit range, the slli and frep
-limits, and labels; and with the spellings where int() takes what decode
-does not: whitespace between the literal and its "(reg)", inside the
-parentheses, and a second token after the literal. Whatever the assembler gives must be what decode gives
-for each statement, or the error of the first distinct statement that
-decode refuses, named by its first line.
+limits, and labels; and with whitespace in the literal's operand, which
+int() strips from a literal's ends and decode refuses: between the literal
+and its "(reg)", inside the parentheses, and before a second token.
+Whatever the assembler gives must be what decode gives for each statement,
+or the error of the first distinct statement that decode refuses, named by
+its first line.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from streamsim.errors import ParseError, SimError, UnresolvedLabel  # noqa: E402
 from streamsim.isa import decode  # noqa: E402
 
 # {g} is the gap after the mnemonic and {s} each operand separator, both
-# fixed for a spelling; {in} is a gap, or none, inside the literal's operand,
+# fixed for a spelling; {w} is a gap, or none, inside the literal's operand,
 # drawn for each line
 SHAPES = (
     "fld{g}ft0{s}{lit}(zero)", "fsd{g}ft1{s}{lit}(t1)", "lw{g}t0{s}{lit}(t1)",
@@ -28,9 +29,9 @@ SHAPES = (
     "li{g}a0{s}{lit}", "slli{g}t0{s}t1{s}{lit}", "frep{g}t0{s}{lit}",
     "lui{g}t0{s}{lit}", "j{g}{lit}", "beq{g}t0{s}t1{s}{lit}",
     "ssr_cfg_write{g}0{s}bound0{s}{lit}", "add{g}t0{s}t1{s}{lit}",
-    "fld{g}ft0{s}{lit}{in}(zero)", "lw{g}t0{s}{lit}({in}t1)",
-    "sw{g}t2{s}{lit}(sp{in})", "addi{g}t0{s}t1{s}{lit}{in}6",
-    "j{g}{lit}{in}{lit}",
+    "fld{g}ft0{s}{lit}{w}(zero)", "lw{g}t0{s}{lit}({w}t1)",
+    "sw{g}t2{s}{lit}(sp{w})", "addi{g}t0{s}t1{s}{lit}{w}6",
+    "j{g}{lit}{w}{lit}",
 )
 EDGES = (0, 1, 3, 4, 16, 17, 31, 32, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
          (1 << 32) - 1, 1 << 32)
@@ -71,9 +72,9 @@ def sources(draw):
     for _ in range(draw(st.integers(1, 8))):
         shape, g, s = draw(st.sampled_from(spellings))
         pad = draw(st.sampled_from(("", "  ", "\t")))
-        gap = draw(st.sampled_from(("",) + GAPS))
-        lines.append(pad + shape.format(g=g, s=s, lit=draw(literals()),
-                                        **{"in": gap}) + pad)
+        w = draw(st.sampled_from(("",) + GAPS))
+        lines.append(pad + shape.format(g=g, s=s, w=w, lit=draw(literals()))
+                     + pad)
     return lines
 
 
