@@ -4,14 +4,14 @@ One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
 then decodes each distinct statement once, resolving its label operands, and
 fills the symbolic words. A statement whose last operand is an integer
-literal -?\d\w*, alone or as the imm of imm(reg), has a shape: the text
-before its last comma (without a comma, the mnemonic and its whitespace)
-and what follows the literal. String methods split it off, and the literal
-holds no whitespace, which int() would strip. Only the first statement of a
-shape goes through decode, which takes nothing but "" or (reg) after the
-literal; each further one is filled in from the first's fields and text
-with one int() of its literal and a range test, and one that these refuse
-goes to decode, which raises its message. `.text` starts at 0x0 and `.data`
+literal -?\d\w* after a comma, alone or as the imm of imm(reg), has a
+shape: the text before its last comma and what follows the literal. String
+methods split it off, and the literal holds no whitespace, which int()
+would strip. A statement without a comma has no shape. Only the first
+statement of a shape goes through decode, which takes nothing but "" or
+(reg) after the literal; each further one is filled in from the first's
+fields and text with one int() of its literal and a range test, and one
+that these refuse goes to decode, which raises its message. `.text` starts at 0x0 and `.data`
 at the scratchpad base, so branch targets and data pointers are absolute
 addresses throughout.
 """
@@ -27,7 +27,6 @@ TEXT_BASE = 0x0000_0000
 DATA_END = DATA_BASE + TCDM_SIZE
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):(.*)$")
-_TEXT = Instruction.__slots__.index("text")     # its constructor position
 
 
 class AsmProgram:
@@ -136,21 +135,19 @@ def assemble(source: str) -> AsmProgram:
     # statements share one Instruction, and a statement of a shape already
     # decoded is filled in. Then fill symbolic words.
     decoded = {}
-    shapes = {}   # shape -> (fields, literal's position, lo, hi, text head)
+    # shape -> (fields, literal's position, text's position, lo, hi, text head)
+    shapes = {}
     for stmt, no in first_line.items():
         head, comma, last = stmt.rpartition(",")
-        if not comma:
-            last = stmt.split(None, 1)[-1]
-            head = stmt[:len(stmt) - len(last)]
         lit, paren, tail = last.partition("(")
         lit = lit.lstrip()
         shape = None
-        if lit.isdecimal() or _literal(lit):
+        if comma and (lit.isdecimal() or _literal(lit)):
             tail = paren + tail
             shape = head, tail
             known = shapes.get(shape)
             if known is not None:
-                v, at, lo, hi, text = known
+                v, at, t, lo, hi, text = known
                 try:
                     n = int(lit, 0)
                 except ValueError:
@@ -158,7 +155,7 @@ def assemble(source: str) -> AsmProgram:
                 else:
                     if lo <= n < hi:
                         v[at] = n
-                        v[_TEXT] = text + lit + tail
+                        v[t] = text + lit + tail
                         decoded[stmt] = Instruction(*v)
                         continue
         try:
@@ -168,8 +165,7 @@ def assemble(source: str) -> AsmProgram:
         except SimError as e:
             raise ParseError(f"line {no}: {e}") from e
         if shape is not None:
-            shapes[shape] = (*literal_field(ins),
-                             ins.text[:len(ins.text) - len(lit) - len(tail)])
+            shapes[shape] = literal_field(ins, lit, tail)
     instructions = dict(zip(range(TEXT_BASE, TEXT_BASE + 4 * len(texts), 4),
                             map(decoded.__getitem__, texts)))
     for no, addr, tok in words:

@@ -483,21 +483,23 @@ def decode(text: str, labels=None) -> Instruction:
     return Instruction(*v)
 
 
-def literal_field(ins):
+def literal_field(ins, lit, tail):
     """For the Instruction that decode made of a statement whose last
-    operand is an integer literal, alone or as the imm of imm(reg): its
-    field values in constructor order, the position of the field that the
-    literal sets, and the range lo <= n < hi of the values decode takes
-    there. Decode parses any other literal of that spelling with `_int`
-    alone, and leaves every other field and the text before that literal
-    as they are."""
+    operand is the integer literal lit, alone or as the imm of imm(reg),
+    followed by tail: its field values in constructor order, the positions
+    of the field that the literal sets and of the text, the range
+    lo <= n < hi of the values decode takes there, and the text before the
+    literal. Decode parses any other literal of that spelling with `_int`
+    alone, leaves every other field as it is, and writes the text as that
+    head, the literal and tail."""
     mn = ins.text.partition(" ")[0]
     i, kind = _FORMATS[mn][2][-1]
     at = i if kind is _imm else _IMM    # imm(rs1) and rs1|imm set imm
     limit = _LIMITS.get(mn)
     lo, hi = (limit[1:3] if limit is not None and limit[0] == at
               else (_IMM_MIN, _IMM_END))
-    return [getattr(ins, f) for f in _AT], at, lo, hi
+    head = ins.text[:len(ins.text) - len(lit) - len(tail)]
+    return [getattr(ins, f) for f in _AT], at, _TEXT, lo, hi, head
 
 
 class CoreState:

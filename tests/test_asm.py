@@ -251,6 +251,9 @@ def test_repeated_bad_statement_reports_first_line():
      "expected imm(reg), got '8( t1)' in 'lw t0, 8( t1)'"),
     ("addi t0, t1, 5", "addi t0, t1, 5 6",
      "expected immediate, got '5 6' in 'addi t0, t1, 5 6'"),
+    # an empty operand before the literal: the text before the last comma
+    # is that of the comma-less statement
+    ("j 9", "j , 8", "'j' takes 1 operands, got 2 in 'j , 8'"),
 ])
 def test_rejected_literal_after_its_shape(first, stmt, why):
     with pytest.raises(ParseError) as ei:

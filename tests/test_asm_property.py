@@ -5,7 +5,9 @@ literal of its last operand cut out) with literals near every edge that
 decode knows: spellings int() refuses, the 32-bit range, the slli and frep
 limits, and labels; and with whitespace in the literal's operand, which
 int() strips from a literal's ends and decode refuses: between the literal
-and its "(reg)", inside the parentheses, and before a second token.
+and its "(reg)", inside the parentheses, and before a second token; and
+with an empty operand before the literal, whose statement has the text
+before its last comma of the one-operand statement.
 Whatever the assembler gives must be what decode gives for each statement,
 or the error of the first distinct statement that decode refuses, named by
 its first line.
@@ -14,7 +16,7 @@ its first line.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from streamsim.asm import DATA_BASE, assemble  # noqa: E402
 from streamsim.errors import ParseError, SimError, UnresolvedLabel  # noqa: E402
@@ -31,7 +33,7 @@ SHAPES = (
     "ssr_cfg_write{g}0{s}bound0{s}{lit}", "add{g}t0{s}t1{s}{lit}",
     "fld{g}ft0{s}{lit}{w}(zero)", "lw{g}t0{s}{lit}({w}t1)",
     "sw{g}t2{s}{lit}(sp{w})", "addi{g}t0{s}t1{s}{lit}{w}6",
-    "j{g}{lit}{w}{lit}",
+    "j{g}{lit}{w}{lit}", "j{g}{s}{lit}",
 )
 EDGES = (0, 1, 3, 4, 16, 17, 31, 32, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
          (1 << 32) - 1, 1 << 32)
@@ -80,6 +82,7 @@ def sources(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(sources())
+@example(["j 9", "j , 8"])   # two spellings, one text before the last comma
 def test_assemble_is_decode_per_statement(lines):
     src = "\n".join(["loop: nop", *lines, "end: halt", ".data", "buf: .word 0"])
     labels = {"loop": 0, "end": 4 * (len(lines) + 1), "buf": DATA_BASE}
