@@ -7,7 +7,7 @@ No simulation uses the system model, so `import streamsim` leaves
 
 from . import errors
 from .asm import AsmProgram, assemble
-from .cluster import ClusterSim, CoreStats, DmaDescriptor, RunResult, stats_lines
+from .cluster import ClusterSim, CoreStats, RunResult, stats_lines
 from .fp import bits_to_f64, f64_to_bits, fma64
 from .kernels import KERNELS, KernelInstance, build, names, run_kernel
 
@@ -23,7 +23,7 @@ _SYSTEM_NAMES = (
 
 __all__ = [
     "AsmProgram", "assemble",
-    "ClusterSim", "CoreStats", "DmaDescriptor", "RunResult",
+    "ClusterSim", "CoreStats", "RunResult",
     "stats_lines",
     "bits_to_f64", "f64_to_bits", "fma64",
     "KERNELS", "KernelInstance", "build", "names", "run_kernel",

@@ -1,19 +1,20 @@
-r"""Assembler for the cluster's instruction set.
+"""Assembler for the cluster's instruction set.
 
 One layout pass binds labels, places every directive and emits its bytes, and
 records each instruction and each symbolic `.word` operand; a resolve step
 then decodes each distinct statement once, resolving its label operands, and
-fills the symbolic words. A statement whose last operand is an integer
-literal -?\d\w* after a comma, alone or as the imm of imm(reg), has a
+fills the symbolic words. A statement whose last operand, after a comma, is a
+literal of ASCII decimal digits, alone or as the imm of imm(reg), has a
 shape: the text before its last comma and what follows the literal. String
-methods split it off, and the literal holds no whitespace, which int()
-would strip. A statement without a comma has no shape. Only the first
-statement of a shape goes through decode, which takes nothing but "" or
-(reg) after the literal; each further one is filled in from the first's
-fields and text with one int() of its literal and a range test, and one
-that these refuse goes to decode, which raises its message. `.text` starts at 0x0 and `.data`
-at the scratchpad base, so branch targets and data pointers are absolute
-addresses throughout.
+methods split it off. A statement without a comma, or whose literal has a
+sign, a prefix or an underscore, has no shape. Only the first statement of a
+shape goes through decode, which takes nothing but "" or (reg) after the
+literal; each further one is filled in from the first's fields and text with
+one int() of its literal and a range test, and one that these refuse goes to
+decode, which raises its message. Every integer of the source, an immediate,
+a label offset or a .space or .word value, is read in ASCII digits only.
+`.text` starts at 0x0 and `.data` at the scratchpad base, so branch targets
+and data pointers are absolute addresses throughout.
 """
 
 import re
@@ -21,7 +22,7 @@ import struct
 
 from .cluster import TCDM_BASE as DATA_BASE, TCDM_SIZE
 from .errors import DuplicateLabel, ParseError, SimError, UnresolvedLabel
-from .isa import decode, literal_field, Instruction, SYM_RE
+from .isa import decode, literal_field, parse_int, Instruction, SYM_RE
 
 TEXT_BASE = 0x0000_0000
 DATA_END = DATA_BASE + TCDM_SIZE
@@ -42,10 +43,6 @@ class AsmProgram:
         if target in self.labels:
             return self.labels[target]
         raise UnresolvedLabel(f"unknown symbol '{target}'")
-
-
-def _parse_int(tok):
-    return int(tok, 0)
 
 
 def assemble(source: str) -> AsmProgram:
@@ -97,7 +94,7 @@ def assemble(source: str) -> AsmProgram:
             raise ParseError(f"line {no}: {d} outside .data")
         elif d == ".space":
             try:
-                n = _parse_int(arg)
+                n = parse_int(arg)
             except ValueError:
                 raise ParseError(f"line {no}: .space needs a byte count")
             if n < 0:
@@ -111,7 +108,7 @@ def assemble(source: str) -> AsmProgram:
             addr = _aligned(here, 4)
             _check_fits(no, d, addr + 4)
             try:
-                v = _parse_int(arg)
+                v = parse_int(arg)
             except ValueError:
                 words.append((no, addr, arg))
                 v = 0
@@ -142,7 +139,7 @@ def assemble(source: str) -> AsmProgram:
         lit, paren, tail = last.partition("(")
         lit = lit.lstrip()
         shape = None
-        if comma and (lit.isdecimal() or _literal(lit)):
+        if comma and lit.isdecimal() and lit.isascii():
             tail = paren + tail
             shape = head, tail
             known = shapes.get(shape)
@@ -183,13 +180,6 @@ def assemble(source: str) -> AsmProgram:
 
     segments = [(a, data[a]) for a in sorted(data)]
     return AsmProgram(instructions, segments, labels, entry)
-
-
-def _literal(tok):
-    r"""Whether tok has the form -?\d\w* of an integer literal, with no
-    whitespace in it, which int() would strip."""
-    digits = tok[1:] if tok[:1] == "-" else tok
-    return digits[:1].isdecimal() and digits.replace("_", "0").isalnum()
 
 
 def _lines(source):

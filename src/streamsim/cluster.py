@@ -49,7 +49,7 @@ import mmap
 import struct
 from collections import deque
 
-from .isa import (Domain, CoreState, FpOp, Instruction, fp_compute, MASK32,
+from .isa import (Domain, FpOp, Instruction, fp_compute, MASK32,
                   OPS, OP_ARITH, OP_LOAD, ICACHE_WAIT, MEM_WAIT, QUEUE_FULL,
                   FREP_WAIT, DRAIN, DMA_FULL)
 from .frep import Sequencer, Scoreboard, FpEntry, Mode, FP_QUEUE_DEPTH
@@ -179,18 +179,11 @@ class Tcdm:
         return requests
 
 
-class DmaDescriptor:
-    def __init__(self, src, dst, length):
-        self.src = src
-        self.dst = dst
-        self.length = length    # bytes
-
-
 class DmaEngine:
-    """One transfer in flight, descriptor queue behind it, 64 B per busy
-    cycle. A transfer is its cursor, [src buf, src off, dst buf, dst off,
-    bytes left], located at submit; its window is the cursor's next
-    min(DMA_BUS_WIDTH, bytes left) bytes, and only `_next_window` steps it."""
+    """One copy in flight, a queue behind it, 64 B per busy cycle. `submit`
+    locates a flat (src, dst, length) copy as its cursor, [src buf, src off,
+    dst buf, dst off, bytes left]; its window is the next `size` bytes, set
+    in `_open_window` alone, and only `_next_window` steps the cursor."""
 
     def __init__(self, mem: Memory):
         self.mem = mem
@@ -200,17 +193,19 @@ class DmaEngine:
         self.slices = None     # the window's pending (src buf, src off, dst
                                # buf, dst off, n, src bank, dst bank) pieces,
                                # once cut
+        self.size = 0          # bytes in the window
         self.banks = {}        # bank still needed -> True while it is read
         self.idle = True       # no transfer active or queued
         self.busy_cycles = 0
         self.bytes_moved = 0
         self.descriptors_done = 0
 
-    def submit(self, desc: DmaDescriptor):
-        """Queue desc as its cursor. It is refused, in this order, for a
-        negative length, a range outside one region, overlapping ranges and
-        a full queue; an empty one completes at once, with no cycles."""
-        s, d, n = desc.src, desc.dst, desc.length
+    def submit(self, src, dst, length):
+        """Queue the copy of length bytes from address src to address dst
+        as its cursor. It is refused, in this order, for a negative length,
+        a range outside one region, overlapping ranges and a full queue; an
+        empty copy completes at once, with no cycles."""
+        s, d, n = src, dst, length
         if n < 0:
             raise InvalidDescriptor(f"bad length {n}")
         if n == 0:
@@ -231,7 +226,7 @@ class DmaEngine:
         a TCDM side once, True where the window reads it. A bank it reads
         serves the read before it takes a write."""
         sbuf, so, dbuf, do, left = self.active
-        n = min(DMA_BUS_WIDTH, left)
+        n = self.size = min(DMA_BUS_WIDTH, left)
         self.slices = None
         tcdm = self.mem.tcdm
         banks = self.banks = {}
@@ -250,8 +245,8 @@ class DmaEngine:
 
     def _cut(self):
         """Cut the window into slices that each touch one bank per TCDM side."""
-        sbuf, so, dbuf, do, left = self.active
-        n = min(DMA_BUS_WIDTH, left)
+        sbuf, so, dbuf, do, _ = self.active
+        n = self.size
         tcdm = self.mem.tcdm
         cuts = {0, n}
         for buf, off in ((sbuf, so), (dbuf, do)):
@@ -300,8 +295,8 @@ class DmaEngine:
                     if grants[bank][0] != rid:
                         break
                 else:
-                    sbuf, so, dbuf, do, left = self.active
-                    n = min(DMA_BUS_WIDTH, left)
+                    sbuf, so, dbuf, do, _ = self.active
+                    n = self.size
                     dbuf[do:do + n] = sbuf[so:so + n]
                     self.bytes_moved += n
                     self._next_window()
@@ -337,11 +332,11 @@ class DmaEngine:
         """Step the cursor past its window and open the next one; finish
         the transfer after its last window."""
         cur = self.active
-        left = cur[4]
-        if left > DMA_BUS_WIDTH:
-            cur[1] += DMA_BUS_WIDTH
-            cur[3] += DMA_BUS_WIDTH
-            cur[4] = left - DMA_BUS_WIDTH
+        n = self.size
+        if cur[4] > n:
+            cur[1] += n
+            cur[3] += n
+            cur[4] -= n
             self._open_window()
         else:
             self.active = None
@@ -350,12 +345,16 @@ class DmaEngine:
 
 
 class Core:
-    """One processor: integer pipe, FP queue, FPU + sequencer, stream slots."""
+    """One processor: an integer pipe with its pc and x and f registers, FP
+    queue, FPU + sequencer, stream slots; live while in ClusterSim.live."""
 
     def __init__(self, index):
         self.index = index
-        self.state = CoreState()
-        self.halted = True
+        self.pc = 0
+        self.x = [0] * 32
+        # binary64 values, from 0.0: fmsub negates a never-written source to
+        # -0.0, where int 0 would negate to +0
+        self.f = [0.0] * 32
         self.stats = CoreStats()
         self.fq = deque()
         self.seq = Sequencer()
@@ -365,6 +364,7 @@ class Core:
         self.write_slots = tuple(self.slots[i] for i in WRITE_SLOTS)
         self.capture_pending = 0
         self.staged_cfg = [dict() for _ in range(N_SLOTS)]
+        self.ssr_enabled = False    # f0..f2 read and write the active slots
         self.dma_src = 0
         self.dma_dst = 0
         self.wait_end = 0           # the cycle an icache or L2 wait ends
@@ -374,6 +374,10 @@ class Core:
         self.splits = {}            # FpOp -> its split under stream_map
         self._int_plan = None
         self._fpu_plan = None
+
+    def set_x(self, idx, value):
+        if idx:  # x0 is hardwired to zero
+            self.x[idx] = value & MASK32
 
 
 class RunResult:
@@ -459,18 +463,13 @@ class ClusterSim:
             self.icache_cold = dict.fromkeys(
                 addr // ICACHE_LINE for addr in self.code)
         self.load_image(program.data_segments)
-        n_active = active_cores if active_cores is not None else N_CORES
         for i, core in enumerate(self.cores):
-            core.state.x[10] = i
-            core.state.x[11] = N_CORES
-            core.halted = i >= n_active
-            if not core.halted:
-                if entries is not None:
-                    e = entries[i] if i < len(entries) else None
-                    core.state.pc = program.resolve(e) if e is not None else program.entry
-                else:
-                    core.state.pc = program.entry
-        self.live = [c for c in self.cores if not c.halted]
+            core.x[10] = i
+            core.x[11] = N_CORES
+        self.live = self.cores[:active_cores]
+        for i, core in enumerate(self.live):
+            e = entries[i] if entries is not None and i < len(entries) else None
+            core.pc = program.resolve(e) if e is not None else program.entry
 
     def load_image(self, records):
         for addr, data in records:
@@ -571,7 +570,7 @@ class ClusterSim:
             # the common case first: a compute op or a move, replayed or
             # from the queue; it needs no bank
             split = core.splits[op]
-            f = core.state.f
+            f = core.f
             srcs = split.operands
             if op.flops:
                 a = srcs[0]
@@ -611,14 +610,14 @@ class ClusterSim:
             st.fp_stall_bank += 1
             return "stall:bank"
         elif op.kind == OP_LOAD:
-            core.state.f[op.dest] = ELEMENT[op.width].unpack_from(
+            core.f[op.dest] = ELEMENT[op.width].unpack_from(
                 self.mem.tcdm, entry.off)[0]
             core.sb.ready[op.dest] = self.cycle + op.lat
         else:  # OP_STORE
             a = core.splits[op].operands[0]
             ELEMENT[op.width].pack_into(
                 self.mem.tcdm, entry.off,
-                core.state.f[a] if a.__class__ is int else a.fifo.popleft())
+                core.f[a] if a.__class__ is int else a.fifo.popleft())
 
         st.fp_executed += 1
         seq = core.seq
@@ -649,7 +648,7 @@ class ClusterSim:
         core's splits made under its old map, and rebuild self.streams:
         once per ssr_enable, ssr_disable or halt rather than once per
         operand. While streaming is on, f0..f2 map to their active slots."""
-        if core.state.ssr_enabled:
+        if core.ssr_enabled:
             core.stream_map = {s.index: s for s in core.slots if s.active}
         else:
             core.stream_map = {}
@@ -752,7 +751,7 @@ class ClusterSim:
             if access[2] is None:       # the L2 wait is over
                 return access
         else:
-            pc = core.state.pc
+            pc = core.pc
             instr = self.code.get(pc)
             if instr is None:
                 raise OutOfRangeAccess(f"no instruction at pc 0x{pc:x}")
@@ -788,9 +787,9 @@ class ClusterSim:
                 if op.kind == OP_ARITH:
                     entry.bank = None
                     if op.latches_x:
-                        entry.xval = core.state.x[instr.rs1]
+                        entry.xval = core.x[instr.rs1]
                     return entry
-                addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
+                addr = (core.x[instr.rs1] + instr.imm) & MASK32
                 if addr % op.width:
                     raise MisalignedAccess(
                         f"0x{addr:x} not {op.width}-byte aligned")
@@ -803,7 +802,7 @@ class ClusterSim:
                 return entry
             if wait is not MEM_WAIT:
                 return wait if self._waits(core, wait) else instr
-            addr = (core.state.x[instr.rs1] + instr.imm) & MASK32
+            addr = (core.x[instr.rs1] + instr.imm) & MASK32
             if addr % 4:
                 raise MisalignedAccess(f"0x{addr:x} not 4-byte aligned")
             off = addr - TCDM_BASE
@@ -833,8 +832,7 @@ class ClusterSim:
         at the one retire point at the end."""
         plan = core._int_plan
         cls = plan.__class__
-        state = core.state
-        pc = state.pc
+        pc = core.pc
         if cls is Instruction:
             instr = plan
             if instr.domain is _CUSTOM:
@@ -843,16 +841,15 @@ class ClusterSim:
                     core._int_plan = DMA_FULL
                     return DMA_FULL
                 _CUSTOM_HANDLERS[instr.mnemonic](self, core, instr)
-                if not core.halted:
-                    state.pc = pc + 4
+                core.pc = pc + 4
             else:
-                instr.op.execute(state, instr)
+                instr.op.execute(core, instr)
         elif cls is FpEntry:
             core.fq.append(plan)
             if plan.capture:
                 core.capture_pending -= 1
             instr = self.code[pc]       # the statement dispatched
-            state.pc = pc + 4
+            core.pc = pc + 4
         else:                           # an lw/sw access
             instr, off, bank = plan
             buf = self.mem.tcdm
@@ -864,10 +861,10 @@ class ClusterSim:
                 return "stall:bank"
             if instr.op.kind == OP_LOAD:
                 if instr.rd:            # x0 is hardwired to zero
-                    state.x[instr.rd] = _WORD.unpack_from(buf, off)[0]
+                    core.x[instr.rd] = _WORD.unpack_from(buf, off)[0]
             else:
-                _WORD.pack_into(buf, off, state.x[instr.rs2])
-            state.pc = pc + 4
+                _WORD.pack_into(buf, off, core.x[instr.rs2])
+            core.pc = pc + 4
         st = core.stats
         st.fetched += 1
         domain = instr.domain
@@ -891,35 +888,32 @@ class ClusterSim:
     # ------------------------------------------------------------- custom ops
     #
     # The method named _<mnemonic> applies a custom op at commit;
-    # _commit_int then retires it and steps the pc past it, unless it halted
-    # the core.
+    # _commit_int then retires it and steps the pc past it, halt included:
+    # nothing reads a halted core's pc.
 
     def _frep(self, core, instr):
-        core.seq.arm(core.state.x[instr.rs1], instr.n_instr)
+        core.seq.arm(core.x[instr.rs1], instr.n_instr)
         core.capture_pending = instr.n_instr
 
     def _ssr_cfg_write(self, core, instr):
-        state = core.state
-        if state.ssr_enabled:
+        if core.ssr_enabled:
             raise ReconfigWhileActive(
                 f"slot {instr.slot} reconfigured while streaming")
         if not 0 <= instr.slot < N_SLOTS:
             raise InvalidConfig(f"no stream slot {instr.slot}")
         # a config register is 32 bits wide, whatever the value's source
-        value = instr.imm if instr.rs1 is None else state.x[instr.rs1]
+        value = instr.imm if instr.rs1 is None else core.x[instr.rs1]
         core.staged_cfg[instr.slot][instr.field] = value & MASK32
 
     def _ssr_cfg_read(self, core, instr):
         if not 0 <= instr.slot < N_SLOTS:
             raise InvalidConfig(f"no stream slot {instr.slot}")
-        core.state.set_x(instr.rd,
-                         core.staged_cfg[instr.slot].get(instr.field, 0))
+        core.set_x(instr.rd, core.staged_cfg[instr.slot].get(instr.field, 0))
 
     def _ssr_enable(self, core, instr):
-        state = core.state
         for slot, staged in zip(core.slots, core.staged_cfg):
             if staged:
-                if state.ssr_enabled:
+                if core.ssr_enabled:
                     raise ReconfigWhileActive(
                         f"slot {slot.index} reconfigured while streaming")
                 # the slot walks scratchpad offsets
@@ -938,7 +932,7 @@ class ClusterSim:
                     raise MisalignedAccess(
                         f"stream {slot.index} base or stride not "
                         f"{width}-byte aligned")
-        state.ssr_enabled = True
+        core.ssr_enabled = True
         self._remap(core)
 
     def _ssr_disable(self, core, instr):
@@ -947,27 +941,25 @@ class ClusterSim:
             slot.reset()
         for staged in core.staged_cfg:
             staged.clear()
-        core.state.ssr_enabled = False
+        core.ssr_enabled = False
         self._remap(core)
 
     def _dm_src(self, core, instr):
-        core.dma_src = core.state.x[instr.rs1]
+        core.dma_src = core.x[instr.rs1]
 
     def _dm_dst(self, core, instr):
-        core.dma_dst = core.state.x[instr.rs1]
+        core.dma_dst = core.x[instr.rs1]
 
     def _dm_copy(self, core, instr):
         # the commit tested queue room first
-        self.dma.submit(DmaDescriptor(core.dma_src, core.dma_dst,
-                                      core.state.x[instr.rs1]))
+        self.dma.submit(core.dma_src, core.dma_dst, core.x[instr.rs1])
 
     def _dm_poll(self, core, instr):
         # the transfers queued and in flight
-        core.state.set_x(instr.rd, len(self.dma.queue)
-                         + (self.dma.active is not None))
+        core.set_x(instr.rd, len(self.dma.queue)
+                   + (self.dma.active is not None))
 
     def _halt(self, core, instr):
-        core.halted = True
         core.stats.cycles_at_halt = self.cycle + 1
         self.live = [c for c in self.live if c is not core]
         self._remap(core)
@@ -1016,7 +1008,7 @@ class ClusterSim:
                         continue
                 core._int_plan = self._plan_int(core, requests)
             # the stream pass and the DMA raise nothing: ssr_enable checked
-            # every stream's footprint, and submit every descriptor
+            # every stream's footprint, and submit every copy
             streams = self._plan_streams(requests) if self.streams else None
             dma_busy = not self.dma.idle
             if dma_busy:
@@ -1028,7 +1020,7 @@ class ClusterSim:
             trace = self.trace_enabled
             for core in live:
                 if trace:
-                    pc = core.state.pc
+                    pc = core.pc
                 # a settled plan is its own trace event
                 fp_ev = core._fpu_plan
                 if fp_ev.__class__ is not str:
@@ -1046,7 +1038,7 @@ class ClusterSim:
                 self.dma.commit(grants)
             self.cycle += 1
         except SimError as e:
-            raise SimulationFault(str(e), core=core.index, pc=core.state.pc,
+            raise SimulationFault(str(e), core=core.index, pc=core.pc,
                                   cycle=self.cycle) from e
 
 

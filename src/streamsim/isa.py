@@ -1,12 +1,13 @@
-"""Instruction set core: the op table, decoding, register state.
+"""Instruction set core: the op table and decoding.
 
 The dialect is a small RV32 subset plus the custom stream/repetition/DMA ops.
 Each canonical mnemonic is declared once, with its operand format and the
 facts of its Op record: domain, int-pipe wait, an INT op's execute function
-and an FP op's FPU facts. Instructions are decoded from assembly text (no
-binary encodings); immediates are plain signed 32-bit values and
-branch/jump targets are absolute addresses, which decode reads from the
-assembler's label table.
+and an FP op's FPU facts. An execute function runs on the core itself
+(`cluster.Core`), which owns the pc and the registers. Instructions are
+decoded from assembly text (no binary encodings); immediates are plain
+signed 32-bit values written in ASCII digits, and branch/jump targets are
+absolute addresses, which decode reads from the assembler's label table.
 """
 
 import re
@@ -91,7 +92,7 @@ class Op:
         self.mnemonic = mnemonic
         self.domain = domain
         self.wait = wait          # the int-pipe wait it may meet, or None
-        self.execute = execute    # INT but lw/sw: execute(CoreState,
+        self.execute = execute    # INT but lw/sw: execute(Core,
                                   # Instruction), which also sets the pc
         self.kind = kind
         # FP facts
@@ -142,7 +143,7 @@ class FpOp:
         self.push = None
 
 
-SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-]\d+)?$")   # label, label+4, label-8
+SYM_RE = re.compile(r"^([A-Za-z_][\w.]*)([+-][0-9]+)?$")  # label, label+4, label-8
 _RESERVED = set(XREGS) | set(FREGS) | set(SSR_FIELDS)  # never read as labels
 
 
@@ -224,9 +225,17 @@ def _in_range(n):
     return n
 
 
+def parse_int(tok):
+    """int(tok, 0) in ASCII digits only: int() also reads every other
+    Unicode decimal digit, which no assembler takes."""
+    if not tok.isascii():
+        raise ValueError(f"non-ASCII integer {tok!r}")
+    return int(tok, 0)
+
+
 def _int(tok):
     try:
-        return _in_range(int(tok, 0))
+        return _in_range(parse_int(tok))
     except ValueError:
         raise MalformedOperands(f"expected immediate, got '{tok}'") from None
 
@@ -318,7 +327,7 @@ def sext32(v: int) -> int:
 
 
 def _alu(result):
-    """The execute function of an ALU op that writes result(state, instr),
+    """The execute function of an ALU op that writes result(core, instr),
     wrapped to 32 bits, to rd."""
     def execute(s, i):
         if i.rd:                # x0 is hardwired to zero
@@ -500,20 +509,6 @@ def literal_field(ins, lit, tail):
               else (_IMM_MIN, _IMM_END))
     head = ins.text[:len(ins.text) - len(lit) - len(tail)]
     return [getattr(ins, f) for f in _AT], at, _TEXT, lo, hi, head
-
-
-class CoreState:
-    def __init__(self):
-        self.pc = 0
-        self.x = [0] * 32
-        # binary64 values, from 0.0: fmsub negates a never-written source to
-        # -0.0, where int 0 would negate to +0
-        self.f = [0.0] * 32
-        self.ssr_enabled = False
-
-    def set_x(self, idx, value):
-        if idx:  # x0 is hardwired to zero
-            self.x[idx] = value & MASK32
 
 
 def fp_compute(op, a: float, b: float, c: float = 0.0) -> float:

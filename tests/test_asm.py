@@ -261,6 +261,25 @@ def test_rejected_literal_after_its_shape(first, stmt, why):
     assert str(ei.value) == f"line 3: {why}"
 
 
+# Integers in decimal digits other than ASCII's, which int() and re's \d
+# read (Arabic-Indic, fullwidth), each on line 3 after a statement of its
+# shape or after .data
+@pytest.mark.parametrize("first, stmt, why", [
+    ("addi t0, t1, 12", "addi t0, t1, \u0661\u0662",
+     "expected immediate, got '\u0661\u0662' in 'addi t0, t1, \u0661\u0662'"),
+    ("lw t0, 8(t1)", "lw t0, \uff18(t1)",
+     "expected immediate, got '\uff18' in 'lw t0, \uff18(t1)'"),
+    ("addi t0, t1, x+3", "addi t0, t1, x+\u0663",
+     "expected immediate, got 'x+\u0663' in 'addi t0, t1, x+\u0663'"),
+    (".data", ".space \u0663", ".space needs a byte count"),
+    (".data", ".word \u0663", "unknown symbol '\u0663'"),
+])
+def test_integers_take_ascii_digits_only(first, stmt, why):
+    with pytest.raises(ParseError) as ei:
+        assemble(f"x: nop\n{first}\n{stmt}")
+    assert str(ei.value) == f"line 3: {why}"
+
+
 @pytest.mark.parametrize("first, stmt, fields", [
     ("addi t0, t1, 5", "addi t0, t1, 1_0", dict(rd=5, rs1=6, imm=10)),
     ("lw t0, 8(t1)", "lw t0, 0x8(t1)", dict(rd=5, rs1=6, imm=8)),

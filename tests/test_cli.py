@@ -339,6 +339,9 @@ def test_exit_bad_directive_is_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("source, why", [
     ("nop\nj nowhere\n", "UnresolvedLabel: line 2: unknown symbol 'nowhere'"),
     ("x: nop\nx: halt\n", "DuplicateLabel: line 2: label 'x' redefined"),
+    ("x: nop\nli t0, x+\u0663\n",
+     "ParseError: line 2: expected immediate, got 'x+\u0663' in "
+     "'li t0, x+\u0663'"),
 ])
 def test_exit_label_errors_are_parse_errors(tmp_path, capsys, source, why):
     bad = tmp_path / "bad.s"

@@ -13,7 +13,7 @@ import pytest
 from streamsim.asm import DATA_BASE, assemble
 from streamsim.cluster import (DMA_QUEUE_DEPTH, DMA_RID, L2_BASE, L2_SIZE,
                                N_CORES, N_REQUESTERS, TCDM_BASE, TCDM_SIZE,
-                               ClusterSim, DmaDescriptor, DmaEngine, Memory,
+                               ClusterSim, DmaEngine, Memory,
                                Tcdm, stats_lines)
 from streamsim.errors import (CycleLimitExceeded, InvalidConfig,
                               InvalidDescriptor, MisalignedAccess,
@@ -198,7 +198,7 @@ def test_dma_flat_l2_to_tcdm():
     sim = ClusterSim()
     blob = bytes((i * 37) & 0xFF for i in range(4096))
     sim.mem.write(L2_BASE, blob)
-    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 4096))
+    sim.dma.submit(L2_BASE, DATA_BASE, 4096)
     res = sim.run()
     # 64 bytes per busy cycle, sole requester: 4096/64 windows
     assert sim.dma.busy_cycles == 64
@@ -222,33 +222,25 @@ def test_dma_tcdm_copy_serves_one_access_per_bank(gap, banks, cycles):
     # one access: a bank a slice reads serves that read first, and takes
     # the write on a later grant
     blob = bytes(range(1, 65))
-    desc = DmaDescriptor(DATA_BASE, DATA_BASE + gap, 64)
+    copy = (DATA_BASE, DATA_BASE + gap, 64)
     sim = ClusterSim()
-    sim.dma.submit(desc)
+    sim.dma.submit(*copy)
     requests = {}
     sim.dma.plan(requests, sim.tcdm.contested)
     assert requests == {b: [DMA_RID] for b in banks}
     assert not sim.tcdm.contested
     sim = ClusterSim()
     sim.mem.write(DATA_BASE, blob)
-    sim.dma.submit(desc)
+    sim.dma.submit(*copy)
     res = sim.run()
     assert sim.dma.busy_cycles == cycles
     assert res.dma_bytes == 64
     assert sim.mem.read(DATA_BASE + gap, 64) == blob
 
 
-def test_dma_descriptor_by_keyword():
-    desc = DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=64)
-    assert (desc.src, desc.dst, desc.length) == (L2_BASE, DATA_BASE, 64)
-    sim = ClusterSim()
-    sim.dma.submit(desc)
-    assert sim.run().dma_bytes == 64
-
-
 def test_dma_zero_length_completes_immediately():
     sim = ClusterSim()
-    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    sim.dma.submit(L2_BASE, DATA_BASE, 0)
     res = sim.run()
     assert res.cycles == 0
     assert res.dma_descriptors == 1
@@ -258,27 +250,27 @@ def test_dma_zero_length_completes_immediately():
 def test_dma_overlap_rejected():
     sim = ClusterSim()
     with pytest.raises(OverlappingTransfer):
-        sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
+        sim.dma.submit(DATA_BASE, DATA_BASE + 0x100, 512)
     with pytest.raises(OverlappingTransfer):
-        sim.dma.submit(DmaDescriptor(DATA_BASE + 0x100, DATA_BASE, 512))
+        sim.dma.submit(DATA_BASE + 0x100, DATA_BASE, 512)
     # ranges that only touch do not overlap
-    sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 512, 512))
+    sim.dma.submit(DATA_BASE, DATA_BASE + 512, 512)
 
 
 def test_dma_bad_geometry_and_range():
     sim = ClusterSim()
     with pytest.raises(InvalidDescriptor):
-        sim.dma.submit(DmaDescriptor(src=L2_BASE, dst=DATA_BASE, length=-1))
+        sim.dma.submit(src=L2_BASE, dst=DATA_BASE, length=-1)
     with pytest.raises(OutOfRangeAccess):
-        sim.dma.submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
+        sim.dma.submit(0x4000_0000, DATA_BASE, 64)
 
 
 def test_dma_queue_depth():
     eng = DmaEngine(Memory())
     for i in range(DMA_QUEUE_DEPTH):
-        eng.submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
+        eng.submit(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64)
     with pytest.raises(InvalidDescriptor, match="queue full"):
-        eng.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+        eng.submit(L2_BASE + 4096, DATA_BASE + 4096, 64)
     assert len(eng.queue) == DMA_QUEUE_DEPTH
 
 
@@ -288,17 +280,17 @@ def test_dma_submit_refusal_order():
     queue."""
     sim = ClusterSim()
     for i in range(DMA_QUEUE_DEPTH):
-        sim.dma.submit(DmaDescriptor(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64))
-    sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+        sim.dma.submit(L2_BASE + 64 * i, DATA_BASE + 64 * i, 64)
+    sim.dma.submit(L2_BASE, DATA_BASE, 0)
     assert sim.dma.descriptors_done == 1
     with pytest.raises(OverlappingTransfer):
-        sim.dma.submit(DmaDescriptor(DATA_BASE, DATA_BASE + 0x100, 512))
+        sim.dma.submit(DATA_BASE, DATA_BASE + 0x100, 512)
     with pytest.raises(InvalidDescriptor, match="^bad length -1$"):
-        sim.dma.submit(DmaDescriptor(L2_BASE, DATA_BASE, -1))
+        sim.dma.submit(L2_BASE, DATA_BASE, -1)
     with pytest.raises(OutOfRangeAccess):
-        sim.dma.submit(DmaDescriptor(0x4000_0000, DATA_BASE, 64))
+        sim.dma.submit(0x4000_0000, DATA_BASE, 64)
     with pytest.raises(InvalidDescriptor, match="^DMA descriptor queue full$"):
-        sim.dma.submit(DmaDescriptor(L2_BASE + 4096, DATA_BASE + 4096, 64))
+        sim.dma.submit(L2_BASE + 4096, DATA_BASE + 4096, 64)
     assert len(sim.dma.queue) == DMA_QUEUE_DEPTH
 
 
@@ -308,10 +300,10 @@ def test_dma_idle_flag():
     last queued transfer, not before."""
     eng = DmaEngine(Memory())
     assert eng.idle
-    eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 0))
+    eng.submit(L2_BASE, DATA_BASE, 0)
     assert eng.idle and eng.descriptors_done == 1
-    eng.submit(DmaDescriptor(L2_BASE, DATA_BASE, 96))      # 2 windows
-    eng.submit(DmaDescriptor(L2_BASE + 96, DATA_BASE + 96, 64))
+    eng.submit(L2_BASE, DATA_BASE, 96)      # 2 windows
+    eng.submit(L2_BASE + 96, DATA_BASE + 96, 64)
     assert not eng.idle
     all_banks = {bank: [DMA_RID] for bank in range(32)}
     for left in (2, 1, 0):                  # windows of 64, 32 and 64 bytes
@@ -387,7 +379,7 @@ def test_dma_shares_banks_with_cores():
     sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
     for r, row in enumerate(rows):
         sim.mem.write(src + 256 * r, row)
-        sim.dma.submit(DmaDescriptor(src + 256 * r, dst + 256 * r, 250))
+        sim.dma.submit(src + 256 * r, dst + 256 * r, 250)
     res = sim.run()
     assert [sim.mem.read(dst + 256 * r, 250) for r in range(4)] == rows
     assert res.dma_bytes == 1000 and res.dma_descriptors == 4
@@ -402,7 +394,7 @@ def test_dma_tcdm_to_l2():
     blob = bytes((k * 13 + 5) & 0xFF for k in range(1000))
     sim = ClusterSim()
     sim.mem.write(TCDM_BASE + 4, blob)
-    sim.dma.submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    sim.dma.submit(TCDM_BASE + 4, L2_BASE + 12, 1000)
     res = sim.run()
     assert sim.mem.read(L2_BASE + 12, 1000) == blob
     assert res.dma_bytes == 1000 and res.dma_descriptors == 1
@@ -419,12 +411,51 @@ def test_dma_tcdm_to_l2_shares_banks_with_cores():
     sim = ClusterSim()
     sim.load_program(assemble("\n".join(lines + ["halt"])), active_cores=8)
     sim.mem.write(TCDM_BASE + 4, blob)
-    sim.dma.submit(DmaDescriptor(TCDM_BASE + 4, L2_BASE + 12, 1000))
+    sim.dma.submit(TCDM_BASE + 4, L2_BASE + 12, 1000)
     res = sim.run()
     assert sim.mem.read(L2_BASE + 12, 1000) == blob
     assert res.dma_bytes == 1000 and res.dma_descriptors == 1
     assert sim.dma.busy_cycles > 16
     assert sum(s.stall_bank_conflict for s in res.core_stats) > 0
+
+
+def test_dma_and_read_stream_take_one_bank_in_turn(monkeypatch):
+    # a read stream walks bank 0 (stride 256) under an frep replay while
+    # six queued 8-byte L2->TCDM copies each write a word of bank 0: in
+    # cycles 15 to 24 both ask, the bank alternates between them, and the
+    # FPU waits on the stream in three of the cycles the DMA holds it
+    n = 16
+    src = "\n".join([
+        f"li t0, {L2_BASE}", "dm_src t0", f"li t1, {TCDM_BASE + 0x8000}",
+        "dm_dst t1", "li t2, 8", f"li t3, {TCDM_BASE + 0x1000}",
+        "ssr_cfg_write 0, base, t3", "ssr_cfg_write 0, stride0, 256",
+        f"ssr_cfg_write 0, bound0, {n}", "ssr_enable", f"li t4, {n}",
+        "frep t4, 1", "fmv.d ft3, ft0", *["dm_copy t2"] * 6,
+        "ssr_disable", "halt"])
+    sim = ClusterSim()
+    sim.load_program(assemble(src), active_cores=1)
+    sim.mem.write(L2_BASE, bytes(range(1, 9)))
+    contests = []
+    arbitrate = Tcdm.arbitrate
+
+    def watched(t, requests):
+        contested = 0 in t.contested
+        grants = arbitrate(t, requests)
+        if contested:
+            contests.append((sim.cycle, grants[0][0]))
+        return grants
+    monkeypatch.setattr(Tcdm, "arbitrate", watched)
+    res = sim.run()
+    slot_rid = sim.cores[0].slots[0].rid
+    assert contests == [(c, (slot_rid, DMA_RID)[k % 2])
+                        for k, c in enumerate(range(15, 25))]
+    s = res.stats
+    assert (res.cycles, s.fp_stall_stream, s.fp_executed) == (35, 3, 17)
+    assert (res.dma_busy_cycles, res.dma_bytes, res.dma_descriptors) == (
+        11, 48, 6)
+    assert sim.mem.read(TCDM_BASE + 0x8000, 8) == bytes(range(1, 9))
+    assert s.fetched + s.int_stalls() == s.cycles_at_halt == res.cycles
+    assert s.fp_slots() == s.cycles_at_halt
 
 
 # ------------------------------------------------------------- cycle oracles
@@ -620,7 +651,7 @@ def test_stream_first_pop_waits_for_prefetch():
     assert "ssr_enable" in res.trace[4]
     assert fp[:8] == ["-"] * 6 + ["fmv.d", "fmv.d"]
     assert res.stats.fp_stall_stream == 0
-    f = sim.cores[0].state.f
+    f = sim.cores[0].f
     assert (f64_to_bits(f[3]), f64_to_bits(f[4])) == (
         struct.unpack("<QQ", struct.pack("<dd", 1.0, 2.0)))
 
@@ -708,7 +739,7 @@ def test_four_byte_streams_through_the_cluster():
         ssr_disable
         halt
     """)
-    f = sim.cores[0].state.f
+    f = sim.cores[0].f
     assert f64_to_bits(f[3]) == 0x01234567_DEADBEEF
     assert f64_to_bits(f[4]) == 0x55667788
     dst = DATA_BASE + 20
@@ -742,8 +773,19 @@ def test_load_program_starts_a_new_run():
     runs = []
     for _ in range(2):
         sim.load_program(prog, active_cores=1)
+        # every core from reset, whatever the last run left: pc at the
+        # entry, a0 = its index, a1 = N_CORES, all else zero, no streams
+        assert sim.live == sim.cores[:1]
+        for core in sim.cores:
+            x = [0] * 32
+            x[10:12] = core.index, N_CORES
+            assert (core.pc, core.x, core.ssr_enabled) == (prog.entry, x, False)
+            assert [f64_to_bits(v) for v in core.f] == [0] * 32
         res = sim.run(trace=True, watch_pcs=[prog.labels["pop"]])
         runs.append((stats_lines(res), res.trace, res.watch_hits))
+        for core in sim.cores:
+            core.pc, core.ssr_enabled = 0x40, True
+            core.x[5], core.f[3] = 7, -0.0
     assert runs[1] == runs[0]
     assert len(runs[0][2]) == 1
 
@@ -768,6 +810,15 @@ def test_entries_and_boot_registers():
         assert int.from_bytes(sim.mem.read(DATA_BASE + 8 * i, 4), "little") == i
         assert int.from_bytes(sim.mem.read(DATA_BASE + 8 * i + 4, 4), "little") == 8
     assert sim.mem.read(DATA_BASE + 24, 8) == bytes(8)  # cores 3+ stayed halted
+    # the first active_cores cores are live, and they run alike
+    for n, cycles in ((0, 0), (1, 6), (N_CORES, 6)):
+        sim = ClusterSim()
+        sim.load_program(prog, active_cores=n)
+        assert [core.index for core in sim.live] == list(range(n))
+        res = sim.run()
+        assert res.cycles == cycles
+        assert [s.cycles_at_halt for s in res.core_stats] == (
+            [cycles] * n + [0] * (N_CORES - n))
 
     prog2 = assemble(f"""
         .data
@@ -851,7 +902,7 @@ def test_watch_hits_on_every_retire_path():
         3, 14, 15, 17, 18, 20, 31, 32, 34, 35]
     # lw zero from the TCDM and from L2 still retire, and x0 stays 0: 13
     # int retires are the three li, four per pass and the two lw zero
-    x = sim.cores[0].state.x
+    x = sim.cores[0].x
     assert x[0] == 0 and (x[7], x[29]) == (7, 99)
     s = res.stats
     assert (s.fetched, s.int_retired, s.custom_retired) == (20, 13, 3)
@@ -1052,7 +1103,7 @@ def test_fpu_commit_source_forms(stmt, streaming):
         assert out == bits
     else:
         assert out == FP_MARK
-        assert f64_to_bits(sim.cores[0].state.f[FREGS[where]]) == bits
+        assert f64_to_bits(sim.cores[0].f[FREGS[where]]) == bits
     # the four loads of ft4..ft7, those of ft0 and ft1 without streams, and
     # the statement, once
     assert res.stats.fp_executed == (4 if streaming else 6) + 1
@@ -1355,7 +1406,7 @@ def test_ssr_cfg_read_returns_staged_value():
         ssr_cfg_read t5, 2, base
         halt
     """)
-    t1, t2, t3, t4, t5 = (sim.cores[0].state.x[XREGS[r]]
+    t1, t2, t3, t4, t5 = (sim.cores[0].x[XREGS[r]]
                           for r in ("t1", "t2", "t3", "t4", "t5"))
     assert t2 == t1 == DATA_BASE
     assert t3 == -8 & 0xFFFFFFFF
@@ -1383,7 +1434,7 @@ def _cfg_write_outcome(field, value, operand):
     except SimulationFault as e:
         outcome = (str(e), type(e.__cause__), str(e.__cause__))
     core = sim.cores[0]
-    return core.staged_cfg[0][field], core.state.x[XREGS["t2"]], outcome
+    return core.staged_cfg[0][field], core.x[XREGS["t2"]], outcome
 
 
 @pytest.mark.parametrize("field", SSR_FIELDS)

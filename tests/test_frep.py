@@ -54,7 +54,7 @@ def test_replayed_op_identity():
                              "fmv.d.x ft3, t0\nli t0, 7\nhalt")
     assert events == ["capture fmv.d.x"] + [
         f"fmv.d.x [iter {i}/3]" for i in (1, 2, 3)]
-    assert core.state.x[5] == 7 and f64_to_bits(core.state.f[3]) == 42
+    assert core.x[5] == 7 and f64_to_bits(core.f[3]) == 42
 
 
 def test_arm_bounds():
@@ -72,7 +72,7 @@ def plan_at(cycle, text, pending=()):
     sim = ClusterSim()
     sim.load_program(assemble(text), active_cores=1)
     core = sim.cores[0]
-    core.state.x[6] = TCDM_BASE          # t1, the base of FP loads/stores
+    core.x[6] = TCDM_BASE          # t1, the base of FP loads/stores
     for now, dest, lat in pending:
         core.sb.issue(now, dest, lat)
     sim.cycle = cycle

@@ -535,7 +535,6 @@ DECODE_STATEMENTS = [
     "fmadd.d\tft3,ft0,ft1,ft3\t# acc",
     "sw t2, -4(sp)#no space",
     "lw t0,0x10(a0)",
-    "lw t0, \u0663(t1)",
     "bne t3, zero, loop  # back",
     "jalr ra, 0(t0)",
     "jal ra, loop.2",
@@ -601,6 +600,7 @@ DECODE_ERRORS = [
     "lw t0, (t1)",
     "lw t0, 4(t1",
     "lw t0, -(t1)",
+    "lw t0, \u0663(t1)",
     "sw t0, 4+4(t1)",
     "fld ft0, 4(t1)(t2)",
     "lw t0, 4(ft1)",

@@ -8,15 +8,16 @@ import struct
 import pytest
 
 from streamsim import errors
+from streamsim.cluster import Core
 from streamsim.fp import bits_to_f64, f64_to_bits, fma32, fma64, round32
 from streamsim.isa import (_AT, LAT_FMA, LAT_LOAD, MASK32, OP_ARITH, OP_LOAD,
-                           OP_STORE, OPS, CoreState, Domain, Instruction,
+                           OP_STORE, OPS, Domain, Instruction,
                            XREGS, decode, fp_compute, sext32)
 from test_fp import bits_to_f32_pair, bits_to_f64x3, f32_pair_to_bits
 
 
 def st_with(**regs):
-    st = CoreState()
+    st = Core(0)
     for name, val in regs.items():
         st.set_x(XREGS[name], val)
     return st
@@ -145,7 +146,7 @@ def test_alu_frozen():
 
 def test_alu_wraps_to_32_bits():
     rng = random.Random(11)
-    st = CoreState()
+    st = Core(0)
     for _ in range(200):
         a, b = rng.getrandbits(32), rng.getrandbits(32)
         st.set_x(6, a)
@@ -155,7 +156,7 @@ def test_alu_wraps_to_32_bits():
 
 
 def test_x0_stays_zero():
-    st = CoreState()
+    st = Core(0)
     st.set_x(0, 1234)
     assert st.x[0] == 0
 

@@ -130,7 +130,7 @@ def streaming_core(*slots):
     for slot in slots:
         slot.rid = core.slots[slot.index].rid
         core.slots[slot.index] = slot
-    core.state.ssr_enabled = True
+    core.ssr_enabled = True
     sim.live = [core]
     sim._remap(core)
     return sim, core
